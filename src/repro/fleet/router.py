@@ -718,32 +718,8 @@ class FleetRouterServer(RpcIspServer):
     ) -> bytes:
         if kind == codec.REQ_SHARD_MAP:
             return codec.encode_shard_map(self.isp.shard_map)
-        if deadline is not None:
-            isp = self.isp
-            if kind == codec.REQ_GET_CERTIFICATE:
-                return codec.encode_certificate(
-                    isp.get_certificate(deadline=deadline)
-                )
-            if kind == codec.REQ_OPEN_SESSION:
-                return codec.encode_session(
-                    isp.open_session(*args, deadline=deadline)
-                )
-            if kind == codec.REQ_GET_FILE_META:
-                return codec.encode_file_meta(
-                    *isp.get_file_meta(*args, deadline=deadline)
-                )
-            if kind == codec.REQ_GET_PAGE:
-                return codec.encode_page(
-                    isp.get_page(*args, deadline=deadline)
-                )
-            if kind == codec.REQ_VALIDATE_PATH:
-                return codec.encode_validation(
-                    isp.validate_path(*args, deadline=deadline)
-                )
-            if kind == codec.REQ_FINALIZE_SESSION:
-                return codec.encode_vo(
-                    isp.finalize_session(*args, deadline=deadline)
-                )
+        if deadline is not None and kind in self._ISP_OPS:
+            return self._dispatch(kind, args, deadline=deadline)
         return self._dispatch(kind, args)
 
 

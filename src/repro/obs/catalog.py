@@ -191,7 +191,7 @@ SCOPES: Dict[str, str] = {
         "select (histogram) — sustained growth means the loop itself "
         "is saturated and work is leaking off the worker pool.",
     "serve.pipelined.requests":
-        "Requests received as pipelined (V4, frame-id-carrying) frames.",
+        "Requests the event loop received as frame-id-carrying frames.",
     "serve.batch.size":
         "Requests coalesced per event-loop tick into one shared-"
         "traversal batch (histogram).",

@@ -271,7 +271,7 @@ class RemoteIsp:
 
         ``deadline`` bounds the *whole call*: each backoff sleep and
         per-attempt socket timeout is capped to the remaining budget,
-        and the budget rides the ``V3`` frame header so the server can
+        and the budget rides the frame header so the server can
         refuse work it cannot finish in time.  Retries beyond the first
         attempt also spend from :attr:`retry_budget`; a dry bucket ends
         the call with the error it already has.  A server ``Overloaded``

@@ -1,19 +1,37 @@
 """Wire codec for the client-ISP RPC protocol.
 
-Every message travels in one *frame*::
+Every message travels in one *frame*, and there is exactly one frame
+layout::
 
-    +-------+-----------+------------+---------------------+
-    | magic | length u32| crc32 u32  | payload (length B)  |
-    +-------+-----------+------------+---------------------+
+    +-------+-------+------------+-----------+ - - - - - - + - - - - - - +---------+
+    | magic | flags | length u32 | crc32 u32 | deadline u32| frame id u32| payload |
+    +-------+-------+------------+-----------+ - - - - - - + - - - - - - +---------+
+       2 B     1 B                             if flags&1    if flags&2   length B
 
-``magic`` is the two-byte protocol tag ``b"V2"``; ``length`` is the
+``magic`` is the two-byte protocol tag :data:`MAGIC`; ``length`` is the
 payload size (bounded by :data:`MAX_FRAME_BYTES`, checked *before* any
-allocation); ``crc32`` detects accidental corruption in transit.  The
+payload is buffered); ``crc32`` detects accidental corruption in
+transit.  The two optional fields follow the fixed 11 bytes in flag
+order:
+
+* :data:`FLAG_DEADLINE` — the sender's *remaining* deadline budget in
+  milliseconds.  Relative, not absolute, so peers need no clock
+  synchronization; the receiver rebases it onto its own monotonic clock.
+* :data:`FLAG_FRAME_ID` — a connection-unique request id.  A pipelining
+  client may send many id-carrying requests back-to-back; every server
+  echoes the id on the matching response, so those responses may
+  complete (and arrive) out of order.  Frames without an id are answered
+  strictly in request order.
+
+Any other flag bit is a :class:`~repro.errors.WireFormatError`.  The
 CRC is not a security measure — a malicious ISP can recompute it — but
-everything it lets through is still subject to the client's cryptographic
-verification, so corruption is always answered with a typed error
-(:class:`~repro.errors.WireFormatError`) or a failed VO check, never a
-crash or a silently wrong result.
+everything it lets through is still subject to the client's
+cryptographic verification, so corruption is always answered with a
+typed error or a failed VO check, never a crash or a silently wrong
+result.
+
+Headers are parsed in one place, :class:`FrameDecoder`; the blocking
+:func:`recv_frame` merely drives a decoder from a socket.
 
 The payload is one message: a one-byte kind tag followed by a
 deterministic binary body.  All integers are big-endian and fixed-width;
@@ -59,34 +77,11 @@ from repro.sgx.attestation import AttestationReport
 # Framing
 # ----------------------------------------------------------------------
 
-MAGIC = b"V2"
-FRAME_HEADER = struct.Struct(">2sII")  # magic, payload length, crc32
-
-#: Deadline-carrying frame variant (backward-compatible codec bump):
-#: same header plus a trailing u32 — the sender's *remaining* deadline
-#: budget in milliseconds.  Relative, not absolute, so peers need no
-#: clock synchronization; the receiver rebases it onto its own
-#: monotonic clock.  A peer that has no deadline keeps sending plain
-#: ``V2`` frames, and every receiver accepts both magics.
-MAGIC_DEADLINE = b"V3"
-FRAME_HEADER_V3 = struct.Struct(">2sIII")  # + deadline budget (ms)
-
-#: Pipelined frame variant: the ``V3`` layout plus a trailing u32
-#: *frame id*.  A pipelining client stamps each request with a
-#: connection-unique id and may send many requests back-to-back; the
-#: server echoes the id on the matching response frame, so responses
-#: may complete (and arrive) out of order.  The deadline field uses
-#: :data:`NO_DEADLINE_MS` as its "absent" sentinel, since a pipelined
-#: request without a deadline still needs the fixed header layout.
-#: Only the event-loop server (:mod:`repro.serve`) speaks this variant;
-#: plain ``V2``/``V3`` endpoints reject it with a typed error.
-MAGIC_PIPELINED = b"V4"
-FRAME_HEADER_V4 = struct.Struct(">2sIIII")  # + deadline (ms) + frame id
-
-#: "No deadline" sentinel for the ``V4`` deadline field.  Real wire
-#: budgets are clamped one below it; 49.7 days is "no deadline" in
-#: practice anyway (see ``Deadline.to_wire_ms``).
-NO_DEADLINE_MS = 0xFFFFFFFF
+MAGIC = b"VF"
+FRAME_HEADER = struct.Struct(">2sBII")  # magic, flags, payload length, crc32
+FLAG_DEADLINE = 0x01  # a u32 deadline budget (ms) follows the fixed header
+FLAG_FRAME_ID = 0x02  # a u32 frame id follows (after the deadline, if any)
+_U32 = struct.Struct(">I")
 
 #: Hard ceiling on one frame's payload.  Large enough for any realistic
 #: consolidated VO at our scale, small enough that a hostile length
@@ -104,6 +99,10 @@ MAX_CHAIN_STATES = 256
 MAX_VBF_BYTES = 16 * 1024 * 1024
 MAX_ERROR_BYTES = 4096
 
+#: One decoded frame: ``(payload, deadline_ms, frame_id)``, with ``None``
+#: for an optional field the header did not carry.
+Frame = Tuple[bytes, Optional[int], Optional[int]]
+
 
 def frame(
     payload: bytes,
@@ -112,11 +111,9 @@ def frame(
 ) -> bytes:
     """Wrap one message payload into a complete frame.
 
-    With ``deadline_ms`` the frame uses the ``V3`` header variant and
-    carries the remaining budget on the wire; without it the original
-    ``V2`` layout is emitted byte-for-byte unchanged.  With ``frame_id``
-    the ``V4`` pipelined variant is emitted instead, carrying both the
-    id and the (possibly absent) deadline.
+    ``deadline_ms`` and ``frame_id`` each set their header flag and ride
+    the wire as a u32 when given; a frame with neither is the 11-byte
+    fixed header plus the payload.
     """
     if len(payload) > MAX_FRAME_BYTES:
         raise WireFormatError(
@@ -125,36 +122,23 @@ def frame(
     if obs.ACTIVE:
         obs.inc("rpc.frame.encode")
         obs.add("rpc.frame.encode.bytes", len(payload))
-    if frame_id is not None:
-        if not 0 <= frame_id <= 0xFFFFFFFF:
+    flags = 0
+    optional = b""
+    for flag, value, what in (
+        (FLAG_DEADLINE, deadline_ms, "deadline (ms)"),
+        (FLAG_FRAME_ID, frame_id, "frame id"),
+    ):
+        if value is None:
+            continue
+        if not 0 <= value <= 0xFFFFFFFF:
             raise WireFormatError(
-                f"frame id {frame_id} does not fit the u32 wire field"
+                f"{what} {value} does not fit the u32 wire field"
             )
-        if deadline_ms is None:
-            deadline_ms = NO_DEADLINE_MS
-        elif not 0 <= deadline_ms <= 0xFFFFFFFF:
-            raise WireFormatError(
-                f"deadline {deadline_ms} ms does not fit the u32 wire field"
-            )
-        elif deadline_ms == NO_DEADLINE_MS:
-            # The sentinel itself is reserved; a 49.7-day budget loses
-            # one millisecond to it, which nothing can observe.
-            deadline_ms = NO_DEADLINE_MS - 1
-        return FRAME_HEADER_V4.pack(
-            MAGIC_PIPELINED, len(payload), zlib.crc32(payload),
-            deadline_ms, frame_id,
-        ) + payload
-    if deadline_ms is None:
-        return FRAME_HEADER.pack(
-            MAGIC, len(payload), zlib.crc32(payload)
-        ) + payload
-    if not 0 <= deadline_ms <= 0xFFFFFFFF:
-        raise WireFormatError(
-            f"deadline {deadline_ms} ms does not fit the u32 wire field"
-        )
-    return FRAME_HEADER_V3.pack(
-        MAGIC_DEADLINE, len(payload), zlib.crc32(payload), deadline_ms
-    ) + payload
+        flags |= flag
+        optional += _U32.pack(value)
+    return FRAME_HEADER.pack(
+        MAGIC, flags, len(payload), zlib.crc32(payload)
+    ) + optional + payload
 
 
 def send_frame(
@@ -166,96 +150,17 @@ def send_frame(
     sock.sendall(frame(payload, deadline_ms))
 
 
-def _recv_exact(sock: socket.socket, count: int, *, at_start: bool) -> bytes:
-    """Read exactly ``count`` bytes from ``sock``.
-
-    A clean EOF *before any byte of a frame* returns ``b""`` (the peer
-    hung up between messages); an EOF mid-frame is a protocol violation.
-    """
-    chunks: List[bytes] = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(min(remaining, 1 << 16))
-        if not chunk:
-            if at_start and not chunks:
-                return b""
-            raise WireFormatError(
-                "connection closed mid-frame "
-                f"({count - remaining} of {count} bytes received)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-# repro: taint-source
-def recv_frame_ex(
-    sock: socket.socket,
-) -> Optional[Tuple[bytes, Optional[int]]]:
-    """Receive one frame as ``(payload, deadline_ms)``.
-
-    ``deadline_ms`` is the peer's remaining budget from a ``V3`` header,
-    or ``None`` for a legacy ``V2`` frame.  Returns ``None`` on a clean
-    EOF between frames; raises :class:`WireFormatError` on a bad magic,
-    an oversized length prefix (rejected before any payload
-    allocation), a CRC mismatch, or an EOF mid-frame.
-    """
-    header = _recv_exact(sock, FRAME_HEADER.size, at_start=True)
-    if not header:
-        return None
-    magic, length, crc = FRAME_HEADER.unpack(header)
-    if magic == MAGIC_PIPELINED:
-        # Pipelined frames need id-echoing responses; a blocking
-        # one-request-at-a-time endpoint cannot correlate them, so the
-        # client gets a typed refusal instead of a silent id mismatch.
-        raise WireFormatError(
-            "pipelined (V4) frame on a non-pipelined endpoint; "
-            "use plain V2/V3 frames here"
-        )
-    if magic != MAGIC and magic != MAGIC_DEADLINE:
-        raise WireFormatError(f"bad frame magic {magic!r}")
-    if length > MAX_FRAME_BYTES:
-        raise WireFormatError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    deadline_ms: Optional[int] = None
-    if magic == MAGIC_DEADLINE:
-        # The deadline field sits directly in front of the payload and
-        # both left the sender in one ``sendall``: one recv covers
-        # them, so the V3 variant costs no extra syscall over V2.
-        extra = FRAME_HEADER_V3.size - FRAME_HEADER.size
-        rest = _recv_exact(sock, extra + length, at_start=False)
-        deadline_ms = struct.unpack_from(">I", rest)[0]
-        payload = rest[extra:]
-    else:
-        payload = _recv_exact(sock, length, at_start=False) if length else b""
-    if zlib.crc32(payload) != crc:
-        raise WireFormatError("frame checksum mismatch (corrupt payload)")
-    if obs.ACTIVE:
-        obs.inc("rpc.frame.decode")
-        obs.add("rpc.frame.decode.bytes", len(payload))
-    return payload, deadline_ms
-
-
-#: Bytes of header needed to know a frame's full length, per magic.
-_HEADER_SIZES = {
-    MAGIC: FRAME_HEADER.size,
-    MAGIC_DEADLINE: FRAME_HEADER_V3.size,
-    MAGIC_PIPELINED: FRAME_HEADER_V4.size,
-}
-
-
 class FrameDecoder:
-    """Incremental frame parser for non-blocking sockets.
+    """The one frame parser: incremental, for any byte source.
 
-    The event-loop server cannot block in :func:`recv_frame_ex`; it
-    :meth:`feed`\\ s whatever ``recv`` returned and drains complete
-    frames with :meth:`frames`.  Accepts all three magics and returns
-    ``(payload, deadline_ms, frame_id)`` triples (``None`` fields for
-    the variants that lack them).  Hostile input fails exactly like the
-    blocking reader: an unknown magic or oversized length prefix raises
-    :class:`~repro.errors.WireFormatError` as soon as the header is
-    complete — before any payload is buffered past the bound — and a
+    :meth:`feed` whatever arrived and drain complete frames with
+    :meth:`frames`; a non-blocking reader feeds arbitrary ``recv``
+    chunks, a blocking one asks :meth:`missing` how much the frame at
+    the head of the buffer still needs and reads exactly that.  Hostile
+    input fails the same way on every path: a bad magic, an unknown
+    flag bit or an oversized length prefix raises
+    :class:`~repro.errors.WireFormatError` as soon as the fixed header
+    is complete — before any payload is buffered past the bound — and a
     CRC mismatch raises once the payload is complete.
     """
 
@@ -269,63 +174,94 @@ class FrameDecoder:
     def feed(self, data: bytes) -> None:
         self._buf += data
 
-    # repro: taint-source
-    def frames(self) -> List[Tuple[bytes, Optional[int], Optional[int]]]:
-        """Drain every complete frame buffered so far."""
-        out: List[Tuple[bytes, Optional[int], Optional[int]]] = []
-        while True:
-            parsed = self._next()
-            if parsed is None:
-                return out
-            out.append(parsed)
+    def _header(self) -> Optional[Tuple[int, int, int, int]]:
+        """Parse the header at the head of the buffer.
 
-    def _next(self) -> Optional[Tuple[bytes, Optional[int], Optional[int]]]:
-        buf = self._buf
-        if len(buf) < FRAME_HEADER.size:
+        Returns ``(flags, header_size, length, crc)``, or ``None`` while
+        fewer than the fixed header's bytes are buffered.
+        """
+        if len(self._buf) < FRAME_HEADER.size:
             return None
-        magic = bytes(buf[:2])
-        header_size = _HEADER_SIZES.get(magic)
-        if header_size is None:
+        magic, flags, length, crc = FRAME_HEADER.unpack_from(self._buf)
+        if magic != MAGIC:
             raise WireFormatError(f"bad frame magic {magic!r}")
-        length, crc = struct.unpack_from(">II", buf, 2)
+        if flags & ~(FLAG_DEADLINE | FLAG_FRAME_ID):
+            raise WireFormatError(f"unknown frame flags 0x{flags:02x}")
         if length > MAX_FRAME_BYTES:
             raise WireFormatError(
                 f"frame length {length} exceeds the "
                 f"{MAX_FRAME_BYTES}-byte limit"
             )
-        if len(buf) < header_size + length:
-            return None
-        deadline_ms: Optional[int] = None
-        frame_id: Optional[int] = None
-        if magic == MAGIC_DEADLINE:
-            deadline_ms = struct.unpack_from(">I", buf, 10)[0]
-        elif magic == MAGIC_PIPELINED:
-            deadline_ms, frame_id = struct.unpack_from(">II", buf, 10)
-            if deadline_ms == NO_DEADLINE_MS:
-                deadline_ms = None
-        payload = bytes(buf[header_size:header_size + length])
-        del buf[:header_size + length]
-        if zlib.crc32(payload) != crc:
-            raise WireFormatError(
-                "frame checksum mismatch (corrupt payload)"
-            )
-        if obs.ACTIVE:
-            obs.inc("rpc.frame.decode")
-            obs.add("rpc.frame.decode.bytes", len(payload))
-        return payload, deadline_ms, frame_id
+        header_size = FRAME_HEADER.size
+        if flags & FLAG_DEADLINE:
+            header_size += _U32.size
+        if flags & FLAG_FRAME_ID:
+            header_size += _U32.size
+        return flags, header_size, length, crc
+
+    def missing(self) -> int:
+        """Bytes the frame at the head of the buffer still needs (0 when
+        it is complete): first up to the fixed header, then — once that
+        names the optional fields and the length — the rest exactly."""
+        header = self._header()
+        if header is None:
+            return FRAME_HEADER.size - len(self._buf)
+        _flags, header_size, length, _crc = header
+        return max(0, header_size + length - len(self._buf))
+
+    # repro: taint-source
+    def frames(self) -> List[Frame]:
+        """Drain every complete frame buffered so far."""
+        out: List[Frame] = []
+        buf = self._buf
+        while (header := self._header()) is not None:
+            flags, header_size, length, crc = header
+            if len(buf) < header_size + length:
+                break
+            deadline_ms: Optional[int] = None
+            frame_id: Optional[int] = None
+            offset = FRAME_HEADER.size
+            if flags & FLAG_DEADLINE:
+                deadline_ms = _U32.unpack_from(buf, offset)[0]
+                offset += _U32.size
+            if flags & FLAG_FRAME_ID:
+                frame_id = _U32.unpack_from(buf, offset)[0]
+            payload = bytes(buf[header_size:header_size + length])
+            del buf[:header_size + length]
+            if zlib.crc32(payload) != crc:
+                raise WireFormatError(
+                    "frame checksum mismatch (corrupt payload)"
+                )
+            if obs.ACTIVE:
+                obs.inc("rpc.frame.decode")
+                obs.add("rpc.frame.decode.bytes", len(payload))
+            out.append((payload, deadline_ms, frame_id))
+        return out
 
 
 # repro: taint-source
 def recv_frame(sock: socket.socket) -> Optional[bytes]:
-    """Receive one frame's payload; ``None`` on clean EOF between frames.
+    """Receive one frame's payload from a blocking socket.
 
-    Accepts both ``V2`` and ``V3`` frames, discarding any deadline field
-    — callers that propagate deadlines use :func:`recv_frame_ex`.
+    Drives a fresh :class:`FrameDecoder` with exact-size reads, so it
+    never consumes a byte past the frame it returns — the next reader of
+    ``sock`` (another ``recv_frame``, or a long-lived decoder) starts at
+    a frame boundary.  Deadline and frame id are discarded: this is the
+    one-request-one-reply client path.  Returns ``None`` on a clean EOF
+    between frames; an EOF mid-frame is a :class:`WireFormatError`, like
+    every other malformation the decoder rejects.
     """
-    received = recv_frame_ex(sock)
-    if received is None:
-        return None
-    return received[0]
+    decoder = FrameDecoder()
+    while (want := decoder.missing()):
+        chunk = sock.recv(min(want, 1 << 16))
+        if not chunk:
+            if not decoder.buffered():
+                return None
+            raise WireFormatError(
+                f"connection closed mid-frame ({want} more bytes expected)"
+            )
+        decoder.feed(chunk)
+    return decoder.frames()[0][0]
 
 
 # ----------------------------------------------------------------------
@@ -868,9 +804,9 @@ def decode_response(payload: bytes) -> DecodedResponse:
 
 __all__ = [
     "MAGIC",
-    "MAGIC_DEADLINE",
     "FRAME_HEADER",
-    "FRAME_HEADER_V3",
+    "FLAG_DEADLINE",
+    "FLAG_FRAME_ID",
     "MAX_FRAME_BYTES",
     "MAX_PAGE_BYTES",
     "MAX_DIGS_PATH",
@@ -879,7 +815,7 @@ __all__ = [
     "frame",
     "send_frame",
     "recv_frame",
-    "recv_frame_ex",
+    "FrameDecoder",
     "decode_request",
     "decode_response",
     "encode_error",

@@ -2,32 +2,16 @@
 
 Thread-per-connection serving (:class:`~repro.rpc.server.RpcIspServer`)
 costs one OS thread per client; at thousands of concurrent sessions the
-scheduler, not the ISP, becomes the bottleneck.  This package serves the
-same wire protocol from a single ``selectors`` event loop:
-
-* :class:`AsyncIspServer` — one loop thread owns every socket
-  (non-blocking accept/read/write, incremental frame parsing); all
-  dispatch work — everything the ``blocking-effect`` analysis flags as
-  lock/sleep/fsync/socket — runs on a bounded worker pool, so the loop
-  never blocks;
-* **request pipelining** — clients may tag requests with ``V4`` frame
-  ids and stream many per connection; responses echo the id and may
-  complete out of order, so one slow request never head-of-line-blocks
-  the connection (plain ``V2``/``V3`` clients keep strict
-  one-at-a-time ordering);
-* **snapshot-shared proof batching** — data-plane requests arriving
-  within one loop tick are coalesced into a single
-  :meth:`~repro.isp.server.IspServer.serve_batch` call, so requests
-  pinned to the same snapshot share Merkle subtree traversals while
-  each still gets its own byte-identical VO;
-* :mod:`repro.serve.loadgen` — a same-loop-architecture load generator
-  driving hundreds to thousands of concurrent clients for the
-  ``BENCH_serve.json`` throughput-under-load numbers.
-
-See DESIGN.md §11 "Serving path".
+scheduler, not the ISP, becomes the bottleneck.
+:class:`AsyncIspServer` serves the same wire protocol from a single
+``selectors`` event loop plus a bounded worker pool, which adds
+out-of-order **pipelining** of id-carrying frames and
+**snapshot-shared proof batching** of the data-plane requests that
+arrive in one loop tick.  It is a transport only: the request pipeline,
+the failpoints and the wire seam are ``RpcIspServer``'s, shared with the
+threaded server.  See :mod:`repro.serve.server` and DESIGN.md §11.
 """
 
-from repro.serve.loadgen import LoadClientError, run_load
 from repro.serve.server import AsyncIspServer
 
-__all__ = ["AsyncIspServer", "LoadClientError", "run_load"]
+__all__ = ["AsyncIspServer"]

@@ -2,13 +2,13 @@
 
 :class:`AsyncIspServer` serves the exact wire protocol of
 :mod:`repro.rpc.codec` from a single ``selectors`` event loop instead of
-a thread per connection.  It subclasses
-:class:`~repro.rpc.server.RpcIspServer` and reuses its entire dispatch
-stack unchanged — admission control (:meth:`_admit`/:meth:`_release`),
-deadline refusal, the coarse ISP lock, the transport failpoints, and
-the adversary seam (:meth:`_send`) — so every wire-adversary and chaos
-suite written against the threaded server runs against this one by
-mixing the same subclasses over ``AsyncIspServer``.
+a thread per connection.  It is a second *transport* under
+:class:`~repro.rpc.server.RpcIspServer`, nothing more: frames go into
+the inherited :meth:`~repro.rpc.server.RpcIspServer._exchange` — request
+pipeline, failpoints, wire-adversary seam — and wire-ready bytes come
+back, so every wire-adversary and chaos suite written against the
+threaded server runs against this one by mixing the same subclasses
+over ``AsyncIspServer``.
 
 Architecture (one loop thread + a bounded worker pool):
 
@@ -20,23 +20,20 @@ Architecture (one loop thread + a bounded worker pool):
   thread.
 * **Workers** run everything the ``blocking-effect`` analysis would flag
   on the loop: request decode, admission, the dispatch lock, the modeled
-  storage sleep, and ISP calls.  They never touch a socket; responses
-  are *posted* back to the loop as completion records through
+  storage sleep, and ISP calls.  They never see a socket; each request's
+  reply is *posted* back to the loop as one completion record through
   :attr:`_completions` (guarded by ``serve.outbox``) plus a wake-pipe
   byte.
-* **Pipelining**: ``V4`` frames carry a client-chosen id; each becomes
-  an independent worker task and its response frame echoes the id, so
-  responses complete — and hit the wire — out of order, and one slow
-  request never head-of-line-blocks its connection.  Plain ``V2``/``V3``
-  frames keep the threaded server's contract (strictly one in flight,
-  responses in request order) via a per-connection backlog.
-* **Batching**: data-plane requests (:attr:`_DATA_SERVICE_KINDS`) that
-  arrive within one loop tick are coalesced into a single
-  :meth:`~repro.isp.server.IspServer.serve_batch` call — one dispatch
-  lock hold, one snapshot read-view whose node cache shares Merkle
-  subtree reads across the batch, one storage-delay charge for the
-  whole group — while every request still gets its own byte-identical
-  response (gated by tests and the CI ``serve`` job).
+* **Pipelining**: each id-carrying frame becomes an independent worker
+  task and its response echoes the id, so responses complete — and hit
+  the wire — out of order, and one slow request never head-of-line-blocks
+  its connection.  Frames without an id keep the threaded server's
+  contract (strictly one in flight, responses in request order) via a
+  per-connection backlog.
+* **Batching**: data-plane requests that arrive within one loop tick are
+  handed to the pipeline *together*, which serves them with a single
+  :meth:`~repro.isp.server.IspServer.serve_batch` call (see
+  :meth:`~repro.rpc.server.RpcIspServer._serve_together`).
 
 Trust model is unchanged: the server stays untrusted and nothing it
 sends is believed until the client verifies it against the certificate.
@@ -52,19 +49,11 @@ import socket
 import time
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.errors import (
-    DeadlineExceededError,
-    NetworkError,
-    OverloadedError,
-    ReproError,
-    WireFormatError,
-)
-from repro.faults import registry as faults
-from repro.faults.registry import InjectedFault
+from repro.errors import WireFormatError
+from repro.faults.registry import InjectedFault, SimulatedCrash
 from repro.isp.server import IspServer
 from repro.obs import metrics as obs
 from repro.rpc import codec
-from repro.rpc.deadline import Deadline
 from repro.rpc.server import IspBootstrap, RpcIspServer
 from repro.sanitize.runtime import SanLock, SanThread
 
@@ -99,75 +88,12 @@ class _Conn:
         self.closed = False  # repro: confined-to(loop)
 
 
-class _Request:
-    """One received frame awaiting dispatch."""
-
-    __slots__ = ("conn", "payload", "deadline_ms", "frame_id", "deadline")
-
-    def __init__(
-        self,
-        conn: _Conn,
-        payload: bytes,
-        deadline_ms: Optional[int],
-        frame_id: Optional[int],
-    ) -> None:
-        self.conn = conn
-        self.payload = payload
-        self.deadline_ms = deadline_ms
-        self.frame_id = frame_id
-        self.deadline: Optional[Deadline] = None
-
-
-class _ConnHandle:
-    """Socket-shaped stand-in handed to the inherited send seams.
-
-    Workers must not touch sockets, but the inherited transport code
-    (:meth:`RpcIspServer._send`, :meth:`_wire_faults`, and every test
-    adversary that overrides ``_send``) calls ``sendall``/``shutdown``
-    on what it believes is a socket.  This proxy satisfies that surface
-    by *posting* the bytes (or the close) to the event loop, so the
-    adversary subclasses corrupt, truncate, and sever exactly as they
-    do against the threaded server — without a worker ever writing to
-    the wire.
-    """
-
-    __slots__ = ("_server", "_conn")
-
-    def __init__(self, server: "AsyncIspServer", conn: _Conn) -> None:
-        self._server = server
-        self._conn = conn
-
-    def sendall(self, data: bytes) -> None:
-        self._server._post("data", self._conn, bytes(data))
-
-    def send(self, data: bytes) -> int:
-        self._server._post("data", self._conn, bytes(data))
-        return len(data)
-
-    def shutdown(self, _how: int = socket.SHUT_RDWR) -> None:
-        self._server._post("close", self._conn, None)
-
-    def close(self) -> None:
-        self._server._post("close", self._conn, None)
-
-    def fileno(self) -> int:
-        return self._conn.fd
+#: One received frame awaiting dispatch, with the connection it came on.
+_Request = Tuple["_Conn", codec.Frame]
 
 
 class AsyncIspServer(RpcIspServer):
     """Serve one ISP to thousands of clients from one event loop."""
-
-    #: Map of batchable request kinds to their serve_batch op names.
-    #: Exactly the data-service kinds: the operations whose proofs can
-    #: share a snapshot read-view (control-plane kinds — open_session,
-    #: certificate, bootstrap — mutate or read server state the batch
-    #: view does not cover).
-    _BATCH_OPS: Dict[int, str] = {
-        codec.REQ_GET_FILE_META: "get_file_meta",
-        codec.REQ_GET_PAGE: "get_page",
-        codec.REQ_VALIDATE_PATH: "validate_path",
-        codec.REQ_FINALIZE_SESSION: "finalize_session",
-    }
 
     def __init__(
         self,
@@ -177,16 +103,11 @@ class AsyncIspServer(RpcIspServer):
         bootstrap: Optional[IspBootstrap] = None,
         *,
         workers: int = 8,
-        batching: bool = True,
     ) -> None:
         super().__init__(isp, host, port, bootstrap)
         if workers < 1:
             raise ValueError("worker pool needs at least one thread")
         self.workers = workers
-        #: Coalesce same-tick data-plane requests into one serve_batch
-        #: call.  Auto-disabled when the wrapped ISP does not implement
-        #: the batch surface (e.g. a test double).
-        self.batching = batching and hasattr(isp, "serve_batch")
         #: A connection whose client stops reading accumulates its
         #: pipelined responses here; beyond this bound it is dropped
         #: (bounded memory beats unbounded buffering of an unread VO
@@ -194,7 +115,9 @@ class AsyncIspServer(RpcIspServer):
         self.max_outbuf_bytes = 4 * codec.MAX_FRAME_BYTES
         self._loop_thread: Optional[SanThread] = None
         self._worker_threads: List[SanThread] = []
-        self._tasks: "queue.Queue[Optional[tuple]]" = queue.Queue()
+        #: Work for the pool: each item is the requests to run through
+        #: the pipeline together (``None`` tells a worker to exit).
+        self._tasks: "queue.Queue[Optional[List[_Request]]]" = queue.Queue()
         self._out_lock = SanLock("serve.outbox")
         #: Completion records posted by workers, drained by the loop.
         self._completions: Deque[tuple] = collections.deque()  # repro: guarded-by(_out_lock)
@@ -212,18 +135,10 @@ class AsyncIspServer(RpcIspServer):
 
     def start(self) -> "AsyncIspServer":
         """Bind, listen, and serve from the loop + worker threads."""
-        if self._listener is not None:
-            raise NetworkError("server already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(1024)
-        listener.setblocking(False)
-        self._listener = listener
+        self._listen(1024).setblocking(False)
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._running.set()
         self._worker_threads = [
             SanThread(
                 target=self._worker_main,
@@ -279,10 +194,16 @@ class AsyncIspServer(RpcIspServer):
     # Worker -> loop completion channel
     # ------------------------------------------------------------------
 
-    def _post(self, op: str, conn: _Conn, data: object) -> None:
-        """Post one completion record to the loop and wake it."""
+    def _post(self, completions: List[tuple]) -> None:
+        """Post finished requests to the loop and wake it.
+
+        One ``(conn, data, sever, plain)`` record per request: the bytes
+        to append to the connection's output, whether to close it once
+        they flush, and whether the request was an id-less one (whose
+        completion unblocks the connection's backlog).
+        """
         with self._out_lock:
-            self._completions.append((op, conn, data))
+            self._completions.extend(completions)
             if self._wake_pending:
                 return
             self._wake_pending = True
@@ -331,9 +252,9 @@ class AsyncIspServer(RpcIspServer):
                         if mask & selectors.EVENT_READ:
                             self._read_ready(conn)
                         touched.add(conn)
-                for op, conn, data in self._drain_completions():
-                    self._apply_completion(conn, op, data)
-                    touched.add(conn)
+                for completion in self._drain_completions():
+                    self._apply_completion(*completion)
+                    touched.add(completion[0])
                 self._flush_batch()
                 for conn in touched:
                     self._settle(sel, conn)
@@ -405,40 +326,37 @@ class AsyncIspServer(RpcIspServer):
                 # Protocol garbage: answer with a typed error, then
                 # drop the connection — same contract as the threaded
                 # server's _client_loop.
-                try:
-                    conn.outbuf += codec.frame(codec.encode_error(error))
-                except WireFormatError:  # pragma: no cover
-                    pass
+                conn.outbuf += codec.frame(codec.encode_error(error))
                 conn.closing = True
                 return
-            for payload, deadline_ms, frame_id in frames:
-                self._on_frame(conn, payload, deadline_ms, frame_id)
+            for frame in frames:
+                self._on_frame(conn, frame)
 
-    def _on_frame(
-        self,
-        conn: _Conn,
-        payload: bytes,
-        deadline_ms: Optional[int],
-        frame_id: Optional[int],
-    ) -> None:
-        if obs.ACTIVE and frame_id is not None:
-            obs.inc("serve.pipelined.requests")
-        request = _Request(conn, payload, deadline_ms, frame_id)
-        if frame_id is None:
-            if conn.plain_busy:
-                conn.plain_backlog.append(request)
-                return
+    def _on_frame(self, conn: _Conn, frame: codec.Frame) -> None:
+        request = (conn, frame)
+        if frame[2] is not None:
+            if obs.ACTIVE:
+                obs.inc("serve.pipelined.requests")
+        elif conn.plain_busy:
+            conn.plain_backlog.append(request)
+            return
+        else:
             conn.plain_busy = True
         self._submit(request)
 
     def _submit(self, request: _Request) -> None:
-        request.conn.inflight += 1
+        conn, (payload, _deadline_ms, _frame_id) = request
+        conn.inflight += 1
         self._inflight += 1
-        kind = request.payload[0] if request.payload else -1
-        if self.batching and kind in self._BATCH_OPS:
+        if (
+            self.batching
+            and payload and payload[0] in self._DATA_SERVICE_KINDS
+        ):
+            # Held until the tick ends, then run through the pipeline
+            # together so they can share one serve_batch call.
             self._batch_pending.append(request)
         else:
-            self._tasks.put(("one", request))
+            self._tasks.put([request])
 
     def _flush_batch(self) -> None:
         if not self._batch_pending:
@@ -447,27 +365,26 @@ class AsyncIspServer(RpcIspServer):
         if obs.ACTIVE:
             obs.observe("serve.batch.size", len(batch))
             obs.inc("serve.batch.flushes")
-        self._tasks.put(("batch", batch))
+        self._tasks.put(batch)
 
-    def _apply_completion(self, conn: _Conn, op: str, data: object) -> None:
-        if op == "done":
-            self._inflight -= 1
-            if conn.closed:
-                return
-            conn.inflight -= 1
-            if data:  # this completion was a plain (id-less) request
-                conn.plain_busy = False
-                if conn.plain_backlog and not conn.closing:
-                    conn.plain_busy = True
-                    self._submit(conn.plain_backlog.popleft())
-        elif op == "data":
-            if not conn.closed and not conn.closing:
-                conn.outbuf += data  # type: ignore[arg-type]
-        elif op == "close":
-            # An adversary (or the truncate failpoint) severed the
-            # connection mid-response: whatever bytes it posted first
-            # still flush, nothing after them does.
-            conn.closing = True
+    def _apply_completion(
+        self, conn: _Conn, data: bytes, sever: bool, plain: bool
+    ) -> None:
+        self._inflight -= 1
+        if conn.closed:
+            return
+        conn.inflight -= 1
+        if not conn.closing:
+            # Once a reply severs the connection (an adversary, the
+            # truncate failpoint, a dead handler), the bytes it carried
+            # still flush; nothing after them does.
+            conn.outbuf += data
+            conn.closing = sever
+        if plain:
+            conn.plain_busy = False
+            if conn.plain_backlog and not conn.closing:
+                conn.plain_busy = True
+                self._submit(conn.plain_backlog.popleft())
 
     def _settle(self, sel: selectors.BaseSelector, conn: _Conn) -> None:
         """Flush what the socket accepts now, then close or re-arm."""
@@ -534,254 +451,35 @@ class AsyncIspServer(RpcIspServer):
 
     def _worker_main(self) -> None:  # repro: thread-role(worker)
         while True:
-            item = self._tasks.get()
-            if item is None:
+            requests = self._tasks.get()
+            if requests is None:
                 return
-            tag, work = item
             try:
-                if tag == "one":
-                    self._run_one(work)
-                else:
-                    self._run_batch(work)
-            except InjectedFault:
+                self._run(requests)
+            except (InjectedFault, SimulatedCrash):
                 # The rpc.server.crash probe killed this handler; the
-                # admission slot was already released on the unwind and
-                # the connection severed below — the pool thread lives.
-                logger.warning("injected handler crash; request dropped")
+                # admission slots were released on the unwind and the
+                # connections severed by _run — the pool thread lives.
+                logger.warning("injected handler crash; requests dropped")
             except Exception:  # pragma: no cover - server bug backstop
                 logger.exception("serve worker: unhandled error")
 
-    def _run_one(self, request: _Request) -> None:
-        handle = _ConnHandle(self, request.conn)
-        try:
-            if faults.ACTIVE and not self._wire_faults(handle):
-                return
-            try:
-                response = self._handle(request.payload, request.deadline_ms)
-            except BaseException:
-                # A dying handler severs its connection, exactly like a
-                # handler-thread death on the threaded server.
-                handle.close()
-                raise
-            try:
-                self._respond(handle, response, request.frame_id)
-            except OSError:
-                # An adversary seam raised mid-send: threaded parity is
-                # connection death (_client_loop returns and closes).
-                handle.close()
-        finally:
-            self._post("done", request.conn, request.frame_id is None)
+    def _run(self, requests: List[_Request]) -> None:
+        """Serve one task's requests; post one completion for each.
 
-    def _respond(
-        self, handle: _ConnHandle, payload: bytes, frame_id: Optional[int]
-    ) -> None:
-        """Send one response through the inherited adversary seam."""
-        if frame_id is None:
-            self._send(handle, payload)
-        else:
-            self._send_pipelined(handle, payload, frame_id)
-
-    def _send_pipelined(
-        self, handle: _ConnHandle, payload: bytes, frame_id: int
-    ) -> None:
-        """Transmit one id-echoing V4 response frame.
-
-        Replicates :meth:`RpcIspServer._send`'s truncate failpoint so
-        chaos schedules tear pipelined responses too.
+        Unless :meth:`_exchange` returns, every request completes as
+        "nothing to send, sever": a dying handler takes its connections
+        with it, exactly like a handler-thread death on the threaded
+        server.
         """
-        if faults.ACTIVE:
-            try:
-                faults.fire("rpc.server.truncate")
-            except InjectedFault:
-                logger.warning(
-                    "failpoint rpc.server.truncate: sending torn frame"
-                )
-                whole = codec.frame(payload, frame_id=frame_id)
-                handle.sendall(whole[: max(1, len(whole) // 2)])
-                handle.shutdown(socket.SHUT_RDWR)
-                return
-        handle.sendall(codec.frame(payload, frame_id=frame_id))
-
-    # -- batched path ---------------------------------------------------
-
-    def _run_batch(self, batch: List[_Request]) -> None:
-        """Serve one tick's coalesced data-plane requests.
-
-        Pre-dispatch refusals (deadline already spent, admission shed)
-        are per-request and identical to :meth:`RpcIspServer._handle`;
-        admitted requests then share one storage-delay charge, one
-        dispatch-lock hold, and one snapshot read-view.  Every request
-        posts exactly one ``done`` completion.
-        """
-        # The whole admission sweep lives inside the try: a raise from
-        # a refusal answer (or anywhere between two _admit calls) must
-        # still return every slot already taken for this batch, or the
-        # worker backstop would swallow the error with admission
-        # capacity permanently shrunk.
-        admitted: List[_Request] = []
+        replies: List[Tuple[bytes, bool]] = [(b"", True)] * len(requests)
         try:
-            for request in batch:
-                handle = _ConnHandle(self, request.conn)
-                if faults.ACTIVE and not self._wire_faults(handle):
-                    self._post(
-                        "done", request.conn, request.frame_id is None
-                    )
-                    continue
-                if obs.ACTIVE:
-                    obs.inc("rpc.server.requests")
-                if request.deadline_ms is not None and request.deadline_ms <= 0:
-                    if obs.ACTIVE:
-                        obs.inc("rpc.server.deadline.expired")
-                    self._answer(
-                        request,
-                        codec.encode_error(DeadlineExceededError(
-                            "request arrived with its deadline already spent"
-                        )),
-                        is_error=True,
-                    )
-                    continue
-                request.deadline = (
-                    Deadline.from_wire_ms(request.deadline_ms)
-                    if request.deadline_ms is not None
-                    else None
-                )
-                if not self._admit():  # repro: allow(must-release) -- one slot per admitted entry, all released 1:1 by the finally below; the checker cannot count loop iterations
-                    if obs.ACTIVE:
-                        obs.inc("rpc.server.shed")
-                    self._answer(
-                        request,
-                        codec.encode_error(OverloadedError(
-                            f"server at max_pending={self.max_pending}; shed",
-                            retry_after_s=self.shed_retry_after_s,
-                        )),
-                        is_error=True,
-                    )
-                    continue
-                admitted.append(request)
-            if not admitted:
-                return
-            responses = self._serve_admitted_batch(admitted)
+            replies = self._exchange([frame for _conn, frame in requests])
         finally:
-            for _ in admitted:
-                self._release()
-        for request, (response, is_error) in zip(admitted, responses):
-            self._answer(request, response, is_error=is_error)
-
-    def _answer(
-        self, request: _Request, response: bytes, *, is_error: bool
-    ) -> None:
-        if is_error and obs.ACTIVE:
-            obs.inc("rpc.server.errors")
-        handle = _ConnHandle(self, request.conn)
-        try:
-            self._respond(handle, response, request.frame_id)
-        except OSError:
-            handle.close()
-        finally:
-            self._post("done", request.conn, request.frame_id is None)
-
-    def _serve_admitted_batch(
-        self, batch: List[_Request]
-    ) -> List[Tuple[bytes, bool]]:
-        """Decode, dispatch, and encode one admitted batch.
-
-        Returns one ``(response_payload, is_error)`` per request, in
-        batch order.  Never raises for a single request's failure —
-        per-request errors become error frames in that request's slot.
-        """
-        responses: List[Optional[Tuple[bytes, bool]]] = [None] * len(batch)
-        ops: List[Tuple[str, tuple]] = []
-        slots: List[int] = []
-        kinds: List[int] = []
-        for index, request in enumerate(batch):
-            try:
-                kind, args = codec.decode_request(request.payload)
-            except WireFormatError as error:
-                responses[index] = (codec.encode_error(error), True)
-                continue
-            op = self._BATCH_OPS.get(kind)
-            if op is None:  # pragma: no cover - loop pre-filters kinds
-                responses[index] = (
-                    codec.encode_error(
-                        NetworkError(f"unbatchable request kind 0x{kind:02x}")
-                    ),
-                    True,
-                )
-                continue
-            if request.deadline is not None and request.deadline.expired:
-                if obs.ACTIVE:
-                    obs.inc("rpc.server.deadline.expired")
-                responses[index] = (
-                    codec.encode_error(DeadlineExceededError(
-                        "request deadline expired while queued for dispatch"
-                    )),
-                    True,
-                )
-                continue
-            ops.append((op, args))
-            slots.append(index)
-            kinds.append(kind)
-        if ops:
-            if self.service_delay_s:
-                # One spindle pass charges the whole group: batched
-                # service models one seek amortized over the coalesced
-                # reads rather than n independent seeks.
-                self._charge_service_delay(len(ops))
-            try:
-                with self.lock:
-                    results = self.isp.serve_batch(ops)
-            # Error-frame contract: a batch dispatch failure must reach
-            # every waiting client as RESP_ERROR, never kill the link;
-            # SimulatedCrash is a BaseException and still propagates.
-            except Exception as error:
-                if isinstance(error, ReproError):
-                    encoded = codec.encode_error(error)
-                else:
-                    logger.exception("batch dispatch failed")
-                    encoded = codec.encode_error(NetworkError(
-                        f"internal server error: {type(error).__name__}"
-                    ))
-                for index in slots:
-                    responses[index] = (encoded, True)
-            else:
-                for index, kind, result in zip(slots, kinds, results):
-                    responses[index] = self._encode_batch_result(kind, result)
-        return [
-            response
-            if response is not None
-            else (  # pragma: no cover - every slot is filled above
-                codec.encode_error(NetworkError("internal server error")),
-                True,
-            )
-            for response in responses
-        ]
-
-    def _encode_batch_result(
-        self, kind: int, result: object
-    ) -> Tuple[bytes, bool]:
-        if isinstance(result, ReproError):
-            return codec.encode_error(result), True
-        try:
-            if kind == codec.REQ_GET_FILE_META:
-                return codec.encode_file_meta(*result), False
-            if kind == codec.REQ_GET_PAGE:
-                return codec.encode_page(result), False
-            if kind == codec.REQ_VALIDATE_PATH:
-                return codec.encode_validation(result), False
-            return codec.encode_vo(result), False
-        # Error-frame contract: an encoding failure (e.g. an oversized
-        # page) must answer that one request with RESP_ERROR, not
-        # poison the whole batch.
-        except Exception as error:
-            if isinstance(error, ReproError):
-                return codec.encode_error(error), True
-            logger.exception("failed to encode batch result 0x%02x", kind)
-            return (
-                codec.encode_error(NetworkError(
-                    f"internal server error: {type(error).__name__}"
-                )),
-                True,
-            )
+            self._post([
+                (conn, data, sever, frame[2] is None)
+                for (conn, frame), (data, sever) in zip(requests, replies)
+            ])
 
 
 __all__ = ["AsyncIspServer"]

@@ -110,13 +110,18 @@ class TestRetryBudget:
 
 
 # ---------------------------------------------------------------------------
-# Wire frames: V2 (legacy) and V3 (deadline-bearing) coexist
+# Wire frames: the deadline budget is an optional header field
 # ---------------------------------------------------------------------------
 
 
 class _FramePipe:
     def __init__(self):
         self.a, self.b = socket.socketpair()
+
+    def recv_frames(self):
+        decoder = codec.FrameDecoder()
+        decoder.feed(self.b.recv(1 << 16))
+        return decoder.frames()
 
     def close(self):
         self.a.close()
@@ -128,8 +133,7 @@ class TestDeadlineFrames:
         pipe = _FramePipe()
         try:
             codec.send_frame(pipe.a, b"payload")
-            received = codec.recv_frame_ex(pipe.b)
-            assert received == (b"payload", None)
+            assert pipe.recv_frames() == [(b"payload", None, None)]
         finally:
             pipe.close()
 
@@ -137,9 +141,7 @@ class TestDeadlineFrames:
         pipe = _FramePipe()
         try:
             codec.send_frame(pipe.a, b"payload", deadline_ms=1500)
-            payload, deadline_ms = codec.recv_frame_ex(pipe.b)
-            assert payload == b"payload"
-            assert deadline_ms == 1500
+            assert pipe.recv_frames() == [(b"payload", 1500, None)]
         finally:
             pipe.close()
 

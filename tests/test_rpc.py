@@ -204,11 +204,11 @@ class FlakyServer(RpcIspServer):
         super().__init__(*args, **kwargs)
         self._remaining_failures = failures
 
-    def _send(self, conn, payload):
+    def _wire(self, payload, frame_id):
         if self._remaining_failures > 0:
             self._remaining_failures -= 1
-            raise ConnectionAbortedError("injected connection drop")
-        super()._send(conn, payload)
+            return b"", True  # nothing on the wire, then the drop
+        return super()._wire(payload, frame_id)
 
 
 class TestReliability:
@@ -345,9 +345,9 @@ class TestDeadlineClampRegression:
         served = []
 
         class CountingServer(RpcIspServer):
-            def _handle(self, payload, deadline_ms=None):
-                served.append(payload)
-                return super()._handle(payload, deadline_ms)
+            def _handle(self, entries):
+                served.extend(entries)
+                return super()._handle(entries)
 
         system = build_system(hours=1, txs_per_block=2)
         server = serve_system(system, server_class=CountingServer)
@@ -383,11 +383,11 @@ class TestAdmissionLeakRegression:
         try:
             for _ in range(3):
                 with pytest.raises(InjectedFault):
-                    server._handle(codec.encode_ping())
+                    server._handle([(codec.encode_ping(), None)])
                 assert server._pending == 0
             # Capacity intact: the next requests are served normally.
             for _ in range(3):
-                payload = server._handle(codec.encode_ping())
+                [payload] = server._handle([(codec.encode_ping(), None)])
                 kind, _ = codec.decode_response(payload)
                 assert kind == codec.RESP_PONG
             assert server._pending == 0
@@ -405,9 +405,9 @@ class TestAdmissionLeakRegression:
         faults.arm("rpc.server.crash", "crash", times=1)
         try:
             with pytest.raises(SimulatedCrash):
-                server._handle(codec.encode_ping())
+                server._handle([(codec.encode_ping(), None)])
             assert server._pending == 0
-            payload = server._handle(codec.encode_ping())
+            [payload] = server._handle([(codec.encode_ping(), None)])
             kind, _ = codec.decode_response(payload)
             assert kind == codec.RESP_PONG
         finally:

@@ -4,8 +4,6 @@ input (bad magic, oversized length prefixes, truncation, corruption,
 unknown tags, bounds violations, trailing garbage)."""
 
 import socket
-import struct
-import zlib
 
 import pytest
 
@@ -70,7 +68,7 @@ class TestFraming:
     def test_bad_magic_rejected(self):
         left, right = socket_pair()
         with left, right:
-            left.sendall(b"XX" + struct.pack(">II", 0, zlib.crc32(b"")))
+            left.sendall(b"XX" + codec.frame(b"")[2:])
             with pytest.raises(WireFormatError, match="magic"):
                 codec.recv_frame(right)
 
@@ -78,11 +76,28 @@ class TestFraming:
         left, right = socket_pair()
         with left, right:
             header = codec.FRAME_HEADER.pack(
-                codec.MAGIC, codec.MAX_FRAME_BYTES + 1, 0
+                codec.MAGIC, 0, codec.MAX_FRAME_BYTES + 1, 0
             )
             left.sendall(header)
             with pytest.raises(WireFormatError, match="exceeds"):
                 codec.recv_frame(right)
+
+    def test_hands_the_socket_over_at_a_frame_boundary(self):
+        # recv_frame, then a long-lived decoder on the *same* socket
+        # (what benchmarks/e2e/open_loop.py does after its blocking
+        # open_session): with both frames already in the socket buffer,
+        # recv_frame must not have eaten a byte of the second.
+        left, right = socket_pair()
+        with left, right:
+            left.sendall(
+                codec.frame(b"first", deadline_ms=5)
+                + codec.frame(b"second", frame_id=2)
+            )
+            assert codec.recv_frame(right) == b"first"
+            decoder = codec.FrameDecoder()
+            decoder.feed(right.recv(1 << 16))
+            assert decoder.frames() == [(b"second", None, 2)]
+            assert decoder.buffered() == 0
 
     def test_truncated_frame_rejected(self):
         left, right = socket_pair()
@@ -334,47 +349,63 @@ class TestErrorMapping:
         assert type(decoded) is ReproError
 
 
+#: Every combination of the two optional header fields.
+FLAG_SETS = {
+    "none": {},
+    "deadline": {"deadline_ms": 1500},
+    "id": {"frame_id": 9},
+    "both": {"deadline_ms": 250, "frame_id": 9},
+}
+
+
+def feed_whole(decoder, wire):
+    decoder.feed(wire)
+    return decoder.frames()
+
+
+def feed_byte_at_a_time(decoder, wire):
+    collected = []
+    for index in range(len(wire)):
+        decoder.feed(wire[index:index + 1])
+        collected.extend(decoder.frames())
+    return collected
+
+
+def feed_split_header(decoder, wire):
+    # Cut inside the fixed header; nothing may parse before the rest.
+    decoder.feed(wire[:7])
+    assert decoder.frames() == []
+    decoder.feed(wire[7:])
+    return decoder.frames()
+
+
 class TestFrameDecoderIncremental:
-    """The event-loop decoder against adversarial feed patterns.
+    """The one frame parser against adversarial feed patterns.
 
     recv() on a non-blocking socket returns arbitrary chunk sizes, so
-    the incremental decoder must behave identically whether a frame
-    arrives whole, byte-at-a-time, or split anywhere inside the header
-    — and must reject hostile input (bad magic, oversized length) as
-    soon as the 10 shared header bytes are present, even mid-stream.
+    the decoder must behave identically whether a frame arrives whole,
+    byte-at-a-time, or split anywhere inside the header — for every
+    flag set — and must reject hostile input (bad magic, unknown flag,
+    oversized length) as soon as the fixed header bytes are present,
+    even mid-stream.
     """
 
-    def _feed_byte_at_a_time(self, wire):
+    @pytest.mark.parametrize(
+        "feed", [feed_whole, feed_byte_at_a_time, feed_split_header],
+        ids=["whole", "bytewise", "split-header"],
+    )
+    @pytest.mark.parametrize("flags", list(FLAG_SETS))
+    def test_flag_sets_by_feed(self, flags, feed):
+        fields = FLAG_SETS[flags]
         decoder = codec.FrameDecoder()
-        collected = []
-        for index in range(len(wire)):
-            decoder.feed(wire[index:index + 1])
-            collected.extend(decoder.frames())
+        wire = codec.frame(b"payload-" + flags.encode(), **fields)
+        assert len(wire) == 11 + 4 * len(fields) + len(b"payload-") + len(flags)
+        assert feed(decoder, wire) == [(
+            b"payload-" + flags.encode(),
+            fields.get("deadline_ms"),
+            fields.get("frame_id"),
+        )]
         assert decoder.buffered() == 0
-        return collected
-
-    def test_v2_byte_at_a_time(self):
-        frames = self._feed_byte_at_a_time(codec.frame(b"payload-v2"))
-        assert frames == [(b"payload-v2", None, None)]
-
-    def test_v3_byte_at_a_time(self):
-        frames = self._feed_byte_at_a_time(
-            codec.frame(b"payload-v3", deadline_ms=1500)
-        )
-        assert frames == [(b"payload-v3", 1500, None)]
-
-    def test_v4_byte_at_a_time(self):
-        frames = self._feed_byte_at_a_time(
-            codec.frame(b"payload-v4", deadline_ms=250, frame_id=9)
-        )
-        assert frames == [(b"payload-v4", 250, 9)]
-
-    def test_v4_without_deadline_byte_at_a_time(self):
-        # The NO_DEADLINE_MS sentinel must decode back to None.
-        frames = self._feed_byte_at_a_time(
-            codec.frame(b"x", frame_id=3)
-        )
-        assert frames == [(b"x", None, 3)]
 
     def test_mixed_variants_in_one_byte_stream(self):
         wire = (
@@ -382,14 +413,14 @@ class TestFrameDecoderIncremental:
             + codec.frame(b"b", deadline_ms=7)
             + codec.frame(b"c", deadline_ms=None, frame_id=1)
         )
-        assert self._feed_byte_at_a_time(wire) == [
+        assert feed_byte_at_a_time(codec.FrameDecoder(), wire) == [
             (b"a", None, None), (b"b", 7, None), (b"c", None, 1),
         ]
 
     @pytest.mark.parametrize("split", [1, 2, 5, 9, 13])
     def test_header_split_across_recvs(self, split):
-        # Splits inside the shared 10-byte header, exactly at its end,
-        # and inside the V4 extension must all reassemble.
+        # Splits inside the fixed 11-byte header and inside the
+        # optional fields behind it must all reassemble.
         wire = codec.frame(b"split-me", deadline_ms=80, frame_id=4)
         decoder = codec.FrameDecoder()
         decoder.feed(wire[:split])
@@ -407,36 +438,66 @@ class TestFrameDecoderIncremental:
         decoder.feed(wire[999:])
         assert decoder.frames() == [(b"A" * 1000, None, None)]
 
+    def test_missing_names_exactly_the_rest_of_the_frame(self):
+        # What the blocking reader asks before each recv: the fixed
+        # header first, then optional fields + payload in one read.
+        wire = codec.frame(b"p" * 40, deadline_ms=3, frame_id=4)
+        decoder = codec.FrameDecoder()
+        assert decoder.missing() == 11
+        decoder.feed(wire[:4])
+        assert decoder.missing() == 7
+        decoder.feed(wire[4:11])
+        assert decoder.missing() == 8 + 40
+        decoder.feed(wire[11:])
+        assert decoder.missing() == 0
+
     def test_oversized_frame_rejected_mid_stream(self):
         # A valid frame followed by an oversized length prefix: the
         # good frame drains, then the rejection fires as soon as the
-        # 10 header bytes are present — before any payload buffers.
+        # fixed header bytes are present — before any payload buffers.
         decoder = codec.FrameDecoder()
         decoder.feed(codec.frame(b"good"))
         evil = codec.FRAME_HEADER.pack(
-            codec.MAGIC, codec.MAX_FRAME_BYTES + 1, 0
+            codec.MAGIC, 0, codec.MAX_FRAME_BYTES + 1, 0
         )
-        decoder.feed(evil[:9])
+        decoder.feed(evil[:10])
         assert decoder.frames() == [(b"good", None, None)]
-        decoder.feed(evil[9:10])
+        decoder.feed(evil[10:])
         with pytest.raises(WireFormatError, match="exceeds"):
             decoder.frames()
 
-    def test_oversized_v4_rejected_without_full_header(self):
-        # V4 headers are 18 bytes, but the length field sits in the
-        # first 10: the bound check must not wait for the extension.
-        evil = struct.pack(
-            ">2sII", codec.MAGIC_PIPELINED, codec.MAX_FRAME_BYTES + 1, 0
+    @pytest.mark.parametrize("flags", list(FLAG_SETS))
+    def test_oversized_length_rejected_early(self, flags):
+        # The length sits in the fixed 11 bytes: the bound check must
+        # not wait for the optional fields, let alone any payload —
+        # on the draining path and on the one the blocking reader asks.
+        bits = (
+            codec.FLAG_DEADLINE * ("deadline_ms" in FLAG_SETS[flags])
+            | codec.FLAG_FRAME_ID * ("frame_id" in FLAG_SETS[flags])
+        )
+        evil = codec.FRAME_HEADER.pack(
+            codec.MAGIC, bits, codec.MAX_FRAME_BYTES + 1, 0
         )
         decoder = codec.FrameDecoder()
         decoder.feed(evil)
         with pytest.raises(WireFormatError, match="exceeds"):
             decoder.frames()
+        with pytest.raises(WireFormatError, match="exceeds"):
+            decoder.missing()
+
+    @pytest.mark.parametrize("bit", [0x04, 0x08, 0x10, 0x20, 0x40, 0x80])
+    def test_unknown_flag_bit_rejected(self, bit):
+        wire = bytearray(codec.frame(b"x", frame_id=1))
+        wire[2] |= bit
+        decoder = codec.FrameDecoder()
+        decoder.feed(bytes(wire))
+        with pytest.raises(WireFormatError, match="flags"):
+            decoder.frames()
 
     def test_bad_magic_mid_stream(self):
         decoder = codec.FrameDecoder()
         decoder.feed(codec.frame(b"fine"))
-        decoder.feed(b"ZZ" + struct.pack(">II", 0, 0))
+        decoder.feed(b"ZZ" + codec.frame(b"")[2:])
         out = []
         with pytest.raises(WireFormatError, match="magic"):
             out = decoder.frames()
@@ -444,12 +505,12 @@ class TestFrameDecoderIncremental:
         assert out == []  # the raise happened on the first drain
 
     def test_bad_magic_waits_for_full_shared_header(self):
-        # Two garbage bytes alone are not enough to condemn the stream
-        # (the blocking reader reads 10 bytes before judging, too).
+        # Two garbage bytes alone are not enough to condemn the stream:
+        # every reader judges a header only once its fixed part is in.
         decoder = codec.FrameDecoder()
         decoder.feed(b"ZZ")
         assert decoder.frames() == []
-        decoder.feed(b"\x00" * 8)
+        decoder.feed(b"\x00" * 9)
         with pytest.raises(WireFormatError, match="magic"):
             decoder.frames()
 

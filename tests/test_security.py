@@ -231,121 +231,148 @@ class TestMaliciousCiStorage:
             system.advance_block("eth")
 
 
-class _WireAdversary:
-    """Shared plumbing for malicious RPC-server subclasses."""
-
-    @staticmethod
-    def serve_malicious(system, server_class):
-        from repro.rpc.server import serve_system
-
-        return serve_system(system, server_class=server_class)
-
-    @staticmethod
-    def remote_baseline_client(system, server):
-        from repro.client.query_client import QueryClient
-        from repro.rpc import RemoteIsp
-
-        host, port = server.address
-        return QueryClient(
-            isp=RemoteIsp(host, port, max_retries=1, backoff_s=0.01),
-            chains=system.chains,
-            attestation_report=system.attestation_report,
-            attestation_root=system.attestation.root_public_key,
-            expected_measurement=system.ci.enclave.measurement,
-            mode=QueryMode.BASELINE,
-        )
-
-
-class TestWireAdversaries(_WireAdversary):
+@pytest.mark.parametrize("framing", ["plain", "ids"])
+@pytest.mark.parametrize("transport", ["thread", "loop"])
+class TestWireAdversaries:
     """Wire-level attacks on the RPC path: corrupt, truncated, and
     oversized frames must be rejected client-side with typed errors —
-    never a crash, never an accepted result."""
+    never a crash, never an accepted result.
 
-    def test_bit_flipped_page_frame_rejected(self):
+    Every attack overrides the server's one wire seam (``_wire``) and
+    runs against both transports, with the verifying client sending
+    plain frames and id-carrying ones (which the server echoes)."""
+
+    FRAME_ID = 0xBEEF
+
+    @pytest.fixture
+    def frame_id(self, framing, monkeypatch):
+        """The id requests carry in this run; the stock client is made
+        to stamp it on every frame it sends."""
+        from repro.rpc import codec
+
+        if framing == "plain":
+            return None
+
+        def send_with_id(sock, payload, deadline_ms=None):
+            sock.sendall(codec.frame(payload, deadline_ms, self.FRAME_ID))
+
+        monkeypatch.setattr(codec, "send_frame", send_with_id)
+        return self.FRAME_ID
+
+    @staticmethod
+    def server_class(transport):
+        from repro.rpc import RpcIspServer
+        from repro.serve import AsyncIspServer
+
+        return {"thread": RpcIspServer, "loop": AsyncIspServer}[transport]
+
+    def attack(self, transport, frame_id, wire, error, match=None):
+        """Serve through ``wire(honest_seam, payload, frame_id)`` and
+        expect the verifying client's query to raise ``error``."""
+        from repro.client.query_client import QueryClient
+        from repro.rpc import RemoteIsp
+        from repro.rpc.server import serve_system
+
+        seen_ids = set()
+
+        class Adversary(self.server_class(transport)):
+            def _wire(self, payload, frame_id):
+                seen_ids.add(frame_id)
+                return wire(super()._wire, payload, frame_id)
+
+        system = build_system(2)
+        with serve_system(system, server_class=Adversary) as server:
+            host, port = server.address
+            client = QueryClient(
+                isp=RemoteIsp(host, port, max_retries=1, backoff_s=0.01),
+                chains=system.chains,
+                attestation_report=system.attestation_report,
+                attestation_root=system.attestation.root_public_key,
+                expected_measurement=system.ci.enclave.measurement,
+                mode=QueryMode.BASELINE,
+            )
+            with pytest.raises(error, match=match):
+                client.query(SQL)
+            client.isp.close()
+        assert seen_ids == {frame_id}  # the seam saw every reply's id
+
+    def test_bit_flipped_page_frame_rejected(self, transport, frame_id):
         """A flipped bit in a page frame (stale CRC) is caught by the
         frame checksum and answered with a typed wire error."""
         from repro.errors import WireFormatError
-        from repro.rpc import RpcIspServer, codec
+        from repro.rpc import codec
 
-        class BitFlippingServer(RpcIspServer):
-            def _send(self, conn, payload):
-                if payload and payload[0] == codec.RESP_PAGE:
-                    frame = bytearray(codec.frame(payload))
-                    frame[-1] ^= 0x01  # payload bit flip, CRC now stale
-                    conn.sendall(bytes(frame))
-                    return
-                super()._send(conn, payload)
+        def wire(honest, payload, frame_id):
+            data, sever = honest(payload, frame_id)
+            if payload[0] == codec.RESP_PAGE:
+                data = data[:-1] + bytes([data[-1] ^ 0x01])
+            return data, sever
 
-        system = build_system(2)
-        server = self.serve_malicious(system, BitFlippingServer)
-        with server:
-            client = self.remote_baseline_client(system, server)
-            with pytest.raises(WireFormatError, match="checksum"):
-                client.query(SQL)
-            client.isp.close()
+        self.attack(transport, frame_id, wire, WireFormatError, "checksum")
 
-    def test_bit_flipped_page_with_fixed_crc_rejected(self):
+    def test_bit_flipped_page_with_fixed_crc_rejected(
+        self, transport, frame_id
+    ):
         """An adversary who recomputes the CRC gets past the framing —
         and is then caught by the cryptographic verification."""
-        from repro.rpc import RpcIspServer, codec
+        from repro.rpc import codec
 
-        class CrcFixingServer(RpcIspServer):
-            def _send(self, conn, payload):
-                if payload and payload[0] == codec.RESP_PAGE:
-                    payload = payload[:-1] + bytes(
-                        [payload[-1] ^ 0x01]
-                    )
-                super()._send(conn, payload)
+        def wire(honest, payload, frame_id):
+            if payload[0] == codec.RESP_PAGE:
+                payload = payload[:-1] + bytes([payload[-1] ^ 0x01])
+            return honest(payload, frame_id)
 
-        system = build_system(2)
-        server = self.serve_malicious(system, CrcFixingServer)
-        with server:
-            client = self.remote_baseline_client(system, server)
-            with pytest.raises(ReproError):
-                client.query(SQL)
-            client.isp.close()
+        self.attack(transport, frame_id, wire, ReproError)
 
-    def test_truncated_vo_frame_rejected(self):
+    def test_truncated_vo_frame_rejected(self, transport, frame_id):
         from repro.errors import WireFormatError
-        from repro.rpc import RpcIspServer, codec
+        from repro.rpc import codec
 
-        class VoTruncatingServer(RpcIspServer):
-            def _send(self, conn, payload):
-                if payload and payload[0] == codec.RESP_VO:
-                    frame = codec.frame(payload)
-                    conn.sendall(frame[: len(frame) - 9])
-                    raise ConnectionAbortedError("drop after truncation")
-                super()._send(conn, payload)
+        def wire(honest, payload, frame_id):
+            data, sever = honest(payload, frame_id)
+            if payload[0] == codec.RESP_VO:
+                return data[:-9], True  # torn frame, then the drop
+            return data, sever
 
-        system = build_system(2)
-        server = self.serve_malicious(system, VoTruncatingServer)
-        with server:
-            client = self.remote_baseline_client(system, server)
-            with pytest.raises(WireFormatError, match="mid-frame"):
-                client.query(SQL)
-            client.isp.close()
+        self.attack(transport, frame_id, wire, WireFormatError, "mid-frame")
 
-    def test_oversized_length_prefix_rejected(self):
+    def test_oversized_length_prefix_rejected(self, transport, frame_id):
         """A hostile length prefix is rejected before any allocation."""
         from repro.errors import WireFormatError
-        from repro.rpc import RpcIspServer, codec
+        from repro.rpc import codec
 
-        class OversizedFrameServer(RpcIspServer):
-            def _send(self, conn, payload):
-                if payload and payload[0] == codec.RESP_VO:
-                    conn.sendall(codec.FRAME_HEADER.pack(
-                        codec.MAGIC, codec.MAX_FRAME_BYTES + 1, 0
-                    ))
-                    raise ConnectionAbortedError("drop after bad header")
-                super()._send(conn, payload)
+        def wire(honest, payload, frame_id):
+            data, sever = honest(payload, frame_id)
+            if payload[0] == codec.RESP_VO:
+                flags = data[2]
+                return codec.FRAME_HEADER.pack(
+                    codec.MAGIC, flags, codec.MAX_FRAME_BYTES + 1, 0
+                ), True
+            return data, sever
 
-        system = build_system(2)
-        server = self.serve_malicious(system, OversizedFrameServer)
-        with server:
-            client = self.remote_baseline_client(system, server)
-            with pytest.raises(WireFormatError, match="exceeds"):
-                client.query(SQL)
-            client.isp.close()
+        self.attack(transport, frame_id, wire, WireFormatError, "exceeds")
+
+    def test_garbage_magic_gets_typed_refusal(self, transport, frame_id):
+        """Hostile bytes *to* the server: typed error frame, then the
+        drop — and the server keeps serving."""
+        import socket
+
+        from repro.rpc import RemoteIsp, codec
+        from repro.rpc.server import serve_system
+
+        garbage = b"XX" + codec.frame(codec.encode_ping(), frame_id=frame_id)[2:]
+        system = build_system(1)
+        server_class = self.server_class(transport)
+        with serve_system(system, server_class=server_class) as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(garbage)
+                kind, value = codec.decode_response(codec.recv_frame(sock))
+                assert kind == codec.RESP_ERROR
+                assert isinstance(value, ReproError)
+                assert sock.recv(1 << 16) == b""  # then: dropped
+            with RemoteIsp(host, port) as remote:
+                assert remote.get_certificate() is not None
 
 
 class TestProofTampering:

@@ -5,16 +5,18 @@ server:
 
 * protocol equivalence — the unmodified verifying client works against
   :class:`AsyncIspServer` byte-for-byte;
-* pipelining semantics — V4 responses are correlated by frame id, may
+* pipelining semantics — responses are correlated by frame id, may
   arrive out of order, and a slow request does not head-of-line-block
   its connection;
 * batching — proofs generated through the per-tick batch path are
   byte-identical to unbatched ones, both at the ISP surface and end to
-  end over the wire;
-* adversary parity — the wire-level attacks from ``test_security`` are
-  re-run with the adversaries mixed over ``AsyncIspServer``, and the
-  concurrent chaos campaign runs against the event-loop server with
+  end over the wire, and a batched request is refused (crash probe,
+  deadline expiry) exactly like a lone one;
+* the concurrent chaos campaign runs against the event-loop server with
   the sanitizer armed.
+
+The wire-level attacks run over both transports from one parametrised
+class, ``test_security.TestWireAdversaries``.
 """
 
 import socket
@@ -26,11 +28,13 @@ import pytest
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
-from repro.errors import ReproError, WireFormatError
+from repro.errors import DeadlineExceededError, ReproError
+from repro.faults import registry as faults
 from repro.isp.vo import build_batch
 from repro.rpc import RemoteIsp, codec, connect_client
 from repro.rpc.server import RpcIspServer, serve_system
-from repro.serve import AsyncIspServer, run_load
+from repro.obs import metrics as obs
+from repro.serve import AsyncIspServer
 
 SQL = "SELECT COUNT(*) FROM eth_transactions"
 
@@ -188,7 +192,7 @@ class TestPipelining:
                 sock.close()
 
     def test_plain_frames_stay_ordered(self):
-        """Id-less V2 frames keep the threaded one-at-a-time contract."""
+        """Id-less frames keep the threaded one-at-a-time contract."""
         system = build_system()
         server = serve_system(system, server_class=AsyncIspServer)
         with server:
@@ -209,19 +213,25 @@ class TestPipelining:
             finally:
                 sock.close()
 
-    def test_v4_frame_rejected_by_threaded_server(self):
-        """Non-pipelined endpoints refuse V4 with a typed error."""
+    def test_threaded_server_echoes_frame_ids(self):
+        """Every endpoint echoes a frame id; the threaded one still
+        answers in request order."""
         system = build_system()
         server = serve_system(system)
         with server:
             host, port = server.address
             sock = socket.create_connection((host, port))
             try:
-                sock.sendall(codec.frame(codec.encode_ping(), frame_id=7))
-                payload, _, _ = drain_frames(sock, 1)[0]
-                kind, value = codec.decode_response(payload)
-                assert kind == codec.RESP_ERROR
-                assert "pipelined" in str(value)
+                sock.sendall(
+                    codec.frame(codec.encode_ping(), frame_id=7)
+                    + codec.frame(codec.encode_get_certificate())
+                    + codec.frame(codec.encode_ping(), frame_id=9)
+                )
+                frames = drain_frames(sock, 3)
+                assert [frame_id for _, _, frame_id in frames] == [7, None, 9]
+                assert [payload[0] for payload, _, _ in frames] == [
+                    codec.RESP_PONG, codec.RESP_CERTIFICATE, codec.RESP_PONG,
+                ]
             finally:
                 sock.close()
 
@@ -309,129 +319,124 @@ class TestBatching:
         assert voes[0] == voes[1]
 
     def test_batched_load_run_is_clean(self):
-        """The loadgen's shared-snapshot workload completes error-free
-        and actually exercises the batch path."""
-        from repro.obs import metrics as obs
-
+        """16 concurrent clients streaming id-carrying page requests
+        all finish error-free, and the batch path actually serves them."""
         system = build_system()
         server = serve_system(system, server_class=AsyncIspServer)
         assert server.batching
+        root = system.isp.get_certificate().ads_root
+        # 16 x 4 requests in flight: exactly the default max_pending,
+        # so nothing is shed.
+        paths = system.isp.ads.list_files(root)[:4]
         with server:
-            root = system.isp.get_certificate().ads_root
-            paths = [(p, 0) for p in system.isp.ads.list_files(root)[:8]]
             before = obs.REGISTRY.counters_snapshot()
-            stats = run_load(
-                server.address, paths,
-                clients=16, requests_per_client=8, pipeline_depth=4,
-                pipelined=True, finalize=True, timeout_s=60.0,
-            )
-            delta = obs.REGISTRY.counters_delta(before)
-        assert stats["errors"] == 0
-        assert stats["failed_clients"] == 0
-        assert not stats["timed_out"]
-        assert stats["completed_requests"] == 16 * 8
-        assert delta.get("serve.pipelined.requests", 0) > 0
-        assert delta.get("isp.batch.requests", 0) > 0
-
-
-class TestAsyncWireAdversaries:
-    """The test_security wire attacks, mixed over the event-loop server."""
-
-    def test_bit_flipped_page_frame_rejected(self):
-        class AsyncBitFlippingServer(AsyncIspServer):
-            def _send(self, conn, payload):
-                if payload and payload[0] == codec.RESP_PAGE:
-                    frame = bytearray(codec.frame(payload))
-                    frame[-1] ^= 0x01  # payload bit flip, CRC now stale
-                    conn.sendall(bytes(frame))
-                    return
-                super()._send(conn, payload)
-
-        system = build_system()
-        server = serve_system(system, server_class=AsyncBitFlippingServer)
-        with server:
-            client = baseline_client(
-                system, server, max_retries=1, backoff_s=0.01
-            )
-            with pytest.raises(WireFormatError, match="checksum"):
-                client.query(SQL)
-            client.isp.close()
-
-    def test_bit_flipped_page_with_fixed_crc_rejected(self):
-        class AsyncCrcFixingServer(AsyncIspServer):
-            def _send(self, conn, payload):
-                if payload and payload[0] == codec.RESP_PAGE:
-                    payload = payload[:-1] + bytes([payload[-1] ^ 0x01])
-                super()._send(conn, payload)
-
-        system = build_system()
-        server = serve_system(system, server_class=AsyncCrcFixingServer)
-        with server:
-            client = baseline_client(
-                system, server, max_retries=1, backoff_s=0.01
-            )
-            with pytest.raises(ReproError):
-                client.query(SQL)
-            client.isp.close()
-
-    def test_truncated_vo_frame_rejected(self):
-        class AsyncVoTruncatingServer(AsyncIspServer):
-            def _send(self, conn, payload):
-                if payload and payload[0] == codec.RESP_VO:
-                    frame = codec.frame(payload)
-                    conn.sendall(frame[: len(frame) - 9])
-                    conn.shutdown(socket.SHUT_RDWR)
-                    return
-                super()._send(conn, payload)
-
-        system = build_system()
-        server = serve_system(system, server_class=AsyncVoTruncatingServer)
-        with server:
-            client = baseline_client(
-                system, server, max_retries=1, backoff_s=0.01
-            )
-            with pytest.raises(WireFormatError, match="mid-frame"):
-                client.query(SQL)
-            client.isp.close()
-
-    def test_oversized_length_prefix_rejected(self):
-        class AsyncOversizedFrameServer(AsyncIspServer):
-            def _send(self, conn, payload):
-                if payload and payload[0] == codec.RESP_VO:
-                    conn.sendall(codec.FRAME_HEADER.pack(
-                        codec.MAGIC, codec.MAX_FRAME_BYTES + 1, 0
+            socks = [
+                socket.create_connection(server.address) for _ in range(16)
+            ]
+            try:
+                sessions = []
+                for sock in socks:
+                    codec.send_frame(sock, codec.encode_open_session(None))
+                    _, session = codec.decode_response(codec.recv_frame(sock))
+                    sessions.append(session)
+                # Everyone sends before anyone reads: same-tick arrivals.
+                for sock, session in zip(socks, sessions):
+                    sock.sendall(b"".join(
+                        codec.frame(
+                            codec.encode_get_page(session, path, 0),
+                            frame_id=frame_id,
+                        )
+                        for frame_id, path in enumerate(paths)
                     ))
-                    conn.shutdown(socket.SHUT_RDWR)
-                    return
-                super()._send(conn, payload)
+                for sock, session in zip(socks, sessions):
+                    frames = drain_frames(sock, len(paths))
+                    assert sorted(fid for _, _, fid in frames) == [0, 1, 2, 3]
+                    assert all(p[0] == codec.RESP_PAGE for p, _, _ in frames)
+                    sock.sendall(codec.frame(
+                        codec.encode_finalize_session(session), frame_id=4
+                    ))
+                for sock in socks:
+                    [(payload, _, frame_id)] = drain_frames(sock, 1)
+                    assert (payload[0], frame_id) == (codec.RESP_VO, 4)
+            finally:
+                for sock in socks:
+                    sock.close()
+            delta = obs.REGISTRY.counters_delta(before)
+        assert delta.get("serve.pipelined.requests", 0) == 16 * 5
+        assert delta.get("isp.batch.requests", 0) > 0
+        assert delta.get("rpc.server.errors", 0) == 0
 
-        system = build_system()
-        server = serve_system(system, server_class=AsyncOversizedFrameServer)
-        with server:
-            client = baseline_client(
-                system, server, max_retries=1, backoff_s=0.01
-            )
-            with pytest.raises(WireFormatError, match="exceeds"):
-                client.query(SQL)
-            client.isp.close()
-
-    def test_garbage_magic_gets_typed_refusal(self):
-        """Hostile bytes on the wire: typed error frame, then the drop."""
+    def test_crash_probe_fires_for_batched_requests(self):
+        """rpc.server.crash kills a *batched* handler too: slots drain,
+        the connection is severed, the pool survives and serves on."""
         system = build_system()
         server = serve_system(system, server_class=AsyncIspServer)
+        server.workers = 2
+        root = system.isp.get_certificate().ads_root
+        path = system.isp.ads.list_files(root)[0]
+        faults.reset()
+        try:
+            with server:
+                session = system.isp.open_session(None)
+                pages = codec.frame(
+                    codec.encode_get_page(session, path, 0), frame_id=1
+                ) + codec.frame(
+                    codec.encode_get_page(session, path, 1), frame_id=2
+                )
+                # More deaths than pool threads: a worker that died
+                # with its handler would leave nobody to serve the end.
+                for action in ("raise", "crash", "raise", "crash"):
+                    probe = faults.arm("rpc.server.crash", action, times=1)
+                    with socket.create_connection(
+                        server.address, timeout=5
+                    ) as sock:
+                        sock.sendall(pages)
+                        assert sock.recv(1 << 16) == b""  # severed, no reply
+                    assert probe.fires == 1
+                    faults.reset()
+                    assert server._pending == 0
+                with socket.create_connection(
+                    server.address, timeout=5
+                ) as sock:
+                    sock.sendall(pages)
+                    frames = drain_frames(sock, 2)
+                assert sorted(frame_id for _, _, frame_id in frames) == [1, 2]
+                assert all(p[0] == codec.RESP_PAGE for p, _, _ in frames)
+                assert all(t.is_alive() for t in server._worker_threads)
+        finally:
+            faults.reset()
+
+    def test_batched_deadline_expiring_in_the_spindle_wait_is_refused(self):
+        """A batched request whose deadline runs out during the modeled
+        storage wait is refused like a lone one, not served."""
+        system = build_system()
+        server = serve_system(system, server_class=AsyncIspServer)
+        server.service_delay_s = 0.15
+        root = system.isp.get_certificate().ads_root
+        path = system.isp.ads.list_files(root)[0]
         with server:
-            host, port = server.address
-            sock = socket.create_connection((host, port))
-            try:
-                sock.sendall(b"XXnothing good can come of this")
-                payload, _, _ = drain_frames(sock, 1)[0]
-                kind, value = codec.decode_response(payload)
-                assert kind == codec.RESP_ERROR
-                assert isinstance(value, ReproError)
-                sock.settimeout(5.0)
-                assert sock.recv(1 << 16) == b""  # then: connection dropped
-            finally:
-                sock.close()
+            session = system.isp.open_session(None)
+            before = obs.REGISTRY.counters_snapshot()
+            with socket.create_connection(server.address, timeout=5) as sock:
+                # One tick, two short budgets: both alive on arrival,
+                # both dead once the batch's 2 x 0.15 s spindle pass ends.
+                sock.sendall(b"".join(
+                    codec.frame(
+                        codec.encode_get_page(session, path, page),
+                        deadline_ms=100, frame_id=page,
+                    )
+                    for page in (0, 1)
+                ))
+                frames = drain_frames(sock, 2)
+            delta = obs.REGISTRY.counters_delta(before)
+        for payload, _, _ in frames:
+            kind, error = codec.decode_response(payload)
+            assert kind == codec.RESP_ERROR
+            assert isinstance(error, DeadlineExceededError)
+            assert "expired while queued" in str(error)
+        assert delta.get("serve.batch.flushes", 0) == 1  # one tick, one batch
+        assert delta.get("rpc.server.deadline.expired", 0) == 2
+        assert delta.get("isp.batch.requests", 0) == 0
 
 
 class TestStopRacesInflight:
@@ -447,10 +452,10 @@ class TestStopRacesInflight:
     @staticmethod
     def _slow_batch_server(entered, release):
         class SlowBatchServer(AsyncIspServer):
-            def _serve_admitted_batch(self, batch):
+            def _handle(self, entries):
                 entered.set()
                 release.wait(timeout=5.0)
-                return super()._serve_admitted_batch(batch)
+                return super()._handle(entries)
 
         return SlowBatchServer
 
@@ -466,8 +471,8 @@ class TestStopRacesInflight:
         host, port = server.address
         sock = socket.create_connection((host, port))
         try:
-            # A batchable request (bogus session: even the error reply
-            # goes through _run_batch) that parks on a worker.
+            # A batchable request (bogus session: the error reply takes
+            # the same route) that parks on a worker.
             sock.sendall(codec.frame(
                 codec.encode_get_file_meta(999, "races"), frame_id=1
             ))
