@@ -3,11 +3,14 @@
 Every benchmark regenerates one table or figure of the paper at a
 reduced-but-representative scale, times it once (these are minutes-long
 experiments, not microbenchmarks), and writes the rendered text table to
-``benchmarks/results/<name>.txt`` in addition to printing it.
+``benchmarks/results/<name>.txt`` in addition to printing it.  The
+overhead and scaling gates record their numbers as
+``benchmarks/results/BENCH_<name>.json`` through :func:`save_bench`.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 
 import pytest
@@ -30,6 +33,15 @@ def save_result():
         print(f"\n{text}\n[saved to benchmarks/results/{name}.txt]")
 
     return save
+
+
+def save_bench(name: str, result: dict) -> None:
+    """Write one gate's result to ``results/BENCH_<name>.json``."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    path = RESULTS_DIR / f"BENCH_{name}.json"
+    text = json.dumps(result, indent=2)
+    path.write_text(text + "\n")
+    print(f"\n{text}\n[saved to {path}]")
 
 
 def run_once(benchmark, fn):

@@ -17,11 +17,10 @@ and answers must be identical at every shard count.  Emits
 configuration at >= 1.8x the single-shard throughput.
 """
 
-import json
 import threading
 import time
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once, save_bench
 
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
@@ -146,10 +145,7 @@ def test_fleet_scaling(benchmark, save_result):
         "target_speedup_at_4": TARGET_SPEEDUP_AT_4,
         "sweep": entries,
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_fleet.json"
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\n{json.dumps(result, indent=2)}\n[saved to {path}]")
+    save_bench("fleet", result)
 
     assert entries[-1]["shards"] == 4
     assert entries[-1]["speedup_x"] >= TARGET_SPEEDUP_AT_4, (

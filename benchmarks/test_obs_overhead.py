@@ -9,10 +9,9 @@ system state in both modes and emits
 overhead ratio; the run fails if enabling metrics costs more than 5%.
 """
 
-import json
 import time
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once, save_bench
 
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
@@ -98,10 +97,7 @@ def test_obs_overhead(benchmark, save_result):
         "obs_overhead_x": round(overhead, 4),
         "counter_increments": sum(delta.values()),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_obs.json"
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\n{json.dumps(result, indent=2)}\n[saved to {path}]")
+    save_bench("obs", result)
 
     assert overhead < MAX_OVERHEAD, (
         f"metrics overhead {overhead:.3f}x exceeds {MAX_OVERHEAD}x"

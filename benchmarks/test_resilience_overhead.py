@@ -26,11 +26,10 @@ is far more stable than a ratio of independent minima.  Emits
 armed fleet costs more than 5% over plain.
 """
 
-import json
 import statistics
 import time
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once, save_bench
 
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
@@ -185,10 +184,7 @@ def test_resilience_overhead(benchmark, save_result):
         "paired_ratios": [round(r, 4) for r in ratios],
         "resilience_overhead_x": round(overhead, 4),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_resilience.json"
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\n{json.dumps(result, indent=2)}\n[saved to {path}]")
+    save_bench("resilience", result)
 
     assert overhead < MAX_OVERHEAD, (
         f"armed resilience overhead {overhead:.3f}x exceeds "

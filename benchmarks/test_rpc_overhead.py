@@ -9,10 +9,9 @@ query sequence against the identical system state, so the delta is pure
 RPC overhead.
 """
 
-import json
 import time
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once, save_bench
 
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
@@ -83,7 +82,4 @@ def test_rpc_overhead(benchmark, save_result):
         "loopback_per_query_ms": round(loopback_s / queries * 1e3, 3),
         "rpc_overhead_x": round(loopback_s / inprocess_s, 3),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_rpc.json"
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\n{json.dumps(result, indent=2)}\n[saved to {path}]")
+    save_bench("rpc", result)

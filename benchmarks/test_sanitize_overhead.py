@@ -10,10 +10,9 @@ locks swapped in, and emits ``benchmarks/results/BENCH_sanitize.json``;
 the run fails if the disarmed sanitizer costs more than 5%.
 """
 
-import json
 import time
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once, save_bench
 
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
@@ -100,10 +99,7 @@ def test_sanitize_overhead(benchmark, save_result):
         "disarmed_per_query_ms": round(instrumented_s / queries * 1e3, 3),
         "sanitize_overhead_x": round(overhead, 4),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_sanitize.json"
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"\n{json.dumps(result, indent=2)}\n[saved to {path}]")
+    save_bench("sanitize", result)
 
     assert overhead < MAX_OVERHEAD, (
         f"disarmed sanitizer overhead {overhead:.3f}x exceeds "

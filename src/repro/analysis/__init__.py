@@ -8,12 +8,20 @@ failpoint call site targets a declared name.  This package enforces
 those boundaries mechanically over the whole of ``src/`` with a small
 from-scratch analyzer built on the stdlib :mod:`ast`:
 
-* :mod:`repro.analysis.core` — findings, the rule registry, inline
+* :mod:`repro.analysis.core` — findings, the rule registry, the
+  ``# repro:`` annotation grammar, inline
   ``# repro: allow(<rule>) -- rationale`` suppressions, baseline
   handling, and the per-file driver;
-* :mod:`repro.analysis.rules` — the V²FS rules (``vfs-boundary``,
-  ``crash-hygiene``, ``proof-determinism``, ``failpoint-names``,
-  ``typed-errors``);
+* :mod:`repro.analysis.rules` — the per-module V²FS rules
+  (``vfs-boundary``, ``crash-hygiene``, ``proof-determinism``,
+  ``failpoint-names``, ``typed-errors``, ``obs-naming``);
+* :mod:`repro.analysis.engine` — the interprocedural engine (program
+  index, one fact-collecting walk, the call-graph solver, the memo)
+  under the six program rules in :mod:`~repro.analysis.concurrency`
+  (``lock-order``, ``guarded-by``), :mod:`~repro.analysis.dataflow`
+  (``verify-before-use``, ``blocking-effect``) and
+  :mod:`~repro.analysis.ownership` (``thread-confinement``,
+  ``loop-blocking``, ``must-release``);
 * :mod:`repro.analysis.reporters` — stable human and JSON output;
 * :mod:`repro.analysis.cli` — ``python -m repro lint``.
 

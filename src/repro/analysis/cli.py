@@ -92,7 +92,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--effect-table", default=None, metavar="FILE",
         dest="effect_table",
         help="also export the per-function blocking-effect table "
-             "(the ROADMAP async-refactor work-list) as JSON",
+             "(what would stall an event-loop thread) as JSON",
     )
     parser.add_argument(
         "--role-table", default=None, metavar="FILE",
@@ -104,6 +104,12 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--list-rules", action="store_true",
         help="list registered rules with the invariant each protects",
     )
+
+
+def _write_json(path: str, payload: object) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -137,8 +143,8 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Parse once; the rule pass and the effect-table export reuse the
-    # same context objects so the interprocedural program cache hits.
+    # Parse once; the rule pass and the table exports hand the same
+    # context objects to engine.Analysis.of, so they share one analysis.
     contexts, findings = parse_paths(paths)
     findings.extend(_run_rules(contexts, rules))
     findings.sort()
@@ -147,9 +153,7 @@ def run(args: argparse.Namespace) -> int:
         from repro.analysis.dataflow import build_effect_table
 
         table = build_effect_table(contexts)
-        with open(args.effect_table, "w", encoding="utf-8") as handle:
-            json.dump(table, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.effect_table, table)
         print(
             f"wrote effect table for {len(table['functions'])} "
             f"function(s) to {args.effect_table}",
@@ -160,9 +164,7 @@ def run(args: argparse.Namespace) -> int:
         from repro.analysis.ownership import build_role_table
 
         table = build_role_table(contexts)
-        with open(args.role_table, "w", encoding="utf-8") as handle:
-            json.dump(table, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.role_table, table)
         print(
             f"wrote role table with {len(table['roles'])} role(s) "
             f"over {len(table['functions'])} function(s) to "
@@ -171,10 +173,9 @@ def run(args: argparse.Namespace) -> int:
         )
 
     if args.write_baseline:
-        payload = {"version": 1, "findings": baseline_entries(findings)}
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.write_baseline, {
+            "version": 1, "findings": baseline_entries(findings),
+        })
         print(
             f"wrote {len(findings)} finding(s) to {args.write_baseline}",
             file=sys.stderr,

@@ -3,7 +3,9 @@
 The moving parts, in the order they act on a file:
 
 1. the file is parsed once with :func:`ast.parse` into a
-   :class:`ModuleContext` (tree + source lines + dotted module name);
+   :class:`ModuleContext` (tree + source lines + dotted module name +
+   every ``# repro:`` directive its real comments carry — the one
+   annotation grammar, :data:`DIRECTIVES`);
 2. every registered :class:`Rule` whose :meth:`Rule.applies_to` accepts
    the module walks the tree and yields :class:`Finding`\\ s;
 3. inline suppressions (``# repro: allow(<rule>) -- rationale``) on the
@@ -11,7 +13,9 @@ The moving parts, in the order they act on a file:
    findings out; a suppression **must** carry a rationale after ``--``
    or it is itself reported (``suppression-rationale``), and a
    suppression that filtered nothing is reported as a warning
-   (``unused-suppression``) so stale allowances cannot accumulate;
+   (``unused-suppression``) so stale allowances cannot accumulate; a
+   directive that is misspelled or malformed is an error
+   (``unknown-directive``) — a typo must not silently turn a guard off;
 4. a baseline (a checked-in JSON file of grandfathered findings) is
    subtracted; whatever remains is reported.
 
@@ -22,13 +26,23 @@ findings always fail, warnings fail only under ``--strict``.
 from __future__ import annotations
 
 import ast
+import difflib
 import io
 import json
 import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
@@ -37,6 +51,7 @@ SEVERITY_WARNING = "warning"
 RULE_PARSE = "parse"
 RULE_SUPPRESSION_RATIONALE = "suppression-rationale"
 RULE_UNUSED_SUPPRESSION = "unused-suppression"
+RULE_UNKNOWN_DIRECTIVE = "unknown-directive"
 
 
 @dataclass(frozen=True, order=True)
@@ -62,6 +77,160 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+# ----------------------------------------------------------------------
+# The ``# repro:`` annotation grammar
+# ----------------------------------------------------------------------
+
+#: What may follow a directive's required words.
+ANY = "<word>"  # one more free word
+MANY = "..."  # any number of further words
+
+#: Where a directive must sit to take effect.
+ANYWHERE = "own line, or trailing the line it shields"
+ON_FIELD = "the 'self.<field> = ...' line"
+ON_DEF = "the 'def' line, or the line directly above it"
+
+
+class DirectiveSpec(NamedTuple):
+    usage: str
+    #: Words that must be present, then what may follow them: nothing
+    #: (``None``), one literal flag word, :data:`ANY`, or :data:`MANY`.
+    required: int
+    tail: Optional[str]
+    placement: str
+    #: The rule that consumes the directive.
+    rule: str
+
+
+#: Every directive the analyzer understands.  This table and
+#: :func:`scan_directives` are the only place directive syntax is
+#: spelled; rules ask for directives by name and never see comments.
+DIRECTIVES: Dict[str, DirectiveSpec] = {
+    "allow": DirectiveSpec(
+        "allow(<rule>[, <rule>...]) -- <rationale>", 1, MANY, ANYWHERE,
+        "(any)"),
+    "guarded-by": DirectiveSpec(
+        "guarded-by(<lock>[, <mode>])", 1, ANY, ON_FIELD, "guarded-by"),
+    "confined-to": DirectiveSpec(
+        "confined-to(<role>)", 1, None, ON_FIELD, "thread-confinement"),
+    "thread-role": DirectiveSpec(
+        "thread-role(<role>[, nonblocking])", 1, "nonblocking", ON_DEF,
+        "thread-confinement"),
+    "loop-safe": DirectiveSpec(
+        "loop-safe", 0, None, ON_DEF, "loop-blocking"),
+    "taint-source": DirectiveSpec(
+        "taint-source", 0, None, ON_DEF, "verify-before-use"),
+    "taint-sanitizer": DirectiveSpec(
+        "taint-sanitizer", 0, None, ON_DEF, "verify-before-use"),
+    "taint-sink": DirectiveSpec(
+        "taint-sink", 0, None, ON_DEF, "verify-before-use"),
+    "acquires": DirectiveSpec(
+        "acquires(<resource>[, conditional])", 1, "conditional", ON_DEF,
+        "must-release"),
+    "releases": DirectiveSpec(
+        "releases(<resource>)", 1, None, ON_DEF, "must-release"),
+}
+
+_DIRECTIVE_RE = re.compile(
+    r"#\s*repro:\s*(?P<name>[A-Za-z][\w\-]*)"
+    r"(?:\((?P<args>[^()]*)\))?"
+    r"(?:\s*--\s*(?P<why>\S.*))?"
+)
+_WORD_RE = re.compile(r"[A-Za-z0-9_][\w.\-]*")
+
+
+class Directive(NamedTuple):
+    """One well-formed ``# repro: name(args) -- rationale`` comment."""
+
+    name: str
+    args: Tuple[str, ...]
+    rationale: Optional[str]
+    line: int
+    #: True when the comment has its line to itself.
+    standalone: bool
+
+
+def _well_formed(spec: DirectiveSpec, args: Tuple[str, ...]) -> bool:
+    if len(args) < spec.required or not all(
+        _WORD_RE.fullmatch(arg) for arg in args
+    ):
+        return False
+    extra = args[spec.required:]
+    if spec.tail == MANY:
+        return True
+    if spec.tail is None:
+        return not extra
+    if spec.tail == ANY:
+        return len(extra) <= 1
+    return extra in ((), (spec.tail,))
+
+
+def scan_directives(
+    path: str, source: str,
+) -> Tuple[List[Directive], List[Finding]]:
+    """Every directive in the file's real ``#`` comments (read from
+    :mod:`tokenize` COMMENT tokens, so directive syntax quoted inside a
+    string or docstring never counts), plus an ``unknown-directive``
+    error for each one that is misspelled or malformed."""
+    directives: List[Directive] = []
+    problems: List[Finding] = []
+    try:
+        tokens = list(tokenize.generate_tokens(
+            io.StringIO(source).readline
+        ))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return directives, problems  # the parse rule reports broken files
+    for token in tokens:
+        if token.type != tokenize.COMMENT:
+            continue
+        for match in _DIRECTIVE_RE.finditer(token.string):
+            name, line = match.group("name"), token.start[0]
+            args = tuple(
+                part.strip()
+                for part in (match.group("args") or "").split(",")
+                if part.strip()
+            )
+            spec = DIRECTIVES.get(name)
+            if spec is None:
+                hint = difflib.get_close_matches(
+                    name, sorted(DIRECTIVES), n=1, cutoff=0.5
+                )
+                problems.append(Finding(
+                    path=path, line=line, rule=RULE_UNKNOWN_DIRECTIVE,
+                    message=(
+                        f"unknown '# repro:' directive {name!r}"
+                        + (f" (did you mean {hint[0]!r}?)" if hint else "")
+                        + "; it has no effect"
+                    ),
+                ))
+            elif not _well_formed(spec, args):
+                problems.append(Finding(
+                    path=path, line=line, rule=RULE_UNKNOWN_DIRECTIVE,
+                    message=(
+                        f"malformed '# repro:' directive {name!r}; "
+                        f"write '# repro: {spec.usage}'"
+                    ),
+                ))
+            else:
+                directives.append(Directive(
+                    name, args, match.group("why"), line,
+                    token.line.strip().startswith("#"),
+                ))
+    return directives, problems
+
+
+def dotted(node: ast.expr) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
 class ModuleContext:
     """Everything a rule may inspect about one parsed module."""
 
@@ -74,6 +243,20 @@ class ModuleContext:
         self.tree = tree
         self.source = source
         self.lines = source.splitlines()
+        #: Well-formed directives in source order, and the findings for
+        #: the ones that are not.
+        self.directives, self.directive_findings = scan_directives(
+            path, source
+        )
+
+    def def_directives(self, node: ast.AST) -> List[Directive]:
+        """Directives attached to a ``def``: those on its own line
+        first, then those on the line directly above."""
+        return [
+            directive
+            for line in (node.lineno, node.lineno - 1)
+            for directive in self.directives if directive.line == line
+        ]
 
     def finding(self, node: ast.AST, rule: str, message: str,
                 severity: str = SEVERITY_ERROR) -> Finding:
@@ -171,15 +354,6 @@ def all_rules() -> List[Rule]:
 # Suppressions
 # ----------------------------------------------------------------------
 
-# Matches an allow(...) suppression comment with its optional rationale
-# (the syntax is spelled out in this module's docstring, deliberately
-# not here: a literal example would register as a real suppression).
-_ALLOW_RE = re.compile(
-    r"#\s*repro:\s*allow\(\s*([A-Za-z0-9_\-,\s]+?)\s*\)"
-    r"(?:\s*--\s*(\S.*))?"
-)
-
-
 @dataclass
 class Suppression:
     line: int
@@ -199,36 +373,23 @@ class Suppression:
 
 
 def collect_suppressions(ctx: ModuleContext) -> List[Suppression]:
-    """Scan real ``#`` comments (via :mod:`tokenize`, so the suppression
-    syntax quoted inside strings or docstrings never counts)."""
     found: List[Suppression] = []
-    try:
-        tokens = list(tokenize.generate_tokens(
-            io.StringIO(ctx.source).readline
-        ))
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        return found  # the parse rule already reports broken files
-    for token in tokens:
-        if token.type != tokenize.COMMENT:
+    for directive in ctx.directives:
+        if directive.name != "allow":
             continue
-        match = _ALLOW_RE.search(token.string)
-        if match is None:
-            continue
-        rules = tuple(
-            part.strip() for part in match.group(1).split(",") if part.strip()
-        )
-        lineno = token.start[0]
-        target = lineno
-        if token.line.strip().startswith("#"):
-            # Standalone comment: shield the next statement line, past
-            # any continuation of the rationale comment block.
-            target = lineno + 1
+        target = directive.line
+        if directive.standalone:
+            # Shield the next statement line, past any continuation of
+            # the rationale comment block.
+            target += 1
             while target <= len(ctx.lines):
                 text = ctx.lines[target - 1].strip()
                 if text and not text.startswith("#"):
                     break
                 target += 1
-        found.append(Suppression(lineno, target, rules, match.group(2)))
+        found.append(Suppression(
+            directive.line, target, directive.args, directive.rationale
+        ))
     return found
 
 
@@ -249,7 +410,8 @@ def apply_suppressions(
     # not-yet-imported: force every rule module in before judging.
     all_rules()
     known = set(_RULES) | {
-        RULE_PARSE, RULE_SUPPRESSION_RATIONALE, RULE_UNUSED_SUPPRESSION
+        RULE_PARSE, RULE_SUPPRESSION_RATIONALE, RULE_UNUSED_SUPPRESSION,
+        RULE_UNKNOWN_DIRECTIVE,
     }
     if active_rules is not None:
         active = set(active_rules)
@@ -261,7 +423,9 @@ def apply_suppressions(
             if active.intersection(s.rules)
             or any(r not in known for r in s.rules)
         ]
-    kept: List[Finding] = []
+    # A misspelled directive is a guard that is silently off, whichever
+    # subset of rules this run executes.
+    kept: List[Finding] = list(ctx.directive_findings)
     for finding in findings:
         covering = next(
             (s for s in suppressions if s.covers(finding)), None
@@ -427,8 +591,8 @@ def parse_sources(
     Returns the parsed contexts plus parse-failure findings.  Split out
     from :func:`analyze_sources` so a caller (the CLI) can parse once
     and reuse the same context objects for both the rule pass and the
-    effect-table export — identity reuse is what makes the program
-    cache in :mod:`repro.analysis.concurrency` hit.
+    table exports — identity is what :class:`repro.analysis.engine.Analysis`
+    keys its memo on.
     """
     contexts: List[ModuleContext] = []
     findings: List[Finding] = []

@@ -7,9 +7,10 @@ downstream consumer (the query result, a page cache, the pager) may
 use it.  The tests exercise that discipline; this module makes the
 checker enforce it, the same way ``lock-order``/``guarded-by`` turned
 the concurrency conventions of DESIGN §8 into static guarantees.  Both
-rules reason over the :class:`~repro.analysis.concurrency.Program`
-index (call graph, attribute/parameter type inference, lock
-summaries) that PR 5 built.
+rules are clients of :mod:`repro.analysis.engine`: its index and
+per-function facts, :func:`~repro.analysis.engine.summarize` for the
+taint summaries and :func:`~repro.analysis.engine.propagate` for the
+effect lattice.
 
 **verify-before-use** is a taint analysis.  The trust boundary is
 declared in the code it protects, with def-line annotations the same
@@ -26,7 +27,8 @@ way ``guarded-by`` declares lock ownership:
 Taint propagates through assignments, tuple unpacking, arithmetic,
 attribute/subscript loads, and — interprocedurally — through call
 edges via per-function summaries (does ``f`` return taint? do any of
-its parameters flow to a sink?) iterated to a fixpoint.  A tainted
+its parameters flow to a sink?) run to a fixpoint however many
+wrappers deep the flow goes.  A tainted
 value reaching a sink yields an error carrying the full witness chain
 (source function → intermediate calls → sink call site), mirroring the
 per-edge witnesses of the lock-order reports.
@@ -40,9 +42,10 @@ sanitizer on one branch clears taint for the code after the join.
 **blocking-effect** infers each function's worst blocking effect —
 lock acquisition, ``sleep``, ``fsync``, socket I/O, subprocess —
 transitively over the call graph, and publishes the per-function
-table as a JSON artifact (:func:`build_effect_table`), the work-list
-for ROADMAP item 2's asyncio refactor of the serving path.  Two
-policies are enforced now:
+table as a JSON artifact (:func:`build_effect_table`): everything
+listed there would stall an event loop, so it is what a reviewer
+checks before moving code onto the ``repro.serve`` loop thread.  Two
+policies are enforced:
 
 1. no blocking primitive may execute (directly or through any
    resolvable call chain) while holding a lock from the DESIGN §8
@@ -59,32 +62,34 @@ policies are enforced now:
 from __future__ import annotations
 
 import ast
-import re
+import copy
+from dataclasses import dataclass, field
 from typing import (
     Dict,
-    FrozenSet,
     Iterator,
     List,
-    Optional,
+    NamedTuple,
     Sequence,
     Set,
     Tuple,
 )
 
-from repro.analysis.concurrency import (
-    FunctionInfo,
-    Program,
-    _cached_program,
-    _entry_held,
-    _FunctionVisitor,
-    _short,
-    _transitive_acquires,
-)
+from repro.analysis.concurrency import acquired_locks, entry_held
 from repro.analysis.core import (
     Finding,
     ModuleContext,
     ProgramRule,
     register,
+)
+from repro.analysis.engine import (
+    Analysis,
+    Flow,
+    FunctionInfo,
+    Program,
+    Resolver,
+    propagate,
+    short,
+    summarize,
 )
 
 # ----------------------------------------------------------------------
@@ -95,36 +100,18 @@ ROLE_SOURCE = "source"
 ROLE_SANITIZER = "sanitizer"
 ROLE_SINK = "sink"
 
-_TAINT_RE = re.compile(r"#\s*repro:\s*taint-(source|sanitizer|sink)\b")
-
 
 def taint_roles(program: Program) -> Dict[str, str]:
-    """func id -> role, from ``# repro: taint-<role>`` annotations on
+    """func id -> role, from the first ``taint-<role>`` directive on
     the ``def`` line or the line directly above it (which, for
     decorated functions, is the line between decorator and ``def``)."""
     roles: Dict[str, str] = {}
-    for func in program.functions.values():
-        node = func.node
-        if node is None:
-            continue
-        for lineno in (node.lineno, node.lineno - 1):
-            if not 1 <= lineno <= len(func.ctx.lines):
-                continue
-            match = _TAINT_RE.search(func.ctx.lines[lineno - 1])
-            if match is not None:
-                roles[func.func_id] = match.group(1)
+    for func_id, func in program.functions.items():
+        for directive in func.directives:
+            if directive.name.startswith("taint-"):
+                roles[func_id] = directive.name[len("taint-"):]
                 break
     return roles
-
-
-def _param_names(func: FunctionInfo) -> List[str]:
-    node = func.node
-    if node is None:
-        return []
-    names = [a.arg for a in node.args.args]
-    if func.class_id is not None and names and names[0] in ("self", "cls"):
-        names = names[1:]
-    return names + [a.arg for a in node.args.kwonlyargs]
 
 
 # ----------------------------------------------------------------------
@@ -142,46 +129,35 @@ def _param_names(func: FunctionInfo) -> List[str]:
 Token = Tuple
 
 
+@dataclass
 class _TaintSummary:
     """What a caller needs to know about one callee."""
 
-    __slots__ = ("returns", "return_params", "sink_params")
-
-    def __init__(self) -> None:
-        #: origin func id -> call chain (this func ... origin).
-        self.returns: Dict[str, Tuple[str, ...]] = {}
-        #: parameter indices whose taint flows to the return value.
-        self.return_params: Set[int] = set()
-        #: parameter index -> call chain (this func ... sink) for
-        #: parameters that reach a sink un-sanitized.
-        self.sink_params: Dict[int, Tuple[str, ...]] = {}
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _TaintSummary)
-            and self.returns == other.returns
-            and self.return_params == other.return_params
-            and self.sink_params == other.sink_params
-        )
+    #: origin func id -> call chain (this func ... origin).
+    returns: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: parameter indices whose taint flows to the return value.
+    return_params: Set[int] = field(default_factory=set)
+    #: parameter index -> call chain (this func ... sink) for
+    #: parameters that reach a sink un-sanitized.
+    sink_params: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
 
 
-class _SinkHit:
+class _SinkHit(NamedTuple):
     """One tainted value reaching a sink (pre-Finding form)."""
 
-    __slots__ = ("func", "line", "origin", "taint_chain", "sink_chain")
-
-    def __init__(self, func: FunctionInfo, line: int, origin: str,
-                 taint_chain: Tuple[str, ...],
-                 sink_chain: Tuple[str, ...]) -> None:
-        self.func = func
-        self.line = line
-        self.origin = origin
-        self.taint_chain = taint_chain
-        self.sink_chain = sink_chain
+    func: FunctionInfo
+    line: int
+    origin: str
+    taint_chain: Tuple[str, ...]
+    sink_chain: Tuple[str, ...]
 
 
 class _TaintWalker:
-    """Flow-sensitive walk of one function body."""
+    """Flow-sensitive walk of one function body: the taint transfer
+    function.  The summary it builds starts from the function's
+    previous one and only gains entries (a chain, once recorded, is the
+    witness for good), which is what lets the worklist terminate on
+    recursive code."""
 
     def __init__(self, program: Program, roles: Dict[str, str],
                  summaries: Dict[str, _TaintSummary],
@@ -190,17 +166,15 @@ class _TaintWalker:
         self.roles = roles
         self.summaries = summaries
         self.func = func
-        self.resolver = _FunctionVisitor(program, func.ctx, func)
+        self.resolver = Resolver(program, func)
         self.env: Dict[str, Set[Token]] = {}
-        self.summary = _TaintSummary()
+        self.summary = copy.deepcopy(summaries[func.func_id])
         self.hits: List[_SinkHit] = []
-        self.params = _param_names(func)
 
     def run(self) -> None:
-        for index in range(len(self.params)):
-            self.env[self.params[index]] = {("param", index)}
-        if self.func.node is not None:
-            self.walk(self.func.node.body)
+        for index, name in enumerate(self.func.params):
+            self.env[name] = {("param", index)}
+        self.walk(self.func.node.body)
 
     # -- statements -----------------------------------------------------
 
@@ -273,7 +247,7 @@ class _TaintWalker:
         # Attribute/Subscript targets: field taint is out of scope.
 
     def note_return(self, tokens: Set[Token]) -> None:
-        for token in tokens:
+        for token in sorted(tokens):
             if token[0] == "src":
                 self.summary.returns.setdefault(token[1], token[2])
             else:
@@ -344,7 +318,7 @@ class _TaintWalker:
             if callee is not None else None
         )
         if summary is not None and callee_func is not None:
-            params = _param_names(callee_func)
+            params = callee_func.params
             mapping: List[Tuple[int, Set[Token]]] = [
                 (i, tokens) for i, tokens in enumerate(arg_tokens)
                 if i < len(params)
@@ -394,38 +368,25 @@ class _TaintWalker:
                 self.summary.sink_params.setdefault(token[1], sink_chain)
 
 
-def _taint_pass(
-    program: Program, roles: Dict[str, str],
-    summaries: Dict[str, _TaintSummary],
-) -> Tuple[Dict[str, _TaintSummary], List[_SinkHit]]:
-    next_summaries: Dict[str, _TaintSummary] = {}
-    hits: List[_SinkHit] = []
-    for func_id in sorted(program.functions):
-        func = program.functions[func_id]
-        walker = _TaintWalker(program, roles, summaries, func)
-        walker.run()
-        next_summaries[func_id] = walker.summary
-        hits.extend(walker.hits)
-    return next_summaries, hits
-
-
-def _taint_analysis(
-    program: Program, roles: Dict[str, str],
-) -> List[_SinkHit]:
+def _taint_hits(analysis: Analysis) -> List[_SinkHit]:
+    """Every tainted value reaching a sink, in sorted function order."""
+    program = analysis.program
+    roles = taint_roles(program)
+    if not roles:
+        return []
     summaries = {
         func_id: _TaintSummary() for func_id in program.functions
     }
-    hits: List[_SinkHit] = []
-    # The summaries grow monotonically (setdefault semantics), so the
-    # fixpoint terminates; the bound is paranoia, not policy.
-    for _ in range(12):
-        next_summaries, hits = _taint_pass(program, roles, summaries)
-        if all(
-            next_summaries[f] == summaries[f] for f in summaries
-        ):
-            break
-        summaries = next_summaries
-    return hits
+
+    def transfer(func_id: str) -> Tuple[_TaintSummary, List[_SinkHit]]:
+        walker = _TaintWalker(
+            program, roles, summaries, program.functions[func_id]
+        )
+        walker.run()
+        return walker.summary, walker.hits
+
+    hits = summarize(program, transfer, summaries, program.functions)
+    return [hit for func_id in sorted(hits) for hit in hits[func_id]]
 
 
 @register
@@ -458,26 +419,22 @@ class VerifyBeforeUseRule(ProgramRule):
     def check_program(
         self, contexts: Sequence[ModuleContext]
     ) -> Iterator[Finding]:
-        program = _cached_program(contexts)
-        roles = taint_roles(program)
-        if not roles:
-            return
         # One finding per (site, origin): a sink that forwards to an
         # inner sink (update -> insert) is still one decision point.
         seen: Set[Tuple[str, int, str]] = set()
-        for hit in _taint_analysis(program, roles):
+        for hit in Analysis.of(contexts).fact(_taint_hits):
             sink = hit.sink_chain[-1]
             key = (hit.func.ctx.path, hit.line, hit.origin)
             if key in seen:
                 continue
             seen.add(key)
-            taint = " -> ".join(_short(f) for f in hit.taint_chain)
-            reach = " -> ".join(_short(f) for f in hit.sink_chain)
+            taint = " -> ".join(short(f) for f in hit.taint_chain)
+            reach = " -> ".join(short(f) for f in hit.sink_chain)
             yield Finding(
                 path=hit.func.ctx.path, line=hit.line, rule=self.name,
                 message=(
-                    f"untrusted bytes from {_short(hit.origin)} reach "
-                    f"sink {_short(sink)} without a sanitizer "
+                    f"untrusted bytes from {short(hit.origin)} reach "
+                    f"sink {short(sink)} without a sanitizer "
                     f"(tainted via {taint}; sink path {reach})"
                 ),
             )
@@ -490,178 +447,40 @@ class VerifyBeforeUseRule(ProgramRule):
 #: Effect kinds, mildest first; "worst" is the right-most present.
 EFFECT_ORDER = ("lock", "sleep", "fsync", "socket", "subprocess")
 
-#: Unresolvable-receiver method names that are socket operations.
-_SOCKET_METHODS = frozenset({"recv", "sendall", "accept"})
 
+class Effects:
+    """Each function's transitive blocking effects, with witnesses."""
 
-class _BlockSite:
-    """One direct blocking primitive with the locks held around it."""
-
-    __slots__ = ("kind", "detail", "line", "held")
-
-    def __init__(self, kind: str, detail: str, line: int,
-                 held: FrozenSet[str]) -> None:
-        self.kind = kind
-        self.detail = detail
-        self.line = line
-        self.held = held
-
-
-class _WaitSite:
-    """One unbounded wait (no timeout argument) — policy 2 material."""
-
-    __slots__ = ("detail", "line")
-
-    def __init__(self, detail: str, line: int) -> None:
-        self.detail = detail
-        self.line = line
-
-
-class _SiteVisitor(_FunctionVisitor):
-    """The concurrency walk, additionally recording blocking sites.
-
-    Runs over a *shadow* :class:`FunctionInfo` so the acquisitions and
-    call edges it re-derives do not double up on the real summaries.
-    """
-
-    def __init__(self, program: Program, ctx: ModuleContext,
-                 shadow: FunctionInfo, blocking: List[_BlockSite],
-                 waits: List[_WaitSite]) -> None:
-        super().__init__(program, ctx, shadow)
-        self.blocking = blocking
-        self.waits = waits
-
-    def visit_call(self, call: ast.Call) -> None:
-        self.note_primitives(call)
-        super().visit_call(call)
-
-    def note_primitives(self, call: ast.Call) -> None:
-        callee = self.resolve_callable(call.func)
-        attr = (
-            call.func.attr
-            if isinstance(call.func, ast.Attribute) else None
-        )
-        kind: Optional[str] = None
-        if callee == "time.sleep":
-            kind = "sleep"
-        elif callee == "os.fsync":
-            kind = "fsync"
-        elif callee is not None and (
-            callee == "subprocess" or callee.startswith("subprocess.")
-        ):
-            kind = "subprocess"
-        elif callee in ("socket.create_connection", "socket.socket"):
-            kind = "socket"
-        elif callee is None and attr in _SOCKET_METHODS:
-            kind = "socket"
-        if kind is not None:
-            detail = callee if callee is not None else f".{attr}()"
-            self.blocking.append(_BlockSite(
-                kind, detail, call.lineno, self.held_set()
-            ))
-        self.note_unbounded_wait(call, callee, attr)
-
-    def note_unbounded_wait(self, call: ast.Call,
-                            callee: Optional[str],
-                            attr: Optional[str]) -> None:
-        has_timeout_kw = any(
-            keyword.arg == "timeout" for keyword in call.keywords
-        )
-        if callee is None and attr in ("join", "wait"):
-            if not call.args and not has_timeout_kw:
-                self.waits.append(_WaitSite(
-                    f"{attr}() without a timeout", call.lineno
+    def __init__(self, analysis: Analysis) -> None:
+        program = analysis.program
+        #: (function, kind) -> (primitive, line, path) for the first
+        #: site where the function itself performs that kind.
+        self.direct: Dict[Tuple[str, str], Tuple[str, int, str]] = {}
+        for func_id, func in program.functions.items():
+            for site in func.blocking:
+                self.direct.setdefault((func_id, site.kind), (
+                    site.detail, site.line, func.ctx.path
                 ))
-            return
-        if attr == "acquire" and not call.args and not call.keywords:
-            if self.resolve_lock(call.func.value) is not None:
-                self.waits.append(_WaitSite(
-                    "lock acquire() without a timeout", call.lineno
-                ))
-            return
-        if callee == "socket.create_connection":
-            if len(call.args) < 2 and not has_timeout_kw:
-                self.waits.append(_WaitSite(
-                    "create_connection without a timeout", call.lineno
-                ))
-            return
-        if attr == "settimeout" and len(call.args) == 1:
-            arg = call.args[0]
-            if isinstance(arg, ast.Constant) and arg.value is None:
-                self.waits.append(_WaitSite(
-                    "settimeout(None) disables the socket timeout",
-                    call.lineno,
-                ))
+            if func.acquires:
+                first = func.acquires[0]
+                self.direct[(func_id, "lock")] = (
+                    short(first.lock), first.line, func.ctx.path
+                )
+        seed: Dict[str, Set[str]] = {}
+        for func_id, kind in self.direct:
+            seed.setdefault(func_id, set()).add(kind)
+        #: Effect kinds flow from callee to caller.
+        self.flow: Flow = propagate(program, seed, down=False)
 
+    def kinds(self, func_id: str) -> Set[str]:
+        return self.flow.values.get(func_id, set())
 
-class _Sites:
-    __slots__ = ("blocking", "waits")
-
-    def __init__(self) -> None:
-        self.blocking: List[_BlockSite] = []
-        self.waits: List[_WaitSite] = []
-
-
-def _collect_sites(program: Program) -> Dict[str, _Sites]:
-    sites: Dict[str, _Sites] = {}
-    for func_id, func in program.functions.items():
-        entry = _Sites()
-        sites[func_id] = entry
-        if func.node is None:
-            continue
-        shadow = FunctionInfo(
-            func.func_id, func.class_id, func.ctx, func.name, func.node
-        )
-        shadow.param_types = dict(func.param_types)
-        shadow.local_types = dict(func.local_types)
-        _SiteVisitor(
-            program, func.ctx, shadow, entry.blocking, entry.waits
-        ).visit_body(func.node.body)
-    return sites
-
-
-#: effect kind -> (call chain to the primitive, detail, line, path).
-_Witness = Tuple[Tuple[str, ...], str, int, str]
-
-
-def _effects(
-    program: Program, sites: Dict[str, _Sites],
-) -> Dict[str, Dict[str, _Witness]]:
-    """Transitive blocking effects with a witness chain per kind."""
-    effects: Dict[str, Dict[str, _Witness]] = {
-        func_id: {} for func_id in program.functions
-    }
-    for func_id in sorted(program.functions):
-        func = program.functions[func_id]
-        for site in sites[func_id].blocking:
-            effects[func_id].setdefault(site.kind, (
-                (func_id,), site.detail, site.line, func.ctx.path
-            ))
-        if func.acquires:
-            first = func.acquires[0]
-            effects[func_id].setdefault("lock", (
-                (func_id,), _short(first.lock), first.line,
-                func.ctx.path,
-            ))
-    changed = True
-    while changed:
-        changed = False
-        for func_id in sorted(program.functions):
-            func = program.functions[func_id]
-            mine = effects[func_id]
-            for call in func.calls:
-                if call.is_thread_target:
-                    continue
-                for kind, witness in effects.get(
-                    call.callee, {}
-                ).items():
-                    if kind not in mine:
-                        chain, detail, line, path = witness
-                        mine[kind] = (
-                            (func_id,) + chain, detail, line, path
-                        )
-                        changed = True
-    return effects
+    def witness(
+        self, func_id: str, kind: str
+    ) -> Tuple[List[str], str, int, str]:
+        """(call chain down to the primitive, primitive, line, path)."""
+        chain = self.flow.chain(func_id, kind)
+        return (chain,) + self.direct[(chain[-1], kind)]
 
 
 def build_effect_table(
@@ -671,25 +490,24 @@ def build_effect_table(
 
     One entry per function with any inferred effect: the effect set,
     the worst effect, and a witness chain down to the primitive call.
-    This is the work-list for the asyncio refactor of the serving path
-    (ROADMAP item 2): anything listed here blocks an event loop.
+    Anything listed here blocks the thread that calls it — the list a
+    reviewer consults before putting code on an event-loop thread.
     """
-    program = _cached_program(contexts)
-    sites = _collect_sites(program)
-    effects = _effects(program, sites)
+    analysis = Analysis.of(contexts)
+    effects = analysis.fact(Effects)
     rows: List[Dict[str, object]] = []
-    for func_id in sorted(program.functions):
-        kinds = effects[func_id]
+    for func_id in sorted(analysis.program.functions):
+        kinds = effects.kinds(func_id)
         if not kinds:
             continue
         worst = max(kinds, key=EFFECT_ORDER.index)
-        chain, detail, line, path = kinds[worst]
+        chain, detail, line, path = effects.witness(func_id, worst)
         rows.append({
             "function": func_id,
             "effects": sorted(kinds, key=EFFECT_ORDER.index),
             "worst": worst,
             "witness": {
-                "chain": list(chain),
+                "chain": chain,
                 "primitive": detail,
                 "path": path,
                 "line": line,
@@ -727,32 +545,27 @@ class BlockingEffectRule(ProgramRule):
     def check_program(
         self, contexts: Sequence[ModuleContext]
     ) -> Iterator[Finding]:
-        program = _cached_program(contexts)
-        sites = _collect_sites(program)
-        entry_held = _entry_held(program)
-        acq_star = _transitive_acquires(program)
-        effects = _effects(program, sites)
-        yield from self._policy_blocking_under_lock(
-            program, sites, entry_held, acq_star, effects
-        )
-        yield from self._policy_deadline_waits(program, sites)
+        analysis = Analysis.of(contexts)
+        yield from self._policy_blocking_under_lock(analysis)
+        yield from self._policy_deadline_waits(analysis.program)
 
     def _policy_blocking_under_lock(
-        self, program: Program, sites: Dict[str, _Sites],
-        entry_held: Dict[str, FrozenSet[str]],
-        acq_star: Dict[str, Set[str]],
-        effects: Dict[str, Dict[str, _Witness]],
+        self, analysis: Analysis
     ) -> Iterator[Finding]:
+        program = analysis.program
         san = program.san_locks
         if not san:
             return
+        held_on_entry = analysis.fact(entry_held)
+        acq_star = analysis.fact(acquired_locks)
+        effects = analysis.fact(Effects)
         for func_id in sorted(program.functions):
             func = program.functions[func_id]
-            base = entry_held.get(func_id, frozenset())
-            for site in sites[func_id].blocking:
+            base = held_on_entry[func_id]
+            for site in func.blocking:
                 held = (base | site.held) & san
                 if held:
-                    locks = ", ".join(sorted(_short(h) for h in held))
+                    locks = ", ".join(sorted(short(h) for h in held))
                     yield Finding(
                         path=func.ctx.path, line=site.line,
                         rule=self.name,
@@ -765,28 +578,24 @@ class BlockingEffectRule(ProgramRule):
             for call in func.calls:
                 if call.is_thread_target:
                     continue
-                callee_effects = {
-                    kind: witness
-                    for kind, witness in effects.get(
-                        call.callee, {}
-                    ).items()
-                    if kind != "lock"
-                }
-                if not callee_effects:
+                callee_kinds = effects.kinds(call.callee) - {"lock"}
+                if not callee_kinds:
                     continue
                 held = (base | call.held) & san
                 # Locks the callee itself acquires or demonstrably
                 # enters with are its own (already reported) problem.
-                held -= acq_star.get(call.callee, set())
-                held -= entry_held.get(call.callee, frozenset())
+                held -= acq_star[call.callee]
+                held -= held_on_entry[call.callee]
                 if not held:
                     continue
-                worst = max(callee_effects, key=EFFECT_ORDER.index)
-                chain, detail, line, _path = callee_effects[worst]
-                rendered = " -> ".join(
-                    _short(f) for f in (func_id,) + chain
+                worst = max(callee_kinds, key=EFFECT_ORDER.index)
+                chain, detail, _line, _path = effects.witness(
+                    call.callee, worst
                 )
-                locks = ", ".join(sorted(_short(h) for h in held))
+                rendered = " -> ".join(
+                    short(f) for f in [func_id] + chain
+                )
+                locks = ", ".join(sorted(short(h) for h in held))
                 yield Finding(
                     path=func.ctx.path, line=call.line,
                     rule=self.name,
@@ -797,17 +606,16 @@ class BlockingEffectRule(ProgramRule):
                 )
 
     def _policy_deadline_waits(
-        self, program: Program, sites: Dict[str, _Sites],
+        self, program: Program
     ) -> Iterator[Finding]:
-        roots = {
-            func_id for func_id, func in program.functions.items()
-            if "deadline" in _param_names(func)
-        }
-        if not roots:
-            return
+        # Breadth-first from every deadline-taking function, so the
+        # path shown is a shortest one.
         parent: Dict[str, str] = {}
-        reached: Set[str] = set(roots)
-        frontier = sorted(roots)
+        frontier = sorted(
+            func_id for func_id, func in program.functions.items()
+            if "deadline" in func.params
+        )
+        reached: Set[str] = set(frontier)
         while frontier:
             grown: List[str] = []
             for func_id in frontier:
@@ -825,16 +633,15 @@ class BlockingEffectRule(ProgramRule):
             frontier = sorted(grown)
         for func_id in sorted(reached):
             func = program.functions[func_id]
-            waits = sites[func_id].waits
-            if not waits:
+            if not func.waits:
                 continue
             chain = [func_id]
             while chain[-1] in parent:
                 chain.append(parent[chain[-1]])
             rendered = " -> ".join(
-                _short(f) for f in reversed(chain)
+                short(f) for f in reversed(chain)
             )
-            for wait in waits:
+            for wait in func.waits:
                 yield Finding(
                     path=func.ctx.path, line=wait.line, rule=self.name,
                     message=(

@@ -11,9 +11,12 @@ that previously existed only as comments and a one-time hand audit:
    including exceptional ones, so a crashed handler can never wedge
    the verifiable serving path.
 
-This module turns both into ``ProgramRule``\\ s over the PR 5 program
-index (call graph, receiver/type inference, thread-spawn detection)
-and the PR 8 blocking-site lattice:
+This module turns both into ``ProgramRule``\\ s over
+:mod:`repro.analysis.engine`: roles are one
+:func:`~repro.analysis.engine.propagate` towards callees, confined
+accesses and blocking sites are facts its walk already recorded, and
+the ownership summaries run under
+:func:`~repro.analysis.engine.summarize`:
 
 * **thread-confinement** — ``# repro: confined-to(<role>)`` on a
   ``self.<field> = ...`` line declares the only thread role allowed to
@@ -71,8 +74,9 @@ bound to anything but a plain local name are never tracked at all.
 from __future__ import annotations
 
 import ast
+import copy
 import difflib
-import re
+from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
@@ -84,41 +88,25 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.concurrency import (
-    FunctionInfo,
-    Program,
-    _cached_program,
-    _dotted,
-    _field_assignment_lines,
-    _FunctionVisitor,
-    _is_private,
-    _short,
-)
 from repro.analysis.core import (
     Finding,
     ModuleContext,
     ProgramRule,
+    dotted,
     register,
 )
-from repro.analysis.dataflow import _collect_sites, _param_names
+from repro.analysis.engine import (
+    Analysis,
+    FunctionInfo,
+    Program,
+    Resolver,
+    is_private,
+    propagate,
+    short,
+    summarize,
+)
 
 ROLE_MAIN = "main"
-
-_CONFINED_RE = re.compile(
-    r"#\s*repro:\s*confined-to\(\s*([A-Za-z_][\w\-]*)\s*\)"
-)
-_THREAD_ROLE_RE = re.compile(
-    r"#\s*repro:\s*thread-role\(\s*([A-Za-z_][\w\-]*)"
-    r"(?:\s*,\s*(nonblocking))?\s*\)"
-)
-_LOOP_SAFE_RE = re.compile(r"#\s*repro:\s*loop-safe\b")
-_ACQUIRES_RE = re.compile(
-    r"#\s*repro:\s*acquires\(\s*([A-Za-z_][\w.\-]*)"
-    r"(?:\s*,\s*(conditional))?\s*\)"
-)
-_RELEASES_RE = re.compile(
-    r"#\s*repro:\s*releases\(\s*([A-Za-z_][\w.\-]*)\s*\)"
-)
 
 #: Socket-producing callables (dotted form, resolved via the symbol
 #: table) whose direct ``name = ...`` assignment opens a tracked value
@@ -131,156 +119,6 @@ _SOCKET_FACTORIES = frozenset({
 _CLOSERS = frozenset({"close", "detach"})
 
 
-def _def_line_match(func: FunctionInfo,
-                    pattern: "re.Pattern[str]") -> Optional["re.Match[str]"]:
-    """Match ``pattern`` on the ``def`` line or the line directly above
-    (the same placement rule as ``taint-source`` annotations)."""
-    node = func.node
-    if node is None:
-        return None
-    for lineno in (node.lineno, node.lineno - 1):
-        if not 1 <= lineno <= len(func.ctx.lines):
-            continue
-        match = pattern.search(func.ctx.lines[lineno - 1])
-        if match is not None:
-            return match
-    return None
-
-
-class ConfinedField:
-    """One ``# repro: confined-to(<role>)`` annotation."""
-
-    __slots__ = ("class_id", "attr", "role", "line", "path")
-
-    def __init__(self, class_id: str, attr: str, role: str,
-                 line: int, path: str) -> None:
-        self.class_id = class_id
-        self.attr = attr
-        self.role = role
-        self.line = line
-        self.path = path
-
-    @property
-    def field_id(self) -> str:
-        return f"{self.class_id}.{self.attr}"
-
-
-class RoleDecl:
-    """One ``# repro: thread-role(<role>[, nonblocking])`` function."""
-
-    __slots__ = ("func_id", "role", "nonblocking", "line")
-
-    def __init__(self, func_id: str, role: str, nonblocking: bool,
-                 line: int) -> None:
-        self.func_id = func_id
-        self.role = role
-        self.nonblocking = nonblocking
-        self.line = line
-
-
-class PairDecl:
-    """One acquires/releases annotation on a function."""
-
-    __slots__ = ("func_id", "resource", "conditional")
-
-    def __init__(self, func_id: str, resource: str,
-                 conditional: bool) -> None:
-        self.func_id = func_id
-        self.resource = resource
-        self.conditional = conditional
-
-
-class Ownership:
-    """Every ownership-layer annotation, indexed."""
-
-    def __init__(self) -> None:
-        #: field id -> ConfinedField.
-        self.confined: Dict[str, ConfinedField] = {}
-        #: (class_id, attr) pairs for MRO-aware lookup.
-        self.confined_by_class: Dict[str, Dict[str, ConfinedField]] = {}
-        #: func id -> RoleDecl.
-        self.role_decls: Dict[str, RoleDecl] = {}
-        #: func ids carrying ``# repro: loop-safe``.
-        self.loop_safe: Set[str] = set()
-        #: func id -> PairDecl for acquirers / releasers.
-        self.acquirers: Dict[str, PairDecl] = {}
-        self.releasers: Dict[str, PairDecl] = {}
-        #: rule name -> hygiene findings discovered while indexing.
-        self.index_findings: Dict[str, List[Finding]] = {}
-
-    def note(self, rule: str, finding: Finding) -> None:
-        self.index_findings.setdefault(rule, []).append(finding)
-
-    def lookup_confined(self, program: Program, class_id: str,
-                        attr: str) -> Optional[ConfinedField]:
-        for cid in program.mro(class_id):
-            hit = self.confined_by_class.get(cid, {}).get(attr)
-            if hit is not None:
-                return hit
-        return None
-
-
-def _collect_ownership(program: Program,
-                       contexts: Sequence[ModuleContext]) -> Ownership:
-    own = Ownership()
-    for ctx in contexts:
-        assign_lines = _field_assignment_lines(ctx)
-        for lineno, text in enumerate(ctx.lines, start=1):
-            match = _CONFINED_RE.search(text)
-            if match is None:
-                continue
-            role = match.group(1)
-            owner = assign_lines.get(lineno)
-            if owner is None:
-                own.note(ThreadConfinementRule.name, Finding(
-                    path=ctx.path, line=lineno,
-                    rule=ThreadConfinementRule.name,
-                    message=(
-                        "confined-to annotation is not attached to a "
-                        "'self.<field> = ...' assignment line"
-                    ),
-                ))
-                continue
-            class_id, attr = owner
-            annotation = ConfinedField(class_id, attr, role, lineno,
-                                       ctx.path)
-            existing = own.confined_by_class.get(class_id, {}).get(attr)
-            if existing is not None and existing.role != role:
-                own.note(ThreadConfinementRule.name, Finding(
-                    path=ctx.path, line=lineno,
-                    rule=ThreadConfinementRule.name,
-                    message=(
-                        f"field {attr!r} is annotated confined-to"
-                        f"({role}) here but confined-to"
-                        f"({existing.role}) elsewhere; pick one role"
-                    ),
-                ))
-                continue
-            own.confined_by_class.setdefault(class_id, {})[attr] = \
-                annotation
-            own.confined[annotation.field_id] = annotation
-    for func_id, func in program.functions.items():
-        match = _def_line_match(func, _THREAD_ROLE_RE)
-        if match is not None:
-            own.role_decls[func_id] = RoleDecl(
-                func_id, match.group(1), match.group(2) is not None,
-                func.node.lineno,
-            )
-        if _def_line_match(func, _LOOP_SAFE_RE) is not None:
-            own.loop_safe.add(func_id)
-        match = _def_line_match(func, _ACQUIRES_RE)
-        if match is not None:
-            own.acquirers[func_id] = PairDecl(
-                func_id, match.group(1), match.group(2) is not None
-            )
-        match = _def_line_match(func, _RELEASES_RE)
-        if match is not None:
-            own.releasers[func_id] = PairDecl(
-                func_id, match.group(1), False
-            )
-    return own
-
-
 # ----------------------------------------------------------------------
 # Role reachability
 # ----------------------------------------------------------------------
@@ -289,122 +127,86 @@ def _collect_ownership(program: Program,
 class RoleModel:
     """Which thread roles can reach each function, with witnesses."""
 
-    def __init__(self) -> None:
-        #: func id -> set of role names reachable there.
-        self.roles: Dict[str, Set[str]] = {}
+    def __init__(self, analysis: Analysis) -> None:
+        program = analysis.program
         #: role -> list of (root func id, spawner func id or None,
         #: spawn line or None) — how the role comes into existence.
         self.roots: Dict[str, List[Tuple[str, Optional[str],
                                          Optional[int]]]] = {}
-        #: (func id, role) -> (caller func id, call line): the first
-        #: discovered (deterministic) edge that carried the role in.
-        self.parent: Dict[Tuple[str, str], Tuple[str, int]] = {}
         #: roles declared ``nonblocking``.
         self.nonblocking: Set[str] = set()
+        #: ``thread-role`` declarations: func id -> role.
+        self.declared: Dict[str, str] = {}
+        seed: Dict[str, Set[str]] = {
+            func_id: set() for func_id in program.functions
+        }
+        called: Set[str] = set()
+        # Spawn roots: every thread target starts its declared role (or
+        # an implicit thread:<name> role when undeclared).
+        for func_id in sorted(program.functions):
+            for site in program.functions[func_id].calls:
+                if site.callee not in program.functions:
+                    continue
+                called.add(site.callee)
+                if not site.is_thread_target:
+                    continue
+                decl = program.functions[site.callee].directive(
+                    "thread-role"
+                )
+                role = decl.args[0] if decl is not None else (
+                    f"thread:{site.callee.rsplit('.', 1)[-1]}"
+                )
+                seed[site.callee].add(role)
+                self.roots.setdefault(role, []).append(
+                    (site.callee, func_id, site.line)
+                )
+        # Declared roles root themselves even if no spawn site is
+        # visible (fixtures, indirection the spawn detection cannot
+        # see).
+        for func_id, func in program.functions.items():
+            decl = func.directive("thread-role")
+            if decl is None:
+                continue
+            role = self.declared[func_id] = decl.args[0]
+            seed[func_id].add(role)
+            entries = self.roots.setdefault(role, [])
+            if not any(root == func_id for root, _s, _l in entries):
+                entries.append((func_id, None, None))
+            if len(decl.args) > 1:
+                self.nonblocking.add(role)
+        # Main roots: public functions, plus private helpers with no
+        # known callers (assumed reachable from tests / API users).
+        for func_id in sorted(program.functions):
+            if seed[func_id]:
+                continue
+            if not is_private(func_id) or func_id not in called:
+                seed[func_id].add(ROLE_MAIN)
+                self.roots.setdefault(ROLE_MAIN, []).append(
+                    (func_id, None, None)
+                )
+        #: Roles flow from caller to every (non-spawn) callee.
+        self.flow = propagate(program, seed, down=True)
 
-    def chain(self, func_id: str, role: str) -> List[Tuple[str, int]]:
-        """The call path (func, line-called-at) from the role root down
-        to ``func_id``, root first."""
-        path: List[Tuple[str, int]] = []
-        current = func_id
-        seen = {current}
-        while (current, role) in self.parent:
-            caller, line = self.parent[(current, role)]
-            path.append((current, line))
-            if caller in seen:
-                break
-            seen.add(caller)
-            current = caller
-        path.append((current, 0))
-        path.reverse()
-        return path
+    def roles(self, func_id: str) -> Set[str]:
+        return self.flow.values.get(func_id, set())
 
     def render_chain(self, func_id: str, role: str) -> str:
-        parts = [_short(f) for f, _line in self.chain(func_id, role)]
-        return " -> ".join(parts)
+        """The call path from the role's root down to ``func_id``."""
+        return " -> ".join(
+            short(f) for f in reversed(self.flow.chain(func_id, role))
+        )
 
     def spawn_note(self, role: str) -> str:
         roots = self.roots.get(role, [])
         for root, spawner, line in roots:
             if spawner is not None:
                 return (
-                    f"role {role!r} is spawned in {_short(spawner)} "
-                    f"(line {line}, target {_short(root)})"
+                    f"role {role!r} is spawned in {short(spawner)} "
+                    f"(line {line}, target {short(root)})"
                 )
         if roots:
-            return f"role {role!r} roots at {_short(roots[0][0])}"
+            return f"role {role!r} roots at {short(roots[0][0])}"
         return f"role {role!r} has no known spawn root"
-
-
-def _build_roles(program: Program, own: Ownership) -> RoleModel:
-    model = RoleModel()
-    model.roles = {func_id: set() for func_id in program.functions}
-    in_edges: Set[str] = set()
-    for func in program.functions.values():
-        for site in func.calls:
-            if site.callee in program.functions:
-                in_edges.add(site.callee)
-    # Spawn roots: every thread target starts its declared role (or an
-    # implicit thread:<name> role when undeclared).
-    for func_id in sorted(program.functions):
-        func = program.functions[func_id]
-        for site in func.calls:
-            if not site.is_thread_target:
-                continue
-            if site.callee not in program.functions:
-                continue
-            decl = own.role_decls.get(site.callee)
-            role = decl.role if decl is not None else (
-                f"thread:{site.callee.rsplit('.', 1)[-1]}"
-            )
-            model.roles[site.callee].add(role)
-            model.roots.setdefault(role, []).append(
-                (site.callee, func_id, site.line)
-            )
-    # Declared roles root themselves even if no spawn site is visible
-    # (fixtures, indirection the spawn detection cannot see).
-    for func_id, decl in own.role_decls.items():
-        model.roles[func_id].add(decl.role)
-        entries = model.roots.setdefault(decl.role, [])
-        if not any(root == func_id for root, _s, _l in entries):
-            entries.append((func_id, None, None))
-        if decl.nonblocking:
-            model.nonblocking.add(decl.role)
-    # Main roots: public functions, plus private helpers with no known
-    # callers (assumed reachable from tests / API users).
-    for func_id in sorted(program.functions):
-        if model.roles[func_id]:
-            continue
-        if not _is_private(func_id) or func_id not in in_edges:
-            model.roles[func_id].add(ROLE_MAIN)
-            model.roots.setdefault(ROLE_MAIN, []).append(
-                (func_id, None, None)
-            )
-    # Union-propagate roles along non-spawn call edges (may-analysis),
-    # recording the first parent edge per (callee, role) in sorted
-    # caller order so witness chains are deterministic.
-    changed = True
-    while changed:
-        changed = False
-        for func_id in sorted(program.functions):
-            func = program.functions[func_id]
-            mine = model.roles[func_id]
-            if not mine:
-                continue
-            for site in func.calls:
-                if site.is_thread_target:
-                    continue
-                callee = site.callee
-                if callee not in program.functions:
-                    continue
-                for role in sorted(mine):
-                    if role not in model.roles[callee]:
-                        model.roles[callee].add(role)
-                        model.parent[(callee, role)] = (
-                            func_id, site.line
-                        )
-                        changed = True
-    return model
 
 
 def build_role_table(
@@ -417,9 +219,8 @@ def build_role_table(
     set — the worklist a reviewer checks before moving code between
     the loop thread and the worker pool.
     """
-    program = _cached_program(contexts)
-    own = _collect_ownership(program, contexts)
-    model = _build_roles(program, own)
+    analysis = Analysis.of(contexts)
+    model = analysis.fact(RoleModel)
     roles_out = []
     for role in sorted(model.roots):
         if role == ROLE_MAIN:
@@ -433,15 +234,13 @@ def build_role_table(
             ],
         })
     functions_out = []
-    for func_id in sorted(program.functions):
-        roles = model.roles.get(func_id, set())
-        extra = roles - {ROLE_MAIN}
-        if not extra:
-            continue
-        functions_out.append({
-            "function": func_id,
-            "roles": sorted(roles),
-        })
+    for func_id in sorted(analysis.program.functions):
+        roles = model.roles(func_id)
+        if roles - {ROLE_MAIN}:
+            functions_out.append({
+                "function": func_id,
+                "roles": sorted(roles),
+            })
     return {
         "version": 1,
         "roles": roles_out,
@@ -454,112 +253,42 @@ def build_role_table(
 # ----------------------------------------------------------------------
 
 
-class _ConfinedAccess:
-    __slots__ = ("field_id", "is_write", "line")
-
-    def __init__(self, field_id: str, is_write: bool, line: int) -> None:
-        self.field_id = field_id
-        self.is_write = is_write
-        self.line = line
-
-
-class _ConfinedVisitor(_FunctionVisitor):
-    """The concurrency walk, recording confined-field accesses.
-
-    Runs over a *shadow* :class:`FunctionInfo` so the call edges and
-    acquisitions it re-derives do not double up on the real summaries
-    (the same pattern as dataflow's ``_SiteVisitor``).
-    """
-
-    def __init__(self, program: Program, ctx: ModuleContext,
-                 shadow: FunctionInfo, own: Ownership,
-                 out: List[_ConfinedAccess]) -> None:
-        super().__init__(program, ctx, shadow)
-        self.own = own
-        self.out = out
-
-    def note_field_access(self, attr: ast.Attribute,
-                          is_write: bool) -> None:
-        super().note_field_access(attr, is_write)
-        owner = self.resolve_receiver(attr.value)
-        if owner is None:
-            return
-        annotation = self.own.lookup_confined(
-            self.program, owner, attr.attr
-        )
-        if annotation is None:
-            return
-        self.out.append(_ConfinedAccess(
-            annotation.field_id, is_write, attr.lineno
-        ))
-
-
-def _confined_accesses(
-    program: Program, own: Ownership,
-) -> Dict[str, List[_ConfinedAccess]]:
-    accesses: Dict[str, List[_ConfinedAccess]] = {}
-    if not own.confined:
-        return accesses
-    for func_id, func in program.functions.items():
-        if func.node is None:
-            continue
-        out: List[_ConfinedAccess] = []
-        shadow = FunctionInfo(
-            func.func_id, func.class_id, func.ctx, func.name, func.node
-        )
-        shadow.param_types = dict(func.param_types)
-        shadow.local_types = dict(func.local_types)
-        _ConfinedVisitor(
-            program, func.ctx, shadow, own, out
-        ).visit_body(func.node.body)
-        if out:
-            accesses[func_id] = out
-    return accesses
-
-
-def _check_confinement(
-    program: Program, own: Ownership, model: RoleModel,
-) -> List[Finding]:
-    findings = list(own.index_findings.get(
-        ThreadConfinementRule.name, ()
-    ))
-    if not own.confined:
+def _check_confinement(analysis: Analysis) -> List[Finding]:
+    program = analysis.program
+    rule = ThreadConfinementRule.name
+    findings = list(program.index_findings.get(rule, ()))
+    confined = program.field_directives.get("confined-to", ())
+    if not confined:
         return findings
-    declared_roles = {d.role for d in own.role_decls.values()}
-    known_roles = declared_roles | {ROLE_MAIN}
-    for annotation in sorted(own.confined.values(),
-                             key=lambda a: (a.path, a.line)):
-        if annotation.role not in known_roles:
+    model = analysis.fact(RoleModel)
+    known_roles = set(model.declared.values()) | {ROLE_MAIN}
+    for annotated in sorted(confined, key=lambda f: (f.path, f.line)):
+        role = annotated.directive.args[0]
+        if role not in known_roles:
             hint = difflib.get_close_matches(
-                annotation.role, sorted(known_roles), n=1, cutoff=0.5
+                role, sorted(known_roles), n=1, cutoff=0.5
             )
             findings.append(Finding(
-                path=annotation.path, line=annotation.line,
-                rule=ThreadConfinementRule.name,
+                path=annotated.path, line=annotated.line, rule=rule,
                 message=(
                     f"confined-to names unknown role "
-                    f"{annotation.role!r} for field {annotation.attr!r}"
+                    f"{role!r} for field {annotated.attr!r}"
                     + (f" (did you mean {hint[0]!r}?)" if hint else "")
                     + "; roles are declared with "
                       "'# repro: thread-role(<role>)' on a thread "
                       "target's def line (plus the implicit 'main')"
                 ),
             ))
-    accesses = _confined_accesses(program, own)
-    for func_id in sorted(accesses):
+    for func_id in sorted(program.functions):
         func = program.functions[func_id]
-        roles = model.roles.get(func_id, set())
-        for access in accesses[func_id]:
-            annotation = own.confined[access.field_id]
-            # Construction in the owning class's __init__ happens
-            # before the object is shared with any thread.
-            if (
-                func.name == "__init__"
-                and func.class_id is not None
-                and annotation.class_id in program.mro(func.class_id)
-            ):
+        for access in func.accesses:
+            annotated = program.lookup_field(
+                "confined-to", access.owner, access.attr
+            )
+            if annotated is None or program.is_construction(func, annotated):
                 continue
-            wrong = sorted(roles - {annotation.role})
+            owner_role = annotated.directive.args[0]
+            wrong = sorted(model.roles(func_id) - {owner_role})
             if not wrong:
                 continue
             kind = "write to" if access.is_write else "read of"
@@ -570,11 +299,10 @@ def _check_confinement(
                 if len(wrong) > 1 else ""
             )
             findings.append(Finding(
-                path=func.ctx.path, line=access.line,
-                rule=ThreadConfinementRule.name,
+                path=func.ctx.path, line=access.line, rule=rule,
                 message=(
-                    f"{kind} {_short(access.field_id)} (confined to "
-                    f"role {annotation.role!r}) in {func_id} is "
+                    f"{kind} {short(annotated.field_id)} (confined to "
+                    f"role {owner_role!r}) in {func_id} is "
                     f"reachable on role {role!r}{extra}: "
                     f"{model.spawn_note(role)}; call path {chain}"
                 ),
@@ -587,13 +315,16 @@ def _check_confinement(
 # ----------------------------------------------------------------------
 
 
-def _check_loop_blocking(
-    program: Program, own: Ownership, model: RoleModel,
-) -> List[Finding]:
+def _check_loop_blocking(analysis: Analysis) -> List[Finding]:
+    program = analysis.program
+    model = analysis.fact(RoleModel)
     findings: List[Finding] = []
-    for func_id in sorted(own.loop_safe):
-        decl_roles = model.roles.get(func_id, set())
-        if not decl_roles & model.nonblocking:
+    loop_safe = sorted(
+        func_id for func_id, func in program.functions.items()
+        if func.directive("loop-safe") is not None
+    )
+    for func_id in loop_safe:
+        if not model.roles(func_id) & model.nonblocking:
             findings.append(Finding(
                 path=program.functions[func_id].ctx.path,
                 line=program.functions[func_id].node.lineno,
@@ -605,25 +336,19 @@ def _check_loop_blocking(
                     "'thread-role(<role>, nonblocking)' root)"
                 ),
             ))
-    if not model.nonblocking:
-        return findings
-    sites = _collect_sites(program)
     for func_id in sorted(program.functions):
         func = program.functions[func_id]
-        roles = model.roles.get(func_id, set()) & model.nonblocking
+        roles = model.roles(func_id) & model.nonblocking
         if not roles:
             continue
-        blocking = [
-            site for site in sites[func_id].blocking
-            if site.kind != "lock"
-        ]
-        if not blocking:
-            continue
-        if func_id in own.loop_safe:
+        blocking = func.blocking
+        if func_id in loop_safe:
             # The sanctioned wake-pipe/nonblocking-socket pattern:
             # only this function's own direct socket operations are
             # excused; a sleep/fsync/subprocess is never loop-safe.
             blocking = [s for s in blocking if s.kind != "socket"]
+        if not blocking:
+            continue
         role = sorted(roles)[0]
         chain = model.render_chain(func_id, role)
         for site in blocking:
@@ -671,31 +396,19 @@ State = FrozenSet[Tuple[Token, Optional[str]]]
 _STATE_CAP = 64
 
 
+@dataclass
 class _ReleaseSummary:
     """What a caller needs to know about one callee's ownership."""
 
-    __slots__ = ("acquires", "releases", "releases_param",
-                 "escapes_param")
-
-    def __init__(self) -> None:
-        #: resource name -> True when the acquire is conditional.
-        self.acquires: Dict[str, bool] = {}
-        self.releases: Set[str] = set()
-        #: parameter indices this function closes/releases on every
-        #: path (ownership transfers in).
-        self.releases_param: Set[int] = set()
-        #: parameter indices that escape (stored, re-spawned, handed
-        #: to something unresolvable) — callers stop tracking.
-        self.escapes_param: Set[int] = set()
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _ReleaseSummary)
-            and self.acquires == other.acquires
-            and self.releases == other.releases
-            and self.releases_param == other.releases_param
-            and self.escapes_param == other.escapes_param
-        )
+    #: resource name -> True when the acquire is conditional.
+    acquires: Dict[str, bool] = field(default_factory=dict)
+    releases: Set[str] = field(default_factory=set)
+    #: parameter indices this function closes/releases on every
+    #: path (ownership transfers in).
+    releases_param: Set[int] = field(default_factory=set)
+    #: parameter indices that escape (stored, re-spawned, handed
+    #: to something unresolvable) — callers stop tracking.
+    escapes_param: Set[int] = field(default_factory=set)
 
 
 class _Outcomes:
@@ -716,13 +429,14 @@ class _Outcomes:
         self.cont |= other.cont
 
 
+def _join(states: Set[State]) -> Set[State]:
+    """Give up path sensitivity: one state holding everything any of
+    ``states`` holds."""
+    return {frozenset().union(*states)}
+
+
 def _cap(states: Set[State]) -> Set[State]:
-    if len(states) <= _STATE_CAP:
-        return states
-    merged: Set[Tuple[Token, Optional[str]]] = set()
-    for state in states:
-        merged |= state
-    return {frozenset(merged)}
+    return states if len(states) <= _STATE_CAP else _join(states)
 
 
 def _add(states: Set[State], pair: Tuple[Token, Optional[str]],
@@ -738,30 +452,26 @@ def _drop_token(states: Set[State], predicate) -> Set[State]:
 
 
 class _CfgWalker:
-    """Evaluates one function body over ownership states."""
+    """Evaluates one function body over ownership states: the
+    must-release transfer function.  Its summary starts from the
+    function's previous one and only gains entries, which is what lets
+    the worklist terminate on recursive code."""
 
-    def __init__(self, program: Program, own: Ownership,
+    def __init__(self, program: Program,
                  summaries: Dict[str, _ReleaseSummary],
-                 func: FunctionInfo, collect: bool) -> None:
+                 func: FunctionInfo) -> None:
         self.program = program
-        self.own = own
         self.summaries = summaries
         self.func = func
-        self.collect = collect
-        shadow = FunctionInfo(
-            func.func_id, func.class_id, func.ctx, func.name, func.node
-        )
-        shadow.param_types = dict(func.param_types)
-        shadow.local_types = dict(func.local_types)
-        self.resolver = _FunctionVisitor(program, func.ctx, shadow)
-        self.params = _param_names(func)
+        self.resolver = Resolver(program, func)
+        self.params = func.params
         #: tokens that escaped anywhere (walker-global, conservative).
         self.escaped: Set[Token] = set()
         #: param indices genuinely released (closed), not just dropped.
         self.released_params: Set[int] = set()
         #: value/named tokens generated in this function body.
         self.acquired: Dict[Token, int] = {}
-        self.summary = _ReleaseSummary()
+        self.summary = copy.deepcopy(summaries[func.func_id])
         #: (token) -> set of exit-kind strings where it was still held.
         self.leaks: Dict[Token, Set[str]] = {}
 
@@ -879,14 +589,13 @@ class _CfgWalker:
         mappable = (
             summary is not None
             and callee_func is not None
-            and callee_func.node is not None
             and callee_func.node.args.vararg is None
             and callee_func.node.args.kwarg is None
             and not any(isinstance(a, ast.Starred) for a in call.args)
             and all(k.arg is not None for k in call.keywords)
         )
         params = (
-            _param_names(callee_func) if mappable else []
+            callee_func.params if mappable else []
         )
         slots: List[Tuple[Optional[int], ast.expr]] = []
         for index, arg in enumerate(call.args):
@@ -1197,7 +906,11 @@ class _CfgWalker:
                   test: Optional[ast.expr]) -> Set[State]:
         head = _cap(set(states))
         brk: Set[State] = set()
-        for _ in range(8):
+        # The loop head grows until another trip adds nothing.  Once it
+        # outgrows the state cap it stays joined into a single state
+        # (re-splitting it could cycle), which then only gains tokens.
+        joined = False
+        while True:
             entry = head
             if test is not None:
                 entry, _gen = self.eval_expr(test, entry, out)
@@ -1205,7 +918,10 @@ class _CfgWalker:
             out.ret |= body_out.ret
             out.raise_ |= body_out.raise_
             brk |= body_out.brk
-            new_head = _cap(head | body_fall | body_out.cont)
+            new_head = head | body_fall | body_out.cont
+            joined = joined or len(new_head) > _STATE_CAP
+            if joined:
+                new_head = _join(new_head)
             if new_head == head:
                 break
             head = new_head
@@ -1290,8 +1006,6 @@ class _CfgWalker:
 
     def run(self, universe: Set[str]) -> None:
         node = self.func.node
-        if node is None:
-            return
         init: Set[Tuple[Token, Optional[str]]] = set()
         for index, name in enumerate(self.params):
             init.add((("param", index), name))
@@ -1303,7 +1017,7 @@ class _CfgWalker:
         escaped_params = {
             tok[1] for tok in self.escaped if tok[0] == "param"
         }
-        self.summary.escapes_param = set(escaped_params)
+        self.summary.escapes_param |= escaped_params
         if normal:
             for resource in sorted(universe):
                 if all(
@@ -1325,7 +1039,7 @@ class _CfgWalker:
             # benefit of the doubt — nobody is obliged to call their
             # release counterpart, so holding on every exit is the
             # leak, not an idiom.
-            if _is_private(self.func.func_id):
+            if is_private(self.func.func_id):
                 by_resource: Dict[str, List[Token]] = {}
                 for tok in self.acquired:
                     if tok[0] == "res":
@@ -1336,8 +1050,6 @@ class _CfgWalker:
                         for s in normal
                     ):
                         self.summary.acquires[resource] = False
-        if not self.collect:
-            return
         promoted = set(self.summary.acquires)
         for kind, exit_states in (("return", normal),
                                   ("exception", exceptional)):
@@ -1351,11 +1063,9 @@ class _CfgWalker:
                         continue
                     self.leaks.setdefault(tok, set()).add(kind)
 
-    def leak_findings(self, own: Ownership) -> List[Finding]:
+    def leak_findings(self, releaser_for: Dict[str, str]) -> List[Finding]:
+        """``releaser_for`` names each resource's releasing function."""
         findings: List[Finding] = []
-        releaser_for: Dict[str, str] = {}
-        for func_id, decl in sorted(own.releasers.items()):
-            releaser_for.setdefault(decl.resource, func_id)
         for tok in sorted(self.leaks, key=repr):
             kinds = "/".join(sorted(self.leaks[tok]))
             line = self.acquired.get(tok, 0)
@@ -1369,7 +1079,7 @@ class _CfgWalker:
                 label = f"resource {tok[1]!r} acquired at line {line}"
                 pair = releaser_for.get(tok[1])
                 advice = (
-                    f"release it via {_short(pair)} on every path"
+                    f"release it via {short(pair)} on every path"
                     if pair else "release it on every path"
                 )
             findings.append(Finding(
@@ -1382,14 +1092,13 @@ class _CfgWalker:
             ))
         return findings
 
+
 _PRIMITIVE_ATTRS = _CLOSERS | {"register", "unregister", "accept"}
 
 
 def _has_primitive(program: Program, func: FunctionInfo) -> bool:
     """Cheap prefilter: does this body mention any ownership primitive
     (socket factory, accept, close, selector (un)register)?"""
-    if func.node is None:
-        return False
     symbols = program.symbols.get(func.ctx.module, {})
     for node in ast.walk(func.node):
         if not isinstance(node, ast.Call):
@@ -1397,10 +1106,10 @@ def _has_primitive(program: Program, func: FunctionInfo) -> bool:
         if isinstance(node.func, ast.Attribute) and \
                 node.func.attr in _PRIMITIVE_ATTRS:
             return True
-        dotted = _dotted(node.func)
-        if dotted is None:
+        ref = dotted(node.func)
+        if ref is None:
             continue
-        head, _sep, rest = dotted.partition(".")
+        head, _sep, rest = ref.partition(".")
         resolved = symbols.get(head, head) + (
             "." + rest if rest else ""
         )
@@ -1410,126 +1119,70 @@ def _has_primitive(program: Program, func: FunctionInfo) -> bool:
     return False
 
 
-def _check_must_release(program: Program,
-                        own: Ownership) -> List[Finding]:
-    findings = list(own.index_findings.get(MustReleaseRule.name, ()))
-    universe = (
-        {d.resource for d in own.acquirers.values()}
-        | {d.resource for d in own.releasers.values()}
-    )
-    released = {d.resource for d in own.releasers.values()}
-    for func_id in sorted(own.acquirers):
-        decl = own.acquirers[func_id]
-        if decl.resource in released:
+def _check_must_release(analysis: Analysis) -> List[Finding]:
+    program = analysis.program
+    findings: List[Finding] = []
+    # Annotated functions *are* the primitive: their summaries are
+    # fixed by the annotation and their bodies are not walked.
+    summaries: Dict[str, _ReleaseSummary] = {
+        func_id: _ReleaseSummary() for func_id in program.functions
+    }
+    annotated: Set[str] = set()
+    acquirers: Dict[str, str] = {}
+    releaser_for: Dict[str, str] = {}
+    for func_id in sorted(program.functions):
+        func = program.functions[func_id]
+        decl = func.directive("acquires")
+        if decl is not None:
+            annotated.add(func_id)
+            acquirers[func_id] = decl.args[0]
+            summaries[func_id].acquires[decl.args[0]] = len(decl.args) > 1
+        decl = func.directive("releases")
+        if decl is not None:
+            annotated.add(func_id)
+            releaser_for.setdefault(decl.args[0], func_id)
+            summaries[func_id].releases.add(decl.args[0])
+    for func_id, resource in acquirers.items():
+        if resource in releaser_for:
             continue
         func = program.functions[func_id]
         findings.append(Finding(
             path=func.ctx.path, line=func.node.lineno,
             rule=MustReleaseRule.name,
             message=(
-                f"resource {decl.resource!r} has an acquirer "
+                f"resource {resource!r} has an acquirer "
                 f"({func_id}) but no '# repro: releases"
-                f"({decl.resource})' anywhere; the pair cannot be "
+                f"({resource})' anywhere; the pair cannot be "
                 "checked"
             ),
         ))
-    # Annotated functions *are* the primitive: their summaries are
-    # fixed by the annotation and their bodies are not walked.
-    annotated = set(own.acquirers) | set(own.releasers)
-    summaries: Dict[str, _ReleaseSummary] = {
-        func_id: _ReleaseSummary() for func_id in program.functions
-    }
-    for func_id, decl in own.acquirers.items():
-        summaries[func_id].acquires[decl.resource] = decl.conditional
-    for func_id, decl in own.releasers.items():
-        summaries[func_id].releases.add(decl.resource)
-    primitive = {
-        func_id: _has_primitive(program, func)
-        for func_id, func in program.functions.items()
-    }
+    universe = set(acquirers.values()) | set(releaser_for)
 
-    def relevant(func_id: str, nonempty: Set[str]) -> bool:
+    def transfer(func_id: str) -> Tuple[_ReleaseSummary, List[Finding]]:
         if func_id in annotated:
-            return False
-        if primitive[func_id]:
-            return True
-        func = program.functions[func_id]
-        return any(site.callee in nonempty for site in func.calls)
-
-    for _round in range(8):
-        nonempty = {
-            func_id for func_id, summary in summaries.items()
-            if summary.acquires or summary.releases
-            or summary.releases_param or summary.escapes_param
-        }
-        changed = False
-        for func_id in sorted(program.functions):
-            if not relevant(func_id, nonempty):
-                continue
-            walker = _CfgWalker(
-                program, own, summaries,
-                program.functions[func_id], collect=False,
-            )
-            walker.run(universe)
-            if walker.summary != summaries[func_id]:
-                summaries[func_id] = walker.summary
-                changed = True
-        if not changed:
-            break
-    nonempty = {
-        func_id for func_id, summary in summaries.items()
-        if summary.acquires or summary.releases
-        or summary.releases_param or summary.escapes_param
-    }
-    for func_id in sorted(program.functions):
-        if not relevant(func_id, nonempty):
-            continue
-        walker = _CfgWalker(
-            program, own, summaries,
-            program.functions[func_id], collect=True,
-        )
+            return summaries[func_id], []
+        walker = _CfgWalker(program, summaries, program.functions[func_id])
         walker.run(universe)
-        findings.extend(walker.leak_findings(own))
+        return walker.summary, walker.leak_findings(releaser_for)
+
+    # Only bodies that touch a resource need walking: the ones that
+    # mention a primitive and the callers of the annotated pairs to
+    # begin with; the worklist adds the callers of whatever turns out
+    # to have a summary, at any depth.
+    callers = program.callers()
+    start = {
+        func_id for func_id, func in program.functions.items()
+        if _has_primitive(program, func)
+    }.union(*(callers.get(func_id, ()) for func_id in annotated))
+    leaks = summarize(program, transfer, summaries, start)
+    for func_id in sorted(leaks):
+        findings.extend(leaks[func_id])
     return findings
 
 
 # ----------------------------------------------------------------------
 # The rules
 # ----------------------------------------------------------------------
-
-
-class _Analysis:
-    """All three rule results over one program, computed once."""
-
-    def __init__(self, program: Program, own: Ownership,
-                 model: RoleModel) -> None:
-        self.findings: Dict[str, List[Finding]] = {
-            ThreadConfinementRule.name:
-                _check_confinement(program, own, model),
-            LoopBlockingRule.name:
-                _check_loop_blocking(program, own, model),
-            MustReleaseRule.name:
-                _check_must_release(program, own),
-        }
-
-
-#: One-entry cache keyed by context identity, same shape as
-#: concurrency's program cache: lint runs every ProgramRule over the
-#: same context list back-to-back.
-_analysis_cache: List[Tuple[Tuple[int, ...], _Analysis]] = []
-
-
-def _cached_analysis(contexts: Sequence[ModuleContext]) -> _Analysis:
-    key = tuple(id(ctx) for ctx in contexts)
-    for cached_key, cached in _analysis_cache:
-        if cached_key == key:
-            return cached
-    program = _cached_program(contexts)
-    own = _collect_ownership(program, contexts)
-    model = _build_roles(program, own)
-    analysis = _Analysis(program, own, model)
-    _analysis_cache[:] = [(key, analysis)]
-    return analysis
 
 
 @register
@@ -1547,7 +1200,7 @@ class ThreadConfinementRule(ProgramRule):
     def check_program(
         self, contexts: Sequence[ModuleContext],
     ) -> Iterator[Finding]:
-        yield from _cached_analysis(contexts).findings[self.name]
+        yield from Analysis.of(contexts).fact(_check_confinement)
 
 
 @register
@@ -1566,7 +1219,7 @@ class LoopBlockingRule(ProgramRule):
     def check_program(
         self, contexts: Sequence[ModuleContext],
     ) -> Iterator[Finding]:
-        yield from _cached_analysis(contexts).findings[self.name]
+        yield from Analysis.of(contexts).fact(_check_loop_blocking)
 
 
 @register
@@ -1585,4 +1238,4 @@ class MustReleaseRule(ProgramRule):
     def check_program(
         self, contexts: Sequence[ModuleContext],
     ) -> Iterator[Finding]:
-        yield from _cached_analysis(contexts).findings[self.name]
+        yield from Analysis.of(contexts).fact(_check_must_release)

@@ -9,13 +9,14 @@ filesystem path), so fixtures in tests can impersonate any module.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.analysis.core import (
     SEVERITY_WARNING,
     Finding,
     ModuleContext,
     Rule,
+    dotted,
     register,
 )
 from repro.faults.catalog import FAILPOINTS, suggest
@@ -36,18 +37,6 @@ def _walk_with_functions(
             yield from visit(child, child_stack)
 
     yield from visit(tree, ())
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -284,20 +273,20 @@ class ProofDeterminismRule(Rule):
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node, stack in _walk_with_functions(ctx.tree):
             if isinstance(node, ast.Call):
-                dotted = _dotted(node.func)
-                if dotted is None:
+                name = dotted(node.func)
+                if name is None:
                     continue
-                head = dotted.split(".", 1)[0]
-                if head in self._BANNED_MODULES and "." in dotted:
+                head = name.split(".", 1)[0]
+                if head in self._BANNED_MODULES and "." in name:
                     yield ctx.finding(
                         node, self.name,
-                        f"{dotted}() is nondeterministic and must not "
+                        f"{name}() is nondeterministic and must not "
                         "feed a proof/VO/wire encoding",
                     )
-                elif dotted in self._BANNED_CALLS:
+                elif name in self._BANNED_CALLS:
                     yield ctx.finding(
                         node, self.name,
-                        f"{dotted}() is nondeterministic and must not "
+                        f"{name}() is nondeterministic and must not "
                         "feed a proof/VO/wire encoding",
                     )
             elif isinstance(node, ast.For):
@@ -359,7 +348,7 @@ class FailpointNamesRule(Rule):
                 isinstance(first, ast.Constant)
                 and isinstance(first.value, str)
             ):
-                if isinstance(func, ast.Attribute) and _dotted(func) in (
+                if isinstance(func, ast.Attribute) and dotted(func) in (
                     "faults.fire", "faults.mangle", "faults.arm",
                     "registry.fire", "registry.mangle", "registry.arm",
                 ):
@@ -424,8 +413,8 @@ class ObsNamingRule(Rule):
                 continue
             if func.attr not in self._HOOKS or not node.args:
                 continue
-            dotted = _dotted(func)
-            if dotted is None or dotted.split(".")[0] not in self._RECEIVERS:
+            name = dotted(func)
+            if name is None or name.split(".")[0] not in self._RECEIVERS:
                 continue
             first = node.args[0]
             if not (

@@ -5,9 +5,9 @@ new blocks (the paper's Fig. 13b measures exactly this interference),
 so concurrency correctness is a soundness property, not a performance
 nicety.  Two sides watch it:
 
-* **static** — :mod:`repro.analysis.concurrency` builds a module-level
-  call graph with per-function lock summaries and enforces the
-  ``lock-order`` (no cycles in the interprocedural lock-acquisition
+* **static** — :mod:`repro.analysis.concurrency`, over the call graph
+  and per-function lock facts of :mod:`repro.analysis.engine`, enforces
+  the ``lock-order`` (no cycles in the interprocedural lock-acquisition
   graph) and ``guarded-by`` (annotated shared fields are only touched
   with their lock held) rules under ``python -m repro lint``;
 * **runtime** — :mod:`repro.sanitize.runtime` provides the

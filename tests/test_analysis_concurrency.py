@@ -184,6 +184,39 @@ class TestGuardedBy:
         assert [f.rule for f in findings] == ["guarded-by"]
         assert "not attached" in findings[0].message
 
+    def test_annotation_quoted_in_a_string_is_not_live(self):
+        # The field assigned a string that *mentions* the directive is
+        # not thereby guarded: touch() writes it lock-free, legally.
+        assert lint(
+            """
+            import threading
+
+            class Table:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self.doc = "use  # repro: guarded-by(_lock)  here"
+
+                def touch(self):
+                    self.doc = "changed"
+            """
+        ) == []
+
+    def test_annotation_quoted_in_a_docstring_is_not_live(self):
+        assert lint(
+            '''
+            import threading
+
+            class Table:
+                """Fields are annotated like so:
+
+                    # repro: guarded-by(_lock)
+                """
+
+                def __init__(self):
+                    self._lock = threading.Lock()
+            '''
+        ) == []
+
     def test_init_of_owning_class_is_exempt(self):
         assert lint(
             """

@@ -10,6 +10,8 @@ the shipped tree stays clean.
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.core import (
     analyze_source,
     analyze_sources,
@@ -185,6 +187,51 @@ class TestVerifyBeforeUse:
                     return x + 1
             """
         ) == []
+
+    @pytest.mark.parametrize("depth", [1, 20])
+    def test_flow_is_found_at_any_wrapper_depth(self, depth):
+        # access -> _w01 -> ... -> _w<depth> -> Isp.get_page.  Function
+        # ids sort against the call direction, so a pass-per-level
+        # solver with a round cap loses the flow once depth >= 12.
+        wrappers = "".join(
+            f"""
+            def _w{i:02d}(self, page_id):
+                return self._w{i + 1:02d}(page_id)
+            """
+            for i in range(1, depth)
+        ) + f"""
+            def _w{depth:02d}(self, page_id):
+                return self.isp.get_page(page_id)
+        """
+        findings = lint(taint_program(wrappers + """
+            def access(self, page_id):
+                page = self._w01(page_id)
+                self.cache.put(page_id, page)
+                return page
+        """))
+        assert [f.rule for f in findings] == ["verify-before-use"]
+        chain = " -> ".join(
+            ["Client.access"]
+            + [f"Client._w{i:02d}" for i in range(1, depth + 1)]
+            + ["Isp.get_page"]
+        )
+        assert f"tainted via {chain};" in findings[0].message
+
+    def test_recursive_wrappers_terminate_and_still_fire(self):
+        findings = lint(taint_program("""
+            def _even(self, n):
+                if n == 0:
+                    return self.isp.get_page(n)
+                return self._odd(n - 1)
+
+            def _odd(self, n):
+                return self._even(n - 1)
+
+            def access(self, n):
+                self.cache.put(n, self._odd(n))
+        """))
+        assert [f.rule for f in findings] == ["verify-before-use"]
+        assert "Isp.get_page" in findings[0].message
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,8 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.core import analyze_source
 from repro.analysis.ownership import (
     LoopBlockingRule,
@@ -175,6 +177,16 @@ class TestThreadConfinement:
         """)
         assert len(findings) == 1
         assert "not attached" in findings[0].message
+
+    def test_annotation_quoted_in_a_string_is_not_live(self):
+        assert lint("""
+            class Server:
+                def __init__(self):
+                    self.help = "see  # repro: confined-to(loop)"
+
+                def usage(self):
+                    return self.help
+        """) == []
 
     def test_suppression_with_rationale_absorbs(self):
         source = BROKEN_CONFINEMENT_SERVER.replace(
@@ -427,6 +439,65 @@ class TestMustReleasePairs:
         """)
         assert len(findings) == 1
         assert "leaky" in findings[0].message
+
+    @pytest.mark.parametrize("depth", [1, 20])
+    def test_release_is_seen_at_any_wrapper_depth(self, depth):
+        # finally: _r01 -> ... -> _r<depth> -> _release.  Each wrapper
+        # level needs its callee's summary first; a solver that stops
+        # after a fixed number of rounds invents a leak at depth >= 9.
+        wrappers = "".join(
+            f"""
+                def _r{i:02d}(self):
+                    self._r{i + 1:02d}()
+            """
+            for i in range(1, depth)
+        ) + f"""
+                def _r{depth:02d}(self):
+                    self._release()
+        """
+        assert lint("""
+            class Server:
+                def _admit(self):  # repro: acquires(slot, conditional)
+                    return True
+
+                def _release(self):  # repro: releases(slot)
+                    pass
+        """ + wrappers + """
+                def handle(self, request):
+                    if not self._admit():
+                        return None
+                    try:
+                        return self.work(request)
+                    finally:
+                        self._r01()
+
+                def work(self, request):
+                    return request
+        """) == []
+
+    def test_mutually_recursive_releasers_terminate(self):
+        assert lint("""
+            class Server:
+                def _admit(self):  # repro: acquires(slot)
+                    pass
+
+                def _release(self):  # repro: releases(slot)
+                    pass
+
+                def _ping(self, n):
+                    try:
+                        if n:
+                            self._pong(n - 1)
+                    finally:
+                        self._release()
+
+                def _pong(self, n):
+                    self._ping(n)
+
+                def handle(self, n):
+                    self._admit()
+                    self._ping(n)
+        """) == []
 
     def test_suppression_with_rationale_absorbs(self):
         source = BROKEN_ADMISSION_SERVER.replace(

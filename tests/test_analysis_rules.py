@@ -6,6 +6,7 @@ tree lints clean under ``--strict``.
 """
 
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -525,6 +526,80 @@ class TestSuppressions:
             "repro.isp.server",
         )
         assert [f.rule for f in findings] == ["typed-errors"]
+
+
+# ----------------------------------------------------------------------
+# the directive grammar
+# ----------------------------------------------------------------------
+
+
+class TestDirectiveGrammar:
+    @pytest.mark.parametrize("typo, meant", [
+        ("gaurded-by(_lock)", "guarded-by"),
+        ("confined_to(loop)", "confined-to"),
+        ("taint-sorce", "taint-source"),
+        ("alow(typed-errors) -- why", "allow"),
+    ])
+    def test_misspelled_directive_is_an_error(self, typo, meant):
+        # A typo must not silently switch the guard off.
+        findings = lint(
+            f"""
+            class Table:
+                def __init__(self):
+                    self.rows = {{}}  # repro: {typo}
+            """,
+            "repro.fixture",
+        )
+        assert [(f.rule, f.severity, f.line) for f in findings] == [
+            ("unknown-directive", "error", 4)
+        ]
+        assert typo.split("(")[0].split()[0] in findings[0].message
+        assert f"did you mean {meant!r}?" in findings[0].message
+
+    @pytest.mark.parametrize("directive", [
+        "thread-role(loop, blocking)",
+        "confined-to(loop, extra)",
+        "guarded-by",
+        "loop-safe(now)",
+        "allow()",
+    ])
+    def test_malformed_directive_is_an_error(self, directive):
+        findings = lint(
+            f"def f():  # repro: {directive}\n    return 1\n",
+            "repro.fixture",
+        )
+        assert [f.rule for f in findings] == ["unknown-directive"]
+        assert "malformed" in findings[0].message
+
+    def test_it_is_reported_whichever_rules_run(self):
+        from repro.analysis.rules import TypedErrorsRule
+
+        findings = analyze_source(
+            "value = 1  # repro: taint-sorce\n",
+            module="repro.fixture", rules=[TypedErrorsRule()],
+        )
+        assert [f.rule for f in findings] == ["unknown-directive"]
+
+    def test_directive_quoted_in_a_string_is_not_checked(self):
+        assert lint(
+            'HELP = "write  # repro: gaurded-by(_lock)  on the field"\n',
+            "repro.fixture",
+        ) == []
+
+    def test_every_known_directive_parses(self):
+        from repro.analysis.core import DIRECTIVES, scan_directives
+
+        # Each usage string, with its placeholder punctuation removed,
+        # is itself a well-formed instance of the directive.
+        source = "".join(
+            "x = 1  # repro: "
+            + re.sub(r"[<>\[\]]|\.\.\.", "", spec.usage) + "\n"
+            for spec in DIRECTIVES.values()
+        )
+        directives, problems = scan_directives("<fixture>", source)
+        assert problems == []
+        assert [d.name for d in directives] == list(DIRECTIVES)
+        assert len(DIRECTIVES) == 10
 
 
 # ----------------------------------------------------------------------
