@@ -4,14 +4,16 @@ with the :mod:`repro.obs` registry enabled vs disabled.
 Every hot path guards its instrumentation behind ``obs.ACTIVE``, so the
 disabled cost should be a single attribute check per site.  This
 benchmark runs the identical query sequence against the identical
-system state in both modes and emits
+system state in both modes, as adjacent pairs (see
+``conftest.measure_paired``), and emits
 ``benchmarks/results/BENCH_obs.json`` recording both timings and the
-overhead ratio; the run fails if enabling metrics costs more than 5%.
+median paired ratio; the run fails if enabling metrics costs more than
+5%.
 """
 
-import time
+import statistics
 
-from conftest import run_once, save_bench
+from conftest import measure_paired, query_steps, run_once, save_bench
 
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
@@ -23,7 +25,9 @@ HOURS = 12
 TXS_PER_BLOCK = 5
 PER_TYPE = 1  # one instance of each of the 8 query types
 WINDOW_HOURS = 6
-REPEATS = 5  # min-of-N to shave scheduler noise off both sides
+#: Pairs of one workload pass per side, interleaved query by query; the
+#: gate is the median paired ratio (see ``conftest.measure_paired``).
+REPEATS = 100
 MAX_OVERHEAD = 1.05
 
 
@@ -39,41 +43,27 @@ def _setup():
     return system, generator.mixed(WINDOW_HOURS, per_type=PER_TYPE)
 
 
-def _run_workload(system, workload):
-    client = system.make_client(QueryMode.INTER_VBF)
-    started = time.perf_counter()
-    rows = 0
-    for sql in workload.queries:
-        rows += len(client.query(sql))
-    return time.perf_counter() - started, rows
-
-
-def _measure_interleaved(system, workload):
-    """Min-of-N per mode, with the modes interleaved pairwise so CPU
-    frequency drift and background load hit both sides equally."""
-    disabled, enabled = [], []
-    rows = set()
-    for _ in range(REPEATS):
-        obs.disable()
-        elapsed, got = _run_workload(system, workload)
-        disabled.append(elapsed)
-        rows.add(got)
-        obs.enable()
-        elapsed, got = _run_workload(system, workload)
-        enabled.append(elapsed)
-        rows.add(got)
-    assert len(rows) == 1  # same answers either way, every repeat
-    return min(disabled), min(enabled), rows.pop()
-
-
 def test_obs_overhead(benchmark, save_result):
     system, workload = _setup()
-    _run_workload(system, workload)  # warm caches/allocator for both sides
+
+    def make_client():
+        return system.make_client(QueryMode.INTER_VBF)
+
+    disabled_side = query_steps(make_client, workload.queries, obs.disable)
+    enabled_side = query_steps(make_client, workload.queries, obs.enable)
+    for _ in workload.queries:  # warm allocator for both sides
+        next(enabled_side)
 
     try:
         counted_before = REGISTRY.counters_snapshot()
-        disabled_s, enabled_s, enabled_rows = run_once(
-            benchmark, lambda: _measure_interleaved(system, workload)
+        ratios, disabled, enabled, rows = run_once(
+            benchmark,
+            lambda: measure_paired(
+                disabled_side.__next__,
+                enabled_side.__next__,
+                REPEATS,
+                steps=len(workload.queries),
+            ),
         )
         delta = REGISTRY.counters_delta(counted_before)
     finally:
@@ -81,7 +71,8 @@ def test_obs_overhead(benchmark, save_result):
 
     assert delta.get("client.page.requests", 0) > 0  # metrics really on
 
-    overhead = enabled_s / disabled_s
+    overhead = statistics.median(ratios)
+    disabled_s, enabled_s = min(disabled), min(enabled)
     queries = len(workload.queries)
     result = {
         "workload": "Mixed",
@@ -89,11 +80,12 @@ def test_obs_overhead(benchmark, save_result):
         "hours": HOURS,
         "queries": queries,
         "repeats": REPEATS,
-        "rows": enabled_rows,
+        "rows": rows,
         "disabled_total_s": round(disabled_s, 6),
         "enabled_total_s": round(enabled_s, 6),
         "disabled_per_query_ms": round(disabled_s / queries * 1e3, 3),
         "enabled_per_query_ms": round(enabled_s / queries * 1e3, 3),
+        "paired_ratios": [round(r, 4) for r in ratios],
         "obs_overhead_x": round(overhead, 4),
         "counter_increments": sum(delta.values()),
     }

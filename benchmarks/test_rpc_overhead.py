@@ -9,9 +9,7 @@ query sequence against the identical system state, so the delta is pure
 RPC overhead.
 """
 
-import time
-
-from conftest import run_once, save_bench
+from conftest import run_once, run_queries, save_bench
 
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
@@ -37,19 +35,13 @@ def _setup():
     return system, generator.mixed(WINDOW_HOURS, per_type=PER_TYPE)
 
 
-def _run_workload(client, workload):
-    started = time.perf_counter()
-    rows = 0
-    for sql in workload.queries:
-        rows += len(client.query(sql))
-    return time.perf_counter() - started, rows
-
-
 def test_rpc_overhead(benchmark, save_result):
     system, workload = _setup()
 
     local_client = system.make_client(QueryMode.INTER_VBF)
-    inprocess_s, local_rows = _run_workload(local_client, workload)
+    inprocess_s, local_rows = run_queries(
+        lambda: local_client, workload.queries
+    )
 
     server = serve_system(system)
     with server:
@@ -63,7 +55,8 @@ def test_rpc_overhead(benchmark, save_result):
             mode=QueryMode.INTER_VBF,
         )
         loopback_s, remote_rows = run_once(
-            benchmark, lambda: _run_workload(remote_client, workload)
+            benchmark,
+            lambda: run_queries(lambda: remote_client, workload.queries),
         )
         remote_client.isp.close()
 

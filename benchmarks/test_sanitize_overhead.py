@@ -5,14 +5,16 @@ instances and its shared structures carry ``if san.ACTIVE:`` tracker
 hooks.  Disarmed, each site must cost one module-attribute load and a
 branch, and each SanLock exactly one extra attribute indirection over
 the stdlib lock it wraps.  This benchmark runs the identical query
-sequence with the shipped (disarmed) SanLocks vs. the raw wrapped
-locks swapped in, and emits ``benchmarks/results/BENCH_sanitize.json``;
-the run fails if the disarmed sanitizer costs more than 5%.
+sequence with the shipped (disarmed) SanLock on the ISP's session
+table vs. the raw wrapped lock swapped in, as adjacent pairs (see
+``conftest.measure_paired``), and emits
+``benchmarks/results/BENCH_sanitize.json``; the run fails if the median
+paired ratio shows the disarmed sanitizer costing more than 5%.
 """
 
-import time
+import statistics
 
-from conftest import run_once, save_bench
+from conftest import measure_paired, query_steps, run_once, save_bench
 
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
@@ -24,7 +26,9 @@ HOURS = 12
 TXS_PER_BLOCK = 5
 PER_TYPE = 1  # one instance of each of the 8 query types
 WINDOW_HOURS = 6
-REPEATS = 5  # min-of-N to shave scheduler noise off both sides
+#: Pairs of one workload pass per side, interleaved query by query; the
+#: gate is the median paired ratio (see ``conftest.measure_paired``).
+REPEATS = 100
 MAX_OVERHEAD = 1.05
 
 
@@ -40,51 +44,43 @@ def _setup():
     return system, generator.mixed(WINDOW_HOURS, per_type=PER_TYPE)
 
 
-def _run_workload(system, workload):
-    client = system.make_client(QueryMode.INTER_VBF)
-    started = time.perf_counter()
-    rows = 0
-    for sql in workload.queries:
-        rows += len(client.query(sql))
-    return time.perf_counter() - started, rows
-
-
-def _measure_interleaved(system, workload):
-    """Min-of-N per mode, interleaved pairwise so CPU frequency drift
-    and background load hit both sides equally."""
-    isp = system.isp
-    sanlock = isp._lock
-    raw, instrumented = [], []
-    rows = set()
-    for _ in range(REPEATS):
-        isp._lock = sanlock.raw()  # baseline: the wrapped stdlib lock
-        elapsed, got = _run_workload(system, workload)
-        raw.append(elapsed)
-        rows.add(got)
-        isp._lock = sanlock  # shipped: disarmed SanLock + ACTIVE guards
-        elapsed, got = _run_workload(system, workload)
-        instrumented.append(elapsed)
-        rows.add(got)
-    assert len(rows) == 1  # same answers either way, every repeat
-    return min(raw), min(instrumented), rows.pop()
-
-
 def test_sanitize_overhead(benchmark, save_result):
     assert not san.ACTIVE  # the shipped default: disarmed
     system, workload = _setup()
-    _run_workload(system, workload)  # warm caches/allocator
+    sanlock = system.isp.sessions._lock
+    rawlock = sanlock.raw()
+
+    def side(lock):
+        return query_steps(
+            lambda: system.make_client(QueryMode.INTER_VBF),
+            workload.queries,
+            lambda: setattr(system.isp.sessions, "_lock", lock),
+        )
+
+    raw_side = side(rawlock)  # baseline: the wrapped stdlib lock
+    shipped_side = side(sanlock)  # disarmed SanLock + ACTIVE guards
+    for _ in workload.queries:  # warm allocator for both sides
+        next(shipped_side)
 
     try:
         obs.disable()  # isolate the sanitizer sites from metrics cost
-        raw_s, instrumented_s, rows = run_once(
-            benchmark, lambda: _measure_interleaved(system, workload)
+        ratios, raw, instrumented, rows = run_once(
+            benchmark,
+            lambda: measure_paired(
+                raw_side.__next__,
+                shipped_side.__next__,
+                REPEATS,
+                steps=len(workload.queries),
+            ),
         )
     finally:
+        system.isp.sessions._lock = sanlock
         obs.enable()
     assert not san.ACTIVE
     assert san.reports() == []
 
-    overhead = instrumented_s / raw_s
+    overhead = statistics.median(ratios)
+    raw_s, instrumented_s = min(raw), min(instrumented)
     queries = len(workload.queries)
     result = {
         "workload": "Mixed",
@@ -97,6 +93,7 @@ def test_sanitize_overhead(benchmark, save_result):
         "disarmed_total_s": round(instrumented_s, 6),
         "raw_per_query_ms": round(raw_s / queries * 1e3, 3),
         "disarmed_per_query_ms": round(instrumented_s / queries * 1e3, 3),
+        "paired_ratios": [round(r, 4) for r in ratios],
         "sanitize_overhead_x": round(overhead, 4),
     }
     save_bench("sanitize", result)

@@ -111,6 +111,14 @@ class InterQueryCache:
         #: this is the file's *actual* tree height ceiling, replacing the
         #: old probe over a hardcoded 48-level range.
         self._fresh_top: Dict[str, int] = {}
+        #: Lookups not yet reported as ``cache.inter.hit`` / ``.miss``.
+        #: Between begin_query() and end_query() they are tallied here
+        #: (a query looks up ~250 pages; one add each at its end instead
+        #: of one locked increment per lookup); outside a query every
+        #: lookup is reported at once.
+        self._hits = 0
+        self._misses = 0
+        self._in_query = False
 
     # -- query lifecycle -------------------------------------------------
 
@@ -118,6 +126,21 @@ class InterQueryCache:
         """Mark every cached node unknown (Algorithm 5 preamble)."""
         self._fresh.clear()
         self._fresh_top.clear()
+        self._in_query = True
+
+    def end_query(self) -> None:
+        """The query is over, however it ended: report its lookups."""
+        self._in_query = False
+        if obs.ACTIVE:
+            self._report_lookups()
+
+    def _report_lookups(self) -> None:
+        if self._hits:
+            obs.add("cache.inter.hit", self._hits)
+            self._hits = 0
+        if self._misses:
+            obs.add("cache.inter.miss", self._misses)
+            self._misses = 0
 
     # -- page access -------------------------------------------------------
 
@@ -125,10 +148,13 @@ class InterQueryCache:
         entry = self._pages.get(key)
         if entry is not None:
             self._pages.move_to_end(key)
-            if obs.ACTIVE:
-                obs.inc("cache.inter.hit")
-        elif obs.ACTIVE:
-            obs.inc("cache.inter.miss")
+        if obs.ACTIVE:
+            if entry is not None:
+                self._hits += 1
+            else:
+                self._misses += 1
+            if not self._in_query:
+                self._report_lookups()
         return entry
 
     # repro: taint-sink

@@ -27,7 +27,7 @@ from repro.chain.chain import Blockchain
 from repro.chain.consensus import SimulatedPoW, check_header
 from repro.client.caches import InterQueryCache
 from repro.client.vfs import ClientSession, ClientVfs, QueryMode
-from repro.core.certificate import V2fsCertificate
+from repro.core.certificate import ProvenSignature, V2fsCertificate
 from repro.crypto.signature import PublicKey
 from repro.db.engine import Engine, ResultSet
 from repro.errors import CertificateError
@@ -103,6 +103,9 @@ class QueryClient:
         self.pk_sgx = AttestationService.verify_report(
             attestation_report, attestation_root, expected_measurement
         )
+        # The certificate signature last proven under pk_sgx: an
+        # unchanged certificate is proven once, not once per query.
+        self._proven = ProvenSignature()
 
     # ------------------------------------------------------------------
 
@@ -142,6 +145,8 @@ class QueryClient:
             raise
         finally:
             vfs.drop_temp_files()
+            if self.inter_cache is not None:
+                self.inter_cache.end_query()
 
         exec_s = time.perf_counter() - started
         if obs.ACTIVE:
@@ -173,7 +178,15 @@ class QueryClient:
         if obs.ACTIVE:
             obs.inc("client.cert.requests")
             obs.add("client.net.bytes", 8 + certificate.byte_size())
-        certificate.verify_signature(self.pk_sgx)
+        hit = False
+        try:
+            hit = certificate.verify_signature(self.pk_sgx, self._proven)
+        finally:  # a rejected certificate is a miss too
+            if obs.ACTIVE:
+                if hit:
+                    obs.inc("client.cert.memo.hit")
+                else:
+                    obs.inc("client.cert.memo.miss")
         for chain_id, chain in self.chains.items():
             header = chain.latest_header()  # observed from the network
             digest, height = certificate.chain_state(chain_id)

@@ -370,6 +370,3 @@ class ClientFile(VirtualFile):
 
     def write(self, data: bytes) -> int:
         raise StorageError("the client filesystem is read-only")
-
-    def close(self) -> None:
-        self.closed = True

@@ -23,6 +23,29 @@ from repro.vbf.versioned_bloom import VersionedBloomFilter
 ChainState = Tuple[str, Digest, int]
 
 
+class ProvenSignature:
+    """The one certificate signature its owner last proved valid.
+
+    Holds the exact ``(public key, message bytes, signature)`` triple of
+    the last :func:`~repro.crypto.signature.verify` that returned True,
+    or nothing.  That a triple verifies is a fact about those bytes
+    alone — it cannot go stale — so presenting the identical triple
+    again needs no second proof; anything that differs in one bit is a
+    different triple and is verified in full.  Whether the certificate
+    is still *current* is not this object's concern: the client checks
+    the chain heads on every query, hit or miss.
+
+    One entry, owned by one :class:`~repro.client.QueryClient`; the
+    triple is replaced by a single attribute store, so concurrent
+    queries on one client can at worst verify twice.
+    """
+
+    __slots__ = ("triple",)
+
+    def __init__(self) -> None:
+        self.triple: Optional[Tuple[PublicKey, bytes, Signature]] = None
+
+
 @dataclass(frozen=True)
 class V2fsCertificate:
     """A signed snapshot of the filesystem + multi-chain state."""
@@ -74,10 +97,27 @@ class V2fsCertificate:
         )
 
     # repro: taint-sanitizer
-    def verify_signature(self, public_key: PublicKey) -> None:
-        """Raise :class:`~repro.errors.CertificateError` on a bad signature."""
-        if not verify(public_key, self.message(), self.signature):
+    def verify_signature(
+        self,
+        public_key: PublicKey,
+        proven: Optional[ProvenSignature] = None,
+    ) -> bool:
+        """Raise :class:`~repro.errors.CertificateError` on a bad signature.
+
+        With ``proven``, a certificate whose full triple equals the one
+        recorded there returns without re-verifying, and a triple that
+        verifies is recorded in its place — only after ``verify``
+        returned True, so a rejected certificate leaves no trace.
+        Returns whether ``proven`` answered (True) or ``verify`` ran.
+        """
+        triple = (public_key, self.message(), self.signature)
+        if proven is not None and proven.triple == triple:
+            return True
+        if not verify(*triple):
             raise CertificateError("V2FS certificate signature invalid")
+        if proven is not None:
+            proven.triple = triple
+        return False
 
     def chain_state(self, chain_id: str) -> Tuple[Digest, int]:
         for name, digest, height in self.chain_states:

@@ -11,14 +11,20 @@ scheme in the prime-order subgroup of the RFC 3526 2048-bit MODP group:
 
 Nonces are derived deterministically from ``(sk, m)`` (RFC 6979 style), so
 signing is reproducible and never reuses a nonce across distinct messages.
+
+Every power of the generator (keygen, the signing commitment, ``g^s`` in
+verification) goes through :func:`fixed_base`, a precomputed-table
+exponentiation about 4x cheaper than ``pow``; only ``pk^e`` uses ``pow``.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+from typing import Tuple
 
-from repro.crypto.hashing import hash_bytes
+from repro.crypto.hashing import DIGEST_SIZE, hash_bytes
 
 # RFC 3526 group 14: a 2048-bit safe prime p = 2q + 1 with generator 2.
 _P_HEX = (
@@ -38,6 +44,50 @@ _P_HEX = (
 P = int(_P_HEX, 16)
 Q = (P - 1) // 2  # prime order of the quadratic-residue subgroup
 G = 4  # 2^2 generates the subgroup of quadratic residues
+
+#: Window width of the fixed-base table for ``G``: exponents are read
+#: as base-``2**6`` digits, one table entry per digit position (342
+#: entries of 256 bytes, ~90 KB).  BGMW costs ``ceil(2047/w) + 2**w``
+#: multiplications, which 6 minimizes for this group (403 vs 439 at 5
+#: and 418 at 7).
+_WINDOW = 6
+
+
+@functools.cache
+def _g_powers() -> Tuple[int, ...]:
+    """``G^(2^(_WINDOW*i))`` for every digit position of an exponent
+    below ``Q``; built on first use for about the price of one ``pow``."""
+    powers = [G]
+    for _ in range(1, -(-Q.bit_length() // _WINDOW)):
+        powers.append(pow(powers[-1], 1 << _WINDOW, P))
+    return tuple(powers)
+
+
+def fixed_base(exponent: int) -> int:
+    """``pow(G, exponent, P)`` for ``0 <= exponent < Q``, about 4x faster.
+
+    Fixed-base windowed exponentiation (Brickell-Gordon-McCurley-Wilson):
+    with ``exponent = sum(d_i * 2^(w*i))`` the result is
+    ``prod_j (prod_{i: d_i == j} G^(2^(w*i)))^j``.  The inner products
+    need one multiplication per nonzero digit; the outer powers fall out
+    of a running product taken from the top digit value down, two
+    multiplications per value.  No squarings, where ``pow`` does 2047.
+    """
+    if not 0 <= exponent < Q:
+        raise ValueError("fixed-base exponent outside [0, Q)")
+    mask = (1 << _WINDOW) - 1
+    buckets = [1] * (mask + 1)
+    for power in _g_powers():
+        digit = exponent & mask
+        if digit:
+            buckets[digit] = buckets[digit] * power % P
+        exponent >>= _WINDOW
+    running = result = 1
+    for digit in range(mask, 0, -1):
+        if buckets[digit] != 1:
+            running = running * buckets[digit] % P
+        result = result * running % P
+    return result
 
 
 def _int_from_hash(data: bytes) -> int:
@@ -75,7 +125,7 @@ class KeyPair:
         seed plays the role of the entropy the SGX enclave would gather.
         """
         secret = _int_from_hash(b"v2fs-keygen|" + seed)
-        public = PublicKey(pow(G, secret, P))
+        public = PublicKey(fixed_base(secret))
         return cls(secret=secret, public=public)
 
 
@@ -110,17 +160,27 @@ def sign(keypair: KeyPair, message: bytes) -> Signature:
     nonce = _int_from_hash(
         b"v2fs-nonce|" + keypair.secret.to_bytes(256, "big") + message
     )
-    commitment = pow(G, nonce, P)
+    commitment = fixed_base(nonce)
     e = _challenge(commitment, message)
     s = (nonce - keypair.secret * e) % Q
     return Signature(s=s, e=e)
 
 
 def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
-    """Return True iff ``signature`` is valid on ``message`` under ``public``."""
+    """Return True iff ``signature`` is valid on ``message`` under ``public``.
+
+    Degenerate inputs are refused before any exponentiation: ``pk`` of
+    0, 1 or ``P-1`` makes ``pk^e`` independent of the secret (so
+    ``(s, H(g^s || m))`` would verify for every ``m``), and a challenge
+    outside the hash's range was never produced by :func:`sign`.
+    """
     if not 0 <= signature.s < Q:
         return False
+    if not 2 <= public.value <= P - 2:
+        return False
+    if not 0 <= signature.e < 1 << (8 * DIGEST_SIZE):
+        return False
     commitment = (
-        pow(G, signature.s, P) * pow(public.value, signature.e, P)
+        fixed_base(signature.s) * pow(public.value, signature.e, P)
     ) % P
     return _challenge(commitment, message) == signature.e

@@ -104,6 +104,10 @@ class Pager:
         self.path = path
         self._check_reads = not getattr(vfs, "authenticates_pages", False)
         self._file: VirtualFile = vfs.open(path, create=create)
+        #: ``pager.read_page`` tally, reported in one add by flush(): a
+        #: pager is as single-threaded as its file cursor, so the count
+        #: needs no lock until it reaches the shared registry.
+        self._reads = 0
         if self._file.size() == 0:
             if not create:
                 raise StorageError(f"{path} is empty and create=False")
@@ -155,6 +159,9 @@ class Pager:
             faults.fire("pager.flush.pre_sync", path=self.path)
         if obs.ACTIVE:
             obs.inc("pager.flush")
+            if self._reads:
+                obs.add("pager.read_page", self._reads)
+                self._reads = 0
         self._file.sync()
 
     def allocate_page(self) -> int:
@@ -176,7 +183,7 @@ class Pager:
                 f"page {page_id} out of range in {self.path}"
             )
         if obs.ACTIVE:
-            obs.inc("pager.read_page")
+            self._reads += 1
         raw = self._file.read_page(page_id)
         if faults.ACTIVE:
             raw = faults.mangle("pager.read_page", raw)

@@ -85,9 +85,6 @@ class ShadowFile(VirtualFile):
         self._check_open()
         self._fs.sync_file(self.path)
 
-    def close(self) -> None:
-        self.closed = True
-
 
 class ShadowFilesystem(VirtualFilesystem):
     """Dirty-vs-durable filesystem; survives :meth:`crash` like a disk."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.crypto.hashing import DIGEST_SIZE, Digest, hash_concat
 from repro.errors import ProofError
@@ -250,6 +250,12 @@ class AdsProof:
 
     trie: ProofDir
     files: Dict[str, FileProof] = field(default_factory=dict)
+    #: byte_size() memo: the ISP sizes a VO for its metrics and the
+    #: client for its network accounting, and in-process both hold the
+    #: same object.  Nothing mutates a proof after it is built.
+    _size: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def encode(self) -> bytes:
         buf = io.BytesIO()
@@ -300,7 +306,9 @@ class AdsProof:
 
     def byte_size(self) -> int:
         """Size of the encoded proof — the paper's VO-size metric."""
-        return len(self.encode())
+        if self._size is None:
+            self._size = len(self.encode())
+        return self._size
 
 
 @dataclass

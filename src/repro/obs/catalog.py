@@ -29,12 +29,14 @@ from typing import Dict, List
 SCOPES: Dict[str, str] = {
     # -- virtual filesystem boundary (repro/vfs/interface.py) ----------
     "vfs.read_page":
-        "Page-granular reads crossing the VirtualFile boundary.",
+        "Page-granular reads crossing the VirtualFile boundary "
+        "(tallied per handle, reported when it closes).",
     "vfs.write_page":
         "Page-granular writes crossing the VirtualFile boundary.",
     # -- pager (repro/db/pager.py) -------------------------------------
     "pager.read_page":
-        "Data pages read (and checksum-checked) by the pager.",
+        "Data pages read (and checksum-checked) by the pager "
+        "(tallied per pager, reported by its next flush).",
     "pager.write_page":
         "Data pages sealed and written by the pager.",
     "pager.flush":
@@ -47,9 +49,11 @@ SCOPES: Dict[str, str] = {
     "cache.intra.evict":
         "Pages LRU-evicted from the intra-query cache.",
     "cache.inter.hit":
-        "Inter-query cache lookups that found a cached page.",
+        "Inter-query cache lookups that found a cached page "
+        "(tallied inside a query, reported at its end).",
     "cache.inter.miss":
-        "Inter-query cache lookups with no cached page.",
+        "Inter-query cache lookups with no cached page "
+        "(tallied inside a query, reported at its end).",
     "cache.inter.insert":
         "Pages inserted into the inter-query cache.",
     "cache.inter.update":
@@ -76,6 +80,12 @@ SCOPES: Dict[str, str] = {
         "File-metadata round trips to the ISP.",
     "client.cert.requests":
         "Certificate fetches at query start.",
+    "client.cert.memo.hit":
+        "Fetched certificates byte-identical to the one this client last "
+        "proved (signature check skipped; freshness still checked).",
+    "client.cert.memo.miss":
+        "Fetched certificates that went through the full signature "
+        "verify (first query, new block, or any differing byte).",
     "client.vo.requests":
         "Consolidated-VO fetches at query end.",
     "client.vo.bytes":

@@ -34,6 +34,9 @@ class VirtualFile(ABC):
         self.path = path
         self.offset = 0
         self.closed = False
+        #: ``vfs.read_page`` tally, reported in one add by close() (the
+        #: handle's cursor already confines it to one thread).
+        self._page_reads = 0
 
     def _check_open(self) -> None:
         if self.closed:
@@ -88,9 +91,12 @@ class VirtualFile(ABC):
         """
         self._check_open()
 
-    @abstractmethod
     def close(self) -> None:
         """Release the handle."""
+        if self._page_reads and obs.ACTIVE:
+            obs.add("vfs.read_page", self._page_reads)
+            self._page_reads = 0
+        self.closed = True
 
     def __enter__(self) -> "VirtualFile":
         return self
@@ -104,7 +110,7 @@ class VirtualFile(ABC):
     def read_page(self, page_id: int) -> bytes:
         """Read one full page (zero-padded at EOF)."""
         if obs.ACTIVE:
-            obs.inc("vfs.read_page")
+            self._page_reads += 1
         self.seek(page_id * PAGE_SIZE)
         data = self.read(PAGE_SIZE)
         if len(data) < PAGE_SIZE:

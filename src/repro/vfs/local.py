@@ -38,9 +38,6 @@ class LocalFile(VirtualFile):
         self.offset += len(data)
         return len(data)
 
-    def close(self) -> None:
-        self.closed = True
-
 
 class LocalFilesystem(VirtualFilesystem):
     """Unverified filesystem; optionally shares a caller-provided store."""

@@ -214,7 +214,7 @@ class MaintenanceFile(VirtualFile):
         # a handle needs no boundary crossing (a fresh `open` of the same
         # path reuses the cached descriptor).  The pool is released in
         # one OCall when the run finalizes.
-        self.closed = True
+        super().close()
 
 
 def register_storage_ocalls(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.client.vfs import QueryMode
-from repro.core.certificate import V2fsCertificate
+from repro.core.certificate import ProvenSignature, V2fsCertificate
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.crypto.signature import KeyPair, sign
 from repro.errors import CertificateError
@@ -33,6 +33,31 @@ class TestCertificate:
             certificate.verify_signature(
                 KeyPair.generate(b"other").public
             )
+
+    def test_proven_entry_keys_on_the_public_key_too(self):
+        """No client shares its memo entry, but even a shared one would
+        not carry a proof from one key to another."""
+        keys, certificate = self._make()
+        proven = ProvenSignature()
+        assert certificate.verify_signature(keys.public, proven) is False
+        assert certificate.verify_signature(keys.public, proven) is True
+        with pytest.raises(CertificateError):
+            certificate.verify_signature(
+                KeyPair.generate(b"other").public, proven
+            )
+
+    def test_rejected_signature_leaves_the_proven_entry_alone(self):
+        keys, certificate = self._make()
+        proven = ProvenSignature()
+        with pytest.raises(CertificateError):
+            certificate.verify_signature(
+                KeyPair.generate(b"other").public, proven
+            )
+        assert proven.triple is None
+        certificate.verify_signature(keys.public, proven)
+        assert proven.triple == (
+            keys.public, certificate.message(), certificate.signature
+        )
 
     def test_chain_state_lookup(self):
         _, certificate = self._make()

@@ -194,3 +194,114 @@ class TestValidatePayload:
 
     def test_non_object_payload(self):
         assert validate_payload([1, 2]) != []
+
+
+class TestCounterUnderThreads:
+    def test_concurrent_increments_are_all_counted(self, registry):
+        import sys
+        import threading
+
+        counter = registry.counter("cache.inter.hit")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt between bytecodes, often
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda: [counter.inc() for _ in range(20_000)]
+                )
+                for _ in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter.value == 80_000
+
+    def test_a_failed_add_releases_the_lock(self, registry):
+        counter = registry.counter("cache.inter.hit")
+        with pytest.raises(TypeError):
+            counter.inc("one")
+        counter.inc()  # would deadlock had the lock stayed held
+        assert counter.value == 1
+
+
+class TestTalliedSites:
+    """The three per-page sites of a query's read path count into a
+    plain int on their single-threaded owner and reach the registry in
+    one add when the owner is done; the totals must stay exact."""
+
+    def test_pager_and_file_reads_are_reported_on_close(self):
+        from repro.db.pager import Pager
+        from repro.vfs.local import LocalFilesystem
+
+        fs = LocalFilesystem()
+        pager = Pager(fs, "/t", create=True)
+        pid = pager.allocate_page()
+        pager.write_page(pid, b"x")
+        pager.close()
+
+        before = REGISTRY.counters_snapshot()
+        pager = Pager(fs, "/t")  # reads the header page through the file
+        for _ in range(3):
+            pager.read_page(pid)
+        pager.close()
+        delta = REGISTRY.counters_delta(before)
+        assert delta["pager.read_page"] == 3
+        assert delta["vfs.read_page"] == 4
+        assert delta["pager.flush"] == 1
+
+        before = REGISTRY.counters_snapshot()
+        Pager(fs, "/t").close()  # nothing read: nothing to report
+        assert "pager.read_page" not in REGISTRY.counters_delta(before)
+
+    def test_flush_reports_a_long_lived_pagers_reads(self):
+        from repro.db.pager import Pager
+        from repro.vfs.local import LocalFilesystem
+
+        pager = Pager(LocalFilesystem(), "/t", create=True)
+        pid = pager.allocate_page()
+        pager.write_page(pid, b"x")
+        before = REGISTRY.counters_snapshot()
+        pager.read_page(pid)
+        pager.flush()
+        pager.flush()
+        delta = REGISTRY.counters_delta(before)
+        assert delta["pager.read_page"] == 1  # once, not once per flush
+
+    def test_cache_lookups_in_a_query_are_reported_at_its_end(self):
+        from repro.client.caches import InterQueryCache
+
+        cache = InterQueryCache()
+        cache.insert(("/f", 0), b"a", 1)
+        before = REGISTRY.counters_snapshot()
+        cache.begin_query()
+        for _ in range(5):
+            cache.get(("/f", 0))
+        cache.get(("/f", 9))
+        cache.end_query()
+        cache.end_query()  # idempotent
+        delta = REGISTRY.counters_delta(before)
+        assert delta["cache.inter.hit"] == 5
+        assert delta["cache.inter.miss"] == 1
+        # Outside a query every lookup reports at once.
+        cache.get(("/f", 0))
+        assert REGISTRY.counters_delta(before)["cache.inter.hit"] == 6
+
+    def test_a_failed_query_still_reports_its_lookups(self):
+        from repro.client.vfs import QueryMode
+        from repro.core.system import SystemConfig, V2FSSystem
+        from repro.errors import ReproError
+
+        system = V2FSSystem(SystemConfig(txs_per_block=2))
+        system.advance_all(1)
+        client = system.make_client(QueryMode.INTER)
+        before = REGISTRY.counters_snapshot()
+        with pytest.raises(ReproError):
+            client.query("SELECT COUNT(*) FROM no_such_table")
+        delta = REGISTRY.counters_delta(before)
+        lookups = delta.get("cache.inter.hit", 0) + delta["cache.inter.miss"]
+        assert lookups > 0
+        # Reported with the failed query, not carried into the next one.
+        assert (client.inter_cache._hits, client.inter_cache._misses) == (0, 0)

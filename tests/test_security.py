@@ -5,12 +5,16 @@ implementations with malicious behaviours and assert the client (or the
 enclave) rejects them.
 """
 
+import contextlib
+import dataclasses
+
 import pytest
 
 from repro.client.vfs import QueryMode
+from repro.core import certificate as certificate_module
 from repro.core.certificate import V2fsCertificate
 from repro.core.system import SystemConfig, V2FSSystem
-from repro.crypto.signature import KeyPair, sign
+from repro.crypto.signature import KeyPair, Signature, sign
 from repro.errors import (
     CertificateError,
     ProofError,
@@ -193,6 +197,207 @@ class TestForgedCertificates:
         client = system.make_client(QueryMode.BASELINE)
         with pytest.raises(CertificateError):
             client.query(SQL)
+
+
+def _flip(data, index=0, bit=0x01):
+    return data[:index] + bytes([data[index] ^ bit]) + data[index + 1:]
+
+
+def _with_chain_digest_flipped(certificate):
+    (chain_id, digest, height), *rest = certificate.chain_states
+    return dataclasses.replace(
+        certificate,
+        chain_states=((chain_id, _flip(digest), height), *rest),
+    )
+
+
+#: One-byte forgeries of a certificate the client has already proven:
+#: same version, everything else (including the signature, unless it is
+#: the mutated field) carried over unchanged.
+ONE_BYTE_FORGERIES = {
+    "ads_root": lambda c: dataclasses.replace(
+        c, ads_root=_flip(c.ads_root, 31)),
+    "chain_digest": _with_chain_digest_flipped,
+    "vbf_byte": lambda c: dataclasses.replace(
+        c, vbf_encoded=_flip(c.vbf_encoded, len(c.vbf_encoded) // 2)),
+    "s_plus_1": lambda c: dataclasses.replace(
+        c, signature=Signature(c.signature.s + 1, c.signature.e)),
+    "s_minus_1": lambda c: dataclasses.replace(
+        c, signature=Signature(c.signature.s - 1, c.signature.e)),
+    "e_bit": lambda c: dataclasses.replace(
+        c, signature=Signature(c.signature.s, c.signature.e ^ (1 << 77))),
+}
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+class TestCertificateMemo:
+    """The client proves an unchanged certificate once (exact-triple
+    memo) — and *only* an unchanged one.  Every case runs in-process,
+    where the ISP hands back the same certificate object each query,
+    and over ``connect_client``, where each query decodes a fresh one:
+    the memo must key on bytes, never on identity."""
+
+    @pytest.fixture
+    def verify_calls(self, monkeypatch):
+        """Messages passed to the full Schnorr ``verify`` by
+        ``verify_signature`` (the client's, and the CI's self-check on
+        ``advance_block``), in order."""
+        calls = []
+        real = certificate_module.verify
+
+        def counting(public, message, signature):
+            calls.append(message)
+            return real(public, message, signature)
+
+        monkeypatch.setattr(certificate_module, "verify", counting)
+        return calls
+
+    @contextlib.contextmanager
+    def client_of(self, system, path, mode=QueryMode.INTER_VBF):
+        if path == "inprocess":
+            yield system.make_client(mode)
+            return
+        from repro.rpc import connect_client
+        from repro.rpc.server import serve_system
+
+        with serve_system(system) as server:
+            client = connect_client(*server.address, mode=mode)
+            try:
+                yield client
+            finally:
+                client.isp.close()
+
+    def test_unchanged_certificate_is_verified_once(
+        self, path, verify_calls
+    ):
+        system = build_system(2)
+        del verify_calls[:]  # the CI self-checks every block it signs
+        with self.client_of(system, path) as client:
+            answers = {tuple(client.query(SQL).rows) for _ in range(5)}
+        assert len(answers) == 1
+        assert len(verify_calls) == 1
+
+    @pytest.mark.parametrize("field", sorted(ONE_BYTE_FORGERIES))
+    def test_one_byte_forgery_misses_and_is_rejected(
+        self, path, field, verify_calls
+    ):
+        system = build_system(2)
+        honest = system.isp.certificate
+        forged = ONE_BYTE_FORGERIES[field](honest)
+        assert forged.version == honest.version and forged != honest
+        with self.client_of(system, path) as client:
+            expected = client.query(SQL).rows  # proves `honest`
+            cached = dict(client.inter_cache._pages)
+            assert cached
+            del verify_calls[:]
+
+            system.isp.certificate = forged
+            for _ in range(2):  # a failure never populates the memo
+                with pytest.raises(CertificateError):
+                    client.query(SQL)
+            # Both presentations went through the full verify (out-of-
+            # range ``s`` is refused by it, not skipped around it)...
+            assert len(verify_calls) == 2
+            # ...nothing the forgery touched outlived it...
+            assert dict(client.inter_cache._pages) == cached
+            # ...and the honest certificate is still the proven one.
+            system.isp.certificate = honest
+            assert client.query(SQL).rows == expected
+            assert len(verify_calls) == 2
+
+    def test_new_block_misses_then_hits_again(self, path, verify_calls):
+        system = build_system(2)
+        del verify_calls[:]
+        with self.client_of(system, path) as client:
+            client.query(SQL)
+            client.query(SQL)
+            assert len(verify_calls) == 1
+            first = verify_calls[0]
+
+            system.advance_block("eth")
+            del verify_calls[:]  # drops the CI's own self-check
+            client.query(SQL)
+            client.query(SQL)
+            client.query(SQL)
+        assert len(verify_calls) == 1
+        assert verify_calls[0] != first
+
+    def test_replayed_old_certificate_hits_and_is_still_stale(
+        self, path, verify_calls
+    ):
+        """Validity is memoized, freshness is not: the replayed triple
+        is byte-identical to the proven one, so the signature check is
+        a hit — and the chain-head check rejects it all the same."""
+        system = build_system(2)
+        old_certificate = system.isp.certificate
+        old_root = system.isp.root
+        with self.client_of(system, path) as client:
+            client.query(SQL)
+            system.advance_block("eth")
+            system.isp.certificate = old_certificate
+            system.isp.root = old_root
+            del verify_calls[:]
+            with pytest.raises(CertificateError, match="stale"):
+                client.query(SQL)
+        assert verify_calls == []  # it *was* a hit
+
+    def test_hits_and_misses_partition_the_certificate_requests(
+        self, path
+    ):
+        """``hit + miss == client.cert.requests``: every fetched
+        certificate is counted as exactly one of the two, rejected
+        ones included (a forgery is a miss that then fails)."""
+        from repro.obs import REGISTRY
+
+        system = build_system(2)
+        before = REGISTRY.counters_snapshot()
+        with self.client_of(system, path) as client:
+            for _ in range(3):
+                client.query(SQL)  # miss, hit, hit
+            honest = system.isp.certificate
+            system.isp.certificate = ONE_BYTE_FORGERIES["ads_root"](honest)
+            with pytest.raises(CertificateError):
+                client.query(SQL)  # miss
+            system.isp.certificate = honest
+            client.query(SQL)  # hit
+            system.advance_block("btc")
+            client.query(SQL)  # miss
+            client.query(SQL)  # hit
+        delta = REGISTRY.counters_delta(before)
+        assert delta["client.cert.memo.hit"] == 4
+        assert delta["client.cert.memo.miss"] == 3
+        assert delta["client.cert.requests"] == 7
+
+    def test_clients_with_different_enclave_keys_share_nothing(
+        self, path, verify_calls
+    ):
+        from repro.client.query_client import QueryClient
+        from repro.sgx.enclave import Enclave
+
+        system = build_system(2)
+        real = system.isp.certificate
+        other_enclave = Enclave(b"some-other-ci-build")
+        with self.client_of(system, path) as client:
+            other = QueryClient(
+                isp=client.isp,
+                chains=client.chains,
+                attestation_report=system.attestation.quote(other_enclave),
+                attestation_root=system.attestation.root_public_key,
+                expected_measurement=other_enclave.measurement,
+            )
+            assert other.pk_sgx != client.pk_sgx
+            del verify_calls[:]
+            resigned = dataclasses.replace(
+                real, signature=other_enclave.sign_inside(real.message())
+            )
+            client.query(SQL)  # `real` is proven — to `client` only
+            with pytest.raises(CertificateError):
+                other.query(SQL)
+            system.isp.certificate = resigned
+            other.query(SQL)  # `resigned` is proven — to `other` only
+            with pytest.raises(CertificateError):
+                client.query(SQL)
+        assert len(verify_calls) == 4
 
 
 class TestMaliciousCiStorage:
