@@ -31,9 +31,7 @@ def main() -> None:
     durable.root = durable.ads.root
     system.isp = durable
     # Re-sync everything certified so far (the schema bootstrap).
-    report = system.update_reports[0]
-    durable.sync_update(report.writes, report.new_sizes,
-                        report.certificate)
+    durable.sync_update(*system.certified_state())
     system.advance_all(6)
     size_kb = os.path.getsize(log_path) // 1024
     print(f"   ingested 6h on both chains; log size {size_kb} KB")

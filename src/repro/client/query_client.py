@@ -29,6 +29,7 @@ from repro.client.caches import InterQueryCache
 from repro.client.vfs import ClientSession, ClientVfs, QueryMode
 from repro.core.certificate import ProvenSignature, V2fsCertificate
 from repro.crypto.signature import PublicKey
+from repro.db.btree import NodeMemo
 from repro.db.engine import Engine, ResultSet
 from repro.errors import CertificateError
 from repro.isp.server import IspServer
@@ -106,6 +107,10 @@ class QueryClient:
         # The certificate signature last proven under pk_sgx: an
         # unchanged certificate is proven once, not once per query.
         self._proven = ProvenSignature()
+        # B+Tree nodes decoded from page bytes of verified queries: an
+        # unchanged page is decoded once, not once per visit (every
+        # visit still reads it through the verified VFS).
+        self._nodes = NodeMemo()
 
     # ------------------------------------------------------------------
 
@@ -126,22 +131,24 @@ class QueryClient:
         # One filesystem serves both roles (Appendix A / Algorithm 6):
         # remote pages verifiably, locally created temp files directly.
         vfs = ClientVfs(session)
-        engine = Engine(vfs, temp_vfs=vfs)
+        engine = Engine(vfs, temp_vfs=vfs, node_memo=self._nodes)
         try:
             result: ResultSet = engine.execute(sql)
             vo_bytes = session.finalize()
         except Exception as error:
             # Whatever went wrong (malformed data from the ISP, proof
-            # failure, engine error), the pages this query cached are
-            # unverified and must not survive.  Deliberately broad and
-            # strictly re-raising: the rollback is cleanup, never
-            # recovery (crash-hygiene verifies the re-raise statically).
+            # failure, engine error), the pages this query cached — and
+            # the nodes it decoded from them — are unverified and must
+            # not survive.  Deliberately broad and strictly re-raising:
+            # the rollback is cleanup, never recovery (crash-hygiene
+            # verifies the re-raise statically).
             logger.debug(
                 "query failed before verification completed (%s); "
                 "evicting pages cached by this query",
                 type(error).__name__,
             )
             session.rollback_cache()
+            self._nodes.clear()
             raise
         finally:
             vfs.drop_temp_files()

@@ -24,7 +24,7 @@ enclave boundary — the paper's "without SGX" configuration in Figure 8.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chain.block import Block
@@ -33,12 +33,17 @@ from repro.core.certificate import ChainState, V2fsCertificate
 from repro.crypto.signature import PublicKey
 from repro.db.engine import Engine
 from repro.dcert.certifier import DCertCertificate, dcert_valid
-from repro.errors import CertificateError, ProofError
+from repro.errors import CertificateError, ProofError, StorageError
 from repro.merkle.ads import V2fsAds
 from repro.merkle.proof import collect_proof_files
 from repro.obs import metrics as obs
 from repro.sgx.enclave import Enclave, OCallCostModel
 from repro.vfs.maintenance import MaintenanceSession, register_storage_ocalls
+
+
+#: ``(writes, new_sizes)``: page bytes by path and page id, and the
+#: post-write byte size of every written file.
+WriteBatch = Tuple[Dict[str, Dict[int, bytes]], Dict[str, int]]
 
 
 @dataclass
@@ -52,14 +57,36 @@ class MaintenanceReport:
     proof_bytes: int
     pages_read: int
     pages_written: int
-    #: Raw write batch, so the ISP can synchronize its storage layer
-    #: (footnote 1 of the paper: deterministic replication of updates).
-    writes: Dict[str, Dict[int, bytes]] = field(default_factory=dict)
-    new_sizes: Dict[str, int] = field(default_factory=dict)
+    #: Raw write batch ``(writes, new_sizes)``, so the ISP can
+    #: synchronize its storage layer (footnote 1 of the paper:
+    #: deterministic replication of updates); None once dropped.
+    batch: Optional[WriteBatch] = None
 
     @property
     def total_time_s(self) -> float:
         return self.wall_time_s + self.sgx_overhead_s
+
+    @property
+    def writes(self) -> Dict[str, Dict[int, bytes]]:
+        return self._retained_batch()[0]
+
+    @property
+    def new_sizes(self) -> Dict[str, int]:
+        return self._retained_batch()[1]
+
+    def _retained_batch(self) -> WriteBatch:
+        if self.batch is None:
+            raise StorageError(
+                f"the write batch of certificate version "
+                f"{self.certificate.version} was not retained; bring a "
+                f"replica up to date from V2FSSystem.certified_state()"
+            )
+        return self.batch
+
+    def without_batch(self) -> "MaintenanceReport":
+        """The certificate and metrics alone (what a history keeps: the
+        ADS is history-independent, so superseded pages need no pin)."""
+        return replace(self, batch=None)
 
 
 class V2fsCertificateIssuer:
@@ -305,8 +332,7 @@ class V2fsCertificateIssuer:
             proof_bytes=proof_bytes,
             pages_read=len(read_keys),
             pages_written=sum(len(p) for p in writes.values()),
-            writes=writes,
-            new_sizes={p: new_meta[p][0] for p in new_meta},
+            batch=(writes, {p: new_meta[p][0] for p in new_meta}),
         )
 
     def _check_claimed_metas(self, proof, session: MaintenanceSession) -> None:

@@ -30,6 +30,7 @@ from repro.chain.datagen import (
 from repro.chain.etl import extract_rows, full_schema
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
+from repro.core.certificate import V2fsCertificate
 from repro.core.ci import MaintenanceReport, V2fsCertificateIssuer
 from repro.db.engine import Engine
 from repro.dcert.certifier import DCertCertificate, DCertIssuer
@@ -129,6 +130,8 @@ class V2FSSystem:
         self.isp = IspServer()
         self.attestation = AttestationService()
         self.attestation_report = self.attestation.quote(self.ci.enclave)
+        #: One entry per maintenance run: certificate and metrics, *not*
+        #: the write batch (see :meth:`certified_state`).
         self.update_reports: List[MaintenanceReport] = []
         self._bootstrap_schema()
 
@@ -150,11 +153,13 @@ class V2FSSystem:
                     f"CREATE INDEX {index_name} ON {table} ({column})"
                 )
 
-        report = self.ci.bootstrap(setup)
+        self._publish(self.ci.bootstrap(setup))
+
+    def _publish(self, report: MaintenanceReport) -> None:
         self.isp.sync_update(
             report.writes, report.new_sizes, report.certificate
         )
-        self.update_reports.append(report)
+        self.update_reports.append(report.without_batch())
 
     def advance_block(self, chain_id: str) -> MaintenanceReport:
         """Generate, certify, ingest, and replicate one new block."""
@@ -193,11 +198,31 @@ class V2FSSystem:
                 engine.insert_rows(table, ordered)
 
         report = self.ci.process_blocks(batch, ingest)
-        self.isp.sync_update(
-            report.writes, report.new_sizes, report.certificate
-        )
-        self.update_reports.append(report)
+        self._publish(report)
         return report
+
+    def certified_state(
+        self,
+    ) -> Tuple[Dict[str, Dict[int, bytes]], Dict[str, int], V2fsCertificate]:
+        """``(writes, new_sizes, certificate)`` of the current state.
+
+        One write batch holding every live page of the CI's storage at
+        its certified root, plus the latest certificate: applied to an
+        empty ISP, shard or replica it lands on the certified root (the
+        ADS is history-independent), which is how a late joiner catches
+        up without the superseded page versions of every past block.
+        """
+        ads, root = self.ci.storage, self.ci.storage_root
+        writes: Dict[str, Dict[int, bytes]] = {}
+        new_sizes: Dict[str, int] = {}
+        for path in ads.list_files(root):
+            node = ads.file_node(root, path)
+            new_sizes[path] = node.size
+            writes[path] = {
+                page_id: ads.get_page(root, path, page_id)
+                for page_id in range(node.page_count)
+            }
+        return writes, new_sizes, self.ci.certificate
 
     def advance_all(self, blocks_per_chain: int) -> None:
         """Advance both chains in lockstep, one block at a time."""
@@ -237,17 +262,14 @@ class V2FSSystem:
     def plain_replica(self) -> Engine:
         """An unverified local replica of the database (Fig. 12 baseline).
 
-        Copies every file byte-for-byte out of the ISP's authenticated
-        storage into a plain local filesystem and returns an engine on
-        top — the same data and engine with zero verification and zero
+        Copies every file byte-for-byte out of the certified storage
+        into a plain local filesystem and returns an engine on top —
+        the same data and engine with zero verification and zero
         network, i.e. "ordinary SQLite".
         """
         local = LocalFilesystem()
-        ads, root = self.isp.ads, self.isp.root
-        for path in ads.list_files(root):
-            node = ads.file_node(root, path)
-            buffer = bytearray()
-            for page_id in range(node.page_count):
-                buffer += ads.get_page(root, path, page_id)
-            local.write_all(path, bytes(buffer[:node.size]))
+        writes, new_sizes, _ = self.certified_state()
+        for path, pages in writes.items():
+            content = b"".join(pages[pid] for pid in range(len(pages)))
+            local.write_all(path, content[:new_sizes[path]])
         return Engine(local)

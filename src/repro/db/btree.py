@@ -16,45 +16,52 @@ Node layout (one node per 4 KiB page):
 Inserts split on byte overflow and propagate upward; deletes remove the
 entry without rebalancing (the workloads are append-dominated; a sparse
 node remains a valid node).  Leaves are chained for range scans.
+
+Entries are back-to-back self-delimiting records — there is no slot
+directory — so finding the i-th key means decoding the i-1 before it.
+The read path (``scan``/``get``/``items``) therefore decodes a node
+*once per distinct page content*: every visit still issues its
+``pager.read_page`` (the page-access pattern the paper counts), then
+looks the returned bytes up in a :class:`NodeMemo` of immutable
+decoded nodes and searches their precomputed :func:`key_tuple` values
+by bisection.  The write path (``insert``/``delete``) keeps its own
+mutable decode and never reads the memo.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from repro.db.pager import PAGE_CONTENT_SIZE, Pager
 from repro.db.record import decode_record, encode_record
 from repro.db.types import SqlValue, sort_key
-from repro.errors import SQLExecutionError, StorageError
+from repro.errors import SQLExecutionError, SQLTypeError, StorageError
+from repro.obs import metrics as obs
 
-Key = List[SqlValue]
+Key = Sequence[SqlValue]
 
 _LEAF = 1
 _INTERNAL = 2
+_NODE_HEADER = struct.Struct(">BHI")  # kind, count, next_leaf | child0
+_U32 = struct.Struct(">I")
+#: An entry is at least an empty key record (2) and a length/child (4).
+_MAX_ENTRIES = (PAGE_CONTENT_SIZE - _NODE_HEADER.size) // 6
+
+#: Decoded nodes one :class:`NodeMemo` keeps: about twice the distinct
+#: pages one scan-heavy query touches (33 measured), under 1 MB.
+NODE_MEMO_SIZE = 64
+
+#: Ranks above every :func:`~repro.db.types.sort_key`, so
+#: ``bound + (_PLUS_INF,)`` sorts after every key extending ``bound``.
+_PLUS_INF = (3,)
 
 
 def key_tuple(key: Key) -> tuple:
     """Total-order comparison key for a composite B+Tree key."""
     return tuple(sort_key(v) for v in key)
-
-
-def compare_to_bound(key: Key, bound: Key, pad: int) -> int:
-    """Compare ``key`` to a possibly-shorter ``bound``.
-
-    ``pad`` is -1 when the bound acts as a low bound (missing components
-    read as minus infinity) and +1 for a high bound (plus infinity).
-    """
-    for key_part, bound_part in zip(key, bound):
-        a, b = sort_key(key_part), sort_key(bound_part)
-        if a < b:
-            return -1
-        if a > b:
-            return 1
-    if len(key) == len(bound):
-        return 0
-    return -pad
 
 
 class _Leaf:
@@ -116,42 +123,148 @@ class _Internal:
         return raw
 
 
-def _decode_node(raw: bytes):
-    kind = raw[0]
-    count, first = struct.unpack_from(">HI", raw, 1)
-    offset = 7
-    if kind == _LEAF:
-        entries: List[Tuple[Key, bytes]] = []
+def _parse_node(raw: bytes) -> Tuple[int, int, List[List[SqlValue]], list]:
+    """``(kind, next_leaf | child0, keys, values | children)`` of a page.
+
+    Pages may reach this parser *before* the client has verified them
+    (the VO is checked at the end of the query), so it trusts nothing:
+    the entry count and every offset are bounded by the page content
+    size, and any malformed input raises :class:`StorageError`.
+    """
+    try:
+        kind, count, first = _NODE_HEADER.unpack_from(raw, 0)
+        if kind not in (_LEAF, _INTERNAL):
+            raise StorageError(f"corrupt B+Tree node (kind {kind})")
+        if count > _MAX_ENTRIES:
+            raise StorageError(f"corrupt B+Tree node ({count} entries)")
+        offset = _NODE_HEADER.size
+        keys: List[List[SqlValue]] = []
+        payloads: list = []
         for _ in range(count):
             key, offset = decode_record(raw, offset)
-            (vlen,) = struct.unpack_from(">I", raw, offset)
+            (word,) = _U32.unpack_from(raw, offset)
             offset += 4
-            entries.append((key, raw[offset:offset + vlen]))
-            offset += vlen
-        return _Leaf(entries, first)
-    if kind == _INTERNAL:
-        keys: List[Key] = []
-        children = [first]
-        for _ in range(count):
-            key, offset = decode_record(raw, offset)
-            (child,) = struct.unpack_from(">I", raw, offset)
-            offset += 4
+            if kind == _LEAF:
+                payloads.append(raw[offset:offset + word])
+                offset += word
+            else:
+                payloads.append(word)
+            if offset > PAGE_CONTENT_SIZE:
+                raise StorageError(
+                    "corrupt B+Tree node (entry runs past the page content)"
+                )
             keys.append(key)
-            children.append(child)
-        return _Internal(keys, children)
-    raise StorageError(f"corrupt B+Tree node (kind {kind})")
+    except (struct.error, IndexError, UnicodeDecodeError,
+            SQLTypeError) as error:
+        raise StorageError(f"corrupt B+Tree node ({error})") from error
+    return kind, first, keys, payloads
+
+
+def _decode_node(raw: bytes) -> Union[_Leaf, _Internal]:
+    """A private mutable node for the write path."""
+    kind, first, keys, payloads = _parse_node(raw)
+    if kind == _LEAF:
+        return _Leaf(list(zip(keys, payloads)), first)
+    return _Internal(keys, [first] + payloads)
+
+
+class LeafNode(NamedTuple):
+    """An immutable decoded leaf; ``tuples[i]`` orders ``entries[i]``."""
+
+    tuples: Tuple[tuple, ...]
+    entries: Tuple[Tuple[Tuple[SqlValue, ...], bytes], ...]
+    next_leaf: int
+
+
+class InternalNode(NamedTuple):
+    """An immutable decoded internal node (one more child than keys)."""
+
+    tuples: Tuple[tuple, ...]
+    children: Tuple[int, ...]
+
+
+def _freeze_node(raw: bytes) -> Union[LeafNode, InternalNode]:
+    kind, first, keys, payloads = _parse_node(raw)
+    tuples = tuple(key_tuple(key) for key in keys)
+    if kind == _LEAF:
+        return LeafNode(tuples, tuple(zip(map(tuple, keys), payloads)), first)
+    return InternalNode(tuples, (first, *payloads))
+
+
+class NodeMemo:
+    """Bounded LRU of immutable decoded nodes, keyed on the page *bytes*.
+
+    An entry is a pure function of its key, so it can never be stale: a
+    tampered, superseded or rewritten page is a different key, and no
+    write needs to invalidate anything.  What the memo must not do is
+    outlive the trust in the bytes that filled it — its owner clears it
+    when a query fails verification (see ``QueryClient.query``).
+
+    One owner, no lock: a memo belongs to one ``QueryClient`` (or one
+    ``Engine`` built without a client) and is used by one query at a
+    time, like the session it is handed to.  Hits and misses are plain
+    tallies; the engine reports them once per statement
+    (:meth:`report`), never once per visit.
+    """
+
+    __slots__ = ("_nodes", "_hits", "_misses")
+
+    def __init__(self) -> None:
+        self._nodes: "OrderedDict[bytes, Union[LeafNode, InternalNode]]" = (
+            OrderedDict()
+        )
+        self._hits = 0
+        self._misses = 0
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def clear(self) -> None:
+        self._nodes.clear()
+
+    def node(self, raw: bytes) -> Union[LeafNode, InternalNode]:
+        """The decoded node of page bytes ``raw``, decoding at most once
+        while it is kept; a raising parse keeps nothing."""
+        nodes = self._nodes
+        node = nodes.get(raw)
+        if node is not None:
+            nodes.move_to_end(raw)
+            self._hits += 1
+            return node
+        self._misses += 1
+        node = nodes[raw] = _freeze_node(raw)
+        while len(nodes) > NODE_MEMO_SIZE:
+            nodes.popitem(last=False)
+        return node
+
+    def report(self) -> None:
+        """Hand the tallies since the last report to ``repro.obs``."""
+        hits, misses = self._hits, self._misses
+        self._hits = self._misses = 0
+        if obs.ACTIVE:
+            if hits:
+                obs.add("db.node.memo.hit", hits)
+            if misses:
+                obs.add("db.node.memo.miss", misses)
 
 
 class BTree:
     """A B+Tree bound to one :class:`~repro.db.pager.Pager`."""
 
-    def __init__(self, pager: Pager) -> None:
+    def __init__(self, pager: Pager,
+                 memo: Optional[NodeMemo] = None) -> None:
         self.pager = pager
+        self._memo = memo if memo is not None else NodeMemo()
 
     # -- node I/O ------------------------------------------------------
 
-    def _load(self, pid: int):
+    def _load(self, pid: int) -> Union[_Leaf, _Internal]:
+        """Write path: a fresh mutable node, never the memo's."""
         return _decode_node(self.pager.read_page(pid))
+
+    def _view(self, pid: int) -> Union[LeafNode, InternalNode]:
+        """Read path: the page is always read, and decoded at most once."""
+        return self._memo.node(self.pager.read_page(pid))
 
     def _save(self, pid: int, node) -> None:
         self.pager.write_page(pid, node.encode())
@@ -278,49 +391,60 @@ class BTree:
         high: Optional[Key] = None,
         low_inclusive: bool = True,
         high_inclusive: bool = True,
-    ) -> Iterator[Tuple[Key, bytes]]:
-        """Yield entries with ``low <= key <= high`` in key order.
+    ) -> Iterator[Tuple[Tuple[SqlValue, ...], bytes]]:
+        """Yield ``(key, value)`` with ``low <= key <= high`` in key order.
 
         Bounds may be key *prefixes* (e.g. ``[value]`` against
         ``[value, rowid]`` keys); missing components read as minus/plus
-        infinity for the low/high bound respectively.
+        infinity for the low/high bound respectively.  A bound is never
+        longer than the keys it is compared with.  Yielded keys are
+        tuples shared with the node memo.
         """
         if self.pager.root_pid == 0:
             return
-        pid = self.pager.root_pid
-        node = self._load(pid)
-        while isinstance(node, _Internal):
-            if low is None:
-                pid = node.children[0]
-            else:
-                # Descend to the leftmost child that can hold keys >= low.
-                # Strict inequality: a separator equal to the bound may
-                # still have equal keys in the left sibling (duplicates
-                # can straddle a split boundary).
-                pos = 0
-                for i, node_key in enumerate(node.keys):
-                    if compare_to_bound(node_key, low, pad=-1) < 0:
-                        pos = i + 1
-                    else:
-                        break
-                pid = node.children[pos]
-            node = self._load(pid)
+        low_t = None if low is None else key_tuple(low)
+        if high is low:  # a point lookup: ``get`` passes one key twice
+            high_t = low_t
+        else:
+            high_t = None if high is None else key_tuple(high)
+        high_end = None if high_t is None else high_t + (_PLUS_INF,)
+        node = self._view(self.pager.root_pid)
+        while isinstance(node, InternalNode):
+            # Descend to the leftmost child that can hold keys >= low.
+            # bisect_left, not _right: a separator equal to the bound may
+            # still have equal keys in the left sibling (duplicates can
+            # straddle a split boundary).
+            pos = 0 if low_t is None else bisect_left(node.tuples, low_t)
+            node = self._view(node.children[pos])
         while True:
-            for key, value in node.entries:
-                if low is not None:
-                    cmp = compare_to_bound(key, low, pad=-1)
-                    if cmp < 0 or (cmp == 0 and not low_inclusive):
-                        continue
-                if high is not None:
-                    cmp = compare_to_bound(key, high, pad=1)
-                    if cmp > 0 or (cmp == 0 and not high_inclusive):
-                        return
-                yield key, value
-            if node.next_leaf == 0:
+            tuples = node.tuples
+            count = len(tuples)
+            if low_t is None:
+                start = 0
+            elif low_inclusive:
+                start = bisect_left(tuples, low_t)
+            else:
+                start = bisect_right(tuples, low_t)
+            if high_t is None:
+                end = count
+            else:
+                end = bisect_right(tuples, high_end)
+                if not high_inclusive:
+                    # A key equal to the bound ends an exclusive scan;
+                    # longer keys the bound is a prefix of do not.
+                    exact = bisect_left(tuples, high_t, 0, end)
+                    if exact < end and tuples[exact] == high_t:
+                        end = exact
+            yield from node.entries[start:end]
+            # The scan ends at the first key inside the low bound and
+            # beyond the high one; a leaf without such a key hands over
+            # to its successor (also when low > high: every leaf up to
+            # the low bound is still read, as page counts expect).
+            if max(start, end) < count or node.next_leaf == 0:
                 return
-            node = self._load(node.next_leaf)
+            node = self._view(node.next_leaf)
 
-    def items(self) -> Iterator[Tuple[Key, bytes]]:
+    def items(self) -> Iterator[Tuple[Tuple[SqlValue, ...], bytes]]:
         """Full in-order scan."""
         return self.scan()
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.db.btree import BTree
+from repro.db.btree import BTree, NodeMemo
 from repro.db.catalog import Catalog, IndexInfo, TableInfo
 from repro.db.pager import Pager
 from repro.db.plan.expressions import Schema
@@ -67,6 +67,7 @@ class Engine(AccessProvider):
         base_path: str = "/db",
         temp_vfs: Optional[VirtualFilesystem] = None,
         sort_memory_rows: int = 4096,
+        node_memo: Optional[NodeMemo] = None,
     ) -> None:
         self.vfs = vfs
         self.base_path = base_path.rstrip("/")
@@ -75,6 +76,9 @@ class Engine(AccessProvider):
         )
         self._sort_memory_rows = sort_memory_rows
         self._catalog: Optional[Catalog] = None
+        #: Decoded B+Tree nodes shared by every tree this engine opens;
+        #: a verifying client hands in its own so they outlive the query.
+        self._node_memo = node_memo if node_memo is not None else NodeMemo()
 
     # ------------------------------------------------------------------
     # Catalog handling
@@ -93,6 +97,9 @@ class Engine(AccessProvider):
     def _save_catalog(self) -> None:
         self.catalog.save(self.vfs, self.catalog_path)
 
+    def _tree(self, pager: Pager) -> BTree:
+        return BTree(pager, self._node_memo)
+
     def _table_file(self, name: str) -> str:
         return f"{self.base_path}/tables/{name}.tbl"
 
@@ -105,7 +112,12 @@ class Engine(AccessProvider):
 
     def execute(self, sql: str) -> ResultSet:
         """Parse and run one SQL statement."""
-        statement = parse_statement(sql)
+        try:
+            return self._execute(parse_statement(sql))
+        finally:
+            self._node_memo.report()
+
+    def _execute(self, statement: ast.Statement) -> ResultSet:
         if isinstance(statement, ast.Select):
             return self._execute_select(statement)
         if isinstance(statement, ast.Insert):
@@ -173,7 +185,7 @@ class Engine(AccessProvider):
         # Backfill from existing rows.
         table = self.catalog.table(stmt.table)
         column_index = table.column_index(stmt.column)
-        tree = BTree(pager)
+        tree = self._tree(pager)
         for rowid, values in self._iter_table(table):
             tree.insert([values[column_index], rowid], b"",
                         allow_duplicate=True)
@@ -237,12 +249,13 @@ class Engine(AccessProvider):
         if not matches:
             return ResultSet(columns=[], rows=[], rowcount=0)
         table_pager = Pager(self.vfs, table.file_path)
-        table_tree = BTree(table_pager)
+        table_tree = self._tree(table_pager)
         index_trees = []
         for index in table.indexes:
             pager = Pager(self.vfs, index.file_path)
             index_trees.append(
-                (table.column_index(index.column), BTree(pager), pager)
+                (table.column_index(index.column), self._tree(pager),
+                 pager)
             )
         for rowid, old_values in matches:
             new_values = list(old_values)
@@ -269,12 +282,13 @@ class Engine(AccessProvider):
         if not matches:
             return ResultSet(columns=[], rows=[], rowcount=0)
         table_pager = Pager(self.vfs, table.file_path)
-        table_tree = BTree(table_pager)
+        table_tree = self._tree(table_pager)
         index_trees = []
         for index in table.indexes:
             pager = Pager(self.vfs, index.file_path)
             index_trees.append(
-                (table.column_index(index.column), BTree(pager), pager)
+                (table.column_index(index.column), self._tree(pager),
+                 pager)
             )
         for rowid, values in matches:
             table_tree.delete([rowid])
@@ -296,12 +310,13 @@ class Engine(AccessProvider):
         """
         table = self.catalog.table(table_name)
         table_pager = Pager(self.vfs, table.file_path, create=True)
-        table_tree = BTree(table_pager)
+        table_tree = self._tree(table_pager)
         index_pagers: List[Tuple[int, BTree, Pager]] = []
         for index in table.indexes:
             pager = Pager(self.vfs, index.file_path, create=True)
             index_pagers.append(
-                (table.column_index(index.column), BTree(pager), pager)
+                (table.column_index(index.column), self._tree(pager),
+                 pager)
             )
         count = 0
         for values in rows:
@@ -360,8 +375,8 @@ class Engine(AccessProvider):
         def factory() -> Iterator[List[SqlValue]]:
             index_pager = Pager(self.vfs, index.file_path)
             table_pager = Pager(self.vfs, table.file_path)
-            index_tree = BTree(index_pager)
-            table_tree = BTree(table_pager)
+            index_tree = self._tree(index_pager)
+            table_tree = self._tree(table_pager)
             try:
                 # Index keys are [value, rowid]; the bounds are prefixes,
                 # so exclusive endpoints must be re-checked on the value
@@ -428,7 +443,7 @@ class Engine(AccessProvider):
         self, table: TableInfo
     ) -> Iterator[Tuple[int, List[SqlValue]]]:
         pager = Pager(self.vfs, table.file_path)
-        tree = BTree(pager)
+        tree = self._tree(pager)
         try:
             for key, record in tree.items():
                 values, _ = decode_record(record, 0)

@@ -232,28 +232,20 @@ class SystemChaos:
             self.system = V2FSSystem(
                 SystemConfig(seed=seed, txs_per_block=txs_per_block)
             )
-            bootstrap = self.system.update_reports[0]
             # Rebuild the ISP around an on-disk store and re-sync the
-            # schema bootstrap; keep an in-memory oracle in lockstep.
+            # schema bootstrap.
             durable = IspServer()
             durable.ads = V2fsAds(PersistentNodeStore(store_path))
             durable.root = durable.ads.root
+            durable.sync_update(*self.system.certified_state())
             self.system.isp = durable
-            self.oracle = IspServer()
-            for isp in (durable, self.oracle):
-                isp.sync_update(
-                    bootstrap.writes, bootstrap.new_sizes,
-                    bootstrap.certificate,
-                )
             # Seed one block per chain so queries (which check observed
             # chain heads) are meaningful from step 0.
-            start = len(self.system.update_reports)
             self.system.advance_all(1)
-            for report in self.system.update_reports[start:]:
-                self.oracle.sync_update(
-                    report.writes, report.new_sizes, report.certificate
-                )
-        self.last_cert = self.system.update_reports[-1].certificate
+            # An in-memory oracle, kept in lockstep by _publish.
+            self.oracle = IspServer()
+            self.oracle.sync_update(*self.system.certified_state())
+        self.last_cert = self.system.ci.certificate
         self._rpc_server = None
         self._remote_client = None
 
@@ -518,13 +510,10 @@ def _build_durable_system(seed: int, txs_per_block: int,
     from repro.merkle.persistent_store import PersistentNodeStore
 
     system = V2FSSystem(SystemConfig(seed=seed, txs_per_block=txs_per_block))
-    bootstrap = system.update_reports[0]
     durable = IspServer()
     durable.ads = V2fsAds(PersistentNodeStore(store_path))
     durable.root = durable.ads.root
-    durable.sync_update(
-        bootstrap.writes, bootstrap.new_sizes, bootstrap.certificate
-    )
+    durable.sync_update(*system.certified_state())
     system.isp = durable
     system.advance_all(1)
     return system
@@ -757,10 +746,7 @@ class FleetChaos:
             )
             self.system.advance_all(1)
             self.oracle = IspServer()
-            for report in self.system.update_reports:
-                self.oracle.sync_update(
-                    report.writes, report.new_sizes, report.certificate
-                )
+            self.oracle.sync_update(*self.system.certified_state())
             self.fleet = Fleet(
                 self.system, shard_count=shard_count, replicas=replicas
             )
@@ -770,7 +756,7 @@ class FleetChaos:
                 host, port, timeout_s=2.0, max_retries=4,
                 deadline_s=deadline_s,
             )
-        self.last_cert = self.system.update_reports[-1].certificate
+        self.last_cert = self.system.ci.certificate
 
     def close(self) -> None:
         _snapshot_fires(self.stats)

@@ -4,9 +4,9 @@
 :class:`~repro.core.system.V2FSSystem` into a sharded deployment:
 
 1. plan the partition (hash, or range over the current file set);
-2. build each shard primary and replay the system's maintenance
-   history into it (every shard reproduces the certified root, storing
-   only its own pages — see :mod:`repro.fleet.shard`);
+2. build each shard primary and apply the system's certified state to
+   it as one snapshot batch (every shard reproduces the certified root,
+   storing only its own pages — see :mod:`repro.fleet.shard`);
 3. seed each shard's replicas through its replication log;
 4. serve every primary and replica behind its own
    :class:`~repro.rpc.server.RpcIspServer`, publish the bound ports as
@@ -166,24 +166,23 @@ class Fleet:
             },
         )
 
-    def _replay_history(self) -> None:
-        """Reproduce the system's maintenance history on every shard.
+    def _catch_up(self) -> None:
+        """Bring every shard to the system's current certified state.
 
-        Each report re-applies on each shard (owned pages stored,
-        foreign pages folded as digests) and must land on the same
-        certified root the single-node ISP published — the shard's own
-        root check enforces it.  Deltas stream to the replicas through
-        the logs, so they finish caught up.
+        One snapshot batch per shard (owned pages stored, foreign pages
+        folded as digests): the ADS is history-independent, so it must
+        land on the same certified root the single-node ISP published —
+        the shard's own root check enforces it.  The resulting delta
+        streams to the replicas through the logs, so they finish caught
+        up.
         """
+        writes, new_sizes, certificate = self.system.certified_state()
         for shard_id, shard in self.shards.items():
             log = self.logs[shard_id]
             for label, replica in self.replicas[shard_id]:
                 log.attach(label, self._make_apply(label, replica))
-            for report in self.system.update_reports:
-                shard.sync_update(
-                    report.writes, report.new_sizes, report.certificate
-                )
-                log.append(shard.take_delta(), report.certificate)
+            shard.sync_update(writes, new_sizes, certificate)
+            log.append(shard.take_delta(), certificate)
             log.ship()
 
     def _make_apply(self, label: str, replica: ReplicaIsp):
@@ -234,7 +233,7 @@ class Fleet:
     def start(self) -> "Fleet":
         if self._started:
             raise FleetError("fleet already started")
-        self._replay_history()
+        self._catch_up()
         bootstrap = self._bootstrap()
         for shard_id, shard in self.shards.items():
             server = self.server_class(shard, self.host, 0)

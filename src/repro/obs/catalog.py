@@ -41,6 +41,14 @@ SCOPES: Dict[str, str] = {
         "Data pages sealed and written by the pager.",
     "pager.flush":
         "Header flush + sync() durable boundaries.",
+    # -- B+Tree node memo (repro/db/btree.py) --------------------------
+    "db.node.memo.hit":
+        "Read-path node loads whose page bytes were already decoded "
+        "(the page is still read; tallied on the memo, reported once "
+        "per statement).",
+    "db.node.memo.miss":
+        "Read-path node loads that decoded the page (first sight of "
+        "these bytes, or evicted since).",
     # -- client caches (repro/client/caches.py) ------------------------
     "cache.intra.hit":
         "Intra-query cache lookups served from the per-query page map.",

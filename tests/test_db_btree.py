@@ -1,13 +1,16 @@
 """Unit and model-based property tests for the B+Tree."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.btree import BTree, compare_to_bound
-from repro.db.pager import Pager
+from repro.db import btree
+from repro.db.btree import BTree, NodeMemo
+from repro.db.pager import Pager, seal_page
+from repro.db.types import sort_key
 from repro.errors import SQLExecutionError, StorageError
 from repro.vfs.local import LocalFilesystem
 
@@ -16,6 +19,61 @@ def fresh_tree(path="/t"):
     vfs = LocalFilesystem()
     pager = Pager(vfs, path, create=True)
     return vfs, pager, BTree(pager)
+
+
+# ----------------------------------------------------------------------
+# Reference: the linear scan the read path used before it searched
+# memoized nodes by bisection.  Test-only; `scan` must agree with it on
+# rows *and* on the pages it reads.
+# ----------------------------------------------------------------------
+
+
+def compare_to_bound(key, bound, pad):
+    """Compare ``key`` to a possibly-shorter ``bound``.
+
+    ``pad`` is -1 when the bound acts as a low bound (missing components
+    read as minus infinity) and +1 for a high bound (plus infinity).
+    """
+    for key_part, bound_part in zip(key, bound):
+        a, b = sort_key(key_part), sort_key(bound_part)
+        if a < b:
+            return -1
+        if a > b:
+            return 1
+    if len(key) == len(bound):
+        return 0
+    return -pad
+
+
+def reference_scan(tree, low=None, high=None,
+                   low_inclusive=True, high_inclusive=True):
+    """Decode every visited node in full and walk it entry by entry."""
+    if tree.pager.root_pid == 0:
+        return
+    node = tree._load(tree.pager.root_pid)
+    while isinstance(node, btree._Internal):
+        pos = 0
+        if low is not None:
+            for i, node_key in enumerate(node.keys):
+                if compare_to_bound(node_key, low, pad=-1) < 0:
+                    pos = i + 1
+                else:
+                    break
+        node = tree._load(node.children[pos])
+    while True:
+        for key, value in node.entries:
+            if low is not None:
+                cmp = compare_to_bound(key, low, pad=-1)
+                if cmp < 0 or (cmp == 0 and not low_inclusive):
+                    continue
+            if high is not None:
+                cmp = compare_to_bound(key, high, pad=1)
+                if cmp > 0 or (cmp == 0 and not high_inclusive):
+                    return
+            yield tuple(key), value
+        if node.next_leaf == 0:
+            return
+        node = tree._load(node.next_leaf)
 
 
 class TestBounds:
@@ -170,3 +228,431 @@ class TestAgainstDictModel:
         expected = sorted(k for k in keys if low <= k <= high)
         got = [k[0] for k, _ in tree.scan(low=[low], high=[high])]
         assert got == expected
+
+
+# ----------------------------------------------------------------------
+# The bisecting read path against the linear reference
+# ----------------------------------------------------------------------
+
+#: A small domain, so duplicates and exact bound hits are common; 2 and
+#: 2.0 are *equal* under ``sort_key``, NULL < numbers < text.
+VALUES = st.sampled_from(
+    [None, -1, 0, 2, 3, -1.5, 0.0, 2.0, 2.5, "", "a", "b", "zz"]
+)
+ROWIDS = st.integers(0, 400)
+
+
+def logged_reads(tree, scan, **bounds):
+    """``(rows, page ids read)`` of one full ``scan(tree, **bounds)``."""
+    reads = []
+    real = tree.pager.read_page
+
+    def read_page(pid):
+        reads.append(pid)
+        return real(pid)
+
+    tree.pager.read_page = read_page
+    try:
+        return list(scan(tree, **bounds)), reads
+    finally:
+        del tree.pager.read_page
+
+
+def assert_scan_matches_reference(tree, **bounds):
+    assert (
+        logged_reads(tree, BTree.scan, **bounds)
+        == logged_reads(tree, reference_scan, **bounds)
+    )
+
+
+class TestAgainstLinearReference:
+    """``scan`` searches memoized nodes by bisection; the linear walk it
+    replaced decides what it must return and which pages it must read.
+
+    Nodes are capped at 200 bytes so that a few dozen entries already
+    make a three-level tree.  Every bound is at most as long as the
+    keys: ``compare_to_bound`` and tuple order disagree when a key is
+    *shorter* than its bound, which the engine never produces
+    (``TestCountNeutrality`` asserts it on Q1-Q8).
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(VALUES, ROWIDS), max_size=90,
+                         unique_by=lambda entry: entry[1]),
+        doomed=st.sets(VALUES, max_size=4),
+        low=st.one_of(st.none(), st.tuples(VALUES),
+                      st.tuples(VALUES, ROWIDS)),
+        high=st.one_of(st.none(), st.tuples(VALUES),
+                       st.tuples(VALUES, ROWIDS)),
+        low_inclusive=st.booleans(),
+        high_inclusive=st.booleans(),
+    )
+    def test_index_tree_with_prefix_bounds(
+        self, entries, doomed, low, high, low_inclusive, high_inclusive
+    ):
+        """``[value, rowid]`` keys: duplicate values straddle splits,
+        bounds are ``[v]`` prefixes or full keys, and deleting every
+        entry of some values leaves sparse and empty leaves behind."""
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            _, _, tree = fresh_tree()
+            for value, rowid in entries:
+                tree.insert([value, rowid], b"", allow_duplicate=True)
+            for value, rowid in entries:
+                if value in doomed:
+                    assert tree.delete([value, rowid])
+            assert_scan_matches_reference(
+                tree,
+                low=None if low is None else list(low),
+                high=None if high is None else list(high),
+                low_inclusive=low_inclusive,
+                high_inclusive=high_inclusive,
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rowids=st.sets(st.integers(0, 120), max_size=80),
+        deleted=st.sets(st.integers(0, 120), max_size=60),
+        low=st.one_of(st.none(), st.integers(-5, 125)),
+        high=st.one_of(st.none(), st.integers(-5, 125)),
+        low_inclusive=st.booleans(),
+        high_inclusive=st.booleans(),
+    )
+    def test_table_tree_with_full_bounds(
+        self, rowids, deleted, low, high, low_inclusive, high_inclusive
+    ):
+        """``[rowid]`` keys with row payloads, bounds as long as the
+        keys (so exclusive ends bite), ``low > high`` included."""
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            _, _, tree = fresh_tree()
+            for rowid in sorted(rowids, key=lambda r: (r * 37) % 101):
+                tree.insert([rowid], b"row-%d" % rowid)
+            for rowid in deleted & rowids:
+                assert tree.delete([rowid])
+            assert_scan_matches_reference(
+                tree,
+                low=None if low is None else [low],
+                high=None if high is None else [high],
+                low_inclusive=low_inclusive,
+                high_inclusive=high_inclusive,
+            )
+            for rowid in rowids:
+                expected = None if rowid in deleted else b"row-%d" % rowid
+                assert tree.get([rowid]) == expected
+
+    def test_every_bound_of_a_small_table_tree(self):
+        """Exhaustive where random draws are thin: a bound equal to a
+        separator key, a bound in the gap after a leaf's last key, an
+        emptied leaf in the middle, ``low > high`` — each with all four
+        inclusive/exclusive combinations."""
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            _, pager, tree = fresh_tree()
+            for rowid in range(60):
+                tree.insert([rowid], b"r")
+            assert pager.page_count > 8
+            for rowid in [*range(0, 60, 4), *range(20, 31)]:
+                tree.delete([rowid])
+            for low in [None, *range(-1, 62)]:
+                highs = {None} if low is None else {
+                    None, low - 2, low, low + 7}
+                for high in highs:
+                    for low_inclusive in (True, False):
+                        for high_inclusive in (True, False):
+                            assert_scan_matches_reference(
+                                tree,
+                                low=None if low is None else [low],
+                                high=None if high is None else [high],
+                                low_inclusive=low_inclusive,
+                                high_inclusive=high_inclusive,
+                            )
+
+    def test_every_bound_of_a_small_index_tree(self):
+        """The same for ``[value, rowid]`` keys: every prefix and every
+        full key (present or not) as either bound."""
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            _, pager, tree = fresh_tree()
+            for rowid in range(54):  # interleaved, so leaves split
+                for value in ("a", "b", "c"):
+                    if rowid % 3 != 1:
+                        tree.insert([value, rowid], b"",
+                                    allow_duplicate=True)
+            assert pager.page_count > 8
+            bounds = [None, *(
+                [value] for value in ("", "a", "aa", "b", "c", "d")
+            ), *(
+                [value, rowid]
+                for value in ("a", "b", "c") for rowid in range(-1, 56, 2)
+            )]
+            for low in bounds:
+                for high in bounds[::3]:
+                    for low_inclusive in (True, False):
+                        for high_inclusive in (True, False):
+                            assert_scan_matches_reference(
+                                tree, low=low, high=high,
+                                low_inclusive=low_inclusive,
+                                high_inclusive=high_inclusive,
+                            )
+
+    def test_duplicates_straddling_a_split_are_all_found(self):
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            _, pager, tree = fresh_tree()
+            for rowid in range(40):
+                tree.insert(["dup", rowid], b"", allow_duplicate=True)
+            assert pager.page_count > 4  # one value, several leaves
+            for inclusive in (True, False):  # a prefix is never "equal"
+                hits = tree.scan(low=["dup"], high=["dup"],
+                                 low_inclusive=inclusive,
+                                 high_inclusive=inclusive)
+                assert [key[1] for key, _ in hits] == list(range(40))
+            assert_scan_matches_reference(tree, low=["dup"], high=["dup"])
+
+
+# ----------------------------------------------------------------------
+# The node memo
+# ----------------------------------------------------------------------
+
+
+def leaf_page(entries, next_leaf=0):
+    """A sealed 4 KiB page holding one encoded leaf."""
+    return seal_page(btree._Leaf(list(entries), next_leaf).encode())
+
+
+class TestNodeMemo:
+    def test_write_path_changes_are_seen_through_a_shared_memo(self):
+        """Keyed on content: a page rewritten in place is a new key."""
+        vfs, pager, writer = fresh_tree()
+        memo = NodeMemo()
+        for i in range(300):
+            writer.insert([i], b"v%d" % i)
+            assert BTree(pager, memo).get([i]) == b"v%d" % i
+        assert writer.delete([7])
+        assert BTree(pager, memo).get([7]) is None
+        assert 0 < len(memo) <= btree.NODE_MEMO_SIZE
+
+    def test_bounded_lru(self):
+        memo = NodeMemo()
+        pages = [leaf_page([([i], b"")]) for i in range(
+            btree.NODE_MEMO_SIZE + 5)]
+        first = memo.node(pages[0])
+        for page in pages[1:btree.NODE_MEMO_SIZE]:
+            memo.node(page)
+        assert memo.node(pages[0]) is first  # refreshed: now the newest
+        for page in pages[btree.NODE_MEMO_SIZE:]:
+            memo.node(page)
+        assert len(memo) == btree.NODE_MEMO_SIZE
+        assert memo.node(pages[0]) is first
+        assert pages[1] not in memo._nodes  # the oldest went first
+        memo.clear()
+        assert len(memo) == 0
+        assert memo.node(pages[0]) is not first  # decoded afresh
+
+    def test_nodes_and_yielded_entries_are_immutable(self):
+        _, pager, tree = fresh_tree()
+        memo = NodeMemo()
+        for i in range(5):
+            tree.insert([i, "x"], b"v", allow_duplicate=True)
+        entry = next(iter(BTree(pager, memo).items()))
+        key, _ = entry
+        assert isinstance(key, tuple) and isinstance(entry, tuple)
+        with pytest.raises(TypeError):
+            key[0] = 99
+        (node,) = memo._nodes.values()
+        with pytest.raises(AttributeError):
+            node.entries = ()
+        with pytest.raises(TypeError):
+            node.entries[0] = entry
+        with pytest.raises(TypeError):
+            node.tuples[0] = ()
+        # What a reader is handed is the memo's own object — safe only
+        # because none of it can be changed.
+        assert node.entries[0] is entry
+
+    def test_trees_without_a_memo_share_nothing(self):
+        _, pager, tree = fresh_tree()
+        tree.insert([1], b"one")
+        other = BTree(pager)
+        assert other.get([1]) == b"one"
+        assert len(tree._memo) == 0 and len(other._memo) == 1
+
+
+class TestHostileNodeBytes:
+    """BASELINE/intra queries parse pages *before* the VO verifies them:
+    whatever the bytes, the parser returns a node or raises
+    ``StorageError`` — and a raising parse leaves no memo entry."""
+
+    @staticmethod
+    def check(raw):
+        memo = NodeMemo()
+        try:
+            node = memo.node(raw)
+        except StorageError as error:
+            assert "corrupt B+Tree node" in str(error)
+            assert len(memo) == 0
+            with pytest.raises(StorageError):
+                btree._decode_node(raw)  # the write path's parse agrees
+        else:
+            assert memo.node(raw) is node
+            assert len(node.tuples) == len(
+                node.entries if isinstance(node, btree.LeafNode)
+                else node.children[1:]
+            )
+            btree._decode_node(raw)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        head=st.binary(max_size=120),
+        force_kind=st.sampled_from([None, 1, 2]),
+        tail=st.sampled_from(["zeros", "ones", "random"]),
+        seed=st.integers(0, 2 ** 32),
+    )
+    def test_arbitrary_4k_page(self, head, force_kind, tail, seed):
+        """A drawn head (where the structure is) and a tail of zeros,
+        0xff or seeded random bytes; two pages in three get a valid
+        node kind, or almost all would stop at the first byte."""
+        filler = {
+            "zeros": b"\x00" * 4096,
+            "ones": b"\xff" * 4096,
+            "random": random.Random(seed).randbytes(4096),
+        }[tail]
+        raw = (head + filler)[:4096]
+        if force_kind is not None:
+            raw = bytes([force_kind]) + raw[1:]
+        self.check(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(["leaf", "internal"]),
+        st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)),
+                 min_size=1, max_size=6),
+    )
+    def test_valid_node_with_a_few_bytes_overwritten(self, kind, edits):
+        keys = [[None, i] for i in range(4)] + [
+            [1.5, "text-%d" % i] for i in range(30)]
+        if kind == "leaf":
+            node = btree._Leaf([(key, b"payload") for key in keys], 9)
+        else:
+            node = btree._Internal(keys, list(range(len(keys) + 1)))
+        raw = bytearray(seal_page(node.encode()))
+        for offset, byte in edits:
+            raw[offset] = byte
+        self.check(bytes(raw))
+
+    @pytest.mark.parametrize("raw", [
+        pytest.param(b"", id="empty"),
+        pytest.param(b"\x01", id="header-cut-short"),
+        pytest.param(b"\x01\xff\xff" + b"\x00" * 4093,
+                     id="count-beyond-any-page"),
+        pytest.param(
+            b"\x01\x00\x01\x00\x00\x00\x00" + b"\x00\x00"
+            + b"\xff\xff\xff\xff" + b"\x00" * 4083,
+            id="value-length-past-the-page"),
+        pytest.param(
+            b"\x02\x00\x01\x00\x00\x00\x01"
+            + b"\x00\x01\x03\x00\x00\xff\xff" + b"\x00" * 4082,
+            id="text-key-past-the-page"),
+        pytest.param(
+            b"\x01\x00\x01\x00\x00\x00\x00"
+            + b"\x00\x01\x03\x00\x00\x00\x02" + b"\xff\xfe"
+            + b"\x00" * 4080,
+            id="invalid-utf8-key"),
+        pytest.param(
+            b"\x01\x00\x01\x00\x00\x00\x00" + b"\x00\x01\x09"
+            + b"\x00" * 4086,
+            id="unknown-value-tag"),
+    ])
+    def test_known_bad_shapes_raise_storage_error(self, raw):
+        with pytest.raises(StorageError, match="corrupt B\\+Tree node"):
+            NodeMemo().node(raw)
+        with pytest.raises(StorageError, match="corrupt B\\+Tree node"):
+            btree._decode_node(raw)
+
+    def test_engine_surfaces_the_typed_error(self):
+        vfs, pager, tree = fresh_tree("/c2")
+        tree.insert([1], b"one")
+        pager.close()
+        with vfs.open("/c2") as handle:
+            handle.write_page(1, seal_page(b"\x01\xff\xff" + b"\x00" * 64))
+        with pytest.raises(StorageError, match="corrupt B\\+Tree node"):
+            BTree(Pager(vfs, "/c2")).get([1])
+
+
+# ----------------------------------------------------------------------
+# Count neutrality: the memo changes no page access the paper counts
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def query_system():
+    from repro.core.system import SystemConfig, V2FSSystem
+    from repro.workloads.generator import WorkloadGenerator
+
+    system = V2FSSystem(SystemConfig(seed=11, txs_per_block=4))
+    system.advance_all(8)
+    generator = WorkloadGenerator(
+        system.universe, system.config.start_time, system.latest_time
+    )
+    return system, generator.mixed(window_hours=6, per_type=1).queries
+
+
+class TestCountNeutrality:
+    @staticmethod
+    def run(system, queries, mode):
+        from repro.obs import REGISTRY
+
+        client = system.make_client(mode, cache_bytes=256 * 1024)
+        before = REGISTRY.counters_snapshot()
+        profile = []
+        for sql in queries:
+            result = client.query(sql)
+            stats = result.stats
+            profile.append((result.rows, stats.page_requests,
+                            stats.check_requests, stats.vo_bytes))
+        delta = REGISTRY.counters_delta(before)
+        return profile, delta
+
+    @pytest.mark.parametrize("mode", ["baseline", "intra", "inter",
+                                      "inter+vbf"])
+    def test_q1_to_q8_counts_equal_with_the_memo_bypassed(
+        self, query_system, mode, monkeypatch
+    ):
+        from repro.client.vfs import QueryMode
+
+        system, queries = query_system
+        assert len(queries) == 8
+        mode = QueryMode(mode)
+        node_loads = []
+        real_view = BTree._view
+        real_scan = BTree.scan
+
+        def counting_view(tree, pid):
+            node_loads.append(pid)
+            return real_view(tree, pid)
+
+        def checked_scan(tree, low=None, high=None, **inclusive):
+            longest = max(len(low or ()), len(high or ()))
+            for key, value in real_scan(tree, low, high, **inclusive):
+                # A key shorter than its bound never reaches scan.
+                assert len(key) >= longest
+                yield key, value
+
+        monkeypatch.setattr(BTree, "_view", counting_view)
+        monkeypatch.setattr(BTree, "scan", checked_scan)
+        with_memo, counters = self.run(system, queries, mode)
+        loads = len(node_loads)
+        hits = counters.get("db.node.memo.hit", 0)
+        misses = counters.get("db.node.memo.miss", 0)
+        assert hits > misses > 0
+        assert hits + misses == loads  # every read-path load is one
+
+        monkeypatch.setattr(btree, "NODE_MEMO_SIZE", 0)
+        bypassed, bypassed_counters = self.run(system, queries, mode)
+        assert bypassed_counters.get("db.node.memo.hit", 0) == 0
+        assert bypassed_counters["db.node.memo.miss"] == loads
+        assert len(node_loads) == 2 * loads
+
+        assert with_memo == bypassed
+        assert (counters["pager.read_page"]
+                == bypassed_counters["pager.read_page"])
+        assert [row for row, *_ in with_memo] == [
+            system.plain_replica().execute(sql).rows for sql in queries
+        ]

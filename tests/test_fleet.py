@@ -157,11 +157,8 @@ class TestShardAndReplica:
         system = build_system()
         part = HashPartitioner(4).shard_for
         shard = ShardIsp(2, part)
-        for report in system.update_reports:
-            shard.sync_update(
-                report.writes, report.new_sizes, report.certificate
-            )
-            shard.take_delta()
+        shard.sync_update(*system.certified_state())
+        shard.take_delta()
         # The partial store lands on the very root the CI certified.
         assert shard.root == system.update_reports[-1].certificate.ads_root
         paths = system.isp.ads.list_files(system.isp.root)
@@ -178,47 +175,46 @@ class TestShardAndReplica:
         own_all = HashPartitioner(1).shard_for
         primary = ShardIsp(0, own_all)
         replica = ReplicaIsp(0, own_all)
-        for report in system.update_reports:
-            primary.sync_update(
-                report.writes, report.new_sizes, report.certificate
-            )
+        # The snapshot catch-up, then one ordinary block on top of it.
+        batches = [system.certified_state()]
+        report = system.advance_block("eth")
+        batches.append(
+            (report.writes, report.new_sizes, report.certificate)
+        )
+        for writes, new_sizes, certificate in batches:
+            primary.sync_update(writes, new_sizes, certificate)
             delta = primary.take_delta()
             decoded = NodeDelta.decode(delta.encode())
             assert decoded.version == delta.version
             assert decoded.root == delta.root
             assert {n for n in decoded.nodes} == {n for n in delta.nodes}
-            replica.apply_delta(decoded, report.certificate)
+            replica.apply_delta(decoded, certificate)
         assert replica.root == primary.root
         # The replica serves verified queries at the replicated root.
         rows = make_client(system, replica).query(SQL).rows
         assert rows == make_client(system, system.isp).query(SQL).rows
 
     def test_replica_rejects_mismatched_delta(self):
-        system = build_system()
+        system = build_system(hours=0)
         own_all = HashPartitioner(1).shard_for
         primary = ShardIsp(0, own_all)
         replica = ReplicaIsp(0, own_all)
-        reports = system.update_reports
-        primary.sync_update(
-            reports[0].writes, reports[0].new_sizes, reports[0].certificate
-        )
+        bootstrap = system.certified_state()
+        primary.sync_update(*bootstrap)
         delta = primary.take_delta()
+        system.advance_all(1)
         with pytest.raises(FleetError):
             # Certificate from a different version than the delta.
-            replica.apply_delta(delta, reports[-1].certificate)
-        with pytest.raises(FleetError):
-            replica.sync_update(
-                reports[0].writes, reports[0].new_sizes,
-                reports[0].certificate,
+            replica.apply_delta(
+                delta, system.update_reports[-1].certificate
             )
+        with pytest.raises(FleetError):
+            replica.sync_update(*bootstrap)
 
     def test_delta_hostile_decode(self):
         system = build_system()
         primary = ShardIsp(0, HashPartitioner(1).shard_for)
-        report = system.update_reports[0]
-        primary.sync_update(
-            report.writes, report.new_sizes, report.certificate
-        )
+        primary.sync_update(*system.certified_state())
         encoded = primary.take_delta().encode()
         for blob in (
             b"",

@@ -66,7 +66,7 @@ def make_client(system, isp, mode=QueryMode.INTER_VBF):
 
 
 def build_shards(system, stale_ids=()):
-    """Two in-process shard primaries replayed from the system history.
+    """Two in-process shard primaries at the system's certified state.
 
     Shards in ``stale_ids`` are :class:`StaleShard` — they ignore the
     router's version pin and keep serving whatever root they last saw.
@@ -76,11 +76,8 @@ def build_shards(system, stale_ids=()):
     for shard_id in range(SHARDS):
         cls = StaleShard if shard_id in stale_ids else ShardIsp
         shard = cls(shard_id, part)
-        for report in system.update_reports:
-            shard.sync_update(
-                report.writes, report.new_sizes, report.certificate
-            )
-            shard.take_delta()  # drain the recording store
+        shard.sync_update(*system.certified_state())
+        shard.take_delta()  # drain the recording store
         shards[shard_id] = shard
     return shards
 
@@ -198,13 +195,11 @@ class TestLaggingReplica:
         shards = build_shards(system)
         part = RangePartitioner(SHARDS, BOUNDS).shard_for
         replica = ReplicaIsp(1, part)
-        # Feed the replica the full history...
+        # Bring the replica to the current certified state...
         primary = ShardIsp(1, part)
-        for report in system.update_reports:
-            primary.sync_update(
-                report.writes, report.new_sizes, report.certificate
-            )
-            replica.apply_delta(primary.take_delta(), report.certificate)
+        writes, new_sizes, certificate = system.certified_state()
+        primary.sync_update(writes, new_sizes, certificate)
+        replica.apply_delta(primary.take_delta(), certificate)
         # ...then advance the fleet without shipping the last delta.
         publish(system, shards.values())
         assert replica.root != shards[1].root

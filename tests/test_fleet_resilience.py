@@ -70,16 +70,13 @@ def make_client(system, isp, mode=QueryMode.INTER_VBF):
 
 
 def build_shards(system, count=SHARDS):
-    """In-process shard primaries replayed from the system history."""
+    """In-process shard primaries at the system's certified state."""
     part = HashPartitioner(count).shard_for
     shards = {}
     for shard_id in range(count):
         shard = ShardIsp(shard_id, part)
-        for report in system.update_reports:
-            shard.sync_update(
-                report.writes, report.new_sizes, report.certificate
-            )
-            shard.take_delta()  # drain the recording store
+        shard.sync_update(*system.certified_state())
+        shard.take_delta()  # drain the recording store
         shards[shard_id] = shard
     return shards
 
@@ -197,24 +194,19 @@ class TestHealthTracker:
 
 
 class TestReplicaPromotion:
-    def _replicated_pair(self, system, reports):
+    def _replicated_pair(self, system):
+        """A primary and its replica at the system's certified state."""
         own_all = HashPartitioner(1).shard_for
         primary = ShardIsp(0, own_all)
         replica = ReplicaIsp(0, own_all)
-        for report in reports:
-            primary.sync_update(
-                report.writes, report.new_sizes, report.certificate
-            )
-            replica.apply_delta(
-                primary.take_delta(), report.certificate
-            )
+        writes, new_sizes, certificate = system.certified_state()
+        primary.sync_update(writes, new_sizes, certificate)
+        replica.apply_delta(primary.take_delta(), certificate)
         return primary, replica
 
     def test_caught_up_replica_promotes_and_accepts_writes(self):
         system = build_system()
-        _, replica = self._replicated_pair(
-            system, system.update_reports
-        )
+        _, replica = self._replicated_pair(system)
         head = system.update_reports[-1].certificate.version
         assert replica.promote(head) is replica
         assert replica.promote(head) is replica  # idempotent
@@ -231,20 +223,16 @@ class TestReplicaPromotion:
         assert rows == make_client(system, system.isp).query(SQL).rows
 
     def test_lagging_replica_refuses_promotion(self):
-        system = build_system()
-        _, replica = self._replicated_pair(
-            system, system.update_reports[:1]  # stops after v1
-        )
+        system = build_system(hours=0)
+        _, replica = self._replicated_pair(system)  # stops after v1
+        system.advance_all(1)
         head = system.update_reports[-1].certificate.version
         assert replica.certificate.version < head
         with pytest.raises(FleetError):
             replica.promote(head)
         # Still a replica: the direct write path stays refused.
-        report = system.update_reports[-1]
         with pytest.raises(FleetError):
-            replica.sync_update(
-                report.writes, report.new_sizes, report.certificate
-            )
+            replica.sync_update(*system.certified_state())
 
     def test_never_synced_replica_refuses_promotion(self):
         replica = ReplicaIsp(0, HashPartitioner(1).shard_for)
@@ -396,11 +384,8 @@ class TestHedgedReads:
 
     def _one_page(self, system):
         shard = ShardIsp(0, HashPartitioner(1).shard_for)
-        for report in system.update_reports:
-            shard.sync_update(
-                report.writes, report.new_sizes, report.certificate
-            )
-            shard.take_delta()
+        shard.sync_update(*system.certified_state())
+        shard.take_delta()
         path = sorted(shard.ads.list_files(shard.root))[0]
         return shard, path
 

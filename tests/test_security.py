@@ -107,6 +107,24 @@ def swap_isp(system, isp_class):
     return system
 
 
+@contextlib.contextmanager
+def client_of(system, path, mode=QueryMode.INTER_VBF):
+    """A verifying client of ``system.isp``: in-process, or over
+    ``connect_client`` to a threaded server around the same ISP."""
+    if path == "inprocess":
+        yield system.make_client(mode)
+        return
+    from repro.rpc import connect_client
+    from repro.rpc.server import serve_system
+
+    with serve_system(system) as server:
+        client = connect_client(*server.address, mode=mode)
+        try:
+            yield client
+        finally:
+            client.isp.close()
+
+
 class TestMaliciousIsp:
     def test_tampered_page_rejected(self):
         system = swap_isp(build_system(), TamperingIsp)
@@ -252,27 +270,12 @@ class TestCertificateMemo:
         monkeypatch.setattr(certificate_module, "verify", counting)
         return calls
 
-    @contextlib.contextmanager
-    def client_of(self, system, path, mode=QueryMode.INTER_VBF):
-        if path == "inprocess":
-            yield system.make_client(mode)
-            return
-        from repro.rpc import connect_client
-        from repro.rpc.server import serve_system
-
-        with serve_system(system) as server:
-            client = connect_client(*server.address, mode=mode)
-            try:
-                yield client
-            finally:
-                client.isp.close()
-
     def test_unchanged_certificate_is_verified_once(
         self, path, verify_calls
     ):
         system = build_system(2)
         del verify_calls[:]  # the CI self-checks every block it signs
-        with self.client_of(system, path) as client:
+        with client_of(system, path) as client:
             answers = {tuple(client.query(SQL).rows) for _ in range(5)}
         assert len(answers) == 1
         assert len(verify_calls) == 1
@@ -285,7 +288,7 @@ class TestCertificateMemo:
         honest = system.isp.certificate
         forged = ONE_BYTE_FORGERIES[field](honest)
         assert forged.version == honest.version and forged != honest
-        with self.client_of(system, path) as client:
+        with client_of(system, path) as client:
             expected = client.query(SQL).rows  # proves `honest`
             cached = dict(client.inter_cache._pages)
             assert cached
@@ -308,7 +311,7 @@ class TestCertificateMemo:
     def test_new_block_misses_then_hits_again(self, path, verify_calls):
         system = build_system(2)
         del verify_calls[:]
-        with self.client_of(system, path) as client:
+        with client_of(system, path) as client:
             client.query(SQL)
             client.query(SQL)
             assert len(verify_calls) == 1
@@ -331,7 +334,7 @@ class TestCertificateMemo:
         system = build_system(2)
         old_certificate = system.isp.certificate
         old_root = system.isp.root
-        with self.client_of(system, path) as client:
+        with client_of(system, path) as client:
             client.query(SQL)
             system.advance_block("eth")
             system.isp.certificate = old_certificate
@@ -351,7 +354,7 @@ class TestCertificateMemo:
 
         system = build_system(2)
         before = REGISTRY.counters_snapshot()
-        with self.client_of(system, path) as client:
+        with client_of(system, path) as client:
             for _ in range(3):
                 client.query(SQL)  # miss, hit, hit
             honest = system.isp.certificate
@@ -377,7 +380,7 @@ class TestCertificateMemo:
         system = build_system(2)
         real = system.isp.certificate
         other_enclave = Enclave(b"some-other-ci-build")
-        with self.client_of(system, path) as client:
+        with client_of(system, path) as client:
             other = QueryClient(
                 isp=client.isp,
                 chains=client.chains,
@@ -398,6 +401,101 @@ class TestCertificateMemo:
             with pytest.raises(CertificateError):
                 client.query(SQL)
         assert len(verify_calls) == 4
+
+
+class FlippingIsp(IspServer):
+    """Honest until told otherwise: serves ``flip = (path, page_id)``
+    with one byte changed, on the single and the batched page path."""
+
+    flip = None
+    #: Inside the first entries of the node, so the *decoded* content
+    #: differs (or the parse fails), not just the page checksum.
+    OFFSET = 40
+
+    def _get_page(self, ads, session_id, path, page_id):
+        page = super()._get_page(ads, session_id, path, page_id)
+        if (path, page_id) == self.flip:
+            changed = page[self.OFFSET] ^ 0x01
+            return (page[:self.OFFSET] + bytes([changed])
+                    + page[self.OFFSET + 1:])
+        return page
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+class TestNodeMemo:
+    """The client decodes a B+Tree node once per distinct page *content*
+    and keeps the decoded nodes across queries.  Content-keyed, an
+    entry cannot be stale or belong to a forged page; what these tests
+    pin down is that nothing decoded from unverified bytes outlives a
+    failed query, and that nothing else (page ids, other clients, the
+    plain oracle engine) can stand in for the bytes."""
+
+    SUM = "SELECT COUNT(*), SUM(gas_used) FROM eth_transactions"
+    TABLE = "/db/tables/eth_transactions.tbl"
+
+    @staticmethod
+    def oracle(system, sql):
+        return system.plain_replica().execute(sql).rows
+
+    def test_tampered_page_leaves_no_decoded_node_behind(self, path):
+        system = swap_isp(build_system(2), FlippingIsp)
+        expected = self.oracle(system, self.SUM)
+        with client_of(system, path, QueryMode.BASELINE) as client:
+            assert client.query(self.SUM).rows == expected
+            assert len(client._nodes) > 0
+            # The same (path, page_id), one byte different.
+            system.isp.flip = (self.TABLE, 1)
+            for _ in range(2):
+                with pytest.raises(ReproError):
+                    client.query(self.SUM)
+                assert len(client._nodes) == 0
+            system.isp.flip = None
+            assert client.query(self.SUM).rows == expected
+            assert len(client._nodes) > 0
+
+    @pytest.mark.parametrize("mode", [QueryMode.BASELINE,
+                                      QueryMode.INTER_VBF])
+    def test_rewritten_leaf_is_seen_by_the_next_query(self, path, mode):
+        system = build_system(2)
+        with client_of(system, path, mode) as client:
+            before = client.query(self.SUM).rows
+            assert before == self.oracle(system, self.SUM)
+            report = system.advance_block("eth")
+            # The block rewrote pages of the table in place ...
+            assert self.TABLE in report.writes
+            after = client.query(self.SUM).rows
+            # ... and the nodes memoized from their old bytes are not
+            # what the next query computes on.
+            assert after == self.oracle(system, self.SUM)
+            assert after[0][0] > before[0][0]
+
+    def test_clients_and_the_plain_engine_share_nothing(self, path):
+        system = build_system(2)
+        with client_of(system, path) as client:
+            other = system.make_client()
+            client.query(SQL)
+            self.oracle(system, SQL)  # a plain engine, its own memo
+            assert len(client._nodes) > 0
+            assert len(other._nodes) == 0
+            assert other._nodes is not client._nodes
+            other.query(SQL)
+            assert len(other._nodes) == len(client._nodes)
+
+    def test_memoized_nodes_cannot_be_changed_through_results(self, path):
+        system = build_system(2)
+        with client_of(system, path, QueryMode.BASELINE) as client:
+            expected = client.query(self.SUM).rows
+            for node in client._nodes._nodes.values():
+                assert isinstance(node, tuple)
+                assert isinstance(node.tuples, tuple)
+                with pytest.raises(AttributeError):
+                    node.tuples = ()
+                for entry in getattr(node, "entries", ()):
+                    key, value = entry
+                    assert isinstance(entry, tuple)
+                    assert isinstance(key, tuple)
+                    assert isinstance(value, bytes)
+            assert client.query(self.SUM).rows == expected
 
 
 class TestMaliciousCiStorage:
