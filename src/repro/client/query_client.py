@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import SimulatedPoW, check_header
@@ -31,10 +31,14 @@ from repro.core.certificate import ProvenSignature, V2fsCertificate
 from repro.crypto.signature import PublicKey
 from repro.db.btree import NodeMemo
 from repro.db.engine import Engine, ResultSet
-from repro.errors import CertificateError
+from repro.errors import CertificateError, ReproError
 from repro.isp.server import IspServer
 from repro.network.transport import (
     CATEGORY_CERT,
+    CATEGORY_CHECK,
+    CATEGORY_META,
+    CATEGORY_PAGE,
+    CATEGORY_VO,
     NetworkCostModel,
     NetworkStats,
     Transport,
@@ -73,6 +77,22 @@ class VerifiedResult:
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+def _record_traffic(net: NetworkStats) -> None:
+    """Feed one query's round trips to the metrics registry, once.
+
+    The transport already counted each of them; repeating that per
+    request cost two locked registry calls per page.
+    """
+    requests = net.requests
+    obs.add("client.cert.requests", requests.get(CATEGORY_CERT, 0))
+    obs.add("client.meta.requests", requests.get(CATEGORY_META, 0))
+    obs.add("client.page.requests", requests.get(CATEGORY_PAGE, 0))
+    obs.add("client.check.requests", requests.get(CATEGORY_CHECK, 0))
+    obs.add("client.vo.requests", requests.get(CATEGORY_VO, 0))
+    obs.add("client.vo.bytes", net.bytes_received.get(CATEGORY_VO, 0))
+    obs.add("client.net.bytes", net.total_bytes())
 
 
 class QueryClient:
@@ -118,7 +138,33 @@ class QueryClient:
         """Run one verifiable query (Algorithm 4)."""
         before_net = self.transport.stats.snapshot()
         started = time.perf_counter()
+        try:
+            result, vo_bytes = self._execute_verified(sql)
+            exec_s = time.perf_counter() - started
+        finally:
+            # A failed query's traffic happened too: count it.
+            net = self.transport.stats.delta_since(before_net)
+            if obs.ACTIVE:
+                _record_traffic(net)
+        if obs.ACTIVE:
+            obs.inc("client.query.count")
+            obs.observe("client.query.latency_s", exec_s)
+        stats = QueryStats(
+            exec_s=exec_s,
+            net_s=net.simulated_time_s,
+            page_requests=net.requests.get("page", 0),
+            check_requests=net.requests.get("check", 0),
+            meta_requests=net.requests.get("meta", 0),
+            vo_bytes=vo_bytes,
+            bytes_transferred=net.total_bytes(),
+            network=net,
+        )
+        return VerifiedResult(
+            columns=result.columns, rows=result.rows, stats=stats
+        )
 
+    def _execute_verified(self, sql: str) -> Tuple[ResultSet, int]:
+        """The three phases; returns the verified rows and the VO size."""
         certificate = self._fetch_and_validate_certificate()
         session = ClientSession(
             self.isp,
@@ -134,7 +180,7 @@ class QueryClient:
         engine = Engine(vfs, temp_vfs=vfs, node_memo=self._nodes)
         try:
             result: ResultSet = engine.execute(sql)
-            vo_bytes = session.finalize()
+            return result, session.finalize()
         except Exception as error:
             # Whatever went wrong (malformed data from the ISP, proof
             # failure, engine error), the pages this query cached — and
@@ -149,30 +195,18 @@ class QueryClient:
             )
             session.rollback_cache()
             self._nodes.clear()
+            try:
+                # Close the ISP session as well: an open one pins its
+                # snapshot root against pruning.  Best effort — it is
+                # already closed when finalize() itself failed.
+                self.isp.finalize_session(session.session_id)
+            except ReproError:
+                pass
             raise
         finally:
             vfs.drop_temp_files()
             if self.inter_cache is not None:
                 self.inter_cache.end_query()
-
-        exec_s = time.perf_counter() - started
-        if obs.ACTIVE:
-            obs.inc("client.query.count")
-            obs.observe("client.query.latency_s", exec_s)
-        net = self.transport.stats.delta_since(before_net)
-        stats = QueryStats(
-            exec_s=exec_s,
-            net_s=net.simulated_time_s,
-            page_requests=net.requests.get("page", 0),
-            check_requests=net.requests.get("check", 0),
-            meta_requests=net.requests.get("meta", 0),
-            vo_bytes=vo_bytes,
-            bytes_transferred=net.total_bytes(),
-            network=net,
-        )
-        return VerifiedResult(
-            columns=result.columns, rows=result.rows, stats=stats
-        )
 
     # ------------------------------------------------------------------
 
@@ -182,9 +216,6 @@ class QueryClient:
         self.transport.account(
             CATEGORY_CERT, 8, certificate.byte_size()
         )
-        if obs.ACTIVE:
-            obs.inc("client.cert.requests")
-            obs.add("client.net.bytes", 8 + certificate.byte_size())
         hit = False
         try:
             hit = certificate.verify_signature(self.pk_sgx, self._proven)

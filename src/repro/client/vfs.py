@@ -72,20 +72,22 @@ class ClientSession:
         self.transport = transport
         self.certificate = certificate
         self.mode = mode
-        # Pin the session to the certificate version validated in the
-        # initialize phase; an ISP that advanced in between must say so
-        # now, not fail the VO check later (matters under real RPC
-        # concurrency, where updates race with session setup).
-        self.session_id = isp.open_session(certificate.version)
+        if mode.uses_inter_cache and inter_cache is None:
+            raise ValueError(f"mode {mode} requires an inter-query cache")
         self.intra_cache = IntraQueryCache(cache_bytes)
         self.inter_cache = inter_cache
-        if mode.uses_inter_cache:
-            if inter_cache is None:
-                raise ValueError(f"mode {mode} requires an inter-query cache")
-            inter_cache.begin_query()
         self.vbf: Optional[VersionedBloomFilter] = (
             certificate.vbf() if mode is QueryMode.INTER_VBF else None
         )
+        # Pin the session to the certificate version validated in the
+        # initialize phase; an ISP that advanced in between must say so
+        # now, not fail the VO check later (matters under real RPC
+        # concurrency, where updates race with session setup).  Nothing
+        # below this line can fail, so an opened session always reaches
+        # the caller, who closes it.
+        self.session_id = isp.open_session(certificate.version)
+        if inter_cache is not None and mode.uses_inter_cache:
+            inter_cache.begin_query()
         # digsToVerify (Algorithm 4, line 9), split by claim kind.
         self.page_claims: Dict[PageKey, Digest] = {}
         self.node_claims: Dict[Tuple[str, int, int], Digest] = {}
@@ -105,9 +107,6 @@ class ClientSession:
             meta = self.isp.get_file_meta(self.session_id, path)
             request_bytes = len(path.encode())
             self.transport.account(CATEGORY_META, request_bytes, 17)
-            if obs.ACTIVE:
-                obs.inc("client.meta.requests")
-                obs.add("client.net.bytes", request_bytes + 17)
             self.used_metas[path] = meta
         return meta
 
@@ -138,9 +137,6 @@ class ClientSession:
         page = self.isp.get_page(self.session_id, path, page_id)
         request_bytes = len(path.encode()) + 8
         self.transport.account(CATEGORY_PAGE, request_bytes, PAGE_SIZE)
-        if obs.ACTIVE:
-            obs.inc("client.page.requests")
-            obs.add("client.net.bytes", request_bytes + PAGE_SIZE)
         self.page_claims[key] = hash_bytes(page)
         return page
 
@@ -179,13 +175,9 @@ class ClientSession:
         response = self.isp.validate_path(
             self.session_id, path, page_id, digs_path
         )
-        if obs.ACTIVE:
-            obs.inc("client.check.requests")
         if response[0] == "fresh":
             _, level, index, digest = response
             self.transport.account(CATEGORY_CHECK, request_bytes, 44)
-            if obs.ACTIVE:
-                obs.add("client.net.bytes", request_bytes + 44)
             expected = cache.known_digest(path, level, index, page_count)
             if expected != digest:
                 raise VerificationError(
@@ -197,8 +189,6 @@ class ClientSession:
             return entry.page
         _, page = response
         self.transport.account(CATEGORY_CHECK, request_bytes, PAGE_SIZE)
-        if obs.ACTIVE:
-            obs.add("client.net.bytes", request_bytes + PAGE_SIZE)
         self.page_claims[key] = hash_bytes(page)
         # repro: allow(verify-before-use) -- Algorithm 4 deferred
         # verification: the stale-path replacement page is recorded in
@@ -222,10 +212,6 @@ class ClientSession:
         vo = self.isp.finalize_session(self.session_id)
         vo_bytes = vo.byte_size()
         self.transport.account(CATEGORY_VO, 8, vo_bytes)
-        if obs.ACTIVE:
-            obs.inc("client.vo.requests")
-            obs.add("client.vo.bytes", vo_bytes)
-            obs.add("client.net.bytes", 8 + vo_bytes)
         try:
             established = V2fsAds.verify_read_proof(
                 vo, self.certificate.ads_root,

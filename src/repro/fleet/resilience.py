@@ -14,39 +14,28 @@ slow, dead, or partitioned:
   (a duplicate read to another endpoint) only when the primary has
   been slower than the observed p99 — so hedges are rare (~1% of
   reads) in a healthy fleet but fire quickly when a shard browns out.
-* :func:`hedged_call` — run a primary thunk, launch the hedge thunk
-  after a delay, return the first success.  Safe for V²FS reads by
-  construction: both answers came from sessions pinned to the same
+  The router spends it on a *tied request*: the primary read is capped
+  at the adaptive delay via the deadline machinery and the hedge is
+  issued inline on expiry (see
+  :meth:`~repro.fleet.router.FleetIsp.get_page`).  Safe for V²FS reads
+  by construction: both answers come from sessions pinned to the same
   certified version, and the client verifies whichever VO set arrives,
-  so a hedging mistake can only cost bytes, never correctness.  This
-  is the *thread-racing* variant — it spawns a worker per call, which
-  is too expensive for the router's per-page hot path; the router
-  instead runs a *tied request* (primary capped at the adaptive delay
-  via the deadline machinery, hedge issued inline on expiry, see
-  :meth:`~repro.fleet.router.FleetIsp.get_page`).
+  so a hedging mistake can only cost bytes, never correctness.
 * :func:`split_deadline` — deadline algebra for sequential fan-out:
   hand each of ``n`` remaining shards an equal slice of the remaining
   budget so one slow shard cannot starve the rest of the fan-out.
 
 Everything here fails typed (:mod:`repro.errors`) and within the
-caller's deadline; hedging never hides an error — if *both* arms fail,
-the primary's error propagates.
+caller's deadline.
 """
 
 from __future__ import annotations
 
-import queue
-import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import List, Optional, Tuple
 
-from repro.errors import ReproError, RpcTimeoutError
-from repro.obs import metrics as obs
 from repro.rpc.client import RemoteIsp
-from repro.rpc.deadline import Deadline, RetryBudget, remaining_or
-from repro.sanitize.runtime import SanThread
-
-T = TypeVar("T")
+from repro.rpc.deadline import Deadline, RetryBudget
 
 
 @dataclass
@@ -183,110 +172,8 @@ def split_deadline(
     return Deadline.after(deadline.remaining() / max(1, parts))
 
 
-def hedged_call(
-    primary: Callable[[], T],
-    hedge: Callable[[], T],
-    delay_s: float,
-    timeout_s: float,
-    deadline: Optional[Deadline] = None,
-) -> Tuple[T, bool]:
-    """First verified-able answer of a primary/hedge pair.
-
-    Runs ``primary`` in a worker thread; if no answer lands within
-    ``delay_s``, launches ``hedge`` and returns whichever arm succeeds
-    first (``(value, won_by_hedge)``).  Failure handling is strict:
-
-    * one arm fails, the other succeeds → the success wins (that *is*
-      the point of hedging);
-    * both fail → the **primary's** error propagates (the hedge was a
-      bonus attempt, not the authority on what went wrong);
-    * nothing answers within ``timeout_s`` (capped by ``deadline``) →
-      :class:`~repro.errors.RpcTimeoutError` — a hedged read can never
-      out-hang an unhedged one.
-
-    The worker threads only touch thread-safe endpoint handles (pooled
-    sockets), and a losing arm's late result is simply dropped — its
-    side effect is one extra read claim on a session that still gets
-    finalized and stitched, which the VO union absorbs.
-    """
-    results: "queue.Queue[Tuple[str, bool, object]]" = queue.Queue()
-
-    def run(fn: Callable[[], T], tag: str) -> None:
-        try:
-            results.put((tag, True, fn()))
-        except ReproError as error:
-            results.put((tag, False, error))
-
-    SanThread(
-        target=run, args=(primary, "primary"),
-        name="fleet-hedge-primary", daemon=True,
-    ).start()
-    budget = remaining_or(deadline, timeout_s)
-    started_hedge = False
-    try:
-        tag, ok, value = results.get(timeout=min(delay_s, budget))
-    except queue.Empty:
-        if obs.ACTIVE:
-            obs.inc("fleet.hedge.fired")
-        SanThread(
-            target=run, args=(hedge, "hedge"),
-            name="fleet-hedge-secondary", daemon=True,
-        ).start()
-        started_hedge = True
-        try:
-            tag, ok, value = results.get(
-                timeout=remaining_or(deadline, timeout_s)
-            )
-        except queue.Empty:
-            raise RpcTimeoutError(
-                f"hedged read produced no answer within {timeout_s}s"
-            )
-    if ok:
-        if tag == "hedge" and obs.ACTIVE:
-            obs.inc("fleet.hedge.won")
-        return value, tag == "hedge"  # type: ignore[return-value]
-    first_failure = (tag, value)
-    # The first arm failed; if a second arm is running, give it the
-    # rest of the budget to succeed.
-    if not started_hedge:
-        if obs.ACTIVE:
-            obs.inc("fleet.hedge.fired")
-        SanThread(
-            target=run, args=(hedge, "hedge"),
-            name="fleet-hedge-secondary", daemon=True,
-        ).start()
-    try:
-        tag, ok, value = results.get(
-            timeout=remaining_or(deadline, timeout_s)
-        )
-    except queue.Empty:
-        raise RpcTimeoutError(
-            f"hedged read produced no answer within {timeout_s}s"
-        )
-    if ok:
-        if tag == "hedge" and obs.ACTIVE:
-            obs.inc("fleet.hedge.won")
-        return value, tag == "hedge"  # type: ignore[return-value]
-    # Both arms failed: surface the primary's error.
-    for failed_tag, error in (first_failure, (tag, value)):
-        if failed_tag == "primary":
-            assert isinstance(error, ReproError)
-            raise error
-    assert isinstance(first_failure[1], ReproError)
-    raise first_failure[1]
-
-
-#: Helper for the router: elapsed wall-clock of one thunk.
-def timed_call(fn: Callable[[], T]) -> Tuple[T, float]:
-    start = time.monotonic()
-    value = fn()
-    return value, time.monotonic() - start
-
-
 __all__ = [
     "HedgePolicy",
     "ResilienceConfig",
-    "hedged_call",
     "split_deadline",
-    "timed_call",
 ]

@@ -499,11 +499,9 @@ class FleetIsp:
         delay (via the per-call deadline machinery, so the abandoned
         read fails typed and its socket is discarded, never reused
         desynced).  A read that outlives the cap is re-issued inline to
-        the hedge endpoint with the caller's remaining budget.  Unlike
-        thread-racing (:func:`~repro.fleet.resilience.hedged_call`)
-        this costs no thread spawn on the ~99% of reads that beat the
-        cap — the fault-free overhead budget is a few microseconds per
-        read.  A consistently-slow endpoint accumulates breaker
+        the hedge endpoint with the caller's remaining budget.  This
+        costs no thread spawn on the ~99% of reads that beat the cap —
+        the fault-free overhead budget is a few microseconds per read.  A consistently-slow endpoint accumulates breaker
         failures from its abandoned reads and starts failing fast,
         which is exactly the failover pressure we want.  The total
         elapsed time is observed either way, so a uniformly slow fleet

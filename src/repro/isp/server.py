@@ -28,7 +28,7 @@ from repro.crypto.hashing import Digest
 from repro.errors import NetworkError, ReproError, StorageError
 from repro.faults import registry as faults
 from repro.isp.sessions import registry_for_isp
-from repro.isp.vo import VOBuilder, build_batch
+from repro.isp.vo import VOBuilder
 from repro.merkle import page_tree
 from repro.merkle.ads import V2fsAds
 from repro.merkle.proof import AdsProof
@@ -194,6 +194,8 @@ class IspServer:
         """Return (exists, size, page_count) under the session snapshot."""
         return self._get_file_meta(self.ads, session_id, path)
 
+    # The three ``_op(ads, session_id, ...)`` seams below keep their
+    # names and argument positions: benchmarks/e2e/tracing.py wraps them.
     def _get_file_meta(
         self, ads: V2fsAds, session_id: int, path: str
     ) -> Tuple[bool, int, int]:
@@ -282,11 +284,11 @@ class IspServer:
         return vo
 
     # ------------------------------------------------------------------
-    # Batched service (shared-traversal snapshot reads)
+    # Batched service
     # ------------------------------------------------------------------
 
     #: Operations :meth:`serve_batch` accepts, by the public method they
-    #: mirror.  All are data-plane snapshot reads (plus finalize, which
+    #: name.  All are data-plane snapshot reads (plus finalize, which
     #: only *renders* reads); control-plane operations (open_session,
     #: get_certificate) never batch.
     BATCH_OPS = frozenset({
@@ -295,61 +297,26 @@ class IspServer:
 
     # repro: taint-source
     def serve_batch(self, items: List[Tuple[str, tuple]]) -> List[object]:
-        """Serve many decoded data-plane requests off one shared view.
+        """Serve many decoded data-plane requests in one call.
 
         ``items`` is a list of ``(op, args)`` pairs with ``op`` in
         :data:`BATCH_OPS` and ``args`` exactly the public method's
-        arguments.  Every read in the batch — page-tree walks, trie
-        lookups, and the VO renders of any ``finalize_session`` items —
-        goes through a single :meth:`~repro.merkle.ads.V2fsAds.read_view`,
-        so requests pinned to the same snapshot share each subtree fetch
-        (one Merkle traversal serves many requests).
+        arguments.  Each item *is* a call of that public method, so a
+        subclass's override (an ownership guard, a test adversary) holds
+        inside a batch exactly as outside it.
 
         Returns one result per item *in order*; an item that failed
         holds its :class:`~repro.errors.ReproError` instance instead, so
-        one bad request never poisons its batchmates.  Results and
-        rendered proof bytes are identical to calling the public methods
-        one at a time (the batching invariant; see
-        :func:`repro.isp.vo.build_batch`).
+        one bad request never poisons its batchmates.
         """
-        view = self.ads.read_view()
-        results: List[object] = [None] * len(items)
-        finals: List[Tuple[int, IspSession]] = []
-        for slot, (op, args) in enumerate(items):
+        results: List[object] = []
+        for op, args in items:
             try:
-                if op == "get_page":
-                    results[slot] = self._get_page(view, *args)
-                elif op == "get_file_meta":
-                    results[slot] = self._get_file_meta(view, *args)
-                elif op == "validate_path":
-                    results[slot] = self._validate_path(view, *args)
-                elif op == "finalize_session":
-                    session = self.sessions.remove(*args)
-                    if session is None:
-                        raise NetworkError(f"unknown session {args[0]}")
-                    finals.append((slot, session))
-                else:
+                if op not in self.BATCH_OPS:
                     raise NetworkError(f"unbatchable operation {op!r}")
+                results.append(getattr(self, op)(*args))
             except ReproError as error:
-                results[slot] = error
-        if finals:
-            builders = [session.vo for _, session in finals]
-            try:
-                proofs: List[object] = list(build_batch(builders, ads=view))
-            except ReproError:
-                # Isolate the failing session instead of failing the
-                # whole group: re-render one by one, capturing per-item.
-                proofs = []
-                for builder in builders:
-                    try:
-                        proofs.append(builder.build(view))
-                    except ReproError as error:
-                        proofs.append(error)
-            for (slot, _session), proof in zip(finals, proofs):
-                results[slot] = proof
-                if obs.ACTIVE and isinstance(proof, AdsProof):
-                    obs.observe("isp.vo.bytes", proof.byte_size())
+                results.append(error)
         if obs.ACTIVE:
             obs.add("isp.batch.requests", len(items))
-            obs.add("isp.batch.node_hits", view.store.hits)
         return results

@@ -15,7 +15,7 @@ claims and renders them into one :class:`~repro.merkle.proof.AdsProof`:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Set, Tuple
 
 from repro.crypto.hashing import Digest
 from repro.merkle.ads import V2fsAds
@@ -44,21 +44,12 @@ class VOBuilder:
     def add_file(self, path: str) -> None:
         self.touched_files.add(path)
 
-    def build(self, ads: Optional[V2fsAds] = None) -> AdsProof:
-        """Render the consolidated VO.
-
-        ``ads`` lets the batched serving path substitute a shared
-        :meth:`~repro.merkle.ads.V2fsAds.read_view` of the same ADS, so
-        many sessions' VOs are rendered off one traversal cache.  The
-        view runs the identical proof algorithms, so the rendered bytes
-        do not depend on which facade was used.
-        """
-        if ads is None:
-            ads = self._ads
+    def build(self) -> AdsProof:
+        """Render the consolidated VO."""
         if obs.ACTIVE:
             obs.observe("isp.vo.pages", len(self.page_keys))
             obs.observe("isp.vo.nodes", len(self.node_keys))
-        proof = ads.gen_read_proof(
+        proof = self._ads.gen_read_proof(
             self._root, sorted(self.page_keys), sorted(self.node_keys)
         )
         # Files touched only through metadata (or fully VBF-fresh caches)
@@ -75,40 +66,7 @@ class VOBuilder:
                 | self.touched_files
             )
             proof = AdsProof(
-                trie=gen_trie_proof(ads.store, self._root, all_files),
+                trie=gen_trie_proof(self._ads.store, self._root, all_files),
                 files=proof.files,
             )
         return proof
-
-
-def build_batch(
-    builders: List[VOBuilder],
-    ads: Optional[V2fsAds] = None,
-) -> List[AdsProof]:
-    """Render many sessions' consolidated VOs with shared subtree reads.
-
-    Groups the builders by their underlying ADS and renders each group
-    through one :meth:`~repro.merkle.ads.V2fsAds.read_view`, so sessions
-    pinned to the same snapshot (the common case under concurrent load:
-    every in-flight query holds the current certificate's root) fetch
-    each shared trie/page-tree node once instead of once per session.
-    Pass ``ads`` to reuse a view the caller already holds — e.g. the
-    batch view :meth:`~repro.isp.server.IspServer.serve_batch` serves
-    page reads from — and the VO traversals join its memo too.
-
-    **Batching invariant:** the returned proofs are byte-identical to
-    calling ``builder.build()`` on each builder unbatched; the memo only
-    deduplicates store fetches, never alters traversal or encoding
-    order.  ``tests/test_serve.py`` and the CI ``serve`` job gate this.
-    """
-    if ads is not None:
-        return [builder.build(ads) for builder in builders]
-    views: Dict[int, V2fsAds] = {}
-    proofs: List[AdsProof] = []
-    for builder in builders:
-        view = views.get(id(builder._ads))
-        if view is None:
-            view = builder._ads.read_view()
-            views[id(builder._ads)] = view
-        proofs.append(builder.build(view))
-    return proofs

@@ -39,7 +39,6 @@ from repro.merkle.node_store import (
     FileNode,
     NodeStore,
     PageData,
-    ReadCachingStore,
 )
 from repro.merkle.proof import (
     AdsProof,
@@ -68,24 +67,6 @@ class V2fsAds:
     def __init__(self, store: Optional[NodeStore] = None) -> None:
         self.store = store if store is not None else NodeStore()
         self.root = path_trie.empty_root(self.store)
-
-    def read_view(self) -> "V2fsAds":
-        """A facade sharing this ADS through one read-memoizing store.
-
-        Every read issued through the view (page fetches, trie walks,
-        proof generation) is served through a single
-        :class:`~repro.merkle.node_store.ReadCachingStore`, so a batch
-        of requests pinned to the same snapshot shares subtree
-        traversals.  The algorithms are byte-for-byte the ones the
-        un-viewed ADS runs — the memo only short-circuits repeat
-        ``get`` calls — so any proof generated through a view is
-        identical to the unbatched proof.  Views are cheap; create one
-        per batch and drop it.
-        """
-        view = V2fsAds.__new__(V2fsAds)
-        view.store = ReadCachingStore(self.store)
-        view.root = self.root
-        return view
 
     # ------------------------------------------------------------------
     # Snapshot reads

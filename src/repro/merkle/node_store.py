@@ -210,63 +210,3 @@ class NodeStore:
         for digest in dead:
             del self._nodes[digest]
         return len(dead)
-
-
-class ReadCachingStore(NodeStore):
-    """A read-through memo over another store for one batch of reads.
-
-    Nodes are content-addressed and immutable, so a digest→node memo can
-    never serve a stale answer: whatever ``get`` returned once is what
-    the backing store will return forever.  The batched serving path
-    (:meth:`repro.isp.server.IspServer.serve_batch`) wraps one of these
-    around the ISP's store for the duration of a batch, so concurrent
-    requests pinned to the same snapshot share every Merkle subtree
-    traversal instead of re-fetching it per request.
-
-    Writes pass straight through (content-addressed puts are idempotent)
-    and are also memoized, matching the backing store's read-your-write
-    behaviour.  The wrapper is *not* a long-lived cache — it is created
-    per batch and dropped with it, so pruning in the backing store never
-    has to invalidate anything here.
-    """
-
-    def __init__(self, backing: NodeStore) -> None:
-        self._backing = backing
-        self._cache: Dict[Digest, Node] = {}
-        #: Reads served from the memo (shared traversals saved).
-        self.hits = 0
-        #: Reads that fell through to the backing store.
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._backing)
-
-    def __contains__(self, digest: Digest) -> bool:
-        return digest in self._cache or digest in self._backing
-
-    def put(self, node: Node) -> Digest:
-        digest = self._backing.put(node)
-        self._cache[digest] = node
-        return digest
-
-    def sync(self) -> None:
-        self._backing.sync()
-
-    def get(self, digest: Digest) -> Node:
-        node = self._cache.get(digest)
-        if node is not None:
-            self.hits += 1
-            return node
-        node = self._backing.get(digest)
-        self._cache[digest] = node
-        self.misses += 1
-        return node
-
-    def reachable(self, roots: Iterable[Digest]) -> Set[Digest]:
-        return self._backing.reachable(roots)
-
-    def prune(self, live_roots: Iterable[Digest]) -> int:
-        raise StorageError(
-            "ReadCachingStore is a per-batch view; prune the backing "
-            "store instead"
-        )

@@ -126,11 +126,11 @@ SCOPES: Dict[str, str] = {
     "isp.vo.nodes":
         "Internal-node claims covered per consolidated VO (histogram).",
     "isp.batch.requests":
-        "Data-plane requests served through the shared-traversal batch "
-        "path (IspServer.serve_batch).",
+        "Data-plane requests served through IspServer.serve_batch "
+        "(requests that arrived in the same server tick).",
     "isp.batch.node_hits":
-        "Node-store reads served from a batch's shared traversal memo "
-        "— fetches saved versus serving each request unbatched.",
+        "Always 0: the per-batch node memo that fed it is gone.  Kept "
+        "declared because benchmarks/e2e/layers.py reads it by name.",
     # -- Merkle ADS + node store (repro/merkle/) -----------------------
     "ads.proof.read":
         "Read proofs generated by the ADS.",

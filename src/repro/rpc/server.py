@@ -547,10 +547,9 @@ class RpcIspServer:
 
     #: The data-plane kinds — page and proof service.  They model
     #: storage service time (what a real shard spends I/O on), and they
-    #: are the ones ``isp.serve_batch`` accepts: snapshot reads whose
-    #: proofs can share a read-view (control-plane kinds — open_session,
-    #: certificate, bootstrap — touch state the batch view does not
-    #: cover).
+    #: are the ones ``isp.serve_batch`` accepts: session-pinned snapshot
+    #: reads (control-plane kinds — open_session, certificate, bootstrap
+    #: — are served one at a time).
     _DATA_SERVICE_KINDS = frozenset(
         kind for kind, (method, _encoder) in _ISP_OPS.items()
         if method in IspServer.BATCH_OPS
@@ -587,12 +586,11 @@ class RpcIspServer:
 
         One spindle pass charges the whole group (one seek amortized
         over the coalesced reads rather than n independent seeks), one
-        dispatch-lock hold and one ``isp.serve_batch`` call serve it off
-        a single snapshot read-view whose node cache shares Merkle
-        subtree reads — while every request still gets its own response,
-        byte-identical to the unbatched one (gated by tests and the CI
-        ``serve`` job).  Deadlines are re-checked per request at the
-        same two points as the single path.
+        dispatch-lock hold and one ``isp.serve_batch`` call serve it —
+        while every request still gets its own response, byte-identical
+        to the unbatched one (gated by tests and the CI ``serve`` job).
+        Deadlines are re-checked per request at the same two points as
+        the single path.
         """
         if self.service_delay_s:
             batch = self._unexpired(batch, responses)

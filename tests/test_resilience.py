@@ -20,7 +20,7 @@ from repro.errors import (
     RpcConnectionError,
 )
 from repro.faults import netsplit
-from repro.fleet.resilience import HedgePolicy, hedged_call, split_deadline
+from repro.fleet.resilience import HedgePolicy, split_deadline
 from repro.isp.server import IspServer
 from repro.rpc import codec
 from repro.rpc.client import RemoteIsp
@@ -308,48 +308,3 @@ class TestHedgePolicy:
         for _ in range(4):  # old samples fully displaced
             policy.observe(0.002)
         assert policy.delay_s() == pytest.approx(0.002)
-
-
-class TestHedgedCall:
-    def test_fast_primary_wins_without_hedging(self):
-        hedge_ran = []
-        value, hedged = hedged_call(
-            lambda: "primary",
-            lambda: hedge_ran.append(True) or "hedge",
-            delay_s=0.5,
-            timeout_s=2.0,
-        )
-        assert (value, hedged) == ("primary", False)
-        assert not hedge_ran
-
-    def test_slow_primary_loses_to_the_hedge(self):
-        def slow_primary():
-            time.sleep(0.5)
-            return "primary"
-
-        value, hedged = hedged_call(
-            slow_primary, lambda: "hedge", delay_s=0.02, timeout_s=2.0
-        )
-        assert (value, hedged) == ("hedge", True)
-
-    def test_failed_primary_falls_over_to_the_hedge(self):
-        def failing_primary():
-            raise RpcConnectionError("primary died")
-
-        value, hedged = hedged_call(
-            failing_primary, lambda: "hedge", delay_s=0.5, timeout_s=2.0
-        )
-        assert (value, hedged) == ("hedge", True)
-
-    def test_both_arms_failing_surfaces_the_primary_error(self):
-        def failing_primary():
-            raise RpcConnectionError("primary died")
-
-        def failing_hedge():
-            raise OverloadedError("hedge shed")
-
-        with pytest.raises(RpcConnectionError, match="primary died"):
-            hedged_call(
-                failing_primary, failing_hedge, delay_s=0.01,
-                timeout_s=2.0,
-            )

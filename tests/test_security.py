@@ -17,6 +17,7 @@ from repro.core.system import SystemConfig, V2FSSystem
 from repro.crypto.signature import KeyPair, Signature, sign
 from repro.errors import (
     CertificateError,
+    NetworkError,
     ProofError,
     ReproError,
     VerificationError,
@@ -54,7 +55,9 @@ class WithholdingIsp(IspServer):
     def finalize_session(self, session_id):
         from repro.merkle.proof import AdsProof, gen_trie_proof
 
-        session = self._sessions.pop(session_id)
+        session = self._sessions.pop(session_id, None)
+        if session is None:  # closed already, as the honest ISP says it
+            raise NetworkError(f"unknown session {session_id}")
         return AdsProof(
             trie=gen_trie_proof(self.ads.store, session.root, [])
         )
@@ -405,15 +408,15 @@ class TestCertificateMemo:
 
 class FlippingIsp(IspServer):
     """Honest until told otherwise: serves ``flip = (path, page_id)``
-    with one byte changed, on the single and the batched page path."""
+    with one byte changed."""
 
     flip = None
     #: Inside the first entries of the node, so the *decoded* content
     #: differs (or the parse fails), not just the page checksum.
     OFFSET = 40
 
-    def _get_page(self, ads, session_id, path, page_id):
-        page = super()._get_page(ads, session_id, path, page_id)
+    def get_page(self, session_id, path, page_id):
+        page = super().get_page(session_id, path, page_id)
         if (path, page_id) == self.flip:
             changed = page[self.OFFSET] ^ 0x01
             return (page[:self.OFFSET] + bytes([changed])
@@ -496,6 +499,43 @@ class TestNodeMemo:
                     assert isinstance(key, tuple)
                     assert isinstance(value, bytes)
             assert client.query(self.SUM).rows == expected
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+class TestFailedQueryClosesItsSession:
+    """An ISP session pins its snapshot root against pruning, so a
+    client whose query fails must still close the one it opened."""
+
+    BAD_SQL = "SELECT * FROM no_such_table"
+
+    def test_failed_queries_leave_no_session_behind(self, path):
+        system = build_system(2)
+        with client_of(system, path) as client:
+            for _ in range(3):
+                with pytest.raises(ReproError):
+                    client.query(self.BAD_SQL)
+            assert len(system.isp.sessions) == 0
+            assert client.query(SQL).rows  # and the client still works
+        assert len(system.isp.sessions) == 0
+
+    def test_rejected_answer_leaves_no_session_behind(self, path):
+        """finalize() itself failed, so the session is already closed
+        when the client tries to: that error is not the one raised."""
+        system = swap_isp(build_system(2), TamperingIsp)
+        with client_of(system, path, QueryMode.BASELINE) as client:
+            with pytest.raises(VerificationError):
+                client.query(SQL)
+        assert len(system.isp.sessions) == 0
+
+    def test_failed_querys_root_is_pruned(self, path):
+        system = build_system(2)
+        with client_of(system, path) as client:
+            with pytest.raises(ReproError):
+                client.query(self.BAD_SQL)
+        failed_root = system.isp.root
+        for _ in range(2):
+            system.advance_block("eth")
+        assert failed_root not in system.isp.ads.store
 
 
 class TestMaliciousCiStorage:

@@ -8,10 +8,11 @@ server:
 * pipelining semantics — responses are correlated by frame id, may
   arrive out of order, and a slow request does not head-of-line-block
   its connection;
-* batching — proofs generated through the per-tick batch path are
-  byte-identical to unbatched ones, both at the ISP surface and end to
-  end over the wire, and a batched request is refused (crash probe,
-  deadline expiry) exactly like a lone one;
+* batching — a batch is the public ISP methods called in order:
+  results, errors, store reads and proof bytes equal the one-at-a-time
+  ones at the ISP surface and end to end over the wire, and a batched
+  request is refused (crash probe, deadline expiry) exactly like a lone
+  one;
 * the concurrent chaos campaign runs against the event-loop server with
   the sanitizer armed.
 
@@ -28,9 +29,16 @@ import pytest
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
-from repro.errors import DeadlineExceededError, ReproError
+from repro.errors import (
+    DeadlineExceededError,
+    FleetError,
+    NetworkError,
+    ReproError,
+)
 from repro.faults import registry as faults
-from repro.isp.vo import build_batch
+from repro.fleet.partition import HashPartitioner
+from repro.fleet.shard import ShardIsp
+from repro.isp.server import IspServer
 from repro.rpc import RemoteIsp, codec, connect_client
 from repro.rpc.server import RpcIspServer, serve_system
 from repro.obs import metrics as obs
@@ -250,6 +258,14 @@ class TestBatching:
         ops.append(("finalize_session", (session,)))
         return session, ops
 
+    @staticmethod
+    def _shard():
+        """Shard 0 of a hash-partitioned pair, at the certified state."""
+        system = build_system()
+        shard = ShardIsp(0, HashPartitioner(2).shard_for)
+        shard.sync_update(*system.certified_state())
+        return system, shard
+
     def test_serve_batch_voes_byte_identical(self):
         """serve_batch proofs == one-by-one proofs, byte for byte."""
         results = []
@@ -274,29 +290,103 @@ class TestBatching:
         assert unbatched[:-1] == batched[:-1]  # metas and pages
         assert unbatched[-1].encode() == batched[-1].encode()  # the VO
 
-    def test_build_batch_matches_individual_builds(self):
-        """Unit-level: VOs rendered through one shared read-view are
-        byte-identical to independently rendered ones."""
-        from repro.isp.vo import VOBuilder
-        from repro.merkle.ads import V2fsAds
+    def test_finalize_reads_the_same_nodes_alone_and_batched(self):
+        """A lone finalize_session and one inside a batch are the same
+        call: the same store.get digests in the same order."""
+        isp = build_system().isp
+        fetched = []
+        honest_get = isp.ads.store.get
 
-        ads = V2fsAds()
-        root = ads.apply_writes(
-            ads.root,
-            {f"/f{i}": {j: b"p%d-%d" % (i, j) for j in range(4)}
-             for i in range(3)},
-            {f"/f{i}": 4 * 4096 for i in range(3)},
+        def recording_get(digest):
+            fetched.append(digest)
+            return honest_get(digest)
+
+        isp.ads.store.get = recording_get
+        sequences = []
+        for batched in (False, True):
+            session, ops = self._session_ops(isp)
+            isp.serve_batch(ops[:-1])
+            del fetched[:]
+            if batched:
+                [vo] = isp.serve_batch(ops[-1:])
+            else:
+                vo = isp.finalize_session(session)
+            sequences.append((list(fetched), vo.encode()))
+        assert sequences[0][0]  # the render does read the store
+        assert sequences[0] == sequences[1]
+
+    def test_bad_items_fill_their_own_slot_only(self):
+        """An unknown session, an unbatchable op and a page the shard
+        does not own each fail in place; their batchmates' results and
+        VO bytes are those of the clean sequential run."""
+        _, shard = self._shard()
+        pages = [
+            (path, 0) for path in shard.ads.list_files(shard.root)
+        ]
+        foreign = next(key for key in pages if not shard.owns(*key))
+        owned = [key for key in pages if shard.owns(*key)][:3]
+
+        def session_ops():
+            session = shard.open_session()
+            ops = []
+            for path, page_id in owned:
+                ops.append(("get_file_meta", (session, path)))
+                ops.append(("get_page", (session, path, page_id)))
+            ops.append(("finalize_session", (session,)))
+            return session, ops
+
+        _, ops = session_ops()
+        expected = [getattr(shard, op)(*args) for op, args in ops]
+        session, ops = session_ops()
+        bad = [
+            ("get_page", (10**9, *owned[0])),
+            ("open_session", (None,)),
+            ("get_page", (session, *foreign)),
+            ("validate_path", (session, *foreign, [])),
+        ]
+        mixed = ops[:2] + bad[:2] + ops[2:4] + bad[2:] + ops[4:]
+        results = shard.serve_batch(mixed)
+        good = [r for r in results if not isinstance(r, ReproError)]
+        errors = [r for r in results if isinstance(r, ReproError)]
+        assert [results.index(e) for e in errors] == [2, 3, 6, 7]
+        assert [type(e) for e in errors] == [
+            NetworkError, NetworkError, FleetError, FleetError,
+        ]
+        assert "unbatchable" in str(errors[1])
+        assert len(shard.sessions) == 0  # open_session did not run
+        assert good[:-1] == expected[:-1]
+        assert good[-1].encode() == expected[-1].encode()
+
+    def test_overridden_public_methods_hold_inside_a_batch(self):
+        """serve_batch calls the public methods, so what a subclass
+        puts there — a shard's ownership guard, a test adversary — is
+        what a batched request gets, error type and text included."""
+        system, shard = self._shard()
+        path, page_id = next(
+            (path, 0) for path in shard.ads.list_files(shard.root)
+            if not shard.owns(path, 0)
         )
-        builders = []
-        for i in range(3):
-            builder = VOBuilder(ads, root)
-            builder.add_page(f"/f{i}", 0)
-            builder.add_page(f"/f{(i + 1) % 3}", 2)
-            builder.add_file(f"/f{(i + 2) % 3}")
-            builders.append(builder)
-        solo = [builder.build() for builder in builders]
-        grouped = build_batch(builders)
-        assert [p.encode() for p in solo] == [p.encode() for p in grouped]
+        session = shard.open_session()
+        for op, args in (
+            ("get_page", (session, path, page_id)),
+            ("validate_path", (session, path, page_id, [])),
+        ):
+            with pytest.raises(FleetError, match="does not own") as solo:
+                getattr(shard, op)(*args)
+            [batched] = shard.serve_batch([(op, args)])
+            assert type(batched) is FleetError
+            assert str(batched) == str(solo.value)
+
+        class ZeroingIsp(IspServer):
+            def get_page(self, session_id, path, page_id):
+                return bytes(len(super().get_page(session_id, path, page_id)))
+
+        isp = ZeroingIsp()
+        isp.sync_update(*system.certified_state())
+        path = isp.ads.list_files(isp.root)[0]
+        session = isp.open_session()
+        [page] = isp.serve_batch([("get_page", (session, path, 0))])
+        assert page == isp.get_page(session, path, 0) == bytes(len(page))
 
     def test_wire_vo_identical_threaded_vs_async(self):
         """End to end: the VO served through the batching event-loop
