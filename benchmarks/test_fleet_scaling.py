@@ -22,7 +22,6 @@ import time
 
 from conftest import run_once, save_bench
 
-from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.fleet.lifecycle import Fleet
@@ -54,14 +53,7 @@ def _setup():
 
 
 def _client(system, host, port):
-    return QueryClient(
-        isp=RemoteIsp(host, port),
-        chains=system.chains,
-        attestation_report=system.attestation_report,
-        attestation_root=system.attestation.root_public_key,
-        expected_measurement=system.ci.enclave.measurement,
-        mode=QueryMode.BASELINE,
-    )
+    return system.make_client(QueryMode.BASELINE, isp=RemoteIsp(host, port))
 
 
 def _drive(system, fleet, queries):

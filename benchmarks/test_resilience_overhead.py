@@ -31,7 +31,6 @@ import statistics
 import pytest
 from conftest import measure_paired, run_once, run_queries, save_bench
 
-from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.fleet.lifecycle import Fleet
@@ -69,13 +68,9 @@ def _setup():
 
 
 def _client(system, host, port, deadline_s=None):
-    return QueryClient(
+    return system.make_client(
+        QueryMode.BASELINE,  # no cache: every page crosses the wire
         isp=RemoteIsp(host, port, default_deadline_s=deadline_s),
-        chains=system.chains,
-        attestation_report=system.attestation_report,
-        attestation_root=system.attestation.root_public_key,
-        expected_measurement=system.ci.enclave.measurement,
-        mode=QueryMode.BASELINE,  # no cache: every page crosses the wire
     )
 
 

@@ -11,7 +11,6 @@ RPC overhead.
 
 from conftest import run_once, run_queries, save_bench
 
-from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.rpc import RemoteIsp, serve_system
@@ -46,13 +45,8 @@ def test_rpc_overhead(benchmark, save_result):
     server = serve_system(system)
     with server:
         host, port = server.address
-        remote_client = QueryClient(
-            isp=RemoteIsp(host, port),
-            chains=system.chains,
-            attestation_report=system.attestation_report,
-            attestation_root=system.attestation.root_public_key,
-            expected_measurement=system.ci.enclave.measurement,
-            mode=QueryMode.INTER_VBF,
+        remote_client = system.make_client(
+            QueryMode.INTER_VBF, isp=RemoteIsp(host, port)
         )
         loopback_s, remote_rows = run_once(
             benchmark,

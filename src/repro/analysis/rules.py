@@ -225,7 +225,9 @@ class ProofDeterminismRule(Rule):
         "the same bytes on every machine"
     )
 
-    SCOPE = ("repro.merkle.proof", "repro.isp.vo", "repro.rpc.codec")
+    SCOPE = (
+        "repro.merkle.proof", "repro.isp.vo", "repro.rpc.codec", "repro.wire",
+    )
 
     _BANNED_MODULES = ("time", "random", "secrets")
     _BANNED_CALLS = {"os.urandom", "uuid.uuid4", "uuid.uuid1"}

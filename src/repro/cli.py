@@ -24,9 +24,10 @@ Four commands cover the zero-to-aha path:
   :mod:`repro.sanitize` runtime armed and fail on any data-race or
   lock-order report.
 
-``serve`` and ``chaos`` accept ``--fault-schedule``/``--fault-seed`` to
+``serve`` and ``fleet`` accept ``--fault-schedule``/``--fault-seed`` to
 arm named failpoints (e.g.
-``--fault-schedule 'rpc.server.drop=raise@p:0.1'``).  ``query``,
+``--fault-schedule 'rpc.server.drop=raise@p:0.1'``); ``chaos`` takes the
+schedule only, because each chaos seed reseeds the registry.  ``query``,
 ``serve``, ``chaos``, ``experiment``, and ``metrics`` accept
 ``--metrics-out FILE`` to export the process-wide metrics registry as
 JSON on exit.
@@ -534,9 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "promote-lag"],
                        help="focus the fleet layer on one named "
                             "failure-domain scenario")
-    chaos.add_argument("--fault-seed", type=int, default=0,
-                       help="unused by chaos (the chaos seed reseeds "
-                            "the registry); kept for flag symmetry")
     chaos.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write the metrics registry as JSON on exit")
     chaos.set_defaults(handler=cmd_chaos)

@@ -247,9 +247,12 @@ class V2FSSystem:
         self,
         mode: QueryMode = QueryMode.INTER_VBF,
         cache_bytes: int = 1 << 30,
+        isp=None,
     ) -> QueryClient:
+        """A verifying client of this system's chains and enclave,
+        querying ``isp`` (default: the system's own ISP)."""
         return QueryClient(
-            isp=self.isp,
+            isp=self.isp if isp is None else isp,
             chains=self.chains,
             attestation_report=self.attestation_report,
             attestation_root=self.attestation.root_public_key,

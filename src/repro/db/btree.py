@@ -38,7 +38,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 from repro.db.pager import PAGE_CONTENT_SIZE, Pager
 from repro.db.record import decode_record, encode_record
 from repro.db.types import SqlValue, sort_key
-from repro.errors import SQLExecutionError, SQLTypeError, StorageError
+from repro.errors import SQLExecutionError, StorageError
 from repro.obs import metrics as obs
 
 Key = Sequence[SqlValue]
@@ -154,8 +154,7 @@ def _parse_node(raw: bytes) -> Tuple[int, int, List[List[SqlValue]], list]:
                     "corrupt B+Tree node (entry runs past the page content)"
                 )
             keys.append(key)
-    except (struct.error, IndexError, UnicodeDecodeError,
-            SQLTypeError) as error:
+    except struct.error as error:
         raise StorageError(f"corrupt B+Tree node ({error})") from error
     return kind, first, keys, payloads
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
-from repro.errors import SQLCatalogError
+from repro.errors import SQLCatalogError, StorageError
 from repro.vfs.interface import VirtualFilesystem
 
 
@@ -109,17 +109,25 @@ class Catalog:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "Catalog":
+    def from_json(cls, text: Union[str, bytes]) -> "Catalog":
+        """Parse a catalog document (``bytes`` are decoded as UTF-8).
+
+        The catalog file reaches this parser *before* the client has
+        verified it, so anything malformed raises :class:`StorageError`.
+        """
         catalog = cls()
-        doc = json.loads(text)
-        for entry in doc.get("tables", []):
-            table = TableInfo(
-                name=entry["name"],
-                columns=[tuple(pair) for pair in entry["columns"]],
-                file_path=entry["file_path"],
-                indexes=[IndexInfo(**idx) for idx in entry["indexes"]],
-            )
-            catalog.tables[table.name] = table
+        try:
+            for entry in json.loads(text).get("tables", []):
+                table = TableInfo(
+                    name=entry["name"],
+                    columns=[tuple(pair) for pair in entry["columns"]],
+                    file_path=entry["file_path"],
+                    indexes=[IndexInfo(**idx) for idx in entry["indexes"]],
+                )
+                catalog.tables[table.name] = table
+        except (ValueError, KeyError, TypeError, AttributeError,
+                RecursionError) as error:
+            raise StorageError(f"corrupt catalog ({error!r})") from error
         return catalog
 
     def save(self, vfs: VirtualFilesystem, path: str) -> None:
@@ -136,4 +144,9 @@ class Catalog:
                 return cls()
             (length,) = struct.unpack(">Q", header)
             raw = handle.read(length)
-        return cls.from_json(raw.decode("utf-8"))
+        if len(raw) != length:
+            raise StorageError(
+                f"corrupt catalog (header claims {length} bytes, "
+                f"file holds {len(raw)})"
+            )
+        return cls.from_json(raw)

@@ -22,7 +22,7 @@ import struct
 from typing import List, Tuple
 
 from repro.db.types import SqlValue
-from repro.errors import SQLTypeError
+from repro.errors import SQLTypeError, StorageError
 
 _TAG_NULL = 0
 _TAG_INT = 1
@@ -64,7 +64,7 @@ def decode_value(data: bytes, offset: int) -> Tuple[SqlValue, int]:
         (length,) = struct.unpack_from(">I", data, offset)
         offset += 4
         return data[offset:offset + length].decode("utf-8"), offset + length
-    raise SQLTypeError(f"unknown value tag {tag}")
+    raise StorageError(f"corrupt record (unknown value tag {tag})")
 
 
 def encode_record(values: List[SqlValue]) -> bytes:
@@ -81,11 +81,18 @@ def encode_record(values: List[SqlValue]) -> bytes:
 
 
 def decode_record(data: bytes, offset: int = 0) -> Tuple[List[SqlValue], int]:
-    """Decode one record at ``offset``; return (values, next offset)."""
-    (count,) = struct.unpack_from(">H", data, offset)
-    offset += 2
+    """Decode one record at ``offset``; return (values, next offset).
+
+    Records reach this decoder *before* the client has verified the page
+    they came from, so a malformed one raises :class:`StorageError`.
+    """
     values: List[SqlValue] = []
-    for _ in range(count):
-        value, offset = decode_value(data, offset)
-        values.append(value)
+    try:
+        (count,) = struct.unpack_from(">H", data, offset)
+        offset += 2
+        for _ in range(count):
+            value, offset = decode_value(data, offset)
+            values.append(value)
+    except (struct.error, IndexError, UnicodeDecodeError) as error:
+        raise StorageError(f"corrupt record ({error})") from error
     return values, offset

@@ -255,35 +255,13 @@ class SystemChaos:
     def isp(self):
         return self.system.isp
 
-    def _make_client(self, isp, mode=None):
-        from repro.client.query_client import QueryClient
-        from repro.client.vfs import QueryMode
-
-        return QueryClient(
-            isp=isp,
-            chains=self.system.chains,
-            attestation_report=self.system.attestation_report,
-            attestation_root=self.system.attestation.root_public_key,
-            expected_measurement=self.system.ci.enclave.measurement,
-            mode=mode if mode is not None else QueryMode.INTER_VBF,
-            cost_model=self.system.config.network,
-        )
-
     def _start_rpc(self) -> None:
         from repro.rpc.client import connect_client
         from repro.rpc.server import IspBootstrap, RpcIspServer
 
-        bootstrap = IspBootstrap(
-            report=self.system.attestation_report,
-            attestation_root=self.system.attestation.root_public_key,
-            measurement=self.system.ci.enclave.measurement,
-            chain_heads=lambda: {
-                chain_id: chain.latest_header()
-                for chain_id, chain in self.system.chains.items()
-                if len(chain)
-            },
+        server = RpcIspServer(
+            self.isp, bootstrap=IspBootstrap.for_system(self.system)
         )
-        server = RpcIspServer(self.isp, bootstrap=bootstrap)
         server.fault_stall_s = 0.5
         server.start()
         self._rpc_server = server
@@ -388,7 +366,7 @@ class SystemChaos:
 
     def _expected_rows(self, sql: str):
         with faults.suspended():
-            return self._make_client(self.oracle).query(sql).rows
+            return self.system.make_client(isp=self.oracle).query(sql).rows
 
     def _query(self) -> None:
         from repro.client.vfs import QueryMode
@@ -400,7 +378,7 @@ class SystemChaos:
                 result = self._remote_client.query(sql)
             else:
                 mode = self.rng.choice(list(QueryMode))
-                result = self._make_client(self.isp, mode).query(sql)
+                result = self.system.make_client(mode).query(sql)
         except ReproError as error:
             # An aborted query is acceptable under faults — a *wrong*
             # one never is.  Crashes are not: only _publish crashes.
@@ -445,7 +423,7 @@ class SystemChaos:
             # with the oracle on every pool query, on the published root.
             with faults.suspended():
                 assert self.isp.root == self.last_cert.ads_root
-                client = self._make_client(self.isp)
+                client = self.system.make_client()
                 for sql in self.QUERY_POOL:
                     assert client.query(sql).rows == self._expected_rows(sql)
         finally:
@@ -767,20 +745,6 @@ class FleetChaos:
 
     # -- helpers ----------------------------------------------------------
 
-    def _make_client(self, isp, mode=None):
-        from repro.client.query_client import QueryClient
-        from repro.client.vfs import QueryMode
-
-        return QueryClient(
-            isp=isp,
-            chains=self.system.chains,
-            attestation_report=self.system.attestation_report,
-            attestation_root=self.system.attestation.root_public_key,
-            expected_measurement=self.system.ci.enclave.measurement,
-            mode=mode if mode is not None else QueryMode.INTER_VBF,
-            cost_model=self.system.config.network,
-        )
-
     def _restart_down_shards(self) -> None:
         for shard_id in self.fleet.down_shards():
             with faults.suspended():
@@ -837,7 +801,7 @@ class FleetChaos:
 
     def _expected_rows(self, sql: str):
         with faults.suspended():
-            return self._make_client(self.oracle).query(sql).rows
+            return self.system.make_client(isp=self.oracle).query(sql).rows
 
     def _query(self) -> None:
         """One client query under faults: verified-or-typed-abort,

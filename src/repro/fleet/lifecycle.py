@@ -153,19 +153,6 @@ class Fleet:
     # Bootstrap
     # ------------------------------------------------------------------
 
-    def _bootstrap(self) -> IspBootstrap:
-        system = self.system
-        return IspBootstrap(
-            report=system.attestation_report,
-            attestation_root=system.attestation.root_public_key,
-            measurement=system.ci.enclave.measurement,
-            chain_heads=lambda: {
-                chain_id: chain.latest_header()
-                for chain_id, chain in system.chains.items()
-                if len(chain)
-            },
-        )
-
     def _catch_up(self) -> None:
         """Bring every shard to the system's current certified state.
 
@@ -234,7 +221,7 @@ class Fleet:
         if self._started:
             raise FleetError("fleet already started")
         self._catch_up()
-        bootstrap = self._bootstrap()
+        bootstrap = IspBootstrap.for_system(self.system)
         for shard_id, shard in self.shards.items():
             server = self.server_class(shard, self.host, 0)
             server.service_delay_s = self.service_delay_s

@@ -20,35 +20,25 @@ strategies:
   except at a ``\\x00``-nudged bound — locality at the cost of
   planning the split (:func:`plan_range_split`).
 
-The :class:`ShardMap` is the versioned, wire-encodable description of
-the whole fleet: strategy, boundary paths, and every shard's endpoints
-(primary plus read replicas).  The router hands it to any client that
-asks (``REQ_SHARD_MAP``), but nothing about it is trusted: routing a
-query to the wrong shard yields a typed error or a proof that fails
+The :class:`ShardMap` is the versioned description of the whole fleet:
+strategy, boundary paths, and every shard's endpoints (primary plus
+read replicas).  It is the router's own routing state, built by the
+lifecycle in the same process, and nothing about it is trusted: routing
+a query to the wrong shard yields a typed error or a proof that fails
 client verification — never wrong data.
 """
 
 from __future__ import annotations
 
 import bisect
-import io
-import struct
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from repro.crypto.hashing import hash_bytes
-from repro.errors import FleetError, WireFormatError
+from repro.errors import FleetError
 
 STRATEGY_HASH = "hash"
 STRATEGY_RANGE = "range"
-
-_STRATEGY_TAGS = {STRATEGY_HASH: 0, STRATEGY_RANGE: 1}
-_TAG_STRATEGIES = {tag: name for name, tag in _STRATEGY_TAGS.items()}
-
-#: Decoding bounds for untrusted shard-map encodings.
-_MAX_SHARDS = 4096
-_MAX_REPLICAS = 64
-_MAX_TEXT_BYTES = 4096
 
 #: An endpoint is a (host, port) pair.
 Endpoint = Tuple[str, int]
@@ -145,7 +135,7 @@ class ShardDesc:
 
 @dataclass(frozen=True)
 class ShardMap:
-    """The versioned fleet description served over ``REQ_SHARD_MAP``."""
+    """The versioned fleet description the router routes by."""
 
     version: int
     strategy: str
@@ -158,69 +148,6 @@ class ShardMap:
             self.strategy, len(self.shards), self.bounds
         )
 
-    # ------------------------------------------------------------------
-    # Wire encoding (self-contained; the rpc codec wraps it in a blob)
-    # ------------------------------------------------------------------
-
-    def encode(self) -> bytes:
-        buf = io.BytesIO()
-        if self.strategy not in _STRATEGY_TAGS:
-            raise WireFormatError(
-                f"unknown partition strategy {self.strategy!r}"
-            )
-        buf.write(struct.pack(">QB", self.version,
-                              _STRATEGY_TAGS[self.strategy]))
-        buf.write(struct.pack(">I", len(self.shards)))
-        for shard in self.shards:
-            buf.write(struct.pack(">I", shard.shard_id))
-            _write_endpoint(buf, shard.primary)
-            buf.write(struct.pack(">I", len(shard.replicas)))
-            for replica in shard.replicas:
-                _write_endpoint(buf, replica)
-        buf.write(struct.pack(">I", len(self.bounds)))
-        for bound in self.bounds:
-            _write_str(buf, bound)
-        return buf.getvalue()
-
-    @classmethod
-    # repro: taint-source
-    def decode(cls, data: bytes) -> "ShardMap":
-        buf = io.BytesIO(data)
-        version, tag = struct.unpack(">QB", _read_exact(buf, 9))
-        strategy = _TAG_STRATEGIES.get(tag)
-        if strategy is None:
-            raise WireFormatError(f"unknown strategy tag {tag}")
-        (n_shards,) = struct.unpack(">I", _read_exact(buf, 4))
-        if n_shards > _MAX_SHARDS:
-            raise WireFormatError(
-                f"shard map claims {n_shards} shards (bound exceeded)"
-            )
-        shards: List[ShardDesc] = []
-        for _ in range(n_shards):
-            (shard_id,) = struct.unpack(">I", _read_exact(buf, 4))
-            primary = _read_endpoint(buf)
-            (n_replicas,) = struct.unpack(">I", _read_exact(buf, 4))
-            if n_replicas > _MAX_REPLICAS:
-                raise WireFormatError(
-                    f"shard lists {n_replicas} replicas (bound exceeded)"
-                )
-            replicas = tuple(
-                _read_endpoint(buf) for _ in range(n_replicas)
-            )
-            shards.append(ShardDesc(shard_id, primary, replicas))
-        (n_bounds,) = struct.unpack(">I", _read_exact(buf, 4))
-        if n_bounds > _MAX_SHARDS:
-            raise WireFormatError(
-                f"shard map claims {n_bounds} bounds (bound exceeded)"
-            )
-        bounds = tuple(_read_str(buf) for _ in range(n_bounds))
-        if buf.read(1):
-            raise WireFormatError(
-                "trailing bytes after shard-map encoding"
-            )
-        return cls(version=version, strategy=strategy,
-                   shards=tuple(shards), bounds=bounds)
-
 
 def make_partitioner(
     strategy: str, shard_count: int, bounds: Sequence[str] = ()
@@ -231,47 +158,6 @@ def make_partitioner(
     if strategy == STRATEGY_RANGE:
         return RangePartitioner(shard_count, bounds).shard_for
     raise FleetError(f"unknown partition strategy {strategy!r}")
-
-
-def _read_exact(buf: io.BytesIO, count: int) -> bytes:
-    data = buf.read(count)
-    if len(data) != count:
-        raise WireFormatError("truncated shard-map encoding")
-    return data
-
-
-def _write_str(buf: io.BytesIO, text: str) -> None:
-    raw = text.encode("utf-8")
-    if len(raw) > _MAX_TEXT_BYTES:
-        raise WireFormatError(
-            f"string of {len(raw)} bytes exceeds bound"
-        )
-    buf.write(struct.pack(">H", len(raw)))
-    buf.write(raw)
-
-
-def _read_str(buf: io.BytesIO) -> str:
-    (length,) = struct.unpack(">H", _read_exact(buf, 2))
-    try:
-        return _read_exact(buf, length).decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise WireFormatError(
-            f"invalid UTF-8 in shard-map encoding: {error}"
-        )
-
-
-def _write_endpoint(buf: io.BytesIO, endpoint: Endpoint) -> None:
-    host, port = endpoint
-    _write_str(buf, host)
-    if not 0 <= port <= 0xFFFF:
-        raise WireFormatError(f"port {port} out of range")
-    buf.write(struct.pack(">H", port))
-
-
-def _read_endpoint(buf: io.BytesIO) -> Endpoint:
-    host = _read_str(buf)
-    (port,) = struct.unpack(">H", _read_exact(buf, 2))
-    return host, port
 
 
 __all__ = [

@@ -57,7 +57,6 @@ from repro.fleet.stitch import stitch_proofs
 from repro.isp.sessions import SessionRegistry
 from repro.merkle.proof import AdsProof
 from repro.obs import metrics as obs
-from repro.rpc import codec
 from repro.rpc.client import RemoteIsp
 from repro.rpc.deadline import Deadline
 from repro.rpc.server import RpcIspServer
@@ -714,8 +713,6 @@ class FleetRouterServer(RpcIspServer):
         args: tuple,
         deadline: Optional[Deadline] = None,
     ) -> bytes:
-        if kind == codec.REQ_SHARD_MAP:
-            return codec.encode_shard_map(self.isp.shard_map)
         if deadline is not None and kind in self._ISP_OPS:
             return self._dispatch(kind, args, deadline=deadline)
         return self._dispatch(kind, args)

@@ -25,7 +25,7 @@ the lifecycle feeds to this shard's replication log.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.crypto.hashing import Digest
 from repro.errors import FleetError
@@ -100,14 +100,4 @@ class ShardIsp(IspServer):
         return super().validate_path(session_id, path, page_id, digs_path)
 
 
-#: Convenience: build the ``shard_id -> ShardIsp`` set for a fleet.
-def make_shards(
-    shard_count: int, partitioner: Partitioner
-) -> Dict[int, ShardIsp]:
-    return {
-        shard_id: ShardIsp(shard_id, partitioner)
-        for shard_id in range(shard_count)
-    }
-
-
-__all__ = ["ShardIsp", "make_shards"]
+__all__ = ["ShardIsp"]

@@ -10,134 +10,23 @@ adopting the root.  No operation log, no ordering constraints within a
 delta, and dedup is free (re-inserting an existing node is a no-op).
 
 :class:`RecordingNodeStore` captures the "new nodes" set as a side
-effect of the primary's normal apply; :class:`NodeDelta` is the frozen,
-wire-encodable result.  The encoding is deterministic (nodes sorted by
-digest) and every field is bounds-checked on decode — a replica decodes
-it off an untrusted transport, so malformed input must raise
-:class:`~repro.errors.WireFormatError`, never crash.  Authenticity is
-*not* checked here: replicas serve clients that verify everything
-against the certificate, so a corrupt delta yields an unresolvable or
-unverifiable root, not wrong data.
+effect of the primary's normal apply; :class:`NodeDelta` is the frozen
+result.  It is an in-process object: the replication log hands it to
+replicas that live in the primary's process, so it has no byte encoding
+(a replica in another process would need one, decoded through
+:class:`repro.wire.Reader` like every other untrusted input).
+Authenticity is *not* checked here: replicas serve clients that verify
+everything against the certificate, so a corrupt delta yields an
+unresolvable or unverifiable root, not wrong data.
 """
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.crypto.hashing import DIGEST_SIZE, Digest
-from repro.errors import WireFormatError
-from repro.merkle.node_store import (
-    DirNode,
-    FileNode,
-    Node,
-    NodeStore,
-    PageData,
-    PairNode,
-)
-
-_TAG_PAIR = 0
-_TAG_PAGE = 1
-_TAG_DIR = 2
-_TAG_FILE = 3
-
-#: Decoding bounds: far above legitimate deltas at our scale, low
-#: enough that hostile counts cannot exhaust memory.
-_MAX_DELTA_NODES = 1_000_000
-_MAX_PAGE_BYTES = 1 << 20
-_MAX_DIR_CHILDREN = 1_000_000
-_MAX_SEGMENT_BYTES = 4096
-
-
-def _read_exact(buf: io.BytesIO, count: int) -> bytes:
-    data = buf.read(count)
-    if len(data) != count:
-        raise WireFormatError("truncated delta encoding")
-    return data
-
-
-def _write_str(buf: io.BytesIO, text: str) -> None:
-    raw = text.encode("utf-8")
-    if len(raw) > _MAX_SEGMENT_BYTES:
-        raise WireFormatError(
-            f"segment of {len(raw)} bytes exceeds bound"
-        )
-    buf.write(struct.pack(">H", len(raw)))
-    buf.write(raw)
-
-
-def _read_str(buf: io.BytesIO) -> str:
-    (length,) = struct.unpack(">H", _read_exact(buf, 2))
-    try:
-        return _read_exact(buf, length).decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise WireFormatError(
-            f"invalid UTF-8 in delta encoding: {error}"
-        )
-
-
-def _encode_node(buf: io.BytesIO, node: Node) -> None:
-    if isinstance(node, PairNode):
-        buf.write(bytes([_TAG_PAIR]))
-        buf.write(node.left)
-        buf.write(node.right)
-    elif isinstance(node, PageData):
-        if len(node.data) > _MAX_PAGE_BYTES:
-            raise WireFormatError(
-                f"page of {len(node.data)} bytes exceeds bound"
-            )
-        buf.write(bytes([_TAG_PAGE]))
-        buf.write(struct.pack(">I", len(node.data)))
-        buf.write(node.data)
-    elif isinstance(node, DirNode):
-        buf.write(bytes([_TAG_DIR]))
-        _write_str(buf, node.segment)
-        buf.write(struct.pack(">I", len(node.children)))
-        for name, child_digest in node.children:
-            _write_str(buf, name)
-            buf.write(child_digest)
-    elif isinstance(node, FileNode):
-        buf.write(bytes([_TAG_FILE]))
-        _write_str(buf, node.segment)
-        buf.write(node.tree_root)
-        buf.write(struct.pack(">QQ", node.size, node.page_count))
-    else:
-        raise WireFormatError(f"unknown node type {type(node).__name__}")
-
-
-def _decode_node(buf: io.BytesIO) -> Node:
-    tag = _read_exact(buf, 1)[0]
-    if tag == _TAG_PAIR:
-        left = _read_exact(buf, DIGEST_SIZE)
-        right = _read_exact(buf, DIGEST_SIZE)
-        return PairNode(left, right)
-    if tag == _TAG_PAGE:
-        (length,) = struct.unpack(">I", _read_exact(buf, 4))
-        if length > _MAX_PAGE_BYTES:
-            raise WireFormatError(
-                f"page length {length} exceeds bound"
-            )
-        return PageData(_read_exact(buf, length))
-    if tag == _TAG_DIR:
-        segment = _read_str(buf)
-        (count,) = struct.unpack(">I", _read_exact(buf, 4))
-        if count > _MAX_DIR_CHILDREN:
-            raise WireFormatError(
-                f"directory claims {count} children (bound exceeded)"
-            )
-        children = tuple(
-            (_read_str(buf), _read_exact(buf, DIGEST_SIZE))
-            for _ in range(count)
-        )
-        return DirNode(segment, children)
-    if tag == _TAG_FILE:
-        segment = _read_str(buf)
-        tree_root = _read_exact(buf, DIGEST_SIZE)
-        size, page_count = struct.unpack(">QQ", _read_exact(buf, 16))
-        return FileNode(segment, tree_root, size, page_count)
-    raise WireFormatError(f"unknown delta node tag {tag}")
+from repro.crypto.hashing import Digest
+from repro.merkle.node_store import Node, NodeStore
 
 
 @dataclass(frozen=True)
@@ -147,35 +36,6 @@ class NodeDelta:
     version: int
     root: Digest
     nodes: Tuple[Node, ...]
-
-    def encode(self) -> bytes:
-        buf = io.BytesIO()
-        buf.write(struct.pack(">Q", self.version))
-        buf.write(self.root)
-        ordered = sorted(self.nodes, key=lambda n: n.digest())
-        buf.write(struct.pack(">I", len(ordered)))
-        for node in ordered:
-            _encode_node(buf, node)
-        return buf.getvalue()
-
-    @classmethod
-    # repro: taint-source
-    def decode(cls, data: bytes) -> "NodeDelta":
-        buf = io.BytesIO(data)
-        (version,) = struct.unpack(">Q", _read_exact(buf, 8))
-        root = _read_exact(buf, DIGEST_SIZE)
-        (count,) = struct.unpack(">I", _read_exact(buf, 4))
-        if count > _MAX_DELTA_NODES:
-            raise WireFormatError(
-                f"delta claims {count} nodes (bound exceeded)"
-            )
-        nodes = tuple(_decode_node(buf) for _ in range(count))
-        if buf.read(1):
-            raise WireFormatError("trailing bytes after delta encoding")
-        return cls(version=version, root=root, nodes=nodes)
-
-    def byte_size(self) -> int:
-        return len(self.encode())
 
 
 class RecordingNodeStore(NodeStore):

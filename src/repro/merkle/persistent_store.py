@@ -21,7 +21,7 @@ import random
 import struct
 from typing import Dict, Iterable, Optional, Set
 
-from repro.crypto.hashing import Digest
+from repro.crypto.hashing import DIGEST_SIZE, Digest
 from repro.errors import StorageError
 from repro.faults import registry as faults
 from repro.faults.registry import InjectedFault, SimulatedCrash
@@ -36,6 +36,7 @@ from repro.merkle.node_store import (
 from repro.obs import metrics as obs
 from repro.sanitize import runtime as san
 from repro.sanitize.runtime import SanLock
+from repro.wire import Reader, Writer
 
 _KIND_PAIR = 1
 _KIND_PAGE = 2
@@ -76,55 +77,45 @@ def _encode_node(node: Node) -> "tuple[int, bytes]":
     if isinstance(node, PageData):
         return _KIND_PAGE, node.data
     if isinstance(node, DirNode):
-        parts = [struct.pack(">H", len(node.segment.encode("utf-8")))]
-        parts.append(node.segment.encode("utf-8"))
-        parts.append(struct.pack(">I", len(node.children)))
+        writer = Writer().short_text(node.segment).u32(len(node.children))
         for name, digest in node.children:
-            raw = name.encode("utf-8")
-            parts.append(struct.pack(">H", len(raw)))
-            parts.append(raw)
-            parts.append(digest)
-        return _KIND_DIR, b"".join(parts)
+            writer.short_text(name).digest(digest)
+        return _KIND_DIR, writer.payload()
     if isinstance(node, FileNode):
-        raw = node.segment.encode("utf-8")
         return _KIND_FILE, (
-            struct.pack(">H", len(raw)) + raw + node.tree_root
-            + struct.pack(">QQ", node.size, node.page_count)
+            Writer().short_text(node.segment).digest(node.tree_root)
+            .u64(node.size).u64(node.page_count).payload()
         )
     raise StorageError(f"unknown node type {type(node).__name__}")
 
 
 def _decode_node(kind: int, payload: bytes) -> Node:
-    if kind == _KIND_PAIR:
-        return PairNode(payload[:32], payload[32:64])
+    """Decode one record payload read back from disk.
+
+    The log is untrusted after a crash (or a bad disk): every
+    malformation raises :class:`StorageError`, so the caller's "content
+    hashes to its key" check is reached or pre-empted by a typed error.
+    """
     if kind == _KIND_PAGE:
         return PageData(payload)
-    if kind == _KIND_DIR:
-        (seg_len,) = struct.unpack_from(">H", payload, 0)
-        offset = 2
-        segment = payload[offset:offset + seg_len].decode("utf-8")
-        offset += seg_len
-        (count,) = struct.unpack_from(">I", payload, offset)
-        offset += 4
-        children = []
-        for _ in range(count):
-            (name_len,) = struct.unpack_from(">H", payload, offset)
-            offset += 2
-            name = payload[offset:offset + name_len].decode("utf-8")
-            offset += name_len
-            children.append((name, payload[offset:offset + 32]))
-            offset += 32
-        return DirNode(segment, tuple(children))
-    if kind == _KIND_FILE:
-        (seg_len,) = struct.unpack_from(">H", payload, 0)
-        offset = 2
-        segment = payload[offset:offset + seg_len].decode("utf-8")
-        offset += seg_len
-        tree_root = payload[offset:offset + 32]
-        offset += 32
-        size, page_count = struct.unpack_from(">QQ", payload, offset)
-        return FileNode(segment, tree_root, size, page_count)
-    raise StorageError(f"unknown node kind {kind}")
+    reader = Reader(payload, StorageError)
+    node: Node
+    if kind == _KIND_PAIR:
+        node = PairNode(reader.digest(), reader.digest())
+    elif kind == _KIND_DIR:
+        segment = reader.short_text()
+        node = DirNode(segment, tuple(
+            (reader.short_text(), reader.digest())
+            for _ in range(reader.count(2 + DIGEST_SIZE))
+        ))
+    elif kind == _KIND_FILE:
+        node = FileNode(
+            reader.short_text(), reader.digest(), reader.u64(), reader.u64()
+        )
+    else:
+        raise StorageError(f"unknown node kind {kind}")
+    reader.expect_end()
+    return node
 
 
 class PersistentNodeStore(NodeStore):
@@ -339,6 +330,10 @@ class PersistentNodeStore(NodeStore):
                 )
             self._log.seek(offset)
             header = self._log.read(_HEADER.size)
+            if len(header) != _HEADER.size:
+                raise StorageError(
+                    f"truncated node record for digest {digest.hex()[:16]}…"
+                )
             _, kind, length = _HEADER.unpack(header)
             node = _decode_node(kind, self._log.read(length))
             if node.digest() != digest:

@@ -19,8 +19,6 @@ size reported in the paper's Figures 11 and 16.
 
 from __future__ import annotations
 
-import io
-import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -29,6 +27,7 @@ from repro.errors import ProofError
 from repro.merkle.node_store import DirNode, FileNode, NodeStore
 from repro.merkle.page_tree import Position
 from repro.merkle.path_trie import join_path, split_path
+from repro.wire import Reader, Writer
 
 
 @dataclass
@@ -258,50 +257,39 @@ class AdsProof:
     )
 
     def encode(self) -> bytes:
-        buf = io.BytesIO()
-        _encode_trie(buf, self.trie)
-        buf.write(struct.pack(">I", len(self.files)))
+        writer = Writer()
+        _encode_trie(writer, self.trie)
+        writer.u32(len(self.files))
         for path in sorted(self.files):
-            _write_str(buf, path)
-            proof = self.files[path]
-            buf.write(struct.pack(">I", len(proof.siblings)))
-            for (level, index) in sorted(proof.siblings):
-                buf.write(struct.pack(">HQ", level, index))
-                buf.write(proof.siblings[(level, index)])
-        return buf.getvalue()
+            siblings = self.files[path].siblings
+            writer.short_text(path).u32(len(siblings))
+            for level, index in sorted(siblings):
+                writer.u16(level).u64(index).digest(siblings[(level, index)])
+        return writer.payload()
 
     @classmethod
     # repro: taint-source
     def decode(cls, data: bytes) -> "AdsProof":
         """Decode an untrusted proof encoding.
 
-        Every read is bounds-checked: truncation, hostile counts, absurd
-        nesting, and trailing garbage all raise :class:`ProofError`
-        rather than crashing — this is the payload an RPC client decodes
-        straight off the wire from an untrusted ISP.
+        Every read goes through a bounds-checked :class:`Reader`:
+        truncation, hostile counts, absurd nesting, and trailing garbage
+        all raise :class:`ProofError` rather than crashing — this is the
+        payload an RPC client decodes straight off the wire from an
+        untrusted ISP.
         """
-        buf = io.BytesIO(data)
-        trie = _decode_trie(buf)
+        reader = Reader(data, ProofError)
+        trie = _decode_trie(reader, 0)
         if not isinstance(trie, ProofDir):
             raise ProofError("malformed proof: root is not a directory")
-        (n_files,) = struct.unpack(">I", _read_exact(buf, 4))
-        if n_files > _MAX_PROOF_ITEMS:
-            raise ProofError(f"proof claims {n_files} files (bound exceeded)")
         files: Dict[str, FileProof] = {}
-        for _ in range(n_files):
-            path = _read_str(buf)
-            (n_sib,) = struct.unpack(">I", _read_exact(buf, 4))
-            if n_sib > _MAX_PROOF_ITEMS:
-                raise ProofError(
-                    f"proof claims {n_sib} siblings (bound exceeded)"
-                )
-            siblings: Dict[Position, Digest] = {}
-            for _ in range(n_sib):
-                level, index = struct.unpack(">HQ", _read_exact(buf, 10))
-                siblings[(level, index)] = _read_digest(buf)
-            files[path] = FileProof(siblings)
-        if buf.read(1):
-            raise ProofError("trailing bytes after proof encoding")
+        for _ in range(reader.count(_MIN_FILE_BYTES)):
+            path = reader.short_text()
+            files[path] = FileProof({
+                (reader.u16(), reader.u64()): reader.digest()
+                for _ in range(reader.count(_SIBLING_BYTES))
+            })
+        reader.expect_end()
         return cls(trie=trie, files=files)
 
     def byte_size(self) -> int:
@@ -329,86 +317,47 @@ _TAG_DIR = 0
 _TAG_FILE = 1
 _TAG_OPAQUE = 2
 
-#: Decoding bounds for untrusted proof encodings: far above anything a
-#: legitimate proof at our scale produces, low enough that a hostile
-#: count or nesting depth cannot exhaust memory or the Python stack.
-_MAX_PROOF_ITEMS = 1_000_000
+#: Smallest encoding of one counted element; a count the remaining bytes
+#: could not hold even at these sizes is refused before the first read.
+_MIN_CHILD_BYTES = 2 + 1 + 2 + 4  # name length, tag, an empty directory
+_MIN_FILE_BYTES = 2 + 4  # path length, sibling count
+_SIBLING_BYTES = 2 + 8 + DIGEST_SIZE  # level, index, digest
+
+#: Far deeper than any real path, low enough that hostile nesting
+#: cannot exhaust the Python stack.
 _MAX_TRIE_DEPTH = 256
 
 
-def _read_exact(buf: io.BytesIO, count: int) -> bytes:
-    data = buf.read(count)
-    if len(data) != count:
-        raise ProofError("truncated proof encoding")
-    return data
-
-
-def _write_str(buf: io.BytesIO, text: str) -> None:
-    raw = text.encode("utf-8")
-    buf.write(struct.pack(">H", len(raw)))
-    buf.write(raw)
-
-
-def _read_str(buf: io.BytesIO) -> str:
-    (length,) = struct.unpack(">H", _read_exact(buf, 2))
-    try:
-        return _read_exact(buf, length).decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise ProofError(f"invalid UTF-8 in proof encoding: {error}")
-
-
-def _read_digest(buf: io.BytesIO) -> Digest:
-    data = buf.read(DIGEST_SIZE)
-    if len(data) != DIGEST_SIZE:
-        raise ProofError("truncated proof encoding")
-    return data
-
-
-def _encode_trie(buf: io.BytesIO, node: TrieProofNode) -> None:
+def _encode_trie(writer: Writer, node: TrieProofNode) -> None:
     if isinstance(node, ProofFile):
-        buf.write(bytes([_TAG_FILE]))
-        _write_str(buf, node.segment)
-        buf.write(node.tree_root)
-        buf.write(struct.pack(">QQ", node.size, node.page_count))
+        writer.u8(_TAG_FILE).short_text(node.segment).digest(node.tree_root)
+        writer.u64(node.size).u64(node.page_count)
         return
-    buf.write(bytes([_TAG_DIR]))
-    _write_str(buf, node.segment)
-    buf.write(struct.pack(">I", len(node.children)))
+    writer.u8(_TAG_DIR).short_text(node.segment).u32(len(node.children))
     for name, child in node.children:
-        _write_str(buf, name)
+        writer.short_text(name)
         if isinstance(child, (ProofDir, ProofFile)):
-            _encode_trie(buf, child)
+            _encode_trie(writer, child)
         else:
-            buf.write(bytes([_TAG_OPAQUE]))
-            buf.write(child)
+            writer.u8(_TAG_OPAQUE).digest(child)
 
 
 def _decode_trie(
-    buf: io.BytesIO, depth: int = 0
+    reader: Reader, depth: int
 ) -> Union[TrieProofNode, Digest]:
     if depth > _MAX_TRIE_DEPTH:
         raise ProofError("proof trie nesting exceeds the depth bound")
-    tag = buf.read(1)
-    if not tag:
-        raise ProofError("truncated proof encoding")
-    if tag[0] == _TAG_OPAQUE:
-        return _read_digest(buf)
-    if tag[0] == _TAG_FILE:
-        segment = _read_str(buf)
-        tree_root = _read_digest(buf)
-        size, page_count = struct.unpack(">QQ", _read_exact(buf, 16))
-        return ProofFile(segment, tree_root, size, page_count)
-    if tag[0] == _TAG_DIR:
-        segment = _read_str(buf)
-        (n_children,) = struct.unpack(">I", _read_exact(buf, 4))
-        if n_children > _MAX_PROOF_ITEMS:
-            raise ProofError(
-                f"proof directory claims {n_children} children "
-                "(bound exceeded)"
-            )
-        children: List[Tuple[str, Union[ProofDir, ProofFile, Digest]]] = []
-        for _ in range(n_children):
-            name = _read_str(buf)
-            children.append((name, _decode_trie(buf, depth + 1)))
-        return ProofDir(segment, children)
-    raise ProofError(f"unknown proof tag {tag[0]}")
+    tag = reader.u8()
+    if tag == _TAG_OPAQUE:
+        return reader.digest()
+    if tag == _TAG_FILE:
+        return ProofFile(
+            reader.short_text(), reader.digest(), reader.u64(), reader.u64()
+        )
+    if tag == _TAG_DIR:
+        segment = reader.short_text()
+        return ProofDir(segment, [
+            (reader.short_text(), _decode_trie(reader, depth + 1))
+            for _ in range(reader.count(_MIN_CHILD_BYTES))
+        ])
+    raise ProofError(f"unknown proof tag {tag}")

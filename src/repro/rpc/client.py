@@ -356,9 +356,8 @@ class RemoteIsp:
                             "was sent"
                         )
                     # One clock read covers both the per-attempt socket
-                    # timeout and the wire budget (``cap()`` plus
-                    # ``to_wire_ms()`` would read it three times, and
-                    # this runs on every bound RPC).
+                    # timeout and the wire budget (this runs on every
+                    # bound RPC).
                     conn.settimeout(max(0.001, min(self.timeout_s, left_s)))
                     codec.send_frame(
                         conn,
@@ -528,13 +527,6 @@ class RemoteIsp:
     def fetch_chain_heads(self) -> Dict[str, BlockHeader]:
         return self._call(
             codec.encode_chain_heads_request(), codec.RESP_CHAIN_HEADS
-        )
-
-    def fetch_shard_map(self):
-        """The fleet router's :class:`~repro.fleet.partition.ShardMap`
-        (single-node servers answer with a typed error)."""
-        return self._call(
-            codec.encode_shard_map_request(), codec.RESP_SHARD_MAP
         )
 
 

@@ -43,7 +43,6 @@ offending field.
 
 from __future__ import annotations
 
-import io
 import socket
 import struct
 import zlib
@@ -51,7 +50,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.chain.block import BlockHeader
 from repro.core.certificate import V2fsCertificate
-from repro.crypto.hashing import DIGEST_SIZE, Digest
+from repro.crypto.hashing import Digest
 from repro.crypto.signature import PublicKey, Signature
 from repro.errors import (
     CertificateError,
@@ -72,6 +71,7 @@ from repro.isp.server import FreshMatch, PageReply
 from repro.merkle.proof import AdsProof
 from repro.obs import metrics as obs
 from repro.sgx.attestation import AttestationReport
+from repro.wire import Reader, Writer
 
 # ----------------------------------------------------------------------
 # Framing
@@ -92,7 +92,6 @@ _PUBKEY_BYTES = 256
 _SIGNATURE_BYTES = 288
 
 #: Field-level bounds.  All generous relative to legitimate traffic.
-MAX_PATH_BYTES = 4096
 MAX_PAGE_BYTES = 1 << 20
 MAX_DIGS_PATH = 4096
 MAX_CHAIN_STATES = 256
@@ -265,107 +264,6 @@ def recv_frame(sock: socket.socket) -> Optional[bytes]:
 
 
 # ----------------------------------------------------------------------
-# Bounds-checked primitive decoding
-# ----------------------------------------------------------------------
-
-
-class Reader:
-    """Sequential bounds-checked reader over one message payload."""
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def read(self, count: int) -> bytes:
-        if count < 0 or self._pos + count > len(self._data):
-            raise WireFormatError(
-                f"truncated message: wanted {count} bytes at offset "
-                f"{self._pos}, have {len(self._data) - self._pos}"
-            )
-        out = self._data[self._pos:self._pos + count]
-        self._pos += count
-        return out
-
-    def u8(self) -> int:
-        return self.read(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.read(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.read(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.read(8))[0]
-
-    def digest(self) -> Digest:
-        return self.read(DIGEST_SIZE)
-
-    def blob(self, max_bytes: int) -> bytes:
-        length = self.u32()
-        if length > max_bytes:
-            raise WireFormatError(
-                f"length prefix {length} exceeds the {max_bytes}-byte bound"
-            )
-        return self.read(length)
-
-    def text(self, max_bytes: int = MAX_PATH_BYTES) -> str:
-        raw = self.blob(max_bytes)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise WireFormatError(f"invalid UTF-8 in message: {error}")
-
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def expect_end(self) -> None:
-        if self._pos != len(self._data):
-            raise WireFormatError(
-                f"{len(self._data) - self._pos} trailing bytes after message"
-            )
-
-
-class Writer:
-    """Append-only builder for one message payload."""
-
-    def __init__(self) -> None:
-        self._buf = io.BytesIO()
-
-    def raw(self, data: bytes) -> "Writer":
-        self._buf.write(data)
-        return self
-
-    def u8(self, value: int) -> "Writer":
-        return self.raw(struct.pack(">B", value))
-
-    def u16(self, value: int) -> "Writer":
-        return self.raw(struct.pack(">H", value))
-
-    def u32(self, value: int) -> "Writer":
-        return self.raw(struct.pack(">I", value))
-
-    def u64(self, value: int) -> "Writer":
-        return self.raw(struct.pack(">Q", value))
-
-    def digest(self, value: Digest) -> "Writer":
-        if len(value) != DIGEST_SIZE:
-            raise WireFormatError(
-                f"digest must be {DIGEST_SIZE} bytes, got {len(value)}"
-            )
-        return self.raw(value)
-
-    def blob(self, data: bytes) -> "Writer":
-        return self.u32(len(data)).raw(data)
-
-    def text(self, value: str) -> "Writer":
-        return self.blob(value.encode("utf-8"))
-
-    def payload(self) -> bytes:
-        return self._buf.getvalue()
-
-
-# ----------------------------------------------------------------------
 # Message kinds
 # ----------------------------------------------------------------------
 
@@ -378,7 +276,6 @@ REQ_FINALIZE_SESSION = 0x06
 REQ_BOOTSTRAP = 0x07
 REQ_CHAIN_HEADS = 0x08
 REQ_PING = 0x09
-REQ_SHARD_MAP = 0x0A
 
 RESP_CERTIFICATE = 0x81
 RESP_SESSION = 0x82
@@ -389,11 +286,7 @@ RESP_VO = 0x86
 RESP_BOOTSTRAP = 0x87
 RESP_CHAIN_HEADS = 0x88
 RESP_PONG = 0x89
-RESP_SHARD_MAP = 0x8A
 RESP_ERROR = 0xFF
-
-#: Bound on one shard map's encoded body (see repro.fleet.partition).
-MAX_SHARD_MAP_BYTES = 1 << 20
 
 _VALIDATION_FRESH = 0
 _VALIDATION_PAGE = 1
@@ -496,10 +389,6 @@ def encode_ping() -> bytes:
     return Writer().u8(REQ_PING).payload()
 
 
-def encode_shard_map_request() -> bytes:
-    return Writer().u8(REQ_SHARD_MAP).payload()
-
-
 #: Decoded request: (kind, args tuple).
 DecodedRequest = Tuple[int, tuple]
 
@@ -509,8 +398,7 @@ def decode_request(payload: bytes) -> DecodedRequest:
     reader = Reader(payload)
     kind = reader.u8()
     if kind in (
-        REQ_GET_CERTIFICATE, REQ_BOOTSTRAP, REQ_CHAIN_HEADS, REQ_PING,
-        REQ_SHARD_MAP,
+        REQ_GET_CERTIFICATE, REQ_BOOTSTRAP, REQ_CHAIN_HEADS, REQ_PING
     ):
         args: tuple = ()
     elif kind == REQ_OPEN_SESSION:
@@ -691,11 +579,6 @@ def encode_pong() -> bytes:
     return Writer().u8(RESP_PONG).payload()
 
 
-def encode_shard_map(shard_map) -> bytes:
-    """Encode a :class:`repro.fleet.partition.ShardMap` response."""
-    return Writer().u8(RESP_SHARD_MAP).blob(shard_map.encode()).payload()
-
-
 def encode_error(error: BaseException) -> bytes:
     """Encode an error frame: code u16 + message text.
 
@@ -726,7 +609,9 @@ def decode_response(payload: bytes) -> DecodedResponse:
 
     A :data:`RESP_ERROR` decodes to the mapped *exception instance*
     (not raised here — the caller decides); everything malformed raises
-    :class:`WireFormatError`.
+    :class:`WireFormatError`, except a malformed VO inside a well-formed
+    :data:`RESP_VO`, which raises the :class:`ProofError` of its own
+    decoder.
     """
     reader = Reader(payload)
     kind = reader.u8()
@@ -751,13 +636,7 @@ def decode_response(payload: bytes) -> DecodedResponse:
         else:
             raise WireFormatError(f"unknown validation tag {tag}")
     elif kind == RESP_VO:
-        blob = reader.blob(MAX_FRAME_BYTES)
-        try:
-            value = AdsProof.decode(blob)
-        except ProofError:
-            raise
-        except Exception as error:  # defense in depth: never crash
-            raise WireFormatError(f"undecodable VO: {error}")
+        value = AdsProof.decode(reader.blob(MAX_FRAME_BYTES))
     elif kind == RESP_BOOTSTRAP:
         report = AttestationReport(
             measurement=reader.digest(),
@@ -779,13 +658,6 @@ def decode_response(payload: bytes) -> DecodedResponse:
         }
     elif kind == RESP_PONG:
         value = None
-    elif kind == RESP_SHARD_MAP:
-        # Local import: repro.fleet sits above the rpc layer (the fleet
-        # router *uses* this codec), so the module level must not
-        # depend on it.
-        from repro.fleet.partition import ShardMap
-
-        value = ShardMap.decode(reader.blob(MAX_SHARD_MAP_BYTES))
     elif kind == RESP_ERROR:
         code = reader.u16()
         message = reader.text(MAX_ERROR_BYTES)

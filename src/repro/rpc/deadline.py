@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
 
 from repro.errors import DeadlineExceededError
 
@@ -79,10 +78,6 @@ class Deadline:
         zero-second socket error.
         """
         return max(0.001, min(timeout_s, self.remaining()))
-
-    def to_wire_ms(self) -> int:
-        """The remaining budget as the u32 wire field (clamped)."""
-        return min(MAX_DEADLINE_MS, int(self.remaining() * 1000))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(remaining={self.remaining():.3f}s)"
@@ -146,18 +141,8 @@ class RetryBudget:
             return self._tokens
 
 
-def remaining_or(
-    deadline: Optional[Deadline], default_s: float
-) -> float:
-    """``deadline.cap(default_s)`` or ``default_s`` when unconstrained."""
-    if deadline is None:
-        return default_s
-    return deadline.cap(default_s)
-
-
 __all__ = [
     "MAX_DEADLINE_MS",
     "Deadline",
     "RetryBudget",
-    "remaining_or",
 ]

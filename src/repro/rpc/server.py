@@ -73,6 +73,21 @@ class IspBootstrap:
     measurement: Digest
     chain_heads: Callable[[], Dict[str, BlockHeader]]
 
+    @classmethod
+    def for_system(cls, system) -> "IspBootstrap":
+        """The material a :class:`~repro.core.system.V2FSSystem` hands
+        out, with chain heads read live from its chains."""
+        return cls(
+            report=system.attestation_report,
+            attestation_root=system.attestation.root_public_key,
+            measurement=system.ci.enclave.measurement,
+            chain_heads=lambda: {
+                chain_id: chain.latest_header()
+                for chain_id, chain in system.chains.items()
+                if len(chain)
+            },
+        )
+
 
 class _Admitted(NamedTuple):
     """One admitted, decoded request on its way through the pipeline."""
@@ -700,17 +715,9 @@ def serve_system(
     wire — concurrent updates serialize against request handling and
     in-flight sessions stay pinned to their snapshot roots.
     """
-    bootstrap = IspBootstrap(
-        report=system.attestation_report,
-        attestation_root=system.attestation.root_public_key,
-        measurement=system.ci.enclave.measurement,
-        chain_heads=lambda: {
-            chain_id: chain.latest_header()
-            for chain_id, chain in system.chains.items()
-            if len(chain)
-        },
+    server = server_class(
+        system.isp, host, port, bootstrap=IspBootstrap.for_system(system)
     )
-    server = server_class(system.isp, host, port, bootstrap=bootstrap)
     unlocked_sync = system.isp.sync_update
 
     def locked_sync_update(writes, new_sizes, certificate):

@@ -212,6 +212,20 @@ class TestProofDeterminism:
             "repro.isp.vo",
         ) == ["proof-determinism"]
 
+    def test_the_shared_writer_is_in_scope(self):
+        # The VO's and every message's bytes are assembled by
+        # repro.wire.Writer, so the rule follows them there.
+        assert rules_fired(
+            """
+            import time
+
+            class Writer:
+                def stamp(self):
+                    return self.u64(int(time.time()))
+            """,
+            "repro.wire",
+        ) == ["proof-determinism"]
+
     def test_unsorted_dict_iteration_in_encode_path_fires(self):
         assert rules_fired(
             """

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.db.catalog import Catalog, IndexInfo, TableInfo
 from repro.db.plan.sorter import ReverseKey, external_sort
 from repro.db.types import sort_key
-from repro.errors import SQLCatalogError
+from repro.errors import SQLCatalogError, StorageError
 from repro.vfs.local import LocalFilesystem
 
 
@@ -71,6 +71,21 @@ class TestCatalog:
 
     def test_load_missing_is_empty(self):
         assert Catalog.load(LocalFilesystem(), "/none").tables == {}
+
+    @pytest.mark.parametrize("document", [
+        b"\xff\xfe not utf-8",
+        "{not json",
+        "[1, 2]",
+        '{"tables": 5}',
+        '{"tables": [{"name": "t"}]}',
+        '{"tables": [{"name": "t", "columns": [1], "file_path": "x",'
+        ' "indexes": [{"bogus": 1}]}]}',
+        "[" * 2000,  # past the JSON scanner's recursion limit
+    ])
+    def test_malformed_document_is_a_storage_error(self, document):
+        # The client parses the catalog page before it is verified.
+        with pytest.raises(StorageError, match="corrupt catalog"):
+            Catalog.from_json(document)
 
     def test_rewrite_shorter_catalog(self):
         # The length prefix must make stale tail bytes harmless.

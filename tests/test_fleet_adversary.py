@@ -27,7 +27,6 @@ entirely by the fresh shard 0 and scopes each rejection.
 
 import pytest
 
-from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.errors import VerificationError
@@ -55,14 +54,7 @@ def build_system():
 
 
 def make_client(system, isp, mode=QueryMode.INTER_VBF):
-    return QueryClient(
-        isp=isp,
-        chains=system.chains,
-        attestation_report=system.attestation_report,
-        attestation_root=system.attestation.root_public_key,
-        expected_measurement=system.ci.enclave.measurement,
-        mode=mode,
-    )
+    return system.make_client(mode, isp=isp)
 
 
 def build_shards(system, stale_ids=()):

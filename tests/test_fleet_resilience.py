@@ -23,7 +23,6 @@ import time
 
 import pytest
 
-from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.errors import (
@@ -59,14 +58,7 @@ def build_system(hours=1, txs_per_block=4):
 
 
 def make_client(system, isp, mode=QueryMode.INTER_VBF):
-    return QueryClient(
-        isp=isp,
-        chains=system.chains,
-        attestation_report=system.attestation_report,
-        attestation_root=system.attestation.root_public_key,
-        expected_measurement=system.ci.enclave.measurement,
-        mode=mode,
-    )
+    return system.make_client(mode, isp=isp)
 
 
 def build_shards(system, count=SHARDS):

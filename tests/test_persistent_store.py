@@ -211,3 +211,78 @@ class TestFaultedAppends:
         with PersistentNodeStore(store_path) as reopened:
             with pytest.raises(StorageError, match="corrupt node record"):
                 reopened.get(digest)
+
+
+#: One record of every kind whose payload has structure to misparse.
+STRUCTURED_NODES = [
+    PairNode(hash_bytes(b"l"), hash_bytes(b"r")),
+    DirNode("vär", (("a", hash_bytes(b"a")), ("bé", hash_bytes(b"b")))),
+    FileNode("main.db", hash_bytes(b"t"), 12345, 4),
+]
+
+
+def assert_corrupt_or_intact(path, digest):
+    """Reading ``digest`` back either fails typed or returns content
+    that hashes to its key — never an untyped error, never a wrong node."""
+    with PersistentNodeStore(path) as reopened:
+        try:
+            node = reopened.get(digest)
+        except StorageError:
+            return False
+        assert node.digest() == digest
+        return True
+
+
+@pytest.mark.parametrize(
+    "node", STRUCTURED_NODES, ids=lambda node: type(node).__name__
+)
+class TestHostileRecords:
+    """The log is untrusted after a crash: a structured record that no
+    longer parses must be a :class:`StorageError` like one that no
+    longer hashes, because the decoder runs before the digest check."""
+
+    def test_corrupted_append_of_every_kind_is_typed(self, tmp_path, node):
+        for seed in range(16):
+            path = str(tmp_path / f"seed-{seed}.log")
+            store = PersistentNodeStore(path)
+            registry.seed(seed)
+            registry.arm("store.append.payload", "corrupt", times=1)
+            digest = store.put(node)
+            registry.reset()
+            store.close()
+            assert not assert_corrupt_or_intact(path, digest)
+
+    def test_every_flip_and_truncation_of_the_payload_is_typed(
+        self, tmp_path, node
+    ):
+        path = str(tmp_path / "nodes.log")
+        with PersistentNodeStore(path) as store:
+            digest = store.put(node)
+        with open(path, "rb") as handle:
+            log = handle.read()
+        header, payload = log[:37], log[37:]
+        assert len(payload) == int.from_bytes(header[33:37], "big")
+        mutants = [
+            header + payload[:i] + bytes([payload[i] ^ flip])
+            + payload[i + 1:]
+            for i in range(len(payload)) for flip in (0x01, 0x80, 0xFF)
+        ] + [  # a shorter record whose header agrees with its length
+            header[:33] + cut.to_bytes(4, "big") + payload[:cut]
+            for cut in range(len(payload))
+        ]
+        for mutant in mutants:
+            with open(path, "wb") as handle:
+                handle.write(mutant)
+            assert not assert_corrupt_or_intact(path, digest)
+
+    def test_log_truncated_under_an_open_store_is_typed(
+        self, tmp_path, node
+    ):
+        path = str(tmp_path / "nodes.log")
+        with PersistentNodeStore(path, cache_nodes=0) as store:
+            digest = store.put(node)
+            store.put(PageData(b"evicts the cached node"))
+            for size in range(37 + 8):  # inside the header, then payload
+                os.truncate(path, size)
+                with pytest.raises(StorageError):
+                    store.get(digest)

@@ -318,6 +318,106 @@ class TestResponseRoundTrips:
             codec.decode_response(payload)
 
 
+def real_vo():
+    """A VO with nested directories, several files and sibling lists."""
+    ads = V2fsAds()
+    writes = {
+        f"/db/{folder}/{name}.tbl": {i: b"%d" % i * 9 for i in range(pages)}
+        for folder, name, pages in (
+            ("tables", "eth", 5), ("tables", "btc", 3), ("index", "é", 2),
+        )
+    }
+    root = ads.apply_writes(
+        ads.root, writes, {path: 4096 * len(p) for path, p in writes.items()}
+    )
+    return ads.gen_read_proof(
+        root, [("/db/tables/eth.tbl", 1), ("/db/tables/eth.tbl", 4),
+               ("/db/index/é.tbl", 0)],
+    )
+
+
+def decode_wrapped(blob):
+    """Decode ``blob`` as the VO inside a well-formed RESP_VO message,
+    so a mutation reaches the proof decoder instead of the length check."""
+    message = codec.Writer().u8(codec.RESP_VO).blob(blob).payload()
+    return codec.decode_response(message)[1]
+
+
+class TestHostileVo:
+    """``decode_response`` has no blanket ``except``: the VO decoder is
+    itself typed, and this sweep is what holds it to that."""
+
+    def test_mutation_sweep_raises_only_typed_errors(self):
+        import random
+        import tracemalloc
+
+        proof = real_vo()
+        encoded = proof.encode()
+        assert decode_wrapped(encoded) == proof
+        rng = random.Random(18)
+        size = len(encoded)
+        mutants = [encoded[:cut] for cut in range(size)]
+        must_fail = len(mutants)  # every proper prefix is a truncation
+        for offset in range(size - 3):  # a count inflated, wherever it is
+            for value in (0xFFFFFFFF, 999_999):
+                mutants.append(
+                    encoded[:offset] + value.to_bytes(4, "big")
+                    + encoded[offset + 4:]
+                )
+        for _ in range(600):
+            at = rng.randrange(size)
+            mutants.append(
+                encoded[:at] + bytes([encoded[at] ^ (1 << rng.randrange(8))])
+                + encoded[at + 1:]
+            )
+            a, b = sorted(rng.sample(range(size + 1), 2))
+            mutants.append(encoded[:at] + encoded[a:b] + encoded[at:])
+            mutants.append(encoded[:a] + encoded[b:])
+        assert len(mutants) >= 2000
+        outcomes = {"decoded": 0, "ProofError": 0, "WireFormatError": 0}
+        tracemalloc.start()
+        try:
+            for index, mutant in enumerate(mutants):
+                try:
+                    decode_wrapped(mutant)
+                except (ProofError, WireFormatError) as error:
+                    outcomes[type(error).__name__] += 1
+                else:
+                    # e.g. a flip inside a digest: well-formed, and the
+                    # client's verification refuses it later.
+                    assert index >= must_fail
+                    outcomes["decoded"] += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outcomes["ProofError"] > 1000
+        # No count, however large, made the decoder allocate for it.
+        assert peak < 4 * 1024 * 1024
+
+    @pytest.mark.parametrize("blob", [
+        # A root directory claiming 10^6 children, then nothing.
+        b"\x00\x00\x00" + (1_000_000).to_bytes(4, "big"),
+        # An empty root, then 10^6 files.
+        b"\x00\x00\x00" + bytes(4) + (1_000_000).to_bytes(4, "big"),
+        # One file claiming 10^6 siblings.
+        b"\x00\x00\x00" + bytes(4) + (1).to_bytes(4, "big")
+        + b"\x00\x01f" + (1_000_000).to_bytes(4, "big"),
+    ], ids=["children", "files", "siblings"])
+    def test_count_beyond_the_input_is_refused_before_any_element(
+        self, blob
+    ):
+        with pytest.raises(ProofError, match="count 1000000 exceeds"):
+            decode_wrapped(blob)
+
+    def test_nesting_past_the_depth_bound_is_refused(self):
+        level = b"\x00\x00\x00" + (1).to_bytes(4, "big") + b"\x00\x00"
+        opaque = b"\x02" + bytes(32)
+        with pytest.raises(ProofError, match="depth"):
+            decode_wrapped(level * 300 + opaque + bytes(4))
+        # ... and inside the bound it is an ordinary, decodable proof.
+        assert decode_wrapped(level * 200 + opaque + bytes(4)).files == {}
+
+
 class TestErrorMapping:
     @pytest.mark.parametrize("error", [
         NetworkError("no certificate yet"),

@@ -7,6 +7,7 @@ enclave) rejects them.
 
 import contextlib
 import dataclasses
+import random
 
 import pytest
 
@@ -536,6 +537,109 @@ class TestFailedQueryClosesItsSession:
         for _ in range(2):
             system.advance_block("eth")
         assert failed_root not in system.isp.ads.store
+
+
+def _flip8(page, rng):
+    garbled = bytearray(page)
+    for _ in range(8):
+        garbled[rng.randrange(len(page))] ^= 1 + rng.randrange(255)
+    return bytes(garbled)
+
+
+def _wrong_schema(page, rng):
+    """A well-formed catalog file — length prefix, valid UTF-8, valid
+    JSON — whose document is not a catalog."""
+    raw = rng.choice([
+        '[1, 2]', '{"tables": 5}', '{"tables": [{"name": "t"}]}', '"é"',
+        '{"tables": [{"name": "t", "columns": [1], "file_path": "x",'
+        ' "indexes": [{"bogus": 1}]}]}',
+    ]).encode("utf-8")
+    return (len(raw).to_bytes(8, "big") + raw).ljust(len(page), b"\x00")
+
+
+PAGE_MUTATIONS = {
+    "flip8": _flip8,
+    "random": lambda page, rng: rng.randbytes(len(page)),
+    "truncated": lambda page, rng: page[:rng.randrange(64)],
+    "wrong-schema": _wrong_schema,
+    "short-meta": None,  # the page is honest; get_file_meta is not
+}
+
+
+class GarblingIsp(IspServer):
+    """Honest until armed with ``(path, mutation, seed)``; then every
+    page of that file past ``FIRST_PAGE`` is served mutated (or its
+    size understated) — bytes the engine parses before ``finalize``
+    has verified anything."""
+
+    armed = None
+    FIRST_PAGE = {"/db/catalog": 0}  # tables: spare the header page
+
+    def get_page(self, session_id, path, page_id):
+        page = super().get_page(session_id, path, page_id)
+        if self.armed is None or self.armed[1] == "short-meta":
+            return page
+        target, mutation, seed = self.armed
+        if path == target and page_id >= self.FIRST_PAGE.get(path, 1):
+            rng = random.Random(f"{seed}/{page_id}")
+            return PAGE_MUTATIONS[mutation](page, rng)
+        return page
+
+    def get_file_meta(self, session_id, path):
+        exists, size, page_count = super().get_file_meta(session_id, path)
+        if self.armed is not None and self.armed[:2] == (path, "short-meta"):
+            size -= random.Random(self.armed[2]).randrange(1, size)
+        return exists, size, page_count
+
+
+@pytest.fixture(scope="module")
+def garbling_system():
+    return swap_isp(build_system(2), GarblingIsp)
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+@pytest.mark.parametrize("target,mutation", [
+    pytest.param(target, mutation, id=f"{name}-{mutation}")
+    for name, target in (("catalog", "/db/catalog"),
+                         ("table", "/db/tables/eth_transactions.tbl"))
+    for mutation in PAGE_MUTATIONS
+    if (mutation == "wrong-schema") <= (name == "catalog")
+])
+class TestHostileBytesBeforeVerification:
+    """The catalog and every row are decoded from pages the client has
+    not verified yet.  Whatever those bytes are, ``query`` fails with a
+    typed error and leaves the session table, the page cache and the
+    node memo as it found them."""
+
+    #: A full scan and an index range scan: the two row decoders.
+    QUERIES = (
+        "SELECT COUNT(*), SUM(gas_used) FROM eth_transactions",
+        "SELECT hash FROM eth_transactions WHERE block_time > 0",
+    )
+
+    def test_query_fails_typed_and_leaves_nothing_behind(
+        self, garbling_system, path, target, mutation
+    ):
+        system = garbling_system
+        isp = system.isp
+        expected = [
+            system.plain_replica().execute(sql).rows for sql in self.QUERIES
+        ]
+        try:
+            with client_of(system, path) as client:
+                for seed in range(6):
+                    isp.armed = (target, mutation, seed)
+                    for sql in self.QUERIES:
+                        with pytest.raises(ReproError):
+                            client.query(sql)
+                        assert len(isp.sessions) == 0
+                        assert len(client.inter_cache._pages) == 0
+                        assert len(client._nodes) == 0
+                isp.armed = None
+                for sql, rows in zip(self.QUERIES, expected):
+                    assert client.query(sql).rows == rows
+        finally:
+            isp.armed = None
 
 
 class TestMaliciousCiStorage:
