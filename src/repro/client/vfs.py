@@ -92,6 +92,14 @@ class ClientSession:
         self.page_claims: Dict[PageKey, Digest] = {}
         self.node_claims: Dict[Tuple[str, int, int], Digest] = {}
         self.used_metas: Dict[str, Tuple[bool, int, int]] = {}
+        #: The bytes *first served* for each page key.  Only they are
+        #: hashed into ``page_claims``; every later response for the key
+        #: must be those same bytes (see :meth:`_claim`).  References,
+        #: not copies; the map dies with the session.
+        self._served: Dict[PageKey, bytes] = {}
+        #: Responses answered by ``_served`` (tally, reported once by
+        #: :meth:`finalize` next to ``len(page_claims)``, the hashed ones).
+        self._repeated = 0
         #: Pages inserted into the inter-query cache during this query;
         #: rolled back if final verification fails.
         self._inserted_keys: List[PageKey] = []
@@ -137,8 +145,30 @@ class ClientSession:
         page = self.isp.get_page(self.session_id, path, page_id)
         request_bytes = len(path.encode()) + 8
         self.transport.account(CATEGORY_PAGE, request_bytes, PAGE_SIZE)
-        self.page_claims[key] = hash_bytes(page)
-        return page
+        return self._claim(key, page)
+
+    def _claim(self, key: PageKey, page: bytes) -> bytes:
+        """Bind what the engine is about to consume to ``page_claims``.
+
+        The first response for a key is hashed into its claim.  A later
+        one is consumed only if it is byte-equal to the first — a
+        stronger check than the digest equality it stands in for, at the
+        price of a memcmp — so one key never has two contents in one
+        session, whichever of them the VO would have vouched for.
+        Returns the retained object, so equal pages share one identity.
+        """
+        first = self._served.get(key)
+        if first is None:
+            self._served[key] = page
+            self.page_claims[key] = hash_bytes(page)
+            return page
+        if first != page:  # identity short-circuits inside bytes.__ne__
+            raise VerificationError(
+                f"ISP served two different contents for page "
+                f"{key[1]} of {key[0]} in one session"
+            )
+        self._repeated += 1
+        return first
 
     def _access_with_inter_cache(self, key: PageKey) -> bytes:
         cache = self.inter_cache
@@ -189,7 +219,7 @@ class ClientSession:
             return entry.page
         _, page = response
         self.transport.account(CATEGORY_CHECK, request_bytes, PAGE_SIZE)
-        self.page_claims[key] = hash_bytes(page)
+        page = self._claim(key, page)
         # repro: allow(verify-before-use) -- Algorithm 4 deferred
         # verification: the stale-path replacement page is recorded in
         # page_claims and verified by finalize(); rollback_cache()
@@ -212,6 +242,9 @@ class ClientSession:
         vo = self.isp.finalize_session(self.session_id)
         vo_bytes = vo.byte_size()
         self.transport.account(CATEGORY_VO, 8, vo_bytes)
+        if obs.ACTIVE:
+            obs.add("client.page.hashed", len(self.page_claims))
+            obs.add("client.page.repeated", self._repeated)
         try:
             established = V2fsAds.verify_read_proof(
                 vo, self.certificate.ads_root,
@@ -349,9 +382,16 @@ class ClientFile(VirtualFile):
             within = self.offset % PAGE_SIZE
             take = min(count, PAGE_SIZE - within)
             page = self._session.access_page(self.path, page_id)
-            out += page[within:within + take]
             self.offset += take
             count -= take
+            if (take == PAGE_SIZE == len(page) and not count and not out
+                    and isinstance(page, bytes)):
+                # The read is one whole aligned page (every pager read):
+                # hand over the object the session returned.  Besides
+                # the copies, equal pages then reach the B+Tree node
+                # memo as one object, whose hash is computed once.
+                return page
+            out += page[within:within + take]
         return bytes(out)
 
     def write(self, data: bytes) -> int:

@@ -407,14 +407,22 @@ class BTree:
         else:
             high_t = None if high is None else key_tuple(high)
         high_end = None if high_t is None else high_t + (_PLUS_INF,)
-        node = self._view(self.pager.root_pid)
+        # Pages reach this walk before they are verified, so nothing
+        # says the links form a tree: a page id seen twice is a cycle.
+        pid = self.pager.root_pid
+        seen = {pid}
+        node = self._view(pid)
         while isinstance(node, InternalNode):
             # Descend to the leftmost child that can hold keys >= low.
             # bisect_left, not _right: a separator equal to the bound may
             # still have equal keys in the left sibling (duplicates can
             # straddle a split boundary).
             pos = 0 if low_t is None else bisect_left(node.tuples, low_t)
-            node = self._view(node.children[pos])
+            pid = node.children[pos]
+            if pid in seen:
+                raise StorageError("corrupt B+Tree (child link cycle)")
+            seen.add(pid)
+            node = self._view(pid)
         while True:
             tuples = node.tuples
             count = len(tuples)
@@ -441,7 +449,15 @@ class BTree:
             # the low bound is still read, as page counts expect).
             if max(start, end) < count or node.next_leaf == 0:
                 return
-            node = self._view(node.next_leaf)
+            pid = node.next_leaf
+            if pid in seen:
+                raise StorageError("corrupt B+Tree (leaf chain cycle)")
+            seen.add(pid)
+            node = self._view(pid)
+            if not isinstance(node, LeafNode):
+                raise StorageError(
+                    "corrupt B+Tree (a leaf's successor is not a leaf)"
+                )
 
     def items(self) -> Iterator[Tuple[Tuple[SqlValue, ...], bytes]]:
         """Full in-order scan."""

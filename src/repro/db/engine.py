@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from repro.db.btree import BTree, NodeMemo
 from repro.db.catalog import Catalog, IndexInfo, TableInfo
-from repro.db.pager import Pager
+from repro.db.pager import Pager, PagerTally
 from repro.db.plan.expressions import Schema
 from repro.db.plan.planner import AccessProvider, plan_select
 from repro.db.record import decode_record, encode_record
@@ -79,6 +79,9 @@ class Engine(AccessProvider):
         #: Decoded B+Tree nodes shared by every tree this engine opens;
         #: a verifying client hands in its own so they outlive the query.
         self._node_memo = node_memo if node_memo is not None else NodeMemo()
+        #: Page-read and flush counts of every pager this engine opens,
+        #: reported once per statement rather than once per pager.
+        self._pager_tally = PagerTally()
 
     # ------------------------------------------------------------------
     # Catalog handling
@@ -96,6 +99,9 @@ class Engine(AccessProvider):
 
     def _save_catalog(self) -> None:
         self.catalog.save(self.vfs, self.catalog_path)
+
+    def _pager(self, path: str, create: bool = False) -> Pager:
+        return Pager(self.vfs, path, create=create, tally=self._pager_tally)
 
     def _tree(self, pager: Pager) -> BTree:
         return BTree(pager, self._node_memo)
@@ -116,6 +122,7 @@ class Engine(AccessProvider):
             return self._execute(parse_statement(sql))
         finally:
             self._node_memo.report()
+            self._pager_tally.report()
 
     def _execute(self, statement: ast.Statement) -> ResultSet:
         if isinstance(statement, ast.Select):
@@ -169,7 +176,7 @@ class Engine(AccessProvider):
             file_path=self._table_file(stmt.name),
         )
         self.catalog.add_table(table)
-        Pager(self.vfs, table.file_path, create=True).close()
+        self._pager(table.file_path, create=True).close()
         self._save_catalog()
         return ResultSet(columns=[], rows=[])
 
@@ -181,7 +188,7 @@ class Engine(AccessProvider):
             file_path=self._index_file(stmt.name),
         )
         self.catalog.add_index(index)
-        pager = Pager(self.vfs, index.file_path, create=True)
+        pager = self._pager(index.file_path, create=True)
         # Backfill from existing rows.
         table = self.catalog.table(stmt.table)
         column_index = table.column_index(stmt.column)
@@ -248,11 +255,11 @@ class Engine(AccessProvider):
         matches = self._matching_rows(table, stmt.where)
         if not matches:
             return ResultSet(columns=[], rows=[], rowcount=0)
-        table_pager = Pager(self.vfs, table.file_path)
+        table_pager = self._pager(table.file_path)
         table_tree = self._tree(table_pager)
         index_trees = []
         for index in table.indexes:
-            pager = Pager(self.vfs, index.file_path)
+            pager = self._pager(index.file_path)
             index_trees.append(
                 (table.column_index(index.column), self._tree(pager),
                  pager)
@@ -281,11 +288,11 @@ class Engine(AccessProvider):
         matches = self._matching_rows(table, stmt.where)
         if not matches:
             return ResultSet(columns=[], rows=[], rowcount=0)
-        table_pager = Pager(self.vfs, table.file_path)
+        table_pager = self._pager(table.file_path)
         table_tree = self._tree(table_pager)
         index_trees = []
         for index in table.indexes:
-            pager = Pager(self.vfs, index.file_path)
+            pager = self._pager(index.file_path)
             index_trees.append(
                 (table.column_index(index.column), self._tree(pager),
                  pager)
@@ -309,11 +316,11 @@ class Engine(AccessProvider):
         compact per block.
         """
         table = self.catalog.table(table_name)
-        table_pager = Pager(self.vfs, table.file_path, create=True)
+        table_pager = self._pager(table.file_path, create=True)
         table_tree = self._tree(table_pager)
         index_pagers: List[Tuple[int, BTree, Pager]] = []
         for index in table.indexes:
-            pager = Pager(self.vfs, index.file_path, create=True)
+            pager = self._pager(index.file_path, create=True)
             index_pagers.append(
                 (table.column_index(index.column), self._tree(pager),
                  pager)
@@ -338,6 +345,7 @@ class Engine(AccessProvider):
         table_pager.close()
         for _, _, pager in index_pagers:
             pager.close()
+        self._pager_tally.report()  # callable outside execute()
         return count
 
     # ------------------------------------------------------------------
@@ -373,8 +381,8 @@ class Engine(AccessProvider):
             )
 
         def factory() -> Iterator[List[SqlValue]]:
-            index_pager = Pager(self.vfs, index.file_path)
-            table_pager = Pager(self.vfs, table.file_path)
+            index_pager = self._pager(index.file_path)
+            table_pager = self._pager(table.file_path)
             index_tree = self._tree(index_pager)
             table_tree = self._tree(table_pager)
             try:
@@ -442,7 +450,7 @@ class Engine(AccessProvider):
     def _iter_table(
         self, table: TableInfo
     ) -> Iterator[Tuple[int, List[SqlValue]]]:
-        pager = Pager(self.vfs, table.file_path)
+        pager = self._pager(table.file_path)
         tree = self._tree(pager)
         try:
             for key, record in tree.items():

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from typing import Optional
 
 from repro.errors import StorageError, TornPageError
 from repro.faults import registry as faults
@@ -96,18 +97,48 @@ def check_page(raw: bytes, context: str) -> None:
         )
 
 
+class PagerTally:
+    """``pager.flush``, ``pager.read_page`` and ``vfs.read_page`` counts
+    on their way to :mod:`repro.obs`.
+
+    Plain ints: a pager is as single-threaded as its file cursor, so
+    the counts need no lock until they reach the shared registry.  A
+    pager opened on its own reports at every flush.  A statement opens
+    one pager per table and index lookup (61 for one index join), so
+    the engine hands all of them one tally and reports it once per
+    statement; the totals are the same either way.
+    """
+
+    __slots__ = ("flushes", "reads", "file_reads")
+
+    def __init__(self) -> None:
+        self.flushes = self.reads = self.file_reads = 0
+
+    def report(self) -> None:
+        """Hand the counts since the last report to ``repro.obs``."""
+        flushes, reads, file_reads = self.flushes, self.reads, self.file_reads
+        self.flushes = self.reads = self.file_reads = 0
+        if obs.ACTIVE:
+            if flushes:
+                obs.add("pager.flush", flushes)
+            if reads:
+                obs.add("pager.read_page", reads)
+            if file_reads:
+                obs.add("vfs.read_page", file_reads)
+
+
 class Pager:
     """Allocates pages and owns the header of one storage file."""
 
     def __init__(self, vfs: VirtualFilesystem, path: str,
-                 create: bool = False) -> None:
+                 create: bool = False,
+                 tally: Optional[PagerTally] = None) -> None:
         self.path = path
         self._check_reads = not getattr(vfs, "authenticates_pages", False)
         self._file: VirtualFile = vfs.open(path, create=create)
-        #: ``pager.read_page`` tally, reported in one add by flush(): a
-        #: pager is as single-threaded as its file cursor, so the count
-        #: needs no lock until it reaches the shared registry.
-        self._reads = 0
+        #: A shared ``tally`` is reported by whoever shares it.
+        self._shared_tally = tally is not None
+        self._tally = tally if tally is not None else PagerTally()
         if self._file.size() == 0:
             if not create:
                 raise StorageError(f"{path} is empty and create=False")
@@ -158,10 +189,9 @@ class Pager:
         if faults.ACTIVE:
             faults.fire("pager.flush.pre_sync", path=self.path)
         if obs.ACTIVE:
-            obs.inc("pager.flush")
-            if self._reads:
-                obs.add("pager.read_page", self._reads)
-                self._reads = 0
+            self._tally.flushes += 1
+            if not self._shared_tally:
+                self._tally.report()
         self._file.sync()
 
     def allocate_page(self) -> int:
@@ -183,7 +213,7 @@ class Pager:
                 f"page {page_id} out of range in {self.path}"
             )
         if obs.ACTIVE:
-            self._reads += 1
+            self._tally.reads += 1
         raw = self._file.read_page(page_id)
         if faults.ACTIVE:
             raw = faults.mangle("pager.read_page", raw)
@@ -209,5 +239,6 @@ class Pager:
         self._file.write_page(page_id, sealed)
 
     def close(self) -> None:
+        self._tally.file_reads += self._file.take_page_reads()
         self.flush()
         self._file.close()

@@ -25,12 +25,18 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.certificate import V2fsCertificate
 from repro.crypto.hashing import Digest
-from repro.errors import NetworkError, ReproError, StorageError
+from repro.errors import (
+    FileNotFoundInStoreError,
+    NetworkError,
+    ReproError,
+    StorageError,
+)
 from repro.faults import registry as faults
 from repro.isp.sessions import registry_for_isp
 from repro.isp.vo import VOBuilder
 from repro.merkle import page_tree
 from repro.merkle.ads import V2fsAds
+from repro.merkle.node_store import FileNode
 from repro.merkle.proof import AdsProof
 from repro.obs import metrics as obs
 
@@ -38,7 +44,15 @@ logger = logging.getLogger("repro.isp")
 
 
 class IspSession:
-    """Server-side state of one query: pinned root + claim accumulator."""
+    """Server-side state of one query: pinned root + claim accumulator.
+
+    A session also remembers what it has already resolved under its
+    root — ``path -> FileNode`` and ``(path, page_id) -> page bytes`` —
+    so a repeated request costs a dict probe instead of a trie walk and
+    a page-tree descent.  Content under a pinned root cannot change, so
+    the memo is never stale; it dies with the session, and a lookup
+    that raises memoises nothing.
+    """
 
     def __init__(self, session_id: int, ads: V2fsAds, root: Digest,
                  certificate: V2fsCertificate) -> None:
@@ -46,6 +60,23 @@ class IspSession:
         self.root = root
         self.certificate = certificate
         self.vo = VOBuilder(ads, root)
+        self.files: Dict[str, FileNode] = {}
+        self.pages: Dict[Tuple[str, int], bytes] = {}
+
+    def file_node(self, ads: V2fsAds, path: str) -> FileNode:
+        node = self.files.get(path)
+        if node is None:
+            node = self.files[path] = ads.file_node(self.root, path)
+        return node
+
+    def page(self, ads: V2fsAds, path: str, page_id: int) -> bytes:
+        """The page's bytes; its VO claim is recorded when first served."""
+        key = (path, page_id)
+        page = self.pages.get(key)
+        if page is None:
+            page = self.pages[key] = ads.get_page(self.root, path, page_id)
+            self.vo.add_page(path, page_id)
+        return page
 
 
 #: validate_path responses: a confirmed-fresh node, or the updated page.
@@ -202,9 +233,10 @@ class IspServer:
         session = self._session(session_id)
         if obs.ACTIVE:
             obs.inc("isp.get_file_meta")
-        if not ads.file_exists(session.root, path):
+        try:
+            node = session.file_node(ads, path)
+        except FileNotFoundInStoreError:
             return False, 0, 0
-        node = ads.file_node(session.root, path)
         session.vo.add_file(path)
         return True, node.size, node.page_count
 
@@ -218,9 +250,7 @@ class IspServer:
         session = self._session(session_id)
         if obs.ACTIVE:
             obs.inc("isp.get_page")
-        page = ads.get_page(session.root, path, page_id)
-        session.vo.add_page(path, page_id)
-        return page
+        return session.page(ads, path, page_id)
 
     # repro: taint-source
     def validate_path(
@@ -250,7 +280,7 @@ class IspServer:
         digs_path: List[Tuple[int, int, Digest]],
     ) -> Union[FreshMatch, PageReply]:
         session = self._session(session_id)
-        node = ads.file_node(session.root, path)
+        node = session.file_node(ads, path)
         height = page_tree.height_for(node.page_count)
         for level, index, digest in digs_path:
             if level > height:
@@ -264,8 +294,7 @@ class IspServer:
                 if obs.ACTIVE:
                     obs.inc("isp.validate_path.fresh")
                 return ("fresh", level, index, digest)
-        page = ads.get_page(session.root, path, page_id)
-        session.vo.add_page(path, page_id)
+        page = session.page(ads, path, page_id)
         if obs.ACTIVE:
             obs.inc("isp.validate_path.page")
         return ("page", page)
@@ -281,6 +310,7 @@ class IspServer:
         vo = session.vo.build()
         if obs.ACTIVE:
             obs.observe("isp.vo.bytes", vo.byte_size())
+            obs.add("isp.page.resolved", len(session.pages))
         return vo
 
     # ------------------------------------------------------------------

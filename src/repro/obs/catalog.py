@@ -82,6 +82,12 @@ SCOPES: Dict[str, str] = {
         "End-to-end per-query latency (histogram, seconds).",
     "client.page.requests":
         "Page-retrieval round trips to the ISP.",
+    "client.page.hashed":
+        "Page responses hashed into a claim: the first one served for "
+        "each key of a session (reported once, at finalize).",
+    "client.page.repeated":
+        "Page responses for a key already claimed, accepted because "
+        "they were byte-equal to the first (reported once, at finalize).",
     "client.check.requests":
         "Freshness-check round trips to the ISP (Algorithm 5).",
     "client.meta.requests":
@@ -110,7 +116,11 @@ SCOPES: Dict[str, str] = {
     "isp.session.pruned":
         "Abandoned ISP sessions swept after their idle TTL.",
     "isp.get_page":
-        "Pages served to clients.",
+        "Pages served to clients (requests, repeats included).",
+    "isp.page.resolved":
+        "Distinct pages a session resolved through the trie and page "
+        "tree; its other page requests were answered by the session's "
+        "memo (reported once, at finalize).",
     "isp.get_file_meta":
         "Metadata lookups served to clients.",
     "isp.validate_path.fresh":

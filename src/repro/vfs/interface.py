@@ -91,11 +91,17 @@ class VirtualFile(ABC):
         """
         self._check_open()
 
+    def take_page_reads(self) -> int:
+        """The ``vfs.read_page`` tally so far, handed to a caller that
+        reports it (the pager, batching its statement's handles)."""
+        reads, self._page_reads = self._page_reads, 0
+        return reads
+
     def close(self) -> None:
         """Release the handle."""
-        if self._page_reads and obs.ACTIVE:
-            obs.add("vfs.read_page", self._page_reads)
-            self._page_reads = 0
+        reads = self.take_page_reads()
+        if reads and obs.ACTIVE:
+            obs.add("vfs.read_page", reads)
         self.closed = True
 
     def __enter__(self) -> "VirtualFile":

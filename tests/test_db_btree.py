@@ -579,6 +579,45 @@ class TestHostileNodeBytes:
         with pytest.raises(StorageError, match="corrupt B\\+Tree node"):
             BTree(Pager(vfs, "/c2")).get([1])
 
+    @staticmethod
+    def two_leaf_tree(path):
+        """(vfs, root pid, (first leaf pid, second leaf pid)) of a tree
+        with an internal root over chained leaves."""
+        vfs, pager, tree = fresh_tree(path)
+        for key in range(400):
+            tree.insert([key], b"v" * 16)
+        root = pager.root_pid
+        pager.close()
+        node = btree._decode_node(Pager(vfs, path).read_page(root))
+        assert isinstance(node, btree._Internal)
+        return vfs, root, node.children[:2]
+
+    @staticmethod
+    def overwrite(vfs, path, pid, source_pid):
+        with vfs.open(path) as handle:
+            page = handle.read_page(source_pid)
+            handle.write_page(pid, page)
+
+    def test_well_formed_node_in_the_wrong_place(self):
+        """Each page parses; the links between them are what is wrong.
+        A leaf chained to an internal node, and links that form a cycle
+        (which used to spin forever), are typed errors."""
+        # The left leaf's successor holds the root's bytes.
+        vfs, root, (left, right) = self.two_leaf_tree("/w1")
+        self.overwrite(vfs, "/w1", right, root)
+        with pytest.raises(StorageError, match="successor is not a leaf"):
+            list(BTree(Pager(vfs, "/w1")).scan())
+        # The right leaf holds the left one's bytes: it chains to itself.
+        vfs, root, (left, right) = self.two_leaf_tree("/w2")
+        self.overwrite(vfs, "/w2", right, left)
+        with pytest.raises(StorageError, match="leaf chain cycle"):
+            list(BTree(Pager(vfs, "/w2")).scan())
+        # The left child holds the root's bytes: the descent never ends.
+        vfs, root, (left, right) = self.two_leaf_tree("/w3")
+        self.overwrite(vfs, "/w3", left, root)
+        with pytest.raises(StorageError, match="child link cycle"):
+            BTree(Pager(vfs, "/w3")).get([1])
+
 
 # ----------------------------------------------------------------------
 # Count neutrality: the memo changes no page access the paper counts

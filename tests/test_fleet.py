@@ -129,6 +129,26 @@ class TestShardAndReplica:
         with pytest.raises(FleetError):
             shard.get_page(sid, foreign[0], 0)
 
+    def test_ownership_guard_runs_before_the_session_memo(self):
+        """A misroute is refused on every request, and a refusal leaves
+        nothing in the session's memo for a later request to find."""
+        system = build_system()
+        part = HashPartitioner(4).shard_for
+        shard = ShardIsp(2, part)
+        shard.sync_update(*system.certified_state())
+        paths = system.isp.ads.list_files(system.isp.root)
+        owned = next(p for p in paths if part(page_key(p, 0)) == 2)
+        foreign = next(p for p in paths if part(page_key(p, 0)) != 2)
+        sid = shard.open_session()
+        first = shard.get_page(sid, owned, 0)
+        for _ in range(3):
+            assert shard.get_page(sid, owned, 0) is first
+            with pytest.raises(FleetError):
+                shard.get_page(sid, foreign, 0)
+            with pytest.raises(FleetError):
+                shard.validate_path(sid, foreign, 0, [])
+        assert list(shard._sessions[sid].pages) == [(owned, 0)]
+
     def test_delta_roundtrip_and_replica_follows(self):
         system = build_system()
         own_all = HashPartitioner(1).shard_for
@@ -259,6 +279,23 @@ class TestFleetEndToEnd:
             client.isp.ping()
         finally:
             client.isp.close()
+
+    def test_vo_does_not_depend_on_how_often_a_page_was_asked(self):
+        """Through a 2-shard router: each shard's session memo answers
+        the repeats, and the stitched VO is the single ISP's, byte for
+        byte."""
+        from tests.test_network_isp import TABLE, session_vo
+
+        system = build_system(hours=6)
+        requests = [(TABLE, 1), ("/db/catalog", 0), (TABLE, 3), (TABLE, 0)]
+        reference = session_vo(system.isp, requests, 1)
+        fleet = Fleet(system, shard_count=2, replicas=1)
+        fleet.start()
+        try:
+            assert session_vo(fleet.isp, requests, 1) == reference
+            assert session_vo(fleet.isp, requests, 3) == reference
+        finally:
+            fleet.stop()
 
     def test_replicas_are_caught_up_after_bootstrap(self, running_fleet):
         _, fleet = running_fleet

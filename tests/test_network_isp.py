@@ -159,3 +159,155 @@ class TestIspServer:
                 {"/db/catalog": 4096},
                 certificate,
             )
+
+
+TABLE = "/db/tables/eth_transactions.tbl"
+
+
+def session_vo(isp, requests, repeat):
+    """Encoded VO of one session that asks for metadata and every page
+    of ``requests`` ``repeat`` times over, and the pages it got."""
+    session = isp.open_session()
+    pages = {}
+    for _ in range(repeat):
+        for path, page_id in requests:
+            isp.get_file_meta(session, path)
+            page = isp.get_page(session, path, page_id)
+            assert pages.setdefault((path, page_id), page) == page
+    return isp.finalize_session(session).encode(), pages
+
+
+@pytest.fixture(scope="module")
+def memo_system():
+    system = V2FSSystem(SystemConfig(txs_per_block=4))
+    system.advance_all(6)
+    return system
+
+
+class TestSessionMemo:
+    """A session resolves each file and page once under its pinned root
+    and answers repeats from what it remembered.  Nothing a client can
+    observe may depend on that: not the bytes, not the VO, not which
+    requests fail."""
+
+    REQUESTS = [(TABLE, 1), ("/db/catalog", 0), (TABLE, 3), (TABLE, 0)]
+
+    @pytest.mark.parametrize("serving", ["inprocess", "thread", "loop"])
+    def test_vo_does_not_depend_on_how_often_a_page_was_asked(
+        self, memo_system, serving
+    ):
+        import hashlib
+
+        from repro.rpc.client import RemoteIsp
+        from repro.rpc.server import RpcIspServer, serve_system
+        from repro.serve import AsyncIspServer
+
+        reference = session_vo(memo_system.isp, self.REQUESTS, 1)
+        if serving == "inprocess":
+            once = reference
+            thrice = session_vo(memo_system.isp, self.REQUESTS, 3)
+        else:
+            server_class = (
+                RpcIspServer if serving == "thread" else AsyncIspServer
+            )
+            with serve_system(memo_system, server_class=server_class) as s:
+                isp = RemoteIsp(*s.address)
+                try:
+                    once = session_vo(isp, self.REQUESTS, 1)
+                    thrice = session_vo(isp, self.REQUESTS, 3)
+                finally:
+                    isp.close()
+        digest = hashlib.sha256(reference[0]).hexdigest()
+        assert hashlib.sha256(once[0]).hexdigest() == digest
+        assert hashlib.sha256(thrice[0]).hexdigest() == digest
+        assert once[1] == thrice[1] == reference[1]
+        assert len(memo_system.isp.sessions) == 0
+
+    def test_pinned_snapshot_survives_update_and_prune(self):
+        """Memoised pages and pages first asked for after the update
+        both come from the root the session pinned."""
+        system = V2FSSystem(SystemConfig(txs_per_block=4))
+        system.advance_all(6)
+        isp = system.isp
+        session = isp.open_session()
+        pinned = isp._sessions[session].root
+        _, _, count = isp.get_file_meta(session, TABLE)
+        early = isp.get_page(session, TABLE, 1)
+        # Two updates that rewrite the table: the pinned root is then
+        # neither current nor previous, and only the pin keeps it.
+        for _ in range(2):
+            while TABLE not in system.advance_block("eth").writes:
+                pass
+        assert pinned not in (isp.root, isp._previous_root)
+        # From the memo, and the same object: nothing was resolved again.
+        assert isp.get_page(session, TABLE, 1) is early
+        assert isp.get_file_meta(session, TABLE)[2] == count
+        # A miss after the update still descends the *pinned* tree (the
+        # header page changes with every insert).
+        late = isp.get_page(session, TABLE, 0)
+        assert late == isp.ads.get_page(pinned, TABLE, 0)
+        assert late != isp.ads.get_page(isp.root, TABLE, 0)
+        claims = {(TABLE, 1): V2fsAds.page_digest(early),
+                  (TABLE, 0): V2fsAds.page_digest(late)}
+        V2fsAds.verify_read_proof(
+            isp.finalize_session(session), pinned, claims
+        )
+
+    def test_file_and_page_are_resolved_once(self, memo_system):
+        isp = memo_system.isp
+        calls = {"file_node": 0, "get_page": 0}
+
+        def counting(name):
+            real = getattr(isp.ads, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        isp.ads.file_node = counting("file_node")
+        isp.ads.get_page = counting("get_page")
+        try:
+            session = isp.open_session()
+            for _ in range(5):
+                isp.get_file_meta(session, TABLE)
+                isp.get_page(session, TABLE, 1)
+                isp.validate_path(session, TABLE, 1, [])
+            served = dict(calls)
+            isp.finalize_session(session)
+        finally:
+            del isp.ads.file_node, isp.ads.get_page
+        # One page lookup (which walks the trie itself) and one
+        # metadata lookup for fifteen requests.
+        assert served == {"get_page": 1, "file_node": 2}
+
+    def test_failed_lookup_memoises_nothing(self, memo_system):
+        isp = memo_system.isp
+        session = isp.open_session()
+        _, _, count = isp.get_file_meta(session, TABLE)
+        for _ in range(3):
+            with pytest.raises(StorageError, match="beyond EOF"):
+                isp.get_page(session, TABLE, count)
+            with pytest.raises(StorageError, match="beyond EOF"):
+                isp.validate_path(session, TABLE, count, [])
+            assert isp.get_file_meta(session, "/no/such") == (False, 0, 0)
+        state = isp._sessions[session]
+        assert list(state.files) == [TABLE] and not state.pages
+        assert state.vo.page_keys == set()
+        isp.finalize_session(session)
+
+    def test_memo_dies_with_the_session(self, memo_system):
+        import gc
+        import weakref
+
+        isp = memo_system.isp
+        finalized, abandoned = isp.open_session(), isp.open_session()
+        refs = []
+        for session in (finalized, abandoned):
+            isp.get_page(session, TABLE, 1)
+            refs.append(weakref.ref(isp._sessions[session]))
+        isp.finalize_session(finalized)
+        assert isp.sessions.prune(lambda s: s.session_id == abandoned) == 1
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        assert len(isp.sessions) == 0

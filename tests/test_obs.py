@@ -270,6 +270,59 @@ class TestTalliedSites:
         delta = REGISTRY.counters_delta(before)
         assert delta["pager.read_page"] == 1  # once, not once per flush
 
+    def test_a_statements_pagers_report_together(self, monkeypatch):
+        """The engine's pagers share one tally: a statement makes one
+        registry call per name however many pagers it opened, and the
+        totals are what the pagers would have reported one by one."""
+        from repro.db.engine import Engine
+        from repro.vfs.local import LocalFilesystem
+
+        engine = Engine(LocalFilesystem())
+        engine.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        engine.execute("CREATE INDEX t_a ON t (a)")
+        engine.insert_rows("t", [[i % 7, i] for i in range(300)])
+        calls = []
+        real_add = obs.add
+        monkeypatch.setattr(
+            obs, "add",
+            lambda name, value=1: (calls.append(name), real_add(name, value)),
+        )
+        before = REGISTRY.counters_snapshot()
+        join = "SELECT COUNT(*) FROM t x JOIN t y ON x.a = y.a WHERE x.b < 3"
+        assert engine.execute(join).scalar() > 0
+        delta = REGISTRY.counters_delta(before)
+        assert delta["pager.flush"] > 2  # one per pager closed
+        assert (delta["db.node.memo.hit"] + delta["db.node.memo.miss"]
+                == delta["pager.read_page"])
+        # Every data page and every pager's header page crossed the VFS.
+        assert (delta["vfs.read_page"]
+                == delta["pager.read_page"] + delta["pager.flush"])
+        for name in ("pager.flush", "pager.read_page", "vfs.read_page"):
+            assert calls.count(name) == 1
+
+    def test_fetch_path_counts_partition_the_page_requests(self):
+        """What a session paid for once and what it probed, client side
+        and ISP side, reported once per query."""
+        from repro.client.vfs import QueryMode
+        from repro.core.system import SystemConfig, V2FSSystem
+
+        system = V2FSSystem(SystemConfig(txs_per_block=4))
+        system.advance_all(3)
+        client = system.make_client(QueryMode.BASELINE)
+        vo_pages = REGISTRY.histogram("isp.vo.pages")
+        before = REGISTRY.counters_snapshot()
+        pages_before = vo_pages.snapshot()["total"]
+        client.query("SELECT COUNT(*) FROM eth_transactions")
+        client.query("SELECT COUNT(*), SUM(fee) FROM btc_transactions")
+        delta = REGISTRY.counters_delta(before)
+        hashed = delta["client.page.hashed"]
+        repeated = delta["client.page.repeated"]
+        assert hashed + repeated == delta["client.page.requests"]
+        assert hashed > 0 and repeated > 0
+        assert delta["isp.get_page"] == delta["client.page.requests"]
+        assert (delta["isp.page.resolved"] == hashed
+                == vo_pages.snapshot()["total"] - pages_before)
+
     def test_cache_lookups_in_a_query_are_reported_at_its_end(self):
         from repro.client.caches import InterQueryCache
 

@@ -112,17 +112,17 @@ def swap_isp(system, isp_class):
 
 
 @contextlib.contextmanager
-def client_of(system, path, mode=QueryMode.INTER_VBF):
+def client_of(system, path, mode=QueryMode.INTER_VBF, **options):
     """A verifying client of ``system.isp``: in-process, or over
     ``connect_client`` to a threaded server around the same ISP."""
     if path == "inprocess":
-        yield system.make_client(mode)
+        yield system.make_client(mode, **options)
         return
     from repro.rpc import connect_client
     from repro.rpc.server import serve_system
 
     with serve_system(system) as server:
-        client = connect_client(*server.address, mode=mode)
+        client = connect_client(*server.address, mode=mode, **options)
         try:
             yield client
         finally:
@@ -502,6 +502,176 @@ class TestNodeMemo:
             assert client.query(self.SUM).rows == expected
 
 
+class EquivocatingIsp(IspServer):
+    """Honest until armed with ``(kind, arg)``; then the *first* time a
+    session asks for a data page of ``TABLE`` it gets forged bytes, and
+    every later request of that key in the session gets the genuine
+    ones — so the last response for the key always hashes to what the
+    VO proves.  ``("flip", offset)`` changes one byte inside the node's
+    first entries; ``("swap", shift)`` serves another page of the file.
+    """
+
+    TABLE = "/db/tables/eth_transactions.tbl"
+    armed = None
+
+    def __init__(self):
+        super().__init__()
+        self.forged = set()
+
+    def get_page(self, session_id, path, page_id):
+        page = super().get_page(session_id, path, page_id)
+        request = (session_id, page_id)
+        if (self.armed is None or path != self.TABLE or page_id < 1
+                or request in self.forged):
+            return page
+        self.forged.add(request)
+        kind, arg = self.armed
+        if kind == "flip":
+            return page[:arg] + bytes([page[arg] ^ 0x01]) + page[arg + 1:]
+        _, _, count = super().get_file_meta(session_id, path)
+        other = 1 + (page_id - 1 + arg) % (count - 1)
+        return super().get_page(session_id, path, other)
+
+
+@pytest.fixture(scope="module")
+def equivocating_system():
+    return swap_isp(build_system(6), EquivocatingIsp)
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+@pytest.mark.parametrize("mode,options", [
+    pytest.param(QueryMode.BASELINE, {}, id="baseline"),
+    # Two pages of cache: evictions force re-fetches inside one query.
+    pytest.param(QueryMode.INTRA, {"cache_bytes": 2 * 4096}, id="intra"),
+    pytest.param(QueryMode.INTER, {"cache_bytes": 2 * 4096}, id="inter"),
+    pytest.param(QueryMode.INTER_VBF, {"cache_bytes": 2 * 4096},
+                 id="inter+vbf"),
+])
+class TestEquivocation:
+    """One key, two contents, one session.  The claim the VO is checked
+    against must be the bytes the engine consumed: a later (genuine)
+    response for a key may not replace the claim of an earlier (forged)
+    one the engine has already computed on."""
+
+    #: The Q2 shape: the join's inner side looks every transaction up by
+    #: rowid, so the table's leaves are requested again and again.
+    JOIN = ("SELECT COUNT(*), SUM(x.value), SUM(t.gas_price) "
+            "FROM eth_token_transfers x JOIN eth_transactions t "
+            "ON x.tx_hash = t.hash")
+    FORGERIES = [("flip", offset) for offset in range(8, 120, 8)] + [
+        ("swap", 1), ("swap", 2),
+    ]
+
+    def test_first_forged_then_genuine_is_rejected(
+        self, equivocating_system, path, mode, options
+    ):
+        system = equivocating_system
+        isp = system.isp
+        expected = system.plain_replica().execute(self.JOIN).rows
+        try:
+            with client_of(system, path, mode, **options) as client:
+                assert client.query(self.JOIN).rows == expected
+                for forgery in self.FORGERIES:
+                    cache = client.inter_cache
+                    cached = set(cache._pages) if cache is not None else None
+                    isp.armed = forgery
+                    with pytest.raises(ReproError):
+                        client.query(self.JOIN)
+                    isp.armed = None
+                    assert len(isp.sessions) == 0
+                    assert len(client._nodes) == 0
+                    if cache is not None:  # evicted from, never added to
+                        assert set(cache._pages) <= cached
+                    assert client.query(self.JOIN).rows == expected
+        finally:
+            isp.armed = None
+
+
+class _TwoFacedIsp:
+    """The slice of the ISP interface a ``ClientSession`` reads pages
+    through, answering each request with the next of ``pages``."""
+
+    def __init__(self, pages):
+        self.pages = list(pages)
+        self.finalized = False
+
+    def open_session(self, expected_version=None):
+        return 1
+
+    def get_page(self, session_id, path, page_id):
+        return self.pages.pop(0)
+
+    def finalize_session(self, session_id):
+        self.finalized = True
+        raise NetworkError("not reached")
+
+
+class TestOneContentPerKey:
+    """The unit form, on a ``ClientSession`` alone."""
+
+    GENUINE = b"g" * 4096
+    FORGED = b"g" * 4095 + b"f"
+
+    @staticmethod
+    def session(system, isp):
+        from repro.client.vfs import ClientSession
+        from repro.network.transport import Transport
+
+        return ClientSession(isp, Transport(), system.isp.get_certificate(),
+                             QueryMode.BASELINE)
+
+    @pytest.mark.parametrize("order", ["forged-first", "genuine-first"])
+    def test_second_content_for_a_key_is_refused(self, order):
+        system = build_system(1)
+        pages = [self.FORGED, self.GENUINE]
+        if order == "genuine-first":
+            pages.reverse()
+        isp = _TwoFacedIsp(pages)
+        session = self.session(system, isp)
+        first = session.access_page("/f", 1)
+        claim = dict(session.page_claims)
+        with pytest.raises(VerificationError, match="two different"):
+            session.access_page("/f", 1)
+        # The claim is still the one for the bytes the engine was given.
+        assert session.page_claims == claim
+        assert claim[("/f", 1)] == V2fsAds.page_digest(first)
+        assert not isp.finalized
+
+    def test_equal_bytes_are_one_claim_and_one_object(self):
+        system = build_system(1)
+        isp = _TwoFacedIsp([self.GENUINE, bytes(bytearray(self.GENUINE)),
+                            self.FORGED])
+        session = self.session(system, isp)
+        first = session.access_page("/f", 1)
+        assert session.access_page("/f", 1) is first  # a copy came back
+        other = session.access_page("/f", 2)          # another key
+        assert other == self.FORGED
+        assert len(session.page_claims) == 2
+
+    def test_stale_path_page_reply_is_bound_by_the_same_rule(self):
+        """``validate_path`` answering "page" is a page response too."""
+        from repro.client.caches import InterQueryCache
+        from repro.client.vfs import ClientSession
+        from repro.network.transport import Transport
+
+        system = build_system(1)
+        isp = _TwoFacedIsp([self.FORGED])
+        isp.get_file_meta = lambda sid, path: (True, 8192, 2)
+        isp.validate_path = lambda sid, path, pid, digs: (
+            "page", self.GENUINE
+        )
+        cache = InterQueryCache(2 * 4096)
+        cache.insert(("/f", 1), b"old" * 1365 + b"o", 0)  # a past query's
+        session = ClientSession(
+            isp, Transport(), system.isp.get_certificate(),
+            QueryMode.INTER, inter_cache=cache,
+        )
+        assert session.access_page("/f", 1) == self.GENUINE  # the reply
+        cache.discard(("/f", 1))                             # "evicted"
+        with pytest.raises(VerificationError, match="two different"):
+            session.access_page("/f", 1)                     # re-fetched
+
+
 @pytest.mark.parametrize("path", ["inprocess", "rpc"])
 class TestFailedQueryClosesItsSession:
     """An ISP session pins its snapshot root against pruning, so a
@@ -563,6 +733,7 @@ PAGE_MUTATIONS = {
     "truncated": lambda page, rng: page[:rng.randrange(64)],
     "wrong-schema": _wrong_schema,
     "short-meta": None,  # the page is honest; get_file_meta is not
+    "other-page": None,  # honest bytes of another page of the same file
 }
 
 
@@ -580,8 +751,17 @@ class GarblingIsp(IspServer):
         if self.armed is None or self.armed[1] == "short-meta":
             return page
         target, mutation, seed = self.armed
-        if path == target and page_id >= self.FIRST_PAGE.get(path, 1):
+        first = self.FIRST_PAGE.get(path, 1)
+        if path == target and page_id >= first:
             rng = random.Random(f"{seed}/{page_id}")
+            if mutation == "other-page":
+                # A well-formed node in the wrong place: a leaf for
+                # the root, the root for a leaf, one leaf for another.
+                _, _, count = super().get_file_meta(session_id, path)
+                others = [p for p in range(first, count) if p != page_id]
+                return super().get_page(
+                    session_id, path, rng.choice(others)
+                )
             return PAGE_MUTATIONS[mutation](page, rng)
         return page
 
@@ -594,7 +774,7 @@ class GarblingIsp(IspServer):
 
 @pytest.fixture(scope="module")
 def garbling_system():
-    return swap_isp(build_system(2), GarblingIsp)
+    return swap_isp(build_system(6), GarblingIsp)
 
 
 @pytest.mark.parametrize("path", ["inprocess", "rpc"])
@@ -604,6 +784,7 @@ def garbling_system():
                          ("table", "/db/tables/eth_transactions.tbl"))
     for mutation in PAGE_MUTATIONS
     if (mutation == "wrong-schema") <= (name == "catalog")
+    if (mutation == "other-page") <= (name == "table")
 ])
 class TestHostileBytesBeforeVerification:
     """The catalog and every row are decoded from pages the client has
