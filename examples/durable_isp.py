@@ -26,9 +26,7 @@ def main() -> None:
 
     # Stand up a system, then rebuild its ISP around a persistent store.
     system = V2FSSystem(SystemConfig(txs_per_block=8))
-    durable = IspServer()
-    durable.ads = V2fsAds(PersistentNodeStore(log_path))
-    durable.root = durable.ads.root
+    durable = IspServer(PersistentNodeStore(log_path))
     system.isp = durable
     # Re-sync everything certified so far (the schema bootstrap).
     durable.sync_update(*system.certified_state())

@@ -210,7 +210,6 @@ class SystemChaos:
         use_rpc: bool = True,
         txs_per_block: int = 2,
     ) -> None:
-        from repro.core.system import SystemConfig, V2FSSystem
         from repro.isp.server import IspServer
         from repro.merkle.ads import V2fsAds
         from repro.merkle.persistent_store import PersistentNodeStore
@@ -229,19 +228,11 @@ class SystemChaos:
         apply_schedule(self.schedule)
 
         with faults.suspended():
-            self.system = V2FSSystem(
-                SystemConfig(seed=seed, txs_per_block=txs_per_block)
+            # One block per chain already ingested, so queries (which
+            # check observed chain heads) are meaningful from step 0.
+            self.system = _build_durable_system(
+                seed, txs_per_block, store_path
             )
-            # Rebuild the ISP around an on-disk store and re-sync the
-            # schema bootstrap.
-            durable = IspServer()
-            durable.ads = V2fsAds(PersistentNodeStore(store_path))
-            durable.root = durable.ads.root
-            durable.sync_update(*self.system.certified_state())
-            self.system.isp = durable
-            # Seed one block per chain so queries (which check observed
-            # chain heads) are meaningful from step 0.
-            self.system.advance_all(1)
             # An in-memory oracle, kept in lockstep by _publish.
             self.oracle = IspServer()
             self.oracle.sync_update(*self.system.certified_state())
@@ -484,13 +475,12 @@ def _build_durable_system(seed: int, txs_per_block: int,
     block per chain already ingested)."""
     from repro.core.system import SystemConfig, V2FSSystem
     from repro.isp.server import IspServer
-    from repro.merkle.ads import V2fsAds
     from repro.merkle.persistent_store import PersistentNodeStore
 
     system = V2FSSystem(SystemConfig(seed=seed, txs_per_block=txs_per_block))
-    durable = IspServer()
-    durable.ads = V2fsAds(PersistentNodeStore(store_path))
-    durable.root = durable.ads.root
+    # Rebuild the ISP around an on-disk store and re-sync the schema
+    # bootstrap.
+    durable = IspServer(PersistentNodeStore(store_path))
     durable.sync_update(*system.certified_state())
     system.isp = durable
     system.advance_all(1)
@@ -924,7 +914,7 @@ class FleetChaos:
                 self.stats.promotions += 1
                 assert lag == 0, (
                     f"replica {label} accepted promotion while "
-                    f"{lag} deltas behind"
+                    f"{lag} batches behind"
                 )
         self._query()
 

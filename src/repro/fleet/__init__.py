@@ -10,8 +10,8 @@ without touching the trust model:
 * :mod:`repro.fleet.shard` — a shard primary: a full ADS *skeleton*
   (every digest) but page data only for its partition, so its root is
   byte-identical to the fleet-wide certified root;
-* :mod:`repro.fleet.replication` — MVCC read replicas fed by a
-  replication log of content-addressed node deltas;
+* :mod:`repro.fleet.replication` — MVCC read replicas that replay the
+  primary's certified write batches from a replication log;
 * :mod:`repro.fleet.stitch` — merging per-shard consolidated VOs into
   one proof anchored at the certified root;
 * :mod:`repro.fleet.router` — the stateless fan-out router clients

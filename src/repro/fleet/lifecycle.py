@@ -7,14 +7,15 @@
 2. build each shard primary and apply the system's certified state to
    it as one snapshot batch (every shard reproduces the certified root,
    storing only its own pages — see :mod:`repro.fleet.shard`);
-3. seed each shard's replicas through its replication log;
+3. seed each shard's replicas with the same batch through its
+   replication log;
 4. serve every primary and replica behind its own
    :class:`~repro.rpc.server.RpcIspServer`, publish the bound ports as
    a :class:`~repro.fleet.partition.ShardMap`, and front the fleet
    with a :class:`~repro.fleet.router.FleetRouterServer`;
 5. rewire ``system.isp`` to the router's
    :class:`~repro.fleet.router.FleetIsp`, so ``advance_block`` fans
-   each new batch to every primary and ships deltas to replicas.
+   each new batch to every primary and ships it on to the replicas.
 
 Chaos hooks: :meth:`Fleet.kill_shard` stops a primary's server
 mid-fleet (clients see connection failures; the circuit breaker turns
@@ -32,7 +33,6 @@ import socket
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.certificate import V2fsCertificate
 from repro.errors import FleetError
 from repro.faults import registry as faults
 from repro.faults.registry import InjectedFault
@@ -104,8 +104,8 @@ class Fleet:
         self.strategy = strategy
         self.host = host
         self.service_delay_s = service_delay_s
-        #: One declarative bundle for every router-to-shard endpoint
-        #: handle; an explicit ``handle_factory`` still wins (tests).
+        #: Builds every router-to-shard endpoint handle; an explicit
+        #: ``handle_factory`` still wins (tests).
         self.config = config or ResilienceConfig()
         self._handle_factory = handle_factory or self.config.make_handle
         self._original_isp = system.isp
@@ -159,9 +159,8 @@ class Fleet:
         One snapshot batch per shard (owned pages stored, foreign pages
         folded as digests): the ADS is history-independent, so it must
         land on the same certified root the single-node ISP published —
-        the shard's own root check enforces it.  The resulting delta
-        streams to the replicas through the logs, so they finish caught
-        up.
+        the shard's own root check enforces it.  The same batch goes
+        to the replicas through the logs, so they finish caught up.
         """
         writes, new_sizes, certificate = self.system.certified_state()
         for shard_id, shard in self.shards.items():
@@ -169,17 +168,17 @@ class Fleet:
             for label, replica in self.replicas[shard_id]:
                 log.attach(label, self._make_apply(label, replica))
             shard.sync_update(writes, new_sizes, certificate)
-            log.append(shard.take_delta(), certificate)
+            log.append(writes, new_sizes, certificate)
             log.ship()
 
     def _make_apply(self, label: str, replica: ReplicaIsp):
-        def apply(delta, certificate: V2fsCertificate) -> None:
+        def apply(writes, new_sizes, certificate) -> None:
             server = self._replica_servers.get(label)
             if server is None:
-                replica.apply_delta(delta, certificate)
+                replica.sync_update(writes, new_sizes, certificate)
                 return
             with server.lock:
-                replica.apply_delta(delta, certificate)
+                replica.sync_update(writes, new_sizes, certificate)
 
         return apply
 
@@ -206,9 +205,8 @@ class Fleet:
             shard = self.shards[shard_id]
             with server.lock:
                 shard.sync_update(writes, new_sizes, certificate)
-                delta = shard.take_delta()
             log = self.logs[shard_id]
-            log.append(delta, certificate)
+            log.append(writes, new_sizes, certificate)
             log.ship()
 
         return sync

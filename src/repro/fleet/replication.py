@@ -1,11 +1,15 @@
 """MVCC read replicas and the replication log that feeds them.
 
-A replica serves the same partition as its shard primary, one
-content-addressed delta behind at worst.  The primary's recording
-store captures each sync's new nodes as a
-:class:`~repro.merkle.delta.NodeDelta`; the :class:`ReplicationLog`
-appends ``(delta, certificate)`` pairs and ships them to every
-attached replica, tracking a cursor per replica so a lagging or
+A replica serves the same partition as its shard primary, one certified
+batch behind at worst.  It *is* a :class:`~repro.fleet.shard.ShardIsp`:
+the :class:`ReplicationLog` appends the very
+``(writes, new_sizes, certificate)`` the primary applied and ships it
+to every attached replica through the same
+:meth:`~repro.isp.server.IspServer.sync_update` — the one transaction
+that recomputes the root from the batch and refuses anything but the
+certified one.  A replica therefore never depends on what its primary's
+store happened to hold: it can only publish a root it has just built
+every node of.  The log tracks a cursor per replica, so a lagging or
 fault-injected replica simply stays behind — it never sees a partial
 version.
 
@@ -29,63 +33,34 @@ import logging
 from typing import Callable, Dict, List, Tuple
 
 from repro.core.certificate import V2fsCertificate
-from repro.errors import FleetError, ReproError, StorageError
+from repro.errors import FleetError, ReproError
 from repro.faults import registry as faults
 from repro.faults.registry import InjectedFault
-from repro.fleet.partition import Partitioner
 from repro.fleet.shard import ShardIsp
-from repro.merkle.ads import V2fsAds
-from repro.merkle.delta import NodeDelta, RecordingNodeStore
-from repro.merkle.node_store import NodeStore
 from repro.obs import metrics as obs
 
 logger = logging.getLogger("repro.fleet")
 
-#: How a delta reaches one replica (wraps the replica server's lock).
-ApplyFn = Callable[[NodeDelta, V2fsCertificate], None]
+#: How a ``(writes, new_sizes, certificate)`` batch reaches one replica:
+#: the replica's ``sync_update``, wrapped in its server's lock.
+ApplyFn = Callable[[dict, dict, V2fsCertificate], None]
 
 
 class ReplicaIsp(ShardIsp):
-    """A read-only copy of one shard, advanced by applying deltas."""
-
-    def __init__(self, shard_id: int, partitioner: Partitioner) -> None:
-        super().__init__(shard_id, partitioner)
-        # Replicas replay deltas instead of recording them.
-        self.ads = V2fsAds(NodeStore())
-        self.root = self.ads.root
-        #: Flips at :meth:`promote`; re-enables the primary write path.
-        self._promoted = False
-
-    def sync_update(self, writes, new_sizes, certificate) -> None:
-        if self._promoted:
-            return super().sync_update(writes, new_sizes, certificate)
-        raise FleetError(
-            "replica is read-only; it advances via apply_delta"
-        )
-
-    def take_delta(self) -> NodeDelta:
-        if self._promoted:
-            return super().take_delta()
-        raise FleetError("replicas do not record deltas")
+    """A copy of one shard that follows its primary's replication log."""
 
     def promote(self, expected_version: int) -> "ReplicaIsp":
         """Become this shard's primary — *only* if fully caught up.
 
         Promotion is certificate-gated: the caller states the fleet's
         current certified version and a replica that has not applied
-        that delta **refuses** (``fleet.promote.refused`` + typed
+        that batch **refuses** (``fleet.promote.refused`` + typed
         :class:`FleetError`) rather than serve a rolled-back snapshot
         as the new authority.  A refused promotion is recoverable — the
-        lifecycle can ship the missing deltas and retry, or pick a
-        different replica.
-
-        On success the replica's plain node store is wrapped in a
-        :class:`~repro.merkle.delta.RecordingNodeStore`
-        (:meth:`~repro.merkle.delta.RecordingNodeStore.adopt`) so the
-        *next* sync's new nodes feed the replicas now following it, and
-        the primary-only surface (``sync_update``/``take_delta``)
-        unlocks.  Idempotent: promoting an already-promoted replica at
-        the same version is a no-op.
+        lifecycle can ship the missing batches and retry, or pick a
+        different replica.  Nothing about the replica changes on
+        success: it already advances by ``sync_update``, so the caller
+        only has to point the fan-out at it.
         """
         certificate = self.certificate
         if certificate is None or certificate.version < expected_version:
@@ -97,78 +72,26 @@ class ReplicaIsp(ShardIsp):
                 f"at version {have}, fleet is at {expected_version} "
                 f"(stale replicas must not become primaries)"
             )
-        if not self._promoted:
-            self.ads.store = RecordingNodeStore.adopt(self.ads.store)
-            self._promoted = True
-            if obs.ACTIVE:
-                obs.inc("fleet.promote.ok")
-            logger.warning(
-                "replica for shard %d promoted to primary at "
-                "version %d", self.shard_id, certificate.version,
-            )
-        return self
-
-    # repro: taint-sanitizer
-    def apply_delta(
-        self, delta: NodeDelta, certificate: V2fsCertificate
-    ) -> None:
-        """Insert one version transition and publish its root.
-
-        Mirrors the primary's *stage -> verify -> sync -> publish ->
-        prune* ordering: nodes land in the content-addressed store
-        first (failures leave only unreferenced garbage), the root is
-        cross-checked against the certificate, and only then does the
-        served snapshot advance.  Prior roots stay readable for
-        in-flight replica sessions — the replica inherits the
-        single-node MVCC for free.
-        """
-        if delta.version != certificate.version:
-            raise FleetError(
-                f"delta version {delta.version} does not match "
-                f"certificate version {certificate.version}"
-            )
-        if delta.root != certificate.ads_root:
-            raise FleetError(
-                "delta root does not match the certified root"
-            )
-        for node in delta.nodes:
-            self.ads.store.put(node)
-        if delta.nodes and delta.root not in self.ads.store:
-            raise FleetError(
-                "delta does not contain its own root node"
-            )
-        self.ads.store.sync()
-        self._previous_root = self.root
-        self.root = delta.root
-        self.certificate = certificate
         if obs.ACTIVE:
-            obs.inc("fleet.replica.apply")
-        live = [self.root]
-        if self._previous_root is not None:
-            live.append(self._previous_root)
-        live.extend(self.sessions.live_roots())
-        try:
-            self.ads.prune(live)
-        except (StorageError, OSError):
-            logger.exception(
-                "replica post-publish prune failed; "
-                "superseded nodes retained"
-            )
+            obs.inc("fleet.promote.ok")
+        return self
 
 
 class ReplicationLog:
-    """Ordered deltas from one shard primary, with per-replica cursors.
+    """Ordered batches from one shard primary, with per-replica cursors.
 
     ``attach`` registers a replica's apply callback; ``append`` adds
-    one sync's delta; ``ship`` pushes every pending delta to every
-    replica that is neither fault-lagged nor failing, then truncates
-    entries all replicas have consumed.  Cursors are absolute delta
-    indices, so truncation never loses track of who is where.
+    the batch one sync applied; ``ship`` pushes every pending batch to
+    every replica that is neither fault-lagged nor failing, then
+    truncates entries all replicas have consumed.  Cursors are absolute
+    batch indices, so truncation never loses track of who is where.
+    The entries reference the batch dicts the fan-out already shares
+    between shards; the log never copies or mutates them.
     """
 
     def __init__(self, shard_id: int) -> None:
         self.shard_id = shard_id
-        self._entries: List[Tuple[NodeDelta, V2fsCertificate]] = []
+        self._entries: List[Tuple[dict, dict, V2fsCertificate]] = []
         self._base = 0
         self._cursors: Dict[str, int] = {}
         self._appliers: Dict[str, ApplyFn] = {}
@@ -184,26 +107,29 @@ class ReplicationLog:
 
     @property
     def length(self) -> int:
-        """Total deltas ever appended (absolute head position)."""
+        """Total batches ever appended (absolute head position)."""
         return self._base + len(self._entries)
 
     def lag_of(self, label: str) -> int:
-        """How many deltas ``label`` is behind the head."""
+        """How many batches ``label`` is behind the head."""
         return self.length - self._cursors.get(label, 0)
 
     def append(
-        self, delta: NodeDelta, certificate: V2fsCertificate
+        self, writes: dict, new_sizes: dict,
+        certificate: V2fsCertificate,
     ) -> None:
-        self._entries.append((delta, certificate))
+        self._entries.append((writes, new_sizes, certificate))
 
     def ship(self) -> int:
-        """Push pending deltas to every attached replica.
+        """Push pending batches to every attached replica.
 
-        Returns the number of (replica, delta) shipments performed.
+        Returns the number of (replica, batch) shipments performed.
         The ``fleet.replica.lag`` failpoint withholds one replica's
         shipment for this round (chaos: force a replica to fall
-        behind); an apply failure leaves that replica's cursor so the
-        next round retries from the same delta.
+        behind); a refused or failed apply leaves that replica's
+        cursor — and, ``sync_update`` being transactional, its served
+        version — where they were, so the next round retries from the
+        same batch.
         """
         shipped = 0
         for label, apply_fn in self._appliers.items():
@@ -223,12 +149,12 @@ class ReplicationLog:
                     continue
             cursor = self._cursors[label]
             while cursor < self.length:
-                delta, certificate = self._entries[cursor - self._base]
+                entry = self._entries[cursor - self._base]
                 try:
-                    apply_fn(delta, certificate)
+                    apply_fn(*entry)
                 except ReproError:
                     logger.exception(
-                        "replica %s failed to apply delta %d; "
+                        "replica %s failed to apply batch %d; "
                         "will retry", label, cursor,
                     )
                     break

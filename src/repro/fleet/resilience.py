@@ -4,11 +4,10 @@ This module is the fleet's *degraded-modes* policy box — the knobs and
 mechanisms the router uses to keep serving when parts of the fleet are
 slow, dead, or partitioned:
 
-* :class:`ResilienceConfig` — one declarative bundle for every
-  router-to-shard endpoint handle (timeouts, retries, breaker, shared
-  retry budget, hedging, deadlines).  The router's default handle
-  factory reads it, so deployments tune failure behavior in one place
-  instead of editing hardcoded constructor defaults.
+* :class:`ResilienceConfig` — the three failure-behavior values
+  callers actually vary (hop timeout, hedging on/off, hedge floor) and
+  the router's default handle factory; the retry, breaker and
+  retry-budget policy of those handles is fixed beside it.
 * :class:`HedgePolicy` — an adaptive hedging trigger: it tracks a
   sliding window of observed page-read latencies and fires a *hedge*
   (a duplicate read to another endpoint) only when the primary has
@@ -38,6 +37,30 @@ from repro.rpc.client import RemoteIsp
 from repro.rpc.deadline import Deadline, RetryBudget
 
 
+#: Policy of every router-to-shard endpoint handle (see
+#: :class:`~repro.rpc.client.RemoteIsp` for each one's meaning).  No
+#: deployment, test or benchmark ever set them apart from these values,
+#: so they are not options.  ``_LABEL`` is the netsplit identity: the
+#: router sits on its own side of simulated partitions.
+_MAX_RETRIES = 2
+_BACKOFF_S = 0.05
+_MAX_BACKOFF_S = 1.0
+_BREAKER_THRESHOLD = 4
+_BREAKER_COOLDOWN_S = 0.25
+_LABEL = "router"
+#: One token bucket across every handle a config builds: caps the
+#: *whole router's* retry rate during a fleet-wide brownout, not just
+#: one endpoint's.
+_RETRY_BUDGET_CAPACITY = 32.0
+_RETRY_BUDGET_REFILL_PER_S = 8.0
+
+#: The latency percentile a hedge waits out, and how many new
+#: observations pass before it is re-derived (sorting the window on
+#: every read would cost more than the read's own bookkeeping).
+_HEDGE_QUANTILE = 0.99
+_HEDGE_RECOMPUTE_EVERY = 16
+
+
 @dataclass
 class ResilienceConfig:
     """Failure-behavior knobs for one fleet's router-to-shard plane."""
@@ -46,21 +69,6 @@ class ResilienceConfig:
     #: than a WAN client's: shards are co-located and a dead one
     #: should surface quickly.
     timeout_s: float = 5.0
-    #: Per-call retry attempts beyond the first (connection-level
-    #: failures only; see :class:`~repro.rpc.client.RemoteIsp`).
-    max_retries: int = 2
-    backoff_s: float = 0.05
-    max_backoff_s: float = 1.0
-    breaker_threshold: int = 4
-    breaker_cooldown_s: float = 0.25
-    #: Netsplit label for every handle this config builds: the fleet
-    #: router sits on its own side of simulated partitions.
-    label: str = "router"
-    #: Shared token bucket across every handle built from this config:
-    #: caps the *whole router's* retry rate during a fleet-wide
-    #: brownout, not just one endpoint's.
-    retry_budget_capacity: float = 32.0
-    retry_budget_refill_per_s: float = 8.0
     #: Hedged reads: duplicate a slow page read to another endpoint of
     #: the same shard after an adaptive delay.
     hedge_enabled: bool = True
@@ -68,12 +76,6 @@ class ResilienceConfig:
     #: this even when observed latencies are tiny, or a healthy fleet
     #: would double its read traffic on noise.
     hedge_floor_s: float = 0.010
-    #: Sliding-window size for the latency percentile estimate.
-    hedge_window: int = 128
-    #: Minimum observations before trusting the percentile (until
-    #: then, hedge at ``hedge_floor_s`` + ``timeout_s``/4 — effectively
-    #: only for pathological slowness).
-    hedge_min_samples: int = 16
 
     _shared_budget: Optional[RetryBudget] = field(
         default=None, repr=False, compare=False
@@ -83,8 +85,8 @@ class ResilienceConfig:
         """The config's process-wide shared retry bucket (lazy)."""
         if self._shared_budget is None:
             self._shared_budget = RetryBudget(
-                capacity=self.retry_budget_capacity,
-                refill_per_s=self.retry_budget_refill_per_s,
+                capacity=_RETRY_BUDGET_CAPACITY,
+                refill_per_s=_RETRY_BUDGET_REFILL_PER_S,
             )
         return self._shared_budget
 
@@ -94,12 +96,12 @@ class ResilienceConfig:
             endpoint[0],
             endpoint[1],
             timeout_s=self.timeout_s,
-            max_retries=self.max_retries,
-            backoff_s=self.backoff_s,
-            max_backoff_s=self.max_backoff_s,
-            breaker_threshold=self.breaker_threshold,
-            breaker_cooldown_s=self.breaker_cooldown_s,
-            label=self.label,
+            max_retries=_MAX_RETRIES,
+            backoff_s=_BACKOFF_S,
+            max_backoff_s=_MAX_BACKOFF_S,
+            breaker_threshold=_BREAKER_THRESHOLD,
+            breaker_cooldown_s=_BREAKER_COOLDOWN_S,
+            label=_LABEL,
             retry_budget=self.retry_budget(),
         )
 
@@ -118,19 +120,16 @@ class HedgePolicy:
         floor_s: float = 0.010,
         window: int = 128,
         min_samples: int = 16,
-        quantile: float = 0.99,
         fallback_delay_s: float = 1.0,
-        recompute_every: int = 16,
     ) -> None:
         self.floor_s = floor_s
+        #: Sliding-window size for the latency percentile estimate.
         self.window = window
+        #: Minimum observations before trusting the percentile (until
+        #: then, hedge at ``fallback_delay_s`` — effectively only for
+        #: pathological slowness).
         self.min_samples = min_samples
-        self.quantile = quantile
         self.fallback_delay_s = fallback_delay_s
-        #: Sorting the window on every read would cost more than the
-        #: read's own bookkeeping; the percentile is re-derived at most
-        #: once per this many new observations.
-        self.recompute_every = max(1, recompute_every)
         self._samples: List[float] = []
         self._next = 0
         self._cached_delay: Optional[float] = None
@@ -151,11 +150,11 @@ class HedgePolicy:
             return max(self.floor_s, self.fallback_delay_s)
         if (
             self._cached_delay is None
-            or self._since_compute >= self.recompute_every
+            or self._since_compute >= _HEDGE_RECOMPUTE_EVERY
         ):
             ordered = sorted(self._samples)
             index = min(
-                len(ordered) - 1, int(len(ordered) * self.quantile)
+                len(ordered) - 1, int(len(ordered) * _HEDGE_QUANTILE)
             )
             self._cached_delay = max(self.floor_s, ordered[index])
             self._since_compute = 0

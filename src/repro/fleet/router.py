@@ -65,9 +65,9 @@ from repro.serve.server import AsyncIspServer
 logger = logging.getLogger("repro.fleet")
 
 #: Builds the proxy for one endpoint.  ``None`` means "build from the
-#: fleet's :class:`ResilienceConfig`" — the config owns every timeout,
-#: retry, breaker, and netsplit-label knob, so deployments tune the
-#: endpoint plane in one place.  Tests swap in fakes.
+#: fleet's :class:`ResilienceConfig`" (its hop timeout, plus the fixed
+#: retry, breaker and netsplit-label policy beside it).  Tests swap in
+#: fakes.
 HandleFactory = Callable[[Endpoint], RemoteIsp]
 
 #: One shard's share of a ``sync_update`` fan-out (provided by the
@@ -143,8 +143,6 @@ class FleetIsp:
         self.epoch = 1
         self._hedge_policy = HedgePolicy(
             floor_s=self.config.hedge_floor_s,
-            window=self.config.hedge_window,
-            min_samples=self.config.hedge_min_samples,
             fallback_delay_s=max(
                 self.config.hedge_floor_s, self.config.timeout_s / 4
             ),

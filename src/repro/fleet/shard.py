@@ -18,9 +18,9 @@ after their path.
 
 Reads of pages the shard does not own fail with a typed
 :class:`~repro.errors.FleetError` (a routing mistake, surfaced
-immediately), never wrong data.  Each applied batch is also captured as
-a :class:`~repro.merkle.delta.NodeDelta` via the recording store, which
-the lifecycle feeds to this shard's replication log.
+immediately), never wrong data.  The lifecycle appends each batch the
+shard applied to its replication log, and the shard's replicas replay
+it through the same ``sync_update``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from repro.crypto.hashing import Digest
 from repro.errors import FleetError
 from repro.fleet.partition import Partitioner, page_key
 from repro.isp.server import IspServer
-from repro.merkle.ads import V2fsAds
-from repro.merkle.delta import NodeDelta, RecordingNodeStore
 
 
 class ShardIsp(IspServer):
@@ -42,11 +40,6 @@ class ShardIsp(IspServer):
         super().__init__()
         self.shard_id = shard_id
         self.partitioner = partitioner
-        # Replace the stock store with a recording one so every sync's
-        # new nodes can be drained into a replication delta.  The empty
-        # root is deterministic, so re-deriving it is safe.
-        self.ads = V2fsAds(RecordingNodeStore())
-        self.root = self.ads.root
 
     def owns(self, path: str, page_id: int) -> bool:
         return self.partitioner(page_key(path, page_id)) == self.shard_id
@@ -59,18 +52,6 @@ class ShardIsp(IspServer):
         return self.ads.apply_writes(
             self.root, writes, new_sizes, own=self.owns
         )
-
-    def take_delta(self) -> NodeDelta:
-        """Drain the nodes the last sync introduced (replication feed).
-
-        The delta carries this shard's partial view — skeleton digests
-        plus owned pages — which is exactly what this shard's replicas
-        need to serve the same reads.
-        """
-        store = self.ads.store
-        assert isinstance(store, RecordingNodeStore)
-        certificate = self.get_certificate()
-        return store.take_delta(certificate.version, self.root)
 
     # ------------------------------------------------------------------
     # Ownership guards: misroutes fail typed and fast

@@ -36,7 +36,7 @@ from repro.isp.sessions import registry_for_isp
 from repro.isp.vo import VOBuilder
 from repro.merkle import page_tree
 from repro.merkle.ads import V2fsAds
-from repro.merkle.node_store import FileNode
+from repro.merkle.node_store import FileNode, NodeStore
 from repro.merkle.proof import AdsProof
 from repro.obs import metrics as obs
 
@@ -87,8 +87,10 @@ PageReply = Tuple[str, bytes]               # ("page", data)
 class IspServer:
     """The indexing service provider."""
 
-    def __init__(self) -> None:
-        self.ads = V2fsAds()
+    def __init__(self, store: Optional[NodeStore] = None) -> None:
+        #: ``store`` backs the ADS (default: in memory); a durable ISP
+        #: passes a ``PersistentNodeStore``.
+        self.ads = V2fsAds(store)
         self.root = self.ads.root
         self.certificate: Optional[V2fsCertificate] = None
         # The session table (lock discipline, prune sweep, and the

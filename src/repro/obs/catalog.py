@@ -246,10 +246,9 @@ SCOPES: Dict[str, str] = {
     "fleet.replica.stale":
         "Replica reads skipped because the replica's certificate "
         "lagged the pinned snapshot version.",
-    "fleet.replica.apply":
-        "Replication-log deltas applied and published by replicas.",
     "fleet.replication.ship":
-        "Replication-log deltas shipped from shard primaries.",
+        "Replication-log batches a replica applied and published "
+        "(each one is also an isp.sync_update).",
     "fleet.replication.lag":
         "Replication shipments withheld by the fleet.replica.lag "
         "failpoint (chaos only).",

@@ -63,12 +63,12 @@ from repro.sgx.attestation import AttestationReport
 class _ConnectionPool:
     """A bounded stack of connected sockets to one (host, port)."""
 
-    def __init__(
-        self, host: str, port: int, size: int, timeout_s: float
-    ) -> None:
+    #: Idle connections kept for reuse; more are closed on release.
+    SIZE = 8
+
+    def __init__(self, host: str, port: int, timeout_s: float) -> None:
         self._host = host
         self._port = port
-        self._size = size
         self._timeout_s = timeout_s
         self._lock = threading.Lock()
         self._idle: List[socket.socket] = []
@@ -95,7 +95,7 @@ class _ConnectionPool:
 
     def release(self, conn: socket.socket) -> None:
         with self._lock:
-            if not self._closed and len(self._idle) < self._size:
+            if not self._closed and len(self._idle) < self.SIZE:
                 self._idle.append(conn)
                 return
         _close_quietly(conn)
@@ -204,7 +204,6 @@ class RemoteIsp:
         max_retries: int = 3,
         backoff_s: float = 0.05,
         max_backoff_s: float = 1.0,
-        pool_size: int = 8,
         breaker_threshold: int = 4,
         breaker_cooldown_s: float = 0.25,
         label: str = "client",
@@ -245,7 +244,7 @@ class RemoteIsp:
             min(backoff_s * (2 ** i), max_backoff_s)
             for i in range(max_retries)
         )
-        self._pool = _ConnectionPool(host, port, pool_size, timeout_s)
+        self._pool = _ConnectionPool(host, port, timeout_s)
         #: Per-endpoint breaker: the default threshold equals one fully
         #: failed default call (max_retries + 1 attempts), so the second
         #: call to a dead endpoint fails fast instead of backing off.

@@ -6,13 +6,15 @@ The load-bearing claims under test:
   fleet-wide certified root byte-identically, so the unmodified client
   verifier accepts fleet answers in every query mode, in-process and
   over the wire;
-- replicas advance only through certified deltas and the router falls
-  back to the primary the moment one lags;
+- replicas advance by replaying their primary's certified write batches
+  through the same ``sync_update`` (so a replica never publishes a root
+  it cannot serve, whatever its primary's store happened to hold) and
+  the router falls back to the primary the moment one lags;
 - ``sync_update`` fan-out is per-shard idempotent: a partial failure
   raises, and the retry after restart completes exactly the
   stragglers;
-- shard maps and deltas are in-process objects with no byte encoding:
-  the request kind that once served the map is refused, typed.
+- the shard map is an in-process object with no byte encoding: the
+  request kind that once served it is refused, typed.
 """
 
 import threading
@@ -27,6 +29,7 @@ from repro.errors import (
     FleetError,
     NetworkError,
     RpcConnectionError,
+    StorageError,
 )
 from repro.faults.chaos import apply_schedule, run_fleet_chaos
 from repro.fleet.lifecycle import Fleet
@@ -36,7 +39,7 @@ from repro.fleet.partition import (
     page_key,
     plan_range_split,
 )
-from repro.fleet.replication import ReplicaIsp
+from repro.fleet.replication import ReplicaIsp, ReplicationLog
 from repro.fleet.shard import ShardIsp
 from repro.fleet.stitch import stitch_proofs
 from repro.rpc.client import CircuitBreaker, connect_client
@@ -107,8 +110,18 @@ class TestPartitioning:
 
 
 # ---------------------------------------------------------------------------
-# Shards, deltas, replicas
+# Shards and replicas
 # ---------------------------------------------------------------------------
+
+
+def replicated_pair():
+    """An empty primary, its replica, and the log between them."""
+    own_all = HashPartitioner(1).shard_for
+    primary = ShardIsp(0, own_all)
+    replica = ReplicaIsp(0, own_all)
+    log = ReplicationLog(0)
+    log.attach("replica", replica.sync_update)
+    return primary, replica, log
 
 
 class TestShardAndReplica:
@@ -117,7 +130,6 @@ class TestShardAndReplica:
         part = HashPartitioner(4).shard_for
         shard = ShardIsp(2, part)
         shard.sync_update(*system.certified_state())
-        shard.take_delta()
         # The partial store lands on the very root the CI certified.
         assert shard.root == system.update_reports[-1].certificate.ads_root
         paths = system.isp.ads.list_files(system.isp.root)
@@ -149,44 +161,127 @@ class TestShardAndReplica:
                 shard.validate_path(sid, foreign, 0, [])
         assert list(shard._sessions[sid].pages) == [(owned, 0)]
 
-    def test_delta_roundtrip_and_replica_follows(self):
+    def test_batch_replay_and_replica_follows(self):
         system = build_system()
-        own_all = HashPartitioner(1).shard_for
-        primary = ShardIsp(0, own_all)
-        replica = ReplicaIsp(0, own_all)
+        primary, replica, log = replicated_pair()
         # The snapshot catch-up, then one ordinary block on top of it.
         batches = [system.certified_state()]
         report = system.advance_block("eth")
         batches.append(
             (report.writes, report.new_sizes, report.certificate)
         )
-        for writes, new_sizes, certificate in batches:
-            primary.sync_update(writes, new_sizes, certificate)
-            delta = primary.take_delta()
-            assert delta.version == certificate.version
-            assert delta.root == certificate.ads_root
-            replica.apply_delta(delta, certificate)
+        for batch in batches:
+            primary.sync_update(*batch)
+            log.append(*batch)
+            assert log.lag_of("replica") == 1
+            assert log.ship() == 1
+            assert log.lag_of("replica") == 0
+            assert replica.certificate is batch[2]
         assert replica.root == primary.root
         # The replica serves verified queries at the replicated root.
         rows = make_client(system, replica).query(SQL).rows
         assert rows == make_client(system, system.isp).query(SQL).rows
 
-    def test_replica_rejects_mismatched_delta(self):
+    def test_replica_rejects_mismatched_batch(self):
         system = build_system(hours=0)
-        own_all = HashPartitioner(1).shard_for
-        primary = ShardIsp(0, own_all)
-        replica = ReplicaIsp(0, own_all)
-        bootstrap = system.certified_state()
-        primary.sync_update(*bootstrap)
-        delta = primary.take_delta()
+        _, replica, log = replicated_pair()
+        writes, new_sizes, certificate = system.certified_state()
         system.advance_all(1)
+        newer = system.update_reports[-1].certificate
+        with pytest.raises(StorageError, match="certified root"):
+            # Certificate from a different version than the batch.
+            replica.sync_update(writes, new_sizes, newer)
+        assert replica.certificate is None  # nothing was published
+        # Through the log the refusal is a lag, retried next round: the
+        # cursor and the served version both stay put.
+        log.append(writes, new_sizes, newer)
+        assert log.ship() == 0
+        assert log.lag_of("replica") == 1
+        assert replica.certificate is None
         with pytest.raises(FleetError):
-            # Certificate from a different version than the delta.
-            replica.apply_delta(
-                delta, system.update_reports[-1].certificate
-            )
-        with pytest.raises(FleetError):
-            replica.sync_update(*bootstrap)
+            replica.promote(newer.version)
+
+
+def run_maintenance(system, *statements):
+    """One certified maintenance run of plain SQL; returns its batch."""
+
+    def work(engine):
+        for sql in statements:
+            engine.execute(sql)
+
+    report = system.ci.bootstrap(work)
+    system._publish(report)
+    return report.writes, report.new_sizes, report.certificate
+
+
+class TestPinnedReaderOnThePrimary:
+    """Contents that revert to a state a reader still pins.
+
+    With a session open at state S1, three updates bring ``t`` back to
+    S1's bytes.  The primary's store still holds S1's nodes (the session
+    pins them through ``prune``), the replica pruned them two versions
+    ago — so whatever feeds the replica must not depend on what the
+    primary's store happened to hold.
+    """
+
+    REVERTING = (
+        ("UPDATE t SET v = 2 WHERE k = 1",),
+        ("UPDATE t SET v = 3 WHERE k = 1",),
+        ("UPDATE t SET v = 1 WHERE k = 1",),
+    )
+
+    def _pair(self, system):
+        primary, replica, log = replicated_pair()
+
+        def publish(batch):
+            primary.sync_update(*batch)
+            log.append(*batch)
+            assert log.ship() == 1
+
+        publish(system.certified_state())
+        return primary, replica, publish
+
+    def _check(self, system, primary, replica):
+        assert replica.root == primary.root
+        assert replica.certificate is primary.certificate
+        client = make_client(system, replica, QueryMode.BASELINE)
+        assert client.query("SELECT v FROM t WHERE k = 1").rows == [(1,)]
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_whole_image_reverts(self, pinned):
+        system = build_system()
+        primary, replica, publish = self._pair(system)
+        publish(run_maintenance(
+            system,
+            "CREATE TABLE t (k INTEGER, v INTEGER)",
+            "INSERT INTO t VALUES (1, 1)",
+        ))
+        if pinned:
+            primary.open_session()
+        for statements in self.REVERTING:
+            publish(run_maintenance(system, *statements))
+        self._check(system, primary, replica)
+
+    def test_one_table_reverts_while_another_grows(self):
+        system = build_system()
+        primary, replica, publish = self._pair(system)
+        publish(run_maintenance(
+            system,
+            "CREATE TABLE t (k INTEGER, v INTEGER)",
+            "INSERT INTO t VALUES (1, 1)",
+            "CREATE TABLE u (k INTEGER)",
+            "INSERT INTO u VALUES (0)",
+        ))
+        primary.open_session()
+        grow = tuple(f"INSERT INTO u VALUES ({i})" for i in range(1, 400))
+        for statements in self.REVERTING[:-1]:
+            publish(run_maintenance(system, *statements))
+        publish(run_maintenance(system, *self.REVERTING[-1], *grow))
+        self._check(system, primary, replica)
+        rows = make_client(system, replica, QueryMode.BASELINE).query(
+            "SELECT COUNT(*) FROM u"
+        ).rows
+        assert rows == [(400,)]
 
 
 # ---------------------------------------------------------------------------

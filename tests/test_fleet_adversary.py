@@ -69,7 +69,6 @@ def build_shards(system, stale_ids=()):
         cls = StaleShard if shard_id in stale_ids else ShardIsp
         shard = cls(shard_id, part)
         shard.sync_update(*system.certified_state())
-        shard.take_delta()  # drain the recording store
         shards[shard_id] = shard
     return shards
 
@@ -99,7 +98,6 @@ def publish(system, shards, chain_id="eth"):
         shard.sync_update(
             report.writes, report.new_sizes, report.certificate
         )
-        shard.take_delta()
     return report
 
 
@@ -188,11 +186,8 @@ class TestLaggingReplica:
         part = RangePartitioner(SHARDS, BOUNDS).shard_for
         replica = ReplicaIsp(1, part)
         # Bring the replica to the current certified state...
-        primary = ShardIsp(1, part)
-        writes, new_sizes, certificate = system.certified_state()
-        primary.sync_update(writes, new_sizes, certificate)
-        replica.apply_delta(primary.take_delta(), certificate)
-        # ...then advance the fleet without shipping the last delta.
+        replica.sync_update(*system.certified_state())
+        # ...then advance the fleet without shipping the last batch.
         publish(system, shards.values())
         assert replica.root != shards[1].root
 

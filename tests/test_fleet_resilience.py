@@ -4,10 +4,12 @@ The load-bearing claims under test:
 
 - health verdicts flip only on *consecutive* missed heartbeats and
   recover on the first good probe (:mod:`repro.fleet.health`);
-- replica promotion is certificate-gated: a caught-up replica becomes
-  a writable primary, a lagging one refuses and the fleet stays
-  degraded rather than serve from a stale copy
-  (:mod:`repro.fleet.replication`);
+- replica promotion is certificate-gated: a caught-up replica takes
+  over as primary, a lagging one refuses and the fleet stays degraded
+  rather than serve from a stale copy (:mod:`repro.fleet.replication`);
+- a replica can serve every root it publishes, even when its primary's
+  store still held what the replica had pruned (a reader pinned on
+  every primary while contents revert);
 - a promotion bumps the router's shard-map *epoch* and every session
   opened under the old topology aborts with a typed
   :class:`~repro.errors.EpochError` — never a proof stitched across
@@ -68,7 +70,6 @@ def build_shards(system, count=SHARDS):
     for shard_id in range(count):
         shard = ShardIsp(shard_id, part)
         shard.sync_update(*system.certified_state())
-        shard.take_delta()  # drain the recording store
         shards[shard_id] = shard
     return shards
 
@@ -191,9 +192,8 @@ class TestReplicaPromotion:
         own_all = HashPartitioner(1).shard_for
         primary = ShardIsp(0, own_all)
         replica = ReplicaIsp(0, own_all)
-        writes, new_sizes, certificate = system.certified_state()
-        primary.sync_update(writes, new_sizes, certificate)
-        replica.apply_delta(primary.take_delta(), certificate)
+        for isp in (primary, replica):
+            isp.sync_update(*system.certified_state())
         return primary, replica
 
     def test_caught_up_replica_promotes_and_accepts_writes(self):
@@ -202,14 +202,12 @@ class TestReplicaPromotion:
         head = system.update_reports[-1].certificate.version
         assert replica.promote(head) is replica
         assert replica.promote(head) is replica  # idempotent
-        # A promoted replica is a writable primary: the next certified
-        # batch applies and produces a shippable delta.
+        # A promoted replica takes the fan-out's next certified batch
+        # the way it took every batch before: through sync_update.
         report = system.advance_block("eth")
         replica.sync_update(
             report.writes, report.new_sizes, report.certificate
         )
-        delta = replica.take_delta()
-        assert delta.version == report.certificate.version
         assert replica.root == report.certificate.ads_root
         rows = make_client(system, replica).query(SQL).rows
         assert rows == make_client(system, system.isp).query(SQL).rows
@@ -222,9 +220,10 @@ class TestReplicaPromotion:
         assert replica.certificate.version < head
         with pytest.raises(FleetError):
             replica.promote(head)
-        # Still a replica: the direct write path stays refused.
-        with pytest.raises(FleetError):
-            replica.sync_update(*system.certified_state())
+        # The refusal is recoverable: once the missing state is
+        # shipped the same replica accepts.
+        replica.sync_update(*system.certified_state())
+        assert replica.promote(head) is replica
 
     def test_never_synced_replica_refuses_promotion(self):
         replica = ReplicaIsp(0, HashPartitioner(1).shard_for)
@@ -377,7 +376,6 @@ class TestHedgedReads:
     def _one_page(self, system):
         shard = ShardIsp(0, HashPartitioner(1).shard_for)
         shard.sync_update(*system.certified_state())
-        shard.take_delta()
         path = sorted(shard.ads.list_files(shard.root))[0]
         return shard, path
 
@@ -532,6 +530,39 @@ class TestFleetFailover:
             assert rows == make_client(
                 system, fleet._original_isp
             ).query(SQL).rows
+
+
+class TestPinnedReadersAcrossTheFleet:
+    def test_replicas_serve_contents_that_reverted_under_a_pin(self):
+        """A reader pinned on every primary keeps the old nodes in the
+        primaries' stores while three updates bring ``t`` back to the
+        pinned bytes; the replicas pruned them long ago, are preferred
+        by the router because they are caught up, and must still serve
+        every page under the root they published."""
+        from tests.test_fleet import run_maintenance
+
+        system = build_system()
+        with Fleet(system, shard_count=2, replicas=2) as fleet:
+            run_maintenance(
+                system,
+                "CREATE TABLE t (k INTEGER, v INTEGER)",
+                "INSERT INTO t VALUES (1, 1)",
+            )
+            for primary in fleet.shards.values():
+                primary.open_session()
+            for value in (2, 3, 1):
+                run_maintenance(
+                    system, f"UPDATE t SET v = {value} WHERE k = 1"
+                )
+            for shard_id, pairs in fleet.replicas.items():
+                for label, replica in pairs:
+                    assert fleet.logs[shard_id].lag_of(label) == 0
+                    assert replica.root == fleet.shards[shard_id].root
+            for mode in QueryMode:
+                rows = make_client(system, fleet.isp, mode).query(
+                    "SELECT v FROM t WHERE k = 1"
+                ).rows
+                assert rows == [(1,)], mode
 
 
 # ---------------------------------------------------------------------------
