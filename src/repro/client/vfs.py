@@ -333,10 +333,10 @@ class ClientVfs(VirtualFilesystem):
             # Algorithm 6, write path: the target does not exist at the
             # ISP's storage — create a corresponding local temp file.
             return self._temp.open(path, create=True)
-        exists, _, _ = self.session.file_meta(path)
+        exists, size, _ = self.session.file_meta(path)
         if not exists:
             raise StorageError(f"{path} does not exist at the ISP")
-        return ClientFile(self.session, path)
+        return ClientFile(self.session, path, size)
 
     def exists(self, path: str) -> bool:
         if self._temp.exists(path):
@@ -360,21 +360,25 @@ class ClientVfs(VirtualFilesystem):
 
 
 class ClientFile(VirtualFile):
-    """Read-only remote file handle."""
+    """Read-only remote file handle.
 
-    def __init__(self, session: ClientSession, path: str) -> None:
+    ``size`` is the one the session recorded in ``used_metas`` when
+    the file was opened; the session fixes it for its whole life (and
+    ``finalize`` verifies it), so the handle does not ask again.
+    """
+
+    def __init__(self, session: ClientSession, path: str, size: int) -> None:
         super().__init__(path)
         self._session = session
+        self._size = size
 
     def size(self) -> int:
         self._check_open()
-        _, size, _ = self._session.file_meta(self.path)
-        return size
+        return self._size
 
     def read(self, count: int) -> bytes:
         self._check_open()
-        _, size, _ = self._session.file_meta(self.path)
-        available = max(0, size - self.offset)
+        available = max(0, self._size - self.offset)
         count = min(count, available)
         out = bytearray()
         while count > 0:

@@ -20,12 +20,20 @@ node remains a valid node).  Leaves are chained for range scans.
 Entries are back-to-back self-delimiting records — there is no slot
 directory — so finding the i-th key means decoding the i-1 before it.
 The read path (``scan``/``get``/``items``) therefore decodes a node
-*once per distinct page content*: every visit still issues its
+*once per distinct page content*: every visit issues its
 ``pager.read_page`` (the page-access pattern the paper counts), then
 looks the returned bytes up in a :class:`NodeMemo` of immutable
 decoded nodes and searches their precomputed :func:`key_tuple` values
 by bisection.  The write path (``insert``/``delete``) keeps its own
 mutable decode and never reads the memo.
+
+A tree also keeps the last leaf its read path landed on, as SQLite's
+b-tree cursor keeps its page pinned: a seek whose low bound falls
+inside that leaf starts there instead of walking root -> leaf again
+(see :meth:`BTree.scan`).  A visit the cursor saves is a page access
+the engine no longer makes, so it is a request ``BASELINE`` no longer
+sends; the distinct pages a query touches — what its VO covers — are
+the same.
 """
 
 from __future__ import annotations
@@ -254,6 +262,14 @@ class BTree:
                  memo: Optional[NodeMemo] = None) -> None:
         self.pager = pager
         self._memo = memo if memo is not None else NodeMemo()
+        #: ``(page id, leaf)`` the read path last landed on; dropped by
+        #: every write to the tree, and gone with the tree (the engine
+        #: keeps one per file per statement), so it never outlives the
+        #: session whose claims cover the page.
+        self._held: Optional[Tuple[int, LeafNode]] = None
+        #: Seeks answered from ``_held`` (plain tally; the engine
+        #: reports it once per statement as ``db.cursor.held``).
+        self.held_seeks = 0
 
     # -- node I/O ------------------------------------------------------
 
@@ -266,6 +282,7 @@ class BTree:
         return self._memo.node(self.pager.read_page(pid))
 
     def _save(self, pid: int, node) -> None:
+        self._held = None
         self.pager.write_page(pid, node.encode())
 
     # -- public operations ---------------------------------------------
@@ -398,6 +415,14 @@ class BTree:
         infinity for the low/high bound respectively.  A bound is never
         longer than the keys it is compared with.  Yielded keys are
         tuples shared with the node memo.
+
+        The seek starts from the held leaf iff ``first key < low <=
+        last key`` there: the descent would land on that very leaf.
+        Strict on the left, because a low bound at or before a leaf's
+        first key (a prefix bound ``[v]`` sorts before every
+        ``[v, rowid]``) may have matching keys at the end of the left
+        sibling — duplicates can straddle a split — and only the
+        descent finds those.
         """
         if self.pager.root_pid == 0:
             return
@@ -409,20 +434,28 @@ class BTree:
         high_end = None if high_t is None else high_t + (_PLUS_INF,)
         # Pages reach this walk before they are verified, so nothing
         # says the links form a tree: a page id seen twice is a cycle.
-        pid = self.pager.root_pid
-        seen = {pid}
-        node = self._view(pid)
-        while isinstance(node, InternalNode):
-            # Descend to the leftmost child that can hold keys >= low.
-            # bisect_left, not _right: a separator equal to the bound may
-            # still have equal keys in the left sibling (duplicates can
-            # straddle a split boundary).
-            pos = 0 if low_t is None else bisect_left(node.tuples, low_t)
-            pid = node.children[pos]
-            if pid in seen:
-                raise StorageError("corrupt B+Tree (child link cycle)")
-            seen.add(pid)
+        held = self._held
+        inside = held[1].tuples if held and low_t is not None else ()
+        if inside and inside[0] < low_t <= inside[-1]:
+            pid, node = held
+            seen = {pid}
+            self.held_seeks += 1
+        else:
+            pid = self.pager.root_pid
+            seen = {pid}
             node = self._view(pid)
+            while isinstance(node, InternalNode):
+                # Descend to the leftmost child that can hold keys >=
+                # low.  bisect_left, not _right: a separator equal to
+                # the bound may still have equal keys in the left
+                # sibling (duplicates can straddle a split boundary).
+                pos = 0 if low_t is None else bisect_left(node.tuples, low_t)
+                pid = node.children[pos]
+                if pid in seen:
+                    raise StorageError("corrupt B+Tree (child link cycle)")
+                seen.add(pid)
+                node = self._view(pid)
+            self._held = (pid, node)
         while True:
             tuples = node.tuples
             count = len(tuples)
@@ -458,6 +491,7 @@ class BTree:
                 raise StorageError(
                     "corrupt B+Tree (a leaf's successor is not a leaf)"
                 )
+            self._held = (pid, node)
 
     def items(self) -> Iterator[Tuple[Tuple[SqlValue, ...], bytes]]:
         """Full in-order scan."""

@@ -16,6 +16,7 @@ and never verified.
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -29,6 +30,7 @@ from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.types import SqlValue, coerce, compare, normalize_type
 from repro.errors import SQLCatalogError, SQLExecutionError
+from repro.obs import metrics as obs
 from repro.vfs.interface import VirtualFilesystem
 from repro.vfs.local import LocalFilesystem
 
@@ -82,6 +84,13 @@ class Engine(AccessProvider):
         #: Page-read and flush counts of every pager this engine opens,
         #: reported once per statement rather than once per pager.
         self._pager_tally = PagerTally()
+        #: The running statement's open files, ``path -> (pager, tree)``
+        #: in open order: a file's header is read once per statement and
+        #: its tree keeps one cursor.  Emptied when the outermost
+        #: statement ends, so nothing read in one verified session is
+        #: answered from in the next.
+        self._open: Dict[str, Tuple[Pager, BTree]] = {}
+        self._statement_depth = 0
 
     # ------------------------------------------------------------------
     # Catalog handling
@@ -100,11 +109,49 @@ class Engine(AccessProvider):
     def _save_catalog(self) -> None:
         self.catalog.save(self.vfs, self.catalog_path)
 
-    def _pager(self, path: str, create: bool = False) -> Pager:
-        return Pager(self.vfs, path, create=create, tally=self._pager_tally)
+    def _pager(self, path: str, create: bool = False) -> Tuple[Pager, BTree]:
+        """The statement's pager and tree for ``path``, opened on first
+        use and closed by :meth:`_end_statement`."""
+        opened = self._open.get(path)
+        if opened is None:
+            pager = Pager(self.vfs, path, create=create,
+                          tally=self._pager_tally)
+            opened = self._open[path] = (pager, BTree(pager, self._node_memo))
+        return opened
 
-    def _tree(self, pager: Pager) -> BTree:
-        return BTree(pager, self._node_memo)
+    @contextmanager
+    def _statement(self) -> Iterator[None]:
+        """Scope of one statement; nests (a subquery, INSERT's
+        ``insert_rows``), and only the outermost exit ends it — on
+        every way out: a raising plan, a ``LIMIT`` that leaves a scan
+        suspended mid-leaf."""
+        self._statement_depth += 1
+        try:
+            yield
+        finally:
+            self._statement_depth -= 1
+            if not self._statement_depth:
+                self._end_statement()
+
+    def _end_statement(self) -> None:
+        """Close every file the statement opened, then report its
+        tallies, once."""
+        opened, self._open = self._open, {}
+        try:
+            # Callbacks run last-in first, so pushed in reverse the
+            # files close in open order — each one, even if an earlier
+            # close raised.
+            with ExitStack() as closing:
+                for pager, _ in reversed(opened.values()):
+                    closing.callback(pager.close)
+        finally:
+            self._node_memo.report()
+            self._pager_tally.report()
+            if obs.ACTIVE and opened:
+                obs.add("db.pager.opened", len(opened))
+                held = sum(tree.held_seeks for _, tree in opened.values())
+                if held:
+                    obs.add("db.cursor.held", held)
 
     def _table_file(self, name: str) -> str:
         return f"{self.base_path}/tables/{name}.tbl"
@@ -118,11 +165,8 @@ class Engine(AccessProvider):
 
     def execute(self, sql: str) -> ResultSet:
         """Parse and run one SQL statement."""
-        try:
+        with self._statement():
             return self._execute(parse_statement(sql))
-        finally:
-            self._node_memo.report()
-            self._pager_tally.report()
 
     def _execute(self, statement: ast.Statement) -> ResultSet:
         if isinstance(statement, ast.Select):
@@ -176,7 +220,7 @@ class Engine(AccessProvider):
             file_path=self._table_file(stmt.name),
         )
         self.catalog.add_table(table)
-        self._pager(table.file_path, create=True).close()
+        self._pager(table.file_path, create=True)
         self._save_catalog()
         return ResultSet(columns=[], rows=[])
 
@@ -188,15 +232,13 @@ class Engine(AccessProvider):
             file_path=self._index_file(stmt.name),
         )
         self.catalog.add_index(index)
-        pager = self._pager(index.file_path, create=True)
+        _, tree = self._pager(index.file_path, create=True)
         # Backfill from existing rows.
         table = self.catalog.table(stmt.table)
         column_index = table.column_index(stmt.column)
-        tree = self._tree(pager)
         for rowid, values in self._iter_table(table):
             tree.insert([values[column_index], rowid], b"",
                         allow_duplicate=True)
-        pager.close()
         self._save_catalog()
         return ResultSet(columns=[], rows=[])
 
@@ -255,15 +297,8 @@ class Engine(AccessProvider):
         matches = self._matching_rows(table, stmt.where)
         if not matches:
             return ResultSet(columns=[], rows=[], rowcount=0)
-        table_pager = self._pager(table.file_path)
-        table_tree = self._tree(table_pager)
-        index_trees = []
-        for index in table.indexes:
-            pager = self._pager(index.file_path)
-            index_trees.append(
-                (table.column_index(index.column), self._tree(pager),
-                 pager)
-            )
+        _, table_tree = self._pager(table.file_path)
+        index_trees = self._index_trees(table)
         for rowid, old_values in matches:
             new_values = list(old_values)
             for position, value_fn in assignments:
@@ -272,14 +307,11 @@ class Engine(AccessProvider):
                                               sql_type)
             table_tree.delete([rowid])
             table_tree.insert([rowid], encode_record(new_values))
-            for position, tree, _ in index_trees:
+            for position, tree in index_trees:
                 if old_values[position] != new_values[position]:
                     tree.delete([old_values[position], rowid])
                     tree.insert([new_values[position], rowid], b"",
                                 allow_duplicate=True)
-        table_pager.close()
-        for _, _, pager in index_trees:
-            pager.close()
         return ResultSet(columns=[], rows=[], rowcount=len(matches))
 
     def _execute_delete(self, stmt: ast.Delete) -> ResultSet:
@@ -288,22 +320,12 @@ class Engine(AccessProvider):
         matches = self._matching_rows(table, stmt.where)
         if not matches:
             return ResultSet(columns=[], rows=[], rowcount=0)
-        table_pager = self._pager(table.file_path)
-        table_tree = self._tree(table_pager)
-        index_trees = []
-        for index in table.indexes:
-            pager = self._pager(index.file_path)
-            index_trees.append(
-                (table.column_index(index.column), self._tree(pager),
-                 pager)
-            )
+        _, table_tree = self._pager(table.file_path)
+        index_trees = self._index_trees(table)
         for rowid, values in matches:
             table_tree.delete([rowid])
-            for position, tree, _ in index_trees:
+            for position, tree in index_trees:
                 tree.delete([values[position], rowid])
-        table_pager.close()
-        for _, _, pager in index_trees:
-            pager.close()
         return ResultSet(columns=[], rows=[], rowcount=len(matches))
 
     def insert_rows(
@@ -316,37 +338,38 @@ class Engine(AccessProvider):
         compact per block.
         """
         table = self.catalog.table(table_name)
-        table_pager = self._pager(table.file_path, create=True)
-        table_tree = self._tree(table_pager)
-        index_pagers: List[Tuple[int, BTree, Pager]] = []
-        for index in table.indexes:
-            pager = self._pager(index.file_path, create=True)
-            index_pagers.append(
-                (table.column_index(index.column), self._tree(pager),
-                 pager)
-            )
         count = 0
-        for values in rows:
-            coerced = [
-                coerce(value, sql_type)
-                for value, (_, sql_type) in zip(values, table.columns)
-            ]
-            if len(coerced) != len(table.columns):
-                raise SQLExecutionError(
-                    f"row width {len(coerced)} does not match table "
-                    f"{table_name} ({len(table.columns)} columns)"
-                )
-            rowid = table_pager.take_rowid()
-            table_tree.insert([rowid], encode_record(coerced))
-            for column_index, tree, _ in index_pagers:
-                tree.insert([coerced[column_index], rowid], b"",
-                            allow_duplicate=True)
-            count += 1
-        table_pager.close()
-        for _, _, pager in index_pagers:
-            pager.close()
-        self._pager_tally.report()  # callable outside execute()
+        with self._statement():  # callable outside execute()
+            table_pager, table_tree = self._pager(table.file_path,
+                                                  create=True)
+            index_trees = self._index_trees(table, create=True)
+            for values in rows:
+                coerced = [
+                    coerce(value, sql_type)
+                    for value, (_, sql_type) in zip(values, table.columns)
+                ]
+                if len(coerced) != len(table.columns):
+                    raise SQLExecutionError(
+                        f"row width {len(coerced)} does not match table "
+                        f"{table_name} ({len(table.columns)} columns)"
+                    )
+                rowid = table_pager.take_rowid()
+                table_tree.insert([rowid], encode_record(coerced))
+                for column_index, tree in index_trees:
+                    tree.insert([coerced[column_index], rowid], b"",
+                                allow_duplicate=True)
+                count += 1
         return count
+
+    def _index_trees(
+        self, table: TableInfo, create: bool = False
+    ) -> List[Tuple[int, BTree]]:
+        """``(indexed column's position, index tree)`` per index."""
+        return [
+            (table.column_index(index.column),
+             self._pager(index.file_path, create=create)[1])
+            for index in table.indexes
+        ]
 
     # ------------------------------------------------------------------
     # AccessProvider implementation (planner storage interface)
@@ -381,33 +404,27 @@ class Engine(AccessProvider):
             )
 
         def factory() -> Iterator[List[SqlValue]]:
-            index_pager = self._pager(index.file_path)
-            table_pager = self._pager(table.file_path)
-            index_tree = self._tree(index_pager)
-            table_tree = self._tree(table_pager)
-            try:
-                # Index keys are [value, rowid]; the bounds are prefixes,
-                # so exclusive endpoints must be re-checked on the value
-                # component (a [v, rowid] key always sorts after [v]).
-                low_key = None if low is None else [low]
-                high_key = None if high is None else [high]
-                for key, _ in index_tree.scan(low=low_key, high=high_key):
-                    value = key[0]
-                    if low is not None and not low_inc \
-                            and compare(value, low) == 0:
-                        continue
-                    if high is not None and not high_inc \
-                            and compare(value, high) == 0:
-                        continue
-                    rowid = key[-1]
-                    record = table_tree.get([rowid])
-                    if record is None:
-                        continue  # row deleted after index entry
-                    values, _ = decode_record(record, 0)
-                    yield values
-            finally:
-                index_pager.close()
-                table_pager.close()
+            _, index_tree = self._pager(index.file_path)
+            _, table_tree = self._pager(table.file_path)
+            # Index keys are [value, rowid]; the bounds are prefixes,
+            # so exclusive endpoints must be re-checked on the value
+            # component (a [v, rowid] key always sorts after [v]).
+            low_key = None if low is None else [low]
+            high_key = None if high is None else [high]
+            for key, _ in index_tree.scan(low=low_key, high=high_key):
+                value = key[0]
+                if low is not None and not low_inc \
+                        and compare(value, low) == 0:
+                    continue
+                if high is not None and not high_inc \
+                        and compare(value, high) == 0:
+                    continue
+                rowid = key[-1]
+                record = table_tree.get([rowid])
+                if record is None:
+                    continue  # row deleted after index entry
+                values, _ = decode_record(record, 0)
+                yield values
         return factory
 
     def has_index(self, table_name: str, column: str) -> bool:
@@ -434,7 +451,8 @@ class Engine(AccessProvider):
         return lookup
 
     def run_subquery(self, select: ast.Select) -> List[tuple]:
-        return self._execute_select(select).rows
+        with self._statement():
+            return self._execute_select(select).rows
 
     def temp_filesystem(self) -> VirtualFilesystem:
         return self.temp_vfs
@@ -450,14 +468,10 @@ class Engine(AccessProvider):
     def _iter_table(
         self, table: TableInfo
     ) -> Iterator[Tuple[int, List[SqlValue]]]:
-        pager = self._pager(table.file_path)
-        tree = self._tree(pager)
-        try:
-            for key, record in tree.items():
-                values, _ = decode_record(record, 0)
-                yield key[0], values
-        finally:
-            pager.close()
+        _, tree = self._pager(table.file_path)
+        for key, record in tree.items():
+            values, _ = decode_record(record, 0)
+            yield key[0], values
 
 
 def _literal_value(expr: ast.Expr) -> SqlValue:

@@ -103,10 +103,10 @@ class PagerTally:
 
     Plain ints: a pager is as single-threaded as its file cursor, so
     the counts need no lock until they reach the shared registry.  A
-    pager opened on its own reports at every flush.  A statement opens
-    one pager per table and index lookup (61 for one index join), so
-    the engine hands all of them one tally and reports it once per
-    statement; the totals are the same either way.
+    pager opened on its own reports at every flush.  The engine hands
+    the pagers of one statement (one per file it touches) one tally
+    and reports it once, when the statement ends; the totals are the
+    same either way.
     """
 
     __slots__ = ("flushes", "reads", "file_reads")
@@ -139,16 +139,22 @@ class Pager:
         #: A shared ``tally`` is reported by whoever shares it.
         self._shared_tally = tally is not None
         self._tally = tally if tally is not None else PagerTally()
-        if self._file.size() == 0:
-            if not create:
-                raise StorageError(f"{path} is empty and create=False")
-            self.page_count = 1  # header page
-            self.root_pid = 0   # 0 = no root yet
-            self.next_rowid = 1
-            self.entry_count = 0
-            self._write_header()
-        else:
-            self._read_header()
+        try:
+            if self._file.size() == 0:
+                if not create:
+                    raise StorageError(f"{path} is empty and create=False")
+                self.page_count = 1  # header page
+                self.root_pid = 0   # 0 = no root yet
+                self.next_rowid = 1
+                self.entry_count = 0
+                self._write_header()
+            else:
+                self._read_header()
+        except BaseException:
+            # No pager, so nobody to close the handle (or to report the
+            # header read it tallied) but this constructor.
+            self._file.close()
+            raise
         self._header_dirty = False
 
     def _read_header(self) -> None:

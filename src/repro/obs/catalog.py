@@ -36,7 +36,8 @@ SCOPES: Dict[str, str] = {
     # -- pager (repro/db/pager.py) -------------------------------------
     "pager.read_page":
         "Data pages read (and checksum-checked) by the pager "
-        "(tallied per pager, reported by its next flush).",
+        "(tallied per pager, reported by its next flush; the engine's "
+        "pagers report together when their statement ends).",
     "pager.write_page":
         "Data pages sealed and written by the pager.",
     "pager.flush":
@@ -49,6 +50,15 @@ SCOPES: Dict[str, str] = {
     "db.node.memo.miss":
         "Read-path node loads that decoded the page (first sight of "
         "these bytes, or evicted since).",
+    # -- statement scope (repro/db/engine.py) --------------------------
+    "db.pager.opened":
+        "Files a statement opened: one pager and one tree per path, "
+        "header read once, closed when the outermost statement ends "
+        "(reported once per statement).",
+    "db.cursor.held":
+        "B+Tree seeks that started from the leaf the tree's read path "
+        "last landed on instead of descending from the root (tallied "
+        "per tree, reported once per statement).",
     # -- client caches (repro/client/caches.py) ------------------------
     "cache.intra.hit":
         "Intra-query cache lookups served from the per-query page map.",

@@ -1,6 +1,7 @@
 """Unit and model-based property tests for the B+Tree."""
 
 import random
+from bisect import bisect_left, bisect_right
 from unittest import mock
 
 import pytest
@@ -24,7 +25,7 @@ def fresh_tree(path="/t"):
 # ----------------------------------------------------------------------
 # Reference: the linear scan the read path used before it searched
 # memoized nodes by bisection.  Test-only; `scan` must agree with it on
-# rows *and* on the pages it reads.
+# rows always, and on the pages it reads whenever the seek descends.
 # ----------------------------------------------------------------------
 
 
@@ -259,10 +260,16 @@ def logged_reads(tree, scan, **bounds):
 
 
 def assert_scan_matches_reference(tree, **bounds):
-    assert (
-        logged_reads(tree, BTree.scan, **bounds)
-        == logged_reads(tree, reference_scan, **bounds)
-    )
+    """A tree holding no leaf reads the reference's pages exactly.
+    ``tree`` itself, whatever leaf its earlier scans left it holding,
+    returns the same rows and at most skips the descent: its reads are
+    a suffix of the reference's."""
+    rows, reads = logged_reads(tree, reference_scan, **bounds)
+    assert logged_reads(BTree(tree.pager), BTree.scan, **bounds) == (
+        rows, reads)
+    held_rows, held_reads = logged_reads(tree, BTree.scan, **bounds)
+    assert held_rows == rows
+    assert held_reads == reads[len(reads) - len(held_reads):]
 
 
 class TestAgainstLinearReference:
@@ -405,6 +412,169 @@ class TestAgainstLinearReference:
                                  high_inclusive=inclusive)
                 assert [key[1] for key, _ in hits] == list(range(40))
             assert_scan_matches_reference(tree, low=["dup"], high=["dup"])
+
+
+# ----------------------------------------------------------------------
+# The held leaf: one long-lived tree against a fresh tree per operation
+# ----------------------------------------------------------------------
+
+KEYS = st.tuples(VALUES, st.integers(0, 40))
+BOUNDS = st.one_of(st.none(), st.tuples(VALUES), KEYS)
+OPERATIONS = st.one_of(
+    st.tuples(st.sampled_from(["insert", "delete", "get"]), KEYS),
+    st.tuples(st.just("scan"), BOUNDS, BOUNDS, st.booleans(),
+              st.booleans()),
+)
+
+
+class SortedListModel:
+    """What the tree holds, as a list in key order; equal keys keep
+    their insertion order, and a delete takes the first of them."""
+
+    def __init__(self):
+        self.tuples = []
+        self.entries = []
+
+    def insert(self, key, value):
+        pos = bisect_right(self.tuples, btree.key_tuple(key))
+        self.tuples.insert(pos, btree.key_tuple(key))
+        self.entries.insert(pos, (tuple(key), value))
+
+    def delete(self, key):
+        target = btree.key_tuple(key)
+        pos = bisect_left(self.tuples, target)
+        if pos == len(self.tuples) or self.tuples[pos] != target:
+            return False
+        del self.tuples[pos], self.entries[pos]
+        return True
+
+    def scan(self, low, high, low_inclusive, high_inclusive):
+        rows = []
+        for key, value in self.entries:
+            if low is not None:
+                cmp = compare_to_bound(key, low, pad=-1)
+                if cmp < 0 or (cmp == 0 and not low_inclusive):
+                    continue
+            if high is not None:
+                cmp = compare_to_bound(key, high, pad=1)
+                if cmp > 0 or (cmp == 0 and not high_inclusive):
+                    break
+            rows.append((key, value))
+        return rows
+
+
+class TestHeldLeaf:
+    """A tree keeps the last leaf its read path landed on and starts a
+    seek there when the low bound falls inside it.  Whatever one
+    long-lived tree holds, it answers as a tree opened for that one
+    operation would, and never reads a page that tree would not."""
+
+    @staticmethod
+    def assert_reads_like_a_fresh_tree(tree, expected, read, **arguments):
+        fresh_rows, fresh_reads = logged_reads(
+            BTree(tree.pager), read, **arguments)
+        held_rows, held_reads = logged_reads(tree, read, **arguments)
+        assert held_rows == fresh_rows == expected
+        assert held_reads == fresh_reads[len(fresh_reads) - len(held_reads):]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        initial=st.lists(KEYS, max_size=90),
+        operations=st.lists(OPERATIONS, max_size=60),
+    )
+    def test_random_operations_match_a_fresh_tree_and_a_sorted_list(
+        self, initial, operations
+    ):
+        """``[value, rowid]`` keys from a small domain — duplicate
+        values (and whole keys) across splits — under inserts, deletes,
+        point lookups and scans with prefix bounds, exclusive ends and
+        ``low > high``."""
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            _, _, tree = fresh_tree()
+            model = SortedListModel()
+            serial = 0
+            for op, *arguments in [("insert", key) for key in initial] + (
+                    operations):
+                if op == "insert":
+                    (key,) = arguments
+                    serial += 1
+                    tree.insert(list(key), b"%d" % serial,
+                                allow_duplicate=True)
+                    model.insert(key, b"%d" % serial)
+                elif op == "delete":
+                    (key,) = arguments
+                    assert tree.delete(list(key)) == model.delete(key)
+                elif op == "get":
+                    (key,) = arguments
+                    found = model.scan(key, key, True, True)
+                    self.assert_reads_like_a_fresh_tree(
+                        tree, [found[0][1] if found else None],
+                        lambda t, key: [t.get(key)], key=list(key),
+                    )
+                else:
+                    low, high, low_inclusive, high_inclusive = arguments
+                    self.assert_reads_like_a_fresh_tree(
+                        tree, model.scan(*arguments), BTree.scan,
+                        low=None if low is None else list(low),
+                        high=None if high is None else list(high),
+                        low_inclusive=low_inclusive,
+                        high_inclusive=high_inclusive,
+                    )
+            assert list(tree.items()) == model.entries
+            assert len(tree) == len(model.entries)
+
+    def test_lookups_along_a_leaf_read_it_once(self):
+        """The access pattern the cursor is for: an index scan hands
+        the table tree ascending rowids."""
+        _, pager, tree = fresh_tree()
+        for rowid in range(1, 601):
+            tree.insert([rowid], b"r%d" % rowid)
+        leaves = set()
+        reads = []
+        for rowid in range(1, 601):
+            value, read = logged_reads(
+                tree, lambda t, key: [t.get(key)], key=[rowid])
+            assert value == [b"r%d" % rowid]
+            reads += read
+            leaves.add(tree._held[0])
+        # Only a leaf's first key is outside the leaf held so far.  It
+        # equals its separator, so the descent (root, leaf) lands one
+        # leaf to the left and hops; every other lookup reads nothing.
+        assert len(leaves) > 3
+        assert len(reads) == 2 + 3 * (len(leaves) - 1)
+        assert tree.held_seeks == 600 - len(leaves)
+
+    def test_a_write_drops_the_held_leaf(self):
+        _, _, tree = fresh_tree()
+        for rowid in range(1, 41):
+            tree.insert([rowid], b"old")
+        assert tree.get([7]) == b"old" and tree._held is not None
+        assert tree.delete([7]) and tree._held is None
+        assert tree.get([7]) is None
+        assert tree.get([8]) == b"old" and tree._held is not None
+        tree.insert([7], b"new")
+        assert tree._held is None
+        assert tree.get([7]) == b"new"
+
+    def test_an_emptied_leaf_is_never_a_starting_point(self):
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            _, _, tree = fresh_tree()
+            for rowid in range(60):
+                tree.insert([rowid], b"r")
+            assert [key[0] for key, _ in tree.scan(low=[59])] == [59]
+            _, last_leaf = tree._held
+            assert last_leaf.next_leaf == 0
+            for key, _ in last_leaf.entries:
+                assert tree.delete(list(key))
+            # Only the last leaf can be landed on empty and kept: any
+            # other hands the scan over to its successor.
+            assert list(tree.scan(low=[59])) == []
+            assert tree._held[1].tuples == ()
+            survivors = 60 - len(last_leaf.entries)
+            assert tree.get([59]) is None
+            assert tree.get([survivors - 1]) == b"r"
+            assert [key[0] for key, _ in tree.scan(low=[survivors - 3])] == (
+                list(range(survivors - 3, survivors)))
 
 
 # ----------------------------------------------------------------------

@@ -270,17 +270,22 @@ class TestTalliedSites:
         delta = REGISTRY.counters_delta(before)
         assert delta["pager.read_page"] == 1  # once, not once per flush
 
-    def test_a_statements_pagers_report_together(self, monkeypatch):
-        """The engine's pagers share one tally: a statement makes one
-        registry call per name however many pagers it opened, and the
-        totals are what the pagers would have reported one by one."""
+    @staticmethod
+    def indexed_engine(rows):
         from repro.db.engine import Engine
         from repro.vfs.local import LocalFilesystem
 
         engine = Engine(LocalFilesystem())
         engine.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
         engine.execute("CREATE INDEX t_a ON t (a)")
-        engine.insert_rows("t", [[i % 7, i] for i in range(300)])
+        engine.insert_rows("t", [[i % 7, i] for i in range(rows)])
+        return engine
+
+    def test_a_statements_pagers_report_together(self, monkeypatch):
+        """A statement opens each file once and its pagers share one
+        tally: one registry call per name, and the totals are what the
+        pagers would have reported one by one."""
+        engine = self.indexed_engine(300)
         calls = []
         real_add = obs.add
         monkeypatch.setattr(
@@ -291,14 +296,52 @@ class TestTalliedSites:
         join = "SELECT COUNT(*) FROM t x JOIN t y ON x.a = y.a WHERE x.b < 3"
         assert engine.execute(join).scalar() > 0
         delta = REGISTRY.counters_delta(before)
-        assert delta["pager.flush"] > 2  # one per pager closed
+        # The table and its index, however often the join visits them:
+        # one pager each, closed (so flushed) once.
+        assert delta["pager.flush"] == delta["db.pager.opened"] == 2
         assert (delta["db.node.memo.hit"] + delta["db.node.memo.miss"]
                 == delta["pager.read_page"])
         # Every data page and every pager's header page crossed the VFS.
         assert (delta["vfs.read_page"]
                 == delta["pager.read_page"] + delta["pager.flush"])
-        for name in ("pager.flush", "pager.read_page", "vfs.read_page"):
+        for name in ("pager.flush", "pager.read_page", "vfs.read_page",
+                     "db.pager.opened", "db.cursor.held"):
             assert calls.count(name) == 1
+
+    def test_a_held_seek_saves_exactly_one_descent(self, monkeypatch):
+        """``db.cursor.held`` counts seeks that skipped root -> leaf:
+        with both trees two levels deep, each one is two page reads
+        fewer than the same statement makes with nothing ever held."""
+        from repro.db.btree import BTree, InternalNode
+
+        engine = self.indexed_engine(1500)
+        with engine._statement():
+            for path in list(engine.vfs.list_files()):
+                if path.endswith((".tbl", ".idx")):
+                    pager, tree = engine._pager(path)
+                    root = tree._view(pager.root_pid)
+                    assert isinstance(root, InternalNode)
+                    assert not isinstance(
+                        tree._view(root.children[0]), InternalNode)
+        join = "SELECT COUNT(*) FROM t x JOIN t y ON x.a = y.a WHERE x.b < 3"
+
+        def run():
+            before = REGISTRY.counters_snapshot()
+            count = engine.execute(join).scalar()
+            return count, REGISTRY.counters_delta(before)
+
+        count, held = run()
+        assert held["db.cursor.held"] > 0
+        monkeypatch.setattr(  # a tree that cannot keep a leaf
+            BTree, "_held",
+            property(lambda tree: None, lambda tree, leaf: None),
+            raising=False,
+        )
+        same_count, descending = run()
+        assert same_count == count
+        assert "db.cursor.held" not in descending
+        assert (descending["pager.read_page"] - held["pager.read_page"]
+                == 2 * held["db.cursor.held"])
 
     def test_fetch_path_counts_partition_the_page_requests(self):
         """What a session paid for once and what it probed, client side

@@ -541,10 +541,12 @@ def equivocating_system():
 @pytest.mark.parametrize("path", ["inprocess", "rpc"])
 @pytest.mark.parametrize("mode,options", [
     pytest.param(QueryMode.BASELINE, {}, id="baseline"),
-    # Two pages of cache: evictions force re-fetches inside one query.
-    pytest.param(QueryMode.INTRA, {"cache_bytes": 2 * 4096}, id="intra"),
-    pytest.param(QueryMode.INTER, {"cache_bytes": 2 * 4096}, id="inter"),
-    pytest.param(QueryMode.INTER_VBF, {"cache_bytes": 2 * 4096},
+    # One page of cache: evictions force re-fetches inside one query.
+    # (With two, the engine — one pager per file and a cursor on each
+    # tree — no longer asks for any page of the join twice.)
+    pytest.param(QueryMode.INTRA, {"cache_bytes": 4096}, id="intra"),
+    pytest.param(QueryMode.INTER, {"cache_bytes": 4096}, id="inter"),
+    pytest.param(QueryMode.INTER_VBF, {"cache_bytes": 4096},
                  id="inter+vbf"),
 ])
 class TestEquivocation:
@@ -554,7 +556,9 @@ class TestEquivocation:
     one the engine has already computed on."""
 
     #: The Q2 shape: the join's inner side looks every transaction up by
-    #: rowid, so the table's leaves are requested again and again.
+    #: rowid.  A leaf answers consecutive lookups from the tree's cursor;
+    #: the key still requested again and again is the table's root, once
+    #: per descent to another leaf.
     JOIN = ("SELECT COUNT(*), SUM(x.value), SUM(t.gas_price) "
             "FROM eth_token_transfers x JOIN eth_transactions t "
             "ON x.tx_hash = t.hash")
@@ -571,20 +575,115 @@ class TestEquivocation:
         try:
             with client_of(system, path, mode, **options) as client:
                 assert client.query(self.JOIN).rows == expected
+                second_responses = 0
                 for forgery in self.FORGERIES:
                     cache = client.inter_cache
                     cached = set(cache._pages) if cache is not None else None
                     isp.armed = forgery
-                    with pytest.raises(ReproError):
+                    with pytest.raises(ReproError) as refused:
                         client.query(self.JOIN)
                     isp.armed = None
+                    second_responses += "two different contents" in str(
+                        refused.value)
                     assert len(isp.sessions) == 0
                     assert len(client._nodes) == 0
                     if cache is not None:  # evicted from, never added to
                         assert set(cache._pages) <= cached
                     assert client.query(self.JOIN).rows == expected
+                # Most forgeries parse, and are then caught by the
+                # genuine second response — not only by the final VO
+                # check, which a once-requested key would leave them to.
+                assert second_responses > len(self.FORGERIES) // 2
         finally:
             isp.armed = None
+
+
+class ForgedLeafIsp(IspServer):
+    """Honest until armed; then the first request a session makes for a
+    leaf of ``TABLE`` is answered with a well-formed forgery — once, and
+    every later request with the genuine page.  ``"forged"`` re-encodes
+    the leaf with every row carrying its shortest row's record;
+    ``"misplaced"`` serves another leaf of the file in its place."""
+
+    TABLE = "/db/tables/eth_transactions.tbl"
+    armed = None
+
+    def __init__(self):
+        super().__init__()
+        self.deceived = set()
+
+    def get_page(self, session_id, path, page_id):
+        from repro.db import btree
+        from repro.db.pager import seal_page
+
+        page = super().get_page(session_id, path, page_id)
+        if (self.armed is None or path != self.TABLE or page_id < 1
+                or page[0] != btree._LEAF or session_id in self.deceived):
+            return page
+        self.deceived.add(session_id)
+        if self.armed == "forged":
+            leaf = btree._decode_node(page)
+            record = min((value for _, value in leaf.entries), key=len)
+            leaf.entries = [(key, record) for key, _ in leaf.entries]
+            return seal_page(leaf.encode())
+        _, _, count = super().get_file_meta(session_id, path)
+        return next(
+            other for other in (
+                super(ForgedLeafIsp, self).get_page(session_id, path, pid)
+                for pid in range(1, count) if pid != page_id
+            ) if other[0] == btree._LEAF
+        )
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+@pytest.mark.parametrize("mode", [QueryMode.BASELINE, QueryMode.INTER_VBF],
+                         ids=["baseline", "inter+vbf"])
+class TestHeldLeaf:
+    """A statement keeps one pager per file and each tree keeps the
+    leaf it last landed on, so one response now answers many lookups
+    without a second request.  It is still one ``page_claims`` entry
+    the VO must vouch for, and nothing held outlives the statement."""
+
+    JOIN = TestEquivocation.JOIN
+    TABLE = ForgedLeafIsp.TABLE
+
+    @pytest.mark.parametrize("forgery", ["forged", "misplaced"])
+    def test_leaf_forged_once_never_verifies(self, path, mode, forgery):
+        system = swap_isp(build_system(6), ForgedLeafIsp)
+        isp = system.isp
+        expected = system.plain_replica().execute(self.JOIN).rows
+        with client_of(system, path, mode) as client:
+            for _ in range(2):  # on a cold client, then on a warm one
+                isp.armed = forgery
+                cache = client.inter_cache
+                cached = set(cache._pages) if cache is not None else None
+                if cached:  # make the warm client fetch the table again
+                    for key in [k for k in cached if k[0] == self.TABLE]:
+                        cache.discard(key)
+                        cached.discard(key)
+                deceived = len(isp.deceived)
+                with pytest.raises(VerificationError):
+                    client.query(self.JOIN)
+                isp.armed = None
+                assert len(isp.deceived) == deceived + 1
+                assert len(isp.sessions) == 0
+                assert len(client._nodes) == 0
+                if cache is not None:
+                    assert set(cache._pages) <= cached
+                assert client.query(self.JOIN).rows == expected
+
+    def test_block_rewriting_the_held_leaf_is_seen(self, path, mode):
+        """The join's lookups end on the table's last leaf — the page
+        the next block appends to in place."""
+        system = build_system(6)
+        with client_of(system, path, mode) as client:
+            before = client.query(self.JOIN).rows
+            assert before == system.plain_replica().execute(self.JOIN).rows
+            report = system.advance_block("eth")
+            assert self.TABLE in report.writes
+            after = client.query(self.JOIN).rows
+            assert after == system.plain_replica().execute(self.JOIN).rows
+            assert after != before
 
 
 class _TwoFacedIsp:
