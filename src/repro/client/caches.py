@@ -15,6 +15,12 @@ For the VBF extension (Section V-B) each cached page also stores ``V_n``
 (the certificate version at which it was last known fresh) and ``S_n``
 (its slot positions in the filter).
 
+Beside the pages and node digests the inter-query cache keeps the two
+other things a past query leaves that the next can use as they are:
+the file metadata finalized VOs proved under one ADS root (reused only
+under that same root), and the certificate's decoded filter (reused
+only for an equal certificate).
+
 Per-``path`` side indexes (cached page ids, learned-node levels, fresh
 levels) keep every operation local to the file it touches: marking a
 subtree fresh walks only that file's cached pages, invalidating a page's
@@ -28,15 +34,21 @@ Hit/miss accounting flows through :mod:`repro.obs`
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.hashing import Digest, hash_bytes, hash_pair
 from repro.merkle.page_tree import EMPTY
 from repro.obs import metrics as obs
 from repro.vfs.interface import PAGE_SIZE
 
+if TYPE_CHECKING:
+    from repro.core.certificate import V2fsCertificate
+    from repro.vbf.versioned_bloom import VersionedBloomFilter
+
 PageKey = Tuple[str, int]
 NodeKey = Tuple[str, int, int]
+#: ``(exists, size, page_count)`` of one file.
+FileMeta = Tuple[bool, int, int]
 
 
 class IntraQueryCache:
@@ -119,6 +131,14 @@ class InterQueryCache:
         self._hits = 0
         self._misses = 0
         self._in_query = False
+        #: Metadata of existing files that finalized VOs proved under
+        #: ``_metas_root``.  A size is a fact about the root that proved
+        #: it, so it answers lookups under that root and no other.
+        self._metas: Dict[str, FileMeta] = {}
+        self._metas_root: Optional[Digest] = None
+        #: The certificate whose filter was decoded last, and the filter.
+        self._vbf_certificate: Optional["V2fsCertificate"] = None
+        self._vbf: Optional["VersionedBloomFilter"] = None
 
     # -- query lifecycle -------------------------------------------------
 
@@ -141,6 +161,41 @@ class InterQueryCache:
         if self._misses:
             obs.add("cache.inter.miss", self._misses)
             self._misses = 0
+
+    # -- what a certificate fixes ------------------------------------------
+
+    def proven_metas(self, ads_root: Digest) -> Dict[str, FileMeta]:
+        """The metadata proven under ``ads_root``, for reading; proofs
+        under any other root are dropped."""
+        if ads_root != self._metas_root:
+            self._metas_root = ads_root
+            self._metas = {}
+        return self._metas
+
+    # repro: taint-sink
+    def learn_metas(self, ads_root: Digest,
+                    metas: Dict[str, FileMeta]) -> None:
+        """Keep metadata a VO under ``ads_root`` has just proven."""
+        self.proven_metas(ads_root).update(metas)
+
+    def forget_metas(self) -> None:
+        """A query failed: what it was told may be why."""
+        self._metas_root = None
+        self._metas = {}
+
+    def vbf_of(
+        self, certificate: "V2fsCertificate"
+    ) -> Optional["VersionedBloomFilter"]:
+        """``certificate.vbf()``, decoded once per distinct certificate.
+
+        Keyed on equality of the whole certificate, not identity: over
+        RPC every fetch is a new object.  Callers only read the filter
+        (``positions`` / ``fresh_since``).
+        """
+        if certificate != self._vbf_certificate:
+            self._vbf = certificate.vbf()
+            self._vbf_certificate = certificate
+        return self._vbf
 
     # -- page access -------------------------------------------------------
 

@@ -30,6 +30,7 @@ from repro.client.vfs import ClientSession, ClientVfs, QueryMode
 from repro.core.certificate import ProvenSignature, V2fsCertificate
 from repro.crypto.signature import PublicKey
 from repro.db.btree import NodeMemo
+from repro.db.catalog import CatalogMemo
 from repro.db.engine import Engine, ResultSet
 from repro.errors import CertificateError, ReproError
 from repro.isp.server import IspServer
@@ -131,6 +132,11 @@ class QueryClient:
         # unchanged page is decoded once, not once per visit (every
         # visit still reads it through the verified VFS).
         self._nodes = NodeMemo()
+        # The catalog parsed from the catalog file's bytes: unchanged
+        # bytes are parsed once (every query still reads them through
+        # the verified VFS).  This client's engines only, which never
+        # write; cleared with the node memo.
+        self._catalogs = CatalogMemo()
 
     # ------------------------------------------------------------------
 
@@ -177,15 +183,18 @@ class QueryClient:
         # One filesystem serves both roles (Appendix A / Algorithm 6):
         # remote pages verifiably, locally created temp files directly.
         vfs = ClientVfs(session)
-        engine = Engine(vfs, temp_vfs=vfs, node_memo=self._nodes)
+        engine = Engine(vfs, temp_vfs=vfs, node_memo=self._nodes,
+                        catalog_memo=self._catalogs)
         try:
             result: ResultSet = engine.execute(sql)
             return result, session.finalize()
         except Exception as error:
             # Whatever went wrong (malformed data from the ISP, proof
             # failure, engine error), the pages this query cached — and
-            # the nodes it decoded from them — are unverified and must
-            # not survive.  Deliberately broad and strictly re-raising:
+            # the nodes and catalog it decoded from them — are
+            # unverified and must not survive, and the metadata earlier
+            # queries proved goes with them (rollback_cache).
+            # Deliberately broad and strictly re-raising:
             # the rollback is cleanup, never recovery (crash-hygiene
             # verifies the re-raise statically).
             logger.debug(
@@ -195,6 +204,7 @@ class QueryClient:
             )
             session.rollback_cache()
             self._nodes.clear()
+            self._catalogs.clear()
             try:
                 # Close the ISP session as well: an open one pins its
                 # snapshot root against pruning.  Best effort — it is

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import enum
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.client.caches import InterQueryCache, IntraQueryCache
+from repro.client.caches import FileMeta, InterQueryCache, IntraQueryCache
 from repro.core.certificate import V2fsCertificate
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import StorageError, VerificationError
@@ -77,7 +77,15 @@ class ClientSession:
         self.intra_cache = IntraQueryCache(cache_bytes)
         self.inter_cache = inter_cache
         self.vbf: Optional[VersionedBloomFilter] = (
-            certificate.vbf() if mode is QueryMode.INTER_VBF else None
+            inter_cache.vbf_of(certificate)
+            if mode is QueryMode.INTER_VBF else None
+        )
+        #: Metadata earlier sessions proved under this certificate's
+        #: root.  Only where state may outlive a query at all: BASELINE
+        #: and INTRA ask the ISP every time.
+        self._proven_metas: Dict[str, FileMeta] = (
+            inter_cache.proven_metas(certificate.ads_root)
+            if mode.uses_inter_cache else {}
         )
         # Pin the session to the certificate version validated in the
         # initialize phase; an ISP that advanced in between must say so
@@ -91,7 +99,11 @@ class ClientSession:
         # digsToVerify (Algorithm 4, line 9), split by claim kind.
         self.page_claims: Dict[PageKey, Digest] = {}
         self.node_claims: Dict[Tuple[str, int, int], Digest] = {}
-        self.used_metas: Dict[str, Tuple[bool, int, int]] = {}
+        self.used_metas: Dict[str, FileMeta] = {}
+        #: Paths answered from ``_proven_metas`` (tally, reported once
+        #: by :meth:`finalize`): nothing of theirs is left to prove, so
+        #: they are not claims.
+        self._proven_paths: Set[str] = set()
         #: The bytes *first served* for each page key.  Only they are
         #: hashed into ``page_claims``; every later response for the key
         #: must be those same bytes (see :meth:`_claim`).  References,
@@ -108,10 +120,16 @@ class ClientSession:
     # Metadata
     # ------------------------------------------------------------------
 
-    def file_meta(self, path: str) -> Tuple[bool, int, int]:
-        """(exists, size, page_count), fetched once per query per file."""
+    def file_meta(self, path: str) -> FileMeta:
+        """(exists, size, page_count): what this session was told, else
+        what earlier sessions proved under this root, else the ISP's
+        answer — asked once per query per file, and a claim."""
         meta = self.used_metas.get(path)
         if meta is None:
+            meta = self._proven_metas.get(path)
+            if meta is not None:
+                self._proven_paths.add(path)
+                return meta
             meta = self.isp.get_file_meta(self.session_id, path)
             request_bytes = len(path.encode())
             self.transport.account(CATEGORY_META, request_bytes, 17)
@@ -245,6 +263,7 @@ class ClientSession:
         if obs.ACTIVE:
             obs.add("client.page.hashed", len(self.page_claims))
             obs.add("client.page.repeated", self._repeated)
+            obs.add("client.meta.proven", len(self._proven_paths))
         try:
             established = V2fsAds.verify_read_proof(
                 vo, self.certificate.ads_root,
@@ -263,11 +282,16 @@ class ClientSession:
             self.rollback_cache()
             raise
         # Harvest authenticated ancestor digests for future freshness
-        # checks (this is how the cache's Merkle subtrees grow).
+        # checks (this is how the cache's Merkle subtrees grow), and the
+        # metadata _verify_metas has just matched against the VO.
         if self.inter_cache is not None:
             for path, values in established.items():
                 for (level, index), digest in values.items():
                     self.inter_cache.learn_node(path, level, index, digest)
+            if self.mode.uses_inter_cache:
+                self.inter_cache.learn_metas(
+                    self.certificate.ads_root, self.used_metas
+                )
         return vo_bytes
 
     def _verify_metas(self, vo) -> None:
@@ -302,6 +326,7 @@ class ClientSession:
         for key in self._inserted_keys:
             self.inter_cache.discard(key)
         self._inserted_keys.clear()
+        self.inter_cache.forget_metas()
 
 
 class ClientVfs(VirtualFilesystem):

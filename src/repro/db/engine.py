@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.db.btree import BTree, NodeMemo
-from repro.db.catalog import Catalog, IndexInfo, TableInfo
+from repro.db.catalog import Catalog, CatalogMemo, IndexInfo, TableInfo
 from repro.db.pager import Pager, PagerTally
 from repro.db.plan.expressions import Schema
 from repro.db.plan.planner import AccessProvider, plan_select
@@ -70,6 +70,7 @@ class Engine(AccessProvider):
         temp_vfs: Optional[VirtualFilesystem] = None,
         sort_memory_rows: int = 4096,
         node_memo: Optional[NodeMemo] = None,
+        catalog_memo: Optional[CatalogMemo] = None,
     ) -> None:
         self.vfs = vfs
         self.base_path = base_path.rstrip("/")
@@ -81,6 +82,9 @@ class Engine(AccessProvider):
         #: Decoded B+Tree nodes shared by every tree this engine opens;
         #: a verifying client hands in its own so they outlive the query.
         self._node_memo = node_memo if node_memo is not None else NodeMemo()
+        #: Parsed catalog a verifying client keeps across its queries
+        #: (read-only engines); None: parse what this engine loads.
+        self._catalog_memo = catalog_memo
         #: Page-read and flush counts of every pager this engine opens,
         #: reported once per statement rather than once per pager.
         self._pager_tally = PagerTally()
@@ -103,10 +107,14 @@ class Engine(AccessProvider):
     @property
     def catalog(self) -> Catalog:
         if self._catalog is None:
-            self._catalog = Catalog.load(self.vfs, self.catalog_path)
+            self._catalog = Catalog.load(self.vfs, self.catalog_path,
+                                         self._catalog_memo)
         return self._catalog
 
     def _save_catalog(self) -> None:
+        if self._catalog_memo is not None:
+            # Changed since it was parsed: no longer what its key says.
+            self._catalog_memo.clear()
         self.catalog.save(self.vfs, self.catalog_path)
 
     def _pager(self, path: str, create: bool = False) -> Tuple[Pager, BTree]:

@@ -102,6 +102,11 @@ SCOPES: Dict[str, str] = {
         "Freshness-check round trips to the ISP (Algorithm 5).",
     "client.meta.requests":
         "File-metadata round trips to the ISP.",
+    "client.meta.proven":
+        "Files whose metadata a session took from what earlier sessions "
+        "proved under the same ADS root, asking nothing (reported once, "
+        "at finalize); with client.meta.requests, the distinct files "
+        "the sessions looked up.",
     "client.cert.requests":
         "Certificate fetches at query start.",
     "client.cert.memo.hit":

@@ -529,6 +529,26 @@ class RemoteIsp:
         )
 
 
+class _ObservedHeads:
+    """One ``fetch_chain_heads`` answer, shared by a client's chain views.
+
+    The RPC returns the heads of *all* chains, so one answer serves
+    every view — once each: a view asked for a head it has already been
+    given fetches a new answer for everyone.  A query reads each chain
+    once, so it makes one fetch, and no head it judges a certificate by
+    was observed for an earlier query.  No clock is involved.
+    """
+
+    def __init__(self, remote: RemoteIsp) -> None:
+        self._remote = remote
+        self._unread: Dict[str, BlockHeader] = {}
+
+    def take(self, chain_id: str) -> Optional[BlockHeader]:
+        if chain_id not in self._unread:
+            self._unread = dict(self._remote.fetch_chain_heads())
+        return self._unread.pop(chain_id, None)
+
+
 class RemoteChainView:
     """Observed head of one source chain, refreshed over the RPC link.
 
@@ -538,13 +558,12 @@ class RemoteChainView:
     a lying server cannot forge heads without mining.
     """
 
-    def __init__(self, remote: RemoteIsp, chain_id: str) -> None:
-        self._remote = remote
+    def __init__(self, heads: _ObservedHeads, chain_id: str) -> None:
+        self._heads = heads
         self.chain_id = chain_id
 
     def latest_header(self) -> BlockHeader:
-        heads = self._remote.fetch_chain_heads()
-        header = heads.get(self.chain_id)
+        header = self._heads.take(self.chain_id)
         if header is None:
             raise RpcConnectionError(
                 f"server no longer reports chain {self.chain_id!r}"
@@ -578,8 +597,9 @@ def connect_client(
         default_deadline_s=deadline_s,
     )
     report, attestation_root, measurement = remote.fetch_bootstrap()
+    heads = _ObservedHeads(remote)
     chains = {
-        chain_id: RemoteChainView(remote, chain_id)
+        chain_id: RemoteChainView(heads, chain_id)
         for chain_id in remote.fetch_chain_heads()
     }
     return QueryClient(

@@ -457,21 +457,33 @@ class TestFleetUpdatesAndFailures:
                 fleet.shards[1].root == report.certificate.ads_root
             )
 
+    @staticmethod
+    def _table_files(fleet):
+        shard = fleet.shards[0]
+        return sorted(
+            p for p in shard.ads.list_files(shard.root)
+            if p.startswith("/db/tables/")
+        )
+
+    def _owner_of_table_header(self, fleet):
+        """The shard owning page 0 of the table every COUNT(*) reads."""
+        (path,) = [
+            p for p in self._table_files(fleet) if "eth_transactions" in p
+        ]
+        return fleet.isp.shard_for_page(path, 0)
+
     def test_dead_shard_aborts_queries_typed_then_recovers(self):
         system = build_system()
         with Fleet(system, shard_count=2) as fleet:
-            shard = fleet.shards[0]
-            table_paths = [
-                p for p in shard.ads.list_files(shard.root)
-                if "eth_transactions" in p
-            ]
-            assert table_paths
             # Page 0 of the table is read by every COUNT(*) scan, so
-            # killing its owner guarantees the query hits the hole.
-            victim = fleet.isp.shard_for_page(table_paths[0], 0)
+            # killing its owner guarantees the query hits the hole —
+            # for a client that carries nothing from query to query
+            # (a cached one no longer needs the shard at all: below).
+            victim = self._owner_of_table_header(fleet)
             host, port = fleet.router_address
             client = connect_client(
-                host, port, timeout_s=0.5, max_retries=1
+                host, port, mode=QueryMode.BASELINE,
+                timeout_s=0.5, max_retries=1,
             )
             try:
                 assert client.query(SQL).rows
@@ -481,6 +493,48 @@ class TestFleetUpdatesAndFailures:
                     client.query(SQL)
                 fleet.restart_shard(victim)
                 assert client.query(SQL).rows
+            finally:
+                client.isp.close()
+
+    def test_cached_fresh_query_is_answered_while_its_shard_is_down(self):
+        """Under an unchanged certificate a warm client asks the fleet
+        for no page and no metadata, so the owner of what it cached can
+        be down: the answer is still verified against the certified
+        root (an empty-touch VO), and equal to the one it got before."""
+        system = build_system()
+        with Fleet(system, shard_count=2) as fleet:
+            victim = self._owner_of_table_header(fleet)
+            host, port = fleet.router_address
+            client = connect_client(
+                host, port, timeout_s=0.5, max_retries=1
+            )
+            try:
+                rows = client.query(SQL).rows
+                fleet.kill_shard(victim)
+                answer = client.query(SQL)
+                assert answer.rows == rows
+                assert answer.stats.page_requests == 0
+                assert answer.stats.meta_requests == 0
+                # A table the cache does not hold still needs its
+                # owner: typed refusal, and the proven metadata goes
+                # with the failed query ...
+                uncached = next(
+                    p for p in self._table_files(fleet)
+                    if "eth_transactions" not in p
+                    and fleet.isp.shard_for_page(p, 0) == victim
+                )
+                table = uncached.rsplit("/", 1)[1][:-len(".tbl")]
+                with pytest.raises(NetworkError):
+                    client.query(f"SELECT COUNT(*) FROM {table}")
+                # ... so the cached query must ask again, and waits for
+                # the shard like everyone else.
+                with pytest.raises(NetworkError):
+                    client.query(SQL)
+                fleet.restart_shard(victim)
+                # Two refused queries opened the router's breaker on the
+                # shard: let its cooldown pass.
+                time.sleep(2 * CircuitBreaker().cooldown_s)
+                assert client.query(SQL).rows == rows
             finally:
                 client.isp.close()
 

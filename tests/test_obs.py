@@ -401,3 +401,75 @@ class TestTalliedSites:
         assert lookups > 0
         # Reported with the failed query, not carried into the next one.
         assert (client.inter_cache._hits, client.inter_cache._misses) == (0, 0)
+
+    @pytest.mark.parametrize("mode_name", ["INTRA", "INTER", "INTER_VBF"])
+    def test_meta_requests_and_proven_partition_the_files_looked_up(
+        self, mode_name, monkeypatch
+    ):
+        """Each file a (finalized) session looks up is either asked of
+        the ISP or taken from what earlier sessions proved under the
+        same root: ``client.meta.requests + client.meta.proven`` is the
+        number of distinct (session, path) lookups, whatever the mode
+        and across a certificate change."""
+        from repro.client.vfs import ClientSession, QueryMode
+        from repro.core.system import SystemConfig, V2FSSystem
+
+        mode = QueryMode[mode_name]
+        looked_up = set()
+        real = ClientSession.file_meta
+
+        def recording(session, path):
+            looked_up.add((session.session_id, path))
+            return real(session, path)
+
+        monkeypatch.setattr(ClientSession, "file_meta", recording)
+        system = V2FSSystem(SystemConfig(txs_per_block=4))
+        system.advance_all(2)
+        client = system.make_client(mode)
+        before = REGISTRY.counters_snapshot()
+        queries = ["SELECT COUNT(*) FROM eth_transactions",
+                   "SELECT COUNT(*), SUM(fee) FROM btc_transactions"]
+        for sql in queries + queries:
+            client.query(sql)
+        system.advance_block("eth")
+        for sql in queries:
+            client.query(sql)
+        delta = REGISTRY.counters_delta(before)
+        proven = delta.get("client.meta.proven", 0)
+        assert delta["client.meta.requests"] + proven == len(looked_up)
+        if mode.uses_inter_cache:
+            # catalog + 2 tables per root; everything else was proven.
+            assert delta["client.meta.requests"] == 6
+            assert proven == len(looked_up) - 6 > 0
+        else:
+            assert proven == 0
+
+    @pytest.mark.parametrize("mode_name", ["INTER", "INTER_VBF"])
+    def test_a_warm_query_asks_no_meta_and_decodes_no_filter(
+        self, mode_name, monkeypatch
+    ):
+        from repro.client.vfs import QueryMode
+        from repro.core.certificate import V2fsCertificate
+        from repro.core.system import SystemConfig, V2FSSystem
+
+        decodes = []
+        real = V2fsCertificate.vbf
+        monkeypatch.setattr(
+            V2fsCertificate, "vbf",
+            lambda certificate: decodes.append(1) or real(certificate),
+        )
+        system = V2FSSystem(SystemConfig(txs_per_block=4))
+        system.advance_all(2)
+        client = system.make_client(QueryMode[mode_name])
+        sql = "SELECT COUNT(*) FROM eth_transactions"
+        client.query(sql)
+        assert len(decodes) == (mode_name == "INTER_VBF")
+        del decodes[:]
+        before = REGISTRY.counters_snapshot()
+        for _ in range(3):
+            client.query(sql)
+        delta = REGISTRY.counters_delta(before)
+        assert delta.get("client.meta.requests", 0) == 0
+        assert delta["client.meta.proven"] == 3 * 2  # catalog + table
+        assert delta["client.vo.requests"] == 3  # still verified, each
+        assert decodes == []

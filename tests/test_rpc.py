@@ -106,6 +106,61 @@ class TestLoopbackEquivalence:
             ).query(SQL).rows
             client.isp.close()
 
+    def test_one_query_observes_the_chain_heads_once(self):
+        """``fetch_chain_heads`` answers for every chain, so a query
+        makes one of them however many chains it checks — and makes it
+        again for the next query (heads are never carried over).  A
+        warm query is then exactly certificate, heads, session, VO."""
+        from repro.obs import REGISTRY
+
+        system = build_system()
+        assert len(system.chains) == 2
+        with serve_system(system) as server:
+            client = connect_client(*server.address)
+            heads = []
+            real = client.isp.fetch_chain_heads
+            client.isp.fetch_chain_heads = lambda: heads.append(1) or real()
+            try:
+                client.query(SQL)  # warm: pages, metadata, filter
+                for _ in range(2):
+                    del heads[:]
+                    before = REGISTRY.counters_snapshot()
+                    assert client.query(SQL).rows
+                    delta = REGISTRY.counters_delta(before)
+                    assert len(heads) == 1
+                    assert delta["rpc.client.requests"] == 4
+                # A head observed for one query never judges the next
+                # certificate: after a block the stale check still sees
+                # the new head.
+                system.advance_block("eth")
+                del heads[:]
+                assert client.query(SQL).rows
+                assert len(heads) == 1
+            finally:
+                client.isp.close()
+
+
+    def test_an_answer_is_read_once_per_chain(self):
+        from repro.rpc.client import RemoteChainView, _ObservedHeads
+
+        class Remote:
+            fetches = 0
+
+            def fetch_chain_heads(self):
+                self.fetches += 1
+                return {"a": ("a", self.fetches), "b": ("b", self.fetches)}
+
+        remote = Remote()
+        heads = _ObservedHeads(remote)
+        a, b, gone = (RemoteChainView(heads, c) for c in ("a", "b", "c"))
+        assert (a.latest_header(), b.latest_header()) == (("a", 1), ("b", 1))
+        # A query that stopped after its first chain left "b" unread:
+        # the next query's first read replaces the whole answer.
+        assert a.latest_header() == ("a", 2)
+        assert (a.latest_header(), b.latest_header()) == (("a", 3), ("b", 3))
+        with pytest.raises(RpcConnectionError, match="no longer reports"):
+            gone.latest_header()
+
 
 class TestConcurrentClientsUnderIngestion:
     def test_four_modes_concurrently_while_ci_ingests(self):

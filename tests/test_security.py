@@ -922,6 +922,373 @@ class TestHostileBytesBeforeVerification:
             isp.armed = None
 
 
+class LyingMetaIsp(IspServer):
+    """Honest until armed with a page delta; then the next time it is
+    *asked* for ``TABLE``'s metadata it misstates the size by that many
+    pages — once.  ``asked`` lists every path it was asked about."""
+
+    TABLE = "/db/tables/eth_transactions.tbl"
+    armed = None
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get_file_meta(self, session_id, path):
+        self.asked.append(path)
+        exists, size, page_count = super().get_file_meta(session_id, path)
+        if self.armed is not None and path == self.TABLE:
+            delta, self.armed = self.armed, None
+            return exists, size + 4096 * delta, page_count + delta
+        return exists, size, page_count
+
+
+_oracle = TestNodeMemo.oracle
+
+
+def _carried_state_is_empty(client):
+    """Nothing a failed query may have touched is still held."""
+    cache = client.inter_cache
+    return (cache._metas == {} and cache._metas_root is None
+            and len(client._nodes) == 0 and len(client._catalogs) == 0)
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+@pytest.mark.parametrize("mode", [QueryMode.INTER, QueryMode.INTER_VBF],
+                         ids=["inter", "inter+vbf"])
+class TestProvenMetas:
+    """A cached-mode client asks for a file's metadata once per ADS
+    root: what a finalized VO proved answers later sessions under that
+    same root.  Pinned down here: a lie never enters the proven set, any
+    failed query empties it, a new root empties it (so hidden appends
+    cannot ride on an old size), and it is nobody else's."""
+
+    SUM = "SELECT COUNT(*), SUM(gas_used) FROM eth_transactions"
+    OTHER = "SELECT COUNT(*) FROM btc_transactions"
+    TABLE = LyingMetaIsp.TABLE
+
+    @pytest.mark.parametrize("delta", [-1, +1], ids=["under", "over"])
+    def test_size_misstated_once_is_refused_and_leaves_nothing(
+        self, path, mode, delta
+    ):
+        system = swap_isp(build_system(2), LyingMetaIsp)
+        isp = system.isp
+        expected = _oracle(system, self.SUM)
+        with client_of(system, path, mode) as client:
+            cache = client.inter_cache
+            isp.armed = delta
+            with pytest.raises(ReproError):
+                client.query(self.SUM)
+            assert isp.armed is None  # it was asked, and it lied
+            assert len(isp.sessions) == 0
+            assert _carried_state_is_empty(client)
+            assert len(cache._pages) == 0
+            # The next, honest query asks for that size again.
+            del isp.asked[:]
+            assert client.query(self.SUM).rows == expected
+            assert self.TABLE in isp.asked
+            assert cache._metas[self.TABLE][0] is True
+            assert cache._metas_root == system.isp.certificate.ads_root
+
+    def test_later_lie_under_an_unchanged_certificate_is_never_asked(
+        self, path, mode
+    ):
+        system = swap_isp(build_system(2), LyingMetaIsp)
+        isp = system.isp
+        with client_of(system, path, mode) as client:
+            expected = client.query(self.SUM).rows
+            assert expected == _oracle(system, self.SUM)
+            del isp.asked[:]
+            isp.armed = -1
+            for _ in range(3):
+                answer = client.query(self.SUM)
+                assert answer.rows == expected
+                assert answer.stats.meta_requests == 0
+            assert isp.asked == [] and isp.armed == -1
+            # Under the next root it is asked, lies, and is refused:
+            # the proven sizes did not cross over.
+            system.advance_block("eth")
+            with pytest.raises(ReproError):
+                client.query(self.SUM)
+            assert isp.armed is None and self.TABLE in isp.asked
+            assert _carried_state_is_empty(client)
+            assert client.query(self.SUM).rows == _oracle(system, self.SUM)
+
+    def test_table_growing_over_a_page_boundary_is_seen(self, path, mode):
+        """Completeness: metadata proven before the append must not
+        hide the rows after it."""
+        system = swap_isp(build_system(2), LyingMetaIsp)
+        isp = system.isp
+
+        def pages_of_table():
+            return isp.ads.file_node(isp.root, self.TABLE).page_count
+
+        with client_of(system, path, mode) as client:
+            cold = client.query(self.SUM)
+            cold_asked = sorted(isp.asked)
+            assert cold.stats.meta_requests == len(cold_asked) > 0
+            pages = pages_of_table()
+            for _ in range(30):
+                # Warm under the current root, then move it.
+                client.query(self.SUM)
+                assert client.query(self.SUM).stats.meta_requests == 0
+                system.advance_block("eth")
+                if pages_of_table() > pages:
+                    break
+            else:
+                pytest.fail("the table never grew by a page")
+            del isp.asked[:]
+            grown = client.query(self.SUM)
+            assert grown.rows == _oracle(system, self.SUM)
+            assert grown.rows[0][0] > cold.rows[0][0]
+            assert sorted(isp.asked) == cold_asked  # every one, again
+            assert (client.inter_cache._metas[self.TABLE][2]
+                    == pages_of_table() > pages)
+
+    def test_replayed_certificate_leaves_nothing_for_the_current_root(
+        self, path, mode
+    ):
+        system = swap_isp(build_system(2), LyingMetaIsp)
+        isp = system.isp
+        with client_of(system, path, mode) as client:
+            cold = client.query(self.SUM).stats.meta_requests
+            old_certificate, old_root = isp.certificate, isp.root
+            system.advance_block("eth")
+            current_certificate, current_root = isp.certificate, isp.root
+            isp.certificate, isp.root = old_certificate, old_root
+            del isp.asked[:]
+            with pytest.raises(CertificateError, match="stale"):
+                client.query(self.SUM)
+            assert isp.asked == [] and len(isp.sessions) == 0
+            isp.certificate, isp.root = current_certificate, current_root
+            answer = client.query(self.SUM)
+            assert answer.rows == _oracle(system, self.SUM)
+            assert answer.stats.meta_requests == cold
+            assert client.inter_cache._metas_root == current_root
+
+    @pytest.mark.parametrize("failure", ["garbled-page", "engine-error"])
+    def test_any_failed_query_drops_the_proven_set(
+        self, path, mode, failure
+    ):
+        system = swap_isp(build_system(2), FlippingIsp)
+        isp = system.isp
+        with client_of(system, path, mode) as client:
+            first = client.query(self.SUM)
+            assert client.inter_cache._metas
+            if failure == "garbled-page":  # of a table not cached yet
+                isp.flip = ("/db/tables/btc_transactions.tbl", 1)
+                doomed = self.OTHER
+            else:
+                doomed = "SELECT * FROM no_such_table"
+            cached = set(client.inter_cache._pages)
+            with pytest.raises(ReproError):
+                client.query(doomed)
+            isp.flip = None
+            assert len(isp.sessions) == 0
+            assert _carried_state_is_empty(client)
+            assert set(client.inter_cache._pages) <= cached
+            again = client.query(self.SUM)
+            assert again.rows == first.rows
+            assert again.stats.meta_requests == first.stats.meta_requests
+
+    def test_clients_share_nothing(self, path, mode):
+        system = build_system(2)
+        with client_of(system, path, mode) as client:
+            other = system.make_client(mode)
+            cold = client.query(self.SUM).stats.meta_requests
+            assert client.inter_cache._metas
+            assert other.inter_cache._metas == {}
+            assert len(other._catalogs) == 0
+            assert other.inter_cache._vbf is None
+            assert other._catalogs is not client._catalogs
+            assert other.query(self.SUM).stats.meta_requests == cold
+            if mode is QueryMode.INTER_VBF:
+                assert other.inter_cache._vbf is not client.inter_cache._vbf
+
+    def test_no_nonexistence_is_ever_kept(self, path, mode):
+        system = build_system(2)
+        with client_of(system, path, mode) as client:
+            client.query(self.SUM)
+            session_metas = []
+            real = type(client.inter_cache).learn_metas
+
+            def recording(cache, root, metas):
+                session_metas.append(dict(metas))
+                real(cache, root, metas)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(type(client.inter_cache), "learn_metas",
+                              recording)
+                system.advance_block("eth")
+                client.query(self.SUM)
+            assert session_metas and all(
+                exists for metas in session_metas
+                for exists, _, _ in metas.values()
+            )
+            assert all(m[0] for m in client.inter_cache._metas.values())
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+@pytest.mark.parametrize("mode", [QueryMode.BASELINE, QueryMode.INTRA],
+                         ids=["baseline", "intra"])
+def test_uncached_modes_ask_every_meta_every_query(path, mode):
+    """Nothing outlives a query in ``BASELINE`` and ``INTRA``: each one
+    makes the metadata requests it made before proven metadata existed
+    (the catalog and the table, for this scan)."""
+    system = build_system(2)
+    with client_of(system, path, mode) as client:
+        assert client.inter_cache is None
+        for _ in range(3):
+            assert client.query(SQL).stats.meta_requests == 2
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+class TestDecodedFilter:
+    """``V2fsCertificate.vbf()`` runs once per distinct validated
+    certificate; the kept filter is only ever read."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        real = V2fsCertificate.vbf
+
+        def counting(certificate):
+            calls.append(certificate.version)
+            return real(certificate)
+
+        monkeypatch.setattr(V2fsCertificate, "vbf", counting)
+        return calls
+
+    def test_decoded_once_per_certificate_and_never_written(
+        self, path, decodes
+    ):
+        system = build_system(2)
+        with client_of(system, path) as client:
+            for _ in range(3):
+                client.query(SQL)
+            first = system.isp.certificate
+            assert decodes == [first.version]
+            system.advance_block("eth")
+            for _ in range(3):
+                client.query(SQL)
+            second = system.isp.certificate
+            assert decodes == [first.version, second.version]
+            kept = client.inter_cache._vbf
+            assert kept.encode() == second.vbf_encoded
+
+    def test_rejected_certificate_is_not_decoded(self, path, decodes):
+        system = build_system(2)
+        honest = system.isp.certificate
+        with client_of(system, path) as client:
+            client.query(SQL)
+            kept = client.inter_cache._vbf
+            system.isp.certificate = ONE_BYTE_FORGERIES["vbf_byte"](honest)
+            with pytest.raises(CertificateError):
+                client.query(SQL)
+            system.isp.certificate = honest
+            client.query(SQL)
+            assert decodes == [honest.version]
+            assert client.inter_cache._vbf is kept
+
+    def test_other_modes_decode_nothing(self, path, decodes):
+        system = build_system(2)
+        for mode in (QueryMode.BASELINE, QueryMode.INTRA, QueryMode.INTER):
+            with client_of(system, path, mode) as client:
+                client.query(SQL)
+        assert decodes == []
+
+
+class SwappedCatalogIsp(IspServer):
+    """Honest until armed; then serves a well-formed catalog in which
+    two tables have traded files (same length, so every page boundary
+    stays where it was)."""
+
+    CATALOG = "/db/catalog"
+    ONE = b"/db/tables/eth_transactions.tbl"
+    OTHER = b"/db/tables/btc_transactions.tbl"
+    armed = False
+
+    def get_page(self, session_id, path, page_id):
+        page = super().get_page(session_id, path, page_id)
+        if not self.armed or path != self.CATALOG:
+            return page
+        _, _, count = super().get_file_meta(session_id, path)
+        whole = b"".join(
+            super(SwappedCatalogIsp, self).get_page(session_id, path, pid)
+            for pid in range(count)
+        )
+        assert len(self.ONE) == len(self.OTHER)
+        swapped = (whole.replace(self.ONE, b"\x00" * len(self.ONE))
+                   .replace(self.OTHER, self.ONE)
+                   .replace(b"\x00" * len(self.ONE), self.OTHER))
+        return swapped[page_id * 4096:(page_id + 1) * 4096]
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+@pytest.mark.parametrize("mode", list(QueryMode), ids=lambda m: m.value)
+class TestCatalogMemo:
+    """The parsed catalog is kept per distinct catalog *bytes*, read
+    through the verified VFS every query.  A forged catalog served once
+    is refused by the VO check on its page and is not what any later
+    query plans with."""
+
+    def test_forged_catalog_served_once_does_not_survive(self, path, mode):
+        system = build_system(2)
+        system.advance_block("eth")  # so the two tables differ in size
+        isp = swap_isp(system, SwappedCatalogIsp).isp
+        expected = _oracle(system, SQL)
+        assert expected != _oracle(
+            system, "SELECT COUNT(*) FROM btc_transactions")
+        with client_of(system, path, mode) as client:
+            for warm in (False, True):
+                if warm and client.inter_cache is not None:
+                    # Make the warm client read the catalog file again.
+                    for key in [k for k in client.inter_cache._pages
+                                if k[0] == isp.CATALOG]:
+                        client.inter_cache.discard(key)
+                isp.armed = True
+                with pytest.raises(VerificationError):
+                    client.query(SQL)
+                isp.armed = False
+                assert len(client._catalogs) == 0
+                assert len(client._nodes) == 0
+                assert len(isp.sessions) == 0
+                assert client.query(SQL).rows == expected
+                assert len(client._catalogs) == 1
+
+    def test_unchanged_bytes_are_parsed_once_and_still_read(
+        self, path, mode, monkeypatch
+    ):
+        from repro.db.catalog import Catalog
+
+        parses = []
+        real = Catalog.from_json.__func__
+        monkeypatch.setattr(
+            Catalog, "from_json",
+            classmethod(lambda cls, text: parses.append(1) or real(cls, text)),
+        )
+        system = swap_isp(build_system(2), LyingMetaIsp)
+        del parses[:]  # the CI's maintenance engine parses for itself
+        with client_of(system, path, mode) as client:
+            reads = []
+            for _ in range(3):
+                before = len(system.isp.asked)
+                client.query(SQL)
+                reads.append(len(system.isp.asked) - before)
+            assert len(parses) == 1
+            if not mode.uses_inter_cache:  # the file is opened each time
+                assert reads == [2, 2, 2]
+            # A block that leaves the schema alone changes no catalog
+            # byte: the verified read finds the same key.
+            system.advance_block("eth")
+            del parses[:]
+            client.query(SQL)
+            assert parses == []
+            # The oracle's plain engine is handed no memo.
+            _oracle(system, SQL)
+            assert len(parses) == 1
+
+
 class TestMaliciousCiStorage:
     def test_lying_storage_metadata_detected(self):
         """The CI's outside-enclave storage lies about a file's size."""
