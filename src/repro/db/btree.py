@@ -19,18 +19,21 @@ node remains a valid node).  Leaves are chained for range scans.
 
 Entries are back-to-back self-delimiting records — there is no slot
 directory — so finding the i-th key means decoding the i-1 before it.
-The read path (``scan``/``get``/``items``) therefore decodes a node
-*once per distinct page content*: every visit issues its
-``pager.read_page`` (the page-access pattern the paper counts), then
-looks the returned bytes up in a :class:`NodeMemo` of immutable
-decoded nodes and searches their precomputed :func:`key_tuple` values
-by bisection.  The write path (``insert``/``delete``) keeps its own
-mutable decode and never reads the memo.
+The read path (``scan``/``rows``/``get``/``get_row``/``items``)
+therefore decodes a node *once per distinct page content*: every visit
+issues its ``pager.read_page`` (the page-access pattern the paper
+counts), then looks the returned bytes up in a :class:`NodeMemo` of
+immutable decoded nodes and searches their precomputed
+:func:`key_tuple` values by bisection.  A table leaf's rows are decoded
+the same way, once per entry per page content, into the leaf's row
+slots (:meth:`NodeMemo.row`); a reader always gets a fresh list.  The
+write path (``insert``/``delete``) keeps its own mutable decode and
+never reads the memo.
 
 A tree also keeps the last leaf its read path landed on, as SQLite's
 b-tree cursor keeps its page pinned: a seek whose low bound falls
 inside that leaf starts there instead of walking root -> leaf again
-(see :meth:`BTree.scan`).  A visit the cursor saves is a page access
+(see :meth:`BTree._seek`).  A visit the cursor saves is a page access
 the engine no longer makes, so it is a request ``BASELINE`` no longer
 sends; the distinct pages a query touches — what its VO covers — are
 the same.
@@ -41,7 +44,16 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.db.pager import PAGE_CONTENT_SIZE, Pager
 from repro.db.record import decode_record, encode_record
@@ -67,9 +79,19 @@ NODE_MEMO_SIZE = 64
 _PLUS_INF = (3,)
 
 
+#: :func:`~repro.db.types.sort_key` rank of the types keys hold, so
+#: :func:`key_tuple` skips its checks for them.
+_RANK = {int: 1, float: 1, str: 2}.get
+
+
 def key_tuple(key: Key) -> tuple:
-    """Total-order comparison key for a composite B+Tree key."""
-    return tuple(sort_key(v) for v in key)
+    """Total-order comparison key for a composite B+Tree key: the
+    :func:`~repro.db.types.sort_key` of each component."""
+    out = []
+    for value in key:
+        rank = _RANK(type(value))
+        out.append((rank, value) if rank else sort_key(value))
+    return tuple(out)
 
 
 class _Leaf:
@@ -176,11 +198,18 @@ def _decode_node(raw: bytes) -> Union[_Leaf, _Internal]:
 
 
 class LeafNode(NamedTuple):
-    """An immutable decoded leaf; ``tuples[i]`` orders ``entries[i]``."""
+    """An immutable decoded leaf; ``tuples[i]`` orders ``entries[i]``.
+
+    ``rows[i]`` is ``entries[i]``'s value decoded as a record, None
+    until :meth:`NodeMemo.row` first decodes it: a pure function of the
+    page bytes, like the rest of the node, so it lives and dies with the
+    node's memo entry.  Only the memo writes it; readers copy.
+    """
 
     tuples: Tuple[tuple, ...]
     entries: Tuple[Tuple[Tuple[SqlValue, ...], bytes], ...]
     next_leaf: int
+    rows: List[Optional[Tuple[SqlValue, ...]]]
 
 
 class InternalNode(NamedTuple):
@@ -194,7 +223,8 @@ def _freeze_node(raw: bytes) -> Union[LeafNode, InternalNode]:
     kind, first, keys, payloads = _parse_node(raw)
     tuples = tuple(key_tuple(key) for key in keys)
     if kind == _LEAF:
-        return LeafNode(tuples, tuple(zip(map(tuple, keys), payloads)), first)
+        return LeafNode(tuples, tuple(zip(map(tuple, keys), payloads)), first,
+                        [None] * len(keys))
     return InternalNode(tuples, (first, *payloads))
 
 
@@ -209,12 +239,12 @@ class NodeMemo:
 
     One owner, no lock: a memo belongs to one ``QueryClient`` (or one
     ``Engine`` built without a client) and is used by one query at a
-    time, like the session it is handed to.  Hits and misses are plain
-    tallies; the engine reports them once per statement
-    (:meth:`report`), never once per visit.
+    time, like the session it is handed to.  Hits, misses and rows
+    decoded are plain tallies; the engine reports them once per
+    statement (:meth:`report`), never once per visit.
     """
 
-    __slots__ = ("_nodes", "_hits", "_misses")
+    __slots__ = ("_nodes", "_hits", "_misses", "_rows_decoded")
 
     def __init__(self) -> None:
         self._nodes: "OrderedDict[bytes, Union[LeafNode, InternalNode]]" = (
@@ -222,6 +252,7 @@ class NodeMemo:
         )
         self._hits = 0
         self._misses = 0
+        self._rows_decoded = 0
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -244,15 +275,27 @@ class NodeMemo:
             nodes.popitem(last=False)
         return node
 
+    def row(self, leaf: LeafNode, index: int) -> Tuple[SqlValue, ...]:
+        """Entry ``index`` of ``leaf`` decoded as a row, decoding at most
+        once per leaf content; a raising decode fills nothing."""
+        row = leaf.rows[index]
+        if row is None:
+            values, _ = decode_record(leaf.entries[index][1], 0)
+            row = leaf.rows[index] = tuple(values)
+            self._rows_decoded += 1
+        return row
+
     def report(self) -> None:
         """Hand the tallies since the last report to ``repro.obs``."""
-        hits, misses = self._hits, self._misses
-        self._hits = self._misses = 0
+        hits, misses, decoded = self._hits, self._misses, self._rows_decoded
+        self._hits = self._misses = self._rows_decoded = 0
         if obs.ACTIVE:
             if hits:
                 obs.add("db.node.memo.hit", hits)
             if misses:
                 obs.add("db.node.memo.miss", misses)
+            if decoded:
+                obs.add("db.row.decoded", decoded)
 
 
 class BTree:
@@ -368,9 +411,38 @@ class BTree:
 
     def get(self, key: Key) -> Optional[bytes]:
         """Point lookup; returns the value or None."""
-        for found_key, value in self.scan(low=key, high=key):
-            return value
-        return None
+        found = self._find(key)
+        if found is None:
+            return None
+        leaf, index = found
+        return leaf.entries[index][1]
+
+    def get_row(self, key: Key) -> Optional[List[SqlValue]]:
+        """Point lookup of a table row: the value decoded as a record (a
+        fresh list), or None."""
+        found = self._find(key)
+        if found is None:
+            return None
+        leaf, index = found
+        return list(leaf.rows[index] or self._memo.row(leaf, index))
+
+    def _find(self, key: Key) -> Optional[Tuple[LeafNode, int]]:
+        """Where the first entry ``scan(key, key)`` would yield is, read
+        through exactly the pages that scan reads up to it."""
+        if self.pager.root_pid == 0:
+            return None
+        target = key_tuple(key)
+        end = target + (_PLUS_INF,)
+        leaf, seen = self._seek(target)
+        while True:
+            tuples = leaf.tuples
+            index = bisect_left(tuples, target)
+            if index < len(tuples):
+                # Keys extending ``key`` sort before ``end``.
+                return (leaf, index) if tuples[index] < end else None
+            if leaf.next_leaf == 0:
+                return None
+            leaf = self._successor(leaf, seen)
 
     def delete(self, key: Key) -> bool:
         """Remove the first entry with exactly ``key``; True if found."""
@@ -417,45 +489,85 @@ class BTree:
         tuples shared with the node memo.
 
         The seek starts from the held leaf iff ``first key < low <=
-        last key`` there: the descent would land on that very leaf.
-        Strict on the left, because a low bound at or before a leaf's
-        first key (a prefix bound ``[v]`` sorts before every
-        ``[v, rowid]``) may have matching keys at the end of the left
-        sibling — duplicates can straddle a split — and only the
-        descent finds those.
+        last key`` there (see :meth:`_seek`).
         """
-        if self.pager.root_pid == 0:
-            return
-        low_t = None if low is None else key_tuple(low)
-        if high is low:  # a point lookup: ``get`` passes one key twice
-            high_t = low_t
-        else:
-            high_t = None if high is None else key_tuple(high)
-        high_end = None if high_t is None else high_t + (_PLUS_INF,)
+        for leaf, start, end in self._slices(low, high, low_inclusive,
+                                             high_inclusive):
+            yield from leaf.entries[start:end]
+
+    def rows(self) -> Iterator[Tuple[Tuple[SqlValue, ...], List[SqlValue]]]:
+        """:meth:`items` of a table tree with each value decoded as a
+        record: ``(key, row)``, the row a fresh list each time."""
+        decode = self._memo.row
+        for leaf, start, end in self._slices(None, None, True, True):
+            entries, slots = leaf.entries, leaf.rows
+            for i in range(start, end):
+                yield entries[i][0], list(slots[i] or decode(leaf, i))
+
+    def _seek(self, low_t: Optional[tuple]) -> Tuple[LeafNode, Set[int]]:
+        """The leaf a walk over keys ``>= low_t`` starts on, and the page
+        ids read to reach it.
+
+        The held leaf iff ``first key < low_t <= last key`` there: the
+        descent would land on that very leaf.  Strict on the left,
+        because a low bound at or before a leaf's first key (a prefix
+        bound ``[v]`` sorts before every ``[v, rowid]``) may have
+        matching keys at the end of the left sibling — duplicates can
+        straddle a split — and only the descent finds those.
+        """
         # Pages reach this walk before they are verified, so nothing
         # says the links form a tree: a page id seen twice is a cycle.
         held = self._held
         inside = held[1].tuples if held and low_t is not None else ()
         if inside and inside[0] < low_t <= inside[-1]:
-            pid, node = held
-            seen = {pid}
             self.held_seeks += 1
-        else:
-            pid = self.pager.root_pid
-            seen = {pid}
+            return held[1], {held[0]}
+        pid = self.pager.root_pid
+        seen = {pid}
+        node = self._view(pid)
+        while isinstance(node, InternalNode):
+            # Descend to the leftmost child that can hold keys >= low.
+            # bisect_left, not _right: a separator equal to the bound
+            # may still have equal keys in the left sibling (duplicates
+            # can straddle a split boundary).
+            pos = 0 if low_t is None else bisect_left(node.tuples, low_t)
+            pid = node.children[pos]
+            if pid in seen:
+                raise StorageError("corrupt B+Tree (child link cycle)")
+            seen.add(pid)
             node = self._view(pid)
-            while isinstance(node, InternalNode):
-                # Descend to the leftmost child that can hold keys >=
-                # low.  bisect_left, not _right: a separator equal to
-                # the bound may still have equal keys in the left
-                # sibling (duplicates can straddle a split boundary).
-                pos = 0 if low_t is None else bisect_left(node.tuples, low_t)
-                pid = node.children[pos]
-                if pid in seen:
-                    raise StorageError("corrupt B+Tree (child link cycle)")
-                seen.add(pid)
-                node = self._view(pid)
-            self._held = (pid, node)
+        self._held = (pid, node)
+        return node, seen
+
+    def _successor(self, leaf: LeafNode, seen: Set[int]) -> LeafNode:
+        """The leaf ``leaf`` links to, refusing a cycle or a non-leaf."""
+        pid = leaf.next_leaf
+        if pid in seen:
+            raise StorageError("corrupt B+Tree (leaf chain cycle)")
+        seen.add(pid)
+        node = self._view(pid)
+        if not isinstance(node, LeafNode):
+            raise StorageError(
+                "corrupt B+Tree (a leaf's successor is not a leaf)"
+            )
+        self._held = (pid, node)
+        return node
+
+    def _slices(
+        self,
+        low: Optional[Key],
+        high: Optional[Key],
+        low_inclusive: bool,
+        high_inclusive: bool,
+    ) -> Iterator[Tuple[LeafNode, int, int]]:
+        """``(leaf, start, end)`` per leaf the range walk reads:
+        ``leaf.entries[start:end]`` are its keys inside the bounds."""
+        if self.pager.root_pid == 0:
+            return
+        low_t = None if low is None else key_tuple(low)
+        high_t = None if high is None else key_tuple(high)
+        high_end = None if high_t is None else high_t + (_PLUS_INF,)
+        node, seen = self._seek(low_t)
         while True:
             tuples = node.tuples
             count = len(tuples)
@@ -475,23 +587,14 @@ class BTree:
                     exact = bisect_left(tuples, high_t, 0, end)
                     if exact < end and tuples[exact] == high_t:
                         end = exact
-            yield from node.entries[start:end]
+            yield node, start, end
             # The scan ends at the first key inside the low bound and
             # beyond the high one; a leaf without such a key hands over
             # to its successor (also when low > high: every leaf up to
             # the low bound is still read, as page counts expect).
             if max(start, end) < count or node.next_leaf == 0:
                 return
-            pid = node.next_leaf
-            if pid in seen:
-                raise StorageError("corrupt B+Tree (leaf chain cycle)")
-            seen.add(pid)
-            node = self._view(pid)
-            if not isinstance(node, LeafNode):
-                raise StorageError(
-                    "corrupt B+Tree (a leaf's successor is not a leaf)"
-                )
-            self._held = (pid, node)
+            node = self._successor(node, seen)
 
     def items(self) -> Iterator[Tuple[Tuple[SqlValue, ...], bytes]]:
         """Full in-order scan."""

@@ -25,7 +25,7 @@ from repro.db.catalog import Catalog, CatalogMemo, IndexInfo, TableInfo
 from repro.db.pager import Pager, PagerTally
 from repro.db.plan.expressions import Schema
 from repro.db.plan.planner import AccessProvider, plan_select
-from repro.db.record import decode_record, encode_record
+from repro.db.record import encode_record
 from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.types import SqlValue, coerce, compare, normalize_type
@@ -244,8 +244,8 @@ class Engine(AccessProvider):
         # Backfill from existing rows.
         table = self.catalog.table(stmt.table)
         column_index = table.column_index(stmt.column)
-        for rowid, values in self._iter_table(table):
-            tree.insert([values[column_index], rowid], b"",
+        for key, values in self._iter_table(table):
+            tree.insert([values[column_index], key[0]], b"",
                         allow_duplicate=True)
         self._save_catalog()
         return ResultSet(columns=[], rows=[])
@@ -285,8 +285,8 @@ class Engine(AccessProvider):
                 where, schema, SubqueryRunner(self.run_subquery)
             ))
         return [
-            (rowid, values)
-            for rowid, values in self._iter_table(table)
+            (key[0], values)
+            for key, values in self._iter_table(table)
             if keep is None or keep(values)
         ]
 
@@ -427,11 +427,9 @@ class Engine(AccessProvider):
                 if high is not None and not high_inc \
                         and compare(value, high) == 0:
                     continue
-                rowid = key[-1]
-                record = table_tree.get([rowid])
-                if record is None:
+                values = table_tree.get_row([key[-1]])
+                if values is None:
                     continue  # row deleted after index entry
-                values, _ = decode_record(record, 0)
                 yield values
         return factory
 
@@ -475,11 +473,10 @@ class Engine(AccessProvider):
 
     def _iter_table(
         self, table: TableInfo
-    ) -> Iterator[Tuple[int, List[SqlValue]]]:
-        _, tree = self._pager(table.file_path)
-        for key, record in tree.items():
-            values, _ = decode_record(record, 0)
-            yield key[0], values
+    ) -> Iterator[Tuple[Tuple[SqlValue, ...], List[SqlValue]]]:
+        """``(key, row)`` of every row of ``table``; ``key[0]`` is the
+        rowid."""
+        return self._pager(table.file_path)[1].rows()
 
 
 def _literal_value(expr: ast.Expr) -> SqlValue:

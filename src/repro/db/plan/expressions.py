@@ -243,15 +243,18 @@ def compile_expr(
         select = expr.subquery
         negated = expr.negated
         runner = subqueries
+        members = None  # built on first use, then kept with the closure
 
         def in_subquery(row):
+            nonlocal members
             value = operand(row)
             if value is None:
                 return None
-            members = {
-                sort_key(r[0]) for r in runner.rows(select)
-                if r and r[0] is not None
-            }
+            if members is None:
+                members = {
+                    sort_key(r[0]) for r in runner.rows(select)
+                    if r and r[0] is not None
+                }
             hit = sort_key(value) in members
             return (0 if hit else 1) if negated else (1 if hit else 0)
         return in_subquery

@@ -22,7 +22,7 @@ execution, and the temp filesystem for spills.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.db.plan import operators as ops
 from repro.db.plan.expressions import (
@@ -331,9 +331,11 @@ class _Planner:
         binding = ref.binding()
         schema = self.provider.table_schema(ref.name, binding)
         ranges: Dict[str, _Range] = {}
-        for conjunct in where_conjuncts:
-            parsed = self._index_condition(conjunct, binding, schema,
-                                           ref.name)
+        conditions = [
+            self._index_condition(conjunct, binding, schema, ref.name)
+            for conjunct in where_conjuncts
+        ]
+        for parsed in conditions:
             if parsed is None:
                 continue
             column, op_name, value = parsed
@@ -357,14 +359,10 @@ class _Planner:
         column, bounds = best
         # Conjuncts folded into the chosen range are consumed; the rest
         # (including ranges on other columns) stay as post-scan filters.
-        consumed: Set[int] = set()
-        for i, conjunct in enumerate(where_conjuncts):
-            parsed = self._index_condition(conjunct, binding, schema,
-                                           ref.name)
-            if parsed is not None and parsed[0] == column:
-                consumed.add(i)
         where_conjuncts[:] = [
-            c for i, c in enumerate(where_conjuncts) if i not in consumed
+            conjunct
+            for conjunct, parsed in zip(where_conjuncts, conditions)
+            if parsed is None or parsed[0] != column
         ]
         factory = self.provider.index_range_scan(
             ref.name, column, bounds.low, bounds.high,

@@ -35,6 +35,9 @@ from repro.db.sql.tokenizer import (
 from repro.errors import SQLParseError
 
 _COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
+#: Binding level of each binary operator below the comparisons
+#: (higher binds tighter): concatenation, additive, multiplicative.
+_BINARY_LEVELS = {"||": 1, "+": 2, "-": 2, "*": 3, "/": 3, "%": 3}
 
 
 class _Parser:
@@ -53,8 +56,10 @@ class _Parser:
         return token
 
     def accept(self, kind: str, value: object = None) -> Optional[Token]:
-        if self.peek().matches(kind, value):
-            return self.advance()
+        token = self.tokens[self.pos]
+        if token.kind == kind and (value is None or token.value == value):
+            self.pos += 1
+            return token
         return None
 
     def expect(self, kind: str, value: object = None) -> Token:
@@ -68,9 +73,9 @@ class _Parser:
         return token
 
     def expect_ident(self) -> str:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind == IDENT:
-            self.advance()
+            self.pos += 1
             return str(token.value)
         raise SQLParseError(
             f"expected identifier, got {token.value!r} "
@@ -324,12 +329,12 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> ast.Expr:
-        left = self.parse_concat()
+        left = self.parse_binary()
         token = self.peek()
         if token.kind == OP and token.value in _COMPARISONS:
             self.advance()
             op = "<>" if token.value == "!=" else str(token.value)
-            return ast.Binary(op, left, self.parse_concat())
+            return ast.Binary(op, left, self.parse_binary())
         negated = False
         if self.peek().matches(KW, "NOT"):
             follows = self.tokens[self.pos + 1]
@@ -349,45 +354,34 @@ class _Parser:
             self.expect(OP, ")")
             return ast.InList(left, tuple(items), negated)
         if self.accept(KW, "BETWEEN"):
-            low = self.parse_concat()
+            low = self.parse_binary()
             self.expect(KW, "AND")
-            high = self.parse_concat()
+            high = self.parse_binary()
             return ast.Between(left, low, high, negated)
         if self.accept(KW, "LIKE"):
-            return ast.Like(left, self.parse_concat(), negated)
+            return ast.Like(left, self.parse_binary(), negated)
         if self.accept(KW, "IS"):
             is_negated = bool(self.accept(KW, "NOT"))
             self.expect(KW, "NULL")
             return ast.IsNull(left, is_negated)
         return left
 
-    def parse_concat(self) -> ast.Expr:
-        left = self.parse_additive()
-        while self.accept(OP, "||"):
-            left = ast.Binary("||", left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while True:
-            if self.accept(OP, "+"):
-                left = ast.Binary("+", left, self.parse_multiplicative())
-            elif self.accept(OP, "-"):
-                left = ast.Binary("-", left, self.parse_multiplicative())
-            else:
-                return left
-
-    def parse_multiplicative(self) -> ast.Expr:
+    def parse_binary(self, min_level: int = 1) -> ast.Expr:
+        """The ``||``, additive and multiplicative levels, by
+        precedence climbing over :data:`_BINARY_LEVELS`: each operator
+        takes as its right operand everything that binds tighter, so
+        every level stays left-associative."""
         left = self.parse_unary()
+        tokens = self.tokens
         while True:
-            if self.accept(OP, "*"):
-                left = ast.Binary("*", left, self.parse_unary())
-            elif self.accept(OP, "/"):
-                left = ast.Binary("/", left, self.parse_unary())
-            elif self.accept(OP, "%"):
-                left = ast.Binary("%", left, self.parse_unary())
-            else:
+            token = tokens[self.pos]
+            level = (_BINARY_LEVELS.get(token.value)
+                     if token.kind == OP else None)
+            if level is None or level < min_level:
                 return left
+            self.pos += 1
+            left = ast.Binary(token.value, left,
+                              self.parse_binary(level + 1))
 
     def parse_unary(self) -> ast.Expr:
         if self.accept(OP, "-"):
@@ -397,27 +391,9 @@ class _Parser:
         return self.parse_primary()
 
     def parse_primary(self) -> ast.Expr:
-        token = self.peek()
-        if token.kind == NUMBER or token.kind == STRING:
-            self.advance()
-            return ast.Literal(token.value)
-        if token.matches(KW, "NULL"):
-            self.advance()
-            return ast.Literal(None)
-        if token.matches(KW, "CASE"):
-            return self.parse_case()
-        if token.matches(KW, "CAST"):
-            return self.parse_cast()
-        if token.matches(OP, "("):
-            self.advance()
-            if self.peek().matches(KW, "SELECT"):
-                subquery = self.parse_select()
-                self.expect(OP, ")")
-                return ast.ScalarSubquery(subquery)
-            expr = self.parse_expr()
-            self.expect(OP, ")")
-            return expr
-        if token.kind == IDENT:
+        token = self.tokens[self.pos]
+        kind, value = token.kind, token.value
+        if kind == IDENT:
             name = self.expect_ident()
             if self.accept(OP, "("):
                 return self.parse_func_call(name)
@@ -425,8 +401,28 @@ class _Parser:
                 column = self.expect_ident()
                 return ast.Column(name, column)
             return ast.Column(None, name)
+        if kind == NUMBER or kind == STRING:
+            self.pos += 1
+            return ast.Literal(value)
+        if kind == KW:
+            if value == "NULL":
+                self.pos += 1
+                return ast.Literal(None)
+            if value == "CASE":
+                return self.parse_case()
+            if value == "CAST":
+                return self.parse_cast()
+        elif kind == OP and value == "(":
+            self.pos += 1
+            if self.peek().matches(KW, "SELECT"):
+                subquery = self.parse_select()
+                self.expect(OP, ")")
+                return ast.ScalarSubquery(subquery)
+            expr = self.parse_expr()
+            self.expect(OP, ")")
+            return expr
         raise SQLParseError(
-            f"unexpected token {token.value!r} at offset {token.position}"
+            f"unexpected token {value!r} at offset {token.position}"
         )
 
     def parse_func_call(self, name: str) -> ast.Expr:

@@ -8,8 +8,8 @@ escaping, as in SQLite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from repro.errors import SQLParseError
 
@@ -31,8 +31,7 @@ OP = "OP"          # operator or punctuation
 EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: object
     position: int
@@ -41,86 +40,77 @@ class Token:
         return self.kind == kind and (value is None or self.value == value)
 
 
-_TWO_CHAR_OPS = {"<=", ">=", "<>", "!=", "||"}
-_ONE_CHAR_OPS = set("+-*/%(),.=<>;")
+#: One token per match, after any whitespace: one alternative per kind,
+#: the first that matches wins.  A word starts with any word character
+#: but a decimal digit (a non-letter among those is refused below).  A
+#: number starts with a digit, or a dot before one, and runs over
+#: digits, dots and exponent marks (a sign only right after an ``e``);
+#: what it spells is judged by ``int``/``float`` afterwards.  ``bad`` is
+#: any other character, and the empty match at the end closes the text.
+_TOKEN = re.compile(r"""
+    \s* (?:
+      (?P<word> [^\W\d]\w* )
+    | (?P<number> (?: \d | \.(?=\d) ) (?: [\d.eE] | (?<=[eE])[+-] )* )
+    | (?P<comment> --[^\n]* )
+    | (?P<op> <= | >= | <> | != | \|\| | [-+*/%(),.=<>;] )
+    | (?P<string> '[^']*(?:''[^']*)*' )
+    | (?P<quoted> "[^"]*" )
+    | (?P<bad> . )
+    | \Z )
+""", re.VERBOSE | re.DOTALL)
+
+#: ``_token(Token, (kind, value, position))`` builds the same tuple as
+#: ``Token(kind, value, position)`` without the NamedTuple's
+#: Python-level ``__new__``: one call per lexeme, so it shows.
+_token = tuple.__new__
+
+_UNTERMINATED = {
+    "'": "unterminated string literal",
+    '"': "unterminated quoted identifier",
+}
 
 
 def tokenize(text: str) -> List[Token]:
     """Tokenize ``text``; raises :class:`~repro.errors.SQLParseError`."""
     tokens: List[Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    append = tokens.append
+    for found in _TOKEN.finditer(text):
+        kind = found.lastgroup
+        if kind is None or kind == "comment":
             continue
-        if text.startswith("--", i):
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        start = i
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            i += 1
-            is_float = ch == "."
-            while i < n and (text[i].isdigit() or text[i] in ".eE+-"):
-                if text[i] in "+-" and text[i - 1] not in "eE":
-                    break
-                if text[i] == ".":
-                    is_float = True
-                if text[i] in "eE":
-                    is_float = True
-                i += 1
-            literal = text[start:i]
-            try:
-                value = float(literal) if is_float else int(literal)
-            except ValueError:
-                raise SQLParseError(f"bad numeric literal {literal!r}")
-            tokens.append(Token(NUMBER, value, start))
-            continue
-        if ch == "'":
-            parts = []
-            i += 1
-            while True:
-                if i >= n:
-                    raise SQLParseError("unterminated string literal")
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                parts.append(text[i])
-                i += 1
-            tokens.append(Token(STRING, "".join(parts), start))
-            continue
-        if ch == '"':
-            i += 1
-            close = text.find('"', i)
-            if close == -1:
-                raise SQLParseError("unterminated quoted identifier")
-            tokens.append(Token(IDENT, text[i:close], start))
-            i = close + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            i += 1
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            upper = word.upper()
+        lexeme = found.group(kind)
+        start = found.start(kind)
+        if kind == "word":
+            upper = lexeme.upper()
             if upper in KEYWORDS:
-                tokens.append(Token(KW, upper, start))
+                append(_token(Token, (KW, upper, start)))
+            elif lexeme[0].isalpha() or lexeme[0] == "_":
+                append(_token(Token, (IDENT, lexeme, start)))
             else:
-                tokens.append(Token(IDENT, word, start))
-            continue
-        if text[i:i + 2] in _TWO_CHAR_OPS:
-            tokens.append(Token(OP, text[i:i + 2], start))
-            i += 2
-            continue
-        if ch in _ONE_CHAR_OPS:
-            tokens.append(Token(OP, ch, start))
-            i += 1
-            continue
-        raise SQLParseError(f"unexpected character {ch!r} at offset {i}")
-    tokens.append(Token(EOF, None, n))
+                # A digit or numeral that is not a decimal digit ("²"):
+                # no number or identifier starts with one.
+                raise SQLParseError(
+                    f"unexpected character {lexeme[0]!r} at offset {start}")
+        elif kind == "op":
+            append(_token(Token, (OP, lexeme, start)))
+        elif kind == "number":
+            try:
+                if "." in lexeme or "e" in lexeme or "E" in lexeme:
+                    value: object = float(lexeme)
+                else:
+                    value = int(lexeme)
+            except ValueError:
+                raise SQLParseError(f"bad numeric literal {lexeme!r}")
+            append(_token(Token, (NUMBER, value, start)))
+        elif kind == "string":
+            body = lexeme[1:-1].replace("''", "'")
+            append(_token(Token, (STRING, body, start)))
+        elif kind == "quoted":
+            append(_token(Token, (IDENT, lexeme[1:-1], start)))
+        elif lexeme in _UNTERMINATED:
+            raise SQLParseError(_UNTERMINATED[lexeme])
+        else:
+            raise SQLParseError(
+                f"unexpected character {lexeme!r} at offset {start}")
+    append(Token(EOF, None, len(text)))
     return tokens

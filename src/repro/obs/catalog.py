@@ -50,6 +50,10 @@ SCOPES: Dict[str, str] = {
     "db.node.memo.miss":
         "Read-path node loads that decoded the page (first sight of "
         "these bytes, or evicted since).",
+    "db.row.decoded":
+        "Table rows decoded into a memoized leaf's row slot: the first "
+        "read of an entry of these page bytes (later reads copy the "
+        "slot; tallied on the memo, reported once per statement).",
     # -- statement scope (repro/db/engine.py) --------------------------
     "db.pager.opened":
         "Files a statement opened: one pager and one tree per path, "

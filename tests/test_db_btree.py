@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.db import btree
 from repro.db.btree import BTree, NodeMemo
 from repro.db.pager import Pager, seal_page
+from repro.db.record import decode_record, encode_record
 from repro.db.types import sort_key
 from repro.errors import SQLExecutionError, StorageError
 from repro.vfs.local import LocalFilesystem
@@ -643,6 +644,147 @@ class TestNodeMemo:
         other = BTree(pager)
         assert other.get([1]) == b"one"
         assert len(tree._memo) == 0 and len(other._memo) == 1
+
+
+def table_tree(rows):
+    """A tree of ``[rowid] -> encode_record(row)`` and its pager."""
+    _, pager, tree = fresh_tree()
+    for rowid, row in enumerate(rows, 1):
+        tree.insert([rowid], encode_record(row))
+    return pager, tree
+
+
+class TestRowSlots:
+    """A table leaf's rows are decoded once per entry per page content,
+    into slots the memo owns; readers get copies."""
+
+    ROWS = [[i, "name-%d" % i, i / 4, None] for i in range(200)]
+
+    def test_rows_and_get_row_decode_each_entry_once(self):
+        pager, _ = table_tree(self.ROWS)
+        memo = NodeMemo()
+        reader = BTree(pager, memo)
+        assert [row for _, row in reader.rows()] == self.ROWS
+        assert memo._rows_decoded == len(self.ROWS)
+        assert [reader.get_row([i + 1]) for i in range(200)] == self.ROWS
+        assert [row for _, row in BTree(pager, memo).rows()] == self.ROWS
+        assert memo._rows_decoded == len(self.ROWS)  # nothing decoded again
+        assert reader.get_row([999]) is None
+        for node in memo._nodes.values():
+            if isinstance(node, btree.LeafNode):
+                for (_, value), row in zip(node.entries, node.rows):
+                    assert list(row) == decode_record(value)[0]
+
+    def test_a_mutated_row_never_reaches_the_next_reader(self):
+        pager, _ = table_tree(self.ROWS)
+        memo = NodeMemo()
+        first = BTree(pager, memo)
+        for _, row in first.rows():
+            row[1] = "scribbled"
+            row.append("extra")
+        looked_up = first.get_row([3])
+        looked_up.clear()
+        again = BTree(pager, memo)
+        assert [row for _, row in again.rows()] == self.ROWS
+        assert again.get_row([3]) == self.ROWS[2]
+        assert again.get_row([3]) is not again.get_row([3])
+        # The slots themselves cannot be written through.
+        (leaf, index) = again._find([3])
+        with pytest.raises(TypeError):
+            leaf.rows[index][0] = None
+
+    def test_a_garbled_row_raises_and_fills_nothing(self):
+        """The page parses (keys and lengths are intact); the row's
+        first value tag is not a tag.  Every read raises the typed error
+        — the entry's slot stays empty, its neighbours' are unaffected."""
+        leaf = btree._Leaf([([i], encode_record(row))
+                            for i, row in enumerate(self.ROWS[:5])])
+        bad = bytearray(leaf.entries[2][1])
+        bad[2] = 0x7F
+        leaf.entries[2] = (leaf.entries[2][0], bytes(bad))
+        memo = NodeMemo()
+        node = memo.node(seal_page(leaf.encode()))
+        assert memo.row(node, 1) == tuple(self.ROWS[1])
+        for _ in range(2):
+            with pytest.raises(StorageError,
+                               match="unknown value tag 127"):
+                memo.row(node, 2)
+            assert node.rows[2] is None
+        assert memo._rows_decoded == 1
+        assert memo.row(node, 3) == tuple(self.ROWS[3])
+
+    def test_decoded_rows_are_reported_once_per_statement(self):
+        from repro.obs import REGISTRY
+
+        pager, _ = table_tree(self.ROWS)
+        memo = NodeMemo()
+        list(BTree(pager, memo).rows())
+        before = REGISTRY.counters_snapshot()
+        memo.report()
+        delta = REGISTRY.counters_delta(before)
+        assert delta["db.row.decoded"] == len(self.ROWS)
+        before = REGISTRY.counters_snapshot()
+        list(BTree(pager, memo).rows())
+        memo.report()
+        assert "db.row.decoded" not in REGISTRY.counters_delta(before)
+
+
+def first_of_scan(tree, key):
+    for _, value in tree.scan(low=key, high=key):
+        return [value]
+    return [None]
+
+
+class TestGetReadsWhatScanReads:
+    """``get`` is a seek and a bisection, not a one-row scan generator;
+    the pages it reads, and the leaf it leaves the tree holding, are
+    those of ``scan(key, key)`` stopped at its first entry."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        entries=st.lists(st.tuples(VALUES, ROWIDS), max_size=90,
+                         unique_by=lambda entry: entry[1]),
+        doomed=st.sets(VALUES, max_size=4),
+        probes=st.lists(st.one_of(st.tuples(VALUES),
+                                  st.tuples(VALUES, ROWIDS)), max_size=25),
+    )
+    def test_index_tree_with_prefix_and_full_keys(self, entries, doomed,
+                                                 probes):
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            _, pager, tree = fresh_tree()
+            for value, rowid in entries:
+                tree.insert([value, rowid], b"v%d" % rowid,
+                            allow_duplicate=True)
+            for value, rowid in entries:
+                if value in doomed:
+                    assert tree.delete([value, rowid])
+            # Two long-lived trees: the held leaf evolves in each.
+            by_get, by_scan = BTree(pager), BTree(pager)
+            for probe in probes:
+                key = list(probe)
+                got = logged_reads(by_get, lambda t, key: [t.get(key)],
+                                   key=key)
+                assert got == logged_reads(by_scan, first_of_scan, key=key)
+                assert by_get.held_seeks == by_scan.held_seeks
+                # And from nothing held: the descent.
+                assert logged_reads(
+                    BTree(pager), lambda t, key: [t.get(key)], key=key
+                ) == logged_reads(BTree(pager), first_of_scan, key=key)
+
+    def test_every_rowid_of_a_table_tree_with_holes(self):
+        with mock.patch.object(btree, "PAGE_CONTENT_SIZE", 200):
+            pager, tree = table_tree([[i] for i in range(80)])
+            for rowid in [*range(1, 80, 5), *range(30, 45)]:
+                tree.delete([rowid])
+            by_get, by_scan = BTree(pager), BTree(pager)
+            for rowid in [*range(-2, 84), *range(83, -3, -7)]:
+                got = logged_reads(
+                    by_get, lambda t, key: [t.get_row(key)], key=[rowid])
+                rows, reads = logged_reads(by_scan, first_of_scan,
+                                           key=[rowid])
+                expected = [None if rows[0] is None
+                            else decode_record(rows[0])[0]]
+                assert got == (expected, reads)
 
 
 class TestHostileNodeBytes:

@@ -153,6 +153,30 @@ class TestSubqueries:
         assert fn([2, None, None]) == 0
         assert fn([None, None, None]) is None
 
+    def test_in_subquery_members_are_built_once(self):
+        """The member set is built on the first outer row that needs it,
+        then kept by the compiled predicate: one ``rows`` call for the
+        whole window, not one per row; none while every operand is
+        NULL."""
+
+        class CountingRunner(SubqueryRunner):
+            asked = 0
+
+            def rows(self, select):
+                self.asked += 1
+                return super().rows(select)
+
+        stmt = parse_statement(
+            "SELECT t.a NOT IN (SELECT 1) FROM t"
+        )
+        runner = CountingRunner(lambda select: [(1,), (None,), (2.0,)])
+        fn = compile_expr(stmt.items[0].expr, SCHEMA, runner)
+        assert fn([None, None, None]) is None
+        assert runner.asked == 0
+        assert [fn([value, None, None]) for value in range(5)] == [
+            1, 0, 0, 1, 1]
+        assert runner.asked == 1
+
     def test_scalar_subquery_empty_is_null(self):
         stmt = parse_statement("SELECT (SELECT 1)")
         runner = SubqueryRunner(lambda select: [])

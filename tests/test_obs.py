@@ -366,6 +366,32 @@ class TestTalliedSites:
         assert (delta["isp.page.resolved"] == hashed
                 == vo_pages.snapshot()["total"] - pages_before)
 
+    def test_a_repeated_baseline_query_decodes_no_row(self):
+        """The second run of a query reads every page the first read
+        (``BASELINE`` keeps none of them) and decodes none of its rows:
+        each is copied from the slot the first run filled."""
+        from repro.client.vfs import QueryMode
+        from repro.core.system import SystemConfig, V2FSSystem
+
+        system = V2FSSystem(SystemConfig(txs_per_block=4))
+        system.advance_all(3)
+        client = system.make_client(QueryMode.BASELINE)
+        sql = ("SELECT COUNT(*), SUM(t.gas_price) FROM eth_transactions t "
+               "JOIN eth_token_transfers x ON x.tx_hash = t.hash "
+               "WHERE t.block_time > 0")
+
+        def run():
+            before = REGISTRY.counters_snapshot()
+            rows = client.query(sql).rows
+            return rows, REGISTRY.counters_delta(before)
+
+        rows, first = run()
+        again, second = run()
+        assert again == rows
+        assert first["db.row.decoded"] > 0
+        assert "db.row.decoded" not in second
+        assert second["pager.read_page"] == first["pager.read_page"]
+
     def test_cache_lookups_in_a_query_are_reported_at_its_end(self):
         from repro.client.caches import InterQueryCache
 

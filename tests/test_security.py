@@ -21,6 +21,7 @@ from repro.errors import (
     NetworkError,
     ProofError,
     ReproError,
+    StorageError,
     VerificationError,
 )
 from repro.isp.server import IspServer
@@ -673,17 +674,147 @@ class TestHeldLeaf:
                 assert client.query(self.JOIN).rows == expected
 
     def test_block_rewriting_the_held_leaf_is_seen(self, path, mode):
-        """The join's lookups end on the table's last leaf — the page
-        the next block appends to in place."""
+        """The join's lookups, and the row lookups of a range over the
+        newest transactions, end on the table's last leaf — the page the
+        next block appends to in place.  Whether the block adds a token
+        transfer the join counts is up to the generated data; that it
+        adds rows to that range follows from the block itself."""
         system = build_system(6)
+        newest = system.plain_replica().execute(
+            "SELECT MAX(block_time) FROM eth_transactions").scalar()
+        tail = ("SELECT COUNT(*), SUM(gas_price) FROM eth_transactions "
+                f"WHERE block_time >= {newest}")
+
+        def answers(client):
+            oracle = system.plain_replica()
+            rows = [client.query(sql).rows for sql in (self.JOIN, tail)]
+            assert rows == [oracle.execute(self.JOIN).rows,
+                            oracle.execute(tail).rows]
+            return rows[1][0][0]
+
         with client_of(system, path, mode) as client:
-            before = client.query(self.JOIN).rows
-            assert before == system.plain_replica().execute(self.JOIN).rows
+            before = answers(client)
             report = system.advance_block("eth")
-            assert self.TABLE in report.writes
-            after = client.query(self.JOIN).rows
-            assert after == system.plain_replica().execute(self.JOIN).rows
-            assert after != before
+            assert self.TABLE in report.writes  # transactions appended
+            assert answers(client) > before
+
+
+class GarbledRowIsp(IspServer):
+    """Honest until armed; then the first leaf of ``TABLE`` a session
+    asks for is served with every row's record bytes garbled and its
+    keys and lengths intact, so the page parses.  ``"tag"`` makes each
+    row's first value tag unknown (decoding the row raises); ``"text"``
+    flips a bit of each row's first text value (the rows decode, to the
+    wrong values, and only the VO can tell)."""
+
+    TABLE = ForgedLeafIsp.TABLE
+    armed = None
+
+    def __init__(self):
+        super().__init__()
+        self.garbled = set()
+
+    def get_page(self, session_id, path, page_id):
+        from repro.db import btree
+        from repro.db.pager import seal_page
+
+        page = super().get_page(session_id, path, page_id)
+        if (self.armed is None or path != self.TABLE or page_id < 1
+                or page[0] != btree._LEAF or session_id in self.garbled):
+            return page
+        self.garbled.add(session_id)
+        # A record is [count:2][tag:1][payload]; a text payload starts
+        # with its 4-byte length.
+        offset, bits = (2, 0x7C) if self.armed == "tag" else (7, 0x01)
+        leaf = btree._decode_node(page)
+        leaf.entries = [
+            (key, value[:offset] + bytes([value[offset] ^ bits])
+             + value[offset + 1:])
+            for key, value in leaf.entries
+        ]
+        return seal_page(leaf.encode())
+
+
+@pytest.fixture(scope="module")
+def garbled_row_system():
+    return swap_isp(build_system(6), GarbledRowIsp)
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+@pytest.mark.parametrize("mode", [QueryMode.BASELINE, QueryMode.INTER_VBF],
+                         ids=["baseline", "inter+vbf"])
+class TestRowSlots:
+    """A memoized table leaf keeps each row it decoded.  The slots are a
+    function of the page bytes the engine was handed, so they are only
+    as trustworthy as those bytes: gone with the memo when the query
+    fails, and never shared with a reader that could change them."""
+
+    #: Rows read through the cursor's point lookups, and through a scan.
+    QUERIES = [
+        TestEquivocation.JOIN,
+        "SELECT COUNT(*), SUM(gas_price), MAX(hash) FROM eth_transactions",
+    ]
+    TABLE = GarbledRowIsp.TABLE
+
+    @pytest.mark.parametrize("garbling", ["tag", "text"])
+    def test_garbled_rows_served_once_never_survive(
+        self, garbled_row_system, path, mode, garbling
+    ):
+        system = garbled_row_system
+        isp = system.isp
+        oracle = system.plain_replica()
+        try:
+            with client_of(system, path, mode) as client:
+                for sql in self.QUERIES * 2:  # cold, then warm
+                    cache = client.inter_cache
+                    if cache is not None:  # make it fetch the table again
+                        for key in [k for k in cache._pages
+                                    if k[0] == self.TABLE]:
+                            cache.discard(key)
+                    garbled = len(isp.garbled)
+                    isp.armed = garbling
+                    with pytest.raises((StorageError, VerificationError)):
+                        client.query(sql)
+                    isp.armed = None
+                    assert len(isp.garbled) == garbled + 1
+                    assert len(isp.sessions) == 0
+                    assert len(client._nodes) == 0
+                    assert client.query(sql).rows == oracle.execute(sql).rows
+        finally:
+            isp.armed = None
+
+    def test_a_reader_that_keeps_and_mutates_rows_changes_nothing(
+        self, garbled_row_system, path, mode, monkeypatch
+    ):
+        from repro.db.btree import BTree
+
+        system = garbled_row_system
+        handed = []
+        rows, get_row = BTree.rows, BTree.get_row
+
+        def kept_rows(tree):
+            for key, row in rows(tree):
+                handed.append(row)
+                yield key, row
+
+        def kept_row(tree, key):
+            row = get_row(tree, key)
+            handed.append([] if row is None else row)
+            return row
+
+        with client_of(system, path, mode) as client:
+            for sql in self.QUERIES:
+                expected = system.plain_replica().execute(sql).rows
+                with monkeypatch.context() as patch:
+                    patch.setattr(BTree, "rows", kept_rows)
+                    patch.setattr(BTree, "get_row", kept_row)
+                    assert client.query(sql).rows == expected
+                assert handed
+                for row in handed:
+                    row[:] = ["scribbled"] * (len(row) + 1)
+                handed.clear()
+                assert client.query(sql).rows == expected
+                assert len(client._nodes) > 0  # the memo was in play
 
 
 class _TwoFacedIsp:

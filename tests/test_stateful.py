@@ -4,7 +4,8 @@ interleavings of honest queries, new blocks and one-shot adversaries.
 The first slice of ROADMAP item 1's machine, scoped to the client's
 cross-query state: the proven file metadata and the decoded VBF (both in
 ``InterQueryCache``, beside the cached pages and node digests), the
-``NodeMemo``, the ``CatalogMemo`` and the ``ProvenSignature``.
+``NodeMemo`` (with the rows it decoded into its leaves' slots), the
+``CatalogMemo`` and the ``ProvenSignature``.
 
 Rules: an honest query from a fixed scan / index-range / join list on a
 client of any cached mode; a block on either chain; arming a one-shot
@@ -20,9 +21,9 @@ After every step: a query returned oracle-equal rows, or a typed
 ``ReproError`` that an adversary caused; no ISP session is open; after
 an error the client holds nothing the failed query contributed; proven
 metadata is true under the root it is kept for, and was not yet there
-when the ISP was asked for the VO that proves it; the kept filter is
-the decoding of a certificate the CI issued; the proven signature is
-one of theirs too.
+when the ISP was asked for the VO that proves it; every filled row slot
+is its entry's bytes decoded; the kept filter is the decoding of a
+certificate the CI issued; the proven signature is one of theirs too.
 """
 
 from hypothesis import settings
@@ -36,6 +37,8 @@ from hypothesis.stateful import (
 
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
+from repro.db.btree import LeafNode
+from repro.db.record import decode_record
 from repro.errors import ReproError
 from repro.isp.server import IspServer
 
@@ -204,6 +207,15 @@ class ClientStateMachine(RuleBasedStateMachine):
                 node = ads.file_node(root, path)
                 assert exists
                 assert (size, page_count) == (node.size, node.page_count)
+
+    @invariant()
+    def row_slots_are_their_entries_decoded(self):
+        for client in self.clients.values():
+            for node in client._nodes._nodes.values():
+                if not isinstance(node, LeafNode):
+                    continue
+                for (_, value), row in zip(node.entries, node.rows):
+                    assert row is None or list(row) == decode_record(value)[0]
 
     @invariant()
     def what_is_kept_of_a_certificate_is_the_cis(self):
