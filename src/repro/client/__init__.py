@@ -8,10 +8,12 @@ handling of Appendix A.
 
 from repro.client.caches import CachedPage, InterQueryCache, IntraQueryCache
 from repro.client.query_client import QueryClient, VerifiedResult
+from repro.client.state import CarriedState
 from repro.client.vfs import ClientSession, ClientVfs
 
 __all__ = [
     "CachedPage",
+    "CarriedState",
     "ClientSession",
     "ClientVfs",
     "InterQueryCache",

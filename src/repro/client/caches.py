@@ -13,13 +13,8 @@ Two caches are provided:
 
 For the VBF extension (Section V-B) each cached page also stores ``V_n``
 (the certificate version at which it was last known fresh) and ``S_n``
-(its slot positions in the filter).
-
-Beside the pages and node digests the inter-query cache keeps the two
-other things a past query leaves that the next can use as they are:
-the file metadata finalized VOs proved under one ADS root (reused only
-under that same root), and the certificate's decoded filter (reused
-only for an equal certificate).
+(its slot positions in the filter).  A query's freshness marks raise
+``V_n`` only once its VO has verified (:meth:`InterQueryCache.confirm_fresh`).
 
 Per-``path`` side indexes (cached page ids, learned-node levels, fresh
 levels) keep every operation local to the file it touches: marking a
@@ -34,16 +29,12 @@ Hit/miss accounting flows through :mod:`repro.obs`
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.hashing import Digest, hash_bytes, hash_pair
 from repro.merkle.page_tree import EMPTY
 from repro.obs import metrics as obs
 from repro.vfs.interface import PAGE_SIZE
-
-if TYPE_CHECKING:
-    from repro.core.certificate import V2fsCertificate
-    from repro.vbf.versioned_bloom import VersionedBloomFilter
 
 PageKey = Tuple[str, int]
 NodeKey = Tuple[str, int, int]
@@ -131,14 +122,6 @@ class InterQueryCache:
         self._hits = 0
         self._misses = 0
         self._in_query = False
-        #: Metadata of existing files that finalized VOs proved under
-        #: ``_metas_root``.  A size is a fact about the root that proved
-        #: it, so it answers lookups under that root and no other.
-        self._metas: Dict[str, FileMeta] = {}
-        self._metas_root: Optional[Digest] = None
-        #: The certificate whose filter was decoded last, and the filter.
-        self._vbf_certificate: Optional["V2fsCertificate"] = None
-        self._vbf: Optional["VersionedBloomFilter"] = None
 
     # -- query lifecycle -------------------------------------------------
 
@@ -162,41 +145,6 @@ class InterQueryCache:
             obs.add("cache.inter.miss", self._misses)
             self._misses = 0
 
-    # -- what a certificate fixes ------------------------------------------
-
-    def proven_metas(self, ads_root: Digest) -> Dict[str, FileMeta]:
-        """The metadata proven under ``ads_root``, for reading; proofs
-        under any other root are dropped."""
-        if ads_root != self._metas_root:
-            self._metas_root = ads_root
-            self._metas = {}
-        return self._metas
-
-    # repro: taint-sink
-    def learn_metas(self, ads_root: Digest,
-                    metas: Dict[str, FileMeta]) -> None:
-        """Keep metadata a VO under ``ads_root`` has just proven."""
-        self.proven_metas(ads_root).update(metas)
-
-    def forget_metas(self) -> None:
-        """A query failed: what it was told may be why."""
-        self._metas_root = None
-        self._metas = {}
-
-    def vbf_of(
-        self, certificate: "V2fsCertificate"
-    ) -> Optional["VersionedBloomFilter"]:
-        """``certificate.vbf()``, decoded once per distinct certificate.
-
-        Keyed on equality of the whole certificate, not identity: over
-        RPC every fetch is a new object.  Callers only read the filter
-        (``positions`` / ``fresh_since``).
-        """
-        if certificate != self._vbf_certificate:
-            self._vbf = certificate.vbf()
-            self._vbf_certificate = certificate
-        return self._vbf
-
     # -- page access -------------------------------------------------------
 
     def get(self, key: PageKey) -> Optional[CachedPage]:
@@ -219,7 +167,7 @@ class InterQueryCache:
         self._pages.move_to_end(key)
         path, page_id = key
         self._page_ids.setdefault(path, set()).add(page_id)
-        self.mark_fresh_leaf(key, version)
+        self.mark_fresh_leaf(key)
         if obs.ACTIVE:
             obs.inc("cache.inter.insert")
         self._evict_if_needed()
@@ -250,29 +198,30 @@ class InterQueryCache:
 
     # -- freshness -----------------------------------------------------------
 
-    def mark_fresh_leaf(self, key: PageKey, version: int) -> None:
+    def mark_fresh_leaf(self, key: PageKey) -> None:
         path, page_id = key
         self._fresh.add((path, 0, page_id))
         self._fresh_top.setdefault(path, 0)
-        entry = self._pages.get(key)
-        if entry is not None:
-            entry.version = max(entry.version, version)
 
-    def mark_fresh_node(self, path: str, level: int, index: int,
-                        version: int) -> None:
-        """An ancestor matched at the ISP: its whole subtree is fresh."""
+    def mark_fresh_node(self, path: str, level: int, index: int) -> None:
+        """An ancestor matched at the ISP: its whole subtree is fresh for
+        the rest of this query.  No ``V_n`` moves until
+        :meth:`confirm_fresh`: the match is only the ISP's word."""
         self._fresh.add((path, level, index))
         if level > self._fresh_top.get(path, -1):
             self._fresh_top[path] = level
-        first = index << level
-        last = ((index + 1) << level) - 1
-        for page_id in self._page_ids.get(path, ()):
-            if first <= page_id <= last:
-                self._pages[(path, page_id)].version = max(
-                    self._pages[(path, page_id)].version, version
-                )
         if obs.ACTIVE:
             obs.inc("cache.inter.fresh_node")
+
+    def confirm_fresh(self, version: int) -> None:
+        """This query's VO has verified: every cached page its fresh
+        marks cover was fresh at ``version``."""
+        for path, level, index in self._fresh:
+            ids = (index,) if level == 0 else self._page_ids.get(path, ())
+            for page_id in ids:
+                entry = self._pages.get((path, page_id))
+                if entry is not None and page_id >> level == index:
+                    entry.version = max(entry.version, version)
 
     def is_fresh(self, key: PageKey) -> bool:
         """Is some marked-fresh ancestor (or the leaf itself) covering?

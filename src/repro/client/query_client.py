@@ -2,8 +2,9 @@
 
 One :class:`QueryClient` models the paper's lightweight client node: it
 observes block headers from the source-chain networks, holds the
-attestation root of trust, owns a persistent inter-query cache, and runs
-an unmodified database engine over the client V2FS.
+attestation root of trust, owns what it carries across queries
+(:class:`~repro.client.state.CarriedState`), and runs an unmodified
+database engine over the client V2FS.
 
 ``query(sql)`` performs the full Algorithm 4 cycle:
 
@@ -25,12 +26,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import SimulatedPoW, check_header
-from repro.client.caches import InterQueryCache
-from repro.client.vfs import ClientSession, ClientVfs, QueryMode
-from repro.core.certificate import ProvenSignature, V2fsCertificate
+from repro.client.state import CarriedState, QueryMode
+from repro.client.vfs import ClientSession, ClientVfs
+from repro.core.certificate import V2fsCertificate
 from repro.crypto.signature import PublicKey
-from repro.db.btree import NodeMemo
-from repro.db.catalog import CatalogMemo
 from repro.db.engine import Engine, ResultSet
 from repro.errors import CertificateError, ReproError
 from repro.isp.server import IspServer
@@ -114,29 +113,15 @@ class QueryClient:
         self.isp = isp
         self.chains = dict(chains)
         self.mode = mode
-        self.cache_bytes = cache_bytes
         self.pow_params = dict(pow_params or {})
         self.transport = Transport(cost_model)
-        self.inter_cache: Optional[InterQueryCache] = (
-            InterQueryCache(cache_bytes) if mode.uses_inter_cache else None
-        )
+        #: Everything this client carries from one query to the next.
+        self.state = CarriedState(mode, cache_bytes)
         # Establish pk_sgx once, through attestation (not by trusting
         # the ISP): the quote binds the measurement to the enclave key.
         self.pk_sgx = AttestationService.verify_report(
             attestation_report, attestation_root, expected_measurement
         )
-        # The certificate signature last proven under pk_sgx: an
-        # unchanged certificate is proven once, not once per query.
-        self._proven = ProvenSignature()
-        # B+Tree nodes decoded from page bytes of verified queries: an
-        # unchanged page is decoded once, not once per visit (every
-        # visit still reads it through the verified VFS).
-        self._nodes = NodeMemo()
-        # The catalog parsed from the catalog file's bytes: unchanged
-        # bytes are parsed once (every query still reads them through
-        # the verified VFS).  This client's engines only, which never
-        # write; cleared with the node memo.
-        self._catalogs = CatalogMemo()
 
     # ------------------------------------------------------------------
 
@@ -172,39 +157,29 @@ class QueryClient:
     def _execute_verified(self, sql: str) -> Tuple[ResultSet, int]:
         """The three phases; returns the verified rows and the VO size."""
         certificate = self._fetch_and_validate_certificate()
-        session = ClientSession(
-            self.isp,
-            self.transport,
-            certificate,
-            self.mode,
-            inter_cache=self.inter_cache,
-            cache_bytes=self.cache_bytes,
-        )
+        state = self.state
+        session = ClientSession(self.isp, self.transport, certificate, state)
         # One filesystem serves both roles (Appendix A / Algorithm 6):
         # remote pages verifiably, locally created temp files directly.
         vfs = ClientVfs(session)
-        engine = Engine(vfs, temp_vfs=vfs, node_memo=self._nodes,
-                        catalog_memo=self._catalogs)
+        engine = Engine(vfs, temp_vfs=vfs, node_memo=state.nodes,
+                        catalog_memo=state.catalog)
         try:
             result: ResultSet = engine.execute(sql)
             return result, session.finalize()
         except Exception as error:
             # Whatever went wrong (malformed data from the ISP, proof
-            # failure, engine error), the pages this query cached — and
-            # the nodes and catalog it decoded from them — are
-            # unverified and must not survive, and the metadata earlier
-            # queries proved goes with them (rollback_cache).
-            # Deliberately broad and strictly re-raising:
-            # the rollback is cleanup, never recovery (crash-hygiene
-            # verifies the re-raise statically).
+            # failure, engine error), nothing this query read is proven:
+            # the one rollback drops what it may have left in the
+            # carried state.  Deliberately broad and strictly
+            # re-raising: the rollback is cleanup, never recovery
+            # (crash-hygiene verifies the re-raise statically).
             logger.debug(
                 "query failed before verification completed (%s); "
-                "evicting pages cached by this query",
+                "rolling back the carried state",
                 type(error).__name__,
             )
-            session.rollback_cache()
-            self._nodes.clear()
-            self._catalogs.clear()
+            state.rollback(session.inserted)
             try:
                 # Close the ISP session as well: an open one pins its
                 # snapshot root against pruning.  Best effort — it is
@@ -215,8 +190,8 @@ class QueryClient:
             raise
         finally:
             vfs.drop_temp_files()
-            if self.inter_cache is not None:
-                self.inter_cache.end_query()
+            if state.pages is not None:
+                state.pages.end_query()
 
     # ------------------------------------------------------------------
 
@@ -228,7 +203,8 @@ class QueryClient:
         )
         hit = False
         try:
-            hit = certificate.verify_signature(self.pk_sgx, self._proven)
+            hit = certificate.verify_signature(self.pk_sgx,
+                                               self.state.signature)
         finally:  # a rejected certificate is a miss too
             if obs.ACTIVE:
                 if hit:

@@ -15,11 +15,10 @@ separate local filesystem per Appendix A.
 
 from __future__ import annotations
 
-import enum
-import logging
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.client.caches import FileMeta, InterQueryCache, IntraQueryCache
+from repro.client.state import CarriedState, QueryMode
 from repro.core.certificate import V2fsCertificate
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.errors import StorageError, VerificationError
@@ -38,22 +37,7 @@ from repro.obs import metrics as obs
 from repro.vbf.versioned_bloom import VersionedBloomFilter
 from repro.vfs.interface import PAGE_SIZE, VirtualFile, VirtualFilesystem
 
-logger = logging.getLogger("repro.client")
-
 PageKey = Tuple[str, int]
-
-
-class QueryMode(enum.Enum):
-    """The four configurations compared in the paper's Figures 9-16."""
-
-    BASELINE = "baseline"
-    INTRA = "intra"
-    INTER = "inter"
-    INTER_VBF = "inter+vbf"
-
-    @property
-    def uses_inter_cache(self) -> bool:
-        return self in (QueryMode.INTER, QueryMode.INTER_VBF)
 
 
 class ClientSession:
@@ -64,29 +48,23 @@ class ClientSession:
         isp: IspServer,
         transport: Transport,
         certificate: V2fsCertificate,
-        mode: QueryMode,
-        inter_cache: Optional[InterQueryCache] = None,
-        cache_bytes: int = 1 << 30,
+        state: CarriedState,
     ) -> None:
         self.isp = isp
         self.transport = transport
         self.certificate = certificate
-        self.mode = mode
-        if mode.uses_inter_cache and inter_cache is None:
-            raise ValueError(f"mode {mode} requires an inter-query cache")
-        self.intra_cache = IntraQueryCache(cache_bytes)
-        self.inter_cache = inter_cache
-        self.vbf: Optional[VersionedBloomFilter] = (
-            inter_cache.vbf_of(certificate)
-            if mode is QueryMode.INTER_VBF else None
-        )
+        #: What the client carries across queries: read here, filled
+        #: only by :meth:`finalize` (and the eager page inserts).
+        self.state = state
+        self.mode = state.mode
+        self.intra_cache = IntraQueryCache(state.cache_bytes)
+        self.inter_cache: Optional[InterQueryCache] = state.pages
+        self.vbf: Optional[VersionedBloomFilter] = state.filter_of(
+            certificate)
         #: Metadata earlier sessions proved under this certificate's
-        #: root.  Only where state may outlive a query at all: BASELINE
-        #: and INTRA ask the ISP every time.
-        self._proven_metas: Dict[str, FileMeta] = (
-            inter_cache.proven_metas(certificate.ads_root)
-            if mode.uses_inter_cache else {}
-        )
+        #: root (nothing outside the cached modes).
+        self._proven_metas: Dict[str, FileMeta] = state.proven_metas(
+            certificate.ads_root)
         # Pin the session to the certificate version validated in the
         # initialize phase; an ISP that advanced in between must say so
         # now, not fail the VO check later (matters under real RPC
@@ -94,8 +72,8 @@ class ClientSession:
         # below this line can fail, so an opened session always reaches
         # the caller, who closes it.
         self.session_id = isp.open_session(certificate.version)
-        if inter_cache is not None and mode.uses_inter_cache:
-            inter_cache.begin_query()
+        if self.inter_cache is not None:
+            self.inter_cache.begin_query()
         # digsToVerify (Algorithm 4, line 9), split by claim kind.
         self.page_claims: Dict[PageKey, Digest] = {}
         self.node_claims: Dict[Tuple[str, int, int], Digest] = {}
@@ -113,8 +91,8 @@ class ClientSession:
         #: :meth:`finalize` next to ``len(page_claims)``, the hashed ones).
         self._repeated = 0
         #: Pages inserted into the inter-query cache during this query;
-        #: rolled back if final verification fails.
-        self._inserted_keys: List[PageKey] = []
+        #: ``CarriedState.rollback`` removes them if the query fails.
+        self.inserted: List[PageKey] = []
 
     # ------------------------------------------------------------------
     # Metadata
@@ -151,8 +129,8 @@ class ClientSession:
             page = self._fetch_page(key)
             # repro: allow(verify-before-use) -- Algorithm 4 deferred
             # verification: the page is cached unverified by design and
-            # finalize() verifies every claim via verify_read_proof;
-            # rollback_cache() evicts on failure before anything escapes.
+            # finalize() verifies every claim via verify_read_proof; the
+            # intra cache dies with the session, so nothing escapes.
             self.intra_cache.put(key, page)
             return page
         return self._access_with_inter_cache(key)
@@ -197,10 +175,10 @@ class ClientSession:
             page = self._fetch_page(key)
             # repro: allow(verify-before-use) -- Algorithm 4 deferred
             # verification: unverified pages enter the inter-query cache
-            # and are verified in bulk by finalize(); rollback_cache()
-            # removes them if the batched proof check fails.
+            # and are verified in bulk by finalize(); CarriedState.rollback
+            # removes them if the query fails.
             cache.insert(key, page, self.certificate.version)
-            self._inserted_keys.append(key)
+            self.inserted.append(key)
             return page
         if cache.is_fresh(key):
             return entry.page
@@ -209,7 +187,7 @@ class ClientSession:
             if entry.slots is None:
                 entry.slots = self.vbf.positions(path, page_id)
             if self.vbf.fresh_since(entry.slots, entry.version):
-                cache.mark_fresh_leaf(key, self.certificate.version)
+                cache.mark_fresh_leaf(key)
                 if obs.ACTIVE:
                     obs.inc("vbf.fast_path.hit")
                 return entry.page
@@ -231,8 +209,7 @@ class ClientSession:
                 raise VerificationError(
                     "ISP confirmed freshness of a digest we did not send"
                 )
-            cache.mark_fresh_node(path, level, index,
-                                  self.certificate.version)
+            cache.mark_fresh_node(path, level, index)
             self.node_claims[(path, level, index)] = digest
             return entry.page
         _, page = response
@@ -240,10 +217,10 @@ class ClientSession:
         page = self._claim(key, page)
         # repro: allow(verify-before-use) -- Algorithm 4 deferred
         # verification: the stale-path replacement page is recorded in
-        # page_claims and verified by finalize(); rollback_cache()
-        # evicts the entry if the proof does not check out.
+        # page_claims and verified by finalize(); CarriedState.rollback
+        # evicts the entry if the query fails.
         cache.update(key, page, self.certificate.version)
-        self._inserted_keys.append(key)
+        self.inserted.append(key)
         return page
 
     # ------------------------------------------------------------------
@@ -253,9 +230,10 @@ class ClientSession:
     def finalize(self) -> int:
         """Fetch and verify the consolidated VO; returns its byte size.
 
-        On failure the pages cached during this query are evicted (they
-        are unauthenticated) and :class:`~repro.errors.VerificationError`
-        propagates.
+        Only a VO that verified fills what the client carries
+        (``CarriedState.learn``); on failure
+        :class:`~repro.errors.VerificationError` propagates and the
+        caller rolls back.
         """
         vo = self.isp.finalize_session(self.session_id)
         vo_bytes = vo.byte_size()
@@ -264,34 +242,12 @@ class ClientSession:
             obs.add("client.page.hashed", len(self.page_claims))
             obs.add("client.page.repeated", self._repeated)
             obs.add("client.meta.proven", len(self._proven_paths))
-        try:
-            established = V2fsAds.verify_read_proof(
-                vo, self.certificate.ads_root,
-                self.page_claims, self.node_claims,
-            )
-            self._verify_metas(vo)
-        except Exception as error:
-            # Deliberately broad and strictly re-raising: any failure
-            # here means the VO did not authenticate what the engine
-            # read, so the cache eviction is cleanup, never recovery
-            # (crash-hygiene verifies the re-raise statically).
-            logger.debug(
-                "VO verification failed (%s); evicting pages cached "
-                "by this query", type(error).__name__,
-            )
-            self.rollback_cache()
-            raise
-        # Harvest authenticated ancestor digests for future freshness
-        # checks (this is how the cache's Merkle subtrees grow), and the
-        # metadata _verify_metas has just matched against the VO.
-        if self.inter_cache is not None:
-            for path, values in established.items():
-                for (level, index), digest in values.items():
-                    self.inter_cache.learn_node(path, level, index, digest)
-            if self.mode.uses_inter_cache:
-                self.inter_cache.learn_metas(
-                    self.certificate.ads_root, self.used_metas
-                )
+        established = V2fsAds.verify_read_proof(
+            vo, self.certificate.ads_root,
+            self.page_claims, self.node_claims,
+        )
+        self._verify_metas(vo)
+        self.state.learn(self.certificate, established, self.used_metas)
         return vo_bytes
 
     def _verify_metas(self, vo) -> None:
@@ -311,22 +267,6 @@ class ClientSession:
                 raise VerificationError(
                     f"ISP reported stale metadata for {path}"
                 )
-
-    def rollback_cache(self) -> None:
-        """Evict every page this session inserted (it is unverified).
-
-        Called when the query fails for any reason before the VO check
-        completes — a failed or aborted query must never leave
-        unauthenticated pages in the persistent cache.
-        """
-        if self.inter_cache is None:
-            return
-        if self._inserted_keys and obs.ACTIVE:
-            obs.inc("client.rollback")
-        for key in self._inserted_keys:
-            self.inter_cache.discard(key)
-        self._inserted_keys.clear()
-        self.inter_cache.forget_metas()
 
 
 class ClientVfs(VirtualFilesystem):

@@ -17,33 +17,11 @@ from typing import Optional, Tuple
 from repro.crypto.hashing import Digest, hash_bytes
 from repro.crypto.signature import PublicKey, Signature, verify
 from repro.errors import CertificateError
+from repro.kept import Kept
 from repro.vbf.versioned_bloom import VersionedBloomFilter
 
 #: One per-chain state entry: (chain_id, latest header digest, height).
 ChainState = Tuple[str, Digest, int]
-
-
-class ProvenSignature:
-    """The one certificate signature its owner last proved valid.
-
-    Holds the exact ``(public key, message bytes, signature)`` triple of
-    the last :func:`~repro.crypto.signature.verify` that returned True,
-    or nothing.  That a triple verifies is a fact about those bytes
-    alone — it cannot go stale — so presenting the identical triple
-    again needs no second proof; anything that differs in one bit is a
-    different triple and is verified in full.  Whether the certificate
-    is still *current* is not this object's concern: the client checks
-    the chain heads on every query, hit or miss.
-
-    One entry, owned by one :class:`~repro.client.QueryClient`; the
-    triple is replaced by a single attribute store, so concurrent
-    queries on one client can at worst verify twice.
-    """
-
-    __slots__ = ("triple",)
-
-    def __init__(self) -> None:
-        self.triple: Optional[Tuple[PublicKey, bytes, Signature]] = None
 
 
 @dataclass(frozen=True)
@@ -100,23 +78,24 @@ class V2fsCertificate:
     def verify_signature(
         self,
         public_key: PublicKey,
-        proven: Optional[ProvenSignature] = None,
+        proven: Optional[Kept] = None,
     ) -> bool:
         """Raise :class:`~repro.errors.CertificateError` on a bad signature.
 
-        With ``proven``, a certificate whose full triple equals the one
-        recorded there returns without re-verifying, and a triple that
-        verifies is recorded in its place — only after ``verify``
-        returned True, so a rejected certificate leaves no trace.
-        Returns whether ``proven`` answered (True) or ``verify`` ran.
+        ``proven`` holds the ``(public key, message, signature)`` triple
+        last proven valid.  That a triple verifies is a fact about those
+        bytes alone, so the identical triple returns without verifying
+        again; one that differs in a bit is verified in full and kept
+        only after ``verify`` returned True.  Returns whether ``proven``
+        answered (True) or ``verify`` ran.
         """
         triple = (public_key, self.message(), self.signature)
-        if proven is not None and proven.triple == triple:
+        if proven is not None and triple in proven:
             return True
         if not verify(*triple):
             raise CertificateError("V2FS certificate signature invalid")
         if proven is not None:
-            proven.triple = triple
+            proven.keep(triple, True)
         return False
 
     def chain_state(self, chain_id: str) -> Tuple[Digest, int]:

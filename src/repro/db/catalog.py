@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import SQLCatalogError, StorageError
+from repro.kept import Kept
 from repro.vfs.interface import VirtualFilesystem
 
 
@@ -137,10 +138,11 @@ class Catalog:
     @classmethod
     def load(
         cls, vfs: VirtualFilesystem, path: str,
-        memo: Optional["CatalogMemo"] = None,
+        memo: Optional[Kept] = None,
     ) -> "Catalog":
         """Read the catalog file through ``vfs`` and parse it — or, with
-        ``memo``, take the parse of those same bytes from it."""
+        ``memo`` (the last bytes parsed and their catalog), take the
+        parse of those same bytes from it."""
         if not vfs.exists(path):
             return cls()
         with vfs.open(path) as handle:
@@ -154,35 +156,7 @@ class Catalog:
                 f"corrupt catalog (header claims {length} bytes, "
                 f"file holds {len(raw)})"
             )
-        return cls.from_json(raw) if memo is None else memo.parse(raw)
+        if memo is None:
+            return cls.from_json(raw)
+        return memo.get(raw, cls.from_json)
 
-
-class CatalogMemo:
-    """The catalog last parsed, keyed on the bytes it was parsed from.
-
-    A pure function of its key, like a
-    :class:`~repro.db.btree.NodeMemo` entry: other bytes are another
-    key, so it cannot be stale.  The :class:`Catalog` it hands out is
-    one shared mutable object, so it belongs to an owner whose engines
-    only read (one verifying ``QueryClient``), who clears it when a
-    query fails; an engine that changes its catalog clears it too.
-    """
-
-    __slots__ = ("_raw", "_catalog")
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def __len__(self) -> int:
-        return 0 if self._raw is None else 1
-
-    def clear(self) -> None:
-        self._raw: Optional[bytes] = None
-        self._catalog: Optional[Catalog] = None
-
-    def parse(self, raw: bytes) -> Catalog:
-        """``Catalog.from_json(raw)``; a raising parse keeps nothing new."""
-        if raw != self._raw:
-            self._catalog = Catalog.from_json(raw)
-            self._raw = raw
-        return self._catalog

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.db.btree import BTree, NodeMemo
-from repro.db.catalog import Catalog, CatalogMemo, IndexInfo, TableInfo
+from repro.db.catalog import Catalog, IndexInfo, TableInfo
 from repro.db.pager import Pager, PagerTally
 from repro.db.plan.expressions import Schema
 from repro.db.plan.planner import AccessProvider, plan_select
@@ -30,6 +30,7 @@ from repro.db.sql import ast
 from repro.db.sql.parser import parse_statement
 from repro.db.types import SqlValue, coerce, compare, normalize_type
 from repro.errors import SQLCatalogError, SQLExecutionError
+from repro.kept import Kept
 from repro.obs import metrics as obs
 from repro.vfs.interface import VirtualFilesystem
 from repro.vfs.local import LocalFilesystem
@@ -70,7 +71,7 @@ class Engine(AccessProvider):
         temp_vfs: Optional[VirtualFilesystem] = None,
         sort_memory_rows: int = 4096,
         node_memo: Optional[NodeMemo] = None,
-        catalog_memo: Optional[CatalogMemo] = None,
+        catalog_memo: Optional[Kept] = None,
     ) -> None:
         self.vfs = vfs
         self.base_path = base_path.rstrip("/")

@@ -2,7 +2,8 @@
 
 The production cache keeps per-path side indexes (cached page ids,
 learned-node levels, per-query fresh levels) so that marking a subtree
-fresh, invalidating ancestors, and eviction never scan the whole cache,
+fresh, confirming a query's fresh marks once its VO has verified,
+invalidating ancestors, and eviction never scan the whole cache,
 and so the freshness probe height comes from the file's actual tree
 instead of a hardcoded 48-level range.  The oracle here is the old
 semantics, implemented with the full scans it replaced: random operation
@@ -46,7 +47,7 @@ class OracleCache:
     def insert(self, key, page, version):
         self.pages[key] = [page, hash_bytes(page), version]
         self.pages.move_to_end(key)
-        self.mark_fresh_leaf(key, version)
+        self.mark_fresh_leaf(key)
         while len(self.pages) * PAGE_SIZE > self.capacity_bytes:
             victim, _ = self.pages.popitem(last=False)
             self.invalidate_ancestors(victim)
@@ -59,18 +60,18 @@ class OracleCache:
         if self.pages.pop(key, None) is not None:
             self.invalidate_ancestors(key)
 
-    def mark_fresh_leaf(self, key, version):
+    def mark_fresh_leaf(self, key):
         path, page_id = key
         self.fresh.add((path, 0, page_id))
-        entry = self.pages.get(key)
-        if entry is not None:
-            entry[2] = max(entry[2], version)
 
-    def mark_fresh_node(self, path, level, index, version):
+    def mark_fresh_node(self, path, level, index):
         self.fresh.add((path, level, index))
-        first, last = index << level, ((index + 1) << level) - 1
-        for (p, pid), entry in self.pages.items():   # the full scan
-            if p == path and first <= pid <= last:
+
+    def confirm_fresh(self, version):
+        """The post-proof step: every cached page a fresh mark covers
+        was fresh at ``version``."""
+        for key, entry in self.pages.items():        # the full scan
+            if self.is_fresh(key):
                 entry[2] = max(entry[2], version)
 
     def is_fresh(self, key, max_height=48):
@@ -143,8 +144,9 @@ def _operations():
             st.tuples(st.just("update"), _keys(), page, version),
             st.tuples(st.just("get"), _keys()),
             st.tuples(st.just("discard"), _keys()),
-            st.tuples(st.just("fresh_leaf"), _keys(), version),
-            st.tuples(st.just("fresh_node"), node, version),
+            st.tuples(st.just("fresh_leaf"), _keys()),
+            st.tuples(st.just("fresh_node"), node),
+            st.tuples(st.just("confirm_fresh"), version),
             st.tuples(st.just("learn"), node, page),
             st.tuples(st.just("begin_query"),),
         ),
@@ -163,10 +165,12 @@ def _apply(target, op):
     elif kind == "discard":
         target.discard(op[1])
     elif kind == "fresh_leaf":
-        target.mark_fresh_leaf(op[1], op[2])
+        target.mark_fresh_leaf(op[1])
     elif kind == "fresh_node":
         path, level, index = op[1]
-        target.mark_fresh_node(path, level, index, op[2])
+        target.mark_fresh_node(path, level, index)
+    elif kind == "confirm_fresh":
+        target.confirm_fresh(op[1])
     elif kind == "learn":
         path, level, index = op[1]
         target.learn_node(path, level, index, hash_bytes(op[2]))

@@ -32,13 +32,19 @@ class TestInterQueryCache:
         cache = InterQueryCache()
         cache.insert(("/f", 0), b"a", 1)
         cache.insert(("/f", 1), b"b", 1)
+        cache.insert(("/f", 2), b"c", 1)
         cache.begin_query()
-        cache.mark_fresh_node("/f", 1, 0, version=2)
+        cache.mark_fresh_node("/f", 1, 0)
         assert cache.is_fresh(("/f", 0))
         assert cache.is_fresh(("/f", 1))
         assert not cache.is_fresh(("/f", 2))
-        # Versions bumped for covered pages (VBF bookkeeping).
+        # The mark is the ISP's word: no V_n moves until the query's VO
+        # has verified and the marks are confirmed (VBF bookkeeping).
+        assert cache.get(("/f", 0)).version == 1
+        cache.confirm_fresh(2)
         assert cache.get(("/f", 0)).version == 2
+        assert cache.get(("/f", 1)).version == 2
+        assert cache.get(("/f", 2)).version == 1
 
     def test_known_digest_from_children(self):
         cache = InterQueryCache()
@@ -171,25 +177,31 @@ class TestQueryModes:
         )
 
     def test_mode_requires_cache(self, live_system):
+        """A cached mode cannot be built without its cache: the carried
+        state makes one from the mode, and every session uses it."""
+        from repro.client.state import CarriedState
         from repro.client.vfs import ClientSession
-
-        certificate = live_system.isp.get_certificate()
         from repro.network.transport import Transport
 
-        with pytest.raises(ValueError):
-            ClientSession(
-                live_system.isp, Transport(), certificate,
-                QueryMode.INTER, inter_cache=None,
-            )
+        certificate = live_system.isp.get_certificate()
+        for mode in QueryMode:
+            state = CarriedState(mode, 1 << 20)
+            assert (state.pages is not None) == mode.uses_inter_cache
+            session = ClientSession(live_system.isp, Transport(),
+                                    certificate, state)
+            assert session.inter_cache is state.pages
+            live_system.isp.finalize_session(session.session_id)
 
     def test_remote_files_read_only_temps_local(self, live_system):
+        from repro.client.state import CarriedState
         from repro.client.vfs import ClientSession, ClientVfs
         from repro.errors import StorageError
         from repro.network.transport import Transport
 
         session = ClientSession(
             live_system.isp, Transport(),
-            live_system.isp.get_certificate(), QueryMode.BASELINE,
+            live_system.isp.get_certificate(),
+            CarriedState(QueryMode.BASELINE, 1 << 20),
         )
         vfs = ClientVfs(session)
         # Remote files cannot be written or removed.

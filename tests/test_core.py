@@ -8,11 +8,12 @@ import pytest
 
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
-from repro.core.certificate import ProvenSignature, V2fsCertificate
+from repro.core.certificate import V2fsCertificate
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.crypto.signature import KeyPair, sign
 from repro.errors import CertificateError, StorageError
 from repro.isp.server import IspServer
+from repro.kept import Kept
 
 
 class TestCertificate:
@@ -44,7 +45,7 @@ class TestCertificate:
         """No client shares its memo entry, but even a shared one would
         not carry a proof from one key to another."""
         keys, certificate = self._make()
-        proven = ProvenSignature()
+        proven = Kept()
         assert certificate.verify_signature(keys.public, proven) is False
         assert certificate.verify_signature(keys.public, proven) is True
         with pytest.raises(CertificateError):
@@ -54,14 +55,14 @@ class TestCertificate:
 
     def test_rejected_signature_leaves_the_proven_entry_alone(self):
         keys, certificate = self._make()
-        proven = ProvenSignature()
+        proven = Kept()
         with pytest.raises(CertificateError):
             certificate.verify_signature(
                 KeyPair.generate(b"other").public, proven
             )
-        assert proven.triple is None
+        assert len(proven) == 0
         certificate.verify_signature(keys.public, proven)
-        assert proven.triple == (
+        assert proven.key == (
             keys.public, certificate.message(), certificate.signature
         )
 

@@ -366,6 +366,41 @@ class TestTalliedSites:
         assert (delta["isp.page.resolved"] == hashed
                 == vo_pages.snapshot()["total"] - pages_before)
 
+    #: One row per entry whose lookups are counted: ``(mode, answered,
+    #: derived, lookups)``.  Every lookup is answered by the entry or
+    #: derives its value again, and a workload that repeats its queries
+    #: has some answered.
+    COUNTED_ENTRIES = {
+        # Carried: the certificate signature last proven.
+        "signature": ("INTER_VBF", "client.cert.memo.hit",
+                      "client.cert.memo.miss", "client.cert.requests"),
+        # Carried: the node memo, on every read-path node load.
+        "nodes": ("INTER_VBF", "db.node.memo.hit", "db.node.memo.miss",
+                  "pager.read_page"),
+        # Per session: the first response for each page key is hashed,
+        # every later one compared to it.
+        "served_pages": ("BASELINE", "client.page.repeated",
+                         "client.page.hashed", "client.page.requests"),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRIES))
+    def test_each_lookup_is_answered_or_derived(self, entry):
+        from repro.client.vfs import QueryMode
+        from repro.core.system import SystemConfig, V2FSSystem
+
+        mode, answered, derived, lookups = self.COUNTED_ENTRIES[entry]
+        system = V2FSSystem(SystemConfig(txs_per_block=4))
+        system.advance_all(3)
+        client = system.make_client(QueryMode[mode])
+        before = REGISTRY.counters_snapshot()
+        for _ in range(2):
+            client.query("SELECT COUNT(*) FROM eth_transactions")
+            client.query("SELECT COUNT(*), SUM(fee) FROM btc_transactions")
+        delta = REGISTRY.counters_delta(before)
+        hits, misses = delta.get(answered, 0), delta.get(derived, 0)
+        assert hits > 0, f"no lookup of {entry} was answered"
+        assert hits + misses == delta[lookups], f"a lookup bypassed {entry}"
+
     def test_a_repeated_baseline_query_decodes_no_row(self):
         """The second run of a query reads every page the first read
         (``BASELINE`` keeps none of them) and decodes none of its rows:
@@ -426,7 +461,7 @@ class TestTalliedSites:
         lookups = delta.get("cache.inter.hit", 0) + delta["cache.inter.miss"]
         assert lookups > 0
         # Reported with the failed query, not carried into the next one.
-        assert (client.inter_cache._hits, client.inter_cache._misses) == (0, 0)
+        assert (client.state.pages._hits, client.state.pages._misses) == (0, 0)
 
     @pytest.mark.parametrize("mode_name", ["INTRA", "INTER", "INTER_VBF"])
     def test_meta_requests_and_proven_partition_the_files_looked_up(

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.client.state import CarriedState
 from repro.client.vfs import QueryMode
 from repro.core import certificate as certificate_module
 from repro.core.certificate import V2fsCertificate
@@ -172,7 +173,7 @@ class TestMaliciousIsp:
         client = system.make_client(QueryMode.INTER)
         with pytest.raises(ReproError):
             client.query(SQL)
-        assert len(client.inter_cache) == 0
+        assert len(client.state.pages) == 0
 
 
 class TestForgedCertificates:
@@ -295,7 +296,7 @@ class TestCertificateMemo:
         assert forged.version == honest.version and forged != honest
         with client_of(system, path) as client:
             expected = client.query(SQL).rows  # proves `honest`
-            cached = dict(client.inter_cache._pages)
+            cached = dict(client.state.pages._pages)
             assert cached
             del verify_calls[:]
 
@@ -307,7 +308,7 @@ class TestCertificateMemo:
             # range ``s`` is refused by it, not skipped around it)...
             assert len(verify_calls) == 2
             # ...nothing the forgery touched outlived it...
-            assert dict(client.inter_cache._pages) == cached
+            assert dict(client.state.pages._pages) == cached
             # ...and the honest certificate is still the proven one.
             system.isp.certificate = honest
             assert client.query(SQL).rows == expected
@@ -447,16 +448,16 @@ class TestNodeMemo:
         expected = self.oracle(system, self.SUM)
         with client_of(system, path, QueryMode.BASELINE) as client:
             assert client.query(self.SUM).rows == expected
-            assert len(client._nodes) > 0
+            assert len(client.state.nodes) > 0
             # The same (path, page_id), one byte different.
             system.isp.flip = (self.TABLE, 1)
             for _ in range(2):
                 with pytest.raises(ReproError):
                     client.query(self.SUM)
-                assert len(client._nodes) == 0
+                assert len(client.state.nodes) == 0
             system.isp.flip = None
             assert client.query(self.SUM).rows == expected
-            assert len(client._nodes) > 0
+            assert len(client.state.nodes) > 0
 
     @pytest.mark.parametrize("mode", [QueryMode.BASELINE,
                                       QueryMode.INTER_VBF])
@@ -480,17 +481,17 @@ class TestNodeMemo:
             other = system.make_client()
             client.query(SQL)
             self.oracle(system, SQL)  # a plain engine, its own memo
-            assert len(client._nodes) > 0
-            assert len(other._nodes) == 0
-            assert other._nodes is not client._nodes
+            assert len(client.state.nodes) > 0
+            assert len(other.state.nodes) == 0
+            assert other.state.nodes is not client.state.nodes
             other.query(SQL)
-            assert len(other._nodes) == len(client._nodes)
+            assert len(other.state.nodes) == len(client.state.nodes)
 
     def test_memoized_nodes_cannot_be_changed_through_results(self, path):
         system = build_system(2)
         with client_of(system, path, QueryMode.BASELINE) as client:
             expected = client.query(self.SUM).rows
-            for node in client._nodes._nodes.values():
+            for node in client.state.nodes._nodes.values():
                 assert isinstance(node, tuple)
                 assert isinstance(node.tuples, tuple)
                 with pytest.raises(AttributeError):
@@ -578,7 +579,7 @@ class TestEquivocation:
                 assert client.query(self.JOIN).rows == expected
                 second_responses = 0
                 for forgery in self.FORGERIES:
-                    cache = client.inter_cache
+                    cache = client.state.pages
                     cached = set(cache._pages) if cache is not None else None
                     isp.armed = forgery
                     with pytest.raises(ReproError) as refused:
@@ -587,7 +588,7 @@ class TestEquivocation:
                     second_responses += "two different contents" in str(
                         refused.value)
                     assert len(isp.sessions) == 0
-                    assert len(client._nodes) == 0
+                    assert len(client.state.nodes) == 0
                     if cache is not None:  # evicted from, never added to
                         assert set(cache._pages) <= cached
                     assert client.query(self.JOIN).rows == expected
@@ -656,7 +657,7 @@ class TestHeldLeaf:
         with client_of(system, path, mode) as client:
             for _ in range(2):  # on a cold client, then on a warm one
                 isp.armed = forgery
-                cache = client.inter_cache
+                cache = client.state.pages
                 cached = set(cache._pages) if cache is not None else None
                 if cached:  # make the warm client fetch the table again
                     for key in [k for k in cached if k[0] == self.TABLE]:
@@ -668,7 +669,7 @@ class TestHeldLeaf:
                 isp.armed = None
                 assert len(isp.deceived) == deceived + 1
                 assert len(isp.sessions) == 0
-                assert len(client._nodes) == 0
+                assert len(client.state.nodes) == 0
                 if cache is not None:
                     assert set(cache._pages) <= cached
                 assert client.query(self.JOIN).rows == expected
@@ -766,7 +767,7 @@ class TestRowSlots:
         try:
             with client_of(system, path, mode) as client:
                 for sql in self.QUERIES * 2:  # cold, then warm
-                    cache = client.inter_cache
+                    cache = client.state.pages
                     if cache is not None:  # make it fetch the table again
                         for key in [k for k in cache._pages
                                     if k[0] == self.TABLE]:
@@ -778,7 +779,7 @@ class TestRowSlots:
                     isp.armed = None
                     assert len(isp.garbled) == garbled + 1
                     assert len(isp.sessions) == 0
-                    assert len(client._nodes) == 0
+                    assert len(client.state.nodes) == 0
                     assert client.query(sql).rows == oracle.execute(sql).rows
         finally:
             isp.armed = None
@@ -814,7 +815,7 @@ class TestRowSlots:
                     row[:] = ["scribbled"] * (len(row) + 1)
                 handed.clear()
                 assert client.query(sql).rows == expected
-                assert len(client._nodes) > 0  # the memo was in play
+                assert len(client.state.nodes) > 0  # the memo was in play
 
 
 class _TwoFacedIsp:
@@ -848,7 +849,7 @@ class TestOneContentPerKey:
         from repro.network.transport import Transport
 
         return ClientSession(isp, Transport(), system.isp.get_certificate(),
-                             QueryMode.BASELINE)
+                             CarriedState(QueryMode.BASELINE, 1 << 20))
 
     @pytest.mark.parametrize("order", ["forged-first", "genuine-first"])
     def test_second_content_for_a_key_is_refused(self, order):
@@ -880,7 +881,6 @@ class TestOneContentPerKey:
 
     def test_stale_path_page_reply_is_bound_by_the_same_rule(self):
         """``validate_path`` answering "page" is a page response too."""
-        from repro.client.caches import InterQueryCache
         from repro.client.vfs import ClientSession
         from repro.network.transport import Transport
 
@@ -890,11 +890,11 @@ class TestOneContentPerKey:
         isp.validate_path = lambda sid, path, pid, digs: (
             "page", self.GENUINE
         )
-        cache = InterQueryCache(2 * 4096)
+        state = CarriedState(QueryMode.INTER, 2 * 4096)
+        cache = state.pages
         cache.insert(("/f", 1), b"old" * 1365 + b"o", 0)  # a past query's
         session = ClientSession(
-            isp, Transport(), system.isp.get_certificate(),
-            QueryMode.INTER, inter_cache=cache,
+            isp, Transport(), system.isp.get_certificate(), state,
         )
         assert session.access_page("/f", 1) == self.GENUINE  # the reply
         cache.discard(("/f", 1))                             # "evicted"
@@ -1044,8 +1044,8 @@ class TestHostileBytesBeforeVerification:
                         with pytest.raises(ReproError):
                             client.query(sql)
                         assert len(isp.sessions) == 0
-                        assert len(client.inter_cache._pages) == 0
-                        assert len(client._nodes) == 0
+                        assert len(client.state.pages._pages) == 0
+                        assert len(client.state.nodes) == 0
                 isp.armed = None
                 for sql, rows in zip(self.QUERIES, expected):
                     assert client.query(sql).rows == rows
@@ -1079,9 +1079,9 @@ _oracle = TestNodeMemo.oracle
 
 def _carried_state_is_empty(client):
     """Nothing a failed query may have touched is still held."""
-    cache = client.inter_cache
-    return (cache._metas == {} and cache._metas_root is None
-            and len(client._nodes) == 0 and len(client._catalogs) == 0)
+    state = client.state
+    return (len(state.metas) == 0 and len(state.nodes) == 0
+            and len(state.catalog) == 0)
 
 
 @pytest.mark.parametrize("path", ["inprocess", "rpc"])
@@ -1106,7 +1106,7 @@ class TestProvenMetas:
         isp = system.isp
         expected = _oracle(system, self.SUM)
         with client_of(system, path, mode) as client:
-            cache = client.inter_cache
+            cache = client.state.pages
             isp.armed = delta
             with pytest.raises(ReproError):
                 client.query(self.SUM)
@@ -1118,8 +1118,8 @@ class TestProvenMetas:
             del isp.asked[:]
             assert client.query(self.SUM).rows == expected
             assert self.TABLE in isp.asked
-            assert cache._metas[self.TABLE][0] is True
-            assert cache._metas_root == system.isp.certificate.ads_root
+            assert client.state.metas.value[self.TABLE][0] is True
+            assert client.state.metas.key == system.isp.certificate.ads_root
 
     def test_later_lie_under_an_unchanged_certificate_is_never_asked(
         self, path, mode
@@ -1173,7 +1173,7 @@ class TestProvenMetas:
             assert grown.rows == _oracle(system, self.SUM)
             assert grown.rows[0][0] > cold.rows[0][0]
             assert sorted(isp.asked) == cold_asked  # every one, again
-            assert (client.inter_cache._metas[self.TABLE][2]
+            assert (client.state.metas.value[self.TABLE][2]
                     == pages_of_table() > pages)
 
     def test_replayed_certificate_leaves_nothing_for_the_current_root(
@@ -1195,7 +1195,7 @@ class TestProvenMetas:
             answer = client.query(self.SUM)
             assert answer.rows == _oracle(system, self.SUM)
             assert answer.stats.meta_requests == cold
-            assert client.inter_cache._metas_root == current_root
+            assert client.state.metas.key == current_root
 
     @pytest.mark.parametrize("failure", ["garbled-page", "engine-error"])
     def test_any_failed_query_drops_the_proven_set(
@@ -1205,19 +1205,19 @@ class TestProvenMetas:
         isp = system.isp
         with client_of(system, path, mode) as client:
             first = client.query(self.SUM)
-            assert client.inter_cache._metas
+            assert client.state.metas.value
             if failure == "garbled-page":  # of a table not cached yet
                 isp.flip = ("/db/tables/btc_transactions.tbl", 1)
                 doomed = self.OTHER
             else:
                 doomed = "SELECT * FROM no_such_table"
-            cached = set(client.inter_cache._pages)
+            cached = set(client.state.pages._pages)
             with pytest.raises(ReproError):
                 client.query(doomed)
             isp.flip = None
             assert len(isp.sessions) == 0
             assert _carried_state_is_empty(client)
-            assert set(client.inter_cache._pages) <= cached
+            assert set(client.state.pages._pages) <= cached
             again = client.query(self.SUM)
             assert again.rows == first.rows
             assert again.stats.meta_requests == first.stats.meta_requests
@@ -1227,36 +1227,36 @@ class TestProvenMetas:
         with client_of(system, path, mode) as client:
             other = system.make_client(mode)
             cold = client.query(self.SUM).stats.meta_requests
-            assert client.inter_cache._metas
-            assert other.inter_cache._metas == {}
-            assert len(other._catalogs) == 0
-            assert other.inter_cache._vbf is None
-            assert other._catalogs is not client._catalogs
+            assert client.state.metas.value
+            assert len(other.state.metas) == 0
+            assert len(other.state.catalog) == 0
+            assert other.state.filter.value is None
+            assert other.state.catalog is not client.state.catalog
             assert other.query(self.SUM).stats.meta_requests == cold
             if mode is QueryMode.INTER_VBF:
-                assert other.inter_cache._vbf is not client.inter_cache._vbf
+                assert (other.state.filter.value
+                        is not client.state.filter.value)
 
     def test_no_nonexistence_is_ever_kept(self, path, mode):
         system = build_system(2)
         with client_of(system, path, mode) as client:
             client.query(self.SUM)
             session_metas = []
-            real = type(client.inter_cache).learn_metas
+            real = CarriedState.learn_metas
 
-            def recording(cache, root, metas):
+            def recording(state, root, metas):
                 session_metas.append(dict(metas))
-                real(cache, root, metas)
+                real(state, root, metas)
 
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(type(client.inter_cache), "learn_metas",
-                              recording)
+                patch.setattr(CarriedState, "learn_metas", recording)
                 system.advance_block("eth")
                 client.query(self.SUM)
             assert session_metas and all(
                 exists for metas in session_metas
                 for exists, _, _ in metas.values()
             )
-            assert all(m[0] for m in client.inter_cache._metas.values())
+            assert all(m[0] for m in client.state.metas.value.values())
 
 
 @pytest.mark.parametrize("path", ["inprocess", "rpc"])
@@ -1268,7 +1268,7 @@ def test_uncached_modes_ask_every_meta_every_query(path, mode):
     (the catalog and the table, for this scan)."""
     system = build_system(2)
     with client_of(system, path, mode) as client:
-        assert client.inter_cache is None
+        assert client.state.pages is None
         for _ in range(3):
             assert client.query(SQL).stats.meta_requests == 2
 
@@ -1304,7 +1304,7 @@ class TestDecodedFilter:
                 client.query(SQL)
             second = system.isp.certificate
             assert decodes == [first.version, second.version]
-            kept = client.inter_cache._vbf
+            kept = client.state.filter.value
             assert kept.encode() == second.vbf_encoded
 
     def test_rejected_certificate_is_not_decoded(self, path, decodes):
@@ -1312,14 +1312,14 @@ class TestDecodedFilter:
         honest = system.isp.certificate
         with client_of(system, path) as client:
             client.query(SQL)
-            kept = client.inter_cache._vbf
+            kept = client.state.filter.value
             system.isp.certificate = ONE_BYTE_FORGERIES["vbf_byte"](honest)
             with pytest.raises(CertificateError):
                 client.query(SQL)
             system.isp.certificate = honest
             client.query(SQL)
             assert decodes == [honest.version]
-            assert client.inter_cache._vbf is kept
+            assert client.state.filter.value is kept
 
     def test_other_modes_decode_nothing(self, path, decodes):
         system = build_system(2)
@@ -1327,6 +1327,44 @@ class TestDecodedFilter:
             with client_of(system, path, mode) as client:
                 client.query(SQL)
         assert decodes == []
+
+
+class FreshLieIsp(IspServer):
+    """Honest until armed; then, once, answers a freshness check whose
+    honest answer is anything else with ``("fresh", …)`` for the
+    client's own top digest."""
+
+    armed = False
+
+    def validate_path(self, session_id, path, page_id, digs_path):
+        honest = super().validate_path(session_id, path, page_id, digs_path)
+        if self.armed and digs_path:
+            lie = ("fresh", *digs_path[0])
+            if honest != lie:
+                self.armed = False
+                return lie
+        return honest
+
+
+@pytest.mark.parametrize("path", ["inprocess", "rpc"])
+def test_an_unproven_fresh_answer_raises_no_page_version(path):
+    """A cached page's ``V_n`` (the version it was last known fresh
+    at) rises only for freshness a verified VO proved.  Raised on the
+    ISP's word, a failed query's lie outlived it: with the filter saying
+    "unchanged since ``V_n``", the next query took the stale pages
+    without asking anything, and its stale answer verified."""
+    system = swap_isp(build_system(2), FreshLieIsp)
+    isp = system.isp
+    sql = TestNodeMemo.SUM
+    with client_of(system, path, QueryMode.INTER_VBF) as client:
+        client.query(sql)
+        system.advance_block("eth")  # rewrites cached table pages
+        isp.armed = True
+        with pytest.raises(ReproError):
+            client.query(sql)
+        assert not isp.armed  # it was asked, and it lied
+        assert len(isp.sessions) == 0
+        assert client.query(sql).rows == _oracle(system, sql)
 
 
 class SwappedCatalogIsp(IspServer):
@@ -1372,20 +1410,20 @@ class TestCatalogMemo:
             system, "SELECT COUNT(*) FROM btc_transactions")
         with client_of(system, path, mode) as client:
             for warm in (False, True):
-                if warm and client.inter_cache is not None:
+                if warm and client.state.pages is not None:
                     # Make the warm client read the catalog file again.
-                    for key in [k for k in client.inter_cache._pages
+                    for key in [k for k in client.state.pages._pages
                                 if k[0] == isp.CATALOG]:
-                        client.inter_cache.discard(key)
+                        client.state.pages.discard(key)
                 isp.armed = True
                 with pytest.raises(VerificationError):
                     client.query(SQL)
                 isp.armed = False
-                assert len(client._catalogs) == 0
-                assert len(client._nodes) == 0
+                assert len(client.state.catalog) == 0
+                assert len(client.state.nodes) == 0
                 assert len(isp.sessions) == 0
                 assert client.query(SQL).rows == expected
-                assert len(client._catalogs) == 1
+                assert len(client.state.catalog) == 1
 
     def test_unchanged_bytes_are_parsed_once_and_still_read(
         self, path, mode, monkeypatch
