@@ -46,7 +46,7 @@ def test_fig9_query_latency(benchmark, save_result):
     "Schnorr verify; with an unchanged certificate proven once (PR 15) "
     "its exec is ~3 ms against ~6 ms of modeled LAN time for its ~20 "
     "page requests, which did not change.  Open: retire or replace the "
-    "claim (EXPERIMENTS.md Fig. 9, ROADMAP item 2).",
+    "claim (EXPERIMENTS.md Fig. 9, ROADMAP item 8).",
     strict=False,
 )
 def test_fig9_q1_exec_dominated(benchmark):

@@ -156,7 +156,7 @@ def test_resilience_overhead(benchmark, save_result):
         # a plain query fell from 61 to ~28 ms once the certificate was
         # proven once, so 4% became 7-9% (40 pairs: median 1.09,
         # 27.5 vs 29.6 ms/query at the minima).  The fix belongs to
-        # repro.fleet.resilience (ROADMAP item 2, "what is left"); only
+        # repro.fleet.resilience (ROADMAP item 6, "Resilience gate"); only
         # the ratio is excused here, every correctness assert above
         # still fails the run.
         pytest.xfail(

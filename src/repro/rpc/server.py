@@ -718,11 +718,16 @@ def serve_system(
     server = server_class(
         system.isp, host, port, bootstrap=IspBootstrap.for_system(system)
     )
-    unlocked_sync = system.isp.sync_update
+    # Serving the system again replaces an earlier server's wrapper
+    # rather than nesting inside it: one lock per update, and no stopped
+    # server kept alive by the closure.
+    unlocked_sync = getattr(system.isp.sync_update, "unlocked",
+                            system.isp.sync_update)
 
     def locked_sync_update(writes, new_sizes, certificate):
         with server.lock:
             return unlocked_sync(writes, new_sizes, certificate)
 
+    locked_sync_update.unlocked = unlocked_sync  # type: ignore[attr-defined]
     system.isp.sync_update = locked_sync_update
     return server

@@ -25,6 +25,7 @@ import threading
 import time
 
 import pytest
+from tests.adversary import ALWAYS, MOVES, LyingIsp
 
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
@@ -38,7 +39,6 @@ from repro.errors import (
 from repro.faults import registry as faults
 from repro.fleet.partition import HashPartitioner
 from repro.fleet.shard import ShardIsp
-from repro.isp.server import IspServer
 from repro.rpc import RemoteIsp, codec, connect_client
 from repro.rpc.server import RpcIspServer, serve_system
 from repro.obs import metrics as obs
@@ -377,12 +377,9 @@ class TestBatching:
             assert type(batched) is FleetError
             assert str(batched) == str(solo.value)
 
-        class ZeroingIsp(IspServer):
-            def get_page(self, session_id, path, page_id):
-                return bytes(len(super().get_page(session_id, path, page_id)))
-
-        isp = ZeroingIsp()
+        isp = LyingIsp()
         isp.sync_update(*system.certified_state())
+        isp.arm(MOVES["zero-page"].at(None), ALWAYS)
         path = isp.ads.list_files(isp.root)[0]
         session = isp.open_session()
         [page] = isp.serve_batch([("get_page", (session, path, 0))])
