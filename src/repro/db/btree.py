@@ -70,9 +70,14 @@ _U32 = struct.Struct(">I")
 #: An entry is at least an empty key record (2) and a length/child (4).
 _MAX_ENTRIES = (PAGE_CONTENT_SIZE - _NODE_HEADER.size) // 6
 
-#: Decoded nodes one :class:`NodeMemo` keeps: about twice the distinct
-#: pages one scan-heavy query touches (33 measured), under 1 MB.
-NODE_MEMO_SIZE = 64
+#: Decoded nodes one :class:`NodeMemo` keeps.  The memo is an LRU and
+#: the queries cycle, so it must hold the whole working set of a query
+#: mix, not of one query: one pass of Q1-Q8 touches 109-118 distinct
+#: node pages of the 30-block benchmark database, and an LRU smaller
+#: than a cyclic working set misses on nearly every pass.  160 is >=
+#: 1.35x that (SQLite's default cache holds ~500 pages).  A count, not
+#: a byte budget: pages are a fixed 4 KiB.
+NODE_MEMO_SIZE = 160
 
 #: Ranks above every :func:`~repro.db.types.sort_key`, so
 #: ``bound + (_PLUS_INF,)`` sorts after every key extending ``bound``.

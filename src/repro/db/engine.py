@@ -405,12 +405,7 @@ class Engine(AccessProvider):
         low_inc: bool,
         high_inc: bool,
     ) -> Callable[[], Iterator[List[SqlValue]]]:
-        table = self.catalog.table(table_name)
-        index = table.index_on(column)
-        if index is None:
-            raise SQLCatalogError(
-                f"no index on {table_name}.{column}"
-            )
+        table, index = self._indexed(table_name, column)
 
         def factory() -> Iterator[List[SqlValue]]:
             _, index_tree = self._pager(index.file_path)
@@ -434,6 +429,16 @@ class Engine(AccessProvider):
                 yield values
         return factory
 
+    def _indexed(
+        self, table_name: str, column: str
+    ) -> Tuple[TableInfo, IndexInfo]:
+        """``(table, its index on column)``; no such index raises."""
+        table = self.catalog.table(table_name)
+        index = table.index_on(column)
+        if index is None:
+            raise SQLCatalogError(f"no index on {table_name}.{column}")
+        return table, index
+
     def has_index(self, table_name: str, column: str) -> bool:
         try:
             table = self.catalog.table(table_name)
@@ -444,16 +449,27 @@ class Engine(AccessProvider):
     def index_lookup(
         self, table_name: str, column: str
     ) -> Callable[[SqlValue], Iterable[List[SqlValue]]]:
-        factory_cache: Dict[Any, List[List[SqlValue]]] = {}
-        range_scan = self.index_range_scan
+        """An index join's probe: the rows whose ``column`` equals a
+        value, in index order, walked once per distinct value per
+        statement.  The table, its index and their files are resolved
+        here, once, not per probe."""
+        table, index = self._indexed(table_name, column)
+        index_path, table_path = index.file_path, table.file_path
+        probed: Dict[Any, List[List[SqlValue]]] = {}
 
         def lookup(value: SqlValue) -> Iterable[List[SqlValue]]:
-            if value in factory_cache:
-                return factory_cache[value]
-            rows = list(
-                range_scan(table_name, column, value, value, True, True)()
-            )
-            factory_cache[value] = rows
+            rows = probed.get(value)
+            if rows is None:
+                # Index keys are [value, rowid]; [value] bounds both
+                # ends, so every key the scan yields matches.
+                _, index_tree = self._pager(index_path)
+                _, table_tree = self._pager(table_path)
+                rows = []
+                for key, _ in index_tree.scan([value], [value]):
+                    values = table_tree.get_row([key[-1]])
+                    if values is not None:  # row deleted after entry
+                        rows.append(values)
+                probed[value] = rows
             return rows
         return lookup
 

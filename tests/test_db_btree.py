@@ -1011,3 +1011,62 @@ class TestCountNeutrality:
         assert [row for row, *_ in with_memo] == [
             system.plain_replica().execute(sql).rows for sql in queries
         ]
+
+
+# ----------------------------------------------------------------------
+# Sizing: the memo holds the working set of a cycling query mix
+# ----------------------------------------------------------------------
+
+
+class TestWorkingSet:
+    """``NODE_MEMO_SIZE`` is fitted to what the eight query types touch
+    together, at the end-to-end benchmark's scale (30 blocks per chain,
+    6 transactions per block, Q1-Q8 x 4 over 12 h windows).  The queries
+    cycle, and an LRU smaller than a cyclic working set misses on nearly
+    every pass, so a warm pass must decode no node and no row again."""
+
+    def test_a_warm_pass_of_q1_to_q8_decodes_nothing_again(
+        self, monkeypatch
+    ):
+        from repro.client.vfs import QueryMode
+        from repro.core.system import SystemConfig, V2FSSystem
+        from repro.obs import REGISTRY
+        from repro.workloads.generator import WorkloadGenerator
+        from repro.workloads.queries import QUERY_TEMPLATES
+
+        system = V2FSSystem(SystemConfig(seed=1, txs_per_block=6))
+        system.advance_all(30)
+        # Rendered from a seeded RNG: ``WorkloadGenerator.workload``
+        # mixes ``hash(str)`` into its seed, so only its window rule is
+        # reused.
+        windows = WorkloadGenerator(
+            system.universe, system.config.start_time, system.latest_time
+        )
+        rng = random.Random(1)
+        queries = [
+            QUERY_TEMPLATES[name].render(
+                *windows._window(rng, 12 * 3600), rng, system.universe)
+            for name in sorted(QUERY_TEMPLATES) for _ in range(4)
+        ]
+        rng.shuffle(queries)
+        assert len(queries) == 32
+        client = system.make_client(QueryMode.BASELINE)
+        touched = set()
+        real_node = NodeMemo.node
+
+        def recording_node(memo, raw):
+            touched.add(raw)
+            return real_node(memo, raw)
+
+        monkeypatch.setattr(NodeMemo, "node", recording_node)
+        first = [client.query(sql).rows for sql in queries]
+        # The sizing rule: a pass's distinct node pages, with headroom.
+        working_set = len(touched)
+        assert 0 < working_set <= btree.NODE_MEMO_SIZE / 1.25
+        before = REGISTRY.counters_snapshot()
+        second = [client.query(sql).rows for sql in queries]
+        delta = REGISTRY.counters_delta(before)
+        assert second == first
+        assert delta["db.node.memo.hit"] > 0
+        assert delta.get("db.node.memo.miss", 0) == 0
+        assert delta.get("db.row.decoded", 0) == 0

@@ -311,3 +311,66 @@ class TestSessionMemo:
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
         assert len(isp.sessions) == 0
+
+
+def finalized_vo_digests(client, queries):
+    """Rows of each query, and the sha-256 of the encoding of each VO
+    ``client`` got back from its ISP, in query order."""
+    import hashlib
+
+    digests = []
+    real = client.isp.finalize_session
+
+    def recording_finalize(session_id):
+        vo = real(session_id)
+        digests.append(hashlib.sha256(vo.encode()).hexdigest())
+        return vo
+
+    client.isp.finalize_session = recording_finalize
+    try:
+        rows = [client.query(sql).rows for sql in queries]
+    finally:
+        del client.isp.finalize_session
+    assert len(digests) == len(queries)
+    return rows, digests
+
+
+class TestVoBytesOracle:
+    """The in-process ISP is the oracle for proof bytes: a BASELINE
+    client running Q1-Q8 receives, query for query, a VO whose encoding
+    is sha-equal on every serving path."""
+
+    @staticmethod
+    def queries(system):
+        import random
+
+        from repro.workloads.queries import QUERY_TEMPLATES
+
+        rng = random.Random(3)
+        t0, t1 = system.config.start_time, system.latest_time
+        return [QUERY_TEMPLATES[name].render(t0, t1, rng, system.universe)
+                for name in sorted(QUERY_TEMPLATES)]
+
+    @pytest.mark.parametrize("serving", ["thread", "loop"])
+    def test_finalized_vos_are_sha_equal_to_the_in_process_isp(
+        self, memo_system, serving
+    ):
+        from repro.client.vfs import QueryMode
+        from repro.rpc.client import connect_client
+        from repro.rpc.server import RpcIspServer, serve_system
+        from repro.serve import AsyncIspServer
+
+        queries = self.queries(memo_system)
+        assert len(queries) == 8
+        reference = finalized_vo_digests(
+            memo_system.make_client(QueryMode.BASELINE), queries)
+        server_class = RpcIspServer if serving == "thread" else AsyncIspServer
+        with serve_system(memo_system, server_class=server_class) as server:
+            client = connect_client(*server.address, mode=QueryMode.BASELINE)
+            try:
+                served = finalized_vo_digests(client, queries)
+            finally:
+                client.isp.close()
+        assert served == reference
+        assert len(set(reference[1])) > 1  # the queries prove different pages
+        assert len(memo_system.isp.sessions) == 0
