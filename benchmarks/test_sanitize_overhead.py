@@ -1,10 +1,9 @@
-"""Disarmed-sanitizer overhead on the fig9-style Mixed query path.
+"""Disarmed lock-order checker overhead on the fig9-style Mixed query path.
 
 The serving path's locks are :class:`~repro.sanitize.runtime.SanLock`
-instances and its shared structures carry ``if san.ACTIVE:`` tracker
-hooks.  Disarmed, each site must cost one module-attribute load and a
-branch, and each SanLock exactly one extra attribute indirection over
-the stdlib lock it wraps.  This benchmark runs the identical query
+instances.  Disarmed, each acquire and release must cost one
+module-attribute load and a branch, one extra attribute indirection
+over the stdlib lock it wraps.  This benchmark runs the identical query
 sequence with the shipped (disarmed) SanLock on the ISP's session
 table vs. the raw wrapped lock swapped in, as adjacent pairs (see
 ``conftest.measure_paired``), and emits

@@ -18,7 +18,7 @@ from-scratch analyzer built on the stdlib :mod:`ast`:
 * :mod:`repro.analysis.engine` — the interprocedural engine (program
   index, one fact-collecting walk, the call-graph solver, the memo)
   under the six program rules in :mod:`~repro.analysis.concurrency`
-  (``lock-order``, ``guarded-by``), :mod:`~repro.analysis.dataflow`
+  (``guarded-by``), :mod:`~repro.analysis.dataflow`
   (``verify-before-use``, ``blocking-effect``) and
   :mod:`~repro.analysis.ownership` (``thread-confinement``,
   ``loop-blocking``, ``must-release``);

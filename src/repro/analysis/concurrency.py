@@ -1,11 +1,11 @@
-"""Lock-discipline rules: ``lock-order`` and ``guarded-by``.
+"""Lock-discipline facts and the ``guarded-by`` rule.
 
 Whether ``IspServer._sessions`` may be touched on some line depends on
-which locks every *transitive caller* holds, and whether two locks can
-deadlock depends on acquisition orders scattered across modules.  Both
-questions are two :func:`~repro.analysis.engine.propagate` calls over
-the facts the engine's walk recorded (acquisitions, call edges and
-field accesses, each with the locks held at that point):
+which locks every *transitive caller* holds.  Two
+:func:`~repro.analysis.engine.propagate` calls over the facts the
+engine's walk recorded (acquisitions, call edges and field accesses,
+each with the locks held at that point) answer it, and
+``blocking-effect`` (:mod:`repro.analysis.dataflow`) reads both:
 
 * ``H(f)``, :func:`entry_held` — the locks held on *every* path into
   ``f``: a meet towards callees in which each call edge also carries
@@ -15,33 +15,24 @@ field accesses, each with the locks held at that point):
 * ``Acq*(f)``, :func:`acquired_locks` — the locks ``f`` acquires
   itself or through any (non-thread) callee: a union towards callers.
 
-On top of them:
+**guarded-by** checks that every access to a field annotated
+``# repro: guarded-by(<lock>)`` happens with that lock in
+``H(f) ∪ locally-held`` (accesses in the owning ``__init__`` are
+construction and exempt; ``writes`` mode exempts reads for
+deliberately lock-free-read structures).  Annotations naming an
+unknown lock are rejected with a did-you-mean hint, the same UX as
+``failpoint-names``.
 
-* **lock-order** derives the global lock-acquisition graph — an edge
-  ``A -> B`` wherever ``B`` is acquired (directly or through a call)
-  with ``A`` held — and reports every cycle as a potential deadlock;
-* **guarded-by** checks that every access to a field annotated
-  ``# repro: guarded-by(<lock>)`` happens with that lock in
-  ``H(f) ∪ locally-held`` (accesses in the owning ``__init__`` are
-  construction and exempt; ``writes`` mode exempts reads for
-  deliberately lock-free-read structures).  Annotations naming an
-  unknown lock are rejected with a did-you-mean hint, the same UX as
-  ``failpoint-names``.
+Lock *order* is not checked here: the serving path reaches the ISP
+through ``getattr`` dispatch, which no static call graph follows, so
+the order graph is built at runtime from the acquisitions that happen
+(:class:`repro.sanitize.runtime.SanLock`, DESIGN §8).
 """
 
 from __future__ import annotations
 
 import difflib
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterator, Sequence, Set, Tuple
 
 from repro.analysis.core import (
     Finding,
@@ -133,119 +124,6 @@ class _Guards:
 
 
 @register
-class LockOrderRule(ProgramRule):
-    """No cycles in the interprocedural lock-acquisition graph.
-
-    Two threads taking the same pair of locks in opposite orders is a
-    deadlock waiting for the right interleaving; Fig. 13b's
-    update-vs-query interference runs exactly that experiment against
-    the serving path.  The graph is derived over call edges, so a
-    nesting hidden behind three helper calls still counts.  The
-    runtime mirror lives in :class:`repro.sanitize.runtime.SanLock`.
-    """
-
-    name = "lock-order"
-    description = (
-        "the global lock-acquisition graph (with-blocks and acquire() "
-        "calls, propagated across call edges) must be cycle-free"
-    )
-    invariant = (
-        "liveness of the serving path: concurrent queries and "
-        "sync_update ingestion can never deadlock"
-    )
-
-    def check_program(
-        self, contexts: Sequence[ModuleContext]
-    ) -> Iterator[Finding]:
-        analysis = Analysis.of(contexts)
-        program = analysis.program
-        held_on_entry = analysis.fact(entry_held)
-        acq_star = analysis.fact(acquired_locks)
-        # edge (A, B) -> (path, line, via-function) witness, first wins
-        # in deterministic function order.
-        edges: Dict[Tuple[str, str], Tuple[str, int, str]] = {}
-        for func_id in sorted(program.functions):
-            func = program.functions[func_id]
-            base = held_on_entry[func_id]
-            for acquisition in func.acquires:
-                for held in sorted(base | acquisition.held):
-                    if held == acquisition.lock:
-                        continue
-                    edges.setdefault(
-                        (held, acquisition.lock),
-                        (func.ctx.path, acquisition.line, func_id),
-                    )
-            for site in func.calls:
-                if site.is_thread_target:
-                    continue
-                inner = acq_star.get(site.callee)
-                if not inner:
-                    continue
-                for held in sorted(base | site.held):
-                    for lock in sorted(inner):
-                        if held == lock:
-                            continue
-                        edges.setdefault(
-                            (held, lock),
-                            (func.ctx.path, site.line, func_id),
-                        )
-        yield from self._cycle_findings(edges)
-
-    def _cycle_findings(
-        self, edges: Dict[Tuple[str, str], Tuple[str, int, str]]
-    ) -> Iterator[Finding]:
-        graph: Dict[str, List[str]] = {}
-        for src, dst in edges:
-            graph.setdefault(src, []).append(dst)
-        for successors in graph.values():
-            successors.sort()
-        reported: Set[FrozenSet[str]] = set()
-        for start in sorted(graph):
-            cycle = self._find_cycle(graph, start)
-            if cycle is None:
-                continue
-            key = frozenset(cycle)
-            if key in reported:
-                continue
-            reported.add(key)
-            rendered = " -> ".join(
-                short(lock) for lock in cycle + [cycle[0]]
-            )
-            witnesses = "; ".join(
-                f"{short(a)} -> {short(b)} in "
-                f"{edges[(a, b)][2]}"
-                for a, b in zip(cycle, cycle[1:] + [cycle[0]])
-                if (a, b) in edges
-            )
-            path, line, _func = edges[(cycle[0], cycle[1])] if (
-                (cycle[0], cycle[1]) in edges
-            ) else next(iter(edges.values()))
-            yield Finding(
-                path=path, line=line, rule=self.name,
-                message=(
-                    f"lock-order cycle {rendered} is a potential "
-                    f"deadlock ({witnesses})"
-                ),
-            )
-
-    @staticmethod
-    def _find_cycle(graph: Dict[str, List[str]],
-                    start: str) -> Optional[List[str]]:
-        """A cycle through ``start``, as a lock list, if one exists."""
-        stack: List[Tuple[str, List[str]]] = [(start, [start])]
-        seen: Set[str] = set()
-        while stack:
-            node, path = stack.pop()
-            for succ in graph.get(node, ()):
-                if succ == start:
-                    return path
-                if succ not in seen:
-                    seen.add(succ)
-                    stack.append((succ, path + [succ]))
-        return None
-
-
-@register
 class GuardedByRule(ProgramRule):
     """Annotated shared fields are only touched with their lock held.
 
@@ -255,9 +133,8 @@ class GuardedByRule(ProgramRule):
     (``H(f)``).  ``guarded-by(<lock>, writes)`` exempts reads — the
     documented pattern for structures whose readers are deliberately
     lock-free (snapshot-pinned session lookups, metric instrument
-    lookups) and whose runtime races the sanitizer's write-only
-    tracking still watches.  Accesses inside the owning class's
-    ``__init__`` are construction, before the object can be shared.
+    lookups).  Accesses inside the owning class's ``__init__`` are
+    construction, before the object can be shared.
     """
 
     name = "guarded-by"

@@ -5,8 +5,8 @@ V2FS's security argument is a trust boundary: every byte that arrives
 from the untrusted ISP must pass a verification entry point before any
 downstream consumer (the query result, a page cache, the pager) may
 use it.  The tests exercise that discipline; this module makes the
-checker enforce it, the same way ``lock-order``/``guarded-by`` turned
-the concurrency conventions of DESIGN §8 into static guarantees.  Both
+checker enforce it, the same way ``guarded-by`` turned the
+concurrency conventions of DESIGN §8 into a static guarantee.  Both
 rules are clients of :mod:`repro.analysis.engine`: its index and
 per-function facts, :func:`~repro.analysis.engine.summarize` for the
 taint summaries and :func:`~repro.analysis.engine.propagate` for the
@@ -30,8 +30,7 @@ edges via per-function summaries (does ``f`` return taint? do any of
 its parameters flow to a sink?) run to a fixpoint however many
 wrappers deep the flow goes.  A tainted
 value reaching a sink yields an error carrying the full witness chain
-(source function → intermediate calls → sink call site), mirroring the
-per-edge witnesses of the lock-order reports.
+(source function → intermediate calls → sink call site).
 
 Deliberate conservatism (documented misses, never false positives):
 object *fields* are not tracked (``self.x = tainted`` then later

@@ -1,9 +1,9 @@
 """The interprocedural engine the six program rules share.
 
-``lock-order``, ``guarded-by``, ``verify-before-use``,
-``blocking-effect``, ``thread-confinement`` + ``loop-blocking`` and
-``must-release`` all reason over the whole program.  Everything they
-have in common lives here, each piece written once:
+``guarded-by``, ``verify-before-use``, ``blocking-effect``,
+``thread-confinement`` + ``loop-blocking`` and ``must-release`` all
+reason over the whole program.  Everything they have in common lives
+here, each piece written once:
 
 1. the **index** (:class:`Program`) — classes with resolved bases,
    lock objects (attributes or module globals assigned
@@ -26,7 +26,7 @@ have in common lives here, each piece written once:
    many rules and table exports ask for them.
 
 Lock identity is the *defining site* (``module.Class.attr`` or
-``module.NAME``), matching the runtime sanitizer's ``SanLock.name``
+``module.NAME``), matching the runtime ``SanLock.name``
 granularity.  The analysis is deliberately conservative: a lock or
 callee it cannot resolve contributes nothing — it can miss discipline
 violations through reflection or untyped locals, but what it reports
@@ -71,7 +71,7 @@ _MUTATORS = frozenset({
 _LOCK_FACTORIES = frozenset({"Lock", "RLock", "SanLock"})
 
 #: Thread classes whose ``target=`` keyword spawns a new root.
-_THREAD_FACTORIES = frozenset({"Thread", "SanThread"})
+_THREAD_FACTORIES = frozenset({"Thread"})
 
 #: Unresolvable-receiver method names that are socket operations.
 _SOCKET_METHODS = frozenset({"recv", "sendall", "accept"})

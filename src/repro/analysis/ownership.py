@@ -21,7 +21,7 @@ the ownership summaries run under
 * **thread-confinement** — ``# repro: confined-to(<role>)`` on a
   ``self.<field> = ...`` line declares the only thread role allowed to
   touch the field.  Each function's *role set* is computed from spawn
-  roots: a ``Thread``/``SanThread`` ``target=`` is a root of the role
+  roots: a ``Thread`` ``target=`` is a root of the role
   declared by ``# repro: thread-role(<role>)`` on its ``def`` line
   (or ``thread:<name>`` if undeclared), public functions root the
   implicit ``main`` role, and roles propagate to every (non-spawn)

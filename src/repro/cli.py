@@ -19,10 +19,12 @@ Four commands cover the zero-to-aha path:
   catalog, validate an exported document, or run a small instrumented
   workload and dump its counters;
 * ``lint`` — run the :mod:`repro.analysis` invariant checker over the
-  source tree (``--strict`` is the CI gate);
-* ``sanitize`` — run the concurrent serving workload with the
-  :mod:`repro.sanitize` runtime armed and fail on any data-race or
-  lock-order report.
+  source tree (``--strict`` is the CI gate).
+
+``chaos --layer concurrent`` is the concurrency stress run: it serves a
+live-ingesting ISP to concurrent RPC clients with the
+:mod:`repro.sanitize` lock-order checker armed and fails on any
+lock-order report or client error.
 
 ``serve`` and ``fleet`` accept ``--fault-schedule``/``--fault-seed`` to
 arm named failpoints (e.g.
@@ -370,35 +372,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return run(args)
 
 
-def cmd_sanitize(args: argparse.Namespace) -> int:
-    """Armed concurrency stress: exit non-zero on any sanitizer report."""
-    from repro.faults.chaos import run_concurrent_chaos
-
-    failures = 0
-    for seed in args.seeds:
-        print(f"== sanitize seed {seed} ==")
-        result = run_concurrent_chaos(
-            seed,
-            clients=args.clients,
-            queries_per_client=args.queries,
-            ingest_blocks=args.blocks,
-            armed=not args.disarmed,
-        )
-        print(f"  queries_ok={result['queries_ok']} "
-              f"reports={len(result['reports'])}")
-        for error in result["client_errors"]:
-            failures += 1
-            print(f"  CLIENT ERROR: {error}", file=sys.stderr)
-        for report in result["reports"]:
-            failures += 1
-            print(report, file=sys.stderr)
-    if failures:
-        print(f"{failures} problem(s) found", file=sys.stderr)
-        return 1
-    print("sanitizer clean: no races, no lock-order inversions")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -570,9 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically check the V2FS soundness invariants",
         description=(
-            "Run the repro.analysis rules (vfs-boundary, crash-hygiene, "
-            "proof-determinism, failpoint-names, obs-naming, "
-            "typed-errors, lock-order, guarded-by) over the source tree."
+            "Run the repro.analysis rules over the source tree "
+            "(--list-rules names each one and the invariant it guards)."
         ),
     )
     from repro.analysis.cli import configure_parser as _configure_lint
@@ -580,29 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     _configure_lint(lint)
     lint.set_defaults(handler=cmd_lint)
 
-    sanitize = commands.add_parser(
-        "sanitize",
-        help="run the armed concurrency sanitizer stress workload",
-        description=(
-            "Serve a live-ingesting ISP to concurrent RPC clients with "
-            "the repro.sanitize runtime armed (Eraser-style lock sets, "
-            "vector-clock happens-before, lock-order graph); any "
-            "data-race or lock-order report fails the run."
-        ),
-    )
-    sanitize.add_argument("--seeds", type=int, nargs="+", default=[1],
-                          help="workload seeds to run (default: 1)")
-    sanitize.add_argument("--clients", type=int, default=4,
-                          help="concurrent query clients")
-    sanitize.add_argument("--queries", type=int, default=6,
-                          help="queries per client")
-    sanitize.add_argument("--blocks", type=int, default=6,
-                          help="blocks ingested concurrently")
-    sanitize.add_argument("--disarmed", action="store_true",
-                          help="run the same workload without the "
-                               "sanitizer (overhead/determinism "
-                               "comparisons)")
-    sanitize.set_defaults(handler=cmd_sanitize)
     return parser
 
 

@@ -128,5 +128,5 @@ class EpochError(FleetError):
 
 
 class SanitizerError(ReproError):
-    """The runtime concurrency sanitizer accumulated reports (data races
-    or lock-order inversions) that the caller asserted could not occur."""
+    """The runtime lock-order checker accumulated reports (lock-order
+    inversions) that the caller asserted could not occur."""

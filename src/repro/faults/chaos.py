@@ -23,11 +23,12 @@ Three harnesses exercise the failure model end to end:
   thread publishes blocks through ``sync_update`` (the paper's
   Fig. 13b interference experiment as a correctness test, not a
   benchmark).  No failpoints are armed — the adversary here is the
-  thread scheduler.  Run with the :mod:`repro.sanitize` runtime armed
-  it must produce **zero** race/lock-order reports; run disarmed it
-  must produce the **same final query results** (ingestion is a
-  deterministic function of the seed, so the end state is
-  interleaving-independent).
+  thread scheduler.  Run with the :mod:`repro.sanitize` lock-order
+  checker armed it must produce **zero** lock-order reports, and the
+  order edges it observes are returned for comparison with DESIGN §8;
+  run disarmed it must produce the **same final query results**
+  (ingestion is a deterministic function of the seed, so the end state
+  is interleaving-independent).
 
 * :func:`run_pager_chaos` — hammers one :class:`~repro.db.pager.Pager`
   + B+Tree over the :class:`~repro.faults.shadowfs.ShadowFilesystem`,
@@ -55,6 +56,7 @@ import logging
 import os
 import random
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -72,7 +74,6 @@ from repro.faults.registry import InjectedFault, SimulatedCrash
 from repro.faults.shadowfs import ShadowFilesystem
 from repro.obs import metrics as obs
 from repro.sanitize import runtime as san
-from repro.sanitize.runtime import SanThread
 
 logger = logging.getLogger("repro.faults")
 
@@ -447,7 +448,7 @@ def run_system_chaos(
 
 
 # ---------------------------------------------------------------------------
-# Concurrent chaos (the sanitizer's stress workload)
+# Concurrent chaos (the lock-order checker's stress workload)
 # ---------------------------------------------------------------------------
 
 
@@ -500,15 +501,14 @@ def run_concurrent_chaos(
 ) -> Dict[str, Any]:
     """N querying threads vs. a live-ingesting ISP over real sockets.
 
-    Arms the :mod:`repro.sanitize` runtime when ``armed`` (SanLocks
-    feed the lock-order graph, SanThreads carry fork/join clocks, and
-    the tracked shared structures — session table, page map, metrics
-    instrument map, connection list — go through the Eraser tracker).
+    Arms the :mod:`repro.sanitize` lock-order checker when ``armed``:
+    every SanLock acquisition feeds the name-level order graph.
     Returns a result dict; the harness itself asserts nothing, so
     callers can compare armed and disarmed runs::
 
         {"armed": ..., "final_rows": {sql: rows}, "queries_ok": int,
-         "client_errors": [str], "reports": [rendered report]}
+         "client_errors": [str], "reports": [rendered report],
+         "order_edges": {(held, acquired)}}
 
     ``final_rows`` is captured after every thread has joined, with the
     same block count ingested on the same system seed, so two runs of
@@ -524,8 +524,9 @@ def run_concurrent_chaos(
         san.arm()
     result: Dict[str, Any] = {
         "armed": armed, "final_rows": {}, "queries_ok": 0,
-        "client_errors": [], "reports": [],
+        "client_errors": [], "reports": [], "order_edges": set(),
     }
+    system = None
     try:
         from repro.rpc.client import connect_client
         from repro.rpc.server import serve_system
@@ -571,10 +572,10 @@ def run_concurrent_chaos(
 
         with server:
             threads = [
-                SanThread(target=ingest_loop, name="chaos-ingest")
+                threading.Thread(target=ingest_loop, name="chaos-ingest")
             ] + [
-                SanThread(target=client_loop, args=(slot,),
-                          name=f"chaos-client-{slot}")
+                threading.Thread(target=client_loop, args=(slot,),
+                                 name=f"chaos-client-{slot}")
                 for slot in range(clients)
             ]
             for thread in threads:
@@ -591,9 +592,11 @@ def run_concurrent_chaos(
                 sweep.isp.close()
         result["queries_ok"] = sum(ok)
         result["client_errors"] = errors
-        system.isp.ads.store.close()
     finally:
+        if system is not None:
+            system.isp.ads.store.close()
         result["reports"] = [report.render() for report in san.reports()]
+        result["order_edges"] = san.order_edges()
         san.reset()
     return result
 

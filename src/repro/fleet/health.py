@@ -34,7 +34,7 @@ from repro.errors import ReproError
 from repro.faults import registry as faults
 from repro.faults.registry import InjectedFault
 from repro.obs import metrics as obs
-from repro.sanitize.runtime import SanLock, SanThread
+from repro.sanitize.runtime import SanLock
 
 logger = logging.getLogger("repro.fleet")
 
@@ -186,7 +186,7 @@ class HealthTracker:
                 # Event.wait doubles as an interruptible sleep.
                 self._stop_gate.wait(interval_s)
 
-        self._thread = SanThread(
+        self._thread = threading.Thread(
             target=loop, name="fleet-health", daemon=True
         )
         self._thread.start()

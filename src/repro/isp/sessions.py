@@ -26,14 +26,13 @@ from typing import Callable, Dict, List, Optional
 
 from repro.crypto.hashing import Digest
 from repro.obs import metrics as obs
-from repro.sanitize import runtime as san
 from repro.sanitize.runtime import SanLock
 
 
 class SessionRegistry:
     """A lock-guarded session table with open/finalize accounting.
 
-    ``lock_name`` names the :class:`SanLock` in the sanitizer's
+    ``lock_name`` names the :class:`SanLock` in the runtime
     lock-order graph; ``scope`` prefixes the emitted metric names
     (``{scope}.session.open`` / ``.finalize`` / ``.pruned``), which must
     be declared in :mod:`repro.obs.catalog`.
@@ -41,7 +40,6 @@ class SessionRegistry:
 
     def __init__(self, lock_name: str, scope: str) -> None:
         self._lock = SanLock(lock_name)
-        self._lock_name = lock_name
         self._scope = scope
         self._sessions: Dict[int, object] = {}  # repro: guarded-by(_lock, writes)
         self._ids = itertools.count(1)
@@ -57,16 +55,9 @@ class SessionRegistry:
     def next_id(self) -> int:
         return next(self._ids)
 
-    def _track_write(self) -> None:
-        if san.ACTIVE:
-            san.track(self, "_sessions", guard=self._lock_name,
-                      writes_only=True)
-            san.track_write(self, "_sessions")
-
     def insert(self, session) -> None:
         """Register an opened session under its ``session_id``."""
         with self._lock:
-            self._track_write()
             self._sessions[session.session_id] = session
         if obs.ACTIVE:
             # Per-server prefix; the ".session.open" family is declared
@@ -81,7 +72,6 @@ class SessionRegistry:
     def remove(self, session_id: int):
         """Close a session; returns it, or ``None`` if already closed."""
         with self._lock:
-            self._track_write()
             session = self._sessions.pop(session_id, None)
         if session is not None and obs.ACTIVE:
             obs.inc(f"{self._scope}.session.finalize")
@@ -110,10 +100,8 @@ class SessionRegistry:
                 sid for sid, session in self._sessions.items()
                 if stale(session)
             ]
-            if doomed:
-                self._track_write()
-                for sid in doomed:
-                    del self._sessions[sid]
+            for sid in doomed:
+                del self._sessions[sid]
         if doomed and obs.ACTIVE:
             obs.add(f"{self._scope}.session.pruned", len(doomed))
         return len(doomed)

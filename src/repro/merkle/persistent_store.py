@@ -34,7 +34,6 @@ from repro.merkle.node_store import (
     PairNode,
 )
 from repro.obs import metrics as obs
-from repro.sanitize import runtime as san
 from repro.sanitize.runtime import SanLock
 from repro.wire import Reader, Writer
 
@@ -167,8 +166,6 @@ class PersistentNodeStore(NodeStore):
             os.remove(stale_temp)
         mode = "r+b" if os.path.exists(path) else "w+b"
         with self._lock:
-            if san.ACTIVE:
-                san.track(self, "_offsets", guard="store.pages")
             self._log = open(path, mode)
             self._scan()
             # Everything that survived the scan is on disk already.
@@ -177,8 +174,6 @@ class PersistentNodeStore(NodeStore):
     # -- log management ---------------------------------------------------
 
     def _scan(self) -> None:
-        if san.ACTIVE:
-            san.track_write(self, "_offsets")
         self._log.seek(0, os.SEEK_END)
         end = self._log.tell()
         self._log.seek(0)
@@ -308,8 +303,6 @@ class PersistentNodeStore(NodeStore):
                 except OSError:  # pragma: no cover - double fault
                     pass
                 raise
-            if san.ACTIVE:
-                san.track_write(self, "_offsets")
             self._offsets[digest] = position
             self._remember(digest, node)
             return digest
@@ -321,8 +314,6 @@ class PersistentNodeStore(NodeStore):
             node = self._cache.get(digest)
             if node is not None:
                 return node
-            if san.ACTIVE:
-                san.track_read(self, "_offsets")
             offset = self._offsets.get(digest)
             if offset is None:
                 raise StorageError(
@@ -410,8 +401,6 @@ class PersistentNodeStore(NodeStore):
                 faults.fire("store.compact.post_replace", path=self._path)
             _fsync_directory(self._path)
             self._log = open(self._path, "r+b")
-            if san.ACTIVE:
-                san.track_write(self, "_offsets")
             self._offsets = offsets
             self._cache.clear()
             self._durable_size = self._end_offset()

@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import catalog
 from repro.obs.trace import TraceBuffer
-from repro.sanitize import runtime as san
 from repro.sanitize.runtime import SanLock
 
 #: Fast module-level gate mirroring the process-wide registry's enabled
@@ -218,10 +217,6 @@ class MetricsRegistry:
                 if instrument is None:
                     _check_declared(name)
                     instrument = cls(name, *args)
-                    if san.ACTIVE:
-                        san.track(self, "_instruments",
-                                  guard="obs.registry", writes_only=True)
-                        san.track_write(self, "_instruments")
                     self._instruments[name] = instrument
         if instrument.kind is not cls.kind:
             raise ValueError(
@@ -315,8 +310,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Zero every instrument and drop buffered trace events."""
         with self._lock:
-            if san.ACTIVE:
-                san.track_write(self, "_instruments")
             self._instruments.clear()
         self.trace.clear()
         self.trace.emitted = 0

@@ -49,8 +49,7 @@ from repro.isp.server import IspServer
 from repro.obs import metrics as obs
 from repro.rpc import codec
 from repro.rpc.deadline import Deadline
-from repro.sanitize import runtime as san
-from repro.sanitize.runtime import SanLock, SanThread
+from repro.sanitize.runtime import SanLock
 from repro.sgx.attestation import AttestationReport
 
 logger = logging.getLogger("repro.rpc")
@@ -170,7 +169,7 @@ class RpcIspServer:
     def start(self) -> "RpcIspServer":
         """Bind, listen, and serve in background threads."""
         self._listen(64)
-        self._accept_thread = SanThread(
+        self._accept_thread = threading.Thread(
             target=self._accept_loop, name="rpc-isp-accept", daemon=True
         )
         self._accept_thread.start()
@@ -215,8 +214,6 @@ class RpcIspServer:
             except OSError:
                 pass
         with self._conn_lock:
-            if san.ACTIVE:
-                san.track_write(self, "_connections")
             connections, self._connections = self._connections, []
             threads, self._threads = self._threads, []
         for conn in connections:
@@ -263,15 +260,13 @@ class RpcIspServer:
                 conn, _addr = self._listener.accept()
             except OSError:
                 break  # listener closed by stop()
-            thread = SanThread(
+            thread = threading.Thread(
                 target=self._client_loop,
                 args=(conn,),
                 name="rpc-isp-conn",
                 daemon=True,
             )
             with self._conn_lock:
-                if san.ACTIVE:
-                    san.track_write(self, "_connections")
                 self._connections.append(conn)
                 # Reap finished handlers so a long-lived server does
                 # not accumulate dead Thread objects.
@@ -309,8 +304,6 @@ class RpcIspServer:
                     return
         finally:
             with self._conn_lock:
-                if san.ACTIVE:
-                    san.track_write(self, "_connections")
                 if conn in self._connections:
                     self._connections.remove(conn)
             try:

@@ -1,51 +1,45 @@
-"""``repro.sanitize`` — the two-sided concurrency checker.
+"""``repro.sanitize`` — the runtime lock-order checker.
 
 The ISP serves many clients concurrently while ``sync_update`` ingests
 new blocks (the paper's Fig. 13b measures exactly this interference),
 so concurrency correctness is a soundness property, not a performance
-nicety.  Two sides watch it:
+nicety.  Each of its two properties has one checker, the one that sees
+the serving path (DESIGN §8):
 
-* **static** — :mod:`repro.analysis.concurrency`, over the call graph
-  and per-function lock facts of :mod:`repro.analysis.engine`, enforces
-  the ``lock-order`` (no cycles in the interprocedural lock-acquisition
-  graph) and ``guarded-by`` (annotated shared fields are only touched
-  with their lock held) rules under ``python -m repro lint``;
-* **runtime** — :mod:`repro.sanitize.runtime` provides the
-  :class:`SanLock` instrumented mutex, the :class:`SanThread`
-  fork/join-aware thread, and an Eraser-style lock-set tracker with
-  vector-clock happens-before, armed by the concurrent stress suite
-  (``python -m repro sanitize``).
+* **lock order** — :mod:`repro.sanitize.runtime`: every serving lock is
+  a :class:`SanLock`, and while armed (the concurrent stress run,
+  ``python -m repro chaos --layer concurrent``) the name-level order
+  graph is built from the acquisitions that actually happen; one that
+  closes a cycle is reported with every stack involved;
+* **annotated shared fields** — the static ``guarded-by`` rule in
+  :mod:`repro.analysis.concurrency` (``python -m repro lint``) proves
+  that every access to a ``# repro: guarded-by(<lock>)`` field holds
+  that lock on every call path.
 
-Instrumented production sites import the module façade and guard with
-``if san.ACTIVE:`` so the disarmed cost is one attribute load.
+Disarmed — the shipped default — a :class:`SanLock` costs one
+module-attribute load and a branch over the stdlib lock it wraps.
 """
 
 from repro.sanitize.runtime import (
     ACTIVE,
     SanitizerReport,
     SanLock,
-    SanThread,
     arm,
     assert_clean,
     disarm,
+    order_edges,
     reports,
     reset,
-    track,
-    track_read,
-    track_write,
 )
 
 __all__ = [
     "ACTIVE",
     "SanLock",
-    "SanThread",
     "SanitizerReport",
     "arm",
     "assert_clean",
     "disarm",
+    "order_edges",
     "reports",
     "reset",
-    "track",
-    "track_read",
-    "track_write",
 ]

@@ -1,50 +1,37 @@
-"""Runtime race / deadlock sanitizer for the threaded serving path.
+"""Runtime lock-order checker for the threaded serving path.
 
-The static side (:mod:`repro.analysis.concurrency`) proves lock
-discipline over the call graph; this module watches the same discipline
-*live*, Eraser-style, while the concurrent stress suite hammers the
-threaded serving path.  Three cooperating pieces:
+The static ``guarded-by`` rule (:mod:`repro.analysis.concurrency`)
+proves which lock protects each annotated shared field; this module
+watches the one property the static call graph cannot see: the order
+in which the serving path *actually* takes its locks.  The RPC server
+reaches the ISP through ``getattr(self.isp, op)``, so no static edge
+leads from ``rpc.server`` to the locks below it; at runtime every such
+nesting is observed directly.
 
-* :class:`SanLock` — an instrumented mutex.  While the sanitizer is
-  armed it maintains a per-thread held-lock stack, a global
-  lock-*order* graph (an edge ``A -> B`` whenever ``B`` is acquired
-  with ``A`` held), and happens-before edges from each release to the
-  next acquire of the same lock instance.  An acquisition that closes a
-  cycle in the order graph is reported as a potential deadlock — with
-  the stack of the current acquisition *and* the remembered stack of
-  the reversed edge — without actually deadlocking the test.
-* :class:`SanThread` — a ``threading.Thread`` that, while armed,
-  carries the parent's vector clock into the child at ``start`` and
-  merges the child's final clock back at ``join``, so fork/join
-  patterns never look like races.
-* The **lock-set tracker** — :func:`track_read` / :func:`track_write`
-  hooks compiled into the hot shared structures (ISP session table,
-  persistent-store page map, metrics instrument map, RPC connection
-  list).  For every tracked field it remembers the last write and the
-  last read per thread, each with the held lock-set and a vector-clock
-  snapshot.  A pair of accesses — at least one a write, from different
-  threads, not ordered by happens-before, with disjoint lock-sets — is
-  a data race, reported with both stacks.  A per-variable candidate
-  lock-set (classic Eraser ``C(v)``) is intersected across unordered
-  accesses as well, so a protecting lock that quietly stops being held
-  is caught even when the racy interleaving never materializes.
+:class:`SanLock` is an instrumented mutex.  While the checker is armed
+it maintains a per-thread held-lock stack and a global lock-*order*
+graph over lock names (an edge ``A -> B`` whenever ``B`` is acquired
+with ``A`` held).  An acquisition that closes a cycle in the order
+graph is reported as a potential deadlock — with the stack of the
+current acquisition *and* the remembered stack of the reversed edge —
+without actually deadlocking the test.  :func:`order_edges` reads the
+observed graph so a stress run can be compared with the order DESIGN
+§8 declares.
 
-Everything is **zero-cost when disarmed**: instrumented sites guard
-with ``if san.ACTIVE:`` (one module-attribute load and a branch, the
-same pattern as :mod:`repro.faults.registry` and
-:mod:`repro.obs.metrics`), and a disarmed :class:`SanLock` delegates
-straight to the underlying :class:`threading.Lock`.
+Everything is **zero-cost when disarmed**: a disarmed :class:`SanLock`
+delegates straight to the underlying :class:`threading.Lock` after one
+:data:`ACTIVE` check.
 """
 
 from __future__ import annotations
 
 import threading
 import traceback
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from repro.errors import SanitizerError
 
-#: Fast-path flag read by instrumented call sites (``if san.ACTIVE:``).
+#: Fast-path flag read by :class:`SanLock` on every acquire/release.
 #: True exactly while :func:`arm` is in effect.
 ACTIVE = False
 
@@ -53,9 +40,9 @@ ACTIVE = False
 #: bookkeeping points, never on the disarmed path.
 STACK_DEPTH = 12
 
-#: One internal mutex guards every sanitizer structure.  It is a plain
-#: ``threading.Lock`` (never a SanLock: the sanitizer does not watch
-#: itself) and is always the innermost lock — no sanitizer code calls
+#: One internal mutex guards every checker structure.  It is a plain
+#: ``threading.Lock`` (never a SanLock: the checker does not watch
+#: itself) and is always the innermost lock — no checker code calls
 #: out while holding it — so it can introduce no ordering cycle.
 _state_lock = threading.Lock()
 
@@ -78,19 +65,17 @@ def _capture_stack() -> Tuple[str, ...]:
 
 
 class SanitizerReport:
-    """One race or lock-order finding, with every involved stack."""
+    """One lock-order finding, with every involved stack."""
 
-    KIND_RACE = "data-race"
     KIND_LOCK_ORDER = "lock-order-inversion"
 
     def __init__(self, kind: str, subject: str, detail: str,
                  stacks: List[Tuple[str, Tuple[str, ...]]]) -> None:
         self.kind = kind
-        #: What the report is about: a ``Class.field`` for races, a
-        #: ``A -> B -> A`` cycle rendering for inversions.
+        #: What the report is about: the ``A -> B -> A`` cycle.
         self.subject = subject
         self.detail = detail
-        #: ``(label, frames)`` pairs — both sides of the conflict.
+        #: ``(label, frames)`` pairs — every side of the conflict.
         self.stacks = stacks
 
     def render(self) -> str:
@@ -107,16 +92,6 @@ class SanitizerReport:
 _reports: List[SanitizerReport] = []
 #: Dedup keys so one hot site does not flood the report list.
 _reported_keys: Set[Tuple[str, str]] = set()
-
-
-def _report(kind: str, subject: str, detail: str,
-            stacks: List[Tuple[str, Tuple[str, ...]]]) -> None:
-    key = (kind, subject)
-    with _state_lock:
-        if key in _reported_keys:
-            return
-        _reported_keys.add(key)
-        _reports.append(SanitizerReport(kind, subject, detail, stacks))
 
 
 def reports() -> List[SanitizerReport]:
@@ -136,59 +111,16 @@ def assert_clean() -> None:
 
 
 # ----------------------------------------------------------------------
-# Vector clocks and per-thread state
+# Per-thread held-lock stacks
 # ----------------------------------------------------------------------
 
-Clock = Dict[int, int]
+#: Thread ident -> acquisition-ordered stack of (SanLock, acquire-stack).
+_held: Dict[int, List[Tuple["SanLock", Tuple[str, ...]]]] = {}
 
 
-class _ThreadState:
-    """Sanitizer view of one thread: vector clock + held SanLocks."""
-
-    __slots__ = ("tid", "clock", "held")
-
-    def __init__(self, tid: int, clock: Optional[Clock] = None) -> None:
-        self.tid = tid
-        self.clock: Clock = dict(clock) if clock else {}
-        self.clock.setdefault(tid, 1)
-        #: Acquisition-ordered stack of (SanLock, acquire-stack).
-        self.held: List[Tuple["SanLock", Tuple[str, ...]]] = []
-
-
-_threads: Dict[int, _ThreadState] = {}
-
-
-def _state(tid: Optional[int] = None) -> _ThreadState:
-    """The calling thread's state (created on first contact).
-
-    Callers hold :data:`_state_lock`.
-    """
-    if tid is None:
-        tid = threading.get_ident()
-    state = _threads.get(tid)
-    if state is None:
-        state = _ThreadState(tid)
-        _threads[tid] = state
-    return state
-
-
-def _merge_into(target: Clock, source: Clock) -> None:
-    for tid, tick in source.items():
-        if target.get(tid, 0) < tick:
-            target[tid] = tick
-
-
-def _happens_before(event: Tuple[int, int], clock: Clock) -> bool:
-    """Did the recorded event (tid, tick) happen-before ``clock``?"""
-    tid, tick = event
-    return clock.get(tid, 0) >= tick
-
-
-def _stamp(state: _ThreadState) -> Tuple[int, int]:
-    """Record an event on ``state``'s timeline; returns its (tid, tick)."""
-    tick = state.clock.get(state.tid, 0) + 1
-    state.clock[state.tid] = tick
-    return (state.tid, tick)
+def _held_stack() -> List[Tuple["SanLock", Tuple[str, ...]]]:
+    """The calling thread's held stack (callers hold _state_lock)."""
+    return _held.setdefault(threading.get_ident(), [])
 
 
 # ----------------------------------------------------------------------
@@ -232,24 +164,22 @@ def _witness_path(src: str, dst: str) -> List[str]:
 
 
 class SanLock:
-    """A mutex that feeds the sanitizer while armed.
+    """A mutex that feeds the lock-order graph while armed.
 
     Disarmed, every entry point delegates to the wrapped
     ``threading.Lock`` / ``RLock`` after one :data:`ACTIVE` check.  The
     ``name`` identifies the lock *class* in reports and in the order
     graph (e.g. ``"isp.sessions"``); instances of the same name share
-    ordering constraints, exactly like the static rule's lock ids.
+    ordering constraints.  The static ``blocking-effect`` rule keys its
+    no-blocking-under-lock policy on the same names.
     """
 
-    __slots__ = ("name", "_inner", "_reentrant", "_release_clock")
+    __slots__ = ("name", "_inner", "_reentrant")
 
     def __init__(self, name: str, reentrant: bool = False) -> None:
         self.name = name
         self._reentrant = reentrant
         self._inner = threading.RLock() if reentrant else threading.Lock()
-        #: Vector clock at the last release (happens-before edge
-        #: release -> next acquire of this same instance).
-        self._release_clock: Optional[Clock] = None
 
     def raw(self) -> Any:
         """The wrapped stdlib lock (benchmark baselines swap this in)."""
@@ -260,18 +190,16 @@ class SanLock:
     def _note_acquired(self) -> None:
         stack = _capture_stack()
         with _state_lock:
-            state = _state()
-            held_names = [lock.name for lock, _ in state.held]
+            held = _held_stack()
+            held_names = [lock.name for lock, _ in held]
             if not (self._reentrant and self.name in held_names):
-                for prior, prior_stack in state.held:
+                for prior, prior_stack in held:
                     if prior.name == self.name:
                         continue
                     self._note_order_edge(
                         prior.name, prior_stack, stack
                     )
-            state.held.append((self, stack))
-            if self._release_clock is not None:
-                _merge_into(state.clock, self._release_clock)
+            held.append((self, stack))
 
     def _note_order_edge(
         self,
@@ -312,17 +240,11 @@ class SanLock:
 
     def _note_released(self) -> None:
         with _state_lock:
-            state = _state()
-            for index in range(len(state.held) - 1, -1, -1):
-                if state.held[index][0] is self:
-                    del state.held[index]
+            held = _held_stack()
+            for index in range(len(held) - 1, -1, -1):
+                if held[index][0] is self:
+                    del held[index]
                     break
-            still_held = any(
-                lock is self for lock, _ in state.held
-            )
-            if not still_held:
-                _stamp(state)
-                self._release_clock = dict(state.clock)
 
     # -- lock protocol -------------------------------------------------
 
@@ -351,209 +273,17 @@ class SanLock:
 def held_locks() -> List[str]:
     """Names of SanLocks the calling thread holds (armed only)."""
     with _state_lock:
-        return [lock.name for lock, _ in _state().held]
+        return [lock.name for lock, _ in _held_stack()]
 
 
-# ----------------------------------------------------------------------
-# SanThread: fork/join happens-before
-# ----------------------------------------------------------------------
-
-
-class SanThread(threading.Thread):
-    """A thread whose fork and join carry vector-clock edges.
-
-    Disarmed it is exactly ``threading.Thread``.  Armed, the child
-    starts with (a copy of) the parent's clock, so everything the
-    parent did before ``start()`` happens-before the child; ``join()``
-    merges the child's final clock back, so everything the child did
-    happens-before the parent's continuation.
-    """
-
-    _san_start_clock: Optional[Clock] = None
-    _san_final_clock: Optional[Clock] = None
-
-    def start(self) -> None:
-        if ACTIVE:
-            with _state_lock:
-                parent = _state()
-                _stamp(parent)
-                self._san_start_clock = dict(parent.clock)
-        super().start()
-
-    def run(self) -> None:
-        if ACTIVE and self._san_start_clock is not None:
-            with _state_lock:
-                state = _state()
-                _merge_into(state.clock, self._san_start_clock)
-        try:
-            super().run()
-        finally:
-            if ACTIVE:
-                with _state_lock:
-                    state = _state()
-                    _stamp(state)
-                    self._san_final_clock = dict(state.clock)
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        super().join(timeout)
-        if ACTIVE and not self.is_alive():
-            final = self._san_final_clock
-            if final is not None:
-                with _state_lock:
-                    _merge_into(_state().clock, final)
-
-
-# ----------------------------------------------------------------------
-# The Eraser-style lock-set tracker
-# ----------------------------------------------------------------------
-
-
-class _Access:
-    """One remembered access to a tracked variable."""
-
-    __slots__ = ("event", "tid", "held", "stack", "is_write")
-
-    def __init__(self, event: Tuple[int, int], tid: int,
-                 held: Set[str], stack: Tuple[str, ...],
-                 is_write: bool) -> None:
-        self.event = event
-        self.tid = tid
-        self.held = held
-        self.stack = stack
-        self.is_write = is_write
-
-
-class _VarState:
-    """Tracker state for one (object, field) pair."""
-
-    __slots__ = ("label", "write_guarded", "candidate", "last_write",
-                 "last_reads", "guard")
-
-    def __init__(self, label: str, write_guarded: bool,
-                 guard: Optional[str]) -> None:
-        self.label = label
-        #: True for fields whose reads are deliberately lock-free
-        #: (guarded-by ``writes`` mode): only write/write pairs race.
-        self.write_guarded = write_guarded
-        #: Classic Eraser C(v): None until the second thread shows up.
-        self.candidate: Optional[Set[str]] = None
-        self.last_write: Optional[_Access] = None
-        #: Most recent read per thread id.
-        self.last_reads: Dict[int, _Access] = {}
-        #: Declared guarding lock name, for report detail only.
-        self.guard = guard
-
-
-_vars: Dict[Tuple[int, str], _VarState] = {}
-
-
-def track(obj: Any, field: str, *, guard: Optional[str] = None,
-          writes_only: bool = False) -> None:
-    """Register ``obj.field`` as a tracked shared variable.
-
-    Optional — :func:`track_read` / :func:`track_write` auto-register
-    on first contact — but declaring up front attaches the guarding
-    lock's name to reports and marks ``writes_only`` fields (reads are
-    lock-free by design; only write/write pairs are raceable).
-    """
-    if not ACTIVE:
-        return
+def order_edges() -> Set[Tuple[str, str]]:
+    """Every ``(held, acquired)`` name pair observed since the last reset."""
     with _state_lock:
-        _var_state(obj, field, writes_only, guard)
-
-
-def _var_state(obj: Any, field: str, write_guarded: bool = False,
-               guard: Optional[str] = None) -> _VarState:
-    key = (id(obj), field)
-    var = _vars.get(key)
-    if var is None:
-        label = f"{type(obj).__name__}.{field}"
-        var = _VarState(label, write_guarded, guard)
-        _vars[key] = var
-    return var
-
-
-def _conflicts(var: _VarState, access: _Access) -> List[_Access]:
-    """Prior accesses that can race with ``access``."""
-    prior: List[_Access] = []
-    if access.is_write:
-        if var.last_write is not None:
-            prior.append(var.last_write)
-        if not var.write_guarded:
-            prior.extend(var.last_reads.values())
-    elif not var.write_guarded and var.last_write is not None:
-        prior.append(var.last_write)
-    return [
-        p for p in prior
-        if p.tid != access.tid
-    ]
-
-
-def _note_access(obj: Any, field: str, is_write: bool) -> None:
-    stack = _capture_stack()
-    with _state_lock:
-        state = _state()
-        var = _var_state(obj, field)
-        held = {lock.name for lock, _ in state.held}
-        event = _stamp(state)
-        access = _Access(event, state.tid, held, stack, is_write)
-        for prior in _conflicts(var, access):
-            if _happens_before(prior.event, state.clock):
-                continue
-            # Unordered conflicting pair: Eraser refinement first ...
-            if var.candidate is None:
-                var.candidate = set(prior.held)
-            var.candidate &= held
-            # ... then the pairwise verdict: no common lock = race.
-            if prior.held & held:
-                continue
-            kinds = (
-                f"{'write' if prior.is_write else 'read'}/"
-                f"{'write' if is_write else 'read'}"
-            )
-            report = SanitizerReport(
-                SanitizerReport.KIND_RACE,
-                var.label,
-                f"unsynchronized {kinds} pair"
-                + (f" (declared guarded-by {var.guard!r})"
-                   if var.guard else "")
-                + f"; locks held: {sorted(prior.held) or '[]'} vs "
-                  f"{sorted(held) or '[]'}",
-                [
-                    ("previous access", prior.stack),
-                    ("current access", stack),
-                ],
-            )
-            key = (report.kind, report.subject)
-            if key not in _reported_keys:
-                _reported_keys.add(key)
-                _reports.append(report)
-        if is_write:
-            var.last_write = access
-            var.last_reads.pop(state.tid, None)
-        else:
-            var.last_reads[state.tid] = access
-
-
-def track_read(obj: Any, field: str) -> None:
-    """Record a read of a tracked field (armed callers only)."""
-    if ACTIVE:
-        _note_access(obj, field, is_write=False)
-
-
-def track_write(obj: Any, field: str) -> None:
-    """Record a write/mutation of a tracked field (armed callers only)."""
-    if ACTIVE:
-        _note_access(obj, field, is_write=True)
-
-
-def candidate_lockset(obj: Any, field: str) -> Optional[Set[str]]:
-    """The Eraser candidate set C(v) for a tracked field (tests)."""
-    with _state_lock:
-        var = _vars.get((id(obj), field))
-        return None if var is None else (
-            None if var.candidate is None else set(var.candidate)
-        )
+        return {
+            (held, acquired)
+            for held, successors in _order_edges.items()
+            for acquired in successors
+        }
 
 
 # ----------------------------------------------------------------------
@@ -565,24 +295,21 @@ def arm() -> None:
     """Start watching.  State from a previous run is cleared."""
     global ACTIVE
     reset()
-    with _state_lock:
-        pass  # reset() already synchronized; flag flip is last
     ACTIVE = True
 
 
 def disarm() -> None:
-    """Stop watching.  Accumulated reports stay readable."""
+    """Stop watching.  Accumulated reports and edges stay readable."""
     global ACTIVE
     ACTIVE = False
 
 
 def reset() -> None:
-    """Disarm and drop every report, clock, and tracked variable."""
+    """Disarm and drop every report, held stack, and order edge."""
     global ACTIVE
     ACTIVE = False
     with _state_lock:
         _reports.clear()
         _reported_keys.clear()
-        _threads.clear()
-        _vars.clear()
+        _held.clear()
         _order_edges.clear()

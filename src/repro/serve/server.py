@@ -46,6 +46,7 @@ import logging
 import queue
 import selectors
 import socket
+import threading
 import time
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
@@ -55,7 +56,7 @@ from repro.isp.server import IspServer
 from repro.obs import metrics as obs
 from repro.rpc import codec
 from repro.rpc.server import IspBootstrap, RpcIspServer
-from repro.sanitize.runtime import SanLock, SanThread
+from repro.sanitize.runtime import SanLock
 
 logger = logging.getLogger("repro.serve")
 
@@ -113,8 +114,8 @@ class AsyncIspServer(RpcIspServer):
         #: (bounded memory beats unbounded buffering of an unread VO
         #: stream).
         self.max_outbuf_bytes = 4 * codec.MAX_FRAME_BYTES
-        self._loop_thread: Optional[SanThread] = None
-        self._worker_threads: List[SanThread] = []
+        self._loop_thread: Optional[threading.Thread] = None
+        self._worker_threads: List[threading.Thread] = []
         #: Work for the pool: each item is the requests to run through
         #: the pipeline together (``None`` tells a worker to exit).
         self._tasks: "queue.Queue[Optional[List[_Request]]]" = queue.Queue()
@@ -140,7 +141,7 @@ class AsyncIspServer(RpcIspServer):
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._worker_threads = [
-            SanThread(
+            threading.Thread(
                 target=self._worker_main,
                 name=f"serve-worker-{i}",
                 daemon=True,
@@ -149,7 +150,7 @@ class AsyncIspServer(RpcIspServer):
         ]
         for thread in self._worker_threads:
             thread.start()
-        self._loop_thread = SanThread(
+        self._loop_thread = threading.Thread(
             target=self._loop_main, name="serve-loop", daemon=True
         )
         self._loop_thread.start()

@@ -1,20 +1,28 @@
-"""Fixtures for the interprocedural concurrency rules.
+"""Fixtures for the two concurrency checkers, one per property.
 
-``lock-order`` and ``guarded-by`` reason over the whole program (call
-graph + per-function lock summaries), so alongside the usual
-one-offending/one-clean snippets these tests exercise multi-module
-programs via ``analyze_sources`` and finish with the self-check that
-the shipped tree stays clean.
+``guarded-by`` reasons over the whole program (call graph + per-function
+lock summaries), so alongside the usual one-offending/one-clean
+snippets these tests exercise multi-module programs via
+``analyze_sources``, re-derive a finding at every site the retired
+runtime lock-set tracker used to watch, and finish with the self-check
+that the shipped tree stays clean.  Lock order is the runtime
+:class:`~repro.sanitize.runtime.SanLock` graph's job; its scenarios run
+here as armed code.
 """
 
+import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.concurrency import GuardedByRule, LockOrderRule
+import pytest
+
+from repro.analysis.concurrency import GuardedByRule
 from repro.analysis.core import analyze_source, analyze_sources
+from repro.sanitize import runtime as san
+from repro.sanitize.runtime import SanLock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RULES = (LockOrderRule(), GuardedByRule())
+RULES = (GuardedByRule(),)
 
 
 def lint(source, module="repro.fixture"):
@@ -266,137 +274,198 @@ class TestGuardedBy:
 
 
 # ----------------------------------------------------------------------
-# lock-order
+# Lock order: the runtime SanLock graph
 # ----------------------------------------------------------------------
+#
+# Lock order is checked at runtime only: the serving path reaches the
+# ISP through getattr dispatch, which no static call graph follows
+# (DESIGN §6).  The four scenarios that once fed a static rule run here
+# as real code over armed SanLocks.
+
+
+class _Left:
+    def __init__(self, lock):
+        self._lock = lock
+        self.right = None
+
+    def forward(self):
+        with self._lock:
+            self.right.poke()
+
+    def forward_via_helper(self):
+        with self._lock:
+            self._hop()
+
+    def _hop(self):
+        self.right.poke()
+
+    def poke(self):
+        with self._lock:
+            pass
+
+
+class _Right:
+    def __init__(self, lock, left):
+        self._lock = lock
+        self.left = left
+
+    def poke(self):
+        with self._lock:
+            pass
+
+    def reverse(self):
+        with self._lock:
+            self.left.poke()
+
+
+@pytest.fixture
+def armed():
+    san.arm()
+    yield san
+    san.reset()
+
+
+def pair():
+    left = _Left(SanLock("fix.A"))
+    right = _Right(SanLock("fix.B"), left)
+    left.right = right
+    return left, right
 
 
 class TestLockOrder:
-    def test_two_lock_cycle_fires(self):
-        findings = lint_many(
-            (
-                "fix.ab",
-                """
-                import threading
+    def test_two_lock_cycle_fires(self, armed):
+        left, right = pair()
+        left.forward()
+        right.reverse()
+        reports = armed.reports()
+        assert [r.kind for r in reports] == [
+            armed.SanitizerReport.KIND_LOCK_ORDER
+        ]
+        assert reports[0].subject == "fix.A -> fix.B -> fix.A"
+        assert "opposite order also occurs" in reports[0].detail
 
-                class A:
-                    def __init__(self, b: "B"):
-                        self._lock = threading.Lock()
-                        self.b = b
+    def test_consistent_order_is_clean(self, armed):
+        left, _right = pair()
+        left.forward()
+        left.forward()
+        assert armed.reports() == []
+        assert armed.order_edges() == {("fix.A", "fix.B")}
 
-                    def forward(self):
-                        with self._lock:
-                            self.b.poke()
+    def test_transitive_cycle_through_helper_fires(self, armed):
+        # A -> helper() -> B while B -> A: the edge comes from what the
+        # helper acquires, not from a with-block in forward_via_helper.
+        left, right = pair()
+        left.forward_via_helper()
+        right.reverse()
+        assert [r.kind for r in armed.reports()] == [
+            armed.SanitizerReport.KIND_LOCK_ORDER
+        ]
 
-                    def poke(self):
-                        with self._lock:
-                            pass
-
-                class B:
-                    def __init__(self, a: A):
-                        self._lock = threading.Lock()
-                        self.a = a
-
-                    def poke(self):
-                        with self._lock:
-                            pass
-
-                    def reverse(self):
-                        with self._lock:
-                            self.a.poke()
-                """,
-            ),
-        )
-        assert [f.rule for f in findings] == ["lock-order"]
-        message = findings[0].message
-        assert "lock-order cycle" in message
-        assert "A._lock" in message and "B._lock" in message
-        assert "potential deadlock" in message
-
-    def test_consistent_order_is_clean(self):
-        assert lint(
-            """
-            import threading
-
-            class A:
-                def __init__(self, b: "B"):
-                    self._lock = threading.Lock()
-                    self.b = b
-
-                def forward(self):
-                    with self._lock:
-                        self.b.poke()
-
-            class B:
-                def __init__(self):
-                    self._lock = threading.Lock()
-
-                def poke(self):
-                    with self._lock:
-                        pass
-            """
-        ) == []
-
-    def test_transitive_cycle_through_helper_fires(self):
-        # A -> helper() -> B while B -> A: the edge comes from the
-        # callee's *transitive* acquisitions, not a direct with-block.
-        findings = lint(
-            """
-            import threading
-
-            class A:
-                def __init__(self, b: "B"):
-                    self._lock = threading.Lock()
-                    self.b = b
-
-                def forward(self):
-                    with self._lock:
-                        self._hop()
-
-                def _hop(self):
-                    self.b.poke()
-
-                def poke(self):
-                    with self._lock:
-                        pass
-
-            class B:
-                def __init__(self, a: A):
-                    self._lock = threading.Lock()
-                    self.a = a
-
-                def poke(self):
-                    with self._lock:
-                        pass
-
-                def reverse(self):
-                    with self._lock:
-                        self.a.poke()
-            """
-        )
-        assert [f.rule for f in findings] == ["lock-order"]
-
-    def test_reentrant_same_lock_is_clean(self):
-        assert lint(
-            """
-            import threading
-
-            class A:
-                def __init__(self):
-                    self._lock = threading.RLock()
-
-                def outer(self):
-                    with self._lock:
-                        self.inner()
-
-                def inner(self):
-                    with self._lock:
-                        pass
-            """
-        ) == []
+    def test_reentrant_same_lock_is_clean(self, armed):
+        lock = SanLock("fix.R", reentrant=True)
+        with lock:
+            with lock:
+                pass
+        assert armed.reports() == []
+        assert armed.order_edges() == set()
 
 
 # ----------------------------------------------------------------------
-# Self-check: the shipped tree must stay clean under both rules
+# guarded-by covers every site the runtime tracker used to watch
+# ----------------------------------------------------------------------
+
+#: One row per former ``san.track*`` hook site: (owning module, class,
+#: the function whose ``with <lock>:`` is dropped, the function the
+#: resulting finding names).  ``PersistentNodeStore.__init__`` and
+#: ``_scan`` were two hooks under one ``with``: dropping it leaves the
+#: private ``_scan`` without the lock on its only call path.
+HOOK_SITES = [
+    ("repro.rpc.server", "RpcIspServer", "stop", "stop"),
+    ("repro.rpc.server", "RpcIspServer", "_accept_loop", "_accept_loop"),
+    ("repro.rpc.server", "RpcIspServer", "_client_loop", "_client_loop"),
+    ("repro.obs.metrics", "MetricsRegistry", "_get", "_get"),
+    ("repro.obs.metrics", "MetricsRegistry", "reset", "reset"),
+    ("repro.merkle.persistent_store", "PersistentNodeStore", "__init__",
+     "_scan"),
+    ("repro.merkle.persistent_store", "PersistentNodeStore", "put", "put"),
+    ("repro.merkle.persistent_store", "PersistentNodeStore", "get", "get"),
+    ("repro.merkle.persistent_store", "PersistentNodeStore", "prune",
+     "prune"),
+    ("repro.isp.sessions", "SessionRegistry", "insert", "insert"),
+    ("repro.isp.sessions", "SessionRegistry", "remove", "remove"),
+    ("repro.isp.sessions", "SessionRegistry", "prune", "prune"),
+]
+
+
+def module_source(module):
+    path = REPO_ROOT / "src" / f"{module.replace('.', '/')}.py"
+    return path.read_text(encoding="utf-8")
+
+
+def drop_lock_block(source, class_name, func_name):
+    """``source`` with the first ``with <lock>:`` in the method removed.
+
+    The block's body is dedented into the enclosing suite, so the
+    statements it guarded run with no lock held.
+    """
+    tree = ast.parse(source)
+    owner = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == class_name
+    )
+    func = next(
+        node for node in owner.body
+        if isinstance(node, ast.FunctionDef) and node.name == func_name
+    )
+    block = next(
+        node for node in ast.walk(func)
+        if isinstance(node, ast.With)
+        and isinstance(node.items[0].context_expr, ast.Attribute)
+        and node.items[0].context_expr.attr.endswith("lock")
+    )
+    shift = block.body[0].col_offset - block.col_offset
+    lines = source.splitlines(keepends=True)
+    body = [
+        line[shift:] if not line[:shift].strip() else line
+        for line in lines[block.lineno:block.end_lineno]
+    ]
+    return "".join(
+        lines[:block.lineno - 1] + body + lines[block.end_lineno:]
+    )
+
+
+def guarded_by_findings(module, source):
+    path = f"src/{module.replace('.', '/')}.py"
+    return analyze_sources([(module, path, source)],
+                           rules=(GuardedByRule(),))
+
+
+class TestFormerTrackerSites:
+    @pytest.mark.parametrize(
+        "module",
+        sorted({row[0] for row in HOOK_SITES}),
+    )
+    def test_owning_module_is_clean_alone(self, module):
+        assert guarded_by_findings(module, module_source(module)) == []
+
+    @pytest.mark.parametrize(
+        "module, class_name, func_name, flagged",
+        HOOK_SITES,
+        ids=[f"{row[0].rsplit('.', 1)[1]}.{row[2]}" for row in HOOK_SITES],
+    )
+    def test_dropping_the_lock_is_a_finding(
+        self, module, class_name, func_name, flagged
+    ):
+        source = module_source(module)
+        mutant = drop_lock_block(source, class_name, func_name)
+        assert mutant != source
+        findings = guarded_by_findings(module, mutant)
+        owner = f"{module}.{class_name}.{flagged} "
+        assert [f for f in findings if owner in f.message], findings
+
+
+# ----------------------------------------------------------------------
+# Self-check: the shipped tree must stay clean under guarded-by
 # ----------------------------------------------------------------------
 
 
@@ -406,6 +475,6 @@ class TestShippedTree:
 
         findings = [
             f for f in analyze_paths([REPO_ROOT / "src"])
-            if f.rule in ("lock-order", "guarded-by")
+            if f.rule == "guarded-by"
         ]
         assert findings == []

@@ -100,7 +100,7 @@ class TestVerifyBeforeUse:
         message = findings[0].message
         assert "without a sanitizer" in message
         # The witness names the full interprocedural path to the source
-        # and the sink call, like the lock-order reports.
+        # and the sink call.
         assert (
             "Client.access -> Client._fetch -> Isp.get_page" in message
         )

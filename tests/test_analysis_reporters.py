@@ -19,7 +19,7 @@ from repro.analysis.core import (
 from repro.analysis.reporters import render_json, render_text
 
 
-def finding(path="src/repro/a.py", line=3, rule="lock-order",
+def finding(path="src/repro/a.py", line=3, rule="guarded-by",
             message="bad", severity=None):
     if severity is None:
         return Finding(path=path, line=line, rule=rule, message=message)
@@ -41,7 +41,7 @@ class TestRenderText:
         # Sorted by (path, line): the warning (line 2) renders first,
         # tagged so humans can skim for hard failures.
         assert lines[0].startswith("src/repro/a.py:2: warning: ")
-        assert lines[1] == "src/repro/a.py:9: [lock-order] bad"
+        assert lines[1] == "src/repro/a.py:9: [guarded-by] bad"
         assert lines[-1] == "1 error(s), 1 warning(s)"
 
     def test_unicode_path_and_message_survive(self):

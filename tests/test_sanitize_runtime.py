@@ -1,20 +1,24 @@
-"""Unit tests for the runtime sanitizer on synthetic histories.
+"""Unit tests for the runtime lock-order checker on synthetic histories.
 
-Deliberately-broken fixtures must produce exactly the expected race /
-deadlock-cycle reports; correctly-synchronized ones must stay silent.
+Deliberately inverted lock nestings must produce exactly the expected
+deadlock-cycle reports; consistently ordered ones must stay silent.
 Threads run *sequentially* (start + join immediately) so every verdict
-is deterministic: plain ``threading.Thread`` leaves the two timelines
-unordered (no fork/join clock edges), while :class:`SanThread` orders
-them — which is itself one of the behaviours under test.
+is deterministic.  The shared-field fixtures that once fed the runtime
+lock-set tracker now run through the static ``guarded-by`` rule, which
+checks the same fields on every call path rather than on the
+interleavings a run happens to produce.
 """
 
+import textwrap
 import threading
 
 import pytest
 
+from repro.analysis.concurrency import GuardedByRule
+from repro.analysis.core import analyze_source
 from repro.errors import SanitizerError
 from repro.sanitize import runtime as san
-from repro.sanitize.runtime import SanLock, SanThread
+from repro.sanitize.runtime import SanLock
 
 
 @pytest.fixture(autouse=True)
@@ -25,20 +29,16 @@ def _clean_sanitizer():
 
 
 def run_plain(*bodies):
-    """Run each body in its own *plain* thread, sequenced by events.
+    """Run each body in its own thread, strictly one after another.
 
     All threads are alive concurrently (so each has a distinct thread
-    ident — a joined thread's ident can be recycled), but the bodies
-    execute strictly one after another.  ``threading.Event`` carries no
-    sanitizer happens-before edge, so the timelines stay unordered.
+    ident — a joined thread's ident can be recycled, which would merge
+    two held-lock stacks), but the bodies execute in order.
     """
     go = threading.Event()
     done = [threading.Event() for _ in bodies]
 
     def runner(index, body):
-        # Hold every thread at the gate until all are alive: a thread
-        # that finished before the next one bootstrapped would let the
-        # OS recycle its ident, silently merging the two timelines.
         go.wait()
         if index:
             done[index - 1].wait()
@@ -58,143 +58,119 @@ def run_plain(*bodies):
         thread.join()
 
 
-class Shared:
-    """A bag with a distinct type name per field label."""
+def guarded_by(source):
+    """``guarded-by`` findings for one fixture module."""
+    return analyze_source(
+        textwrap.dedent(source), module="repro.fixture",
+        rules=(GuardedByRule(),),
+    )
+
+
+def invert(a, b):
+    """Take ``a`` then ``b`` in one thread, ``b`` then ``a`` in another."""
+    def forward():
+        with a:
+            with b:
+                pass
+
+    def backward():
+        with b:
+            with a:
+                pass
+
+    run_plain(forward, backward)
 
 
 # ----------------------------------------------------------------------
-# Lock-set races
+# Shared fields: guarded-by over SanLock-guarded fixtures
 # ----------------------------------------------------------------------
 
 
 class TestLockSet:
     def test_unsynchronized_writes_race(self):
-        san.arm()
-        obj = Shared()
-        run_plain(
-            lambda: san.track_write(obj, "table"),
-            lambda: san.track_write(obj, "table"),
+        findings = guarded_by(
+            """
+            from repro.sanitize.runtime import SanLock
+
+            class Shared:
+                def __init__(self):
+                    self._lock = SanLock("t.lock")
+                    self.table = {}  # repro: guarded-by(_lock)
+
+                def put(self, key):
+                    self.table[key] = 1
+            """
         )
-        kinds = [r.kind for r in san.reports()]
-        assert kinds == [san.SanitizerReport.KIND_RACE]
-        report = san.reports()[0]
-        assert report.subject == "Shared.table"
-        assert "write/write" in report.detail
-        assert len(report.stacks) == 2
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "write to Shared.table" in findings[0].message
+        assert "holding no lock" in findings[0].message
 
     def test_write_read_race(self):
-        san.arm()
-        obj = Shared()
-        run_plain(
-            lambda: san.track_write(obj, "field"),
-            lambda: san.track_read(obj, "field"),
+        findings = guarded_by(
+            """
+            from repro.sanitize.runtime import SanLock
+
+            class Shared:
+                def __init__(self):
+                    self._lock = SanLock("t.lock")
+                    self.field = 0  # repro: guarded-by(_lock)
+
+                def bump(self):
+                    with self._lock:
+                        self.field += 1
+
+                def peek(self):
+                    return self.field
+            """
         )
-        assert [r.kind for r in san.reports()] == [
-            san.SanitizerReport.KIND_RACE
-        ]
-        assert "write/read" in san.reports()[0].detail
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "read of Shared.field" in findings[0].message
 
     def test_common_lock_suppresses(self):
-        san.arm()
-        obj = Shared()
-        lock = SanLock("t.lock")
+        assert guarded_by(
+            """
+            from repro.sanitize.runtime import SanLock
 
-        def access():
-            with lock:
-                san.track_write(obj, "table")
+            class Shared:
+                def __init__(self):
+                    self._lock = SanLock("t.lock")
+                    self.table = {}  # repro: guarded-by(_lock)
 
-        run_plain(access, access)
-        assert san.reports() == []
+                def put(self, key):
+                    with self._lock:
+                        self.table[key] = 1
 
-    def test_candidate_lockset_refines_to_intersection(self):
-        # Two *instances* of the same lock name: the name-level lock
-        # sets overlap (no race) but there is no instance-level
-        # release -> acquire edge, so the accesses stay unordered and
-        # the Eraser refinement intersects C(v) down to {t.a}.
-        san.arm()
-        obj = Shared()
-        a1, a2 = SanLock("t.a"), SanLock("t.a")
-        b = SanLock("t.b")
-
-        def under_both():
-            with a1, b:
-                san.track_write(obj, "field")
-
-        def under_a():
-            with a2:
-                san.track_write(obj, "field")
-
-        run_plain(under_both, under_a)
-        assert san.candidate_lockset(obj, "field") == {"t.a"}
-        assert san.reports() == []
+                def drop(self, key):
+                    with self._lock:
+                        self.table.pop(key, None)
+            """
+        ) == []
 
     def test_writes_only_mode_exempts_reads_not_writes(self):
-        san.arm()
-        reads = Shared()
-        lock = SanLock("t.guard")
-        san.track(reads, "field", guard="t.guard", writes_only=True)
+        findings = guarded_by(
+            """
+            from repro.sanitize.runtime import SanLock
 
-        def locked_write():
-            with lock:
-                san.track_write(reads, "field")
+            class Shared:
+                def __init__(self):
+                    self._guard = SanLock("t.guard")
+                    self.field = {}  # repro: guarded-by(_guard, writes)
+                    self.other = {}  # repro: guarded-by(_guard, writes)
 
-        run_plain(locked_write, lambda: san.track_read(reads, "field"))
-        assert san.reports() == []
+                def locked_write(self, key):
+                    with self._guard:
+                        self.field[key] = 1
 
-        writes = Shared()
-        san.track(writes, "other", guard="t.guard", writes_only=True)
-        run_plain(
-            lambda: san.track_write(writes, "other"),
-            lambda: san.track_write(writes, "other"),
+                def lookup(self, key):
+                    return self.field.get(key)
+
+                def unlocked_write(self, key):
+                    self.other[key] = 1
+            """
         )
-        assert [r.subject for r in san.reports()] == ["Shared.other"]
-        assert "guarded-by 't.guard'" in san.reports()[0].detail
-
-
-# ----------------------------------------------------------------------
-# Happens-before suppression
-# ----------------------------------------------------------------------
-
-
-class TestHappensBefore:
-    def test_fork_join_orders_accesses(self):
-        san.arm()
-        obj = Shared()
-        san.track_write(obj, "field")  # main thread, no lock
-        child = SanThread(target=lambda: san.track_write(obj, "field"))
-        child.start()
-        child.join()
-        san.track_write(obj, "field")
-        assert san.reports() == []
-
-    def test_release_acquire_edge_orders_accesses(self):
-        san.arm()
-        obj = Shared()
-        lock = SanLock("t.channel")
-
-        def writer():
-            with lock:
-                san.track_write(obj, "field")
-
-        def reader():
-            # Synchronize through the lock, then access *outside* it:
-            # disjoint lock-sets, but ordered by release -> acquire.
-            with lock:
-                pass
-            san.track_write(obj, "field")
-
-        run_plain(writer, reader)
-        assert san.reports() == []
-
-    def test_plain_threads_have_no_fork_join_edge(self):
-        # The control for the two tests above.
-        san.arm()
-        obj = Shared()
-        run_plain(
-            lambda: san.track_write(obj, "field"),
-            lambda: san.track_write(obj, "field"),
-        )
-        assert len(san.reports()) == 1
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "write to Shared.other" in findings[0].message
+        assert "Shared._guard" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -205,19 +181,7 @@ class TestHappensBefore:
 class TestLockOrder:
     def test_inversion_is_reported_with_three_stacks(self):
         san.arm()
-        a, b = SanLock("t.A"), SanLock("t.B")
-
-        def forward():
-            with a:
-                with b:
-                    pass
-
-        def backward():
-            with b:
-                with a:
-                    pass
-
-        run_plain(forward, backward)
+        invert(SanLock("t.A"), SanLock("t.B"))
         reports = san.reports()
         assert [r.kind for r in reports] == [
             san.SanitizerReport.KIND_LOCK_ORDER
@@ -238,6 +202,7 @@ class TestLockOrder:
 
         run_plain(forward, forward)
         assert san.reports() == []
+        assert san.order_edges() == {("t.A", "t.B")}
 
     def test_reentrant_reacquire_adds_no_self_edge(self):
         san.arm()
@@ -275,19 +240,9 @@ class TestLockOrder:
 
 class TestArming:
     def test_disarmed_is_silent(self):
-        obj = Shared()
-        a, b = SanLock("t.x"), SanLock("t.y")
-        run_plain(
-            lambda: san.track_write(obj, "field"),
-            lambda: san.track_write(obj, "field"),
-        )
-        with a:
-            with b:
-                pass
-        with b:
-            with a:
-                pass
+        invert(SanLock("t.x"), SanLock("t.y"))
         assert san.reports() == []
+        assert san.order_edges() == set()
         san.assert_clean()
 
     def test_disarmed_sanlock_still_locks(self):
@@ -298,25 +253,18 @@ class TestArming:
 
     def test_assert_clean_raises_typed_error(self):
         san.arm()
-        obj = Shared()
-        run_plain(
-            lambda: san.track_write(obj, "boom"),
-            lambda: san.track_write(obj, "boom"),
-        )
+        invert(SanLock("t.boom"), SanLock("t.bang"))
         with pytest.raises(SanitizerError) as excinfo:
             san.assert_clean()
-        assert "Shared.boom" in str(excinfo.value)
+        assert "t.boom -> t.bang -> t.boom" in str(excinfo.value)
 
     def test_arm_clears_previous_run(self):
         san.arm()
-        obj = Shared()
-        run_plain(
-            lambda: san.track_write(obj, "field"),
-            lambda: san.track_write(obj, "field"),
-        )
+        invert(SanLock("t.x"), SanLock("t.y"))
         assert len(san.reports()) == 1
         san.arm()
         assert san.reports() == []
+        assert san.order_edges() == set()
 
     def test_held_locks_tracks_the_calling_thread(self):
         san.arm()
