@@ -17,6 +17,7 @@ def test_fig8_update_cost(benchmark, save_result):
     )
     text = fig8.render(results)
     save_result("fig8_update_cost", text)
+    save_result("fig8_update_counts", fig8.render_counts(results))
     # Shape assertions: SGX costs more, and batching amortizes it.
     assert all(s > 1.0 for s in results["slowdown"])
     assert results["slowdown"][-1] < results["slowdown"][0]

@@ -26,9 +26,22 @@ counts), then looks the returned bytes up in a :class:`NodeMemo` of
 immutable decoded nodes and searches their precomputed
 :func:`key_tuple` values by bisection.  A table leaf's rows are decoded
 the same way, once per entry per page content, into the leaf's row
-slots (:meth:`NodeMemo.row`); a reader always gets a fresh list.  The
-write path (``insert``/``delete``) keeps its own mutable decode and
-never reads the memo.
+slots (:meth:`NodeMemo.row`); a reader always gets a fresh list.
+
+The write path (``insert``/``delete``) never reads the memo; it keeps
+its own mutable nodes, per entry: each entry's encoded bytes (sliced
+from the page, or encoded once when inserted), its key tuple, and the
+node's running size, so an insert costs one entry's encoding and a save
+one join, not a re-encode of every key.  A tree keeps one such node per
+page, keyed on the page id and the exact sealed bytes it last wrote
+there (or read there).  Every visit still issues its ``read_page`` and
+every save its ``write_page``, so the page I/O the CI counts does not
+change; the kept node is reused only when the read returns those very
+bytes.  Like a memo entry it is a pure function of the page bytes, so
+it cannot go stale: a page rewritten by another tree, or mangled on its
+way to the file, reads back as other bytes and is decoded afresh.  An
+insert or delete that raises drops every kept node (one may have been
+changed and not saved), and they die with the tree at statement end.
 
 A tree also keeps the last leaf its read path landed on, as SQLite's
 b-tree cursor keeps its page pinned: a seek whose low bound falls
@@ -45,6 +58,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import (
+    Dict,
     Iterator,
     List,
     NamedTuple,
@@ -99,67 +113,117 @@ def key_tuple(key: Key) -> tuple:
     return tuple(out)
 
 
-class _Leaf:
-    __slots__ = ("entries", "next_leaf")
+class _Node:
+    """A mutable decoded node of the write path, kept per entry.
 
-    def __init__(
-        self,
-        entries: Optional[List[Tuple[Key, bytes]]] = None,
-        next_leaf: int = 0,
-    ) -> None:
-        self.entries = entries if entries is not None else []
-        self.next_leaf = next_leaf
+    Entry ``i`` is ``keys[i]`` with its :func:`key_tuple` ``tuples[i]``
+    and its encoded bytes ``blobs[i]`` (the key record and the 4-byte
+    word after it, plus a leaf's value), sliced from the page when the
+    node is decoded and encoded once when the entry is inserted;
+    ``size`` is the encoded node's running length.  So an insert costs
+    one entry's encoding, :meth:`encode` is one join and a bisection
+    reads the kept tuples.  Change a node only through its methods: the
+    parallel lists are what it encodes.
+    """
 
-    def encoded_size(self) -> int:
-        size = 1 + 2 + 4
-        for key, value in self.entries:
-            size += len(encode_record(key)) + 4 + len(value)
-        return size
+    __slots__ = ("keys", "tuples", "blobs", "size")
+    KIND = 0
+    NAME = ""
 
-    def encode(self) -> bytes:
-        parts = [
-            bytes([_LEAF]),
-            struct.pack(">HI", len(self.entries), self.next_leaf),
-        ]
-        for key, value in self.entries:
-            parts.append(encode_record(key))
-            parts.append(struct.pack(">I", len(value)))
-            parts.append(value)
-        raw = b"".join(parts)
-        if len(raw) > PAGE_CONTENT_SIZE:
-            raise StorageError("leaf node exceeds page capacity")
-        return raw
-
-
-class _Internal:
-    __slots__ = ("keys", "children")
-
-    def __init__(self, keys: List[Key], children: List[int]) -> None:
+    def _fill(self, keys: List[List[SqlValue]], blobs: List[bytes]) -> None:
         self.keys = keys
-        self.children = children
+        self.tuples = list(map(key_tuple, keys))
+        self.blobs = blobs
+        self.size = _NODE_HEADER.size + sum(map(len, blobs))
 
-    def encoded_size(self) -> int:
-        size = 1 + 2 + 4
-        for key in self.keys:
-            size += len(encode_record(key)) + 4
-        return size
+    def _first(self) -> int:
+        raise NotImplementedError
+
+    def _place(self, pos: int, key: Key, tail: bytes) -> None:
+        """Insert entry ``key || tail`` at ``pos``."""
+        key = list(key)
+        blob = encode_record(key) + tail
+        self.keys.insert(pos, key)
+        self.tuples.insert(pos, key_tuple(key))
+        self.blobs.insert(pos, blob)
+        self.size += len(blob)
+
+    def _split(self, right: "_Node", cut: int, start: int) -> None:
+        """Move entries ``[start:]`` to the empty ``right`` and keep
+        ``[:cut]``."""
+        right.keys = self.keys[start:]
+        right.tuples = self.tuples[start:]
+        right.blobs = self.blobs[start:]
+        right.size = _NODE_HEADER.size + sum(map(len, right.blobs))
+        del self.keys[cut:], self.tuples[cut:], self.blobs[cut:]
+        self.size = _NODE_HEADER.size + sum(map(len, self.blobs))
 
     def encode(self) -> bytes:
-        parts = [
-            bytes([_INTERNAL]),
-            struct.pack(">HI", len(self.keys), self.children[0]),
-        ]
-        for key, child in zip(self.keys, self.children[1:]):
-            parts.append(encode_record(key))
-            parts.append(struct.pack(">I", child))
-        raw = b"".join(parts)
-        if len(raw) > PAGE_CONTENT_SIZE:
-            raise StorageError("internal node exceeds page capacity")
-        return raw
+        if self.size > PAGE_CONTENT_SIZE:
+            raise StorageError(f"{self.NAME} node exceeds page capacity")
+        return b"".join([
+            _NODE_HEADER.pack(self.KIND, len(self.blobs), self._first()),
+            *self.blobs,
+        ])
 
 
-def _parse_node(raw: bytes) -> Tuple[int, int, List[List[SqlValue]], list]:
-    """``(kind, next_leaf | child0, keys, values | children)`` of a page.
+class _Leaf(_Node):
+    __slots__ = ("next_leaf",)
+    KIND = _LEAF
+    NAME = "leaf"
+
+    def __init__(self, entries: Sequence[Tuple[Key, bytes]] = (),
+                 next_leaf: int = 0) -> None:
+        """A leaf of ``entries`` in the order given — sorted or not, so
+        tests forge pages with it."""
+        self._fill([], [])
+        self.next_leaf = next_leaf
+        for key, value in entries:
+            self.put(len(self.keys), key, value)
+
+    def _first(self) -> int:
+        return self.next_leaf
+
+    @property
+    def entries(self) -> Tuple[Tuple[List[SqlValue], bytes], ...]:
+        """``(key, value)`` per entry, read-only."""
+        return tuple((key, blob[decode_record(blob)[1] + 4:])
+                     for key, blob in zip(self.keys, self.blobs))
+
+    def put(self, pos: int, key: Key, value: bytes) -> None:
+        self._place(pos, key, _U32.pack(len(value)) + value)
+
+    def remove(self, pos: int) -> None:
+        del self.keys[pos], self.tuples[pos]
+        self.size -= len(self.blobs.pop(pos))
+
+
+class _Internal(_Node):
+    __slots__ = ("children",)
+    KIND = _INTERNAL
+    NAME = "internal"
+
+    def __init__(self, keys: Sequence[Key], children: List[int]) -> None:
+        """Subtree ``i`` holds keys in ``[keys[i-1], keys[i])``."""
+        self._fill([], [])
+        self.children = children[:1]
+        for key, child in zip(keys, children[1:]):
+            self.put(len(self.keys), key, child)
+
+    def _first(self) -> int:
+        return self.children[0]
+
+    def put(self, pos: int, key: Key, child: int) -> None:
+        """Insert separator ``key`` at ``pos`` with ``child`` right of it."""
+        self._place(pos, key, _U32.pack(child))
+        self.children.insert(pos + 1, child)
+
+
+def _parse_node(
+    raw: bytes,
+) -> Tuple[int, int, List[List[SqlValue]], list, List[int]]:
+    """``(kind, next_leaf | child0, keys, values | children, ends)`` of
+    a page, where ``ends[i]`` is the offset just past entry ``i``.
 
     Pages may reach this parser *before* the client has verified them
     (the VO is checked at the end of the query), so it trusts nothing:
@@ -175,6 +239,7 @@ def _parse_node(raw: bytes) -> Tuple[int, int, List[List[SqlValue]], list]:
         offset = _NODE_HEADER.size
         keys: List[List[SqlValue]] = []
         payloads: list = []
+        ends: List[int] = []
         for _ in range(count):
             key, offset = decode_record(raw, offset)
             (word,) = _U32.unpack_from(raw, offset)
@@ -189,17 +254,27 @@ def _parse_node(raw: bytes) -> Tuple[int, int, List[List[SqlValue]], list]:
                     "corrupt B+Tree node (entry runs past the page content)"
                 )
             keys.append(key)
+            ends.append(offset)
     except struct.error as error:
         raise StorageError(f"corrupt B+Tree node ({error})") from error
-    return kind, first, keys, payloads
+    return kind, first, keys, payloads, ends
 
 
 def _decode_node(raw: bytes) -> Union[_Leaf, _Internal]:
-    """A private mutable node for the write path."""
-    kind, first, keys, payloads = _parse_node(raw)
+    """A private mutable node for the write path; each entry's bytes are
+    sliced from ``raw``, not encoded again."""
+    kind, first, keys, payloads, ends = _parse_node(raw)
+    blobs = [raw[start:end]
+             for start, end in zip([_NODE_HEADER.size, *ends], ends)]
+    node: Union[_Leaf, _Internal]
     if kind == _LEAF:
-        return _Leaf(list(zip(keys, payloads)), first)
-    return _Internal(keys, [first] + payloads)
+        node = _Leaf.__new__(_Leaf)
+        node.next_leaf = first
+    else:
+        node = _Internal.__new__(_Internal)
+        node.children = [first, *payloads]
+    node._fill(keys, blobs)
+    return node
 
 
 class LeafNode(NamedTuple):
@@ -225,7 +300,7 @@ class InternalNode(NamedTuple):
 
 
 def _freeze_node(raw: bytes) -> Union[LeafNode, InternalNode]:
-    kind, first, keys, payloads = _parse_node(raw)
+    kind, first, keys, payloads, _ = _parse_node(raw)
     tuples = tuple(key_tuple(key) for key in keys)
     if kind == _LEAF:
         return LeafNode(tuples, tuple(zip(map(tuple, keys), payloads)), first,
@@ -318,20 +393,35 @@ class BTree:
         #: Seeks answered from ``_held`` (plain tally; the engine
         #: reports it once per statement as ``db.cursor.held``).
         self.held_seeks = 0
+        #: ``page id -> (page bytes, node)``: the write path's decode of
+        #: the sealed bytes it last wrote to (or read from) each page.
+        #: :meth:`_load` reuses a node only if ``read_page`` returns
+        #: those very bytes, so, like a memo entry, it is a pure
+        #: function of the page and never stale; an insert or delete
+        #: that raises drops every node, since one may have been changed
+        #: and not saved.  Gone with the tree at statement end.
+        self._kept: Dict[int, Tuple[bytes, Union[_Leaf, _Internal]]] = {}
 
     # -- node I/O ------------------------------------------------------
 
     def _load(self, pid: int) -> Union[_Leaf, _Internal]:
-        """Write path: a fresh mutable node, never the memo's."""
-        return _decode_node(self.pager.read_page(pid))
+        """Write path: a mutable node, never the memo's; the page is
+        always read, and decoded only if it is not what was kept."""
+        raw = self.pager.read_page(pid)
+        kept = self._kept.get(pid)
+        if kept is not None and kept[0] == raw:
+            return kept[1]
+        node = _decode_node(raw)
+        self._kept[pid] = (raw, node)
+        return node
 
     def _view(self, pid: int) -> Union[LeafNode, InternalNode]:
         """Read path: the page is always read, and decoded at most once."""
         return self._memo.node(self.pager.read_page(pid))
 
-    def _save(self, pid: int, node) -> None:
+    def _save(self, pid: int, node: Union[_Leaf, _Internal]) -> None:
         self._held = None
-        self.pager.write_page(pid, node.encode())
+        self._kept[pid] = (self.pager.write_page(pid, node.encode()), node)
 
     # -- public operations ---------------------------------------------
 
@@ -342,6 +432,13 @@ class BTree:
         Duplicate keys raise unless ``allow_duplicate``; with duplicates
         allowed the new entry lands adjacent to its equals.
         """
+        try:
+            self._insert(key, value, allow_duplicate)
+        except BaseException:
+            self._kept.clear()
+            raise
+
+    def _insert(self, key: Key, value: bytes, allow_duplicate: bool) -> None:
         if self.pager.root_pid == 0:
             pid = self.pager.allocate_page()
             self._save(pid, _Leaf([(key, value)]))
@@ -349,8 +446,8 @@ class BTree:
             self.pager.entry_count = 1
             self.pager.mark_header_dirty()
             return
-        split = self._insert_into(self.pager.root_pid, key, value,
-                                  allow_duplicate)
+        split = self._insert_into(self.pager.root_pid, key, key_tuple(key),
+                                  value, allow_duplicate)
         if split is not None:
             sep_key, right_pid = split
             new_root = _Internal([sep_key], [self.pager.root_pid, right_pid])
@@ -361,58 +458,51 @@ class BTree:
         self.pager.mark_header_dirty()
 
     def _insert_into(
-        self, pid: int, key: Key, value: bytes, allow_duplicate: bool
+        self, pid: int, key: Key, target: tuple, value: bytes,
+        allow_duplicate: bool,
     ) -> Optional[Tuple[Key, int]]:
         node = self._load(pid)
+        pos = bisect_right(node.tuples, target)
         if isinstance(node, _Leaf):
-            tuples = [key_tuple(k) for k, _ in node.entries]
-            target = key_tuple(key)
-            pos = bisect_right(tuples, target)
-            if not allow_duplicate and pos > 0 and tuples[pos - 1] == target:
+            if (not allow_duplicate and pos > 0
+                    and node.tuples[pos - 1] == target):
                 raise SQLExecutionError(f"duplicate key {key!r}")
-            node.entries.insert(pos, (key, value))
-            if node.encoded_size() <= PAGE_CONTENT_SIZE:
+            node.put(pos, key, value)
+            if node.size <= PAGE_CONTENT_SIZE:
                 self._save(pid, node)
                 return None
             return self._split_leaf(pid, node)
-        pos = self._child_index(node, key)
-        split = self._insert_into(node.children[pos], key, value,
+        split = self._insert_into(node.children[pos], key, target, value,
                                   allow_duplicate)
         if split is None:
             return None
-        sep_key, right_pid = split
-        node.keys.insert(pos, sep_key)
-        node.children.insert(pos + 1, right_pid)
-        if node.encoded_size() <= PAGE_CONTENT_SIZE:
+        node.put(pos, *split)
+        if node.size <= PAGE_CONTENT_SIZE:
             self._save(pid, node)
             return None
         return self._split_internal(pid, node)
 
     def _split_leaf(self, pid: int, node: _Leaf) -> Tuple[Key, int]:
-        mid = len(node.entries) // 2
-        right = _Leaf(node.entries[mid:], node.next_leaf)
+        mid = len(node.keys) // 2
+        right = _Leaf((), node.next_leaf)
+        node._split(right, mid, mid)
         right_pid = self.pager.allocate_page()
-        node.entries = node.entries[:mid]
         node.next_leaf = right_pid
         self._save(right_pid, right)
         self._save(pid, node)
-        return list(right.entries[0][0]), right_pid
+        return list(right.keys[0]), right_pid
 
     def _split_internal(self, pid: int, node: _Internal) -> Tuple[Key, int]:
         mid = len(node.keys) // 2
         sep_key = node.keys[mid]
-        right = _Internal(node.keys[mid + 1:], node.children[mid + 1:])
+        right = _Internal((), [])
+        node._split(right, mid, mid + 1)
+        right.children = node.children[mid + 1:]
+        del node.children[mid + 1:]
         right_pid = self.pager.allocate_page()
-        node.keys = node.keys[:mid]
-        node.children = node.children[:mid + 1]
         self._save(right_pid, right)
         self._save(pid, node)
         return sep_key, right_pid
-
-    @staticmethod
-    def _child_index(node: _Internal, key: Key) -> int:
-        tuples = [key_tuple(k) for k in node.keys]
-        return bisect_right(tuples, key_tuple(key))
 
     def get(self, key: Key) -> Optional[bytes]:
         """Point lookup; returns the value or None."""
@@ -451,19 +541,26 @@ class BTree:
 
     def delete(self, key: Key) -> bool:
         """Remove the first entry with exactly ``key``; True if found."""
+        try:
+            return self._delete(key)
+        except BaseException:
+            self._kept.clear()
+            raise
+
+    def _delete(self, key: Key) -> bool:
         if self.pager.root_pid == 0:
             return False
+        target = key_tuple(key)
         pid = self.pager.root_pid
         node = self._load(pid)
         while isinstance(node, _Internal):
-            pid = node.children[self._child_index_low(node, key)]
+            pid = node.children[bisect_left(node.tuples, target)]
             node = self._load(pid)
-        target = key_tuple(key)
         while True:
-            tuples = [key_tuple(k) for k, _ in node.entries]
+            tuples = node.tuples
             pos = bisect_left(tuples, target)
             if pos < len(tuples) and tuples[pos] == target:
-                del node.entries[pos]
+                node.remove(pos)
                 self._save(pid, node)
                 self.pager.entry_count -= 1
                 self.pager.mark_header_dirty()
@@ -472,11 +569,6 @@ class BTree:
                 return False
             pid = node.next_leaf
             node = self._load(pid)
-
-    @staticmethod
-    def _child_index_low(node: _Internal, key: Key) -> int:
-        tuples = [key_tuple(k) for k in node.keys]
-        return bisect_left(tuples, key_tuple(key))
 
     def scan(
         self,

@@ -228,21 +228,26 @@ class Pager:
         return raw
 
     # repro: taint-sink
-    def write_page(self, page_id: int, data: bytes) -> None:
-        """Seal ``data`` (≤ :data:`PAGE_CONTENT_SIZE` bytes) and write it."""
+    def write_page(self, page_id: int, data: bytes) -> bytes:
+        """Seal ``data`` (≤ :data:`PAGE_CONTENT_SIZE` bytes) and write it.
+
+        Returns the sealed page it meant to write: what :meth:`read_page`
+        returns until something else writes the page (a
+        ``pager.write_page.data`` failpoint's mangling is not it)."""
         if page_id <= 0 or page_id >= self.page_count:
             raise StorageError(
                 f"page {page_id} out of range in {self.path}"
             )
         if obs.ACTIVE:
             obs.inc("pager.write_page")
-        sealed = seal_page(data)
+        sealed = written = seal_page(data)
         if faults.ACTIVE:
             faults.fire(
                 "pager.write_page.pre", path=self.path, page_id=page_id
             )
-            sealed = faults.mangle("pager.write_page.data", sealed)
-        self._file.write_page(page_id, sealed)
+            written = faults.mangle("pager.write_page.data", sealed)
+        self._file.write_page(page_id, written)
+        return sealed
 
     def close(self) -> None:
         self._tally.file_reads += self._file.take_page_reads()

@@ -249,14 +249,17 @@ class AdsProof:
 
     trie: ProofDir
     files: Dict[str, FileProof] = field(default_factory=dict)
-    #: byte_size() memo: the ISP sizes a VO for its metrics and the
-    #: client for its network accounting, and in-process both hold the
-    #: same object.  Nothing mutates a proof after it is built.
-    _size: Optional[int] = field(
+    #: encode() memo: the ISP sizes a VO for its metrics and the RPC
+    #: codec then sends it, and in-process the client sizes the same
+    #: object.  Nothing mutates a proof after it is built.
+    _encoded: Optional[bytes] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def encode(self) -> bytes:
+        """The compact binary encoding, built once per proof."""
+        if self._encoded is not None:
+            return self._encoded
         writer = Writer()
         _encode_trie(writer, self.trie)
         writer.u32(len(self.files))
@@ -265,7 +268,8 @@ class AdsProof:
             writer.short_text(path).u32(len(siblings))
             for level, index in sorted(siblings):
                 writer.u16(level).u64(index).digest(siblings[(level, index)])
-        return writer.payload()
+        self._encoded = writer.payload()
+        return self._encoded
 
     @classmethod
     # repro: taint-source
@@ -294,9 +298,7 @@ class AdsProof:
 
     def byte_size(self) -> int:
         """Size of the encoded proof — the paper's VO-size metric."""
-        if self._size is None:
-            self._size = len(self.encode())
-        return self._size
+        return len(self.encode())
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import random
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 import pytest
 
@@ -300,42 +300,56 @@ def _other_page(leaves_only: bool):
     return rewrite
 
 
-def _resealed(change: Callable[[Asked, Any], bool]):
-    """A table leaf decoded, changed in place by ``change`` (False:
-    nothing to change here) and sealed again: a well-formed page."""
+#: One leaf's ``(key, value)`` entries.
+Entries = List[Tuple[Any, bytes]]
+
+
+def leaf_page(entries: Entries, next_leaf: int = 0) -> bytes:
+    """A sealed page holding one B+Tree leaf of ``entries``, in the
+    order given: the one way a test forges a leaf.  (A decoded node
+    keeps each entry's encoded bytes, so a forger edits the entries,
+    not a node.)"""
+    return seal_page(btree._Leaf(entries, next_leaf).encode())
+
+
+def _resealed(
+    change: Callable[[Asked, Entries, int], Optional[tuple]],
+):
+    """A table leaf's ``(entries, next_leaf)`` changed by ``change``
+    (None: nothing to change here) and sealed again: a well-formed
+    page."""
     def rewrite(asked: Asked) -> Optional[bytes]:
         if asked.honest[0] != btree._LEAF:
             return None
         leaf = btree._decode_node(asked.honest)
-        return seal_page(leaf.encode()) if change(asked, leaf) else None
+        changed = change(asked, list(leaf.entries), leaf.next_leaf)
+        return None if changed is None else leaf_page(*changed)
     return rewrite
 
 
-def _one_record(asked: Asked, leaf) -> bool:
+def _one_record(asked: Asked, entries: Entries, next_leaf: int) -> tuple:
     """Every row carries the leaf's shortest record."""
-    record = min((value for _, value in leaf.entries), key=len)
-    leaf.entries = [(key, record) for key, _ in leaf.entries]
-    return True
+    record = min((value for _, value in entries), key=len)
+    return [(key, record) for key, _ in entries], next_leaf
 
 
 def _garbled(offset: int, bits: int):
     """Every row's record garbled at ``offset``, keys and lengths intact
     (a record is ``[count:2][tag:1][payload]``; a text payload starts
     with its 4-byte length)."""
-    def change(asked: Asked, leaf) -> bool:
-        leaf.entries = [(key, flip_byte(value, offset, bits))
-                        for key, value in leaf.entries]
-        return True
+    def change(asked: Asked, entries: Entries, next_leaf: int) -> tuple:
+        return [(key, flip_byte(value, offset, bits))
+                for key, value in entries], next_leaf
     return change
 
 
-def _link_past_next(asked: Asked, leaf) -> bool:
+def _link_past_next(asked: Asked, entries: Entries,
+                    next_leaf: int) -> Optional[tuple]:
     """Link past the successor, so a scan omits its rows (0, ending the
     scan, if that was the last leaf)."""
-    if leaf.next_leaf == 0:
-        return False
-    leaf.next_leaf = btree._decode_node(asked.page(leaf.next_leaf)).next_leaf
-    return True
+    if next_leaf == 0:
+        return None
+    return entries, btree._decode_node(asked.page(next_leaf)).next_leaf
 
 
 def _swapped_catalog(asked: Asked) -> bytes:

@@ -1,19 +1,28 @@
 """Unit and model-based property tests for the B+Tree."""
 
 import random
+import struct
 from bisect import bisect_left, bisect_right
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from tests.adversary import leaf_page
 
 from repro.db import btree
 from repro.db.btree import BTree, NodeMemo
 from repro.db.pager import Pager, seal_page
-from repro.db.record import decode_record, encode_record
+from repro.db.record import MAX_RECORD_BYTES, decode_record, encode_record
 from repro.db.types import sort_key
-from repro.errors import SQLExecutionError, StorageError
+from repro.errors import (
+    SQLExecutionError,
+    SQLTypeError,
+    StorageError,
+    TornPageError,
+)
+from repro.faults import registry
+from repro.faults.registry import InjectedFault
 from repro.vfs.local import LocalFilesystem
 
 
@@ -583,11 +592,6 @@ class TestHeldLeaf:
 # ----------------------------------------------------------------------
 
 
-def leaf_page(entries, next_leaf=0):
-    """A sealed 4 KiB page holding one encoded leaf."""
-    return seal_page(btree._Leaf(list(entries), next_leaf).encode())
-
-
 class TestNodeMemo:
     def test_write_path_changes_are_seen_through_a_shared_memo(self):
         """Keyed on content: a page rewritten in place is a new key."""
@@ -697,13 +701,13 @@ class TestRowSlots:
         """The page parses (keys and lengths are intact); the row's
         first value tag is not a tag.  Every read raises the typed error
         — the entry's slot stays empty, its neighbours' are unaffected."""
-        leaf = btree._Leaf([([i], encode_record(row))
-                            for i, row in enumerate(self.ROWS[:5])])
-        bad = bytearray(leaf.entries[2][1])
+        entries = [([i], encode_record(row))
+                   for i, row in enumerate(self.ROWS[:5])]
+        bad = bytearray(entries[2][1])
         bad[2] = 0x7F
-        leaf.entries[2] = (leaf.entries[2][0], bytes(bad))
+        entries[2] = (entries[2][0], bytes(bad))
         memo = NodeMemo()
-        node = memo.node(seal_page(leaf.encode()))
+        node = memo.node(leaf_page(entries))
         assert memo.row(node, 1) == tuple(self.ROWS[1])
         for _ in range(2):
             with pytest.raises(StorageError,
@@ -929,6 +933,354 @@ class TestHostileNodeBytes:
         self.overwrite(vfs, "/w3", left, root)
         with pytest.raises(StorageError, match="child link cycle"):
             BTree(Pager(vfs, "/w3")).get([1])
+
+
+# ----------------------------------------------------------------------
+# The write path against a copy of the whole-node one it replaced
+# ----------------------------------------------------------------------
+#
+# Test-only: the write path as it was before nodes kept per-entry bytes
+# and trees kept one node per page.  Every insert decoded its path
+# afresh, rebuilt every key's sort tuple to bisect, and re-encoded the
+# whole node twice (size check, save).  The page bytes it wrote are the
+# format; the new path must write the very same ones.
+
+
+class WholeLeaf:
+    def __init__(self, entries=None, next_leaf=0):
+        self.entries = entries if entries is not None else []
+        self.next_leaf = next_leaf
+
+    def encoded_size(self):
+        size = 1 + 2 + 4
+        for key, value in self.entries:
+            size += len(encode_record(key)) + 4 + len(value)
+        return size
+
+    def encode(self):
+        parts = [bytes([btree._LEAF]),
+                 struct.pack(">HI", len(self.entries), self.next_leaf)]
+        for key, value in self.entries:
+            parts.append(encode_record(key))
+            parts.append(struct.pack(">I", len(value)))
+            parts.append(value)
+        raw = b"".join(parts)
+        if len(raw) > btree.PAGE_CONTENT_SIZE:
+            raise StorageError("leaf node exceeds page capacity")
+        return raw
+
+
+class WholeInternal:
+    def __init__(self, keys, children):
+        self.keys = keys
+        self.children = children
+
+    def encoded_size(self):
+        size = 1 + 2 + 4
+        for key in self.keys:
+            size += len(encode_record(key)) + 4
+        return size
+
+    def encode(self):
+        parts = [bytes([btree._INTERNAL]),
+                 struct.pack(">HI", len(self.keys), self.children[0])]
+        for key, child in zip(self.keys, self.children[1:]):
+            parts.append(encode_record(key))
+            parts.append(struct.pack(">I", child))
+        raw = b"".join(parts)
+        if len(raw) > btree.PAGE_CONTENT_SIZE:
+            raise StorageError("internal node exceeds page capacity")
+        return raw
+
+
+class WholeNodeWriter:
+    """``insert``/``delete`` of the whole-node write path."""
+
+    def __init__(self, pager):
+        self.pager = pager
+
+    def _load(self, pid):
+        kind, first, keys, payloads, _ = btree._parse_node(
+            self.pager.read_page(pid))
+        if kind == btree._LEAF:
+            return WholeLeaf(list(zip(keys, payloads)), first)
+        return WholeInternal(keys, [first] + payloads)
+
+    def _save(self, pid, node):
+        self.pager.write_page(pid, node.encode())
+
+    def insert(self, key, value, allow_duplicate=False):
+        if self.pager.root_pid == 0:
+            pid = self.pager.allocate_page()
+            self._save(pid, WholeLeaf([(key, value)]))
+            self.pager.root_pid = pid
+            self.pager.entry_count = 1
+            self.pager.mark_header_dirty()
+            return
+        split = self._insert_into(self.pager.root_pid, key, value,
+                                  allow_duplicate)
+        if split is not None:
+            sep_key, right_pid = split
+            new_root = WholeInternal([sep_key],
+                                     [self.pager.root_pid, right_pid])
+            pid = self.pager.allocate_page()
+            self._save(pid, new_root)
+            self.pager.root_pid = pid
+        self.pager.entry_count += 1
+        self.pager.mark_header_dirty()
+
+    def _insert_into(self, pid, key, value, allow_duplicate):
+        node = self._load(pid)
+        if isinstance(node, WholeLeaf):
+            tuples = [btree.key_tuple(k) for k, _ in node.entries]
+            target = btree.key_tuple(key)
+            pos = bisect_right(tuples, target)
+            if not allow_duplicate and pos > 0 and tuples[pos - 1] == target:
+                raise SQLExecutionError(f"duplicate key {key!r}")
+            node.entries.insert(pos, (key, value))
+            if node.encoded_size() <= btree.PAGE_CONTENT_SIZE:
+                self._save(pid, node)
+                return None
+            return self._split_leaf(pid, node)
+        pos = bisect_right([btree.key_tuple(k) for k in node.keys],
+                           btree.key_tuple(key))
+        split = self._insert_into(node.children[pos], key, value,
+                                  allow_duplicate)
+        if split is None:
+            return None
+        sep_key, right_pid = split
+        node.keys.insert(pos, sep_key)
+        node.children.insert(pos + 1, right_pid)
+        if node.encoded_size() <= btree.PAGE_CONTENT_SIZE:
+            self._save(pid, node)
+            return None
+        return self._split_internal(pid, node)
+
+    def _split_leaf(self, pid, node):
+        mid = len(node.entries) // 2
+        right = WholeLeaf(node.entries[mid:], node.next_leaf)
+        right_pid = self.pager.allocate_page()
+        node.entries = node.entries[:mid]
+        node.next_leaf = right_pid
+        self._save(right_pid, right)
+        self._save(pid, node)
+        return list(right.entries[0][0]), right_pid
+
+    def _split_internal(self, pid, node):
+        mid = len(node.keys) // 2
+        sep_key = node.keys[mid]
+        right = WholeInternal(node.keys[mid + 1:], node.children[mid + 1:])
+        right_pid = self.pager.allocate_page()
+        node.keys = node.keys[:mid]
+        node.children = node.children[:mid + 1]
+        self._save(right_pid, right)
+        self._save(pid, node)
+        return sep_key, right_pid
+
+    def delete(self, key):
+        if self.pager.root_pid == 0:
+            return False
+        pid = self.pager.root_pid
+        node = self._load(pid)
+        while isinstance(node, WholeInternal):
+            pid = node.children[bisect_left(
+                [btree.key_tuple(k) for k in node.keys],
+                btree.key_tuple(key))]
+            node = self._load(pid)
+        target = btree.key_tuple(key)
+        while True:
+            tuples = [btree.key_tuple(k) for k, _ in node.entries]
+            pos = bisect_left(tuples, target)
+            if pos < len(tuples) and tuples[pos] == target:
+                del node.entries[pos]
+                self._save(pid, node)
+                self.pager.entry_count -= 1
+                self.pager.mark_header_dirty()
+                return True
+            if pos < len(tuples) or node.next_leaf == 0:
+                return False
+            pid = node.next_leaf
+            node = self._load(pid)
+
+
+def logged_pager(path):
+    """A fresh pager whose ``read_page``/``write_page`` calls are
+    logged, in order, to its ``calls`` list."""
+    pager = Pager(LocalFilesystem(), path, create=True)
+    pager.calls = []
+    read, write = pager.read_page, pager.write_page
+
+    def read_page(pid):
+        pager.calls.append(("read", pid))
+        return read(pid)
+
+    def write_page(pid, data):
+        pager.calls.append(("write", pid))
+        return write(pid, data)
+
+    pager.read_page, pager.write_page = read_page, write_page
+    return pager
+
+
+def outcome(operation):
+    try:
+        return ("ok", operation())
+    except (SQLExecutionError, SQLTypeError, StorageError) as error:
+        return (type(error).__name__, str(error))
+
+
+#: Text of one index key ``[text, rowid]`` (record: 2 + 5 + n + 9
+#: bytes) from empty to the longest ``MAX_RECORD_BYTES`` allows, and one
+#: byte over; long keys split leaves and internal nodes within a few
+#: dozen rows at the real page size.
+LONGEST_TEXT = MAX_RECORD_BYTES - 16
+TEXTS = st.one_of(
+    st.text(alphabet="abé中", max_size=6),
+    st.sampled_from([300, 1200, 2000, LONGEST_TEXT,
+                     LONGEST_TEXT + 1]).map(lambda n: "k" * n),
+)
+WRITES = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), TEXTS, st.integers(0, 6),
+                  st.sampled_from([0, 9, 120, 500]), st.booleans()),
+        st.tuples(st.just("delete"), st.integers(0, 10 ** 6)),
+        st.tuples(st.just("delete-absent"), TEXTS),
+    ),
+    min_size=30, max_size=80,
+)
+#: Always run as well: three levels, so internal nodes split, then
+#: deletes across them (about one drawn sequence in ten gets there).
+DEEP_WRITES = [("insert", "k" * 1200, rowid % 7, 9, False)
+               for rowid in range(40)] + [("delete", 3 * i) for i in range(12)]
+
+
+class TestWritePathDifferential:
+    """After every insert and delete, a long-lived tree and the
+    whole-node writer have sealed byte-identical pages, made the same
+    ``read_page``/``write_page`` calls, and raised the same errors."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(WRITES)
+    @example(DEEP_WRITES)
+    def test_same_pages_and_page_io_after_every_operation(self, writes):
+        ours, theirs = logged_pager("/ours"), logged_pager("/theirs")
+        tree, reference = BTree(ours), WholeNodeWriter(theirs)
+        inserted = []
+        for write in writes:
+            if write[0] == "insert":
+                _, text, rowid, length, unique = write
+                key, value = [text, rowid], b"v" * length
+                got = outcome(lambda: tree.insert(
+                    key, value, allow_duplicate=not unique))
+                want = outcome(lambda: reference.insert(
+                    list(key), value, allow_duplicate=not unique))
+                if got[0] == "ok":
+                    inserted.append(key)
+            else:
+                if write[0] == "delete" and inserted:
+                    key = inserted.pop(write[1] % len(inserted))
+                else:  # absent: every inserted rowid is >= 0
+                    key = [write[1] if write[0] == "delete-absent" else "",
+                           -1]
+                got = outcome(lambda: tree.delete(key))
+                want = outcome(lambda: reference.delete(list(key)))
+            assert got == want
+            assert ours.calls == theirs.calls
+            assert (ours.page_count, ours.root_pid, ours.entry_count) == (
+                theirs.page_count, theirs.root_pid, theirs.entry_count)
+            for pid in range(1, ours.page_count):
+                assert (ours._file.read_page(pid)
+                        == theirs._file.read_page(pid)), pid
+        assert [list(key) for key, _ in tree.items()] == sorted(
+            inserted, key=btree.key_tuple)
+
+
+# ----------------------------------------------------------------------
+# The kept node: each way it could go wrong
+# ----------------------------------------------------------------------
+
+
+class TestKeptNode:
+    """A tree's kept node of a page is reused only for the exact bytes
+    the page reads back as; three ways those bytes could differ from the
+    node, and the check that catches each."""
+
+    def test_a_mangled_write_is_caught_on_the_next_load(self):
+        """The kept key is the sealed page the tree meant to write, never
+        what a ``pager.write_page.data`` failpoint put in the file; the
+        next write-path load reads the file and fails its checksum, as
+        it did when every load decoded."""
+        _, pager, tree = fresh_tree()
+        for key in range(5):
+            tree.insert([key], b"v")
+        registry.seed(6)
+        registry.arm("pager.write_page.data", "corrupt", times=1)
+        tree.insert([5], b"v")  # corrupted on its way to the file
+        registry.reset()
+        pid = pager.root_pid
+        meant, node = tree._kept[pid]
+        assert meant == seal_page(node.encode()) != pager._file.read_page(pid)
+        with pytest.raises(TornPageError):
+            tree.insert([6], b"v")
+        with pytest.raises(TornPageError):
+            tree.delete([0])
+
+    @staticmethod
+    def rows_one_leaf_holds(value):
+        _, pager, tree = fresh_tree()
+        count = 0
+        while pager.page_count <= 2:  # header + one leaf: no split yet
+            tree.insert([count], value)
+            count += 1
+        return count - 1
+
+    @pytest.mark.parametrize("writes_before_the_crash", [0, 1])
+    def test_a_crash_mid_split_drops_every_kept_node(
+            self, writes_before_the_crash):
+        """``pager.write_page.pre`` raises while a leaf splits (at the
+        right half's write, or at the left's after the right's): the
+        node was changed and not saved, so the next insert decodes what
+        the file holds, and the tree still equals a dict model."""
+        value = b"v" * 100
+        _, pager, tree = fresh_tree()
+        model = {}
+        for key in range(self.rows_one_leaf_holds(value)):
+            tree.insert([key], value)
+            model[key] = value
+        registry.arm("pager.write_page.pre", "raise", times=1,
+                     after=writes_before_the_crash)
+        with pytest.raises(InjectedFault):
+            tree.insert([10 ** 6], value)  # splits the one leaf
+        registry.reset()
+        assert tree._kept == {}
+        on_file = pager._file.read_page(1)
+        decoded = []
+        real = btree._decode_node
+        with mock.patch.object(
+                btree, "_decode_node",
+                lambda raw: decoded.append(raw) or real(raw)):
+            tree.insert([-1], b"w")
+        assert decoded == [on_file]
+        model[-1] = b"w"
+        for key in range(10 ** 6 + 1, 10 ** 6 + 60):
+            tree.insert([key], b"x")
+            model[key] = b"x"
+        assert {key[0]: value for key, value in tree.items()} == model
+
+    def test_a_page_another_tree_rewrote_is_decoded_afresh(self):
+        _, pager, first = fresh_tree()
+        for key in range(0, 40, 2):
+            first.insert([key], b"first")
+        second = BTree(pager)
+        second.insert([7], b"second")  # the same leaf, rewritten
+        first.insert([9], b"first")
+        assert first.get([7]) == b"second"
+        assert {key[0] for key, _ in BTree(pager).items()} == {
+            *range(0, 40, 2), 7, 9}
+        assert second.delete([2])
+        assert first.delete([4])
+        assert first.get([2]) is None and second.get([4]) is None
+        assert len(list(BTree(pager).items())) == 20
 
 
 # ----------------------------------------------------------------------
