@@ -16,7 +16,6 @@ import tempfile
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.isp.server import IspServer
-from repro.merkle.ads import V2fsAds
 from repro.merkle.persistent_store import PersistentNodeStore
 
 
@@ -41,12 +40,7 @@ def main() -> None:
 
     print("\n== Restarting the ISP (reopen the on-disk store) ==")
     durable.ads.store.close()
-    reopened = IspServer()
-    reopened.ads = V2fsAds.__new__(V2fsAds)  # adopt existing snapshot
-    reopened.ads.store = PersistentNodeStore(log_path)
-    reopened.ads.root = durable.root
-    reopened.root = durable.root
-    reopened.certificate = durable.certificate
+    reopened = IspServer.reopen(log_path, durable.certificate)
     system.isp = reopened
 
     fresh_client = system.make_client(QueryMode.BASELINE)

@@ -310,7 +310,7 @@ class ProofDeterminismRule(Rule):
 class FailpointNamesRule(Rule):
     """Every failpoint call site must target a declared name.
 
-    The chaos harness arms failpoints by name; a call site whose
+    Fault tests arm failpoints by name; a call site whose
     literal is missing from :data:`repro.faults.FAILPOINTS` can never
     be armed, and a schedule naming it tests nothing.  The runtime
     mirror of this check lives in ``FailpointRegistry.arm``.

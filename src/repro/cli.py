@@ -13,26 +13,28 @@ Four commands cover the zero-to-aha path:
   N shard primaries + R read replicas behind a proof-stitching router
   (:mod:`repro.fleet`) that unmodified clients verify against;
 * ``experiment`` — regenerate one of the paper's tables/figures by name;
-* ``chaos`` — run the seeded fault-injection/recovery harness
-  (:mod:`repro.faults.chaos`) and print its counters;
+* ``chaos`` — the concurrency stress run
+  (:func:`repro.faults.chaos.run_concurrent_chaos`): it serves a
+  live-ingesting ISP to concurrent RPC clients with the
+  :mod:`repro.sanitize` lock-order checker armed and fails on any
+  lock-order report or client error;
 * ``metrics`` — inspect the :mod:`repro.obs` layer: list the scope
   catalog, validate an exported document, or run a small instrumented
   workload and dump its counters;
 * ``lint`` — run the :mod:`repro.analysis` invariant checker over the
   source tree (``--strict`` is the CI gate).
 
-``chaos --layer concurrent`` is the concurrency stress run: it serves a
-live-ingesting ISP to concurrent RPC clients with the
-:mod:`repro.sanitize` lock-order checker armed and fails on any
-lock-order report or client error.
+Crash recovery at every failpoint is not a CLI command: it is the fault
+machine in ``tests/test_stateful.py`` (system side) and
+``tests/test_fleet_replication_stateful.py`` (fleet side), run under
+``pytest --hypothesis-profile=chaos``.
 
 ``serve`` and ``fleet`` accept ``--fault-schedule``/``--fault-seed`` to
 arm named failpoints (e.g.
-``--fault-schedule 'rpc.server.drop=raise@p:0.1'``); ``chaos`` takes the
-schedule only, because each chaos seed reseeds the registry.  ``query``,
-``serve``, ``chaos``, ``experiment``, and ``metrics`` accept
-``--metrics-out FILE`` to export the process-wide metrics registry as
-JSON on exit.
+``--fault-schedule 'rpc.server.drop=raise@p:0.1'``; grammar in
+:mod:`repro.faults.registry`).  ``query``, ``serve``, ``chaos``,
+``experiment``, and ``metrics`` accept ``--metrics-out FILE`` to export
+the process-wide metrics registry as JSON on exit.
 """
 
 from __future__ import annotations
@@ -159,10 +161,9 @@ def _arm_faults(args: argparse.Namespace) -> None:
     """Arm the ``--fault-schedule`` (if any) with the ``--fault-seed``."""
     if getattr(args, "fault_schedule", None):
         from repro.faults import registry as faults
-        from repro.faults.chaos import apply_schedule
 
         faults.seed(args.fault_seed)
-        armed = apply_schedule(args.fault_schedule)
+        armed = faults.apply_schedule(args.fault_schedule)
         print(f"armed failpoints: {', '.join(armed)}", file=sys.stderr)
 
 
@@ -202,35 +203,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_fleet(args: argparse.Namespace) -> int:
     """Launch N shards + R replicas + a proof-stitching router."""
     from repro.fleet.lifecycle import Fleet
-
-    if args.chaos is not None:
-        # Failure-domain mode: run the named chaos scenario against a
-        # freshly built fleet instead of serving one.
-        from repro.faults.chaos import run_fleet_chaos
-
-        scenario = None if args.chaos == "default" else args.chaos
-        print(
-            f"fleet chaos scenario {args.chaos!r}: "
-            f"{args.shards} shard(s), {args.replicas} replica(s), "
-            f"{args.chaos_steps} step(s), seed {args.fault_seed}",
-            flush=True,
-        )
-        try:
-            stats = run_fleet_chaos(
-                args.fault_seed,
-                steps=args.chaos_steps,
-                shard_count=args.shards,
-                replicas=args.replicas,
-                schedule=args.fault_schedule,
-                scenario=scenario,
-            )
-        except AssertionError as error:
-            print(f"INVARIANT VIOLATED: {error}", file=sys.stderr)
-            return 1
-        print(f"  {stats.as_dict()}")
-        print("all invariants held")
-        _write_metrics(args)
-        return 0
 
     system = _build_system(args.hours, args.txs_per_block)
     _arm_faults(args)
@@ -277,47 +249,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import (
-        run_concurrent_chaos,
-        run_fleet_chaos,
-        run_pager_chaos,
-        run_system_chaos,
-    )
+    from repro.faults.chaos import run_concurrent_chaos
 
     failures = 0
     for seed in args.seeds:
         print(f"== chaos seed {seed} ==")
-        try:
-            if args.layer in ("system", "all"):
-                stats = run_system_chaos(
-                    seed,
-                    steps=args.steps,
-                    schedule=args.fault_schedule,
-                    use_rpc=not args.no_rpc,
-                )
-                print(f"  system: {stats.as_dict()}")
-            if args.layer in ("pager", "all"):
-                stats = run_pager_chaos(seed, steps=args.steps)
-                print(f"  pager:  {stats.as_dict()}")
-            if args.layer in ("fleet", "all"):
-                stats = run_fleet_chaos(
-                    seed,
-                    steps=min(args.steps, 60),
-                    schedule=args.fault_schedule,
-                    scenario=args.scenario,
-                )
-                print(f"  fleet:  {stats.as_dict()}")
-            if args.layer in ("concurrent", "all"):
-                res = run_concurrent_chaos(seed)
-                print(f"  concurrent: queries_ok={res['queries_ok']} "
-                      f"reports={len(res['reports'])}")
-                if res["client_errors"] or res["reports"]:
-                    failures += 1
-                    for line in res["client_errors"] + res["reports"]:
-                        print(f"  {line}", file=sys.stderr)
-        except AssertionError as error:
+        res = run_concurrent_chaos(seed)
+        print(f"  concurrent: queries_ok={res['queries_ok']} "
+              f"reports={len(res['reports'])}")
+        if res["client_errors"] or res["reports"]:
             failures += 1
-            print(f"  INVARIANT VIOLATED: {error}", file=sys.stderr)
+            for line in res["client_errors"] + res["reports"]:
+                print(f"  {line}", file=sys.stderr)
     _write_metrics(args)
     if failures:
         print(f"{failures} seed(s) violated invariants", file=sys.stderr)
@@ -465,14 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--fault-schedule", default=None,
                        help="arm failpoints before serving, e.g. "
                             "'fleet.replica.lag=raise@p:0.2'")
-    fleet.add_argument("--chaos", metavar="SCENARIO", default=None,
-                       choices=["default", "netsplit", "kill-primary",
-                                "promote-lag"],
-                       help="instead of serving, run the named "
-                            "failure-domain chaos scenario against a "
-                            "fresh fleet and report its invariants")
-    fleet.add_argument("--chaos-steps", type=int, default=40,
-                       help="steps for --chaos runs")
     fleet.add_argument("--fault-seed", type=int, default=0,
                        help="seed for probabilistic fault triggers")
     fleet.add_argument("--metrics-out", metavar="FILE", default=None,
@@ -489,25 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.set_defaults(handler=cmd_experiment)
 
     chaos = commands.add_parser(
-        "chaos", help="run the seeded fault-injection/recovery harness"
+        "chaos",
+        help="run the armed concurrency stress workload (clients vs. "
+             "live ingestion over RPC)",
     )
     chaos.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3],
-                       help="chaos seeds to run (default: 1 2 3)")
-    chaos.add_argument("--steps", type=int, default=200,
-                       help="steps per seed")
-    chaos.add_argument("--layer", default="all",
-                       choices=["system", "pager", "fleet",
-                                "concurrent", "all"],
-                       help="which harness to run")
-    chaos.add_argument("--no-rpc", action="store_true",
-                       help="skip the RPC transport in system chaos")
-    chaos.add_argument("--fault-schedule", default=None,
-                       help="override the default fault schedule")
-    chaos.add_argument("--scenario", default=None,
-                       choices=["netsplit", "kill-primary",
-                                "promote-lag"],
-                       help="focus the fleet layer on one named "
-                            "failure-domain scenario")
+                       help="stress seeds to run (default: 1 2 3)")
     chaos.add_argument("--metrics-out", metavar="FILE", default=None,
                        help="write the metrics registry as JSON on exit")
     chaos.set_defaults(handler=cmd_chaos)

@@ -1,10 +1,11 @@
-"""``repro.faults`` — failpoint injection and chaos testing.
+"""``repro.faults`` — failpoint injection.
 
 Production code paths carry named failpoints (see
-:mod:`repro.faults.registry`); this package also provides the shadow
-dirty-vs-durable filesystem used to model power loss
-(:mod:`repro.faults.shadowfs`) and the randomized chaos/recovery harness
-(:mod:`repro.faults.chaos`).
+:mod:`repro.faults.registry`, which also parses the ``--fault-schedule``
+strings); this package also provides the shadow dirty-vs-durable
+filesystem used to model power loss (:mod:`repro.faults.shadowfs`),
+simulated netsplits (:mod:`repro.faults.netsplit`) and the concurrency
+stress run (:mod:`repro.faults.chaos`).
 
 Hot call sites import the registry module directly
 (``from repro.faults import registry as faults``) so the disabled-path
@@ -17,18 +18,11 @@ from __future__ import annotations
 from repro.faults import registry as _registry_module
 from repro.faults.catalog import FAILPOINTS, declare, is_declared
 from repro.faults.registry import (
-    ACTION_CORRUPT,
-    ACTION_COUNT,
-    ACTION_CRASH,
-    ACTION_RAISE,
-    Failpoint,
-    FailpointRegistry,
     InjectedFault,
     SimulatedCrash,
     arm,
     disarm,
     fire,
-    get_registry,
     mangle,
     reset,
     seed,
@@ -37,14 +31,8 @@ from repro.faults.registry import (
 )
 
 __all__ = [
-    "ACTION_CORRUPT",
-    "ACTION_COUNT",
-    "ACTION_CRASH",
-    "ACTION_RAISE",
     "ACTIVE",
     "FAILPOINTS",
-    "Failpoint",
-    "FailpointRegistry",
     "InjectedFault",
     "SimulatedCrash",
     "arm",
@@ -52,7 +40,6 @@ __all__ = [
     "disarm",
     "is_declared",
     "fire",
-    "get_registry",
     "mangle",
     "reset",
     "seed",

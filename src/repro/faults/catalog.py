@@ -1,13 +1,13 @@
 """Central catalog of every failpoint name in the codebase.
 
-A failpoint that is armed but never reached is a chaos schedule that
+A failpoint that is armed but never reached is a fault schedule that
 silently tests nothing — exactly the kind of rot a typo'd name causes.
 Two independent checks keep the catalog and the call sites in lock-step:
 
 * **runtime** — :meth:`repro.faults.registry.FailpointRegistry.arm`
   rejects names missing from :data:`FAILPOINTS` (with a did-you-mean
   hint), so a schedule like ``store.apend.mid=crash`` fails loudly at
-  arm time instead of running a no-op chaos campaign;
+  arm time instead of running a no-op fault test;
 * **static** — the ``failpoint-names`` rule of :mod:`repro.analysis`
   cross-checks every ``faults.fire``/``faults.mangle``/``faults.arm``
   string literal in ``src/`` against this catalog, so an instrumented

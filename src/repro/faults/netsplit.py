@@ -1,4 +1,4 @@
-"""Simulated network partitions (netsplits) for chaos testing.
+"""Simulated network partitions (netsplits) for fault tests.
 
 A netsplit blackholes traffic between a *labelled* caller and a
 ``(host, port)`` endpoint: :class:`~repro.rpc.client.RemoteIsp` handles
@@ -17,7 +17,7 @@ partition can only make answers slow or refused, never wrong.
 Like :mod:`repro.faults.registry`, the table is process-global,
 imperative, and zero-cost when empty: callers guard with
 ``if netsplit.ACTIVE:`` so production paths pay one module-attribute
-read.  Not thread-synchronized by design — chaos harnesses mutate the
+read.  Not thread-synchronized by design — fault tests mutate the
 table from the driver thread between steps, and a racy read during a
 transition just means the partition lands one call earlier or later,
 which any real netsplit also does.
@@ -75,10 +75,6 @@ def is_blocked(label: str, endpoint: Endpoint) -> bool:
     )
 
 
-def severed_count() -> int:
-    return len(_SEVERED)
-
-
 __all__ = [
     "ACTIVE",
     "Endpoint",
@@ -86,5 +82,4 @@ __all__ = [
     "sever_pair",
     "heal",
     "is_blocked",
-    "severed_count",
 ]

@@ -9,7 +9,7 @@ design goals, in order:
    behind the module-level :data:`ACTIVE` flag — one attribute read on
    the hot path, no function call, no dictionary lookup.
 2. **Deterministic.**  Probabilistic triggers draw from one seeded RNG
-   owned by the registry, so a chaos schedule replays exactly from its
+   owned by the registry, so a fault schedule replays exactly from its
    seed (the CLI's ``--fault-schedule``/``--fault-seed``).
 3. **Typed failure modes.**  An armed failpoint either raises
    :class:`InjectedFault` (an operational error the code under test must
@@ -22,6 +22,16 @@ design goals, in order:
 Trigger policies compose: ``after`` skips the first N hits, ``every``
 fires each Nth remaining hit, ``probability`` gates each candidate hit
 through the seeded RNG, and ``times`` bounds the total number of fires.
+
+Schedules are plain strings so they can ride in a CLI flag
+(``serve``/``fleet --fault-schedule``)::
+
+    store.append.mid=crash@p:0.001;rpc.server.drop=raise@p:0.08
+
+Entry grammar: ``name=action[@term,term...]`` joined by ``;`` where
+``action`` is one of ``raise`` / ``crash`` / ``corrupt`` / ``count``
+and each term is ``p:<float>``, ``times:<int>``, ``every:<int>`` or
+``after:<int>`` (see :func:`parse_schedule`).
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import logging
 import random
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.faults.catalog import is_declared, suggest
@@ -62,8 +72,8 @@ class SimulatedCrash(BaseException):
 
     Inherits :class:`BaseException` — like ``KeyboardInterrupt`` — so no
     ``except Exception`` recovery path can absorb it: the "process" is
-    dead, and only the chaos harness (which models the reboot) may catch
-    it.  Durability is then judged by what an un-fsynced file model
+    dead, and only a test that models the reboot (the fault machine in
+    ``tests/test_stateful.py``) may catch it.  Durability is then judged by what an un-fsynced file model
     preserves: see :class:`repro.faults.shadowfs.ShadowFilesystem` and
     :meth:`repro.merkle.persistent_store.PersistentNodeStore.simulate_crash`.
     """
@@ -193,7 +203,7 @@ class FailpointRegistry:
         """Arm (or re-arm) the failpoint ``name``; returns its handle.
 
         ``name`` must be declared in :data:`repro.faults.FAILPOINTS` —
-        arming an undeclared (typo'd) name would build a chaos schedule
+        arming an undeclared (typo'd) name would build a fault schedule
         that silently targets nothing, so it is rejected here instead of
         discovered never.
         """
@@ -227,10 +237,6 @@ class FailpointRegistry:
             self._suspended = 0
             self._refresh_active_locked()
 
-    def armed(self) -> List[str]:
-        with self._lock:
-            return sorted(self._points)
-
     def stats(self) -> Dict[str, Failpoint]:
         """Snapshot of armed failpoints by name (live handles)."""
         with self._lock:
@@ -242,7 +248,7 @@ class FailpointRegistry:
     def suspended(self) -> Iterator[None]:
         """Temporarily disable every failpoint (re-entrant).
 
-        The chaos harness uses this around *trusted-party* work (chain
+        Fault tests use this around *trusted-party* work (chain
         generation, the CI's maintenance run, oracle queries) so faults
         land only on the storage/ISP/RPC paths under test.
         """
@@ -287,10 +293,6 @@ class FailpointRegistry:
 _REGISTRY = FailpointRegistry()
 
 
-def get_registry() -> FailpointRegistry:
-    return _REGISTRY
-
-
 def seed(value: int) -> None:
     _REGISTRY.seed(value)
 
@@ -331,3 +333,41 @@ def mangle(name: str, data: bytes) -> bytes:
     if not ACTIVE:
         return data
     return _REGISTRY.mangle(name, data)
+
+
+#: Schedule term -> (``arm`` keyword, value type).
+_TERMS = {"p": ("probability", float), "times": ("times", int),
+          "every": ("every", int), "after": ("after", int)}
+
+
+def parse_schedule(text: str) -> List[Tuple[str, str, Dict[str, Any]]]:
+    """Parse a schedule string into ``(name, action, policy)`` triples."""
+    entries: List[Tuple[str, str, Dict[str, Any]]] = []
+    for chunk in filter(None, (part.strip() for part in text.split(";"))):
+        name, sep, spec = chunk.partition("=")
+        if not sep:
+            raise ValueError(
+                f"bad schedule entry {chunk!r}: expected name=action[@terms]"
+            )
+        action, _, terms = spec.partition("@")
+        policy: Dict[str, Any] = {}
+        for term in filter(None, (part.strip() for part in terms.split(","))):
+            key, sep, value = term.partition(":")
+            if not sep or key not in _TERMS:
+                raise ValueError(
+                    f"bad schedule term {term!r} in {chunk!r}: expected "
+                    "p, times, every or after, then :value"
+                )
+            keyword, kind = _TERMS[key]
+            policy[keyword] = kind(value)
+        entries.append((name.strip(), action.strip(), policy))
+    return entries
+
+
+def apply_schedule(text: str) -> List[str]:
+    """Arm every entry of ``text``; returns the armed failpoint names."""
+    armed = []
+    for name, action, policy in parse_schedule(text):
+        arm(name, action, **policy)
+        armed.append(name)
+    return armed

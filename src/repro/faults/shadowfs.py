@@ -20,8 +20,8 @@ independently resolved by a seeded RNG into one of three outcomes:
   (the torn-page case the pager's per-page checksum exists to detect).
 
 The model is what lets :class:`SimulatedCrash` scenarios abandon
-un-fsynced writes deterministically, and what the chaos harness reopens
-stores against.
+un-fsynced writes deterministically, and what the pager's crash tests
+reopen files against.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class ShadowFilesystem(VirtualFilesystem):
         self._files: Dict[str, _ShadowEntry] = {}
         self._rng = rng if rng is not None else random.Random()
         #: (path, page_id, outcome) log of the most recent crash, for
-        #: assertions and chaos reporting.
+        #: assertions.
         self.last_crash_outcomes: List[Tuple[str, int, str]] = []
 
     # -- VirtualFilesystem interface ------------------------------------
@@ -129,10 +129,6 @@ class ShadowFilesystem(VirtualFilesystem):
         entry = self._entry(path)
         entry.durable = bytearray(entry.dirty)
         entry.dirty_pages.clear()
-
-    def sync_all(self) -> None:
-        for path in self._files:
-            self.sync_file(path)
 
     def dirty_pages(self, path: str) -> Set[int]:
         return set(self._entry(path).dirty_pages)

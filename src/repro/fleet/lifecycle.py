@@ -426,10 +426,12 @@ class Fleet:
             raise FleetError(
                 f"shard {shard_id} has no replica to promote"
             )
-        # The fleet-wide certified version gates promotion; the router
-        # can still serve it when this shard's primary is the casualty
-        # (any member's copy is signature-checked by callers anyway).
-        expected_version = self.isp.get_certificate().version
+        # The version the outgoing primary applied, and so shipped to
+        # its log, gates promotion: a replica below it lags.  Not the
+        # router's get_certificate, which falls back to any live member
+        # — a lagging replica among them — when the primaries it asks
+        # first are down or cooling off.
+        expected_version = self.shards[shard_id].certificate.version
         chosen: Optional[Tuple[str, ReplicaIsp]] = None
         refusals: List[str] = []
         for candidate_label, replica in pairs:

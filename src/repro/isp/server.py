@@ -37,6 +37,7 @@ from repro.isp.vo import VOBuilder
 from repro.merkle import page_tree
 from repro.merkle.ads import V2fsAds
 from repro.merkle.node_store import FileNode, NodeStore
+from repro.merkle.persistent_store import PersistentNodeStore
 from repro.merkle.proof import AdsProof
 from repro.obs import metrics as obs
 
@@ -98,6 +99,21 @@ class IspServer:
         # the fleet router.  See DESIGN.md "Concurrency model".
         self.sessions = registry_for_isp()
         self._previous_root: Optional[Digest] = None
+
+    @classmethod
+    def reopen(cls, store_path: str,
+               certificate: V2fsCertificate) -> "IspServer":
+        """Recover a durable ISP after a restart or a crash.
+
+        Reopens the on-disk store at ``store_path`` (its scan truncates
+        a torn tail) and serves ``certificate``, the last one the ISP
+        published.  ``sync_update`` syncs the store before it publishes,
+        so every node under that certificate's root is on disk.
+        """
+        isp = cls(PersistentNodeStore(store_path))
+        isp.ads.root = isp.root = certificate.ads_root
+        isp.certificate = certificate
+        return isp
 
     @property
     def _sessions(self) -> Dict[int, "IspSession"]:

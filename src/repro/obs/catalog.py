@@ -301,15 +301,6 @@ SCOPES: Dict[str, str] = {
         "Bytes marshalled across the enclave boundary.",
     "sgx.ocall.overhead_s":
         "Simulated seconds charged for enclave crossings.",
-    # -- chaos harness (repro/faults/chaos.py) -------------------------
-    "chaos.steps":
-        "Chaos schedule steps executed.",
-    "chaos.crashes":
-        "Simulated crashes survived by the harness.",
-    "chaos.recoveries":
-        "Successful reopen/recovery cycles after a crash.",
-    "chaos.netsplits":
-        "Simulated network partitions injected by the fleet harness.",
 }
 
 

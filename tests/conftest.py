@@ -8,10 +8,17 @@ session-scoped and treated as read-only by the tests that share it
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.faults import registry as faults
 from repro.workloads.generator import WorkloadGenerator
+
+# Hypothesis profiles, picked with ``pytest --hypothesis-profile=NAME``.
+# ``default`` is hypothesis' own budget, and tier-1 runs it; ``chaos``
+# is CI's deeper run of the fault machine (tests/fault_machine.py).
+settings.register_profile("default", max_examples=100, stateful_step_count=50)
+settings.register_profile("chaos", max_examples=500, stateful_step_count=100)
 
 
 @pytest.fixture(autouse=True)

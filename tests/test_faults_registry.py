@@ -5,8 +5,12 @@ import pytest
 from repro import faults
 from repro.errors import ReproError
 from repro.faults import registry
-from repro.faults.chaos import apply_schedule, parse_schedule
-from repro.faults.registry import InjectedFault, SimulatedCrash
+from repro.faults.registry import (
+    InjectedFault,
+    SimulatedCrash,
+    apply_schedule,
+    parse_schedule,
+)
 
 # arm() rejects names missing from the FAILPOINTS catalog; the
 # throwaway hooks these tests exercise must be declared first.

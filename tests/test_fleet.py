@@ -31,7 +31,7 @@ from repro.errors import (
     RpcConnectionError,
     StorageError,
 )
-from repro.faults.chaos import apply_schedule, run_fleet_chaos
+from repro.faults.registry import apply_schedule
 from repro.fleet.lifecycle import Fleet
 from repro.fleet.partition import (
     HashPartitioner,
@@ -618,7 +618,7 @@ class TestBreaker:
 
 
 # ---------------------------------------------------------------------------
-# CLI and chaos entry points
+# CLI entry point
 # ---------------------------------------------------------------------------
 
 
@@ -656,12 +656,3 @@ class TestFleetCli:
             thread.join(timeout=30)
         assert not thread.is_alive()
         assert result["code"] == 0
-
-
-class TestFleetChaosSmoke:
-    def test_short_fleet_chaos_run_holds_invariants(self):
-        stats = run_fleet_chaos(3, steps=8, shard_count=2, replicas=1)
-        assert stats.steps == 8
-        # Either path proves liveness: queries completed, or every
-        # abort was a typed error (the harness asserts on divergence).
-        assert stats.remote_queries_ok + stats.remote_queries_failed > 0

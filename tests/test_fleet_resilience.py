@@ -33,7 +33,7 @@ from repro.errors import (
     FleetError,
     NetworkError,
 )
-from repro.faults.chaos import apply_schedule, run_fleet_chaos
+from repro.faults.registry import apply_schedule
 from repro.fleet.health import HealthTracker
 from repro.fleet.lifecycle import Fleet
 from repro.fleet.partition import (
@@ -500,6 +500,25 @@ class TestFleetFailover:
             assert fleet.promote_replica(0) == label
             assert fleet.isp.epoch == 2
 
+    def test_a_lagging_members_certificate_does_not_gate_promotion(self):
+        """With every primary down the router serves its certificate
+        from a replica, here a lagging one: promotion still refuses the
+        lagging replica (the outgoing primary's version gates it)."""
+        system = build_system()
+        with Fleet(system, shard_count=2, replicas=2) as fleet:
+            from repro.faults import registry as faults
+
+            apply_schedule("fleet.replica.lag=raise@p:1")
+            system.advance_block("eth")
+            faults.reset()
+            fleet.kill_shard(0)
+            fleet.kill_shard(1)
+            assert fleet.isp.get_certificate().version < (
+                fleet.shards[1].certificate.version)
+            with pytest.raises(FleetError):
+                fleet.promote_replica(1)
+            assert fleet.isp.epoch == 1  # topology untouched
+
     def test_watch_health_declares_dead_primary_and_recovery(self):
         system = build_system()
         with Fleet(system, shard_count=2, replicas=1) as fleet:
@@ -586,24 +605,3 @@ class TestFleetDeadlines:
                     )
             finally:
                 remote.close()
-
-
-# ---------------------------------------------------------------------------
-# Scenario smoke: the named failure domains hold their invariants
-# ---------------------------------------------------------------------------
-
-
-class TestScenarioSmoke:
-    @pytest.mark.parametrize(
-        "scenario", ["netsplit", "kill-primary", "promote-lag"]
-    )
-    def test_short_scenario_run_holds_invariants(self, scenario):
-        stats = run_fleet_chaos(
-            7, steps=6, shard_count=2, replicas=1, scenario=scenario
-        )
-        assert stats.steps == 6
-        assert stats.remote_queries_ok + stats.remote_queries_failed > 0
-
-    def test_unknown_scenario_is_refused(self):
-        with pytest.raises(ValueError, match="unknown fleet scenario"):
-            run_fleet_chaos(1, steps=1, scenario="no-such-domain")

@@ -8,7 +8,9 @@ import pytest
 from repro.crypto.hashing import hash_bytes
 from repro.errors import StorageError
 from repro.faults import registry
+from repro.faults.chaos import _build_durable_system
 from repro.faults.registry import InjectedFault, SimulatedCrash
+from repro.isp.server import IspServer
 from repro.merkle.ads import V2fsAds
 from repro.merkle.node_store import DirNode, FileNode, PageData, PairNode
 from repro.merkle.persistent_store import PersistentNodeStore
@@ -75,6 +77,23 @@ class TestDurability:
             other = reopened.put(PageData(b"after-crash"))
         with PersistentNodeStore(store_path) as again:
             assert again.get(other) == PageData(b"after-crash")
+
+
+class TestIspReopen:
+    """``IspServer.reopen``: one recovery path for a durable ISP."""
+
+    def test_reopened_isp_serves_the_published_certificate(self, store_path):
+        system = _build_durable_system(1, 2, store_path)
+        certificate = system.isp.certificate
+        system.isp.ads.store.close()
+        system.isp = IspServer.reopen(store_path, certificate)
+        assert system.isp.root == certificate.ads_root
+        assert system.isp.ads.root == certificate.ads_root
+        assert system.isp.certificate.version == certificate.version
+        rows = system.make_client().query(
+            "SELECT COUNT(*) FROM btc_transactions").rows
+        assert rows == [(2,)]
+        system.isp.ads.store.close()
 
 
 class TestCompaction:

@@ -5,10 +5,12 @@ hammered by concurrent clients while blocks ingest; armed it must stay
 report-free and take its locks only in the order DESIGN §8 declares,
 disarmed it must compute the identical end state.  Also covers the
 shutdown contract: ``stop()`` joins handler threads instead of
-orphaning them, and a failed run still closes the store's log.
+orphaning them, and a failed run still closes the store's log and
+removes its temporary directory.
 """
 
 import re
+import tempfile
 import threading
 from graphlib import TopologicalSorter
 from pathlib import Path
@@ -75,13 +77,14 @@ class TestArmedStress:
         assert armed["final_rows"] == disarmed["final_rows"]
         assert armed["final_rows"]  # non-trivial comparison
 
-    def test_harness_resets_the_sanitizer(self, tmp_path):
-        run_concurrent_chaos(
-            5, armed=True, store_path=str(tmp_path / "ads.log"), **SMALL
-        )
+    def test_harness_resets_the_sanitizer(self, tmp_path, monkeypatch):
+        # No store_path: the run's own temporary directory is removed.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_concurrent_chaos(5, armed=True, **SMALL)
         assert not san.ACTIVE
         assert san.reports() == []
         assert san.order_edges() == set()
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_closes_the_store(self, tmp_path, monkeypatch):
         from repro.rpc import client as rpc_client
@@ -109,12 +112,13 @@ class TestArmedStress:
 
         monkeypatch.setattr(chaos, "_build_durable_system", build)
         monkeypatch.setattr(rpc_client, "connect_client", connect)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(SweepFailed):
-            run_concurrent_chaos(
-                5, store_path=str(tmp_path / "ads.log"), **SMALL
-            )
+            run_concurrent_chaos(5, **SMALL)
         assert built[0].isp.ads.store._log.closed
         assert not san.ACTIVE
+        # ... and its temporary directory is removed all the same.
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOrderGraph:

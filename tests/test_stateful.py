@@ -1,5 +1,7 @@
-"""What a verifying client carries from query to query, under random
-interleavings of honest queries, new blocks and lies.
+"""The system side of the fault machine: what a verifying client
+carries from query to query under honest queries, new blocks and lies
+(:class:`ClientStateMachine`), and a durable ISP under failpoints,
+crashes and restarts (:class:`DurableIspMachine`).
 
 The first slice of ROADMAP item 1's machine, scoped to the client's
 ``CarriedState``.  Its entries come in three kinds, and the checks are
@@ -35,9 +37,17 @@ hands out.  :func:`test_every_move_is_told_and_refused` walks the whole
 table through the same rule.
 
 Oracle: ``system.plain_replica()`` at the same certificate version.
+
+The durable ISP's rules and invariants are on :class:`DurableIspMachine`
+below; the fleet side is ``tests/test_fleet_replication_stateful.py``.
+CI runs both under ``--hypothesis-profile=chaos`` (``tests/conftest.py``).
 """
 
 import contextlib
+import os
+import random
+import tempfile
+from collections import Counter
 
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -46,8 +56,16 @@ from hypothesis.stateful import (
     initialize,
     invariant,
     rule,
+    run_state_machine_as_test,
 )
 from tests.adversary import MOVES, TABLE, LyingIsp, careless_reader
+from tests.fault_machine import (
+    MAX_PUBLISH_ATTEMPTS,
+    Oracle,
+    machine_settings,
+    next_block,
+    read_everything,
+)
 
 from repro.client.vfs import QueryMode
 from repro.core.system import SystemConfig, V2FSSystem
@@ -55,8 +73,14 @@ from repro.db.btree import LeafNode, _freeze_node
 from repro.db.catalog import Catalog
 from repro.db.record import decode_record
 from repro.errors import ReproError
+from repro.faults import registry as faults
+from repro.faults.chaos import QUERY_POOL, _build_durable_system
+from repro.faults.registry import InjectedFault, SimulatedCrash
+from repro.isp.server import IspServer
 from repro.merkle.page_tree import EMPTY, height_for
+from repro.merkle.persistent_store import _HEADER
 from repro.rpc import connect_client, serve_system
+from repro.rpc.server import IspBootstrap, RpcIspServer
 
 QUERIES = (
     "SELECT COUNT(*), SUM(gas_used) FROM eth_transactions",
@@ -367,3 +391,209 @@ def test_every_move_is_told_and_refused():
             assert len(isp.told) > told, f"{lie} was never told"
     finally:
         machine.teardown()
+
+
+# -- The durable ISP ----------------------------------------------------------
+
+#: The failpoints on the durable ISP's update path and on its wire.  On
+#: the update path a failpoint may fail (``raise``) or die (``crash``),
+#: except in compaction, which runs after the publish point: there it
+#: may only die.  On the wire it may only fail.
+UPDATE_FAULTS = ["isp.sync_update.pre", "isp.sync_update.pre_publish",
+                 "store.append.pre", "store.append.mid", "store.sync.pre",
+                 "store.compact.pre_replace"]
+WIRE_FAULTS = ["rpc.server.drop", "rpc.server.stall", "rpc.server.truncate"]
+#: Fires per failpoint, summed over every example of a run.
+FIRED = Counter()
+
+
+def log_is_whole(path):
+    """True if the node log at ``path`` is a whole number of records."""
+    with open(path, "rb") as log:
+        data = log.read()
+    position = 0
+    while position + _HEADER.size <= len(data):
+        position += _HEADER.size + _HEADER.unpack_from(data, position)[2]
+    return position == len(data)
+
+
+@contextlib.contextmanager
+def armed(fault):
+    """Arm ``fault``, a ``(name, action)`` pair or None, to fire once in
+    the block; yields a callable that says whether it fired."""
+    if fault is None:
+        yield lambda: False
+        return
+    point = faults.arm(*fault, times=1)
+    try:
+        yield lambda: point.fires > 0
+    finally:
+        FIRED[point.name] += point.fires
+        faults.disarm(point.name)
+
+
+class DurableIspMachine(RuleBasedStateMachine):
+    """A durable ISP (its ADS in a ``PersistentNodeStore``), served
+    in-process and over a threaded RPC server, under crashes, clean
+    restarts and one failpoint at a time, armed for one publish or one
+    query.
+
+    What the ISP served when it died is what it published: recovery
+    reopens the store at that certificate (``IspServer.reopen``), so a
+    root made visible before its nodes reached disk fails the
+    invariant.
+    """
+
+    def __init__(self):
+        super().__init__()
+        faults.reset()
+        self.rng = random.Random(0)
+        self._scratch = tempfile.TemporaryDirectory(prefix="v2fs-machine-")
+        self.path = os.path.join(self._scratch.name, "ads.log")
+        self.system = _build_durable_system(1, 2, self.path)
+        self.oracle = Oracle(self.system)
+        self.published = self.system.ci.certificate
+        self.server = RpcIspServer(
+            self.isp, bootstrap=IspBootstrap.for_system(self.system))
+        self.server.fault_stall_s = 0.5  # outlasts the clients' timeout
+        self.server.start()
+        #: Clients by mode, kept across queries; the in-process ones are
+        #: rebuilt when a restart replaces the ISP.
+        self.local, self.remote = {}, {}
+        self._resolved = None
+
+    @property
+    def isp(self):
+        return self.system.isp
+
+    def teardown(self):
+        try:
+            # The closing sweep: faults off, the durable ISP agrees with
+            # the oracle on every pool query.
+            client = self.system.make_client()
+            for sql in QUERY_POOL:
+                assert client.query(sql).rows == self.oracle.rows(sql)
+        finally:
+            for client in self.remote.values():
+                client.isp.close()
+            self.server.stop()
+            self.isp.ads.store.close()
+            self._scratch.cleanup()
+
+    def client(self, mode, remote):
+        if not remote:
+            if mode not in self.local:
+                self.local[mode] = self.system.make_client(mode)
+            return self.local[mode]
+        if mode not in self.remote:
+            with faults.suspended():
+                self.remote[mode] = connect_client(
+                    *self.server.address, mode=mode, timeout_s=0.25,
+                    max_retries=4)
+        return self.remote[mode]
+
+    def recover(self, crashed):
+        """Process death (or a clean stop), then a restart from disk."""
+        with faults.suspended():
+            store = self.isp.ads.store
+            if crashed:
+                store.simulate_crash(self.rng)
+            else:
+                store.close()
+            self.system.isp = self.server.isp = IspServer.reopen(
+                self.path, self.published)
+            self.local.clear()
+        assert log_is_whole(self.path), "reopen kept a torn tail record"
+
+    def publish(self, batch):
+        """Publish through the faulted update path the way an operator
+        would: retry a failed update, restart a dead ISP and retry, and
+        force it through once ``MAX_PUBLISH_ATTEMPTS`` have failed."""
+        certificate = batch[2]
+        for _ in range(MAX_PUBLISH_ATTEMPTS):
+            try:
+                self.isp.sync_update(*batch)
+            except InjectedFault:
+                # Transactional: a failed update changed nothing.
+                assert self.isp.certificate is self.published
+            except SimulatedCrash:
+                # What the ISP served when it died is what it published.
+                self.published = self.isp.certificate
+                self.recover(crashed=True)
+            else:
+                self.published = certificate
+            if self.published is certificate:
+                break
+        else:
+            with faults.suspended():
+                self.isp.sync_update(*batch)
+            self.published = certificate
+        self.oracle.publish(batch)
+
+    # -- rules ----------------------------------------------------------------
+
+    @initialize(order=st.permutations(UPDATE_FAULTS + WIRE_FAULTS),
+                crash=st.booleans())
+    def every_failpoint_once(self, order, crash):
+        """Each program starts by meeting every failpoint once, in a
+        drawn order: a published block per update failpoint, a query
+        over the wire per wire failpoint."""
+        for fault in order:
+            if fault in WIRE_FAULTS:
+                self.query(QUERY_POOL[0], QueryMode.INTER_VBF, fault)
+            else:
+                self.ingest("eth", fault, crash)
+
+    @rule(crashed=st.booleans())
+    def crash_or_restart(self, crashed):
+        self.recover(crashed)
+
+    @rule(chain_id=st.sampled_from(["eth", "btc"]),
+          fault=st.sampled_from([None, *UPDATE_FAULTS]), crash=st.booleans())
+    def ingest(self, chain_id, fault, crash):
+        """A new block, published with ``fault`` armed to fire once."""
+        if crash or fault == "store.compact.pre_replace":
+            action = "crash"
+        else:
+            action = "raise"
+        batch = next_block(self.system, chain_id)
+        with armed((fault, action) if fault else None):
+            self.publish(batch)
+
+    @rule(sql=st.sampled_from(QUERY_POOL), mode=st.sampled_from(QueryMode),
+          wire=st.sampled_from([None, "rpc", *WIRE_FAULTS]))
+    def query(self, sql, mode, wire):
+        """A verified query, in-process (``wire`` None) or over the wire
+        (``rpc``, or a wire failpoint armed to fire once on it).  It
+        returns the oracle's rows, or aborts typed when the fault fired."""
+        fault = wire if wire in WIRE_FAULTS else None
+        with armed((fault, "raise") if fault else None) as fired:
+            try:
+                rows = self.client(mode, wire is not None).query(sql).rows
+            except ReproError as error:
+                assert fired(), repr(error)
+                return
+        assert rows == self.oracle.rows(sql)
+
+    # -- the invariant --------------------------------------------------------
+
+    @invariant()
+    def serves_the_published_certificate(self):
+        """The last published root and version, every node under that
+        root resolving, and no session left open."""
+        isp, published = self.isp, self.published
+        assert isp.root == published.ads_root
+        assert isp.certificate.version == published.version
+        if self._resolved != (isp, isp.root):  # a new ISP, or a new root
+            read_everything(isp, isp.root)
+            self._resolved = (isp, isp.root)
+        assert len(isp.sessions) == 0
+
+
+def test_durable_isp_machine():
+    """The machine, then its coverage: every failpoint it arms fired."""
+    FIRED.clear()
+    run_state_machine_as_test(DurableIspMachine,
+                              settings=machine_settings(6, 10))
+    names = set(UPDATE_FAULTS) | set(WIRE_FAULTS)
+    assert {name for name in names if FIRED[name]} == names, FIRED
