@@ -235,6 +235,8 @@ class FleetMachine(RuleBasedStateMachine):
     """
 
     ENABLED = frozenset()
+    #: Rules per program under the ``default`` profile.
+    STEPS = 6
 
     def __init__(self):
         super().__init__()
@@ -431,10 +433,20 @@ class PromoteLagScenario(FleetMachine):
                          "rpc.server.drop"})
 
 
+class MixedScenario(FleetMachine):
+    """Every failure domain at once: each scenario's rules and
+    failpoints interleaved in one program."""
+
+    ENABLED = (NetsplitScenario.ENABLED | KillPrimaryScenario.ENABLED
+               | PromoteLagScenario.ENABLED)
+    STEPS = 10  # twice the fault rules of a one-domain scenario
+
+
 SCENARIOS = {
     "netsplit": NetsplitScenario,
     "kill-primary": KillPrimaryScenario,
     "promote-lag": PromoteLagScenario,
+    "mixed": MixedScenario,
 }
 
 
@@ -445,6 +457,7 @@ def test_fleet_machine(scenario):
     answered."""
     machine = SCENARIOS[scenario]
     RAN.clear()
-    run_state_machine_as_test(machine, settings=machine_settings(5, 6))
+    run_state_machine_as_test(machine,
+                              settings=machine_settings(5, machine.STEPS))
     expected = {"ingest", "query", "answered", *machine.ENABLED}
     assert expected <= {name for name, count in RAN.items() if count}, RAN

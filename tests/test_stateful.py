@@ -49,7 +49,8 @@ import random
 import tempfile
 from collections import Counter
 
-from hypothesis import settings
+import pytest
+from hypothesis import seed, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -403,7 +404,10 @@ UPDATE_FAULTS = ["isp.sync_update.pre", "isp.sync_update.pre_publish",
                  "store.append.pre", "store.append.mid", "store.sync.pre",
                  "store.compact.pre_replace"]
 WIRE_FAULTS = ["rpc.server.drop", "rpc.server.stall", "rpc.server.truncate"]
-#: Fires per failpoint, summed over every example of a run.
+#: What a chaotic run must have done besides firing every failpoint.
+LIVENESS = ["crash", "publish", "answered in-process", "answered over rpc"]
+#: Fires per failpoint, and counts of ``LIVENESS``, summed over every
+#: example of a run.
 FIRED = Counter()
 
 
@@ -497,6 +501,7 @@ class DurableIspMachine(RuleBasedStateMachine):
         with faults.suspended():
             store = self.isp.ads.store
             if crashed:
+                FIRED["crash"] += 1
                 store.simulate_crash(self.rng)
             else:
                 store.close()
@@ -528,6 +533,7 @@ class DurableIspMachine(RuleBasedStateMachine):
             with faults.suspended():
                 self.isp.sync_update(*batch)
             self.published = certificate
+        FIRED["publish"] += 1
         self.oracle.publish(batch)
 
     # -- rules ----------------------------------------------------------------
@@ -537,12 +543,14 @@ class DurableIspMachine(RuleBasedStateMachine):
     def every_failpoint_once(self, order, crash):
         """Each program starts by meeting every failpoint once, in a
         drawn order: a published block per update failpoint, a query
-        over the wire per wire failpoint."""
+        over the wire per wire failpoint.  Then one in-process query
+        reads what the recovered ISP serves."""
         for fault in order:
             if fault in WIRE_FAULTS:
                 self.query(QUERY_POOL[0], QueryMode.INTER_VBF, fault)
             else:
                 self.ingest("eth", fault, crash)
+        self.query(QUERY_POOL[0], QueryMode.INTER_VBF, None)
 
     @rule(crashed=st.booleans())
     def crash_or_restart(self, crashed):
@@ -574,6 +582,7 @@ class DurableIspMachine(RuleBasedStateMachine):
                 assert fired(), repr(error)
                 return
         assert rows == self.oracle.rows(sql)
+        FIRED["answered over rpc" if wire else "answered in-process"] += 1
 
     # -- the invariant --------------------------------------------------------
 
@@ -590,10 +599,14 @@ class DurableIspMachine(RuleBasedStateMachine):
         assert len(isp.sessions) == 0
 
 
-def test_durable_isp_machine():
-    """The machine, then its coverage: every failpoint it arms fired."""
+@pytest.mark.parametrize("program_seed", [1, 2, 3])
+def test_durable_isp_machine(program_seed):
+    """The machine's programs from one seed, then its coverage: every
+    failpoint it arms fired, and the run was chaotic — it crashed,
+    published, and answered queries in-process and over the wire."""
     FIRED.clear()
-    run_state_machine_as_test(DurableIspMachine,
-                              settings=machine_settings(6, 10))
+    machine = seed(program_seed)(lambda: DurableIspMachine())
+    run_state_machine_as_test(machine, settings=machine_settings(2, 10))
     names = set(UPDATE_FAULTS) | set(WIRE_FAULTS)
     assert {name for name in names if FIRED[name]} == names, FIRED
+    assert all(FIRED[name] for name in LIVENESS), FIRED
