@@ -1,32 +1,31 @@
 """``repro.analysis`` — project-specific static invariant checking.
 
 V²FS's soundness rests on boundaries that no unit test can watch
-globally: all database I/O flows through the VFS interface, verified
-bytes are the only bytes that reach query results, proof encodings are
-byte-deterministic, ``SimulatedCrash`` is never absorbed, and every
-failpoint call site targets a declared name.  This package enforces
-those boundaries mechanically over the whole of ``src/`` with a small
-from-scratch analyzer built on the stdlib :mod:`ast`:
+globally: verified bytes are the only bytes that reach query results
+and caches, ``SimulatedCrash`` is never absorbed, shared serving state
+is touched under its lock, no lock holder blocks, and an admission
+slot is released on every path.  This package enforces those
+boundaries mechanically over the whole of ``src/`` with a small
+from-scratch analyzer built on the stdlib :mod:`ast`.  It keeps five
+rules, each pinned by a test that puts a real historical defect back
+into today's source:
 
 * :mod:`repro.analysis.core` — findings, the rule registry, the
   ``# repro:`` annotation grammar, inline
   ``# repro: allow(<rule>) -- rationale`` suppressions, baseline
   handling, and the per-file driver;
-* :mod:`repro.analysis.rules` — the per-module V²FS rules
-  (``vfs-boundary``, ``crash-hygiene``, ``proof-determinism``,
-  ``failpoint-names``, ``typed-errors``, ``obs-naming``);
+* :mod:`repro.analysis.rules` — the per-module ``crash-hygiene`` rule;
 * :mod:`repro.analysis.engine` — the interprocedural engine (program
   index, one fact-collecting walk, the call-graph solver, the memo)
-  under the six program rules in :mod:`~repro.analysis.concurrency`
+  under the four program rules in :mod:`~repro.analysis.concurrency`
   (``guarded-by``), :mod:`~repro.analysis.dataflow`
   (``verify-before-use``, ``blocking-effect``) and
-  :mod:`~repro.analysis.ownership` (``thread-confinement``,
-  ``loop-blocking``, ``must-release``);
+  :mod:`~repro.analysis.ownership` (``must-release``);
 * :mod:`repro.analysis.reporters` — stable human and JSON output;
 * :mod:`repro.analysis.cli` — ``python -m repro lint``.
 
 Each rule documents the paper invariant it protects; see DESIGN.md
-§ "Static guarantees" for the mapping.
+§ "Static guarantees" for the mapping and the defect each one caught.
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ from typing import List
 
 from repro.analysis.core import (
     SEVERITY_ERROR,
-    _run_rules,
     all_rules,
     baseline_entries,
     load_baseline,
     parse_paths,
+    run_rules,
     subtract_baseline,
 )
 from repro.analysis.reporters import (
@@ -95,12 +95,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
              "(what would stall an event-loop thread) as JSON",
     )
     parser.add_argument(
-        "--role-table", default=None, metavar="FILE",
-        dest="role_table",
-        help="also export the thread-role reachability table (which "
-             "functions each spawned role can reach) as JSON",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="list registered rules with the invariant each protects",
     )
@@ -143,10 +137,30 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Parse once; the rule pass and the table exports hand the same
+    # The baseline is read before any source is: a bad --baseline is a
+    # usage error, not something to discover after a full analysis.
+    baseline = None
+    if not (args.no_baseline or args.write_baseline):
+        baseline_path = Path(args.baseline or DEFAULT_BASELINE)
+        if args.baseline is not None and not baseline_path.exists():
+            print(
+                f"error: baseline {baseline_path} does not exist",
+                file=sys.stderr,
+            )
+            return 2
+        if baseline_path.exists():
+            try:
+                baseline = load_baseline(baseline_path)
+            except (ValueError, json.JSONDecodeError) as error:
+                print(
+                    f"error: unreadable baseline {baseline_path}: {error}",
+                    file=sys.stderr,
+                )
+                return 2
+    # Parse once; the rule pass and the effect table hand the same
     # context objects to engine.Analysis.of, so they share one analysis.
     contexts, findings = parse_paths(paths)
-    findings.extend(_run_rules(contexts, rules))
+    findings.extend(run_rules(contexts, rules))
     findings.sort()
 
     if args.effect_table:
@@ -160,18 +174,6 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    if args.role_table:
-        from repro.analysis.ownership import build_role_table
-
-        table = build_role_table(contexts)
-        _write_json(args.role_table, table)
-        print(
-            f"wrote role table with {len(table['roles'])} role(s) "
-            f"over {len(table['functions'])} function(s) to "
-            f"{args.role_table}",
-            file=sys.stderr,
-        )
-
     if args.write_baseline:
         _write_json(args.write_baseline, {
             "version": 1, "findings": baseline_entries(findings),
@@ -182,25 +184,8 @@ def run(args: argparse.Namespace) -> int:
         )
         return 0
 
-    if not args.no_baseline:
-        baseline_path = Path(args.baseline or DEFAULT_BASELINE)
-        if args.baseline is not None and not baseline_path.exists():
-            print(
-                f"error: baseline {baseline_path} does not exist",
-                file=sys.stderr,
-            )
-            return 2
-        if baseline_path.exists():
-            try:
-                findings = subtract_baseline(
-                    findings, load_baseline(baseline_path)
-                )
-            except (ValueError, json.JSONDecodeError) as error:
-                print(
-                    f"error: unreadable baseline {baseline_path}: {error}",
-                    file=sys.stderr,
-                )
-                return 2
+    if baseline is not None:
+        findings = subtract_baseline(findings, baseline)
 
     if args.output_format == "json":
         sys.stdout.write(render_json(findings))

@@ -20,8 +20,7 @@ each with the locks held at that point) answer it, and
 ``H(f) ∪ locally-held`` (accesses in the owning ``__init__`` are
 construction and exempt; ``writes`` mode exempts reads for
 deliberately lock-free-read structures).  Annotations naming an
-unknown lock are rejected with a did-you-mean hint, the same UX as
-``failpoint-names``.
+unknown lock are rejected with a did-you-mean hint.
 
 Lock *order* is not checked here: the serving path reaches the ISP
 through ``getattr`` dispatch, which no static call graph follows, so

@@ -111,13 +111,6 @@ DIRECTIVES: Dict[str, DirectiveSpec] = {
         "(any)"),
     "guarded-by": DirectiveSpec(
         "guarded-by(<lock>[, <mode>])", 1, ANY, ON_FIELD, "guarded-by"),
-    "confined-to": DirectiveSpec(
-        "confined-to(<role>)", 1, None, ON_FIELD, "thread-confinement"),
-    "thread-role": DirectiveSpec(
-        "thread-role(<role>[, nonblocking])", 1, "nonblocking", ON_DEF,
-        "thread-confinement"),
-    "loop-safe": DirectiveSpec(
-        "loop-safe", 0, None, ON_DEF, "loop-blocking"),
     "taint-source": DirectiveSpec(
         "taint-source", 0, None, ON_DEF, "verify-before-use"),
     "taint-sanitizer": DirectiveSpec(
@@ -537,7 +530,7 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) or path.stem
 
 
-def _run_rules(
+def run_rules(
     contexts: Sequence[ModuleContext],
     rules: Sequence[Rule],
 ) -> List[Finding]:
@@ -621,7 +614,7 @@ def analyze_sources(
     cross-module call-graph reasoning.
     """
     contexts, findings = parse_sources(named_sources)
-    findings.extend(_run_rules(
+    findings.extend(run_rules(
         contexts, rules if rules is not None else all_rules()
     ))
     return sorted(findings)
@@ -682,7 +675,7 @@ def analyze_paths(
     interprocedural rules see the complete call graph.
     """
     contexts, findings = parse_paths(paths, root=root)
-    findings.extend(_run_rules(
+    findings.extend(run_rules(
         contexts, rules if rules is not None else all_rules()
     ))
     return sorted(findings)

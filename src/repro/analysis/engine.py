@@ -1,9 +1,8 @@
-"""The interprocedural engine the six program rules share.
+"""The interprocedural engine the four program rules share.
 
-``guarded-by``, ``verify-before-use``, ``blocking-effect``,
-``thread-confinement`` + ``loop-blocking`` and ``must-release`` all
-reason over the whole program.  Everything they have in common lives
-here, each piece written once:
+``guarded-by``, ``verify-before-use``, ``blocking-effect`` and
+``must-release`` all reason over the whole program.  Everything they
+have in common lives here, each piece written once:
 
 1. the **index** (:class:`Program`) — classes with resolved bases,
    lock objects (attributes or module globals assigned
@@ -566,12 +565,10 @@ def _attach_field_directive(
     info, attr = owner
     existing = info.field_directives.get((name, attr))
     if existing is not None and existing.directive.args != directive.args:
-        # "lock" / "role": the usage string's first placeholder.
-        what = spec.usage[spec.usage.index("<") + 1:spec.usage.index(">")]
         reject(
             f"field {attr!r} is annotated {name}({directive.args[0]}) "
             f"here but {name}({existing.directive.args[0]}) elsewhere; "
-            f"pick one {what}"
+            "pick one lock"
         )
         return
     field = FieldDirective(info.class_id, attr, directive, ctx.path)
@@ -964,7 +961,7 @@ def propagate(
     ``down`` and callee to caller otherwise; an edge delivers the
     source function's set plus whatever ``carried(site)`` adds.  A
     ``Thread(target=...)`` edge delivers the empty set: the child
-    starts with none of the spawner's locks, effects or roles.
+    starts with none of the spawner's locks or effects.
 
     With ``meet=False`` (may-analysis) every function starts at its
     seed and takes the union of what arrives — the least fixpoint.
@@ -1082,7 +1079,7 @@ class Analysis:
     A lint run hands the same contexts to each program rule and table
     export in turn; :meth:`of` gives them all the same object, and
     :meth:`fact` computes each derived fact (entry-held locks, effect
-    flow, role model, ...) the first time any of them asks.
+    flow, taint hits, ...) the first time any of them asks.
     """
 
     _latest: Optional["Analysis"] = None

@@ -1,81 +1,49 @@
-"""Thread-confinement and resource-ownership analysis.
+"""Resource-ownership analysis: the ``must-release`` rule.
 
-PR 9's event-loop server (:mod:`repro.serve`) rests on two invariants
-that previously existed only as comments and a one-time hand audit:
+The serving path admits a request by taking a slot and must give it
+back on every path, including exceptional ones, or a crashed handler
+shrinks serving capacity for good (the worker backstop swallows the
+error, so nothing else notices).  The same holds for sockets and
+selector registrations.  This module turns that into a
+``ProgramRule`` whose per-function summaries run under
+:func:`~repro.analysis.engine.summarize`.
 
-1. **confinement** — per-connection state (the ``_Conn`` table, the
-   batch queue, out-buffers, selector interest masks) is touched only
-   by the selectors loop thread;
-2. **ownership** — every acquired resource (admission slot, selector
-   registration, socket, sanitizer arming) is released on every path,
-   including exceptional ones, so a crashed handler can never wedge
-   the verifiable serving path.
+A per-function CFG evaluator (try/except/finally/with/return/raise
+aware; every call is a may-raise edge) checks declared acquire/release
+pairs and tracked value resources:
 
-This module turns both into ``ProgramRule``\\ s over
-:mod:`repro.analysis.engine`: roles are one
-:func:`~repro.analysis.engine.propagate` towards callees, confined
-accesses and blocking sites are facts its walk already recorded, and
-the ownership summaries run under
-:func:`~repro.analysis.engine.summarize`:
-
-* **thread-confinement** — ``# repro: confined-to(<role>)`` on a
-  ``self.<field> = ...`` line declares the only thread role allowed to
-  touch the field.  Each function's *role set* is computed from spawn
-  roots: a ``Thread`` ``target=`` is a root of the role
-  declared by ``# repro: thread-role(<role>)`` on its ``def`` line
-  (or ``thread:<name>`` if undeclared), public functions root the
-  implicit ``main`` role, and roles propagate to every (non-spawn)
-  callee.  An access to a confined field from a function reachable
-  under any other role is an error carrying the spawn→call→access
-  witness chain.
-
-* **loop-blocking** — ``# repro: thread-role(<role>, nonblocking)``
-  additionally forbids any blocking primitive of effect >= ``sleep``
-  (PR 8's lattice: sleep/fsync/socket/subprocess; bare lock
-  acquisition stays legal) anywhere reachable under that role.  The
-  sanctioned exception — the completion-deque + wake-pipe pattern,
-  where the loop drains nonblocking sockets it owns — is expressed as
-  a sanitizer: ``# repro: loop-safe`` on a ``def`` line exempts that
-  function's *own direct* socket-kind sites, and nothing else (its
-  callees are still traversed, and sleep/fsync/subprocess are never
-  excused).  ``selectors.select`` is invisible to the lattice by
-  design: it is the loop's one legitimate wait.
-
-* **must-release** — a per-function CFG evaluator (try/except/
-  finally/with/return/raise aware; every call is a may-raise edge)
-  checks declared acquire/release pairs and tracked value resources:
-
-  - ``# repro: acquires(<resource>[, conditional])`` /
-    ``# repro: releases(<resource>)`` on ``def`` lines declare named
-    pairs (``_admit``/``_release``, ``arm``/``disarm``).  A
-    ``conditional`` acquire only materializes in direct
-    ``if f():`` / ``if not f():`` test position (any other shape is a
-    documented miss, never a false positive).
-  - socket factories (``socket.socket``, ``create_connection``,
-    ``accept``) assigned to a plain name are tracked until
-    ``.close()``/``.detach()`` or until they *escape* (stored into an
-    attribute/subscript, returned, passed into a container or an
-    unresolvable callee) — escape ends tracking silently, so only
-    provable leaks are reported.
-  - ``<sel>.register(sock)`` on a tracked socket opens a registration
-    that ``unregister(sock)`` must close.
-  - interprocedural summaries let wrappers count: a callee that
-    releases/closes its ``i``-th parameter on every path transfers
-    ownership; a function left holding a named resource on *every*
-    exit is promoted to an acquirer (its callers inherit the
-    obligation); holding on only *some* exits is the leak.
+- ``# repro: acquires(<resource>[, conditional])`` /
+  ``# repro: releases(<resource>)`` on ``def`` lines declare named
+  pairs (``_admit``/``_release``).  A ``conditional`` acquire only
+  materializes in direct ``if f():`` / ``if not f():`` test position
+  (any other shape is a documented miss, never a false positive).
+- socket factories (``socket.socket``, ``create_connection``,
+  ``accept``) assigned to a plain name are tracked until
+  ``.close()``/``.detach()`` or until they *escape* (stored into an
+  attribute/subscript, returned, passed into a container or an
+  unresolvable callee) — escape ends tracking silently, so only
+  provable leaks are reported.
+- ``<sel>.register(sock)`` on a tracked socket opens a registration
+  that ``unregister(sock)`` must close.
+- interprocedural summaries let wrappers count: a callee that
+  releases/closes its ``i``-th parameter on every path transfers
+  ownership; a function left holding a named resource on *every*
+  exit is promoted to an acquirer (its callers inherit the
+  obligation); holding on only *some* exits is the leak.
 
 Deliberate conservatism, in the no-false-positive direction: except
 handlers are assumed to catch everything their ``try`` body raises,
 resources reaching any escape are no longer tracked, and resources
 bound to anything but a plain local name are never tracked at all.
+So a resource whose handle is stored on an object (a session id kept
+on ``ClientSession``, a pager or node store held by its owner) is out
+of the rule's reach; DESIGN §6 lists those as known misses.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
-import difflib
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -101,12 +69,9 @@ from repro.analysis.engine import (
     Program,
     Resolver,
     is_private,
-    propagate,
     short,
     summarize,
 )
-
-ROLE_MAIN = "main"
 
 #: Socket-producing callables (dotted form, resolved via the symbol
 #: table) whose direct ``name = ...`` assignment opens a tracked value
@@ -117,254 +82,6 @@ _SOCKET_FACTORIES = frozenset({
 
 #: Method names that end a tracked value resource's lifetime.
 _CLOSERS = frozenset({"close", "detach"})
-
-
-# ----------------------------------------------------------------------
-# Role reachability
-# ----------------------------------------------------------------------
-
-
-class RoleModel:
-    """Which thread roles can reach each function, with witnesses."""
-
-    def __init__(self, analysis: Analysis) -> None:
-        program = analysis.program
-        #: role -> list of (root func id, spawner func id or None,
-        #: spawn line or None) — how the role comes into existence.
-        self.roots: Dict[str, List[Tuple[str, Optional[str],
-                                         Optional[int]]]] = {}
-        #: roles declared ``nonblocking``.
-        self.nonblocking: Set[str] = set()
-        #: ``thread-role`` declarations: func id -> role.
-        self.declared: Dict[str, str] = {}
-        seed: Dict[str, Set[str]] = {
-            func_id: set() for func_id in program.functions
-        }
-        called: Set[str] = set()
-        # Spawn roots: every thread target starts its declared role (or
-        # an implicit thread:<name> role when undeclared).
-        for func_id in sorted(program.functions):
-            for site in program.functions[func_id].calls:
-                if site.callee not in program.functions:
-                    continue
-                called.add(site.callee)
-                if not site.is_thread_target:
-                    continue
-                decl = program.functions[site.callee].directive(
-                    "thread-role"
-                )
-                role = decl.args[0] if decl is not None else (
-                    f"thread:{site.callee.rsplit('.', 1)[-1]}"
-                )
-                seed[site.callee].add(role)
-                self.roots.setdefault(role, []).append(
-                    (site.callee, func_id, site.line)
-                )
-        # Declared roles root themselves even if no spawn site is
-        # visible (fixtures, indirection the spawn detection cannot
-        # see).
-        for func_id, func in program.functions.items():
-            decl = func.directive("thread-role")
-            if decl is None:
-                continue
-            role = self.declared[func_id] = decl.args[0]
-            seed[func_id].add(role)
-            entries = self.roots.setdefault(role, [])
-            if not any(root == func_id for root, _s, _l in entries):
-                entries.append((func_id, None, None))
-            if len(decl.args) > 1:
-                self.nonblocking.add(role)
-        # Main roots: public functions, plus private helpers with no
-        # known callers (assumed reachable from tests / API users).
-        for func_id in sorted(program.functions):
-            if seed[func_id]:
-                continue
-            if not is_private(func_id) or func_id not in called:
-                seed[func_id].add(ROLE_MAIN)
-                self.roots.setdefault(ROLE_MAIN, []).append(
-                    (func_id, None, None)
-                )
-        #: Roles flow from caller to every (non-spawn) callee.
-        self.flow = propagate(program, seed, down=True)
-
-    def roles(self, func_id: str) -> Set[str]:
-        return self.flow.values.get(func_id, set())
-
-    def render_chain(self, func_id: str, role: str) -> str:
-        """The call path from the role's root down to ``func_id``."""
-        return " -> ".join(
-            short(f) for f in reversed(self.flow.chain(func_id, role))
-        )
-
-    def spawn_note(self, role: str) -> str:
-        roots = self.roots.get(role, [])
-        for root, spawner, line in roots:
-            if spawner is not None:
-                return (
-                    f"role {role!r} is spawned in {short(spawner)} "
-                    f"(line {line}, target {short(root)})"
-                )
-        if roots:
-            return f"role {role!r} roots at {short(roots[0][0])}"
-        return f"role {role!r} has no known spawn root"
-
-
-def build_role_table(
-    contexts: Sequence[ModuleContext],
-) -> Dict[str, object]:
-    """The role-reachability table (JSON-ready, CI artifact).
-
-    One row per declared role with its spawn roots, plus every
-    function reachable under a non-``main`` role with its full role
-    set — the worklist a reviewer checks before moving code between
-    the loop thread and the worker pool.
-    """
-    analysis = Analysis.of(contexts)
-    model = analysis.fact(RoleModel)
-    roles_out = []
-    for role in sorted(model.roots):
-        if role == ROLE_MAIN:
-            continue
-        roles_out.append({
-            "role": role,
-            "nonblocking": role in model.nonblocking,
-            "roots": [
-                {"target": root, "spawned_in": spawner, "line": line}
-                for root, spawner, line in model.roots[role]
-            ],
-        })
-    functions_out = []
-    for func_id in sorted(analysis.program.functions):
-        roles = model.roles(func_id)
-        if roles - {ROLE_MAIN}:
-            functions_out.append({
-                "function": func_id,
-                "roles": sorted(roles),
-            })
-    return {
-        "version": 1,
-        "roles": roles_out,
-        "functions": functions_out,
-    }
-
-
-# ----------------------------------------------------------------------
-# thread-confinement
-# ----------------------------------------------------------------------
-
-
-def _check_confinement(analysis: Analysis) -> List[Finding]:
-    program = analysis.program
-    rule = ThreadConfinementRule.name
-    findings = list(program.index_findings.get(rule, ()))
-    confined = program.field_directives.get("confined-to", ())
-    if not confined:
-        return findings
-    model = analysis.fact(RoleModel)
-    known_roles = set(model.declared.values()) | {ROLE_MAIN}
-    for annotated in sorted(confined, key=lambda f: (f.path, f.line)):
-        role = annotated.directive.args[0]
-        if role not in known_roles:
-            hint = difflib.get_close_matches(
-                role, sorted(known_roles), n=1, cutoff=0.5
-            )
-            findings.append(Finding(
-                path=annotated.path, line=annotated.line, rule=rule,
-                message=(
-                    f"confined-to names unknown role "
-                    f"{role!r} for field {annotated.attr!r}"
-                    + (f" (did you mean {hint[0]!r}?)" if hint else "")
-                    + "; roles are declared with "
-                      "'# repro: thread-role(<role>)' on a thread "
-                      "target's def line (plus the implicit 'main')"
-                ),
-            ))
-    for func_id in sorted(program.functions):
-        func = program.functions[func_id]
-        for access in func.accesses:
-            annotated = program.lookup_field(
-                "confined-to", access.owner, access.attr
-            )
-            if annotated is None or program.is_construction(func, annotated):
-                continue
-            owner_role = annotated.directive.args[0]
-            wrong = sorted(model.roles(func_id) - {owner_role})
-            if not wrong:
-                continue
-            kind = "write to" if access.is_write else "read of"
-            role = wrong[0]
-            chain = model.render_chain(func_id, role)
-            extra = (
-                f" (also on roles {', '.join(wrong[1:])})"
-                if len(wrong) > 1 else ""
-            )
-            findings.append(Finding(
-                path=func.ctx.path, line=access.line, rule=rule,
-                message=(
-                    f"{kind} {short(annotated.field_id)} (confined to "
-                    f"role {owner_role!r}) in {func_id} is "
-                    f"reachable on role {role!r}{extra}: "
-                    f"{model.spawn_note(role)}; call path {chain}"
-                ),
-            ))
-    return findings
-
-
-# ----------------------------------------------------------------------
-# loop-blocking
-# ----------------------------------------------------------------------
-
-
-def _check_loop_blocking(analysis: Analysis) -> List[Finding]:
-    program = analysis.program
-    model = analysis.fact(RoleModel)
-    findings: List[Finding] = []
-    loop_safe = sorted(
-        func_id for func_id, func in program.functions.items()
-        if func.directive("loop-safe") is not None
-    )
-    for func_id in loop_safe:
-        if not model.roles(func_id) & model.nonblocking:
-            findings.append(Finding(
-                path=program.functions[func_id].ctx.path,
-                line=program.functions[func_id].node.lineno,
-                rule=LoopBlockingRule.name,
-                message=(
-                    f"loop-safe on {func_id} is unreachable from any "
-                    "nonblocking role; the annotation sanctions "
-                    "nothing (remove it or spawn the function under a "
-                    "'thread-role(<role>, nonblocking)' root)"
-                ),
-            ))
-    for func_id in sorted(program.functions):
-        func = program.functions[func_id]
-        roles = model.roles(func_id) & model.nonblocking
-        if not roles:
-            continue
-        blocking = func.blocking
-        if func_id in loop_safe:
-            # The sanctioned wake-pipe/nonblocking-socket pattern:
-            # only this function's own direct socket operations are
-            # excused; a sleep/fsync/subprocess is never loop-safe.
-            blocking = [s for s in blocking if s.kind != "socket"]
-        if not blocking:
-            continue
-        role = sorted(roles)[0]
-        chain = model.render_chain(func_id, role)
-        for site in blocking:
-            findings.append(Finding(
-                path=func.ctx.path, line=site.line,
-                rule=LoopBlockingRule.name,
-                message=(
-                    f"blocking {site.kind} ({site.detail}) in "
-                    f"{func_id} is reachable on nonblocking role "
-                    f"{role!r}: {model.spawn_note(role)}; call path "
-                    f"{chain}; move it to a worker or mark the "
-                    "function '# repro: loop-safe' if it only drains "
-                    "nonblocking sockets the loop owns"
-                ),
-            ))
-    return findings
 
 
 # ----------------------------------------------------------------------
@@ -1178,48 +895,6 @@ def _check_must_release(analysis: Analysis) -> List[Finding]:
     for func_id in sorted(leaks):
         findings.extend(leaks[func_id])
     return findings
-
-
-# ----------------------------------------------------------------------
-# The rules
-# ----------------------------------------------------------------------
-
-
-@register
-class ThreadConfinementRule(ProgramRule):
-    name = "thread-confinement"
-    description = (
-        "accesses to '# repro: confined-to(<role>)' fields must be "
-        "unreachable from any other thread role"
-    )
-    invariant = (
-        "per-connection serving state is touched only by the thread "
-        "role that owns it, so the event loop never races its workers"
-    )
-
-    def check_program(
-        self, contexts: Sequence[ModuleContext],
-    ) -> Iterator[Finding]:
-        yield from Analysis.of(contexts).fact(_check_confinement)
-
-
-@register
-class LoopBlockingRule(ProgramRule):
-    name = "loop-blocking"
-    description = (
-        "no blocking primitive (effect >= sleep) may be reachable on "
-        "a 'thread-role(<role>, nonblocking)' role; '# repro: "
-        "loop-safe' sanctions only direct nonblocking-socket drains"
-    )
-    invariant = (
-        "the event-loop thread never blocks, so one slow handler "
-        "cannot stall every pipelined session behind it"
-    )
-
-    def check_program(
-        self, contexts: Sequence[ModuleContext],
-    ) -> Iterator[Finding]:
-        yield from Analysis.of(contexts).fact(_check_loop_blocking)
 
 
 @register

@@ -217,11 +217,19 @@ class InterQueryCache:
         """This query's VO has verified: every cached page its fresh
         marks cover was fresh at ``version``."""
         for path, level, index in self._fresh:
-            ids = (index,) if level == 0 else self._page_ids.get(path, ())
-            for page_id in ids:
-                entry = self._pages.get((path, page_id))
-                if entry is not None and page_id >> level == index:
-                    entry.version = max(entry.version, version)
+            self._raise_version(path, level, index, version)
+
+    # repro: taint-sink
+    def _raise_version(self, path: str, level: int, index: int,
+                       version: int) -> None:
+        """Raise ``V_n`` of every cached page under one node.  Only a
+        mark a verified VO vouched for may get here: the node's
+        coordinates must not come from an unproven ISP reply."""
+        ids = (index,) if level == 0 else self._page_ids.get(path, ())
+        for page_id in ids:
+            entry = self._pages.get((path, page_id))
+            if entry is not None and page_id >> level == index:
+                entry.version = max(entry.version, version)
 
     def is_fresh(self, key: PageKey) -> bool:
         """Is some marked-fresh ancestor (or the leaf itself) covering?

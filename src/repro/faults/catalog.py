@@ -2,16 +2,18 @@
 
 A failpoint that is armed but never reached is a fault schedule that
 silently tests nothing — exactly the kind of rot a typo'd name causes.
-Two independent checks keep the catalog and the call sites in lock-step:
+The registry keeps the catalog and the call sites in lock-step at both
+ends of a name:
 
-* **runtime** — :meth:`repro.faults.registry.FailpointRegistry.arm`
+* **arm** — :meth:`repro.faults.registry.FailpointRegistry.arm`
   rejects names missing from :data:`FAILPOINTS` (with a did-you-mean
   hint), so a schedule like ``store.apend.mid=crash`` fails loudly at
   arm time instead of running a no-op fault test;
-* **static** — the ``failpoint-names`` rule of :mod:`repro.analysis`
-  cross-checks every ``faults.fire``/``faults.mangle``/``faults.arm``
-  string literal in ``src/`` against this catalog, so an instrumented
-  call site cannot reference an undeclared (hence un-armable) name.
+* **fire** — while anything is armed,
+  :meth:`~repro.faults.registry.FailpointRegistry.fire` rejects a
+  call-site name missing from the catalog the same way, so an
+  instrumented site with a typo'd (hence un-armable) name fails the
+  first fault test that passes it.
 
 Tests that need throwaway names declare them with :func:`declare`
 before arming.
@@ -91,9 +93,9 @@ FAILPOINTS: Dict[str, str] = {
 def declare(name: str, doc: str) -> None:
     """Register an extra failpoint name (test-local hooks).
 
-    Production code must add its names to :data:`FAILPOINTS` directly so
-    the static ``failpoint-names`` rule can see them; ``declare`` exists
-    for tests that exercise the registry with throwaway names.
+    Production code must add its names to :data:`FAILPOINTS` directly;
+    ``declare`` exists for tests that exercise the registry with
+    throwaway names.
     """
     FAILPOINTS[name] = doc
 

@@ -207,14 +207,7 @@ class FailpointRegistry:
         that silently targets nothing, so it is rejected here instead of
         discovered never.
         """
-        if not is_declared(name):
-            hint = suggest(name)
-            raise ValueError(
-                f"failpoint {name!r} is not declared in the "
-                "repro.faults.FAILPOINTS catalog"
-                + (f"; did you mean {', '.join(map(repr, hint))}?"
-                   if hint else "")
-            )
+        _check_declared(name)
         point = Failpoint(
             name, action, times=times, every=every,
             probability=probability, after=after, rng=self.rng,
@@ -269,11 +262,21 @@ class FailpointRegistry:
     # -- firing ----------------------------------------------------------
 
     def fire(self, name: str, ctx: Dict[str, Any]) -> Any:
+        """Run the failpoint ``name`` if it is armed and triggers.
+
+        A miss on an undeclared name raises, as :meth:`arm` does: the
+        call site is a hook no schedule can ever arm.  The registry is
+        only consulted while something is armed, so disarmed code never
+        pays for the check.
+        """
         with self._lock:
             point = self._points.get(name)
-            if point is None or self._suspended:
-                return None
-            fire_now = point.should_fire()
+            fire_now = (
+                point is not None and not self._suspended
+                and point.should_fire()
+            )
+        if point is None:
+            _check_declared(name)
         if not fire_now:
             return None
         ctx.setdefault("name", name)
@@ -287,6 +290,17 @@ class FailpointRegistry:
         if isinstance(result, (bytes, bytearray)):
             return bytes(result)
         return data
+
+
+def _check_declared(name: str) -> None:
+    if not is_declared(name):
+        hint = suggest(name)
+        raise ValueError(
+            f"failpoint {name!r} is not declared in the "
+            "repro.faults.FAILPOINTS catalog"
+            + (f"; did you mean {', '.join(map(repr, hint))}?"
+               if hint else "")
+        )
 
 
 #: The process-wide registry used by every instrumented call site.

@@ -60,9 +60,8 @@ class SessionRegistry:
         with self._lock:
             self._sessions[session.session_id] = session
         if obs.ACTIVE:
-            # Per-server prefix; the ".session.open" family is declared
-            # in catalog.DYNAMIC_SCOPE_SUFFIXES and every expansion is
-            # a concrete SCOPES entry enforced at emit time.
+            # Per-server prefix; every expansion is a concrete SCOPES
+            # entry, enforced at emit time.
             obs.inc(f"{self._scope}.session.open")
 
     def get(self, session_id: int):

@@ -68,8 +68,7 @@ def get_file(store: NodeStore, root: Digest, path: str) -> FileNode:
                 f"{join_path(segments[: i + 1])} is a file, not a directory"
             )
         node = child
-    # repro: allow(typed-errors) -- unreachable loop-exit guard (the last
-    # segment always returns or raises above); not a cross-subsystem error.
+    # Unreachable: the last segment always returns or raises above.
     raise AssertionError("unreachable")
 
 

@@ -3,18 +3,12 @@
 Metric names are hierarchical dotted scopes (``subsystem.operation`` or
 ``subsystem.operation.aspect``).  A counter that is incremented under a
 name nobody ever exports — or a dashboard reading a name nobody ever
-increments — is instrumentation rot; two independent checks keep the
-catalog and the call sites in lock-step, mirroring the
-:mod:`repro.faults` failpoint catalog:
-
-* **runtime** — :class:`repro.obs.metrics.MetricsRegistry` rejects
-  instrument names missing from :data:`SCOPES` (with a did-you-mean
-  hint), so a typo'd scope fails loudly at first use instead of
-  accumulating counts under a name no experiment reads;
-* **static** — the ``obs-naming`` rule of :mod:`repro.analysis`
-  cross-checks every ``obs.inc``/``obs.add``/``obs.observe``/
-  ``obs.event``/``obs.timed``/``obs.set_gauge`` string literal in
-  ``src/`` against this catalog.
+increments — is instrumentation rot.  The catalog and the call sites
+are kept in lock-step at runtime, mirroring the :mod:`repro.faults`
+failpoint catalog: :class:`repro.obs.metrics.MetricsRegistry` rejects
+instrument names missing from :data:`SCOPES` (with a did-you-mean
+hint), so a typo'd scope fails loudly at first use instead of
+accumulating counts under a name no experiment reads.
 
 Tests that need throwaway scopes declare them with :func:`declare`
 before use.
@@ -304,40 +298,12 @@ SCOPES: Dict[str, str] = {
 }
 
 
-#: Scope *suffix families* whose prefix is chosen at runtime.  A shared
-#: component (e.g. :class:`repro.isp.sessions.SessionRegistry`) emits
-#: ``f"{scope}.session.open"`` where ``scope`` is per-server ("isp",
-#: "fleet.router", ...).  Every concrete expansion must still be listed
-#: in :data:`SCOPES` — the runtime check is unchanged — but the static
-#: ``obs-naming`` rule accepts an f-string call site when its literal
-#: suffix appears here, instead of requiring a per-call-site
-#: suppression.
-DYNAMIC_SCOPE_SUFFIXES: Dict[str, str] = {
-    ".session.open":
-        "Sessions registered by a SessionRegistry (per-server prefix).",
-    ".session.finalize":
-        "Sessions closed by a SessionRegistry (per-server prefix).",
-    ".session.pruned":
-        "Stale sessions swept by a SessionRegistry (per-server prefix).",
-}
-
-
-def is_dynamic_suffix(suffix: str) -> bool:
-    """True if ``suffix`` is a declared runtime-prefixed scope family."""
-    return suffix in DYNAMIC_SCOPE_SUFFIXES
-
-
-def dynamic_expansions(suffix: str) -> List[str]:
-    """Concrete :data:`SCOPES` entries ending in ``suffix``."""
-    return [name for name in SCOPES if name.endswith(suffix)]
-
-
 def declare(name: str, doc: str) -> None:
     """Register an extra scope name (test-local instruments).
 
-    Production code must add its names to :data:`SCOPES` directly so the
-    static ``obs-naming`` rule can see them; ``declare`` exists for
-    tests that exercise the registry with throwaway names.
+    Production code must add its names to :data:`SCOPES` directly;
+    ``declare`` exists for tests that exercise the registry with
+    throwaway names.
     """
     SCOPES[name] = doc
 

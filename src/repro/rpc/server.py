@@ -253,7 +253,7 @@ class RpcIspServer:
     # Connection handling
     # ------------------------------------------------------------------
 
-    def _accept_loop(self) -> None:  # repro: thread-role(acceptor)
+    def _accept_loop(self) -> None:
         assert self._listener is not None
         while self._running.is_set():
             try:
@@ -276,7 +276,7 @@ class RpcIspServer:
                 self._threads.append(thread)
             thread.start()
 
-    def _client_loop(self, conn: socket.socket) -> None:  # repro: thread-role(handler)
+    def _client_loop(self, conn: socket.socket) -> None:
         decoder = codec.FrameDecoder()
         try:
             while self._running.is_set():
@@ -401,11 +401,12 @@ class RpcIspServer:
             self._pending += 1
             return True
 
-    def _release(self) -> None:  # repro: releases(rpc.admission.slot)
-        if self.max_pending <= 0:
+    def _release(self, slots: int) -> None:  # repro: releases(rpc.admission.slot)
+        """Give back ``slots`` admission slots at once."""
+        if self.max_pending <= 0 or not slots:
             return
         with self._admission_lock:
-            self._pending -= 1
+            self._pending -= slots
 
     @property
     def batching(self) -> bool:
@@ -459,7 +460,7 @@ class RpcIspServer:
                     if deadline_ms is not None
                     else None
                 )
-                if not self._admit():  # repro: allow(must-release) -- one slot per entry counted in ``slots``, all released 1:1 by the finally below; the checker cannot count loop iterations
+                if not self._admit():
                     if obs.ACTIVE:
                         obs.inc("rpc.server.shed")
                     responses[index] = self._error_reply(
@@ -498,8 +499,7 @@ class RpcIspServer:
             if together:
                 self._serve_unit(together, responses)
         finally:
-            for _ in range(slots):
-                self._release()
+            self._release(slots)
         return responses
 
     def _error_reply(self, error: BaseException) -> bytes:

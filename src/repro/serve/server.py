@@ -70,23 +70,23 @@ class _Conn:
     )
 
     def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock  # repro: confined-to(loop)
+        self.sock = sock
         self.fd = sock.fileno()
-        self.decoder = codec.FrameDecoder()  # repro: confined-to(loop)
-        self.outbuf = bytearray()  # repro: confined-to(loop)
+        self.decoder = codec.FrameDecoder()
+        self.outbuf = bytearray()
         #: Selector interest mask currently registered (0 = none).
-        self.registered = 0  # repro: confined-to(loop)
+        self.registered = 0
         #: Requests handed to workers but not yet completed.
-        self.inflight = 0  # repro: confined-to(loop)
+        self.inflight = 0
         #: Plain (id-less) frame serialization: the threaded server
         #: answers strictly one-at-a-time in order, so id-less clients
         #: get the same contract here — one dispatched at a time, the
         #: rest parked in ``plain_backlog``.
-        self.plain_busy = False  # repro: confined-to(loop)
-        self.plain_backlog: Deque["_Request"] = collections.deque()  # repro: confined-to(loop)
-        self.read_eof = False  # repro: confined-to(loop)
-        self.closing = False  # repro: confined-to(loop)
-        self.closed = False  # repro: confined-to(loop)
+        self.plain_busy = False
+        self.plain_backlog: Deque["_Request"] = collections.deque()
+        self.read_eof = False
+        self.closing = False
+        self.closed = False
 
 
 #: One received frame awaiting dispatch, with the connection it came on.
@@ -126,9 +126,9 @@ class AsyncIspServer(RpcIspServer):
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
         # Loop-thread-confined state --------------------------------
-        self._conns: Dict[int, _Conn] = {}  # repro: confined-to(loop)
-        self._batch_pending: List[_Request] = []  # repro: confined-to(loop)
-        self._inflight = 0  # repro: confined-to(loop)
+        self._conns: Dict[int, _Conn] = {}
+        self._batch_pending: List[_Request] = []
+        self._inflight = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -232,7 +232,7 @@ class AsyncIspServer(RpcIspServer):
     # Event loop (single thread; owns all sockets)
     # ------------------------------------------------------------------
 
-    def _loop_main(self) -> None:  # repro: thread-role(loop, nonblocking)
+    def _loop_main(self) -> None:
         sel = selectors.DefaultSelector()
         assert self._listener is not None and self._wake_r is not None
         sel.register(self._listener, selectors.EVENT_READ, "accept")
@@ -278,7 +278,7 @@ class AsyncIspServer(RpcIspServer):
             self._inflight = 0
             sel.close()
 
-    def _drain_wake_pipe(self) -> None:  # repro: loop-safe
+    def _drain_wake_pipe(self) -> None:
         assert self._wake_r is not None
         try:
             while self._wake_r.recv(1 << 16):
@@ -288,7 +288,7 @@ class AsyncIspServer(RpcIspServer):
         except OSError:  # pragma: no cover - stopping
             pass
 
-    def _accept_ready(self, sel: selectors.BaseSelector) -> None:  # repro: loop-safe
+    def _accept_ready(self, sel: selectors.BaseSelector) -> None:
         assert self._listener is not None
         while True:
             try:
@@ -307,7 +307,7 @@ class AsyncIspServer(RpcIspServer):
             sel.register(sock, selectors.EVENT_READ, conn)
             conn.registered = selectors.EVENT_READ
 
-    def _read_ready(self, conn: _Conn) -> None:  # repro: loop-safe
+    def _read_ready(self, conn: _Conn) -> None:
         while not conn.closed and not conn.closing:
             try:
                 chunk = conn.sock.recv(1 << 16)
@@ -450,7 +450,7 @@ class AsyncIspServer(RpcIspServer):
     # Worker pool (all blocking work lives here)
     # ------------------------------------------------------------------
 
-    def _worker_main(self) -> None:  # repro: thread-role(worker)
+    def _worker_main(self) -> None:
         while True:
             requests = self._tasks.get()
             if requests is None:

@@ -7,6 +7,8 @@ session-scoped and treated as read-only by the tests that share it
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -45,3 +47,19 @@ def shared_generator(shared_system) -> WorkloadGenerator:
         shared_system.latest_time,
         queries_per_workload=2,
     )
+
+
+@pytest.fixture(scope="session")
+def shipped_tree():
+    """``src/`` parsed once and analyzed once by every lint rule.
+
+    Returns ``(contexts, findings)``; the contexts are shared with
+    every fixture that re-analyzes a mutant of one module beside the
+    rest of the tree (read-only: nothing may mutate a context).
+    """
+    from repro.analysis.core import all_rules, parse_paths, run_rules
+
+    repo = Path(__file__).resolve().parent.parent
+    contexts, findings = parse_paths([repo / "src"], root=repo)
+    findings.extend(run_rules(contexts, all_rules()))
+    return contexts, sorted(findings)

@@ -470,11 +470,6 @@ class TestFormerTrackerSites:
 
 
 class TestShippedTree:
-    def test_src_is_clean(self):
-        from repro.analysis.core import analyze_paths
-
-        findings = [
-            f for f in analyze_paths([REPO_ROOT / "src"])
-            if f.rule == "guarded-by"
-        ]
-        assert findings == []
+    def test_src_is_clean(self, shipped_tree):
+        _contexts, findings = shipped_tree
+        assert [f for f in findings if f.rule == "guarded-by"] == []

@@ -1,6 +1,6 @@
 """The interprocedural engine itself: solver, walk, memo.
 
-The rule suites check what the six program rules conclude; these check
+The rule suites check what the four program rules conclude; these check
 the machinery underneath them on its own terms — that fixpoints
 terminate on recursive code, what a must-analysis says about functions
 nobody is known to call, that thread spawns carry nothing across, and
@@ -13,7 +13,6 @@ from repro.analysis.concurrency import acquired_locks, entry_held
 from repro.analysis.core import parse_sources
 from repro.analysis.dataflow import Effects
 from repro.analysis.engine import Analysis, propagate, summarize
-from repro.analysis.ownership import RoleModel
 
 
 def analysis_for(source, module="fx"):
@@ -53,10 +52,11 @@ class TestPropagate:
         assert effects.witness("fx.even", "sleep")[0] == [
             "fx.even", "fx._odd"
         ]
-        # caller -> callee: the one role reaches the whole cycle.
-        roles = analysis.fact(RoleModel)
-        assert roles.roles("fx._odd") == {"main"}
-        assert roles.render_chain("fx._odd", "main") == "fx.even -> fx._odd"
+        # caller -> callee: a fact seeded at the public entry reaches
+        # the whole cycle.
+        flow = propagate(analysis.program, {"fx.even": {"fact"}}, down=True)
+        assert flow.values["fx._odd"] == {"fact"}
+        assert flow.chain("fx._odd", "fact") == ["fx._odd", "fx.even"]
 
     def test_meet_over_no_known_callers_is_empty(self):
         analysis = analysis_for("""
@@ -133,12 +133,14 @@ class TestPropagate:
         # ... the child's effects do not flow back to the spawner ...
         assert analysis.fact(Effects).kinds("fx.spawner") == {"lock"}
         assert analysis.fact(acquired_locks)["fx._child"] == set()
-        # ... and the spawner's role does not flow down: the child roots
-        # its own.
-        roles = analysis.fact(RoleModel)
-        assert roles.roles("fx.spawner") == {"main"}
-        assert roles.roles("fx._child") == {"thread:_child"}
-        assert roles.roles("fx._grandchild") == {"thread:_child"}
+        # ... and nothing the spawner holds flows down the spawn, while
+        # the child's own facts still reach its callees.
+        flow = propagate(
+            analysis.program,
+            {"fx.spawner": {"spawner"}, "fx._child": {"child"}}, down=True,
+        )
+        assert flow.values["fx._child"] == {"child"}
+        assert flow.values["fx._grandchild"] == {"child"}
 
     def test_witness_parent_is_first_in_sorted_caller_order(self):
         # Both roots can hand _shared the fact in the first sweep; the

@@ -1,305 +1,26 @@
-"""Fixtures for the thread-confinement / ownership rules.
+"""Fixtures for the ``must-release`` ownership rule.
 
-Each rule gets a deliberately-broken async-server fixture proving it
-fires (a worker touching loop-confined state, a blocking call on the
-loop thread, a leaked admission slot on an exception path) plus the
-matching clean variant proving the sanctioned discipline passes.  The
-suite finishes with the self-check that the shipped tree stays clean —
-the acceptance gate for wiring these rules into ``lint --strict``.
+A deliberately-broken server fixture proves the rule fires (a leaked
+admission slot on an exception path, a leaked socket or selector
+registration) and the matching clean variant proves the sanctioned
+discipline passes.  The suite finishes with the self-check that the
+shipped tree stays clean.
 """
 
-import json
 import textwrap
-from pathlib import Path
 
 import pytest
 
 from repro.analysis.core import analyze_source
-from repro.analysis.ownership import (
-    LoopBlockingRule,
-    MustReleaseRule,
-    ThreadConfinementRule,
-    build_role_table,
-)
+from repro.analysis.ownership import MustReleaseRule
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RULES = (ThreadConfinementRule(), LoopBlockingRule(), MustReleaseRule())
+RULES = (MustReleaseRule(),)
 
 
 def lint(source, module="repro.fixture"):
     return analyze_source(
         textwrap.dedent(source), module=module, rules=list(RULES)
     )
-
-
-def contexts_for(source, module="repro.fixture"):
-    from repro.analysis.core import parse_sources
-
-    contexts, findings = parse_sources(
-        [(module, f"{module.replace('.', '/')}.py",
-          textwrap.dedent(source))]
-    )
-    assert not findings
-    return contexts
-
-
-# ----------------------------------------------------------------------
-# thread-confinement
-# ----------------------------------------------------------------------
-
-
-BROKEN_CONFINEMENT_SERVER = """
-    import threading
-
-    class Server:
-        def __init__(self):
-            self._conns = {}  # repro: confined-to(loop)
-            threading.Thread(target=self._loop).start()
-            threading.Thread(target=self._worker).start()
-
-        def _loop(self):  # repro: thread-role(loop)
-            self._conns[1] = object()
-
-        def _worker(self):  # repro: thread-role(worker)
-            self._conns.pop(1)
-"""
-
-
-class TestThreadConfinement:
-    def test_worker_touching_loop_confined_state_is_flagged(self):
-        findings = lint(BROKEN_CONFINEMENT_SERVER)
-        assert [f.rule for f in findings] == ["thread-confinement"]
-        message = findings[0].message
-        assert "confined to role 'loop'" in message
-        assert "reachable on role 'worker'" in message
-        # The witness carries the spawn site and the call path.
-        assert "spawned in" in message
-        assert "_worker" in message
-
-    def test_loop_thread_access_is_clean(self):
-        findings = lint("""
-            import threading
-
-            class Server:
-                def __init__(self):
-                    self._conns = {}  # repro: confined-to(loop)
-                    threading.Thread(target=self._loop).start()
-
-                def _loop(self):  # repro: thread-role(loop)
-                    self._tick()
-
-                def _tick(self):
-                    self._conns.clear()
-        """)
-        assert findings == []
-
-    def test_wrong_role_through_a_call_chain_is_traced(self):
-        findings = lint("""
-            import threading
-
-            class Server:
-                def __init__(self):
-                    self._table = {}  # repro: confined-to(loop)
-                    threading.Thread(target=self._loop).start()
-                    threading.Thread(target=self._worker).start()
-
-                def _loop(self):  # repro: thread-role(loop)
-                    pass
-
-                def _worker(self):  # repro: thread-role(worker)
-                    self._helper()
-
-                def _helper(self):
-                    self._table[0] = 1
-        """)
-        assert len(findings) == 1
-        assert "_worker -> " in findings[0].message
-        assert "_helper" in findings[0].message
-
-    def test_main_role_access_is_flagged_too(self):
-        # A public method (implicit main role) may not touch loop
-        # state either.
-        findings = lint("""
-            import threading
-
-            class Server:
-                def __init__(self):
-                    self._conns = {}  # repro: confined-to(loop)
-                    threading.Thread(target=self._loop).start()
-
-                def _loop(self):  # repro: thread-role(loop)
-                    pass
-
-                def poke(self):
-                    self._conns.clear()
-        """)
-        assert len(findings) == 1
-        assert "reachable on role 'main'" in findings[0].message
-
-    def test_owning_init_is_exempt(self):
-        # Construction happens before the object is shared; the
-        # annotated assignment itself must not self-flag.
-        findings = lint("""
-            import threading
-
-            class Server:
-                def __init__(self):
-                    self._conns = {}  # repro: confined-to(loop)
-                    self._conns[0] = object()
-                    threading.Thread(target=self._loop).start()
-
-                def _loop(self):  # repro: thread-role(loop)
-                    pass
-        """)
-        assert findings == []
-
-    def test_unknown_role_gets_did_you_mean(self):
-        findings = lint("""
-            import threading
-
-            class Server:
-                def __init__(self):
-                    self._x = {}  # repro: confined-to(lop)
-                    threading.Thread(target=self._loop).start()
-
-                def _loop(self):  # repro: thread-role(loop)
-                    pass
-        """)
-        assert len(findings) == 1
-        assert "unknown role 'lop'" in findings[0].message
-        assert "did you mean 'loop'?" in findings[0].message
-
-    def test_unattached_annotation_is_flagged(self):
-        findings = lint("""
-            def f():
-                x = 1  # repro: confined-to(loop)
-                return x
-        """)
-        assert len(findings) == 1
-        assert "not attached" in findings[0].message
-
-    def test_annotation_quoted_in_a_string_is_not_live(self):
-        assert lint("""
-            class Server:
-                def __init__(self):
-                    self.help = "see  # repro: confined-to(loop)"
-
-                def usage(self):
-                    return self.help
-        """) == []
-
-    def test_suppression_with_rationale_absorbs(self):
-        source = BROKEN_CONFINEMENT_SERVER.replace(
-            "self._conns.pop(1)",
-            "self._conns.pop(1)  # repro: allow(thread-confinement)"
-            " -- join() in stop() fences this access",
-        )
-        assert lint(source) == []
-
-
-# ----------------------------------------------------------------------
-# loop-blocking
-# ----------------------------------------------------------------------
-
-
-BROKEN_BLOCKING_SERVER = """
-    import threading
-    import time
-
-    class Server:
-        def __init__(self):
-            threading.Thread(target=self._loop).start()
-
-        def _loop(self):  # repro: thread-role(loop, nonblocking)
-            self._tick()
-
-        def _tick(self):
-            time.sleep(0.1)
-"""
-
-
-class TestLoopBlocking:
-    def test_sleep_reachable_on_loop_thread_is_flagged(self):
-        findings = lint(BROKEN_BLOCKING_SERVER)
-        assert [f.rule for f in findings] == ["loop-blocking"]
-        message = findings[0].message
-        assert "blocking sleep" in message
-        assert "nonblocking role 'loop'" in message
-        assert "_loop -> " in message
-
-    def test_socket_recv_on_loop_thread_is_flagged(self):
-        findings = lint("""
-            import threading
-
-            class Server:
-                def __init__(self, sock):
-                    self.sock = sock
-                    threading.Thread(target=self._loop).start()
-
-                def _loop(self):  # repro: thread-role(loop, nonblocking)
-                    self.sock.recv(1)
-        """)
-        assert [f.rule for f in findings] == ["loop-blocking"]
-        assert "blocking socket" in findings[0].message
-
-    def test_loop_safe_sanctions_direct_socket_drains_only(self):
-        findings = lint("""
-            import threading
-            import time
-
-            class Server:
-                def __init__(self, sock):
-                    self.sock = sock
-                    threading.Thread(target=self._loop).start()
-
-                def _loop(self):  # repro: thread-role(loop, nonblocking)
-                    self._drain()
-                    self._bad()
-
-                def _drain(self):  # repro: loop-safe
-                    self.sock.recv(1)
-
-                def _bad(self):  # repro: loop-safe
-                    time.sleep(1)
-        """)
-        # The wake-pipe drain passes; loop-safe never excuses a sleep.
-        assert len(findings) == 1
-        assert "sleep" in findings[0].message
-
-    def test_blocking_role_without_nonblocking_is_unchecked(self):
-        source = BROKEN_BLOCKING_SERVER.replace(
-            "thread-role(loop, nonblocking)", "thread-role(loop)"
-        )
-        assert lint(source) == []
-
-    def test_worker_offload_pattern_is_clean(self):
-        findings = lint("""
-            import queue
-            import threading
-            import time
-
-            class Server:
-                def __init__(self):
-                    self._tasks = queue.Queue()
-                    threading.Thread(target=self._loop).start()
-                    threading.Thread(target=self._worker).start()
-
-                def _loop(self):  # repro: thread-role(loop, nonblocking)
-                    self._tasks.put("work")
-
-                def _worker(self):  # repro: thread-role(worker)
-                    self._tasks.get()
-                    time.sleep(0.1)
-        """)
-        assert findings == []
-
-    def test_unreachable_loop_safe_is_flagged(self):
-        findings = lint("""
-            def helper(sock):  # repro: loop-safe
-                return sock.recv(1)
-        """)
-        assert len(findings) == 1
-        assert "sanctions nothing" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -625,64 +346,12 @@ class TestMustReleaseSockets:
 
 
 # ----------------------------------------------------------------------
-# the role-reachability table (CI artifact)
-# ----------------------------------------------------------------------
-
-
-class TestRoleTable:
-    def test_table_lists_roles_roots_and_functions(self):
-        contexts = contexts_for(BROKEN_CONFINEMENT_SERVER)
-        table = build_role_table(contexts)
-        assert table["version"] == 1
-        roles = {entry["role"]: entry for entry in table["roles"]}
-        assert set(roles) == {"loop", "worker"}
-        loop_roots = roles["loop"]["roots"]
-        assert any(
-            root["target"].endswith("._loop")
-            and root["spawned_in"].endswith(".__init__")
-            for root in loop_roots
-        )
-        functions = {
-            entry["function"]: entry["roles"]
-            for entry in table["functions"]
-        }
-        assert functions["repro.fixture.Server._worker"] == ["worker"]
-
-    def test_table_is_json_serializable(self):
-        contexts = contexts_for(BROKEN_BLOCKING_SERVER)
-        payload = json.loads(json.dumps(build_role_table(contexts)))
-        assert {entry["role"] for entry in payload["roles"]} == {"loop"}
-        nonblocking = {
-            entry["role"]
-            for entry in payload["roles"] if entry["nonblocking"]
-        }
-        assert nonblocking == {"loop"}
-
-
-# ----------------------------------------------------------------------
 # the shipped tree itself
 # ----------------------------------------------------------------------
 
 
 class TestRepositoryIsClean:
-    def test_shipped_tree_has_no_ownership_findings(self):
-        from repro.analysis.core import analyze_paths
-
-        findings = analyze_paths(
-            [REPO_ROOT / "src"], rules=list(RULES), root=REPO_ROOT
-        )
+    def test_shipped_tree_has_no_ownership_findings(self, shipped_tree):
+        _contexts, findings = shipped_tree
+        findings = [f for f in findings if f.rule == "must-release"]
         assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_serving_path_roles_are_declared(self):
-        from repro.analysis.core import parse_paths
-
-        contexts, findings = parse_paths([REPO_ROOT / "src"])
-        assert not [f for f in findings if f.severity == "error"]
-        table = build_role_table(contexts)
-        roles = {entry["role"] for entry in table["roles"]}
-        assert {"loop", "worker", "acceptor", "handler"} <= roles
-        nonblocking = {
-            entry["role"]
-            for entry in table["roles"] if entry["nonblocking"]
-        }
-        assert "loop" in nonblocking

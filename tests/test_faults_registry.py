@@ -152,6 +152,20 @@ def test_arm_rejects_undeclared_names_with_a_hint():
     registry.reset()
 
 
+def test_fire_rejects_undeclared_names_while_armed():
+    # Disarmed, fire() is the one-flag fast path and checks nothing
+    # (test_inactive_by_default_and_fire_is_a_noop); armed, a call site
+    # passing an undeclared name is refused the way arm() refuses it.
+    registry.arm("a.point", "count")
+    with pytest.raises(ValueError) as excinfo:
+        registry.fire("store.apend.mid")
+    message = str(excinfo.value)
+    assert "not declared" in message
+    assert "store.append.mid" in message  # did-you-mean suggestion
+    # A declared name that is not armed is still a silent miss.
+    assert registry.fire("store.append.mid") is None
+
+
 def test_every_production_failpoint_name_is_armable():
     for name in (
         "pager.write_page.pre", "store.append.mid",

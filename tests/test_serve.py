@@ -529,9 +529,9 @@ class TestBatching:
 class TestStopRacesInflight:
     """stop() against an in-flight batch: nothing leaks, restart works.
 
-    The must-release / thread-confinement audit of the stop path: all
-    loop-confined state (conn table, batch queue, inflight counter) is
-    reset by the loop thread's own finally — so a stop() that lands
+    The stop path's ownership audit: all loop-confined state (conn
+    table, batch queue, inflight counter) is reset by the loop thread's
+    own finally — so a stop() that lands
     while a worker still holds a batch cannot leave sockets registered,
     counters poisoned, or the server unable to start again.
     """
