@@ -3,8 +3,9 @@
 The paper uses BLAKE2b as its cryptographic hash and SGX-sealed keys for
 signing certificates.  This package provides the same primitives in pure
 Python: :mod:`repro.crypto.hashing` wraps :func:`hashlib.blake2b`, and
-:mod:`repro.crypto.signature` implements Schnorr signatures over a 2048-bit
-MODP group so that certificates carry real public-key signatures.
+:mod:`repro.crypto.signature` implements Schnorr signatures in a 2048-bit
+group of 256-bit prime order, so that certificates carry real public-key
+signatures with scalars the size of the paper's ECDSA ones.
 """
 
 from repro.crypto.hashing import (
