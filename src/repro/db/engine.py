@@ -158,9 +158,13 @@ class Engine(AccessProvider):
             self._pager_tally.report()
             if obs.ACTIVE and opened:
                 obs.add("db.pager.opened", len(opened))
-                held = sum(tree.held_seeks for _, tree in opened.values())
+                trees = [tree for _, tree in opened.values()]
+                held = sum(tree.held_seeks for tree in trees)
                 if held:
                     obs.add("db.cursor.held", held)
+                held = sum(tree.held_internal_seeks for tree in trees)
+                if held:
+                    obs.add("db.cursor.held.internal", held)
 
     def _table_file(self, name: str) -> str:
         return f"{self.base_path}/tables/{name}.tbl"

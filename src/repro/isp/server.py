@@ -75,7 +75,8 @@ class IspSession:
         key = (path, page_id)
         page = self.pages.get(key)
         if page is None:
-            page = self.pages[key] = ads.get_page(self.root, path, page_id)
+            page = self.pages[key] = ads.get_page(
+                self.root, path, page_id, self.file_node(ads, path))
             self.vo.add_page(path, page_id)
         return page
 

@@ -82,9 +82,13 @@ class V2fsAds:
     def list_files(self, root: Digest) -> List[str]:
         return path_trie.list_files(self.store, root)
 
-    def get_page(self, root: Digest, path: str, page_id: int) -> bytes:
-        """Return the bytes of page ``page_id`` of ``path`` under ``root``."""
-        node = self.file_node(root, path)
+    def get_page(self, root: Digest, path: str, page_id: int,
+                 node: Optional[FileNode] = None) -> bytes:
+        """Return the bytes of page ``page_id`` of ``path`` under ``root``;
+        ``node`` is the file's node under ``root`` if the caller already
+        walked the path trie to it."""
+        if node is None:
+            node = self.file_node(root, path)
         if page_id >= node.page_count:
             raise StorageError(
                 f"page {page_id} beyond EOF of {path} "

@@ -54,9 +54,13 @@ SCOPES: Dict[str, str] = {
         "header read once, closed when the outermost statement ends "
         "(reported once per statement).",
     "db.cursor.held":
-        "B+Tree seeks that started from the leaf the tree's read path "
-        "last landed on instead of descending from the root (tallied "
-        "per tree, reported once per statement).",
+        "B+Tree seeks that started from a leaf the tree holds (the one "
+        "its read path last landed on) instead of descending from the "
+        "root (tallied per tree, reported once per statement).",
+    "db.cursor.held.internal":
+        "B+Tree seeks that started from an internal node on the tree's "
+        "held path, skipping the descent's reads down to and including "
+        "it (tallied per tree, reported once per statement).",
     # -- client caches (repro/client/caches.py) ------------------------
     "cache.intra.hit":
         "Intra-query cache lookups served from the per-query page map.",

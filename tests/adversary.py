@@ -352,6 +352,18 @@ def _link_past_next(asked: Asked, entries: Entries,
     return entries, btree._decode_node(asked.page(next_leaf)).next_leaf
 
 
+def _shifted_separators(asked: Asked) -> Optional[bytes]:
+    """An internal node re-encoded with every separator's rowid one
+    lower (table and index keys both end in the rowid): each child's
+    bounds reach one key into its left sibling's, so a held path would
+    admit there a bound the descent sends left."""
+    if asked.honest[0] != btree._INTERNAL:
+        return None
+    node = btree._decode_node(asked.honest)
+    keys = [[*key[:-1], key[-1] - 1] for key in node.keys]
+    return seal_page(btree._Internal(keys, node.children).encode())
+
+
 def _swapped_catalog(asked: Asked) -> bytes:
     """Two tables trade files; equal lengths keep every page boundary."""
     one = b"/db/tables/eth_transactions.tbl"
@@ -432,6 +444,8 @@ MOVES = {move.name: move for move in [
     Move("other-leaf", "get_page", _other_page(leaves_only=True),
          error=(StorageError, VerificationError)),
     Move("re-encoded-leaf", "get_page", _resealed(_one_record),
+         error=VerificationError),
+    Move("shifted-separators", "get_page", _shifted_separators,
          error=VerificationError),
     Move("garbled-tag", "get_page", _resealed(_garbled(2, 0x7C)),
          error=(StorageError, VerificationError)),

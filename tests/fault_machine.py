@@ -1,7 +1,8 @@
 """What the two sides of the fault machine share (``tests/test_stateful.py``
 and ``tests/test_fleet_replication_stateful.py``): the budget under the
-loaded hypothesis profile, the oracle, a block to publish, and the
-check that every node under a root resolves."""
+loaded hypothesis profile (which the B+Tree's held-path property in
+``tests/test_db_btree.py`` also takes), the oracle, a block to publish,
+and the check that every node under a root resolves."""
 
 from hypothesis import settings
 
@@ -14,13 +15,20 @@ from repro.isp.server import IspServer
 MAX_PUBLISH_ATTEMPTS = 10
 
 
+def scaled_examples(examples):
+    """``examples`` under the ``default`` profile, scaled by the loaded
+    one (``tests/conftest.py``)."""
+    default, profile = settings.get_profile("default"), settings.default
+    return examples * profile.max_examples // default.max_examples
+
+
 def machine_settings(examples, steps):
     """``examples`` programs of at most ``steps`` rules under the
     ``default`` profile, scaled by the loaded one (``tests/conftest.py``).
     Derandomized: every run of a profile explores the same programs."""
     default, profile = settings.get_profile("default"), settings.default
     return settings(
-        max_examples=examples * profile.max_examples // default.max_examples,
+        max_examples=scaled_examples(examples),
         stateful_step_count=(steps * profile.stateful_step_count
                              // default.stateful_step_count),
         deadline=None, derandomize=True,

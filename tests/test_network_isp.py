@@ -277,9 +277,9 @@ class TestSessionMemo:
             isp.finalize_session(session)
         finally:
             del isp.ads.file_node, isp.ads.get_page
-        # One page lookup (which walks the trie itself) and one
-        # metadata lookup for fifteen requests.
-        assert served == {"get_page": 1, "file_node": 2}
+        # One page lookup, handed the session's file node, and one
+        # trie walk for fifteen requests.
+        assert served == {"get_page": 1, "file_node": 1}
 
     def test_failed_lookup_memoises_nothing(self, memo_system):
         isp = memo_system.isp

@@ -305,13 +305,16 @@ class TestTalliedSites:
         assert (delta["vfs.read_page"]
                 == delta["pager.read_page"] + delta["pager.flush"])
         for name in ("pager.flush", "pager.read_page", "vfs.read_page",
-                     "db.pager.opened", "db.cursor.held"):
+                     "db.pager.opened", "db.cursor.held",
+                     "db.cursor.held.internal"):
             assert calls.count(name) == 1
 
     def test_a_held_seek_saves_exactly_one_descent(self, monkeypatch):
-        """``db.cursor.held`` counts seeks that skipped root -> leaf:
-        with both trees two levels deep, each one is two page reads
-        fewer than the same statement makes with nothing ever held."""
+        """A held seek skips the descent down to the node it starts at:
+        with both trees two levels deep, one that starts at a held leaf
+        (``db.cursor.held``) reads root and leaf fewer, and one that
+        starts at the held root (``db.cursor.held.internal``) reads the
+        root fewer, than the same statement with nothing ever held."""
         from repro.db.btree import BTree, InternalNode
 
         engine = self.indexed_engine(1500)
@@ -332,16 +335,19 @@ class TestTalliedSites:
 
         count, held = run()
         assert held["db.cursor.held"] > 0
-        monkeypatch.setattr(  # a tree that cannot keep a leaf
-            BTree, "_held",
-            property(lambda tree: None, lambda tree, leaf: None),
+        assert held["db.cursor.held.internal"] > 0
+        monkeypatch.setattr(  # a tree that cannot keep a path
+            BTree, "_path",
+            property(lambda tree: [], lambda tree, path: None),
             raising=False,
         )
         same_count, descending = run()
         assert same_count == count
         assert "db.cursor.held" not in descending
+        assert "db.cursor.held.internal" not in descending
         assert (descending["pager.read_page"] - held["pager.read_page"]
-                == 2 * held["db.cursor.held"])
+                == 2 * held["db.cursor.held"]
+                + held["db.cursor.held.internal"])
 
     def test_fetch_path_counts_partition_the_page_requests(self):
         """What a session paid for once and what it probed, client side
