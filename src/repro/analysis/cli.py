@@ -1,7 +1,7 @@
 """``python -m repro lint`` — run the invariant checker.
 
 Exit codes: 0 clean (warnings allowed unless ``--strict``), 1 findings,
-2 usage errors (bad baseline file, no inputs).  The ``lint`` subparser
+2 usage errors (unknown rule, missing path).  The ``lint`` subparser
 itself is declared here and mounted by :mod:`repro.cli`, so the
 analyzer stays importable without the rest of the CLI.
 """
@@ -9,7 +9,6 @@ analyzer stays importable without the rest of the CLI.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import List
@@ -17,20 +16,10 @@ from typing import List
 from repro.analysis.core import (
     SEVERITY_ERROR,
     all_rules,
-    baseline_entries,
-    load_baseline,
     parse_paths,
     run_rules,
-    subtract_baseline,
 )
-from repro.analysis.reporters import (
-    render_json,
-    render_sarif,
-    render_text,
-)
-
-#: Default baseline looked up relative to the current directory.
-DEFAULT_BASELINE = "lint-baseline.json"
+from repro.analysis.reporters import render_json, render_text
 
 _EPILOG = """\
 suppressions:
@@ -43,11 +32,10 @@ suppressions:
   (suppression-rationale); one that matches no finding is a warning
   (unused-suppression), so stale allowances cannot accumulate.
 
-baselines:
-  A baseline file ({"version": 1, "findings": [{"path", "rule",
-  "message"}, ...]}) grandfathers pre-existing findings; entries are
-  line-number-free so pure line drift never invalidates them.  Generate
-  one with --write-baseline, diff it with --format=json output.
+retired rules:
+  must-release, blocking-effect and verify-before-use are retired: the
+  tier-1 tests named in DESIGN.md section 6 catch their defects at run
+  time.  --list-rules prints the rules that remain.
 """
 
 
@@ -63,23 +51,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="fail on warnings too (CI mode)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of grandfathered findings "
-             f"(default: {DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write current findings as a baseline and exit 0",
-    )
-    parser.add_argument(
-        "--format", default="text", choices=["text", "json", "sarif"],
+        "--format", default="text", choices=["text", "json"],
         dest="output_format",
-        help="report format; json is stable and sorted for diffing, "
-             "sarif (2.1.0) uploads as GitHub code-scanning alerts",
+        help="report format; json is stable and sorted for diffing",
     )
     parser.add_argument(
         "--rule", action="append", default=None, metavar="NAME",
@@ -89,21 +63,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
              "unused",
     )
     parser.add_argument(
-        "--effect-table", default=None, metavar="FILE",
-        dest="effect_table",
-        help="also export the per-function blocking-effect table "
-             "(what would stall an event-loop thread) as JSON",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="list registered rules with the invariant each protects",
     )
-
-
-def _write_json(path: str, payload: object) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -137,60 +99,12 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # The baseline is read before any source is: a bad --baseline is a
-    # usage error, not something to discover after a full analysis.
-    baseline = None
-    if not (args.no_baseline or args.write_baseline):
-        baseline_path = Path(args.baseline or DEFAULT_BASELINE)
-        if args.baseline is not None and not baseline_path.exists():
-            print(
-                f"error: baseline {baseline_path} does not exist",
-                file=sys.stderr,
-            )
-            return 2
-        if baseline_path.exists():
-            try:
-                baseline = load_baseline(baseline_path)
-            except (ValueError, json.JSONDecodeError) as error:
-                print(
-                    f"error: unreadable baseline {baseline_path}: {error}",
-                    file=sys.stderr,
-                )
-                return 2
-    # Parse once; the rule pass and the effect table hand the same
-    # context objects to engine.Analysis.of, so they share one analysis.
     contexts, findings = parse_paths(paths)
     findings.extend(run_rules(contexts, rules))
     findings.sort()
 
-    if args.effect_table:
-        from repro.analysis.dataflow import build_effect_table
-
-        table = build_effect_table(contexts)
-        _write_json(args.effect_table, table)
-        print(
-            f"wrote effect table for {len(table['functions'])} "
-            f"function(s) to {args.effect_table}",
-            file=sys.stderr,
-        )
-
-    if args.write_baseline:
-        _write_json(args.write_baseline, {
-            "version": 1, "findings": baseline_entries(findings),
-        })
-        print(
-            f"wrote {len(findings)} finding(s) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if baseline is not None:
-        findings = subtract_baseline(findings, baseline)
-
     if args.output_format == "json":
         sys.stdout.write(render_json(findings))
-    elif args.output_format == "sarif":
-        sys.stdout.write(render_sarif(findings, rules))
     else:
         print(render_text(findings))
 

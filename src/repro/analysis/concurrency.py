@@ -1,19 +1,14 @@
-"""Lock-discipline facts and the ``guarded-by`` rule.
+"""The ``guarded-by`` rule.
 
 Whether ``IspServer._sessions`` may be touched on some line depends on
-which locks every *transitive caller* holds.  Two
-:func:`~repro.analysis.engine.propagate` calls over the facts the
-engine's walk recorded (acquisitions, call edges and field accesses,
-each with the locks held at that point) answer it, and
-``blocking-effect`` (:mod:`repro.analysis.dataflow`) reads both:
-
-* ``H(f)``, :func:`entry_held` — the locks held on *every* path into
-  ``f``: a meet towards callees in which each call edge also carries
-  the locks held at the site, a thread-spawn edge carries nothing (the
-  child runs without the spawner's locks) and public functions are
-  pinned to the empty set;
-* ``Acq*(f)``, :func:`acquired_locks` — the locks ``f`` acquires
-  itself or through any (non-thread) callee: a union towards callers.
+which locks every *transitive caller* holds.  One
+:func:`~repro.analysis.engine.propagate` call over the facts the
+engine's walk recorded (call edges and field accesses, each with the
+locks held at that point) answers it: :func:`entry_held` is ``H(f)``,
+the locks held on *every* path into ``f`` — a meet towards callees in
+which each call edge also carries the locks held at the site, a
+thread-spawn edge carries nothing (the child runs without the
+spawner's locks) and public functions are pinned to the empty set.
 
 **guarded-by** checks that every access to a field annotated
 ``# repro: guarded-by(<lock>)`` happens with that lock in
@@ -58,20 +53,7 @@ def entry_held(analysis: Analysis) -> Dict[str, Set[str]]:
         program, dict.fromkeys(program.functions, set(program.locks)),
         down=True, meet=True, carried=lambda site: site.held,
         pinned=(f for f in program.functions if not is_private(f)),
-    ).values
-
-
-def acquired_locks(analysis: Analysis) -> Dict[str, Set[str]]:
-    """``Acq*(f)``: locks acquired by ``f`` or any (non-thread) callee."""
-    program = analysis.program
-    return propagate(
-        program,
-        {
-            func_id: {a.lock for a in func.acquires}
-            for func_id, func in program.functions.items()
-        },
-        down=False,
-    ).values
+    )
 
 
 class _Guards:

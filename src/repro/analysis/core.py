@@ -1,4 +1,4 @@
-"""Analyzer core: findings, rules, suppressions, baselines, the driver.
+"""Analyzer core: findings, rules, suppressions, the driver.
 
 The moving parts, in the order they act on a file:
 
@@ -16,8 +16,7 @@ The moving parts, in the order they act on a file:
    (``unused-suppression``) so stale allowances cannot accumulate; a
    directive that is misspelled or malformed is an error
    (``unknown-directive``) — a typo must not silently turn a guard off;
-4. a baseline (a checked-in JSON file of grandfathered findings) is
-   subtracted; whatever remains is reported.
+4. whatever remains is reported.
 
 Exit-code policy lives in :mod:`repro.analysis.cli`: error-severity
 findings always fail, warnings fail only under ``--strict``.
@@ -28,7 +27,6 @@ from __future__ import annotations
 import ast
 import difflib
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass
@@ -68,11 +66,6 @@ class Finding:
     message: str
     severity: str = SEVERITY_ERROR
 
-    def key(self) -> Tuple[str, str, str]:
-        """Baseline identity: deliberately line-number-free, so pure
-        line drift does not invalidate a grandfathered finding."""
-        return (self.path, self.rule, self.message)
-
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
@@ -81,22 +74,16 @@ class Finding:
 # The ``# repro:`` annotation grammar
 # ----------------------------------------------------------------------
 
-#: What may follow a directive's required words.
-ANY = "<word>"  # one more free word
-MANY = "..."  # any number of further words
-
 #: Where a directive must sit to take effect.
 ANYWHERE = "own line, or trailing the line it shields"
 ON_FIELD = "the 'self.<field> = ...' line"
-ON_DEF = "the 'def' line, or the line directly above it"
 
 
 class DirectiveSpec(NamedTuple):
     usage: str
-    #: Words that must be present, then what may follow them: nothing
-    #: (``None``), one literal flag word, :data:`ANY`, or :data:`MANY`.
-    required: int
-    tail: Optional[str]
+    #: Each directive takes at least one word, and at most this many
+    #: (``None``: any number).
+    max_words: Optional[int]
     placement: str
     #: The rule that consumes the directive.
     rule: str
@@ -107,21 +94,10 @@ class DirectiveSpec(NamedTuple):
 #: spelled; rules ask for directives by name and never see comments.
 DIRECTIVES: Dict[str, DirectiveSpec] = {
     "allow": DirectiveSpec(
-        "allow(<rule>[, <rule>...]) -- <rationale>", 1, MANY, ANYWHERE,
+        "allow(<rule>[, <rule>...]) -- <rationale>", None, ANYWHERE,
         "(any)"),
     "guarded-by": DirectiveSpec(
-        "guarded-by(<lock>[, <mode>])", 1, ANY, ON_FIELD, "guarded-by"),
-    "taint-source": DirectiveSpec(
-        "taint-source", 0, None, ON_DEF, "verify-before-use"),
-    "taint-sanitizer": DirectiveSpec(
-        "taint-sanitizer", 0, None, ON_DEF, "verify-before-use"),
-    "taint-sink": DirectiveSpec(
-        "taint-sink", 0, None, ON_DEF, "verify-before-use"),
-    "acquires": DirectiveSpec(
-        "acquires(<resource>[, conditional])", 1, "conditional", ON_DEF,
-        "must-release"),
-    "releases": DirectiveSpec(
-        "releases(<resource>)", 1, None, ON_DEF, "must-release"),
+        "guarded-by(<lock>[, <mode>])", 2, ON_FIELD, "guarded-by"),
 }
 
 _DIRECTIVE_RE = re.compile(
@@ -144,18 +120,10 @@ class Directive(NamedTuple):
 
 
 def _well_formed(spec: DirectiveSpec, args: Tuple[str, ...]) -> bool:
-    if len(args) < spec.required or not all(
+    most = spec.max_words if spec.max_words is not None else len(args)
+    return 1 <= len(args) <= most and all(
         _WORD_RE.fullmatch(arg) for arg in args
-    ):
-        return False
-    extra = args[spec.required:]
-    if spec.tail == MANY:
-        return True
-    if spec.tail is None:
-        return not extra
-    if spec.tail == ANY:
-        return len(extra) <= 1
-    return extra in ((), (spec.tail,))
+    )
 
 
 def scan_directives(
@@ -167,6 +135,8 @@ def scan_directives(
     error for each one that is misspelled or malformed."""
     directives: List[Directive] = []
     problems: List[Finding] = []
+    if "repro:" not in source:
+        return directives, problems  # most modules carry no directive
     try:
         tokens = list(tokenize.generate_tokens(
             io.StringIO(source).readline
@@ -242,15 +212,6 @@ class ModuleContext:
             path, source
         )
 
-    def def_directives(self, node: ast.AST) -> List[Directive]:
-        """Directives attached to a ``def``: those on its own line
-        first, then those on the line directly above."""
-        return [
-            directive
-            for line in (node.lineno, node.lineno - 1)
-            for directive in self.directives if directive.line == line
-        ]
-
     def finding(self, node: ast.AST, rule: str, message: str,
                 severity: str = SEVERITY_ERROR) -> Finding:
         return Finding(
@@ -302,7 +263,7 @@ class ProgramRule(Rule):
     through helper functions) are not.  A ProgramRule receives every
     parsed :class:`ModuleContext` at once via :meth:`check_program`;
     the driver runs it after the per-module pass, and its findings go
-    through the same suppression and baseline machinery (each finding's
+    through the same suppression machinery (each finding's
     ``path`` must name one of the analyzed modules for suppressions to
     apply).
     """
@@ -336,8 +297,6 @@ def register(rule_cls: type) -> type:
 def all_rules() -> List[Rule]:
     # Importing the rule modules populates the registry on first use.
     from repro.analysis import concurrency as _concurrency  # noqa: F401
-    from repro.analysis import dataflow as _dataflow  # noqa: F401
-    from repro.analysis import ownership as _ownership  # noqa: F401
     from repro.analysis import rules as _rules  # noqa: F401
 
     return [_RULES[name] for name in sorted(_RULES)]
@@ -459,56 +418,6 @@ def apply_suppressions(
 
 
 # ----------------------------------------------------------------------
-# Baselines
-# ----------------------------------------------------------------------
-
-
-def load_baseline(path: Path) -> List[Dict[str, str]]:
-    """Load a baseline file: a JSON object with a ``findings`` list of
-    ``{"path", "rule", "message"}`` entries (line numbers are excluded
-    on purpose — see :meth:`Finding.key`)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict) or not isinstance(
-        data.get("findings"), list
-    ):
-        raise ValueError(
-            f"{path}: baseline must be an object with a 'findings' list"
-        )
-    return data["findings"]
-
-
-def subtract_baseline(
-    findings: List[Finding], baseline: Iterable[Dict[str, str]]
-) -> List[Finding]:
-    """Remove baselined findings (multiset semantics: each baseline
-    entry absorbs at most one finding)."""
-    budget: Dict[Tuple[str, str, str], int] = {}
-    for entry in baseline:
-        key = (entry.get("path", ""), entry.get("rule", ""),
-               entry.get("message", ""))
-        budget[key] = budget.get(key, 0) + 1
-    kept: List[Finding] = []
-    for finding in findings:
-        remaining = budget.get(finding.key(), 0)
-        if remaining > 0:
-            budget[finding.key()] = remaining - 1
-        else:
-            kept.append(finding)
-    return kept
-
-
-def baseline_entries(findings: Sequence[Finding]) -> List[Dict[str, str]]:
-    """Render findings as sorted baseline entries (``--write-baseline``)."""
-    entries = [
-        {"path": f.path, "rule": f.rule, "message": f.message}
-        for f in findings
-    ]
-    entries.sort(key=lambda e: (e["path"], e["rule"], e["message"]))
-    return entries
-
-
-# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 
@@ -582,10 +491,9 @@ def parse_sources(
     """Parse ``(module, path, source)`` triples into contexts.
 
     Returns the parsed contexts plus parse-failure findings.  Split out
-    from :func:`analyze_sources` so a caller (the CLI) can parse once
-    and reuse the same context objects for both the rule pass and the
-    table exports — identity is what :class:`repro.analysis.engine.Analysis`
-    keys its memo on.
+    from :func:`analyze_sources` so a caller can parse once and run
+    the rules on the same context objects more than once — identity is
+    what :class:`repro.analysis.engine.Analysis` keys its memo on.
     """
     contexts: List[ModuleContext] = []
     findings: List[Finding] = []

@@ -1,28 +1,24 @@
-"""The interprocedural engine the four program rules share.
+"""The interprocedural engine under the ``guarded-by`` rule.
 
-``guarded-by``, ``verify-before-use``, ``blocking-effect`` and
-``must-release`` all reason over the whole program.  Everything they
-have in common lives here, each piece written once:
+Whether an annotated field may be touched on some line depends on which
+locks every *transitive caller* holds, so the rule reasons over the
+whole program:
 
 1. the **index** (:class:`Program`) — classes with resolved bases,
    lock objects (attributes or module globals assigned
    ``threading.Lock()`` / ``RLock()`` / ``SanLock``), inferred
    attribute types, and the ``# repro:`` directives attached to fields
-   and ``def`` lines (placement is checked here; the syntax is
+   (placement is checked here; the syntax is
    :data:`repro.analysis.core.DIRECTIVES`);
-2. one **fact-collecting walk** per function (:class:`_Walk`) — lock
-   acquisitions with the locks already held, resolved call edges and
-   thread-spawn sites, accesses to annotated fields, blocking
-   primitives and unbounded waits — stored on :class:`FunctionInfo`;
-   rules read facts, they never re-walk a body to find them;
+2. one **fact-collecting walk** per function (:class:`_Walk`) — resolved
+   call edges and thread-spawn sites, and accesses to annotated fields,
+   each with the locks held at that point — stored on
+   :class:`FunctionInfo`;
 3. the **solver** — :func:`propagate`, a call-graph fixpoint over
    per-function sets (may/union or must/meet, towards callees or
-   towards callers) that records the first edge each fact arrived on so
-   :meth:`Flow.chain` can name a witness path, and :func:`summarize`, a
-   worklist that runs a rule's per-function transfer to convergence;
+   towards callers);
 4. the **memo** (:class:`Analysis`) — one object per analyzed context
-   set, so the index and every derived fact are computed once however
-   many rules and table exports ask for them.
+   set, so the index and every derived fact are computed once.
 
 Lock identity is the *defining site* (``module.Class.attr`` or
 ``module.NAME``), matching the runtime ``SanLock.name``
@@ -35,7 +31,6 @@ is derived from real call paths.
 from __future__ import annotations
 
 import ast
-import heapq
 from typing import (
     Callable,
     Dict,
@@ -71,9 +66,6 @@ _LOCK_FACTORIES = frozenset({"Lock", "RLock", "SanLock"})
 
 #: Thread classes whose ``target=`` keyword spawns a new root.
 _THREAD_FACTORIES = frozenset({"Thread"})
-
-#: Unresolvable-receiver method names that are socket operations.
-_SOCKET_METHODS = frozenset({"recv", "sendall", "accept"})
 
 
 def short(symbol_id: str) -> str:
@@ -145,14 +137,6 @@ class CallSite(NamedTuple):
     is_thread_target: bool
 
 
-class Acquisition(NamedTuple):
-    """One lock acquisition site (with-block or bare ``.acquire()``)."""
-
-    lock: str
-    held: FrozenSet[str]
-    line: int
-
-
 class FieldAccess(NamedTuple):
     """One read/write of an attribute some class annotates; the rule
     that owns the annotation resolves it through ``owner``'s MRO."""
@@ -164,28 +148,11 @@ class FieldAccess(NamedTuple):
     line: int
 
 
-class BlockSite(NamedTuple):
-    """One direct blocking primitive with the locks held around it."""
-
-    kind: str
-    detail: str
-    line: int
-    held: FrozenSet[str]
-
-
-class WaitSite(NamedTuple):
-    """One unbounded wait (no timeout argument)."""
-
-    detail: str
-    line: int
-
-
 class FunctionInfo:
-    """The per-function facts every rule consumes."""
+    """The per-function facts the rule consumes."""
 
-    __slots__ = ("func_id", "class_id", "ctx", "name", "node", "params",
-                 "directives", "param_types", "local_types", "acquires",
-                 "calls", "accesses", "blocking", "waits")
+    __slots__ = ("func_id", "class_id", "ctx", "name", "param_types",
+                 "local_types", "calls", "accesses")
 
     def __init__(self, func_id: str, class_id: Optional[str],
                  ctx: ModuleContext, node: ast.AST) -> None:
@@ -193,30 +160,10 @@ class FunctionInfo:
         self.class_id = class_id
         self.ctx = ctx
         self.name = node.name
-        #: The function's own AST, for rules whose transfer function
-        #: interprets the body (taint, ownership states).
-        self.node = node
-        names = [a.arg for a in node.args.args]
-        if class_id is not None and names and names[0] in ("self", "cls"):
-            names = names[1:]
-        #: Parameter names a caller can bind, receiver excluded.
-        self.params: List[str] = names + [
-            a.arg for a in node.args.kwonlyargs
-        ]
-        #: ``# repro:`` directives on the def line, then the line above.
-        self.directives = ctx.def_directives(node)
         self.param_types: Dict[str, str] = {}
         self.local_types: Dict[str, str] = {}
-        self.acquires: List[Acquisition] = []
         self.calls: List[CallSite] = []
         self.accesses: List[FieldAccess] = []
-        self.blocking: List[BlockSite] = []
-        self.waits: List[WaitSite] = []
-
-    def directive(self, name: str) -> Optional[Directive]:
-        return next(
-            (d for d in self.directives if d.name == name), None
-        )
 
 
 class Program:
@@ -227,9 +174,6 @@ class Program:
         self.functions: Dict[str, FunctionInfo] = {}
         #: lock id -> defining (path, line).
         self.locks: Dict[str, Tuple[str, int]] = {}
-        #: The subset of :attr:`locks` constructed via ``SanLock`` —
-        #: the DESIGN §8 inventory the blocking-effect policy guards.
-        self.san_locks: Set[str] = set()
         #: directive name -> every field it is attached to.
         self.field_directives: Dict[str, List[FieldDirective]] = {}
         #: Attribute names some class annotates (the walk's prefilter).
@@ -317,48 +261,6 @@ class Program:
                     names.add(remainder)
         return sorted(names)
 
-    # -- call-graph shape ----------------------------------------------
-
-    def callers(self) -> Dict[str, List[str]]:
-        """callee -> its callers in sorted order (every site counts,
-        thread spawns included: this is who must be re-examined when a
-        callee's summary changes)."""
-        found: Dict[str, Set[str]] = {}
-        for func_id, func in self.functions.items():
-            for site in func.calls:
-                if site.callee in self.functions:
-                    found.setdefault(site.callee, set()).add(func_id)
-        return {callee: sorted(ids) for callee, ids in found.items()}
-
-    def bottom_up(self) -> List[str]:
-        """Every function, callees before callers where the graph is
-        acyclic (post-order over sorted roots and source-order sites),
-        so a summary pass meets each callee already summarized."""
-        order: List[str] = []
-        done: Set[str] = set()
-        for root in sorted(self.functions):
-            if root in done:
-                continue
-            done.add(root)
-            stack = [(root, iter(self.functions[root].calls))]
-            while stack:
-                func_id, sites = stack[-1]
-                callee = next(
-                    (s.callee for s in sites
-                     if s.callee in self.functions
-                     and s.callee not in done),
-                    None,
-                )
-                if callee is None:
-                    order.append(func_id)
-                    stack.pop()
-                else:
-                    done.add(callee)
-                    stack.append(
-                        (callee, iter(self.functions[callee].calls))
-                    )
-        return order
-
 
 # ----------------------------------------------------------------------
 # Indexing pass 1: symbols, classes, locks, attribute types
@@ -384,15 +286,12 @@ def _module_symbols(ctx: ModuleContext) -> Dict[str, str]:
     return symbols
 
 
-def _lock_factory_name(call: Optional[ast.expr]) -> Optional[str]:
-    """``Lock``/``RLock``/``SanLock`` when ``call`` constructs a lock."""
+def _constructs_lock(call: Optional[ast.expr]) -> bool:
+    """True when ``call`` is ``Lock()``/``RLock()``/``SanLock(...)``."""
     if not isinstance(call, ast.Call):
-        return None
+        return False
     ref = dotted(call.func)
-    if ref is None:
-        return None
-    last = ref.rsplit(".", 1)[-1]
-    return last if last in _LOCK_FACTORIES else None
+    return ref is not None and ref.rsplit(".", 1)[-1] in _LOCK_FACTORIES
 
 
 def _annotation_class_ref(node: Optional[ast.expr]) -> Optional[str]:
@@ -431,26 +330,16 @@ def _self_attr_targets(stmt: ast.stmt) -> List[str]:
     ]
 
 
-def _note_lock(program: Program, lock_id: str, factory: str,
-               path: str, line: int) -> None:
-    program.locks[lock_id] = (path, line)
-    if factory == "SanLock":
-        program.san_locks.add(lock_id)
-
-
 def _index_module(program: Program, ctx: ModuleContext) -> None:
     symbols = _module_symbols(ctx)
     program.symbols[ctx.module] = symbols
     for node in ctx.tree.body:
-        if isinstance(node, ast.Assign):
-            factory = _lock_factory_name(node.value)
-            if factory is not None:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        _note_lock(
-                            program, f"{ctx.module}.{target.id}",
-                            factory, ctx.path, node.lineno,
-                        )
+        if isinstance(node, ast.Assign) and _constructs_lock(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    program.locks[f"{ctx.module}.{target.id}"] = (
+                        ctx.path, node.lineno
+                    )
         if not isinstance(node, ast.ClassDef):
             continue
         class_id = f"{ctx.module}.{node.name}"
@@ -520,11 +409,10 @@ def _index_field(program: Program, ctx: ModuleContext, info: ClassInfo,
                  param_types: Dict[str, str]) -> None:
     symbols = program.symbols[ctx.module]
     value = stmt.value
-    factory = _lock_factory_name(value)
-    if factory is not None:
+    if _constructs_lock(value):
         lock_id = f"{info.class_id}.{attr}"
         info.lock_attrs[attr] = lock_id
-        _note_lock(program, lock_id, factory, ctx.path, stmt.lineno)
+        program.locks[lock_id] = (ctx.path, stmt.lineno)
     elif isinstance(value, ast.Call):
         ref = dotted(value.func)
         if ref is not None:
@@ -582,13 +470,15 @@ def _attach_field_directive(
 # ----------------------------------------------------------------------
 
 
-class Resolver:
-    """Resolves expressions inside one function against the index."""
+class _Walk:
+    """Walks one function body tracking the held-lock stack and
+    recording every fact on the function's :class:`FunctionInfo`."""
 
     def __init__(self, program: Program, func: FunctionInfo) -> None:
         self.program = program
         self.func = func
         self.ctx = func.ctx
+        self.held: List[str] = []
 
     def resolve_receiver(self, expr: ast.expr) -> Optional[str]:
         """The class id an expression evaluates to, if inferable."""
@@ -669,15 +559,6 @@ class Resolver:
                     return f"{known}.{rest}"
         return None
 
-
-class _Walk(Resolver):
-    """Walks one function body tracking the held-lock stack and
-    recording every fact on the function's :class:`FunctionInfo`."""
-
-    def __init__(self, program: Program, func: FunctionInfo) -> None:
-        super().__init__(program, func)
-        self.held: List[str] = []
-
     def held_set(self) -> FrozenSet[str]:
         return frozenset(self.held)
 
@@ -691,10 +572,6 @@ class _Walk(Resolver):
             for item in stmt.items:
                 lock = self.resolve_lock(item.context_expr)
                 if lock is not None:
-                    if lock not in self.held:
-                        self.func.acquires.append(Acquisition(
-                            lock, self.held_set(), stmt.lineno
-                        ))
                     self.held.append(lock)
                     pushed += 1
                 else:
@@ -704,7 +581,7 @@ class _Walk(Resolver):
                 self.held.pop()
             return
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs are separate summary units
+            return  # a nested def runs when it is called, not here
         self.visit_children(stmt)
 
     def visit_children(self, node: ast.AST) -> None:
@@ -762,13 +639,6 @@ class _Walk(Resolver):
                             target, frozenset(), call.lineno,
                             is_thread_target=True,
                         ))
-        # Bare .acquire(): counts as an acquisition for lock ordering.
-        if attr == "acquire":
-            lock = self.resolve_lock(call.func.value)
-            if lock is not None and lock not in self.held:
-                self.func.acquires.append(Acquisition(
-                    lock, self.held_set(), call.lineno
-                ))
         # Mutating method on an annotated field: self.F.append(x) is a
         # write; any other method call on it (values(), items()) reads.
         receiver_noted = (
@@ -783,8 +653,6 @@ class _Walk(Resolver):
                 callee, self.held_set(), call.lineno,
                 is_thread_target=False,
             ))
-        self.note_blocking(call, callee, attr)
-        self.note_unbounded_wait(call, callee, attr)
         for arg in call.args:
             self.visit_expr(arg)
         for keyword in call.keywords:
@@ -804,57 +672,6 @@ class _Walk(Resolver):
             self.func.accesses.append(FieldAccess(
                 owner, attr.attr, is_write, self.held_set(), attr.lineno
             ))
-
-    def note_blocking(self, call: ast.Call, callee: Optional[str],
-                      attr: Optional[str]) -> None:
-        kind: Optional[str] = None
-        if callee == "time.sleep":
-            kind = "sleep"
-        elif callee == "os.fsync":
-            kind = "fsync"
-        elif callee is not None and (
-            callee == "subprocess" or callee.startswith("subprocess.")
-        ):
-            kind = "subprocess"
-        elif callee in ("socket.create_connection", "socket.socket"):
-            kind = "socket"
-        elif callee is None and attr in _SOCKET_METHODS:
-            kind = "socket"
-        if kind is not None:
-            detail = callee if callee is not None else f".{attr}()"
-            self.func.blocking.append(BlockSite(
-                kind, detail, call.lineno, self.held_set()
-            ))
-
-    def note_unbounded_wait(self, call: ast.Call,
-                            callee: Optional[str],
-                            attr: Optional[str]) -> None:
-        waits = self.func.waits
-        has_timeout_kw = any(
-            keyword.arg == "timeout" for keyword in call.keywords
-        )
-        if callee is None and attr in ("join", "wait"):
-            if not call.args and not has_timeout_kw:
-                waits.append(WaitSite(
-                    f"{attr}() without a timeout", call.lineno
-                ))
-        elif attr == "acquire" and not call.args and not call.keywords:
-            if self.resolve_lock(call.func.value) is not None:
-                waits.append(WaitSite(
-                    "lock acquire() without a timeout", call.lineno
-                ))
-        elif callee == "socket.create_connection":
-            if len(call.args) < 2 and not has_timeout_kw:
-                waits.append(WaitSite(
-                    "create_connection without a timeout", call.lineno
-                ))
-        elif attr == "settimeout" and len(call.args) == 1:
-            arg = call.args[0]
-            if isinstance(arg, ast.Constant) and arg.value is None:
-                waits.append(WaitSite(
-                    "settimeout(None) disables the socket timeout",
-                    call.lineno,
-                ))
 
 
 def _collect_function(program: Program, ctx: ModuleContext,
@@ -924,28 +741,6 @@ def build_program(contexts: Sequence[ModuleContext]) -> Program:
 # ----------------------------------------------------------------------
 
 
-class Flow:
-    """A :func:`propagate` result: the set each function ends up with
-    and, for facts that arrived over a call edge, the first edge."""
-
-    def __init__(self, values: Dict[str, Set[Hashable]],
-                 parent: Dict[Tuple[str, Hashable], Tuple[str, int]],
-                 ) -> None:
-        self.values = values
-        #: (function, fact) -> (the neighbour it came from, call line).
-        self.parent = parent
-
-    def chain(self, func_id: str, fact: Hashable) -> List[str]:
-        """The witness path for ``fact`` at ``func_id``: the function
-        itself, then each function the fact was inherited from, back to
-        one that holds it as a seed.  Parents are recorded when a fact
-        first arrives and never change, so the path is acyclic."""
-        path = [func_id]
-        while (path[-1], fact) in self.parent:
-            path.append(self.parent[(path[-1], fact)][0])
-        return path
-
-
 def propagate(
     program: Program,
     seed: Dict[str, Iterable[Hashable]],
@@ -954,14 +749,14 @@ def propagate(
     meet: bool = False,
     carried: Optional[Callable[[CallSite], Iterable[Hashable]]] = None,
     pinned: Iterable[str] = (),
-) -> Flow:
+) -> Dict[str, Set[Hashable]]:
     """Call-graph fixpoint over per-function sets of facts.
 
     Facts travel along resolved call edges, caller to callee when
     ``down`` and callee to caller otherwise; an edge delivers the
     source function's set plus whatever ``carried(site)`` adds.  A
     ``Thread(target=...)`` edge delivers the empty set: the child
-    starts with none of the spawner's locks or effects.
+    starts with none of the spawner's locks.
 
     With ``meet=False`` (may-analysis) every function starts at its
     seed and takes the union of what arrives — the least fixpoint.
@@ -973,9 +768,7 @@ def propagate(
     public functions are reachable from outside the analyzed tree.
 
     Functions are swept in sorted order and sites in source order
-    until nothing changes, so the first edge recorded for a fact —
-    :attr:`Flow.parent` — is deterministic: among the callers that can
-    deliver it in the same sweep, the first in sorted order.
+    until nothing changes.
     """
     order = sorted(program.functions)
     pinned = set(pinned)
@@ -997,7 +790,6 @@ def propagate(
         for func_id in order:
             if func_id not in reached:
                 values[func_id] = set()
-    parent: Dict[Tuple[str, Hashable], Tuple[str, int]] = {}
     changed = True
     while changed:
         changed = False
@@ -1012,58 +804,10 @@ def propagate(
                 if not have <= arriving:
                     have &= arriving
                     changed = True
-            else:
-                for fact in arriving - have:
-                    have.add(fact)
-                    parent[(dst, fact)] = (src, site.line)
-                    changed = True
-    return Flow(values, parent)
-
-
-S = TypeVar("S")
-R = TypeVar("R")
-
-
-def summarize(
-    program: Program,
-    transfer: Callable[[str], Tuple[S, R]],
-    summaries: Dict[str, S],
-    start: Iterable[str],
-) -> Dict[str, R]:
-    """Run a per-function transfer to its interprocedural fixpoint.
-
-    ``transfer(func_id)`` interprets one body against the current
-    ``summaries`` of its callees and returns ``(summary, report)``.
-    Work starts from ``start`` in callee-first order; whenever a
-    function's summary changes it is stored and every caller is queued
-    again, however deep the chain.  A function's last report was
-    therefore computed against the final summary of everything it
-    calls; the reports of the functions that were examined are
-    returned.
-
-    Termination needs a transfer whose result only ever grows from the
-    function's previous summary (a finite set of facts, witnesses kept
-    once recorded): then each re-examination either adds a fact or
-    ends.  On an acyclic call graph every function is examined once.
-    """
-    order = program.bottom_up()
-    rank = {func_id: index for index, func_id in enumerate(order)}
-    callers = program.callers()
-    queue = sorted({rank[func_id] for func_id in start})
-    queued = set(queue)
-    reports: Dict[str, R] = {}
-    while queue:
-        index = heapq.heappop(queue)
-        queued.discard(index)
-        func_id = order[index]
-        summary, reports[func_id] = transfer(func_id)
-        if summary != summaries[func_id]:
-            summaries[func_id] = summary
-            for caller in callers.get(func_id, ()):
-                if rank[caller] not in queued:
-                    queued.add(rank[caller])
-                    heapq.heappush(queue, rank[caller])
-    return reports
+            elif not arriving <= have:
+                have |= arriving
+                changed = True
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -1076,10 +820,9 @@ T = TypeVar("T")
 class Analysis:
     """The program and every fact derived from one context set.
 
-    A lint run hands the same contexts to each program rule and table
-    export in turn; :meth:`of` gives them all the same object, and
-    :meth:`fact` computes each derived fact (entry-held locks, effect
-    flow, taint hits, ...) the first time any of them asks.
+    :meth:`of` hands every caller with the same contexts the same
+    object, and :meth:`fact` computes each derived fact (entry-held
+    locks, resolved guards) the first time anyone asks.
     """
 
     _latest: Optional["Analysis"] = None

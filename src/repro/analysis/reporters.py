@@ -1,18 +1,17 @@
-"""Finding reporters: human text, machine-stable JSON, and SARIF.
+"""Finding reporters: human text and machine-stable JSON.
 
-All render the same sorted finding list ((path, line, rule, message) —
+Both render the same sorted finding list ((path, line, rule, message) —
 the :class:`~repro.analysis.core.Finding` dataclass ordering), so text
-output diffs cleanly between runs, the JSON form is suitable for
-baseline diffing in CI, and the SARIF form uploads as code-scanning
-alerts that annotate pull requests in place.
+output diffs cleanly between runs and CI can ``cmp`` the JSON form of
+two runs under different hash seeds.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.analysis.core import SEVERITY_ERROR, Finding, Rule
+from repro.analysis.core import SEVERITY_ERROR, Finding
 
 
 def render_text(findings: Sequence[Finding], *, verbose: bool = False) -> str:
@@ -51,87 +50,5 @@ def render_json(findings: Sequence[Finding]) -> str:
         "warnings": sum(
             1 for f in findings if f.severity != SEVERITY_ERROR
         ),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def render_sarif(
-    findings: Sequence[Finding],
-    rules: Optional[Sequence[Rule]] = None,
-) -> str:
-    """SARIF 2.1.0, the GitHub code-scanning upload format.
-
-    Every registered rule appears in the driver's rule table (so alerts
-    carry the invariant text even for rules with zero findings this
-    run); results reference rules by index, locations are relative
-    URIs, and the output is sorted/stable like the JSON reporter.
-    """
-    rule_list = sorted(rules or [], key=lambda rule: rule.name)
-    rule_index: Dict[str, int] = {
-        rule.name: index for index, rule in enumerate(rule_list)
-    }
-    descriptors = [
-        {
-            "id": rule.name,
-            "shortDescription": {"text": rule.description},
-            "fullDescription": {
-                "text": f"Protects: {rule.invariant}"
-            },
-            "defaultConfiguration": {
-                "level": (
-                    "error" if rule.severity == SEVERITY_ERROR
-                    else "warning"
-                ),
-            },
-        }
-        for rule in rule_list
-    ]
-    results = []
-    for finding in sorted(findings):
-        result = {
-            "ruleId": finding.rule,
-            "level": (
-                "error" if finding.severity == SEVERITY_ERROR
-                else "warning"
-            ),
-            "message": {"text": finding.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.path.replace("\\", "/"),
-                            "uriBaseId": "%SRCROOT%",
-                        },
-                        "region": {
-                            "startLine": max(1, finding.line),
-                        },
-                    }
-                }
-            ],
-        }
-        if finding.rule in rule_index:
-            result["ruleIndex"] = rule_index[finding.rule]
-        results.append(result)
-    payload = {
-        "$schema": (
-            "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
-            "master/Schemata/sarif-schema-2.1.0.json"
-        ),
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "informationUri": (
-                            "https://example.invalid/repro/lint"
-                        ),
-                        "rules": descriptors,
-                    }
-                },
-                "columnKind": "utf16CodeUnits",
-                "results": results,
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

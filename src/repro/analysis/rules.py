@@ -1,8 +1,7 @@
 """The per-module rule: ``crash-hygiene``.
 
 A per-module rule is a pure function of one module's syntax tree; the
-whole-program rules live in :mod:`~repro.analysis.concurrency`,
-:mod:`~repro.analysis.dataflow` and :mod:`~repro.analysis.ownership`.
+whole-program rule lives in :mod:`~repro.analysis.concurrency`.
 The rule states, in :attr:`~repro.analysis.core.Rule.invariant`, the
 paper property it protects; DESIGN.md § "Static guarantees" carries the
 full mapping and the defect it caught.  It scopes itself by *dotted

@@ -44,7 +44,6 @@ class SimulatedPoW:
         raise ChainError("exhausted nonce space while mining")
 
 
-# repro: taint-sanitizer
 def check_header(
     header: BlockHeader, pow_params: SimulatedPoW, chain_id: str
 ) -> None:

@@ -141,7 +141,11 @@ def cmd_query(args: argparse.Namespace) -> int:
         system = _build_system(args.hours, args.txs_per_block)
         client = system.make_client(QueryMode(args.mode))
     sql = args.sql if args.sql else sys.stdin.read()
-    result = client.query(sql)
+    try:
+        result = client.query(sql)
+    finally:
+        if args.connect:
+            client.isp.close()
     if result.columns:
         print("  ".join(result.columns))
     for row in result.rows:

@@ -65,7 +65,6 @@ class IntraQueryCache:
             obs.inc("cache.intra.miss")
         return page
 
-    # repro: taint-sink
     def put(self, key: PageKey, page: bytes) -> None:
         self._pages[key] = page
         self._pages.move_to_end(key)
@@ -160,7 +159,6 @@ class InterQueryCache:
                 self._report_lookups()
         return entry
 
-    # repro: taint-sink
     def insert(self, key: PageKey, page: bytes, version: int) -> None:
         """Insert a freshly fetched page (fresh by definition)."""
         self._pages[key] = CachedPage(page, version)
@@ -172,7 +170,6 @@ class InterQueryCache:
             obs.inc("cache.inter.insert")
         self._evict_if_needed()
 
-    # repro: taint-sink
     def update(self, key: PageKey, page: bytes, version: int) -> None:
         """Replace a stale page; its cached ancestors are now invalid."""
         self.invalidate_ancestors(key)
@@ -219,7 +216,6 @@ class InterQueryCache:
         for path, level, index in self._fresh:
             self._raise_version(path, level, index, version)
 
-    # repro: taint-sink
     def _raise_version(self, path: str, level: int, index: int,
                        version: int) -> None:
         """Raise ``V_n`` of every cached page under one node.  Only a

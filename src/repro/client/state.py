@@ -108,7 +108,6 @@ class CarriedState:
         pages.confirm_fresh(certificate.version)
         self.learn_metas(certificate.ads_root, used_metas)
 
-    # repro: taint-sink
     def learn_metas(self, ads_root: Digest,
                     metas: Dict[str, FileMeta]) -> None:
         """Keep metadata a VO under ``ads_root`` has just proven."""

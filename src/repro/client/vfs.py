@@ -127,7 +127,7 @@ class ClientSession:
             if cached is not None:
                 return cached
             page = self._fetch_page(key)
-            # repro: allow(verify-before-use) -- Algorithm 4 deferred
+            # Algorithm 4 deferred
             # verification: the page is cached unverified by design and
             # finalize() verifies every claim via verify_read_proof; the
             # intra cache dies with the session, so nothing escapes.
@@ -173,7 +173,7 @@ class ClientSession:
         entry = cache.get(key)
         if entry is None:
             page = self._fetch_page(key)
-            # repro: allow(verify-before-use) -- Algorithm 4 deferred
+            # Algorithm 4 deferred
             # verification: unverified pages enter the inter-query cache
             # and are verified in bulk by finalize(); CarriedState.rollback
             # removes them if the query fails.
@@ -215,7 +215,7 @@ class ClientSession:
         _, page = response
         self.transport.account(CATEGORY_CHECK, request_bytes, PAGE_SIZE)
         page = self._claim(key, page)
-        # repro: allow(verify-before-use) -- Algorithm 4 deferred
+        # Algorithm 4 deferred
         # verification: the stale-path replacement page is recorded in
         # page_claims and verified by finalize(); CarriedState.rollback
         # evicts the entry if the query fails.

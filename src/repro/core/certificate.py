@@ -74,7 +74,6 @@ class V2fsCertificate:
             self.ads_root, self.chain_states, self.version, self.vbf_encoded
         )
 
-    # repro: taint-sanitizer
     def verify_signature(
         self,
         public_key: PublicKey,

@@ -227,7 +227,6 @@ class Pager:
             check_page(raw, f"{self.path} page {page_id}")
         return raw
 
-    # repro: taint-sink
     def write_page(self, page_id: int, data: bytes) -> bytes:
         """Seal ``data`` (≤ :data:`PAGE_CONTENT_SIZE` bytes) and write it.
 

@@ -32,7 +32,6 @@ from repro.merkle.proof import AdsProof, FileProof, ProofDir, ProofFile
 TrieChild = Union[ProofDir, ProofFile, Digest]
 
 
-# repro: taint-source
 def stitch_proofs(
     proofs: Iterable[AdsProof], verify: bool = True
 ) -> AdsProof:

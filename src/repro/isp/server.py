@@ -199,7 +199,6 @@ class IspServer:
     # Client-facing service
     # ------------------------------------------------------------------
 
-    # repro: taint-source
     def get_certificate(self) -> V2fsCertificate:
         if self.certificate is None:
             raise NetworkError("ISP has no certificate yet")
@@ -237,7 +236,6 @@ class IspServer:
         except KeyError:
             raise NetworkError(f"unknown session {session_id}") from None
 
-    # repro: taint-source
     def get_file_meta(
         self, session_id: int, path: str
     ) -> Tuple[bool, int, int]:
@@ -259,7 +257,6 @@ class IspServer:
         session.vo.add_file(path)
         return True, node.size, node.page_count
 
-    # repro: taint-source
     def get_page(self, session_id: int, path: str, page_id: int) -> bytes:
         return self._get_page(self.ads, session_id, path, page_id)
 
@@ -271,7 +268,6 @@ class IspServer:
             obs.inc("isp.get_page")
         return session.page(ads, path, page_id)
 
-    # repro: taint-source
     def validate_path(
         self,
         session_id: int,
@@ -318,7 +314,6 @@ class IspServer:
             obs.inc("isp.validate_path.page")
         return ("page", page)
 
-    # repro: taint-source
     def finalize_session(self, session_id: int) -> AdsProof:
         """Build and return the consolidated VO; closes the session."""
         session = self.sessions.remove(session_id)
@@ -344,7 +339,6 @@ class IspServer:
         "get_file_meta", "get_page", "validate_path", "finalize_session",
     })
 
-    # repro: taint-source
     def serve_batch(self, items: List[Tuple[str, tuple]]) -> List[object]:
         """Serve many decoded data-plane requests in one call.
 

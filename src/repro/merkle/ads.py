@@ -265,7 +265,6 @@ class V2fsAds:
     # ------------------------------------------------------------------
 
     @staticmethod
-    # repro: taint-sanitizer
     def verify_read_proof(
         proof: AdsProof,
         expected_root: Digest,

@@ -60,7 +60,7 @@ def _fsync_directory(path: str) -> None:
     except OSError:  # pragma: no cover - platform without dir-open
         return
     try:
-        # repro: allow(blocking-effect) -- directory fsync during
+        # Directory fsync during
         # compaction must stay inside store.pages: the rename and its
         # durability barrier are one atomic step of the group commit.
         os.fsync(fd)
@@ -153,7 +153,9 @@ class PersistentNodeStore(NodeStore):
         # sync_update compacts would otherwise read from a closed or
         # repositioned file.  Reentrant because reachable()/prune()
         # call get() back under the same lock.
-        self._lock = SanLock("store.pages", reentrant=True)
+        self._lock = SanLock(
+            "store.pages", reentrant=True, may_block=("fsync",)
+        )
         self._offsets: Dict[Digest, int] = {}  # repro: guarded-by(_lock)
         self._cache: Dict[Digest, Node] = {}  # repro: guarded-by(_lock)
         self._cache_limit = cache_nodes
@@ -211,7 +213,7 @@ class PersistentNodeStore(NodeStore):
             obs.inc("store.sync")
         with self._lock:
             self._log.flush()
-            # repro: allow(blocking-effect) -- the fsync under
+            # The fsync under
             # store.pages IS the durable group-commit boundary: no
             # writer may append between flush and the durable-size
             # advance, or crash recovery would replay a torn suffix.
@@ -248,7 +250,7 @@ class PersistentNodeStore(NodeStore):
                 keep += rng.randrange(dirty + 1)
             self._log.truncate(keep)
             self._log.flush()
-            # repro: allow(blocking-effect) -- crash-simulation test
+            # Crash-simulation test
             # hook: the truncated state must hit disk while the lock
             # excludes concurrent appends, mirroring sync().
             os.fsync(self._log.fileno())
@@ -389,7 +391,7 @@ class PersistentNodeStore(NodeStore):
                     out.write(_HEADER.pack(digest, kind, len(payload)))
                     out.write(payload)
                 out.flush()
-                # repro: allow(blocking-effect) -- prune rewrites the
+                # Prune rewrites the
                 # log under store.pages; the temp file must be durable
                 # before os.replace or a crash could lose every node.
                 os.fsync(out.fileno())

@@ -272,7 +272,6 @@ class AdsProof:
         return self._encoded
 
     @classmethod
-    # repro: taint-source
     def decode(cls, data: bytes) -> "AdsProof":
         """Decode an untrusted proof encoding.
 

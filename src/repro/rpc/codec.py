@@ -208,7 +208,6 @@ class FrameDecoder:
         _flags, header_size, length, _crc = header
         return max(0, header_size + length - len(self._buf))
 
-    # repro: taint-source
     def frames(self) -> List[Frame]:
         """Drain every complete frame buffered so far."""
         out: List[Frame] = []
@@ -238,7 +237,6 @@ class FrameDecoder:
         return out
 
 
-# repro: taint-source
 def recv_frame(sock: socket.socket) -> Optional[bytes]:
     """Receive one frame's payload from a blocking socket.
 

@@ -125,11 +125,13 @@ class RpcIspServer:
         #: lock, which serialized *every* operation on the server and
         #: skewed single-node baselines; see DESIGN §11.
         self.service_delay_s = 0.0
-        self._storage_lock = SanLock("rpc.storage")
+        self._storage_lock = SanLock("rpc.storage", may_block=("sleep",))
         #: Guards every operation on the wrapped ISP.  Updates applied
         #: outside the RPC path (CI ingestion) must hold it too — see
-        #: :func:`serve_system`.
-        self.lock = SanLock("rpc.server", reentrant=True)
+        #: :func:`serve_system` — so a durable store's group-commit
+        #: fsync runs under it; nothing else may block while it is held.
+        self.lock = SanLock("rpc.server", reentrant=True,
+                            may_block=("fsync",))
         #: Admission control: at most this many requests may be in
         #: flight (decoded but not yet answered) at once.  Excess
         #: requests are *shed* at the door with a typed
@@ -391,7 +393,7 @@ class RpcIspServer:
     # The request pipeline
     # ------------------------------------------------------------------
 
-    def _admit(self) -> bool:  # repro: acquires(rpc.admission.slot, conditional)
+    def _admit(self) -> bool:
         """Reserve one admission slot; False means shed this request."""
         if self.max_pending <= 0:
             return True
@@ -401,7 +403,7 @@ class RpcIspServer:
             self._pending += 1
             return True
 
-    def _release(self, slots: int) -> None:  # repro: releases(rpc.admission.slot)
+    def _release(self, slots: int) -> None:
         """Give back ``slots`` admission slots at once."""
         if self.max_pending <= 0 or not slots:
             return
@@ -655,7 +657,7 @@ class RpcIspServer:
         single-node benchmark baseline.
         """
         with self._storage_lock:
-            # repro: allow(blocking-effect) -- deliberate: the sleep
+            # Deliberate: the sleep
             # models serial storage service time and must serialize
             # under the dedicated rpc.storage spindle lock; it is never
             # nested inside rpc.server.

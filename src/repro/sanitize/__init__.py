@@ -1,16 +1,18 @@
-"""``repro.sanitize`` — the runtime lock-order checker.
+"""``repro.sanitize`` — the runtime lock checker.
 
 The ISP serves many clients concurrently while ``sync_update`` ingests
 new blocks (the paper's Fig. 13b measures exactly this interference),
 so concurrency correctness is a soundness property, not a performance
-nicety.  Each of its two properties has one checker, the one that sees
-the serving path (DESIGN §8):
+nicety.  Each of its properties has one checker, the one that sees the
+serving path (DESIGN §8):
 
-* **lock order** — :mod:`repro.sanitize.runtime`: every serving lock is
-  a :class:`SanLock`, and while armed (the concurrent stress run,
-  ``python -m repro chaos --layer concurrent``) the name-level order
-  graph is built from the acquisitions that actually happen; one that
-  closes a cycle is reported with every stack involved;
+* **lock order** and **blocking under a lock** —
+  :mod:`repro.sanitize.runtime`: every serving lock is a
+  :class:`SanLock`, and while armed (the concurrent stress run,
+  ``python -m repro chaos``) the name-level order graph is built from
+  the acquisitions that actually happen, and a ``time.sleep`` or
+  ``os.fsync`` made with a lock held is checked against what that lock
+  allows; a cycle or a blocked holder is reported with its stacks;
 * **annotated shared fields** — the static ``guarded-by`` rule in
   :mod:`repro.analysis.concurrency` (``python -m repro lint``) proves
   that every access to a ``# repro: guarded-by(<lock>)`` field holds

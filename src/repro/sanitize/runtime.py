@@ -1,12 +1,13 @@
-"""Runtime lock-order checker for the threaded serving path.
+"""Runtime lock checker for the threaded serving path.
 
 The static ``guarded-by`` rule (:mod:`repro.analysis.concurrency`)
 proves which lock protects each annotated shared field; this module
-watches the one property the static call graph cannot see: the order
-in which the serving path *actually* takes its locks.  The RPC server
-reaches the ISP through ``getattr(self.isp, op)``, so no static edge
-leads from ``rpc.server`` to the locks below it; at runtime every such
-nesting is observed directly.
+watches what the static call graph cannot see: the order in which the
+serving path *actually* takes its locks, and whether a lock holder
+blocks.  The RPC server reaches the ISP through
+``getattr(self.isp, op)``, so no static edge leads from ``rpc.server``
+to the locks below it; at runtime every such nesting is observed
+directly.
 
 :class:`SanLock` is an instrumented mutex.  While the checker is armed
 it maintains a per-thread held-lock stack and a global lock-*order*
@@ -16,7 +17,11 @@ graph is reported as a potential deadlock — with the stack of the
 current acquisition *and* the remembered stack of the reversed edge —
 without actually deadlocking the test.  :func:`order_edges` reads the
 observed graph so a stress run can be compared with the order DESIGN
-§8 declares.
+§8 declares.  While armed, ``time.sleep`` and ``os.fsync`` are wrapped
+too: one called with a :class:`SanLock` held is reported, unless that
+lock names the call in ``may_block`` (the spindle lock's modeled sleep,
+the node store's group-commit fsyncs) — a blocked holder stalls every
+handler thread queued on its lock.
 
 Everything is **zero-cost when disarmed**: a disarmed :class:`SanLock`
 delegates straight to the underlying :class:`threading.Lock` after one
@@ -25,9 +30,11 @@ delegates straight to the underlying :class:`threading.Lock` after one
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
-import traceback
-from typing import Any, Dict, List, Set, Tuple
+import time
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.errors import SanitizerError
 
@@ -48,15 +55,21 @@ _state_lock = threading.Lock()
 
 
 def _capture_stack() -> Tuple[str, ...]:
-    """A compact, trimmed stack for reports (outermost first)."""
-    frames = traceback.extract_stack()
-    trimmed = [
-        f"{frame.filename.rsplit('/', 1)[-1]}:{frame.lineno} "
-        f"in {frame.name}"
-        for frame in frames
-        if "repro/sanitize/runtime" not in frame.filename.replace("\\", "/")
-    ]
-    return tuple(trimmed[-STACK_DEPTH:])
+    """A compact, trimmed stack for reports (outermost first): the
+    innermost :data:`STACK_DEPTH` frames outside this module, read off
+    the frame chain without looking up source lines (an armed run
+    captures one per acquisition)."""
+    trimmed: List[str] = []
+    frame = sys._getframe(1)
+    while frame is not None and len(trimmed) < STACK_DEPTH:
+        code = frame.f_code
+        if code.co_filename != __file__:
+            trimmed.append(
+                f"{os.path.basename(code.co_filename)}:{frame.f_lineno} "
+                f"in {code.co_name}"
+            )
+        frame = frame.f_back
+    return tuple(reversed(trimmed))
 
 
 # ----------------------------------------------------------------------
@@ -65,14 +78,16 @@ def _capture_stack() -> Tuple[str, ...]:
 
 
 class SanitizerReport:
-    """One lock-order finding, with every involved stack."""
+    """One lock-order or blocking finding, with every involved stack."""
 
     KIND_LOCK_ORDER = "lock-order-inversion"
+    KIND_BLOCKING = "blocking-under-lock"
 
     def __init__(self, kind: str, subject: str, detail: str,
                  stacks: List[Tuple[str, Tuple[str, ...]]]) -> None:
         self.kind = kind
-        #: What the report is about: the ``A -> B -> A`` cycle.
+        #: What the report is about: the ``A -> B -> A`` cycle, or the
+        #: ``sleep under A`` call.
         self.subject = subject
         self.detail = detail
         #: ``(label, frames)`` pairs — every side of the conflict.
@@ -170,15 +185,17 @@ class SanLock:
     ``threading.Lock`` / ``RLock`` after one :data:`ACTIVE` check.  The
     ``name`` identifies the lock *class* in reports and in the order
     graph (e.g. ``"isp.sessions"``); instances of the same name share
-    ordering constraints.  The static ``blocking-effect`` rule keys its
-    no-blocking-under-lock policy on the same names.
+    ordering constraints.  ``may_block`` names the blocking calls
+    (``"sleep"``, ``"fsync"``) its holder may make.
     """
 
-    __slots__ = ("name", "_inner", "_reentrant")
+    __slots__ = ("name", "_inner", "_reentrant", "_may_block")
 
-    def __init__(self, name: str, reentrant: bool = False) -> None:
+    def __init__(self, name: str, reentrant: bool = False,
+                 may_block: Tuple[str, ...] = ()) -> None:
         self.name = name
         self._reentrant = reentrant
+        self._may_block = may_block
         self._inner = threading.RLock() if reentrant else threading.Lock()
 
     def raw(self) -> Any:
@@ -276,6 +293,51 @@ def held_locks() -> List[str]:
         return [lock.name for lock, _ in _held_stack()]
 
 
+def _note_blocking(kind: str) -> None:
+    """Report a ``kind`` call made with a lock held that does not allow
+    it (one report per call kind and lock)."""
+    with _state_lock:
+        held = [
+            lock.name for lock, _ in _held.get(threading.get_ident(), ())
+            if kind not in lock._may_block
+        ]
+    if not held:
+        return
+    report = SanitizerReport(
+        SanitizerReport.KIND_BLOCKING,
+        f"{kind} under {held[-1]}",
+        f"{kind} called while holding {', '.join(map(repr, held))}; "
+        "every thread queued on the lock waits it out",
+        [(f"{kind} call", _capture_stack())],
+    )
+    with _state_lock:
+        key = (report.kind, report.subject)
+        if key not in _reported_keys:
+            _reported_keys.add(key)
+            _reports.append(report)
+
+
+def _watching(kind: str, call: Callable[..., Any]) -> Callable[..., Any]:
+    def blocking(*args: Any, **kwargs: Any) -> Any:
+        if ACTIVE:
+            _note_blocking(kind)
+        return call(*args, **kwargs)
+
+    blocking.unwatched = call  # type: ignore[attr-defined]
+    return blocking
+
+
+#: The blocking calls watched while armed: kind -> (module, attribute).
+_BLOCKING_CALLS = {"sleep": (time, "sleep"), "fsync": (os, "fsync")}
+
+
+def _watch_blocking(on: bool) -> None:
+    for kind, (module, attr) in _BLOCKING_CALLS.items():
+        current = getattr(module, attr)
+        unwatched = getattr(current, "unwatched", current)
+        setattr(module, attr, _watching(kind, unwatched) if on else unwatched)
+
+
 def order_edges() -> Set[Tuple[str, str]]:
     """Every ``(held, acquired)`` name pair observed since the last reset."""
     with _state_lock:
@@ -295,6 +357,7 @@ def arm() -> None:
     """Start watching.  State from a previous run is cleared."""
     global ACTIVE
     reset()
+    _watch_blocking(True)
     ACTIVE = True
 
 
@@ -302,12 +365,12 @@ def disarm() -> None:
     """Stop watching.  Accumulated reports and edges stay readable."""
     global ACTIVE
     ACTIVE = False
+    _watch_blocking(False)
 
 
 def reset() -> None:
     """Disarm and drop every report, held stack, and order edge."""
-    global ACTIVE
-    ACTIVE = False
+    disarm()
     with _state_lock:
         _reports.clear()
         _reported_keys.clear()

@@ -18,9 +18,9 @@ Architecture (one loop thread + a bounded worker pool):
   touching the ISP.  All loop-side connection state (``_conns``,
   ``_batch_pending``, per-connection buffers) is confined to this
   thread.
-* **Workers** run everything the ``blocking-effect`` analysis would flag
-  on the loop: request decode, admission, the dispatch lock, the modeled
-  storage sleep, and ISP calls.  They never see a socket; each request's
+* **Workers** run everything that could block the loop: request
+  decode, admission, the dispatch lock, the modeled storage sleep, and
+  ISP calls.  They never see a socket; each request's
   reply is *posted* back to the loop as one completion record through
   :attr:`_completions` (guarded by ``serve.outbox``) plus a wake-pipe
   byte.

@@ -66,7 +66,6 @@ class AttestationService:
         return report
 
     @staticmethod
-    # repro: taint-sanitizer
     def verify_report(
         report: AttestationReport,
         root_public_key: PublicKey,

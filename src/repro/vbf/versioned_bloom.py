@@ -86,7 +86,6 @@ class VersionedBloomFilter:
         return header + body
 
     @classmethod
-    # repro: taint-source
     def decode(cls, data: bytes) -> "VersionedBloomFilter":
         """Decode an untrusted filter, validating before allocating.
 

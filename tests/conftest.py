@@ -10,17 +10,40 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.faults import registry as faults
 from repro.workloads.generator import WorkloadGenerator
 
 # Hypothesis profiles, picked with ``pytest --hypothesis-profile=NAME``.
-# ``default`` is hypothesis' own budget, and tier-1 runs it; ``chaos``
-# is CI's deeper run of the fault machine (tests/fault_machine.py).
-settings.register_profile("default", max_examples=100, stateful_step_count=50)
-settings.register_profile("chaos", max_examples=500, stateful_step_count=100)
+# ``default`` is hypothesis' own budget, and tier-1 runs it without
+# shrinking: a failing example is reported as found, in seconds, where
+# shrinking a stateful machine's program can run for minutes and make
+# the suite look hung.  ``chaos`` is CI's deeper run of the fault
+# machine (tests/fault_machine.py), and shrinks what it finds.
+settings.register_profile(
+    "default", max_examples=100, stateful_step_count=50,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+settings.register_profile(
+    "chaos", max_examples=500, stateful_step_count=100, phases=list(Phase),
+)
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    """A socket or file left for the garbage collector to close is a
+    leaked descriptor, and fails the tier-1 test that leaks it.  CPython
+    warns from the finalizer, so the warning arrives unraisable."""
+    for item in items:
+        if TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings(
+                "error::pytest.PytestUnraisableExceptionWarning"))
 
 
 @pytest.fixture(autouse=True)
@@ -47,19 +70,3 @@ def shared_generator(shared_system) -> WorkloadGenerator:
         shared_system.latest_time,
         queries_per_workload=2,
     )
-
-
-@pytest.fixture(scope="session")
-def shipped_tree():
-    """``src/`` parsed once and analyzed once by every lint rule.
-
-    Returns ``(contexts, findings)``; the contexts are shared with
-    every fixture that re-analyzes a mutant of one module beside the
-    rest of the tree (read-only: nothing may mutate a context).
-    """
-    from repro.analysis.core import all_rules, parse_paths, run_rules
-
-    repo = Path(__file__).resolve().parent.parent
-    contexts, findings = parse_paths([repo / "src"], root=repo)
-    findings.extend(run_rules(contexts, all_rules()))
-    return contexts, sorted(findings)

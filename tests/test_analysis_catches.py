@@ -1,22 +1,45 @@
-"""The defect each lint rule caught, put back into today's source.
+"""The defect each lint rule was pinned to, put back into today's source.
 
-A rule stays in :mod:`repro.analysis` because it caught a real defect.
-Each test here is a mutant of *today's* module that puts that defect
-back, in the shape it had at the parent of its fix (DESIGN §6 names the
-commit): the rule must fire on the mutant and stay silent on the module
-as shipped.  The mutants are built from the working tree, not with
-``git show``, so they run in a shallow checkout.  ``guarded-by``'s
-fixtures are ``test_analysis_concurrency.py::TestFormerTrackerSites``
-(its ``persistent_store.prune`` row is the PR 5 compaction defect).
+Every mutant here is built from the working tree (not with ``git show``,
+so it runs in a shallow checkout) by :func:`replace_once` or
+:func:`hoist_out_of_try`.
+
+``crash-hygiene`` is still a lint rule: no test outside the lint tests
+fails on its mutant, so :class:`TestCrashHygiene` checks that the rule
+fires on it and stays silent on the module as shipped.  ``guarded-by``'s
+fixtures are ``test_analysis_concurrency.py::TestFormerTrackerSites``.
+
+``must-release``, ``blocking-effect`` and ``verify-before-use`` are
+retired: a tier-1 check fails on every mutant of their defects.  Each
+row below plants one mutant — the historical defect, and one at every
+other site the rule's annotations protected — into the live classes
+(:func:`patch_mutant`), runs the named check against it, and asserts
+that the check fails (DESIGN §6 lists the rows).
 """
 
 import ast
+import gc
+import importlib
+import sys
+import threading
+import types
+import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence, Tuple
+
+import pytest
+from tests import (
+    test_rpc,
+    test_sanitize_concurrency,
+    test_security,
+    test_serve,
+    test_stateful,
+)
 
 from repro.analysis.core import parse_sources, run_rules
-from repro.analysis.dataflow import BlockingEffectRule, VerifyBeforeUseRule
-from repro.analysis.ownership import MustReleaseRule
 from repro.analysis.rules import CrashHygieneRule
+from repro.sanitize import runtime as san
+from repro.serve.server import AsyncIspServer
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,6 +97,49 @@ def hoist_out_of_try(source, class_name, func_name):
     )
 
 
+def _defs(source):
+    """``{qualname: ast dump}`` of the module's functions and methods."""
+    found = {}
+    for node in ast.parse(source).body:
+        members = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for member in members:
+            if isinstance(member, ast.FunctionDef):
+                found[prefix + member.name] = ast.dump(member)
+    return found
+
+
+def _code_objects(code, prefix=""):
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            qualname = prefix + const.co_name
+            yield qualname, const
+            yield from _code_objects(const, qualname + ".")
+
+
+def patch_mutant(monkeypatch, module, mutant):
+    """Give the live ``module`` every function of ``mutant`` whose source
+    differs from the shipped one, compiled against the live module's
+    globals (so classes and constants keep their identity)."""
+    live = importlib.import_module(module)
+    before, after = _defs(shipped(module)), _defs(mutant)
+    codes = dict(_code_objects(compile(mutant, module_path(module), "exec")))
+    changed = [name for name in after if before.get(name) != after[name]]
+    assert changed, "the mutant changes no function"
+    for qualname in changed:
+        owner_name, _, name = qualname.rpartition(".")
+        owner = getattr(live, owner_name) if owner_name else live
+        current = vars(owner)[name]
+        code = codes[qualname]
+        # Zero-argument super() reads the defining class from a cell.
+        closure = tuple(types.CellType(owner) for _ in code.co_freevars)
+        func = types.FunctionType(
+            code, vars(live), name, current.__defaults__, closure
+        )
+        func.__kwdefaults__ = current.__kwdefaults__
+        monkeypatch.setattr(owner, name, func)
+
+
 class TestCrashHygiene:
     """PR 3 (``e1346d4``): ``V2fsAds.apply_writes`` caught
     ``Exception`` around the trie lookup, so a corrupt trie or an
@@ -97,32 +163,74 @@ class TestCrashHygiene:
         assert "except Exception on a verification path" in findings[0]
 
 
-class TestBlockingEffect:
-    """PR 8 (``fc5c659``): the modeled storage ``sleep`` ran under the
-    ``rpc.server`` dispatch lock, so every session on the server queued
-    behind one request's modeled I/O."""
+# ----------------------------------------------------------------------
+# The retired rules: one row per planted mutant
+# ----------------------------------------------------------------------
 
-    MODULE = "repro.rpc.server"
 
-    def test_shipped_module_is_clean(self):
-        assert lint(
-            BlockingEffectRule(), {self.MODULE: shipped(self.MODULE)}
-        ) == []
+class Mutant(NamedTuple):
+    """One planted defect and the tier-1 check that fails on it."""
 
-    def test_sleep_under_the_dispatch_lock_is_a_finding(self):
-        mutant = replace_once(
-            shipped(self.MODULE),
-            """            self._charge_service_delay(1)
-        with self.lock:
-""",
-            """        with self.lock:
-            self._charge_service_delay(1)
-""",
-        )
-        findings = lint(BlockingEffectRule(), {self.MODULE: mutant})
-        assert len(findings) == 1
-        assert "time.sleep" in findings[0]
-        assert "RpcIspServer.lock" in findings[0]
+    name: str
+    #: ``(module, source -> mutant source)`` pairs.
+    edits: Sequence[Tuple[str, Callable[[str], str]]]
+    #: Runs the named check (given a temporary directory); it must fail.
+    check: Callable[..., None]
+
+
+def replacing(module, old, new):
+    return (module, lambda source: replace_once(source, old, new))
+
+
+def run_rows(monkeypatch, tmp_path, row):
+    for module, mutate in row.edits:
+        patch_mutant(monkeypatch, module, mutate(shipped(module)))
+    # A failed assert, or a pytest.raises that saw nothing raised.
+    with pytest.raises((AssertionError, pytest.fail.Exception)):
+        row.check(tmp_path)
+
+
+#: Planted as is (not every module under a lock imports ``time``); the
+#: runtime check is on the call, whatever it waits.
+SLEEP = "__import__('time').sleep(0)"
+
+
+def admission_leak(tmp_path):
+    test_rpc.TestAdmissionLeakRegression().test_injected_raise_releases_slot()
+
+
+def leaks_fail(check):
+    """``check`` under tier-1's rule that a socket left for the garbage
+    collector fails the test (tests/conftest.py): CPython warns from the
+    finalizer, so the warning arrives unraisable."""
+    def run(tmp_path):
+        leaked, before = [], set(threading.enumerate())
+        hook = sys.unraisablehook
+        # Kept as text: the exception's frames still hold sockets.
+        sys.unraisablehook = lambda args: leaked.append(repr(args.exc_value))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                check()
+                # A server thread drops its sockets as it exits.
+                for thread in set(threading.enumerate()) - before:
+                    thread.join(timeout=5.0)
+                gc.collect()
+        except ResourceWarning as warning:
+            leaked.append(repr(warning))
+        finally:
+            sys.unraisablehook = hook
+        assert leaked == [], leaked[0]
+    return run
+
+
+dropped_connections = leaks_fail(
+    test_rpc.TestReliability().test_retries_recover_from_dropped_connections
+)
+async_query = leaks_fail(
+    test_serve.TestProtocolEquivalence(
+    ).test_verified_query_through_async_server
+)
 
 
 class TestMustRelease:
@@ -130,61 +238,245 @@ class TestMustRelease:
     its ``try``/``finally``, so a raise between two ``_admit`` calls
     leaked every slot already taken."""
 
-    MODULE = "repro.rpc.server"
+    ROWS = [
+        Mutant("admission-before-the-try", [(
+            "repro.rpc.server", lambda source: hoist_out_of_try(
+                source, "RpcIspServer", "_handle"),
+        )], admission_leak),
+        Mutant("release-after-the-finally", [replacing(
+            "repro.rpc.server",
+            "        finally:\n            self._release(slots)\n"
+            "        return responses",
+            "        finally:\n            pass\n"
+            "        self._release(slots)\n        return responses",
+        )], admission_leak),
+        Mutant("handler-socket-not-closed", [replacing(
+            "repro.rpc.server",
+            "                    self._connections.remove(conn)\n"
+            "            try:\n                conn.close()\n",
+            "                    self._connections.remove(conn)\n"
+            "            try:\n                pass\n",
+        )], dropped_connections),
+        Mutant("listener-not-closed", [replacing(
+            "repro.rpc.server",
+            "            try:\n                self._listener.close()\n",
+            "            try:\n                pass\n",
+        )], dropped_connections),
+        Mutant("discarded-socket-not-closed", [replacing(
+            "repro.rpc.client",
+            "    def discard(self, conn: socket.socket) -> None:\n"
+            "        _close_quietly(conn)",
+            "    def discard(self, conn: socket.socket) -> None:\n"
+            "        pass",
+        )], dropped_connections),
+        Mutant("idle-sockets-not-closed", [replacing(
+            "repro.rpc.client",
+            "        for conn in idle:\n            _close_quietly(conn)",
+            "        for conn in idle:\n            pass",
+        )], dropped_connections),
+        Mutant("surplus-socket-not-closed", [replacing(
+            "repro.rpc.client",
+            "                return\n        _close_quietly(conn)",
+            "                return",
+        )], leaks_fail(test_rpc.TestReliability(
+        ).test_pool_closes_the_connections_it_does_not_keep)),
+        Mutant("loop-socket-not-closed", [replacing(
+            "repro.serve.server",
+            "        try:\n            conn.sock.close()\n",
+            "        try:\n            pass\n",
+        )], async_query),
+        Mutant("loop-socket-not-unregistered", [replacing(
+            "repro.serve.server",
+            "            try:\n                sel.unregister(conn.sock)\n",
+            "            try:\n                pass\n",
+        )], lambda tmp_path: test_serve.TestConnectionTeardown(
+        ).test_a_freed_descriptor_number_is_served_again()),
+        Mutant("listener-and-wake-pipe-not-closed", [replacing(
+            "repro.serve.server",
+            "            try:\n                sock.close()\n",
+            "            try:\n                pass\n",
+        )], async_query),
+    ]
 
-    def test_shipped_module_is_clean(self):
-        assert lint(
-            MustReleaseRule(), {self.MODULE: shipped(self.MODULE)}
-        ) == []
+    # A mutant may kill a server thread on its way to failing the check.
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+    def test_tier1_fails(self, monkeypatch, tmp_path, row):
+        run_rows(monkeypatch, tmp_path, row)
 
-    def test_admission_outside_the_try_is_a_finding(self):
-        source = shipped(self.MODULE)
-        mutant = hoist_out_of_try(source, "RpcIspServer", "_handle")
-        assert mutant != source
-        findings = lint(MustReleaseRule(), {self.MODULE: mutant})
-        assert len(findings) == 1
-        assert "resource 'rpc.admission.slot'" in findings[0]
-        assert "exception exit paths" in findings[0]
+
+def sleeping_under(module, with_line, first_line, indent):
+    """A mutant that sleeps right inside ``with_line``'s block."""
+    pad = " " * indent
+    return replacing(
+        module, f"{with_line}\n{pad}{first_line}",
+        f"{with_line}\n{pad}{SLEEP}\n{pad}{first_line}",
+    )
+
+
+def armed_stress_on(server_class):
+    def check(tmp_path):
+        test_sanitize_concurrency.TestOrderGraph(
+        ).test_observed_edges_follow_the_declared_order(
+            tmp_path, server_class
+        )
+    return check
+
+
+def threaded_stress(tmp_path):
+    test_sanitize_concurrency.TestArmedStress().test_armed_run_is_clean(
+        tmp_path
+    )
+
+
+def off_path_locks(tmp_path):
+    test_sanitize_concurrency.TestNoBlockingUnderLock(
+    ).test_registry_and_health_locks_do_not_block()
+
+
+class TestBlockingEffect:
+    """PR 8 (``fc5c659``): the modeled storage ``sleep`` ran under the
+    ``rpc.server`` dispatch lock, so every session on the server queued
+    behind one request's modeled I/O.  The other rows sleep under each
+    ``SanLock`` of DESIGN §8 that may not sleep."""
+
+    ROWS = [
+        Mutant("delay-under-the-dispatch-lock", [replacing(
+            "repro.rpc.server",
+            "            self._charge_service_delay(1)\n"
+            "        with self.lock:\n",
+            "        with self.lock:\n"
+            "            self._charge_service_delay(1)\n",
+        )], lambda tmp_path: test_rpc.TestServiceDelayOffDispatchLock(
+        ).test_certificate_not_delayed_by_spindle()),
+        Mutant("sleep-under-rpc.server", [sleeping_under(
+            "repro.rpc.server", "        with self.lock:",
+            "self._check_deadline(deadline)\n"
+            "            return self._dispatch(kind, args)", 12,
+        )], threaded_stress),
+        Mutant("sleep-under-rpc.admission", [sleeping_under(
+            "repro.rpc.server", "        with self._admission_lock:",
+            "if self._pending >= self.max_pending:", 12,
+        )], threaded_stress),
+        Mutant("sleep-under-rpc.conns", [sleeping_under(
+            "repro.rpc.server", "            with self._conn_lock:",
+            "self._connections.append(conn)", 16,
+        )], threaded_stress),
+        Mutant("sleep-under-serve.outbox", [sleeping_under(
+            "repro.serve.server", "        with self._out_lock:",
+            "self._completions.extend(completions)", 12,
+        )], armed_stress_on(AsyncIspServer)),
+        Mutant("sleep-under-isp.sessions", [sleeping_under(
+            "repro.isp.sessions", "        with self._lock:",
+            "self._sessions[session.session_id] = session", 12,
+        )], threaded_stress),
+        Mutant("sleep-under-store.pages", [sleeping_under(
+            "repro.merkle.persistent_store", "        with self._lock:",
+            "if digest in self._offsets:\n"
+            "                return digest", 12,
+        )], threaded_stress),
+        Mutant("sleep-under-obs.registry", [sleeping_under(
+            "repro.obs.metrics", "            with self._lock:",
+            "instrument = self._instruments.get(name)", 16,
+        )], off_path_locks),
+        Mutant("sleep-under-fleet.health", [sleeping_under(
+            "repro.fleet.health", "        with self._lock:",
+            "record = self._records.get(key)\n"
+            "            return True if record is None else record.up", 12,
+        )], off_path_locks),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+    def test_tier1_fails(self, monkeypatch, tmp_path, row):
+        try:
+            run_rows(monkeypatch, tmp_path, row)
+        finally:
+            san.reset()
+
+
+def every_move(tmp_path):
+    test_stateful.test_every_move_is_told_and_refused()
+
+
+def unmined_block(tmp_path):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        test_security.TestCertifiedBlocks(
+        ).test_block_failing_consensus_is_refused(monkeypatch)
 
 
 class TestVerifyBeforeUse:
     """PR 27 (``c6fc5e4``): ``mark_fresh_node`` raised ``V_n`` on the
     ISP's unproven "fresh" reply, so a failed query left stale pages
-    marked fresh for the next one."""
+    marked fresh for the next one.  The other rows put an unverified
+    value into each function the rule treated as a sink (the metadata
+    fill, the pager's writes), and drop the containment each of the
+    rule's three suppressions in ``client/vfs.py`` cited."""
 
-    MODULES = ("repro.client.caches", "repro.client.vfs", "repro.isp.server")
+    ROWS = [
+        Mutant("v_n-raised-on-the-isps-word", [
+            ("repro.client.caches", lambda source: replace_once(
+                replace_once(
+                    source,
+                    "    def mark_fresh_node(self, path: str, level: int,"
+                    " index: int) -> None:",
+                    "    def mark_fresh_node(self, path: str, level: int,"
+                    " index: int,\n                        version: int)"
+                    " -> None:",
+                ),
+                "        if obs.ACTIVE:\n"
+                "            obs.inc(\"cache.inter.fresh_node\")",
+                "        self._raise_version(path, level, index, version)\n"
+                "        if obs.ACTIVE:\n"
+                "            obs.inc(\"cache.inter.fresh_node\")",
+            )),
+            replacing(
+                "repro.client.vfs",
+                "cache.mark_fresh_node(path, level, index)",
+                "cache.mark_fresh_node(path, level, index, "
+                "self.certificate.version)",
+            ),
+        ], every_move),
+        Mutant("metas-kept-on-the-isps-word", [replacing(
+            "repro.client.vfs",
+            "            self.used_metas[path] = meta\n",
+            "            self.used_metas[path] = meta\n"
+            "            self.state.learn_metas(\n"
+            "                self.certificate.ads_root, {path: meta})\n",
+        )], every_move),
+        Mutant("block-header-unchecked", [replacing(
+            "repro.core.ci",
+            "        check_header(block.header, pow_params, chain_id)\n",
+            "",
+        )], unmined_block),
+        Mutant("read-set-unverified", [replacing(
+            "repro.core.ci",
+            "            V2fsAds.verify_read_proof("
+            "pi_r, self.storage_root, claims)\n",
+            "",
+        )], lambda tmp_path: test_security.TestMaliciousCiStorage(
+        ).test_stale_but_well_formed_page_detected()),
+        Mutant("intra-cache-outlives-its-session", [replacing(
+            "repro.client.vfs",
+            "        self.intra_cache = IntraQueryCache(state.cache_bytes)",
+            "        self.intra_cache = vars(state).setdefault(\n"
+            "            'intra', IntraQueryCache(state.cache_bytes))",
+        )], every_move),
+        Mutant("insert-not-rolled-back", [replacing(
+            "repro.client.vfs",
+            "            cache.insert(key, page, self.certificate.version)\n"
+            "            self.inserted.append(key)\n",
+            "            cache.insert(key, page, self.certificate.version)\n",
+        )], every_move),
+        Mutant("update-not-rolled-back", [replacing(
+            "repro.client.vfs",
+            "        cache.update(key, page, self.certificate.version)\n"
+            "        self.inserted.append(key)\n",
+            "        cache.update(key, page, self.certificate.version)\n",
+        )], every_move),
+    ]
 
-    def sources(self):
-        return {module: shipped(module) for module in self.MODULES}
-
-    def test_shipped_modules_are_clean(self):
-        assert lint(VerifyBeforeUseRule(), self.sources()) == []
-
-    def test_raising_v_n_on_the_isps_word_is_a_finding(self):
-        sources = self.sources()
-        caches = replace_once(
-            sources["repro.client.caches"],
-            "    def mark_fresh_node(self, path: str, level: int, index: int)"
-            " -> None:",
-            "    def mark_fresh_node(self, path: str, level: int, index: int,"
-            "\n                        version: int) -> None:",
-        )
-        sources["repro.client.caches"] = replace_once(
-            caches,
-            """        if obs.ACTIVE:
-            obs.inc("cache.inter.fresh_node")""",
-            """        self._raise_version(path, level, index, version)
-        if obs.ACTIVE:
-            obs.inc("cache.inter.fresh_node")""",
-        )
-        sources["repro.client.vfs"] = replace_once(
-            sources["repro.client.vfs"],
-            "cache.mark_fresh_node(path, level, index)",
-            "cache.mark_fresh_node(path, level, index, "
-            "self.certificate.version)",
-        )
-        findings = lint(VerifyBeforeUseRule(), sources)
-        assert len(findings) == 1
-        assert findings[0].startswith("src/repro/client/vfs.py:")
-        assert "IspServer.validate_path" in findings[0]
-        assert "InterQueryCache._raise_version" in findings[0]
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+    def test_tier1_fails(self, monkeypatch, tmp_path, row):
+        run_rows(monkeypatch, tmp_path, row)

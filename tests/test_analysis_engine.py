@@ -1,18 +1,16 @@
 """The interprocedural engine itself: solver, walk, memo.
 
-The rule suites check what the four program rules conclude; these check
-the machinery underneath them on its own terms — that fixpoints
-terminate on recursive code, what a must-analysis says about functions
-nobody is known to call, that thread spawns carry nothing across, and
-that witness parents are chosen deterministically.
+The rule suite checks what ``guarded-by`` concludes; these check the
+machinery underneath it on its own terms — that fixpoints terminate on
+recursive code, what a must-analysis says about functions nobody is
+known to call, and that thread spawns carry nothing across.
 """
 
 import textwrap
 
-from repro.analysis.concurrency import acquired_locks, entry_held
+from repro.analysis.concurrency import entry_held
 from repro.analysis.core import parse_sources
-from repro.analysis.dataflow import Effects
-from repro.analysis.engine import Analysis, propagate, summarize
+from repro.analysis.engine import Analysis, propagate
 
 
 def analysis_for(source, module="fx"):
@@ -41,22 +39,15 @@ MUTUAL_RECURSION = """
 
 class TestPropagate:
     def test_mutual_recursion_terminates_in_both_directions(self):
-        analysis = analysis_for(MUTUAL_RECURSION)
-        # callee -> caller: both ends of the cycle acquire the lock and
-        # sleep, transitively.
-        assert analysis.fact(acquired_locks) == {
-            "fx.even": {"fx.LOCK"}, "fx._odd": {"fx.LOCK"},
-        }
-        effects = analysis.fact(Effects)
-        assert effects.kinds("fx.even") == {"lock", "sleep"}
-        assert effects.witness("fx.even", "sleep")[0] == [
-            "fx.even", "fx._odd"
-        ]
+        program = analysis_for(MUTUAL_RECURSION).program
+        # callee -> caller: a fact seeded in the helper reaches both
+        # ends of the cycle.
+        up = propagate(program, {"fx._odd": {"fact"}}, down=False)
+        assert up == {"fx.even": {"fact"}, "fx._odd": {"fact"}}
         # caller -> callee: a fact seeded at the public entry reaches
         # the whole cycle.
-        flow = propagate(analysis.program, {"fx.even": {"fact"}}, down=True)
-        assert flow.values["fx._odd"] == {"fact"}
-        assert flow.chain("fx._odd", "fact") == ["fx._odd", "fx.even"]
+        down = propagate(program, {"fx.even": {"fact"}}, down=True)
+        assert down == {"fx.even": {"fact"}, "fx._odd": {"fact"}}
 
     def test_meet_over_no_known_callers_is_empty(self):
         analysis = analysis_for("""
@@ -130,44 +121,19 @@ class TestPropagate:
         held = analysis.fact(entry_held)
         assert held["fx._child"] == set()
         assert held["fx._grandchild"] == set()
-        # ... the child's effects do not flow back to the spawner ...
-        assert analysis.fact(Effects).kinds("fx.spawner") == {"lock"}
-        assert analysis.fact(acquired_locks)["fx._child"] == set()
+        # ... the child's facts do not flow back to the spawner ...
+        up = propagate(
+            analysis.program, {"fx._child": {"child"}}, down=False,
+        )
+        assert up["fx.spawner"] == set()
         # ... and nothing the spawner holds flows down the spawn, while
         # the child's own facts still reach its callees.
         flow = propagate(
             analysis.program,
             {"fx.spawner": {"spawner"}, "fx._child": {"child"}}, down=True,
         )
-        assert flow.values["fx._child"] == {"child"}
-        assert flow.values["fx._grandchild"] == {"child"}
-
-    def test_witness_parent_is_first_in_sorted_caller_order(self):
-        # Both roots can hand _shared the fact in the first sweep; the
-        # sorted-first caller is recorded whatever the source order.
-        analysis = analysis_for("""
-            def zeta():
-                _shared()
-
-            def alpha():
-                _shared()
-
-            def _shared():
-                _leaf()
-
-            def _leaf():
-                return 1
-        """)
-        flow = propagate(
-            analysis.program,
-            {"fx.alpha": {"fact"}, "fx.zeta": {"fact"}}, down=True,
-        )
-        assert flow.parent[("fx._shared", "fact")][0] == "fx.alpha"
-        assert flow.chain("fx._leaf", "fact") == [
-            "fx._leaf", "fx._shared", "fx.alpha"
-        ]
-        # A seed holder has no parent: the chain ends there.
-        assert flow.chain("fx.zeta", "fact") == ["fx.zeta"]
+        assert flow["fx._child"] == {"child"}
+        assert flow["fx._grandchild"] == {"child"}
 
     def test_pinned_functions_keep_their_seed(self):
         analysis = analysis_for("""
@@ -184,91 +150,8 @@ class TestPropagate:
             analysis.program, {"fx.top": {"fact"}}, down=True,
             pinned={"fx.middle"},
         )
-        assert flow.values["fx.middle"] == set()
-        assert flow.values["fx._bottom"] == set()
-
-
-class TestSummarize:
-    CHAIN = """
-        def a():
-            return b()
-
-        def b():
-            return c()
-
-        def c():
-            return 1
-
-        def unrelated():
-            return 2
-    """
-
-    def depth_transfer(self, program, summaries, log):
-        """Summary: 1 + the deepest callee's summary."""
-        def transfer(func_id):
-            log.append(func_id)
-            depth = 1 + max(
-                (summaries[site.callee]
-                 for site in program.functions[func_id].calls
-                 if site.callee in summaries),
-                default=0,
-            )
-            return max(depth, summaries[func_id]), func_id.upper()
-        return transfer
-
-    def test_acyclic_graph_is_examined_once_callees_first(self):
-        program = analysis_for(self.CHAIN).program
-        summaries = dict.fromkeys(program.functions, 0)
-        log = []
-        reports = summarize(
-            program, self.depth_transfer(program, summaries, log),
-            summaries, program.functions,
-        )
-        assert summaries == {
-            "fx.a": 3, "fx.b": 2, "fx.c": 1, "fx.unrelated": 1,
-        }
-        assert log == ["fx.c", "fx.b", "fx.a", "fx.unrelated"]
-        assert reports["fx.a"] == "FX.A"
-
-    def test_a_change_requeues_callers_at_any_depth(self):
-        # Start from the leaf only: its change pulls in b, then a — and
-        # never the function that does not depend on it.
-        program = analysis_for(self.CHAIN).program
-        summaries = dict.fromkeys(program.functions, 0)
-        log = []
-        reports = summarize(
-            program, self.depth_transfer(program, summaries, log),
-            summaries, ["fx.c"],
-        )
-        assert log == ["fx.c", "fx.b", "fx.a"]
-        assert sorted(reports) == ["fx.a", "fx.b", "fx.c"]
-        assert summaries["fx.unrelated"] == 0
-
-    def test_recursion_runs_until_the_summaries_stop_changing(self):
-        program = analysis_for("""
-            def ping(n):
-                return pong(n)
-
-            def pong(n):
-                return ping(n) or source()
-
-            def source():
-                return 1
-        """).program
-        # Summary: the set of functions reachable, which only grows.
-        summaries = {func_id: frozenset() for func_id in program.functions}
-
-        def transfer(func_id):
-            reach = set(summaries[func_id])
-            for site in program.functions[func_id].calls:
-                if site.callee in summaries:
-                    reach |= {site.callee} | summaries[site.callee]
-            return frozenset(reach), None
-
-        summarize(program, transfer, summaries, program.functions)
-        everything = {"fx.ping", "fx.pong", "fx.source"}
-        assert summaries["fx.ping"] == everything
-        assert summaries["fx.pong"] == everything
+        assert flow["fx.middle"] == set()
+        assert flow["fx._bottom"] == set()
 
 
 class TestWalkAndMemo:
@@ -311,18 +194,9 @@ class TestWalkAndMemo:
                 return 1
         """).program.functions["fx.Box.drain"]
         lock = "fx.Box._lock"
-        assert [(a.lock, a.held) for a in func.acquires] == [
-            (lock, frozenset()), (lock, frozenset()),
-        ]
         assert [(c.callee, c.held) for c in func.calls] == [
             ("fx.helper", frozenset()),
         ]
         assert [(a.attr, a.is_write, a.held) for a in func.accesses] == [
             ("items", True, frozenset({lock})),
-        ]
-        assert [(b.kind, b.detail, b.held) for b in func.blocking] == [
-            ("socket", ".recv()", frozenset({lock})),
-        ]
-        assert [w.detail for w in func.waits] == [
-            "lock acquire() without a timeout",
         ]

@@ -1,21 +1,14 @@
-"""Reporter edge cases: zero findings, unicode paths, baseline drift.
+"""Reporter edge cases: zero findings, unicode paths, severity counts.
 
 The reporters promise two things CI depends on: text output is stable
 and line-oriented (one finding per line plus a summary), and JSON
 output is byte-stable across runs and platforms (sorted findings,
-sorted keys, newline-terminated).  Baseline subtraction is exercised
-here too because ``--write-baseline`` / drift detection round-trips
-through :func:`render_json`-style entries.
+sorted keys, newline-terminated).
 """
 
 import json
 
-from repro.analysis.core import (
-    SEVERITY_WARNING,
-    Finding,
-    baseline_entries,
-    subtract_baseline,
-)
+from repro.analysis.core import SEVERITY_WARNING, Finding
 from repro.analysis.reporters import render_json, render_text
 
 
@@ -79,96 +72,3 @@ class TestRenderJson:
         ]))
         assert payload["errors"] == 1
         assert payload["warnings"] == 1
-
-
-class TestBaselineDrift:
-    def test_baselined_finding_is_absorbed(self):
-        current = [finding()]
-        baseline = baseline_entries(current)
-        assert subtract_baseline(current, baseline) == []
-
-    def test_line_drift_does_not_invalidate_baseline(self):
-        # Baseline identity is line-number-free: the same finding on a
-        # different line is still grandfathered.
-        baseline = baseline_entries([finding(line=3)])
-        assert subtract_baseline([finding(line=77)], baseline) == []
-
-    def test_new_finding_survives_subtraction(self):
-        baseline = baseline_entries([finding()])
-        drifted = finding(message="worse")
-        assert subtract_baseline([drifted], baseline) == [drifted]
-
-    def test_multiset_semantics(self):
-        # One baseline entry absorbs at most one identical finding.
-        baseline = baseline_entries([finding()])
-        twice = [finding(line=3), finding(line=8)]
-        assert subtract_baseline(twice, baseline) == [finding(line=8)]
-
-    def test_entries_are_sorted_and_line_free(self):
-        entries = baseline_entries([
-            finding(path="src/z.py"), finding(path="src/a.py"),
-        ])
-        assert [e["path"] for e in entries] == ["src/a.py", "src/z.py"]
-        assert all("line" not in e for e in entries)
-
-
-class TestRenderSarif:
-    def _rules(self):
-        from repro.analysis.core import all_rules
-        return all_rules()
-
-    def test_empty_findings_still_lists_every_rule(self):
-        from repro.analysis.reporters import render_sarif
-        rules = self._rules()
-        payload = json.loads(render_sarif([], rules))
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["results"] == []
-        ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert ids == sorted(rule.name for rule in rules)
-        assert len(ids) == len(set(ids))
-
-    def test_result_references_rule_by_index(self):
-        from repro.analysis.reporters import render_sarif
-        rules = self._rules()
-        payload = json.loads(render_sarif(
-            [finding(rule=rules[0].name)], rules
-        ))
-        run = payload["runs"][0]
-        (result,) = run["results"]
-        index = result["ruleIndex"]
-        assert run["tool"]["driver"]["rules"][index]["id"] == result["ruleId"]
-
-    def test_location_is_relative_with_srcroot_base(self):
-        from repro.analysis.reporters import render_sarif
-        payload = json.loads(render_sarif(
-            [finding(path="src\\repro\\a.py", line=0)], []
-        ))
-        location = payload["runs"][0]["results"][0]["locations"][0]
-        physical = location["physicalLocation"]
-        assert physical["artifactLocation"]["uri"] == "src/repro/a.py"
-        assert physical["artifactLocation"]["uriBaseId"] == "%SRCROOT%"
-        # SARIF lines are 1-based; module-level findings at line 0 clamp.
-        assert physical["region"]["startLine"] == 1
-
-    def test_severity_maps_to_sarif_level(self):
-        from repro.analysis.reporters import render_sarif
-        payload = json.loads(render_sarif([
-            finding(),
-            finding(line=4, severity=SEVERITY_WARNING),
-        ], []))
-        levels = [r["level"] for r in payload["runs"][0]["results"]]
-        assert levels == ["error", "warning"]
-
-    def test_output_is_stable_and_newline_terminated(self):
-        from repro.analysis.reporters import render_sarif
-        rules = self._rules()
-        a = render_sarif([finding(line=9), finding(line=2)], rules)
-        b = render_sarif([finding(line=2), finding(line=9)], rules)
-        assert a == b
-        assert a.endswith("\n")
-        lines = [
-            r["locations"][0]["physicalLocation"]["region"]["startLine"]
-            for r in json.loads(a)["runs"][0]["results"]
-        ]
-        assert lines == [2, 9]

@@ -1,7 +1,7 @@
 """Golden-fixture tests for the repro.analysis invariant checker.
 
 Offending and clean snippets for the per-module rule, the
-suppression/baseline machinery, reporter stability, and the CLI,
+suppression machinery, reporter stability, and the CLI,
 including a self-check asserting the shipped tree lints clean under
 ``--strict``.
 """
@@ -13,13 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.core import (
-    analyze_source,
-    baseline_entries,
-    load_baseline,
-    module_name_for,
-    subtract_baseline,
-)
+from repro.analysis.core import analyze_source, module_name_for
 from repro.analysis.reporters import render_json, render_text
 from repro.cli import main
 
@@ -187,8 +181,8 @@ class TestSuppressions:
 class TestDirectiveGrammar:
     @pytest.mark.parametrize("typo, meant", [
         ("gaurded-by(_lock)", "guarded-by"),
-        ("taint_sink", "taint-sink"),
-        ("taint-sorce", "taint-source"),
+        ("guarded_by(_lock)", "guarded-by"),
+        ("gaurded(_lock)", "guarded-by"),
         ("alow(typed-errors) -- why", "allow"),
     ])
     def test_misspelled_directive_is_an_error(self, typo, meant):
@@ -208,10 +202,9 @@ class TestDirectiveGrammar:
         assert f"did you mean {meant!r}?" in findings[0].message
 
     @pytest.mark.parametrize("directive", [
-        "acquires(permit, blocking)",
-        "releases(permit, extra)",
+        "guarded-by(a,b,c)",
+        "guarded-by(@)",
         "guarded-by",
-        "taint-sink(now)",
         "allow()",
     ])
     def test_malformed_directive_is_an_error(self, directive):
@@ -250,38 +243,17 @@ class TestDirectiveGrammar:
         directives, problems = scan_directives("<fixture>", source)
         assert problems == []
         assert [d.name for d in directives] == list(DIRECTIVES)
-        assert len(DIRECTIVES) == 7
+        assert len(DIRECTIVES) == 2
 
 
 # ----------------------------------------------------------------------
-# baseline + reporters
+# reporters
 # ----------------------------------------------------------------------
 
 
-class TestBaselineAndReporters:
+class TestReporters:
     def findings(self):
         return lint(offending(), "repro.isp.server")
-
-    def test_baseline_roundtrip_subtracts_exactly_once(self, tmp_path):
-        findings = self.findings() + self.findings()
-        entries = baseline_entries(self.findings())
-        baseline_file = tmp_path / "baseline.json"
-        baseline_file.write_text(
-            json.dumps({"version": 1, "findings": entries})
-        )
-        remaining = subtract_baseline(
-            findings, load_baseline(baseline_file)
-        )
-        assert len(remaining) == 1  # multiset: one entry absorbs one
-
-    def test_baseline_ignores_line_drift(self):
-        drifted = [f.__class__(
-            path=f.path, line=f.line + 40, rule=f.rule,
-            message=f.message, severity=f.severity,
-        ) for f in self.findings()]
-        assert subtract_baseline(
-            drifted, baseline_entries(self.findings())
-        ) == []
 
     def test_json_reporter_is_stable_and_sorted(self):
         findings = self.findings()
@@ -315,12 +287,9 @@ class TestBaselineAndReporters:
 # ----------------------------------------------------------------------
 
 
-#: What ``--list-rules`` must name: the five rules that each caught a
-#: real defect (DESIGN §6), and nothing else.
-RETAINED_RULES = {
-    "blocking-effect", "crash-hygiene", "guarded-by", "must-release",
-    "verify-before-use",
-}
+#: What ``--list-rules`` must name: the two rules whose defects no
+#: test catches at run time (DESIGN §6), and nothing else.
+RETAINED_RULES = {"crash-hygiene", "guarded-by"}
 
 
 def rogue_module(tmp_path, source=offending()):
@@ -331,71 +300,30 @@ def rogue_module(tmp_path, source=offending()):
 
 
 class TestCliAndSelfCheck:
-    def test_shipped_tree_is_strict_clean(self, tmp_path, capsys):
-        # The acceptance gate: zero non-suppressed findings on src/,
-        # with the JSON report and the effect table from the same run.
-        table_path = tmp_path / "effects.json"
-        exit_code = main([
-            "lint", "--strict", "--no-baseline", "--format=json",
-            "--effect-table", str(table_path), str(SRC),
-        ])
+    def test_shipped_tree_is_strict_clean(self, capsys):
+        # The acceptance gate: zero non-suppressed findings on src/.
+        exit_code = main(["lint", "--strict", "--format=json", str(SRC)])
         output = capsys.readouterr().out
         assert exit_code == 0, output
         assert json.loads(output) == {
             "errors": 0, "findings": [], "warnings": 0,
         }
-        payload = json.loads(table_path.read_text())
-        assert payload["version"] == 1
-        by_name = {row["function"]: row for row in payload["functions"]}
-        # The durable boundary is the canonical blocking function.
-        sync = by_name[
-            "repro.merkle.persistent_store.PersistentNodeStore.sync"
-        ]
-        assert "fsync" in sync["effects"]
-        assert sync["witness"]["chain"][0].endswith(".sync")
-
-    def test_checked_in_baseline_is_valid_and_empty(self):
-        assert load_baseline(REPO_ROOT / "lint-baseline.json") == []
 
     def test_lint_finds_a_seeded_violation(self, tmp_path, capsys):
         bad = rogue_module(tmp_path)
-        assert main(["lint", "--no-baseline", str(bad)]) == 1
+        assert main(["lint", str(bad)]) == 1
         assert "[crash-hygiene]" in capsys.readouterr().out
-
-    def test_baseline_flag_grandfathers_a_violation(self, tmp_path, capsys):
-        bad = rogue_module(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", "--write-baseline", str(baseline), str(bad),
-        ]) == 0
-        assert main([
-            "lint", "--baseline", str(baseline), str(bad),
-        ]) == 0
-        capsys.readouterr()
-        # Strict still passes: baselined errors are gone, no warnings.
-        assert main([
-            "lint", "--strict", "--baseline", str(baseline), str(bad),
-        ]) == 0
-
-    def test_missing_baseline_path_is_a_usage_error(self, tmp_path):
-        # Refused before any work: nothing is parsed, nothing written.
-        table_path = tmp_path / "effects.json"
-        assert main([
-            "lint", "--baseline", str(tmp_path / "nope.json"),
-            "--effect-table", str(table_path), str(SRC),
-        ]) == 2
-        assert not table_path.exists()
 
     def test_rule_filter_runs_only_the_named_rule(self, tmp_path, capsys):
         bad = rogue_module(tmp_path)
         assert main([
-            "lint", "--no-baseline", "--rule", "crash-hygiene", str(bad),
+            "lint", "--rule", "crash-hygiene", str(bad),
         ]) == 1
         capsys.readouterr()
         # The violation belongs to crash-hygiene; a run filtered to a
         # different rule must not see it.
         assert main([
-            "lint", "--no-baseline", "--rule", "guarded-by", str(bad),
+            "lint", "--rule", "guarded-by", str(bad),
         ]) == 0
 
     def test_rule_filter_skips_other_rules_suppressions(
@@ -406,10 +334,9 @@ class TestCliAndSelfCheck:
         ))
         # The full run uses the suppression; a run filtered to another
         # rule must neither apply it nor report it unused.
-        assert main(["lint", "--strict", "--no-baseline", str(bad)]) == 0
+        assert main(["lint", "--strict", str(bad)]) == 0
         assert main([
-            "lint", "--strict", "--no-baseline",
-            "--rule", "guarded-by", str(bad),
+            "lint", "--strict", "--rule", "guarded-by", str(bad),
         ]) == 0
 
     def test_unknown_rule_is_a_usage_error(self, capsys):

@@ -41,10 +41,22 @@ def _heal_netsplits():
     netsplit.heal()
 
 
+#: Every client a test made with :func:`make_remote`, closed when it ends.
+_made = []
+
+
+@pytest.fixture(autouse=True)
+def _close_remotes():
+    yield
+    while _made:
+        _made.pop().close()
+
+
 def make_remote(server, **kwargs) -> RemoteIsp:
     host, port = server.address
     kwargs.setdefault("timeout_s", 2.0)
-    return RemoteIsp(host, port, **kwargs)
+    _made.append(RemoteIsp(host, port, **kwargs))
+    return _made[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +245,10 @@ class TestServerOverload:
             assert excinfo.value.retry_after_s == pytest.approx(
                 0.05, abs=0.01
             )
+            probe.close()
         finally:
             blocked.join(timeout=3.0)
+            occupier.close()
 
     def test_client_honors_retry_after_and_recovers(self, server):
         server.max_pending = 1
@@ -254,8 +268,10 @@ class TestServerOverload:
             # The shed round stretched the backoff to the server's
             # retry-after hint (far above the 0.01s base backoff).
             assert time.monotonic() - start >= 0.2
+            retrier.close()
         finally:
             blocked.join(timeout=5.0)
+            occupier.close()
 
     def test_expired_deadline_is_rejected_before_dispatch(self, server):
         host, port = server.address

@@ -27,8 +27,10 @@ from repro.errors import (
     RpcConnectionError,
     RpcTimeoutError,
 )
+from repro.isp.server import IspServer
 from repro.merkle.ads import V2fsAds
 from repro.rpc import RemoteIsp, RpcIspServer, connect_client, serve_system
+from repro.rpc.client import _ConnectionPool
 
 SQL = "SELECT COUNT(*) FROM eth_transactions"
 
@@ -294,7 +296,37 @@ class FlakyServer(RpcIspServer):
         return super()._wire(payload, frame_id)
 
 
+class BarrierServer(RpcIspServer):
+    """Answers nothing until ``parties`` requests are in flight at once."""
+
+    def __init__(self, *args, parties, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.barrier = threading.Barrier(parties, timeout=10.0)
+
+    def _wire(self, payload, frame_id):
+        self.barrier.wait()
+        return super()._wire(payload, frame_id)
+
+
 class TestReliability:
+    def test_pool_closes_the_connections_it_does_not_keep(self):
+        """More calls in flight than the pool keeps idle: each one past
+        ``SIZE`` closes its connection on release (a socket left to the
+        collector fails the test, tests/conftest.py)."""
+        calls = _ConnectionPool.SIZE + 2
+        with BarrierServer(IspServer(), parties=calls) as server:
+            remote = RemoteIsp(*server.address, timeout_s=10.0)
+            pingers = [
+                threading.Thread(target=remote.ping) for _ in range(calls)
+            ]
+            for pinger in pingers:
+                pinger.start()
+            for pinger in pingers:
+                pinger.join(timeout=10.0)
+                assert not pinger.is_alive()
+            assert len(remote._pool._idle) == _ConnectionPool.SIZE
+            remote.close()
+
     def test_connection_refused_raises_typed_error(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))

@@ -39,10 +39,22 @@ def sleeps(monkeypatch):
     return recorded
 
 
+#: Every client a test made, closed when it ends.
+_made = []
+
+
+@pytest.fixture(autouse=True)
+def _close_remotes():
+    yield
+    while _made:
+        _made.pop().close()
+
+
 def make_remote(server, **kwargs) -> RemoteIsp:
     host, port = server.address
     kwargs.setdefault("timeout_s", 2.0)
-    return RemoteIsp(host, port, **kwargs)
+    _made.append(RemoteIsp(host, port, **kwargs))
+    return _made[-1]
 
 
 def test_transient_drops_are_retried_until_success(server, sleeps):

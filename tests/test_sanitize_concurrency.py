@@ -151,6 +151,26 @@ class TestOrderGraph:
         } <= observed
 
 
+class TestNoBlockingUnderLock:
+    """The stress runs above also fail on a sleep or fsync under any
+    serving lock that does not allow it; these two locks are off the
+    stress path (an instrument is created once per process, the fleet
+    is not in the run), so they are driven here."""
+
+    def test_registry_and_health_locks_do_not_block(self):
+        from repro.fleet.health import HealthTracker
+        from repro.obs.metrics import MetricsRegistry
+
+        san.arm()
+        MetricsRegistry().counter("rpc.server.requests").inc()
+        tracker = HealthTracker(miss_threshold=1)
+        tracker.attach("a:1", lambda: None)
+        tracker.probe_once()
+        assert tracker.is_up("a:1") and tracker.down_keys() == []
+        tracker.detach("a:1")
+        assert san.reports() == []
+
+
 class TestServerShutdown:
     def test_stop_joins_handler_threads(self):
         from repro.core.system import SystemConfig, V2FSSystem
@@ -166,6 +186,7 @@ class TestServerShutdown:
             client.query("SELECT COUNT(*) FROM eth_transactions")
             with server._conn_lock:
                 assert server._threads  # live handler registered
+            client.isp.close()
         # stop() swapped the lists out and joined every handler.
         assert server._threads == []
         assert server._connections == []

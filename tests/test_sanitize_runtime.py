@@ -1,7 +1,8 @@
-"""Unit tests for the runtime lock-order checker on synthetic histories.
+"""Unit tests for the runtime lock checker on synthetic histories.
 
 Deliberately inverted lock nestings must produce exactly the expected
-deadlock-cycle reports; consistently ordered ones must stay silent.
+deadlock-cycle reports; consistently ordered ones must stay silent.  A
+sleep or fsync under a lock that does not allow it is reported.
 Threads run *sequentially* (start + join immediately) so every verdict
 is deterministic.  The shared-field fixtures that once fed the runtime
 lock-set tracker now run through the static ``guarded-by`` rule, which
@@ -9,8 +10,10 @@ checks the same fields on every call path rather than on the
 interleavings a run happens to produce.
 """
 
+import os
 import textwrap
 import threading
+import time
 
 import pytest
 
@@ -231,6 +234,52 @@ class TestLockOrder:
         assert set("t.a3 t.b3 t.c3".split()) <= set(
             reports[0].subject.split(" -> ")
         )
+
+
+# ----------------------------------------------------------------------
+# Blocking under a lock
+# ----------------------------------------------------------------------
+
+
+class TestBlockingUnderLock:
+    def test_sleep_under_a_lock_is_reported(self):
+        san.arm()
+        with SanLock("t.busy"):
+            time.sleep(0)
+        reports = san.reports()
+        assert [(r.kind, r.subject) for r in reports] == [
+            (san.SanitizerReport.KIND_BLOCKING, "sleep under t.busy"),
+        ]
+        assert "test_sanitize_runtime.py" in reports[0].render()
+
+    def test_a_lock_may_allow_one_kind_of_call(self, tmp_path):
+        san.arm()
+        with open(tmp_path / "log", "wb") as log:
+            with SanLock("t.spindle", may_block=("sleep",)):
+                time.sleep(0)
+                os.fsync(log.fileno())
+        assert [r.subject for r in san.reports()] == [
+            "fsync under t.spindle",
+        ]
+
+    def test_every_held_lock_must_allow_the_call(self):
+        san.arm()
+        with SanLock("t.outer"):
+            with SanLock("t.inner", may_block=("sleep",)):
+                time.sleep(0)
+        assert [r.subject for r in san.reports()] == [
+            "sleep under t.outer",
+        ]
+
+    def test_disarming_restores_the_calls(self):
+        real_sleep, real_fsync = time.sleep, os.fsync
+        san.arm()
+        assert time.sleep is not real_sleep
+        san.disarm()
+        assert (time.sleep, os.fsync) == (real_sleep, real_fsync)
+        with SanLock("t.quiet"):
+            time.sleep(0)
+        assert san.reports() == []
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,7 @@ from tests.adversary import (
     flip_byte,
 )
 
+from repro.chain.block import Block
 from repro.client.state import CarriedState
 from repro.client.vfs import QueryMode
 from repro.core import certificate as certificate_module
@@ -33,6 +34,7 @@ from repro.core.system import SystemConfig, V2FSSystem
 from repro.crypto.signature import KeyPair, Signature, sign
 from repro.errors import (
     CertificateError,
+    ChainError,
     NetworkError,
     ProofError,
     ReproError,
@@ -1114,6 +1116,63 @@ class TestMaliciousCiStorage:
         ci.enclave.register_ocall("get_page", tampering_get_page)
         with pytest.raises(ReproError):
             system.advance_block("eth")
+
+    def test_stale_but_well_formed_page_detected(self):
+        """The storage hands the enclave a sealed page as it was one
+        block ago: nothing but the read proof can tell it from the
+        current one."""
+        system = build_system(1)
+        ci = system.ci
+        pages = ci.storage.file_node(ci.storage_root, TABLE).page_count
+        before = {
+            page_id: ci.storage.get_page(ci.storage_root, TABLE, page_id)
+            for page_id in range(pages)
+        }
+        system.advance_block("eth")
+        original_handler = ci.enclave._handlers["get_page"]
+        served = []
+
+        def stale_get_page(root, path, page_id):
+            page = original_handler(root, path, page_id)
+            old = before.get(page_id) if path == TABLE else None
+            if old is not None and old != page:
+                served.append(page_id)
+                return old
+            return page
+
+        ci.enclave.register_ocall("get_page", stale_get_page)
+        with pytest.raises(VerificationError):
+            system.advance_block("eth")
+        assert served
+
+
+class TestCertifiedBlocks:
+    def test_block_failing_consensus_is_refused(self, monkeypatch):
+        """The CI checks a block's consensus itself, not only DCert's
+        signature over it: a certifier that signs an unmined header
+        does not get that block ingested."""
+        from repro.dcert import certifier
+
+        system = build_system(1)
+        generator = system.generators["eth"]
+        issuer = system.dcert_issuers["eth"]
+        chain = generator.chain
+        previous = chain.block_at(chain.height)
+        previous_cert = system._dcert_certs["eth"][-1]
+        generator.advance_block()
+        block = chain.block_at(chain.height)
+        unmined = next(
+            block.header.with_nonce(nonce)
+            for nonce in range(block.header.nonce + 1, 1 << 20)
+            if not issuer.pow_params.check(block.header.with_nonce(nonce))
+        )
+        forged = Block(unmined, block.transactions)
+        monkeypatch.setattr(certifier, "check_header", lambda *args: None)
+        cert = issuer.certify(previous, previous_cert, forged)
+        root = system.ci.storage_root
+        with pytest.raises(ChainError):
+            system.ci.process_block(forged, cert, lambda engine: None)
+        assert system.ci.storage_root == root
 
 
 @pytest.mark.parametrize("framing", ["plain", "ids"])

@@ -526,6 +526,31 @@ class TestBatching:
         assert delta.get("isp.batch.requests", 0) == 0
 
 
+def wait_until(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+class TestConnectionTeardown:
+    def test_a_freed_descriptor_number_is_served_again(self):
+        """The loop unregisters a closed connection before closing its
+        socket, so the next accept may reuse the number (the kernel
+        hands out the lowest free one) and is still served."""
+        system = build_system(hours=1, txs_per_block=2)
+        with serve_system(system, server_class=AsyncIspServer) as server:
+            for _ in range(3):
+                with socket.create_connection(server.address) as sock:
+                    wait_until(lambda: server._conns
+                               or not server._loop_thread.is_alive())
+                    assert server._loop_thread.is_alive()
+                    sock.settimeout(5.0)
+                    codec.send_frame(sock, codec.encode_ping())
+                    kind, _ = codec.decode_response(codec.recv_frame(sock))
+                    assert kind == codec.RESP_PONG
+                wait_until(lambda: not server._conns)
+
+
 class TestStopRacesInflight:
     """stop() against an in-flight batch: nothing leaks, restart works.
 

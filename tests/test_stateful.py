@@ -50,7 +50,7 @@ import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import seed, settings
+from hypothesis import seed
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -355,10 +355,7 @@ class ClientStateMachine(RuleBasedStateMachine):
 
 
 TestClientStateMachine = ClientStateMachine.TestCase
-TestClientStateMachine.settings = settings(
-    max_examples=10, stateful_step_count=14, deadline=None,
-    derandomize=True,
-)
+TestClientStateMachine.settings = machine_settings(10, 14)
 
 
 def test_every_move_is_told_and_refused():
