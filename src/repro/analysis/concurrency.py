@@ -51,7 +51,7 @@ def entry_held(analysis: Analysis) -> Dict[str, Set[str]]:
     program = analysis.program
     return propagate(
         program, dict.fromkeys(program.functions, set(program.locks)),
-        down=True, meet=True, carried=lambda site: site.held,
+        carried=lambda site: site.held,
         pinned=(f for f in program.functions if not is_private(f)),
     )
 

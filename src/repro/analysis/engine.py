@@ -14,9 +14,8 @@ whole program:
    call edges and thread-spawn sites, and accesses to annotated fields,
    each with the locks held at that point — stored on
    :class:`FunctionInfo`;
-3. the **solver** — :func:`propagate`, a call-graph fixpoint over
-   per-function sets (may/union or must/meet, towards callees or
-   towards callers);
+3. the **solver** — :func:`propagate`, a must (meet) fixpoint over
+   per-function sets, from callers to callees;
 4. the **memo** (:class:`Analysis`) — one object per analyzed context
    set, so the index and every derived fact are computed once.
 
@@ -745,67 +744,47 @@ def propagate(
     program: Program,
     seed: Dict[str, Iterable[Hashable]],
     *,
-    down: bool,
-    meet: bool = False,
-    carried: Optional[Callable[[CallSite], Iterable[Hashable]]] = None,
+    carried: Callable[[CallSite], Iterable[Hashable]],
     pinned: Iterable[str] = (),
 ) -> Dict[str, Set[Hashable]]:
-    """Call-graph fixpoint over per-function sets of facts.
+    """Must-analysis fixpoint over per-function sets of facts, from
+    callers to callees.
 
-    Facts travel along resolved call edges, caller to callee when
-    ``down`` and callee to caller otherwise; an edge delivers the
-    source function's set plus whatever ``carried(site)`` adds.  A
-    ``Thread(target=...)`` edge delivers the empty set: the child
-    starts with none of the spawner's locks.
-
-    With ``meet=False`` (may-analysis) every function starts at its
-    seed and takes the union of what arrives — the least fixpoint.
-    With ``meet=True`` (must-analysis) every function starts at its
+    An edge delivers the caller's set plus ``carried(site)``; a
+    ``Thread(target=...)`` edge delivers the empty set: the child starts
+    with none of the spawner's locks.  Every function starts at its
     seed as *top* and keeps only what arrives on **every** edge — the
     greatest fixpoint; a function no edge reaches has nothing
-    guaranteed and gets the empty set.  ``pinned`` functions never
-    take anything from an edge (in a meet they hold the empty set):
-    public functions are reachable from outside the analyzed tree.
+    guaranteed and gets the empty set.  ``pinned`` functions never take
+    anything from an edge, so they hold the empty set: public functions
+    are reachable from outside the analyzed tree.
 
     Functions are swept in sorted order and sites in source order
     until nothing changes.
     """
     order = sorted(program.functions)
     pinned = set(pinned)
+    edges: List[Tuple[str, str, CallSite]] = [
+        (caller, site.callee, site)
+        for caller in order
+        for site in program.functions[caller].calls
+        if site.callee in program.functions and site.callee not in pinned
+    ]
+    reached = {callee for _caller, callee, _site in edges}
     values: Dict[str, Set[Hashable]] = {
-        func_id: set(seed.get(func_id, ())) for func_id in order
+        func_id: set(seed.get(func_id, ())) if func_id in reached else set()
+        for func_id in order
     }
-    edges: List[Tuple[str, str, CallSite]] = []
-    for caller in order:
-        for site in program.functions[caller].calls:
-            if site.callee in values:
-                src, dst = (
-                    (caller, site.callee) if down
-                    else (site.callee, caller)
-                )
-                if dst not in pinned:
-                    edges.append((src, dst, site))
-    if meet:
-        reached = {dst for _src, dst, _site in edges}
-        for func_id in order:
-            if func_id not in reached:
-                values[func_id] = set()
     changed = True
     while changed:
         changed = False
-        for src, dst, site in edges:
+        for caller, callee, site in edges:
             arriving: Set[Hashable] = set()
             if not site.is_thread_target:
-                arriving = values[src] | set(
-                    carried(site) if carried is not None else ()
-                )
-            have = values[dst]
-            if meet:
-                if not have <= arriving:
-                    have &= arriving
-                    changed = True
-            elif not arriving <= have:
-                have |= arriving
+                arriving = values[caller] | set(carried(site))
+            have = values[callee]
+            if not have <= arriving:
+                have &= arriving
                 changed = True
     return values
 

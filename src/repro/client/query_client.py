@@ -9,7 +9,9 @@ database engine over the client V2FS.
 ``query(sql)`` performs the full Algorithm 4 cycle:
 
 1. *initialize* — fetch and validate ``C_V2FS`` against the attested
-   enclave key and the observed chain heads;
+   enclave key and the observed chain heads (in the cached modes, the
+   certificate held from the last query is validated again instead,
+   while no chain head has moved);
 2. *compute* — run the SQL engine; every page it touches flows through
    :class:`~repro.client.vfs.ClientSession` with the configured cache
    mode; external-sort temp files stay local (Appendix A);
@@ -24,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.chain.block import BlockHeader
 from repro.chain.chain import Blockchain
 from repro.chain.consensus import SimulatedPoW, check_header
 from repro.client.state import CarriedState, QueryMode
@@ -31,7 +34,7 @@ from repro.client.vfs import ClientSession, ClientVfs
 from repro.core.certificate import V2fsCertificate
 from repro.crypto.signature import PublicKey
 from repro.db.engine import Engine, ResultSet
-from repro.errors import CertificateError, ReproError
+from repro.errors import CertificateError, NetworkError, ReproError, RpcError
 from repro.isp.server import IspServer
 from repro.network.transport import (
     CATEGORY_CERT,
@@ -156,51 +159,90 @@ class QueryClient:
 
     def _execute_verified(self, sql: str) -> Tuple[ResultSet, int]:
         """The three phases; returns the verified rows and the VO size."""
-        certificate = self._fetch_and_validate_certificate()
         state = self.state
-        session = ClientSession(self.isp, self.transport, certificate, state)
-        # One filesystem serves both roles (Appendix A / Algorithm 6):
-        # remote pages verifiably, locally created temp files directly.
-        vfs = ClientVfs(session)
-        engine = Engine(vfs, temp_vfs=vfs, node_memo=state.nodes,
-                        catalog_memo=state.catalog)
+        session: Optional[ClientSession] = None
         try:
-            result: ResultSet = engine.execute(sql)
-            return result, session.finalize()
+            session = self._open_session()
+            # One filesystem serves both roles (Appendix A / Algorithm
+            # 6): remote pages verifiably, locally created temp files
+            # directly.
+            vfs = ClientVfs(session)
+            engine = Engine(vfs, temp_vfs=vfs, node_memo=state.nodes,
+                            catalog_memo=state.catalog)
+            try:
+                result: ResultSet = engine.execute(sql)
+                return result, session.finalize()
+            finally:
+                vfs.drop_temp_files()
         except Exception as error:
-            # Whatever went wrong (malformed data from the ISP, proof
-            # failure, engine error), nothing this query read is proven:
-            # the one rollback drops what it may have left in the
-            # carried state.  Deliberately broad and strictly
-            # re-raising: the rollback is cleanup, never recovery
-            # (crash-hygiene verifies the re-raise statically).
+            # Whatever went wrong (a refused certificate, malformed data
+            # from the ISP, proof failure, engine error), nothing this
+            # query read is proven: the one rollback drops what it may
+            # have left in the carried state.  Deliberately broad and
+            # strictly re-raising: the rollback is cleanup, never
+            # recovery (crash-hygiene verifies the re-raise statically).
             logger.debug(
                 "query failed before verification completed (%s); "
                 "rolling back the carried state",
                 type(error).__name__,
             )
-            state.rollback(session.inserted)
-            try:
-                # Close the ISP session as well: an open one pins its
-                # snapshot root against pruning.  Best effort — it is
-                # already closed when finalize() itself failed.
-                self.isp.finalize_session(session.session_id)
-            except ReproError:
-                pass
+            state.rollback(session.inserted if session is not None else [])
+            if session is not None:
+                try:
+                    # Close the ISP session as well: an open one pins
+                    # its snapshot root against pruning.  Best effort —
+                    # it is already closed when finalize() itself
+                    # failed.
+                    self.isp.finalize_session(session.session_id)
+                except ReproError:
+                    pass
             raise
         finally:
-            vfs.drop_temp_files()
             if state.pages is not None:
                 state.pages.end_query()
 
     # ------------------------------------------------------------------
 
-    def _fetch_and_validate_certificate(self) -> V2fsCertificate:
-        """Algorithm 4, initialize phase (lines 2-8)."""
+    def _open_session(self) -> ClientSession:
+        """Algorithm 4, initialize phase (lines 2-8), and the session.
+
+        Every chain head is read once.  While each equals its chain
+        state in the held certificate, that certificate is validated
+        again instead of fetched: under those heads a fetch could
+        return nothing fresher.  A new version under unmoved heads (a
+        maintenance run) is the one exception, and the ISP reports it
+        when it refuses the session: the held certificate is then given
+        up for a fetched one, once.
+        """
+        heads = {chain_id: chain.latest_header()  # observed from the network
+                 for chain_id, chain in self.chains.items()}
+        held = self.state.held
+        if held is not None and any(
+            held.chain_state(chain_id) != (header.digest(), header.height)
+            for chain_id, header in heads.items()
+        ):
+            held = None
+        if held is not None:
+            self._validate_certificate(held, heads)
+            try:
+                return ClientSession(self.isp, self.transport, held,
+                                     self.state)
+            except RpcError:
+                raise  # the link failed: a fetch would fail the same way
+            except NetworkError:  # the ISP refused the session
+                logger.debug("session refused for the held certificate; "
+                             "fetching one")
         certificate = self.isp.get_certificate()
-        self.transport.account(
-            CATEGORY_CERT, 8, certificate.byte_size()
-        )
+        self.transport.account(CATEGORY_CERT, 8, certificate.byte_size())
+        self._validate_certificate(certificate, heads)
+        return ClientSession(self.isp, self.transport, certificate,
+                             self.state)
+
+    def _validate_certificate(self, certificate: V2fsCertificate,
+                              heads: Dict[str, BlockHeader]) -> None:
+        """The same checks for a fetched and a held certificate: the
+        signature under ``pk_sgx``, then each observed head against the
+        chain state it certifies."""
         hit = False
         try:
             hit = certificate.verify_signature(self.pk_sgx,
@@ -211,8 +253,7 @@ class QueryClient:
                     obs.inc("client.cert.memo.hit")
                 else:
                     obs.inc("client.cert.memo.miss")
-        for chain_id, chain in self.chains.items():
-            header = chain.latest_header()  # observed from the network
+        for chain_id, header in heads.items():
             digest, height = certificate.chain_state(chain_id)
             if digest != header.digest() or height != header.height:
                 raise CertificateError(
@@ -220,4 +261,3 @@ class QueryClient:
                 )
             pow_params = self.pow_params.get(chain_id, SimulatedPoW())
             check_header(header, pow_params, chain_id)
-        return certificate

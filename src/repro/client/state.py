@@ -12,7 +12,10 @@ entry's kind fixes when it is filled and when it is dropped (DESIGN §4d):
   13's in-query evictions count them) which a failed query's
   :meth:`CarriedState.rollback` removes;
 * *certificate* (the signature triple last proven under ``pk_sgx``) — a
-  fact about bytes, kept once ``verify`` returned True, never dropped.
+  fact about bytes, kept once ``verify`` returned True, never dropped;
+  and, in the cached modes, the certificate the last query verified
+  under, held while the chain heads stand still and dropped by any
+  failed query.
 """
 
 from __future__ import annotations
@@ -68,6 +71,10 @@ class CarriedState:
         # -- certificate --------------------------------------------------
         #: ``(pk_sgx, message, signature)`` last proven valid -> True.
         self.signature: Kept = Kept()
+        #: The certificate the last query's VO verified under (cached
+        #: modes only): validated again, not fetched, while every chain
+        #: head equals its chain state.
+        self.held: Optional[V2fsCertificate] = None
 
     # -- what a session reads -------------------------------------------
 
@@ -96,12 +103,13 @@ class CarriedState:
         established: Dict[str, Dict[tuple, Digest]],
         used_metas: Dict[str, FileMeta],
     ) -> None:
-        """A query's VO has verified under ``certificate``: keep the node
-        digests it established, raise ``V_n`` of the pages its fresh
-        marks cover, and keep the metadata it matched."""
+        """A query's VO has verified under ``certificate``: hold it, keep
+        the node digests it established, raise ``V_n`` of the pages its
+        fresh marks cover, and keep the metadata it matched."""
         pages = self.pages
         if pages is None:
             return
+        self.held = certificate
         for path, values in established.items():
             for (level, index), digest in values.items():
                 pages.learn_node(path, level, index, digest)
@@ -115,8 +123,10 @@ class CarriedState:
 
     def rollback(self, inserted: List[PageKey]) -> None:
         """A query failed, for whatever reason: drop the pages it
-        inserted, what was decoded from bytes no VO proved, and the
-        proven metadata (what it was told may be why it failed)."""
+        inserted, what was decoded from bytes no VO proved, the proven
+        metadata (what it was told may be why it failed) and the held
+        certificate (the next query fetches one)."""
+        self.held = None
         self.nodes.clear()
         self.catalog.clear()
         self.metas.clear()

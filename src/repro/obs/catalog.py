@@ -110,12 +110,14 @@ SCOPES: Dict[str, str] = {
         "at finalize); with client.meta.requests, the distinct files "
         "the sessions looked up.",
     "client.cert.requests":
-        "Certificate fetches at query start.",
+        "Certificate fetches at query start (none in the cached modes "
+        "while the held certificate's chain states equal the heads).",
     "client.cert.memo.hit":
-        "Fetched certificates byte-identical to the one this client last "
-        "proved (signature check skipped; freshness still checked).",
+        "Validated certificates, fetched or held, byte-identical to the "
+        "one this client last proved (signature check skipped; freshness "
+        "still checked).",
     "client.cert.memo.miss":
-        "Fetched certificates that went through the full signature "
+        "Validated certificates that went through the full signature "
         "verify (first query, new block, or any differing byte).",
     "client.vo.requests":
         "Consolidated-VO fetches at query end.",

@@ -1,9 +1,10 @@
 """The interprocedural engine itself: solver, walk, memo.
 
 The rule suite checks what ``guarded-by`` concludes; these check the
-machinery underneath it on its own terms — that fixpoints terminate on
-recursive code, what a must-analysis says about functions nobody is
-known to call, and that thread spawns carry nothing across.
+machinery underneath it on its own terms — that the fixpoint
+terminates on recursive code, what the must-analysis says about
+functions nobody is known to call, and that thread spawns carry no
+locks across.
 """
 
 import textwrap
@@ -38,16 +39,29 @@ MUTUAL_RECURSION = """
 
 
 class TestPropagate:
-    def test_mutual_recursion_terminates_in_both_directions(self):
-        program = analysis_for(MUTUAL_RECURSION).program
-        # callee -> caller: a fact seeded in the helper reaches both
-        # ends of the cycle.
-        up = propagate(program, {"fx._odd": {"fact"}}, down=False)
-        assert up == {"fx.even": {"fact"}, "fx._odd": {"fact"}}
-        # caller -> callee: a fact seeded at the public entry reaches
-        # the whole cycle.
-        down = propagate(program, {"fx.even": {"fact"}}, down=True)
-        assert down == {"fx.even": {"fact"}, "fx._odd": {"fact"}}
+    def test_mutual_recursion_terminates(self):
+        # The cycle is entered from a public function: nothing is
+        # guaranteed on the edge into it, however often it recurses.
+        held = analysis_for(MUTUAL_RECURSION).fact(entry_held)
+        assert held == {"fx.even": set(), "fx._odd": set()}
+        # Entered under a lock, both ends of the cycle keep it: the
+        # greatest fixpoint, reached in a bounded number of sweeps.
+        held = analysis_for("""
+            import threading
+
+            LOCK = threading.Lock()
+
+            def entry(n):
+                with LOCK:
+                    return _even(n)
+
+            def _even(n):
+                return n == 0 or _odd(n - 1)
+
+            def _odd(n):
+                return n != 0 and _even(n - 1)
+        """).fact(entry_held)
+        assert held["fx._even"] == held["fx._odd"] == {"fx.LOCK"}
 
     def test_meet_over_no_known_callers_is_empty(self):
         analysis = analysis_for("""
@@ -103,7 +117,15 @@ class TestPropagate:
             import threading
             import time
 
-            LOCK = threading.Lock()
+            LOCK = threading.RLock()
+
+            def spawner():
+                with LOCK:
+                    _spawn()
+
+            def _spawn():
+                with LOCK:
+                    threading.Thread(target=_child).start()
 
             def _child():
                 time.sleep(1)
@@ -111,29 +133,15 @@ class TestPropagate:
 
             def _grandchild():
                 return 1
-
-            def spawner():
-                with LOCK:
-                    threading.Thread(target=_child).start()
         """)
-        # Held locks do not cross the spawn (nor does the meet treat the
-        # spawn as a locked call site) ...
         held = analysis.fact(entry_held)
+        # The spawning function holds the lock on entry and at the
+        # spawn ...
+        assert held["fx._spawn"] == {"fx.LOCK"}
+        # ... and none of it crosses to the child, nor from it to the
+        # child's callees.
         assert held["fx._child"] == set()
         assert held["fx._grandchild"] == set()
-        # ... the child's facts do not flow back to the spawner ...
-        up = propagate(
-            analysis.program, {"fx._child": {"child"}}, down=False,
-        )
-        assert up["fx.spawner"] == set()
-        # ... and nothing the spawner holds flows down the spawn, while
-        # the child's own facts still reach its callees.
-        flow = propagate(
-            analysis.program,
-            {"fx.spawner": {"spawner"}, "fx._child": {"child"}}, down=True,
-        )
-        assert flow["fx._child"] == {"child"}
-        assert flow["fx._grandchild"] == {"child"}
 
     def test_pinned_functions_keep_their_seed(self):
         analysis = analysis_for("""
@@ -146,9 +154,13 @@ class TestPropagate:
             def _bottom():
                 return 1
         """)
+        # Every function seeded; ``top`` and ``middle`` pinned as public
+        # functions are: neither takes anything from an edge, so each
+        # holds the empty set, and so does what only they call.
         flow = propagate(
-            analysis.program, {"fx.top": {"fact"}}, down=True,
-            pinned={"fx.middle"},
+            analysis.program,
+            dict.fromkeys(("fx.top", "fx.middle", "fx._bottom"), {"fact"}),
+            carried=lambda site: site.held, pinned={"fx.top", "fx.middle"},
         )
         assert flow["fx.middle"] == set()
         assert flow["fx._bottom"] == set()

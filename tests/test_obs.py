@@ -377,9 +377,11 @@ class TestTalliedSites:
     #: derives its value again, and a workload that repeats its queries
     #: has some answered.
     COUNTED_ENTRIES = {
-        # Carried: the certificate signature last proven.
+        # Carried: the certificate signature last proven, probed once
+        # per validation, of a fetched or a held certificate: once per
+        # query that succeeds.
         "signature": ("INTER_VBF", "client.cert.memo.hit",
-                      "client.cert.memo.miss", "client.cert.requests"),
+                      "client.cert.memo.miss", "client.query.count"),
         # Carried: the node memo, on every read-path node load.
         "nodes": ("INTER_VBF", "db.node.memo.hit", "db.node.memo.miss",
                   "pager.read_page"),

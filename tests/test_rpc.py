@@ -111,7 +111,9 @@ class TestLoopbackEquivalence:
         """``fetch_chain_heads`` answers for every chain, so a query
         makes one of them however many chains it checks — and makes it
         again for the next query (heads are never carried over).  A
-        warm query is then exactly certificate, heads, session, VO."""
+        warm query under unmoved heads is then exactly heads, session,
+        VO: the held certificate is validated, not fetched.  After a
+        block a certificate is fetched again."""
         from repro.obs import REGISTRY
 
         system = build_system()
@@ -129,14 +131,22 @@ class TestLoopbackEquivalence:
                     assert client.query(SQL).rows
                     delta = REGISTRY.counters_delta(before)
                     assert len(heads) == 1
-                    assert delta["rpc.client.requests"] == 4
+                    assert delta["rpc.client.requests"] == 3
                 # A head observed for one query never judges the next
-                # certificate: after a block the stale check still sees
-                # the new head.
+                # certificate: after a block the moved head is seen and
+                # a certificate fetched.
                 system.advance_block("eth")
                 del heads[:]
+                before = REGISTRY.counters_snapshot()
                 assert client.query(SQL).rows
+                delta = REGISTRY.counters_delta(before)
                 assert len(heads) == 1
+                assert delta["client.cert.requests"] == 1
+                # Certificate, heads, session and VO, plus what the
+                # moved pages cost.
+                moved = sum(delta.get(f"client.{kind}.requests", 0)
+                            for kind in ("meta", "page", "check"))
+                assert delta["rpc.client.requests"] == 4 + moved
             finally:
                 client.isp.close()
 

@@ -1,7 +1,7 @@
 """RemoteIsp retry/backoff contract, pinned down with server failpoints.
 
 These tests arm ``rpc.server.*`` failpoints on a live loopback server
-and monkeypatch the client's ``time.sleep`` to capture backoff delays,
+and rebind the client module's ``time`` to capture backoff delays,
 verifying the reliability model documented in :mod:`repro.rpc.client`:
 
 * connection-level failures retry at most ``max_retries`` times;
@@ -29,13 +29,24 @@ def server():
         yield srv
 
 
+class _RecordingTime:
+    """``time`` as ``repro.rpc.client`` sees it, except that ``sleep``
+    records its delay instead of waiting.  Only the client's module
+    name is rebound: the server's sleeps still happen, and are not
+    recorded as backoff."""
+
+    def __init__(self, recorded):
+        self.sleep = recorded.append
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+
 @pytest.fixture()
 def sleeps(monkeypatch):
     """Capture every backoff sleep instead of actually waiting."""
     recorded = []
-    monkeypatch.setattr(
-        rpc_client.time, "sleep", lambda s: recorded.append(s)
-    )
+    monkeypatch.setattr(rpc_client, "time", _RecordingTime(recorded))
     return recorded
 
 

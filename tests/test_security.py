@@ -262,14 +262,17 @@ class TestCertificateMemo:
         self, path, field, verify_calls
     ):
         system = build_system(2)
-        honest = system.isp.certificate
-        forged = ONE_BYTE_FORGERIES[field](honest)
-        assert forged.version == honest.version and forged != honest
         with client_of(system, path) as client:
-            expected = client.query(SQL).rows  # proves `honest`
+            client.query(SQL)  # proves and holds the first certificate
+            # A moved head makes the client fetch: it is served a
+            # forgery of the new honest certificate.
+            system.advance_block("btc")
+            honest = system.isp.certificate
+            forged = ONE_BYTE_FORGERIES[field](honest)
+            assert forged.version == honest.version and forged != honest
             cached = dict(client.state.pages._pages)
             assert cached
-            del verify_calls[:]
+            del verify_calls[:]  # drops the CI's own self-check
 
             system.isp.certificate = forged
             for _ in range(2):  # a failure never populates the memo
@@ -278,12 +281,16 @@ class TestCertificateMemo:
             # Both presentations went through the full verify (out-of-
             # range ``s`` is refused by it, not skipped around it)...
             assert len(verify_calls) == 2
-            # ...nothing the forgery touched outlived it...
+            # ...nothing the forgery touched outlived it, nor is it
+            # held...
             assert dict(client.state.pages._pages) == cached
-            # ...and the honest certificate is still the proven one.
+            assert client.state.held is None
+            # ...and the honest certificate is proven once, then held.
             system.isp.certificate = honest
-            assert client.query(SQL).rows == expected
-            assert len(verify_calls) == 2
+            for _ in range(2):
+                assert client.query(SQL).rows == oracle(system, SQL)
+            assert len(verify_calls) == 3
+            assert client.state.held == honest
 
     def test_new_block_misses_then_hits_again(self, path, verify_calls):
         system = build_system(2)
@@ -321,29 +328,36 @@ class TestCertificateMemo:
     def test_hits_and_misses_partition_the_certificate_requests(
         self, path
     ):
-        """``hit + miss == client.cert.requests``: every fetched
-        certificate is counted as exactly one of the two, rejected
-        ones included (a forgery is a miss that then fails)."""
+        """``hit + miss`` is the number of validations: every fetched
+        or held certificate is counted as exactly one of the two,
+        rejected ones included (a forgery is a miss that then fails).
+        Only a moved head, or a failed query, makes a fetch."""
         from repro.obs import REGISTRY
 
-        system = build_system(2)
+        system = lying_system(2)
         before = REGISTRY.counters_snapshot()
         with client_of(system, path) as client:
             for _ in range(3):
-                client.query(SQL)  # miss, hit, hit
+                client.query(SQL)  # fetched miss, held hit, held hit
+            system.advance_block("btc")
             honest = system.isp.certificate
             system.isp.certificate = ONE_BYTE_FORGERIES["ads_root"](honest)
             with pytest.raises(CertificateError):
-                client.query(SQL)  # miss
+                client.query(SQL)  # fetched miss
             system.isp.certificate = honest
-            client.query(SQL)  # hit
-            system.advance_block("btc")
-            client.query(SQL)  # miss
-            client.query(SQL)  # hit
+            client.query(SQL)  # fetched miss
+            client.query(SQL)  # held hit
+            system.isp.arm(MOVES["flip-end"])
+            forget(client, TABLE)  # so the lie is asked for, and told
+            with pytest.raises(MOVES["flip-end"].error):
+                client.query(SQL)  # held hit, then a tampered page
+            assert system.isp.told
+            system.isp.disarm()
+            client.query(SQL)  # fetched hit: the failure dropped it
         delta = REGISTRY.counters_delta(before)
-        assert delta["client.cert.memo.hit"] == 4
+        assert delta["client.cert.memo.hit"] == 5
         assert delta["client.cert.memo.miss"] == 3
-        assert delta["client.cert.requests"] == 7
+        assert delta["client.cert.requests"] == 4
 
     def test_clients_with_different_enclave_keys_share_nothing(
         self, path, verify_calls
@@ -352,7 +366,6 @@ class TestCertificateMemo:
         from repro.sgx.enclave import Enclave
 
         system = build_system(2)
-        real = system.isp.certificate
         other_enclave = Enclave(b"some-other-ci-build")
         with client_of(system, path) as client:
             other = QueryClient(
@@ -364,17 +377,22 @@ class TestCertificateMemo:
             )
             assert other.pk_sgx != client.pk_sgx
             del verify_calls[:]
+            client.query(SQL)  # the CI's is proven — to `client` only
+            with pytest.raises(CertificateError):
+                other.query(SQL)
+            assert len(verify_calls) == 2
+            # A moved head makes `client` fetch again.
+            system.advance_block("btc")
+            real = system.isp.certificate
             resigned = dataclasses.replace(
                 real, signature=other_enclave.sign_inside(real.message())
             )
-            client.query(SQL)  # `real` is proven — to `client` only
-            with pytest.raises(CertificateError):
-                other.query(SQL)
+            del verify_calls[:]  # drops the CI's own self-check
             system.isp.certificate = resigned
             other.query(SQL)  # `resigned` is proven — to `other` only
             with pytest.raises(CertificateError):
                 client.query(SQL)
-        assert len(verify_calls) == 4
+        assert len(verify_calls) == 2
 
 
 @pytest.mark.parametrize("path", ["inprocess", "rpc"])
@@ -959,17 +977,22 @@ class TestDecodedFilter:
 
     def test_rejected_certificate_is_not_decoded(self, path, decodes):
         system = build_system(2)
-        honest = system.isp.certificate
+        first = system.isp.certificate
         with client_of(system, path) as client:
             client.query(SQL)
             kept = client.state.filter.value
+            # A moved head makes the client fetch: it is served a
+            # forgery of the new honest certificate's filter.
+            system.advance_block("btc")
+            honest = system.isp.certificate
             system.isp.certificate = ONE_BYTE_FORGERIES["vbf_byte"](honest)
             with pytest.raises(CertificateError):
                 client.query(SQL)
+            assert client.state.filter.value is kept
             system.isp.certificate = honest
             client.query(SQL)
-            assert decodes == [honest.version]
-            assert client.state.filter.value is kept
+            assert decodes == [first.version, honest.version]
+            assert client.state.filter.value.encode() == honest.vbf_encoded
 
     def test_other_modes_decode_nothing(self, path, decodes):
         system = build_system(2)

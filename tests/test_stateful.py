@@ -15,8 +15,8 @@ per kind, not per entry:
   root the CI issued, and every cached page that the current
   certificate's filter would accept as fresh at its ``V_n`` is the
   honest page under the current root;
-* *certificate* (the proven signature) — a triple the CI issued under
-  ``pk_sgx``.
+* *certificate* (the proven signature, the held certificate) — a
+  triple the CI issued under ``pk_sgx``, and a certificate it issued.
 
 And the two rules that keep them so: nothing is filled from an ISP
 answer before the VO that proves it has verified (checked at the moment
@@ -29,7 +29,10 @@ of any mode (among them an ``INTER_VBF`` client whose cache holds two
 pages, and one over ``connect_client`` to a threaded server), maybe
 arming a row of the adversary table (``tests/adversary.py``) to lie
 once, after a block for the rows with nothing to lie about before one;
-a block on either chain.  A lie is told the first time the ISP is asked
+a block on either chain; a maintenance run, which issues a new
+certificate and moves no chain head.  A client that holds the current
+certificate must answer with its ``get_certificate`` refused, any other
+fetches exactly one.  A lie is told the first time the ISP is asked
 a thing it can lie about, which may be queries later or never; a query
 it was told in must fail with the row's typed error, any other return
 the oracle's rows.  A careless reader scribbles on every row the B+Tree
@@ -80,6 +83,7 @@ from repro.faults.registry import InjectedFault, SimulatedCrash
 from repro.isp.server import IspServer
 from repro.merkle.page_tree import EMPTY, height_for
 from repro.merkle.persistent_store import _HEADER
+from repro.network.transport import CATEGORY_CERT
 from repro.rpc import connect_client, serve_system
 from repro.rpc.server import IspBootstrap, RpcIspServer
 
@@ -126,7 +130,36 @@ def carried(client):
         "catalog": state.catalog.key,
         "filter": state.filter.key,
         "signature": state.signature.key,
+        "held": state.held,
     }
+
+
+class _CertificatesRefused:
+    """A client's ISP handle whose ``get_certificate`` raises: a query
+    that needs no certificate fetch still passes, any other fails."""
+
+    def __init__(self, isp):
+        self._isp = isp
+
+    def get_certificate(self, *args, **kwargs):
+        raise AssertionError("a certificate was fetched under a held one")
+
+    def __getattr__(self, name):
+        return getattr(self._isp, name)
+
+
+@contextlib.contextmanager
+def certificates_refused(client):
+    isp = client.isp
+    client.isp = _CertificatesRefused(isp)
+    try:
+        yield
+    finally:
+        client.isp = isp
+
+
+def certificate_fetches(client):
+    return client.transport.stats.requests.get(CATEGORY_CERT, 0)
 
 
 @contextlib.contextmanager
@@ -224,13 +257,32 @@ class ClientStateMachine(RuleBasedStateMachine):
             self.system.advance_block(chain_id)
             self.issue()
 
+    @rule(rewrite=st.booleans())
+    def recertify(self, rewrite):
+        """A maintenance run: a new certificate version, a new root if
+        it ``rewrite``s a row, and no chain head moved.  A client that
+        holds the previous certificate is refused its session and
+        fetches the new one."""
+
+        def work(engine):
+            if rewrite:
+                engine.execute("UPDATE btc_transactions SET fee = fee + 1 "
+                               "WHERE block_height = 0")
+
+        self.system._publish(self.system.ci.bootstrap(work))
+        self.issue()
+
     @rule(name=st.sampled_from(list(CLIENTS)), sql=st.sampled_from(QUERIES),
           lie=st.sampled_from((None,) + ADVERSARIES))
     def query(self, name, sql, lie):
         """``lie`` is armed first, unless one already is: it is told in
         this query if the ISP is asked a thing it can lie about, else in
         a later one, or never.  A row with nothing to lie about before
-        a block comes with one on ``eth``."""
+        a block comes with one on ``eth``.
+
+        A client that holds the current certificate (no head moved and
+        no maintenance run since) queries with its ``get_certificate``
+        refused; any other fetches exactly one certificate."""
         isp = self.isp
         if lie is not None and isp.move is None:
             if MOVES[lie].block_first:
@@ -241,8 +293,14 @@ class ClientStateMachine(RuleBasedStateMachine):
         isp.on_asked = lambda answer: (
             answer == "finalize_session" and not asked_for_vo
             and asked_for_vo.append(carried(client)))
+        current = before["held"] == isp.certificate
+        fetches = certificate_fetches(client)
         try:
-            with recording_inserts(client) as inserted, careless_reader():
+            with contextlib.ExitStack() as stack:
+                inserted = stack.enter_context(recording_inserts(client))
+                stack.enter_context(careless_reader())
+                if current:
+                    stack.enter_context(certificates_refused(client))
                 rows = client.query(sql).rows
         except ReproError as error:
             assert len(isp.told) > told, f"an honest query failed: {error!r}"
@@ -254,6 +312,7 @@ class ClientStateMachine(RuleBasedStateMachine):
             assert rows == self.expected(sql)
         finally:
             isp.on_asked = None
+        assert certificate_fetches(client) - fetches == (0 if current else 1)
         for now in asked_for_vo:
             self.check_nothing_filled_yet(before, now, inserted)
 
@@ -263,12 +322,13 @@ class ClientStateMachine(RuleBasedStateMachine):
         """When the VO is asked for, no root entry has moved on the
         ISP's word: the pages the query did not fetch have the bytes and
         ``V_n`` they had, and no metadata is kept that was not proven
-        under this root before the query began.  (A query that failed
-        early asks for the VO only to close its session, after the
-        rollback.)"""
+        under this root before the query began, nor a certificate held
+        that was not.  (A query that failed early asks for the VO only
+        to close its session, after the rollback.)"""
         for key, entry in now["pages"].items():
             if key not in inserted:
                 assert entry == before["pages"][key], key
+        assert now["held"] in (before["held"], None)
         root = self.isp.certificate.ads_root
         kept_root, kept = before["metas"]
         assert now["metas"][1].items() <= (
@@ -284,6 +344,7 @@ class ClientStateMachine(RuleBasedStateMachine):
         assert after["filter"] in (before["filter"], *self.issued)
         assert after["signature"] in (
             before["signature"], *self.issued_triples())
+        assert after["held"] is None
 
     def issued_triples(self):
         return [(self.pk_sgx, c.message(), c.signature) for c in self.issued]
@@ -347,11 +408,13 @@ class ClientStateMachine(RuleBasedStateMachine):
                     f"{path} is no root's")
 
     @invariant()
-    def the_certificate_entry_is_one_the_ci_issued(self):
+    def the_certificate_entries_are_ones_the_ci_issued(self):
         triples = self.issued_triples()
         for client in self.clients.values():
             triple = client.state.signature.key
             assert triple is None or triple in triples
+            held = client.state.held
+            assert held is None or held in self.issued
 
 
 TestClientStateMachine = ClientStateMachine.TestCase
