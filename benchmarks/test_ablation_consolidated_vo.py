@@ -28,7 +28,7 @@ def test_ablation_consolidated_vo(benchmark, save_result):
 
             session = ClientSession(
                 env.system.isp, client.transport,
-                env.system.isp.get_certificate(), QueryMode.BASELINE,
+                env.system.isp.get_certificate(), client.state,
             )
             vfs = ClientVfs(session)
             Engine(vfs, temp_vfs=vfs).execute(sql)

@@ -12,9 +12,8 @@ a test that puts a real historical defect back into today's source:
   ``# repro: allow(<rule>) -- rationale`` suppressions, and the
   per-file driver;
 * :mod:`repro.analysis.rules` — the per-module ``crash-hygiene`` rule;
-* :mod:`repro.analysis.engine` — the interprocedural engine (program
-  index, one fact-collecting walk, the call-graph solver, the memo)
-  under the ``guarded-by`` rule in :mod:`~repro.analysis.concurrency`;
+* :mod:`repro.analysis.concurrency` — the ``guarded-by`` rule, checked
+  one class at a time;
 * :mod:`repro.analysis.reporters` — stable human and JSON output;
 * :mod:`repro.analysis.cli` — ``python -m repro lint``.
 

@@ -13,12 +13,7 @@ import sys
 from pathlib import Path
 from typing import List
 
-from repro.analysis.core import (
-    SEVERITY_ERROR,
-    all_rules,
-    parse_paths,
-    run_rules,
-)
+from repro.analysis.core import SEVERITY_ERROR, all_rules, analyze_paths
 from repro.analysis.reporters import render_json, render_text
 
 _EPILOG = """\
@@ -99,9 +94,7 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    contexts, findings = parse_paths(paths)
-    findings.extend(run_rules(contexts, rules))
-    findings.sort()
+    findings = analyze_paths(paths, rules=rules)
 
     if args.output_format == "json":
         sys.stdout.write(render_json(findings))

@@ -74,30 +74,19 @@ class Finding:
 # The ``# repro:`` annotation grammar
 # ----------------------------------------------------------------------
 
-#: Where a directive must sit to take effect.
-ANYWHERE = "own line, or trailing the line it shields"
-ON_FIELD = "the 'self.<field> = ...' line"
-
-
 class DirectiveSpec(NamedTuple):
     usage: str
     #: Each directive takes at least one word, and at most this many
     #: (``None``: any number).
     max_words: Optional[int]
-    placement: str
-    #: The rule that consumes the directive.
-    rule: str
 
 
 #: Every directive the analyzer understands.  This table and
 #: :func:`scan_directives` are the only place directive syntax is
 #: spelled; rules ask for directives by name and never see comments.
 DIRECTIVES: Dict[str, DirectiveSpec] = {
-    "allow": DirectiveSpec(
-        "allow(<rule>[, <rule>...]) -- <rationale>", None, ANYWHERE,
-        "(any)"),
-    "guarded-by": DirectiveSpec(
-        "guarded-by(<lock>[, <mode>])", 2, ON_FIELD, "guarded-by"),
+    "allow": DirectiveSpec("allow(<rule>[, <rule>...]) -- <rationale>", None),
+    "guarded-by": DirectiveSpec("guarded-by(<lock>[, <mode>])", 2),
 }
 
 _DIRECTIVE_RE = re.compile(
@@ -250,33 +239,19 @@ class Rule:
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         raise NotImplementedError
 
-    def run(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if self.applies_to(ctx):
-            yield from self.check(ctx)
-
 
 class ProgramRule(Rule):
-    """A rule that needs the *whole program*, not one module at a time.
+    """A rule that sees every analyzed module at once.
 
-    Per-module rules are pure functions of one tree; interprocedural
-    properties (lock ordering across call edges, guarded-by discipline
-    through helper functions) are not.  A ProgramRule receives every
-    parsed :class:`ModuleContext` at once via :meth:`check_program`;
-    the driver runs it after the per-module pass, and its findings go
-    through the same suppression machinery (each finding's
-    ``path`` must name one of the analyzed modules for suppressions to
-    apply).
+    ``guarded-by`` is one: a subclass's base may live in another
+    module.  The driver runs :meth:`check_program` after the per-module
+    pass, and its findings go through the same suppressions.
     """
 
     def check_program(
         self, contexts: Sequence["ModuleContext"]
     ) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        # Running a program rule over a single module is well-defined:
-        # the program simply has one module (the fixture entry point).
-        yield from self.check_program([ctx])
 
 
 #: The process-wide rule registry, keyed by rule name.
@@ -446,16 +421,12 @@ def run_rules(
     """Per-module rules on each context, program rules once over all,
     then suppressions applied per module."""
     findings: List[Finding] = []
-    for ctx in contexts:
-        for rule in rules:
-            if not isinstance(rule, ProgramRule):
-                findings.extend(rule.run(ctx))
-    program_scope = [
-        (rule, [ctx for ctx in contexts if rule.applies_to(ctx)])
-        for rule in rules if isinstance(rule, ProgramRule)
-    ]
-    for rule, scoped in program_scope:
-        if scoped:
+    for rule in rules:
+        scoped = [ctx for ctx in contexts if rule.applies_to(ctx)]
+        if not isinstance(rule, ProgramRule):
+            for ctx in scoped:
+                findings.extend(rule.check(ctx))
+        elif scoped:
             findings.extend(rule.check_program(scoped))
     by_path: Dict[str, List[Finding]] = {}
     for finding in findings:
@@ -488,13 +459,8 @@ def analyze_source(
 def parse_sources(
     named_sources: Sequence[Tuple[str, str, str]],
 ) -> Tuple[List[ModuleContext], List[Finding]]:
-    """Parse ``(module, path, source)`` triples into contexts.
-
-    Returns the parsed contexts plus parse-failure findings.  Split out
-    from :func:`analyze_sources` so a caller can parse once and run
-    the rules on the same context objects more than once — identity is
-    what :class:`repro.analysis.engine.Analysis` keys its memo on.
-    """
+    """Parse ``(module, path, source)`` triples into contexts, plus
+    parse-failure findings."""
     contexts: List[ModuleContext] = []
     findings: List[Finding] = []
     for module, path, source in named_sources:
@@ -515,12 +481,8 @@ def analyze_sources(
     *,
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Analyze ``(module, path, source)`` triples as one program.
-
-    The multi-module entry point for interprocedural rule fixtures: a
-    test can hand the analyzer a whole miniature package and check
-    cross-module call-graph reasoning.
-    """
+    """Analyze ``(module, path, source)`` triples as one program (the
+    multi-module fixtures' entry point)."""
     contexts, findings = parse_sources(named_sources)
     findings.extend(run_rules(
         contexts, rules if rules is not None else all_rules()
@@ -536,12 +498,14 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
             yield path
 
 
-def parse_paths(
+def analyze_paths(
     paths: Sequence[Path],
     *,
+    rules: Optional[Sequence[Rule]] = None,
     root: Optional[Path] = None,
-) -> Tuple[List[ModuleContext], List[Finding]]:
-    """Read and parse every ``*.py`` under ``paths`` into contexts.
+) -> List[Finding]:
+    """Analyze every ``*.py`` under ``paths`` as one program; returns
+    sorted findings.
 
     Reported paths are made relative to ``root`` (default: the current
     directory) when possible, and always use ``/`` separators, so JSON
@@ -566,24 +530,4 @@ def parse_paths(
         named_sources.append(
             (module_name_for(file_path), rel.as_posix(), source)
         )
-    contexts, parse_findings = parse_sources(named_sources)
-    findings.extend(parse_findings)
-    return contexts, findings
-
-
-def analyze_paths(
-    paths: Sequence[Path],
-    *,
-    rules: Optional[Sequence[Rule]] = None,
-    root: Optional[Path] = None,
-) -> List[Finding]:
-    """Analyze every ``*.py`` under ``paths``; returns sorted findings.
-
-    All files are parsed before any program rule runs, so
-    interprocedural rules see the complete call graph.
-    """
-    contexts, findings = parse_paths(paths, root=root)
-    findings.extend(run_rules(
-        contexts, rules if rules is not None else all_rules()
-    ))
-    return sorted(findings)
+    return sorted(findings + analyze_sources(named_sources, rules=rules))

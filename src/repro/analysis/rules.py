@@ -1,7 +1,7 @@
 """The per-module rule: ``crash-hygiene``.
 
-A per-module rule is a pure function of one module's syntax tree; the
-whole-program rule lives in :mod:`~repro.analysis.concurrency`.
+A per-module rule is a pure function of one module's syntax tree;
+``guarded-by`` (:mod:`~repro.analysis.concurrency`) sees every module.
 The rule states, in :attr:`~repro.analysis.core.Rule.invariant`, the
 paper property it protects; DESIGN.md § "Static guarantees" carries the
 full mapping and the defect it caught.  It scopes itself by *dotted

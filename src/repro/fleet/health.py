@@ -92,6 +92,11 @@ class HealthTracker:
             self._probes.pop(key, None)
             self._records.pop(key, None)
 
+    def attached(self) -> List[str]:
+        """The keys of every attached probe, copied under the lock."""
+        with self._lock:
+            return list(self._probes)
+
     def is_up(self, key: str) -> bool:
         """Current verdict; unknown endpoints are optimistically up."""
         with self._lock:

@@ -353,9 +353,7 @@ class Fleet:
         if tracker is None:
             return
         roles = self._endpoint_roles()
-        with tracker._lock:
-            known = list(tracker._probes)
-        for key in known:
+        for key in tracker.attached():
             if key not in roles:
                 tracker.detach(key)
         for key in roles:

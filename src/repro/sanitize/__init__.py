@@ -14,9 +14,10 @@ serving path (DESIGN §8):
   ``os.fsync`` made with a lock held is checked against what that lock
   allows; a cycle or a blocked holder is reported with its stacks;
 * **annotated shared fields** — the static ``guarded-by`` rule in
-  :mod:`repro.analysis.concurrency` (``python -m repro lint``) proves
-  that every access to a ``# repro: guarded-by(<lock>)`` field holds
-  that lock on every call path.
+  :mod:`repro.analysis.concurrency` (``python -m repro lint``) checks,
+  one class at a time, that every access to a
+  ``# repro: guarded-by(<lock>)`` field is its own class's, made with
+  that lock held.
 
 Disarmed — the shipped default — a :class:`SanLock` costs one
 module-attribute load and a branch over the stdlib lock it wraps.

@@ -1,24 +1,32 @@
 """Fixtures for the two concurrency checkers, one per property.
 
-``guarded-by`` reasons over the whole program (call graph + per-function
-lock summaries), so alongside the usual one-offending/one-clean
-snippets these tests exercise multi-module programs via
-``analyze_sources`` and re-derive a finding at every site the retired
-runtime lock-set tracker used to watch (the shipped tree's strict
-self-check is ``test_analysis_rules.py::TestCliAndSelfCheck``).  Lock
-order is the runtime
-:class:`~repro.sanitize.runtime.SanLock` graph's job; its scenarios run
-here as armed code.
+``guarded-by`` checks each class on its own (lexical ``with`` stack,
+private helpers inheriting their ``self.`` callers' locks), so
+alongside the usual one-offending/one-clean snippets these tests run
+multi-module programs via ``analyze_sources`` and drop every lock block
+of every module that declares a guarded field, one at a time (the
+shipped tree's strict self-check is
+``test_analysis_rules.py::TestCliAndSelfCheck``).  Lock order is the
+runtime :class:`~repro.sanitize.runtime.SanLock` graph's job; its
+scenarios run here as armed code.
 """
 
 import ast
+import functools
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.concurrency import GuardedByRule
-from repro.analysis.core import analyze_source, analyze_sources
+from repro.analysis.core import (
+    analyze_source,
+    analyze_sources,
+    dotted,
+    parse_sources,
+    run_rules,
+    scan_directives,
+)
 from repro.sanitize import runtime as san
 from repro.sanitize.runtime import SanLock
 
@@ -272,6 +280,257 @@ class TestGuardedBy:
         )
         assert [f.rule for f in findings] == ["guarded-by"]
         assert "fix.server" in findings[0].path.replace("/", ".")
+        assert "receiver other than self" in findings[0].message
+
+    def test_mutually_recursive_helpers_terminate(self):
+        # Entered under the lock, both ends of the cycle keep it.
+        source = """
+            import threading
+
+            class Walker:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._seen = set()  # repro: guarded-by(_lock)
+
+                def walk(self, n):
+                    with self._lock:
+                        return self._even(n)
+
+                def _even(self, n):
+                    self._seen.add(n)
+                    return n == 0 or self._odd(n - 1)
+
+                def _odd(self, n):
+                    self._seen.add(n)
+                    return n != 0 and self._even(n - 1)
+            """
+        assert lint(source) == []
+        # One public entry without it, and neither end keeps anything.
+        findings = lint(source + """
+                def walk_unlocked(self, n):
+                    return self._even(n)
+            """)
+        assert [f.message.split(" without")[0] for f in findings] == [
+            "write to Walker._seen in repro.fixture.Walker._even",
+            "write to Walker._seen in repro.fixture.Walker._odd",
+        ]
+
+    def test_one_unlocked_self_caller_empties_the_helper(self):
+        findings = lint(
+            """
+            import threading
+
+            class Table:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._rows = {}  # repro: guarded-by(_lock)
+
+                def _bump(self, key):
+                    self._rows[key] = 1
+
+                def locked(self, key):
+                    with self._lock:
+                        self._bump(key)
+
+                def unlocked(self, key):
+                    self._bump(key)
+            """
+        )
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "Table._bump" in findings[0].message
+        assert "holding no lock" in findings[0].message
+
+    def test_helper_with_no_caller_inherits_nothing(self):
+        # The meet over zero call sites is the empty set, not "every
+        # lock".
+        findings = lint(
+            """
+            import threading
+
+            class Table:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._rows = {}  # repro: guarded-by(_lock)
+
+                def _orphan(self):
+                    self._rows.clear()
+            """
+        )
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "Table._orphan" in findings[0].message
+
+    def test_thread_target_helper_inherits_nothing(self):
+        # The spawned thread runs without the spawner's lock, whatever
+        # the locked self. call beside it holds.
+        findings = lint(
+            """
+            import threading
+
+            class Table:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._rows = {}  # repro: guarded-by(_lock)
+
+                def start(self):
+                    with self._lock:
+                        self._drain()
+                        threading.Thread(target=self._drain).start()
+
+                def _drain(self):
+                    self._rows.clear()
+            """
+        )
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "Table._drain" in findings[0].message
+
+    def test_helper_also_called_through_another_receiver_fires(self):
+        # Every self. call site holds the lock, but Client reaches the
+        # helper from outside the class, holding nothing.
+        findings = lint(
+            """
+            import threading
+
+            class Table:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._rows = {}  # repro: guarded-by(_lock)
+
+                def _bump(self, key):
+                    self._rows[key] = 1
+
+                def touch(self, key):
+                    with self._lock:
+                        self._bump(key)
+
+            class Client:
+                def __init__(self, table):
+                    self.table = table
+
+                def poke(self):
+                    self.table._bump("k")
+            """
+        )
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "Table._bump" in findings[0].message
+
+    def test_subclass_access_is_checked_across_modules(self):
+        findings = lint_many(
+            (
+                "fix.base",
+                """
+                import threading
+
+                class Base:
+                    def __init__(self):
+                        self._lock = threading.Lock()
+                        self._rows = {}  # repro: guarded-by(_lock)
+                """,
+            ),
+            (
+                "fix.child",
+                """
+                from fix.base import Base
+
+                class Child(Base):
+                    def locked(self):
+                        with self._lock:
+                            self._rows.clear()
+
+                    def unlocked(self):
+                        self._rows.clear()
+                """,
+            ),
+        )
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "fix.child.Child.unlocked" in findings[0].message
+        assert "Base._lock" in findings[0].message
+
+    # -- fields guarded by a SanLock
+
+    def test_unsynchronized_writes_race(self):
+        findings = lint(
+            """
+            from repro.sanitize.runtime import SanLock
+
+            class Shared:
+                def __init__(self):
+                    self._lock = SanLock("t.lock")
+                    self.table = {}  # repro: guarded-by(_lock)
+
+                def put(self, key):
+                    self.table[key] = 1
+            """
+        )
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "write to Shared.table" in findings[0].message
+        assert "holding no lock" in findings[0].message
+
+    def test_write_read_race(self):
+        findings = lint(
+            """
+            from repro.sanitize.runtime import SanLock
+
+            class Shared:
+                def __init__(self):
+                    self._lock = SanLock("t.lock")
+                    self.field = 0  # repro: guarded-by(_lock)
+
+                def bump(self):
+                    with self._lock:
+                        self.field += 1
+
+                def peek(self):
+                    return self.field
+            """
+        )
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "read of Shared.field" in findings[0].message
+
+    def test_common_lock_suppresses(self):
+        assert lint(
+            """
+            from repro.sanitize.runtime import SanLock
+
+            class Shared:
+                def __init__(self):
+                    self._lock = SanLock("t.lock")
+                    self.table = {}  # repro: guarded-by(_lock)
+
+                def put(self, key):
+                    with self._lock:
+                        self.table[key] = 1
+
+                def drop(self, key):
+                    with self._lock:
+                        self.table.pop(key, None)
+            """
+        ) == []
+
+    def test_writes_only_mode_exempts_reads_not_writes(self):
+        findings = lint(
+            """
+            from repro.sanitize.runtime import SanLock
+
+            class Shared:
+                def __init__(self):
+                    self._guard = SanLock("t.guard")
+                    self.field = {}  # repro: guarded-by(_guard, writes)
+                    self.other = {}  # repro: guarded-by(_guard, writes)
+
+                def locked_write(self, key):
+                    with self._guard:
+                        self.field[key] = 1
+
+                def lookup(self, key):
+                    return self.field.get(key)
+
+                def unlocked_write(self, key):
+                    self.other[key] = 1
+            """
+        )
+        assert [f.rule for f in findings] == ["guarded-by"]
+        assert "write to Shared.other" in findings[0].message
+        assert "Shared._guard" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -372,94 +631,154 @@ class TestLockOrder:
 
 
 # ----------------------------------------------------------------------
-# guarded-by covers every site the runtime tracker used to watch
+# Every lock block of every module that declares a guarded field
 # ----------------------------------------------------------------------
 
-#: One row per former ``san.track*`` hook site: (owning module, class,
-#: the function whose ``with <lock>:`` is dropped, the function the
-#: resulting finding names).  ``PersistentNodeStore.__init__`` and
-#: ``_scan`` were two hooks under one ``with``: dropping it leaves the
-#: private ``_scan`` without the lock on its only call path.
-HOOK_SITES = [
-    ("repro.rpc.server", "RpcIspServer", "stop", "stop"),
-    ("repro.rpc.server", "RpcIspServer", "_accept_loop", "_accept_loop"),
-    ("repro.rpc.server", "RpcIspServer", "_client_loop", "_client_loop"),
-    ("repro.obs.metrics", "MetricsRegistry", "_get", "_get"),
-    ("repro.obs.metrics", "MetricsRegistry", "reset", "reset"),
-    ("repro.merkle.persistent_store", "PersistentNodeStore", "__init__",
-     "_scan"),
-    ("repro.merkle.persistent_store", "PersistentNodeStore", "put", "put"),
-    ("repro.merkle.persistent_store", "PersistentNodeStore", "get", "get"),
-    ("repro.merkle.persistent_store", "PersistentNodeStore", "prune",
-     "prune"),
-    ("repro.isp.sessions", "SessionRegistry", "insert", "insert"),
-    ("repro.isp.sessions", "SessionRegistry", "remove", "remove"),
-    ("repro.isp.sessions", "SessionRegistry", "prune", "prune"),
-]
+SRC = REPO_ROOT / "src"
+
+
+def module_path(module):
+    return f"src/{module.replace('.', '/')}.py"
 
 
 def module_source(module):
-    path = REPO_ROOT / "src" / f"{module.replace('.', '/')}.py"
-    return path.read_text(encoding="utf-8")
+    return (REPO_ROOT / module_path(module)).read_text(encoding="utf-8")
 
 
-def drop_lock_block(source, class_name, func_name):
-    """``source`` with the first ``with <lock>:`` in the method removed.
+#: Every module with a ``# repro: guarded-by`` comment.
+GUARDED_MODULES = sorted(
+    ".".join(path.relative_to(SRC).with_suffix("").parts)
+    for path in SRC.rglob("*.py")
+    if any(d.name == "guarded-by" for d in scan_directives(
+        str(path), path.read_text(encoding="utf-8"))[0])
+)
+
+#: Blocks whose removal the rule rightly stays silent on: each guards
+#: state that carries no annotation, or only reads of a ``writes``-mode
+#: field.
+EXPECTED_CLEAN = {
+    # Histogram's count/total/buckets carry no annotation.
+    ("repro.obs.metrics", "Histogram.observe"),
+    ("repro.obs.metrics", "Histogram.snapshot"),
+    # self.lock serializes ISP dispatch; the ISP is another object.
+    ("repro.rpc.server", "RpcIspServer._serve"),
+    ("repro.rpc.server", "RpcIspServer._serve_together"),
+    # The spindle lock serializes a sleep; it guards no field.
+    ("repro.rpc.server", "RpcIspServer._charge_service_delay"),
+    # The log handle and the durable boundary carry no annotation.
+    ("repro.merkle.persistent_store", "PersistentNodeStore.sync"),
+    ("repro.merkle.persistent_store", "PersistentNodeStore.close"),
+    ("repro.merkle.persistent_store", "PersistentNodeStore.simulate_crash"),
+    # Only reads of _sessions, which is guarded-by(_lock, writes).
+    ("repro.isp.sessions", "SessionRegistry.live_roots"),
+}
+
+
+def lock_blocks(body):
+    """Every ``with <...lock>:`` in ``body`` that the rule sees: nested
+    defs and classes run later, so their blocks are skipped."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(stmt, ast.With) and (
+            dotted(stmt.items[0].context_expr) or ""
+        ).endswith("lock"):
+            yield stmt
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from lock_blocks(getattr(stmt, field, ()))
+
+
+def sweep_rows():
+    """(module, ``Class.method``, block line) for every lock block of
+    every guarded module's functions and methods."""
+    rows = []
+    for module in GUARDED_MODULES:
+        tree = ast.parse(module_source(module))
+        for node in tree.body:
+            methods = node.body if isinstance(node, ast.ClassDef) else [node]
+            for func in methods:
+                if not isinstance(func, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                name = (func.name if func is node
+                        else f"{node.name}.{func.name}")
+                rows.extend(
+                    (module, name, block.lineno)
+                    for block in lock_blocks(func.body)
+                )
+    return rows
+
+
+SWEEP = sweep_rows()
+
+
+def row_id(row):
+    module, name, _line = row
+    cls, _, method = name.rpartition(".")
+    label = f"{module.rsplit('.', 1)[1]}.{method}"
+    return f"{label}({cls})" if cls else label
+
+
+def drop_lock_block(source, line):
+    """``source`` with the ``with <lock>:`` at ``line`` removed.
 
     The block's body is dedented into the enclosing suite, so the
     statements it guarded run with no lock held.
     """
-    tree = ast.parse(source)
-    owner = next(
-        node for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name == class_name
-    )
-    func = next(
-        node for node in owner.body
-        if isinstance(node, ast.FunctionDef) and node.name == func_name
-    )
     block = next(
-        node for node in ast.walk(func)
-        if isinstance(node, ast.With)
-        and isinstance(node.items[0].context_expr, ast.Attribute)
-        and node.items[0].context_expr.attr.endswith("lock")
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.With) and node.lineno == line
     )
     shift = block.body[0].col_offset - block.col_offset
     lines = source.splitlines(keepends=True)
     body = [
-        line[shift:] if not line[:shift].strip() else line
-        for line in lines[block.lineno:block.end_lineno]
+        text[shift:] if not text[:shift].strip() else text
+        for text in lines[block.lineno:block.end_lineno]
     ]
     return "".join(
         lines[:block.lineno - 1] + body + lines[block.end_lineno:]
     )
 
 
+@functools.lru_cache(maxsize=None)
+def shipped_context(module):
+    contexts, problems = parse_sources(
+        [(module, module_path(module), module_source(module))]
+    )
+    assert not problems
+    return contexts[0]
+
+
 def guarded_by_findings(module, source):
-    path = f"src/{module.replace('.', '/')}.py"
-    return analyze_sources([(module, path, source)],
-                           rules=(GuardedByRule(),))
+    """The rule over every guarded module, ``module`` read as ``source``
+    (so a subclass in one module sees its base's fields)."""
+    contexts, problems = parse_sources(
+        [(module, module_path(module), source)]
+    )
+    assert not problems
+    contexts += [shipped_context(m) for m in GUARDED_MODULES if m != module]
+    return run_rules(contexts, RULES)
 
 
 class TestFormerTrackerSites:
-    @pytest.mark.parametrize(
-        "module",
-        sorted({row[0] for row in HOOK_SITES}),
-    )
+    @pytest.mark.parametrize("module", GUARDED_MODULES)
     def test_owning_module_is_clean_alone(self, module):
         assert guarded_by_findings(module, module_source(module)) == []
 
-    @pytest.mark.parametrize(
-        "module, class_name, func_name, flagged",
-        HOOK_SITES,
-        ids=[f"{row[0].rsplit('.', 1)[1]}.{row[2]}" for row in HOOK_SITES],
-    )
-    def test_dropping_the_lock_is_a_finding(
-        self, module, class_name, func_name, flagged
-    ):
+    def test_every_expected_clean_block_exists(self):
+        assert EXPECTED_CLEAN <= {(row[0], row[1]) for row in SWEEP}
+
+    @pytest.mark.parametrize("row", SWEEP, ids=[row_id(r) for r in SWEEP])
+    def test_dropping_the_lock_is_a_finding(self, row):
+        module, name, line = row
         source = module_source(module)
-        mutant = drop_lock_block(source, class_name, func_name)
+        mutant = drop_lock_block(source, line)
         assert mutant != source
         findings = guarded_by_findings(module, mutant)
-        owner = f"{module}.{class_name}.{flagged} "
-        assert [f for f in findings if owner in f.message], findings
+        if (module, name) in EXPECTED_CLEAN:
+            assert findings == []
+        else:
+            assert [f for f in findings if f.path == module_path(module)], (
+                f"dropping the lock in {name} is not a finding"
+            )

@@ -4,21 +4,16 @@ Deliberately inverted lock nestings must produce exactly the expected
 deadlock-cycle reports; consistently ordered ones must stay silent.  A
 sleep or fsync under a lock that does not allow it is reported.
 Threads run *sequentially* (start + join immediately) so every verdict
-is deterministic.  The shared-field fixtures that once fed the runtime
-lock-set tracker now run through the static ``guarded-by`` rule, which
-checks the same fields on every call path rather than on the
-interleavings a run happens to produce.
+is deterministic.  Shared fields are the static ``guarded-by`` rule's
+job (``test_analysis_concurrency.py``).
 """
 
 import os
-import textwrap
 import threading
 import time
 
 import pytest
 
-from repro.analysis.concurrency import GuardedByRule
-from repro.analysis.core import analyze_source
 from repro.errors import SanitizerError
 from repro.sanitize import runtime as san
 from repro.sanitize.runtime import SanLock
@@ -61,14 +56,6 @@ def run_plain(*bodies):
         thread.join()
 
 
-def guarded_by(source):
-    """``guarded-by`` findings for one fixture module."""
-    return analyze_source(
-        textwrap.dedent(source), module="repro.fixture",
-        rules=(GuardedByRule(),),
-    )
-
-
 def invert(a, b):
     """Take ``a`` then ``b`` in one thread, ``b`` then ``a`` in another."""
     def forward():
@@ -82,98 +69,6 @@ def invert(a, b):
                 pass
 
     run_plain(forward, backward)
-
-
-# ----------------------------------------------------------------------
-# Shared fields: guarded-by over SanLock-guarded fixtures
-# ----------------------------------------------------------------------
-
-
-class TestLockSet:
-    def test_unsynchronized_writes_race(self):
-        findings = guarded_by(
-            """
-            from repro.sanitize.runtime import SanLock
-
-            class Shared:
-                def __init__(self):
-                    self._lock = SanLock("t.lock")
-                    self.table = {}  # repro: guarded-by(_lock)
-
-                def put(self, key):
-                    self.table[key] = 1
-            """
-        )
-        assert [f.rule for f in findings] == ["guarded-by"]
-        assert "write to Shared.table" in findings[0].message
-        assert "holding no lock" in findings[0].message
-
-    def test_write_read_race(self):
-        findings = guarded_by(
-            """
-            from repro.sanitize.runtime import SanLock
-
-            class Shared:
-                def __init__(self):
-                    self._lock = SanLock("t.lock")
-                    self.field = 0  # repro: guarded-by(_lock)
-
-                def bump(self):
-                    with self._lock:
-                        self.field += 1
-
-                def peek(self):
-                    return self.field
-            """
-        )
-        assert [f.rule for f in findings] == ["guarded-by"]
-        assert "read of Shared.field" in findings[0].message
-
-    def test_common_lock_suppresses(self):
-        assert guarded_by(
-            """
-            from repro.sanitize.runtime import SanLock
-
-            class Shared:
-                def __init__(self):
-                    self._lock = SanLock("t.lock")
-                    self.table = {}  # repro: guarded-by(_lock)
-
-                def put(self, key):
-                    with self._lock:
-                        self.table[key] = 1
-
-                def drop(self, key):
-                    with self._lock:
-                        self.table.pop(key, None)
-            """
-        ) == []
-
-    def test_writes_only_mode_exempts_reads_not_writes(self):
-        findings = guarded_by(
-            """
-            from repro.sanitize.runtime import SanLock
-
-            class Shared:
-                def __init__(self):
-                    self._guard = SanLock("t.guard")
-                    self.field = {}  # repro: guarded-by(_guard, writes)
-                    self.other = {}  # repro: guarded-by(_guard, writes)
-
-                def locked_write(self, key):
-                    with self._guard:
-                        self.field[key] = 1
-
-                def lookup(self, key):
-                    return self.field.get(key)
-
-                def unlocked_write(self, key):
-                    self.other[key] = 1
-            """
-        )
-        assert [f.rule for f in findings] == ["guarded-by"]
-        assert "write to Shared.other" in findings[0].message
-        assert "Shared._guard" in findings[0].message
 
 
 # ----------------------------------------------------------------------
