@@ -43,6 +43,10 @@ _MUTATORS = frozenset({
     "append", "add", "insert", "extend", "update", "remove", "discard",
     "pop", "popitem", "clear", "setdefault", "sort", "reverse",
 })
+#: Method names whose call iterates the receiver collection.
+_ITERATING_METHODS = frozenset({"items", "values", "keys"})
+#: Builtins that iterate their one argument.
+_ITERATING_BUILTINS = frozenset({"list", "sorted", "dict", "tuple", "set"})
 #: Constructor names that create a lock object.
 _LOCK_FACTORIES = frozenset({"Lock", "RLock", "SanLock"})
 
@@ -205,9 +209,15 @@ class _Index:
         return None
 
 
+_READ, _WRITE, _ITERATE = "read of", "write to", "iteration over"
+
+
 class Access(NamedTuple):
     attr: str
-    is_write: bool
+    #: ``_READ``, ``_WRITE`` or ``_ITERATE``: a ``writes``-mode guard
+    #: exempts only reads, since an iteration a writer interleaves with
+    #: raises "changed size during iteration".
+    kind: str
     held: FrozenSet[str]
     line: int
     through_self: bool
@@ -236,11 +246,19 @@ class _Body(ast.NodeVisitor):
         return (self.owner is not None and isinstance(expr, ast.Name)
                 and expr.id == "self")
 
-    def note(self, attr: ast.Attribute, is_write: bool) -> None:
+    def note(self, attr: ast.Attribute, kind: str) -> None:
         if attr.attr in self.watched:
             self.accesses.append(Access(
-                attr.attr, is_write, frozenset(self.held), attr.lineno,
+                attr.attr, kind, frozenset(self.held), attr.lineno,
                 self.is_self(attr.value)))
+
+    def iterated(self, expr: ast.expr) -> None:
+        """``expr`` is iterated: note it if it is a field, then visit."""
+        if isinstance(expr, ast.Attribute):
+            self.note(expr, _ITERATE)
+            self.visit(expr.value)
+        else:
+            self.visit(expr)
 
     def visit_FunctionDef(self, node: ast.AST) -> None:
         pass  # runs when it is called, not here
@@ -266,17 +284,31 @@ class _Body(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         # Store/Del ctx: ``self.F = x`` and ``del self.F`` write.
-        self.note(node, isinstance(node.ctx, (ast.Store, ast.Del)))
+        self.note(node, _written(node.ctx))
         self.visit(node.value)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
         # ``self.F[k] = v`` writes the collection behind ``self.F``.
         if isinstance(node.value, ast.Attribute):
-            self.note(node.value, isinstance(node.ctx, (ast.Store, ast.Del)))
+            self.note(node.value, _written(node.ctx))
             self.visit(node.value.value)
         else:
             self.visit(node.value)
         self.visit(node.slice)
+
+    def visit_For(self, node: ast.AST) -> None:
+        self.visit(node.target)
+        self.iterated(node.iter)
+        for stmt in node.body + node.orelse:
+            self.visit(stmt)
+
+    visit_AsyncFor = visit_For
+
+    def visit_comprehension(self, node: ast.comprehension) -> None:
+        self.visit(node.target)
+        self.iterated(node.iter)
+        for test in node.ifs:
+            self.visit(test)
 
     def visit_Call(self, call: ast.Call) -> None:
         func = call.func
@@ -284,20 +316,32 @@ class _Body(ast.NodeVisitor):
             self.escaped.update(
                 kw.value.attr for kw in call.keywords
                 if kw.arg == "target" and isinstance(kw.value, ast.Attribute))
+        iterates = (isinstance(func, ast.Name)
+                    and func.id in _ITERATING_BUILTINS and len(call.args) == 1)
         for arg in call.args + [kw.value for kw in call.keywords]:
-            self.visit(arg)
+            if iterates:
+                self.iterated(arg)
+            else:
+                self.visit(arg)
         if not isinstance(func, ast.Attribute):
             return
         if self.is_self(func.value):
             self.self_calls.append((func.attr, frozenset(self.held)))
         elif is_private(func.attr):
             self.escaped.add(func.attr)
-        # self.F.append(x) writes F; any other method call on it reads.
-        if func.attr in _MUTATORS and isinstance(func.value, ast.Attribute):
-            self.note(func.value, True)
+        # self.F.append(x) writes F, self.F.items() iterates it; any
+        # other method call on it reads.
+        kind = (_WRITE if func.attr in _MUTATORS else
+                _ITERATE if func.attr in _ITERATING_METHODS else None)
+        if kind is not None and isinstance(func.value, ast.Attribute):
+            self.note(func.value, kind)
             self.visit(func.value.value)
         else:
             self.visit(func.value)
+
+
+def _written(ctx: ast.expr_context) -> str:
+    return _WRITE if isinstance(ctx, (ast.Store, ast.Del)) else _READ
 
 
 def _held_on_entry(index: _Index,
@@ -337,7 +381,10 @@ class GuardedByRule(ProgramRule):
     The owning class's ``__init__`` is construction and exempt, and
     ``guarded-by(<lock>, writes)`` exempts reads: the pattern for
     deliberately lock-free readers (snapshot-pinned session lookups,
-    metric instrument lookups).
+    metric instrument lookups).  Iterating the field is no read: a
+    ``for`` or comprehension over it, ``.items()``/``.values()``/
+    ``.keys()``, or ``list``/``sorted``/``dict``/``tuple``/``set`` of it
+    takes the lock in either mode.
     """
 
     name = "guarded-by"
@@ -385,10 +432,10 @@ class GuardedByRule(ProgramRule):
     def _violation(index: _Index, func_id: str, body: _Body,
                    access: Access, held: Set[str]) -> Optional[str]:
         """The finding text for one access, or ``None`` when it is fine."""
-        kind = "write to" if access.is_write else "read of"
+        kind = access.kind
         if not access.through_self:
             guards = body.watched[access.attr]
-            if access.is_write or any(g.mode != _MODE_WRITES for g in guards):
+            if kind != _READ or any(g.mode != _MODE_WRITES for g in guards):
                 fields = " or ".join(sorted(short(g.field_id) for g in guards))
                 return (f"{kind} {fields} in {func_id} through a receiver "
                         "other than self; go through a method of the "
@@ -397,7 +444,7 @@ class GuardedByRule(ProgramRule):
         guard = index.guard(body.owner.class_id, access.attr)
         if guard is None or guard.lock_id in held or func_id.endswith(
                 ".__init__") or (guard.mode == _MODE_WRITES
-                                 and not access.is_write):
+                                 and kind == _READ):
             return None
         held_note = (f"holding only {sorted(short(h) for h in held)}"
                      if held else "holding no lock")

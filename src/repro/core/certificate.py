@@ -12,6 +12,7 @@ and the versioned bloom filter, both covered by the signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 from repro.crypto.hashing import Digest, hash_bytes
@@ -70,6 +71,12 @@ class V2fsCertificate:
         return bytes(out)
 
     def message(self) -> bytes:
+        """The signed payload, built once per certificate object: the
+        fields are frozen, and the build hashes the whole VBF."""
+        return self._message
+
+    @cached_property
+    def _message(self) -> bytes:
         return self.message_bytes(
             self.ads_root, self.chain_states, self.version, self.vbf_encoded
         )

@@ -7,8 +7,10 @@ outside-enclave storage layer is a content-addressed
 
 For each new source-chain block the CI:
 
-1. **initialize** — validates the previous V2FS certificate, the block's
-   DCert certificate, and the chain condition (Algorithm 1);
+1. **initialize** — validates the block's DCert certificate and the
+   chain condition against the chain states of the previous V2FS
+   certificate (Algorithm 1; that certificate never left the enclave,
+   so its signature is not proven again);
 2. **compute** — runs the database update (Blockchain-ETL ingestion)
    through a :class:`~repro.vfs.maintenance.MaintenanceSession`
    (Algorithm 2);
@@ -31,6 +33,7 @@ from repro.chain.block import Block
 from repro.chain.consensus import SimulatedPoW, check_header
 from repro.core.certificate import ChainState, V2fsCertificate
 from repro.crypto.signature import PublicKey
+from repro.db.btree import KeptNodes
 from repro.db.engine import Engine
 from repro.dcert.certifier import DCertCertificate, dcert_valid
 from repro.errors import CertificateError, ProofError, StorageError
@@ -120,6 +123,10 @@ class V2fsCertificateIssuer:
         self._vbf = VersionedBloomFilter(vbf_slots, vbf_hashes)
         self._certificate: Optional[V2fsCertificate] = None
         self._retain_roots: List = [self.storage_root]
+        #: The write path's decoded nodes, keyed on their exact page
+        #: bytes and held across runs; each file keeps the pages its
+        #: last run read or wrote (DESIGN §4g).
+        self._kept_nodes = KeptNodes()
 
     @property
     def public_key(self) -> PublicKey:
@@ -188,9 +195,13 @@ class V2fsCertificateIssuer:
     # ------------------------------------------------------------------
 
     def _certified_states(self) -> Dict[str, Tuple[bytes, int]]:
+        """The chain states of the CI's own certificate, unverified:
+        ``_certificate`` is enclave-resident and only ever assigned at
+        the end of :meth:`_run`, from the ``sign_inside`` over these very
+        fields.  A path that restores it from outside the enclave must
+        verify it there."""
         if self._certificate is None:
             return {}
-        self._certificate.verify_signature(self.public_key)
         return {
             chain_id: (digest, height)
             for chain_id, digest, height in self._certificate.chain_states
@@ -236,8 +247,12 @@ class V2fsCertificateIssuer:
 
         # -- compute phase (enclave) ------------------------------------
         session = MaintenanceSession(self.enclave, self.storage_root)
-        engine = Engine(session)
-        work(engine)
+        engine = Engine(session, kept_nodes=self._kept_nodes)
+        try:
+            work(engine)
+        finally:
+            self._kept_nodes.keep_only(
+                [*session.pages_read, *session.pages_written])
 
         # -- finalize phase ----------------------------------------------
         writes = session.written_by_file()

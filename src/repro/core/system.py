@@ -67,6 +67,19 @@ DEFAULT_INDEXES: List[Tuple[str, str, str]] = [
 ]
 
 
+def ingest_block(engine: Engine, block: Block) -> None:
+    """The CI's per-block work: Blockchain-ETL rows into their tables."""
+    for table, rows in extract_rows(block).items():
+        if not rows:
+            continue
+        schema = engine.catalog.table(table)
+        ordered = [
+            [row[column] for column, _ in schema.columns]
+            for row in rows
+        ]
+        engine.insert_rows(table, ordered)
+
+
 @dataclass
 class SystemConfig:
     """Knobs for building a system instance.
@@ -186,18 +199,7 @@ class V2FSSystem:
             prev_certs.append(dcert)
             batch.append((block, dcert))
 
-        def ingest(engine: Engine, block: Block) -> None:
-            for table, rows in extract_rows(block).items():
-                if not rows:
-                    continue
-                schema = engine.catalog.table(table)
-                ordered = [
-                    [row[column] for column, _ in schema.columns]
-                    for row in rows
-                ]
-                engine.insert_rows(table, ordered)
-
-        report = self.ci.process_blocks(batch, ingest)
+        report = self.ci.process_blocks(batch, ingest_block)
         self._publish(report)
         return report
 

@@ -41,7 +41,10 @@ bytes.  Like a memo entry it is a pure function of the page bytes, so
 it cannot go stale: a page rewritten by another tree, or mangled on its
 way to the file, reads back as other bytes and is decoded afresh.  An
 insert or delete that raises drops every kept node (one may have been
-changed and not saved), and they die with the tree at statement end.
+changed and not saved).  A tree's kept nodes die with it at statement
+end, unless its engine was handed a :class:`KeptNodes` store, as the CI
+hands its own: then every tree of a file keeps them in that file's map,
+across statements and maintenance runs.
 
 A tree also keeps the path its read path last went down, as SQLite's
 b-tree cursor keeps its page stack: each node with the bounds a root
@@ -60,6 +63,7 @@ from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from typing import (
     Dict,
+    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -399,6 +403,46 @@ class NodeMemo:
                 obs.add("db.row.decoded", decoded)
 
 
+#: A write-path kept node: the sealed page bytes and their decode.
+KeptNode = Tuple[bytes, Union[_Leaf, _Internal]]
+
+
+class KeptNodes:
+    """The write path's kept nodes of many files, held past the
+    statement: the CI's enclave-resident store.
+
+    :meth:`file` is the ``page id -> (page bytes, node)`` map every
+    :class:`BTree` of that file keeps its nodes in.  Entries stay keyed
+    on the exact bytes, so holding them longer makes none stale; an
+    insert or delete that raises still empties its file's map.
+    :meth:`keep_only` drops, per file a run touched, the pages that run
+    neither read nor wrote, so each file holds at most what its last run
+    touched.
+    """
+
+    __slots__ = ("_files",)
+
+    def __init__(self) -> None:
+        self._files: Dict[str, Dict[int, KeptNode]] = {}
+
+    def __len__(self) -> int:
+        return sum(map(len, self._files.values()))
+
+    def file(self, path: str) -> Dict[int, KeptNode]:
+        return self._files.setdefault(path, {})
+
+    def keep_only(self, touched: Iterable[Tuple[str, int]]) -> None:
+        """Trim every file in ``touched`` (``(path, page id)`` pairs) to
+        its pages there; files not in it keep theirs."""
+        pages: Dict[str, Set[int]] = {}
+        for path, pid in touched:
+            pages.setdefault(path, set()).add(pid)
+        for path, pids in pages.items():
+            kept = self._files.get(path, {})
+            for pid in kept.keys() - pids:
+                del kept[pid]
+
+
 class _Step(NamedTuple):
     """One node of the held path and the low bounds ``(lo, hi]`` that a
     root descent's ``bisect_left`` steps send to it (None: unbounded on
@@ -434,7 +478,8 @@ class BTree:
     """A B+Tree bound to one :class:`~repro.db.pager.Pager`."""
 
     def __init__(self, pager: Pager,
-                 memo: Optional[NodeMemo] = None) -> None:
+                 memo: Optional[NodeMemo] = None,
+                 kept: Optional[Dict[int, KeptNode]] = None) -> None:
         self.pager = pager
         self._memo = memo if memo is not None else NodeMemo()
         #: Root -> leaf, the nodes the read path last went down (or one
@@ -454,8 +499,9 @@ class BTree:
         #: those very bytes, so, like a memo entry, it is a pure
         #: function of the page and never stale; an insert or delete
         #: that raises drops every node, since one may have been changed
-        #: and not saved.  Gone with the tree at statement end.
-        self._kept: Dict[int, Tuple[bytes, Union[_Leaf, _Internal]]] = {}
+        #: and not saved.  Gone with the tree at statement end, unless
+        #: handed in (:meth:`KeptNodes.file`).
+        self._kept: Dict[int, KeptNode] = kept if kept is not None else {}
 
     # -- node I/O ------------------------------------------------------
 

@@ -20,7 +20,7 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.db.btree import BTree, NodeMemo
+from repro.db.btree import BTree, KeptNodes, NodeMemo
 from repro.db.catalog import Catalog, IndexInfo, TableInfo
 from repro.db.pager import Pager, PagerTally
 from repro.db.plan.expressions import Schema
@@ -72,6 +72,7 @@ class Engine(AccessProvider):
         sort_memory_rows: int = 4096,
         node_memo: Optional[NodeMemo] = None,
         catalog_memo: Optional[Kept] = None,
+        kept_nodes: Optional[KeptNodes] = None,
     ) -> None:
         self.vfs = vfs
         self.base_path = base_path.rstrip("/")
@@ -83,6 +84,9 @@ class Engine(AccessProvider):
         #: Decoded B+Tree nodes shared by every tree this engine opens;
         #: a verifying client hands in its own so they outlive the query.
         self._node_memo = node_memo if node_memo is not None else NodeMemo()
+        #: The write path's kept nodes per file; the CI hands in its own
+        #: so they outlive the statement.  None: each tree keeps its own.
+        self._kept_nodes = kept_nodes
         #: Parsed catalog a verifying client keeps across its queries
         #: (read-only engines); None: parse what this engine loads.
         self._catalog_memo = catalog_memo
@@ -125,7 +129,10 @@ class Engine(AccessProvider):
         if opened is None:
             pager = Pager(self.vfs, path, create=create,
                           tally=self._pager_tally)
-            opened = self._open[path] = (pager, BTree(pager, self._node_memo))
+            kept = (None if self._kept_nodes is None
+                    else self._kept_nodes.file(path))
+            opened = self._open[path] = (
+                pager, BTree(pager, self._node_memo, kept))
         return opened
 
     @contextmanager

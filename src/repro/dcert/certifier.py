@@ -7,6 +7,13 @@ validity and body integrity, (b) its hash link to block ``i-1``, and
 (c) block ``i-1``'s certificate.  A certificate therefore attests that a
 valid state-transition history exists back to genesis, which is what lets
 lightweight clients verify the chain tip in constant time.
+
+Check (c) is the one step that re-proves something the issuer already
+knows: the previous certificate is, in the common case, the one it
+issued a call earlier.  So the issuer keeps the ``(message, signature)``
+of the certificate it issued last and skips the signature check only
+for exactly that pair; the chain, height, digest and link checks always
+run, and any other certificate is verified in full.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from repro.chain.consensus import SimulatedPoW, check_header
 from repro.crypto.hashing import Digest
 from repro.crypto.signature import PublicKey, Signature, verify
 from repro.errors import CertificateError, ChainError
+from repro.kept import Kept
 from repro.sgx.enclave import Enclave
 
 
@@ -55,6 +63,10 @@ class DCertIssuer:
             code_identity=b"dcert-ci|" + chain_id.encode("utf-8"),
             platform_seed=platform_seed,
         )
+        #: ``(message, signature)`` of the certificate issued last:
+        #: enclave-resident, so a ``prev_cert`` equal to it was signed
+        #: here and its signature needs no second proof.
+        self._issued: Kept = Kept()
 
     @property
     def public_key(self) -> PublicKey:
@@ -90,13 +102,16 @@ class DCertIssuer:
                 raise ChainError("previous block height mismatch")
             if header.prev_digest != prev_block.header.digest():
                 raise ChainError("block does not link to previous block")
-            dcert_valid(prev_cert, prev_block.header, self.public_key)
-        signature = self.enclave.sign_inside(
+            dcert_valid(prev_cert, prev_block.header, self.public_key,
+                        issued=self._issued)
+        message = (
             b"dcert|"
             + self.chain_id.encode("utf-8")
             + header.height.to_bytes(8, "big")
             + header.digest()
         )
+        signature = self.enclave.sign_inside(message)
+        self._issued.keep((message, signature), True)
         return DCertCertificate(
             chain_id=self.chain_id,
             height=header.height,
@@ -109,14 +124,22 @@ def dcert_valid(
     cert: DCertCertificate,
     header: BlockHeader,
     public_key: PublicKey,
+    issued: Optional[Kept] = None,
 ) -> None:
     """The paper's ``DCert.valid``: raise unless ``cert`` certifies
-    ``header`` under ``public_key``."""
+    ``header`` under ``public_key``.
+
+    ``issued`` is an issuer's own ``(message, signature)`` memo: the
+    signature check is skipped only for that exact pair, every field
+    check runs all the same."""
     if cert.chain_id != header.chain_id:
         raise CertificateError("certificate is for a different chain")
     if cert.height != header.height:
         raise CertificateError("certificate height mismatch")
     if cert.header_digest != header.digest():
         raise CertificateError("certificate digest mismatch")
-    if not verify(public_key, cert.message(), cert.signature):
+    pair = (cert.message(), cert.signature)
+    if issued is not None and pair in issued:
+        return
+    if not verify(public_key, *pair):
         raise CertificateError("certificate signature invalid")

@@ -168,10 +168,10 @@ class PersistentNodeStore(NodeStore):
             os.remove(stale_temp)
         mode = "r+b" if os.path.exists(path) else "w+b"
         with self._lock:
-            self._log = open(path, mode)
+            self._log = open(path, mode)  # repro: guarded-by(_lock)
             self._scan()
             # Everything that survived the scan is on disk already.
-            self._durable_size = self._end_offset()
+            self._durable_size = self._end_offset()  # repro: guarded-by(_lock)
 
     # -- log management ---------------------------------------------------
 
@@ -202,8 +202,12 @@ class PersistentNodeStore(NodeStore):
 
     @property
     def durable_size(self) -> int:
-        """Bytes guaranteed to survive power loss (advanced by ``sync``)."""
-        return self._durable_size
+        """Bytes guaranteed to survive power loss (advanced by ``sync``).
+
+        Read under the lock, so it waits out a ``sync`` or ``prune`` in
+        flight rather than report a boundary that either is moving."""
+        with self._lock:
+            return self._durable_size
 
     def sync(self) -> None:
         """Flush and ``fsync`` the log; advances the durable boundary."""

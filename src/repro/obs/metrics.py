@@ -288,11 +288,18 @@ class MetricsRegistry:
             raise ValueError(f"scope {name!r} is a {instrument.kind}")
         return instrument.value
 
+    def _listed(self) -> List[Tuple[str, Any]]:
+        """Every ``(name, instrument)``, copied under the lock: a handler
+        thread creating a first-seen instrument mid-iteration would make
+        it raise "dictionary changed size during iteration"."""
+        with self._lock:
+            return list(self._instruments.items())
+
     def counters_snapshot(self) -> Dict[str, float]:
         """Point-in-time copy of every counter (for later deltas)."""
         return {
             name: instrument.value
-            for name, instrument in self._instruments.items()
+            for name, instrument in self._listed()
             if instrument.kind == "counter"
         }
 
@@ -321,7 +328,7 @@ class MetricsRegistry:
         counters: Dict[str, float] = {}
         gauges: Dict[str, float] = {}
         histograms: Dict[str, Any] = {}
-        for name, instrument in sorted(self._instruments.items()):
+        for name, instrument in sorted(self._listed()):
             if instrument.kind == "counter":
                 counters[name] = instrument.value
             elif instrument.kind == "gauge":

@@ -155,6 +155,71 @@ class TestGuardedBy:
             """
         ) == []
 
+    def test_prune_sweep_iterating_a_writes_mode_table_fires(self):
+        # The ISP prune sweep's old defect: the stale sessions were
+        # collected by iterating the table lock-free, and only the
+        # deletes took the lock; a handler inserting mid-sweep raises
+        # "dictionary changed size during iteration".
+        findings = lint(
+            """
+            import threading
+
+            class Registry:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._sessions = {}  # repro: guarded-by(_lock, writes)
+
+                def insert(self, sid, session):
+                    with self._lock:
+                        self._sessions[sid] = session
+
+                def get(self, sid):
+                    return self._sessions.get(sid)
+
+                def prune(self, stale):
+                    doomed = [sid for sid, session in self._sessions.items()
+                              if stale(session)]
+                    with self._lock:
+                        for sid in doomed:
+                            del self._sessions[sid]
+            """
+        )
+        assert [f.message.split(" without")[0] for f in findings] == [
+            "iteration over Registry._sessions in "
+            "repro.fixture.Registry.prune"]
+
+    @pytest.mark.parametrize("iteration", [
+        "for session in self._sessions: out.append(session)",
+        "out = [sid for sid in self._sessions]",
+        "out = {s.root for s in self._sessions.values()}",
+        "out = list(self._sessions)",
+        "out = sorted(self._sessions.keys())",
+        "out = dict(self._sessions)",
+    ])
+    def test_every_iteration_of_a_writes_mode_field_is_guarded(
+            self, iteration):
+        source = f"""
+            import threading
+
+            class Registry:
+                def __init__(self):
+                    self._lock = threading.Lock()
+                    self._sessions = {{}}  # repro: guarded-by(_lock, writes)
+
+                def sweep(self):
+                    out = []
+                    {iteration}
+                    return out
+            """
+        findings = lint(source)
+        assert [f.message.split(" in ")[0] for f in findings] == [
+            "iteration over Registry._sessions"]
+        locked = source.replace(
+            f"                    {iteration}",
+            f"                    with self._lock:\n"
+            f"                        {iteration}")
+        assert lint(locked) == []
+
     def test_mutator_method_counts_as_write(self):
         findings = lint(
             """
@@ -654,8 +719,7 @@ GUARDED_MODULES = sorted(
 )
 
 #: Blocks whose removal the rule rightly stays silent on: each guards
-#: state that carries no annotation, or only reads of a ``writes``-mode
-#: field.
+#: state that carries no annotation.
 EXPECTED_CLEAN = {
     # Histogram's count/total/buckets carry no annotation.
     ("repro.obs.metrics", "Histogram.observe"),
@@ -665,12 +729,6 @@ EXPECTED_CLEAN = {
     ("repro.rpc.server", "RpcIspServer._serve_together"),
     # The spindle lock serializes a sleep; it guards no field.
     ("repro.rpc.server", "RpcIspServer._charge_service_delay"),
-    # The log handle and the durable boundary carry no annotation.
-    ("repro.merkle.persistent_store", "PersistentNodeStore.sync"),
-    ("repro.merkle.persistent_store", "PersistentNodeStore.close"),
-    ("repro.merkle.persistent_store", "PersistentNodeStore.simulate_crash"),
-    # Only reads of _sessions, which is guarded-by(_lock, writes).
-    ("repro.isp.sessions", "SessionRegistry.live_roots"),
 }
 
 

@@ -3,17 +3,26 @@
 import gc
 import sys
 import types
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.client.query_client import QueryClient
 from repro.client.vfs import QueryMode
+from repro.core import certificate as certificate_module
+from repro.core import ci as ci_module
 from repro.core.certificate import V2fsCertificate
-from repro.core.system import SystemConfig, V2FSSystem
+from repro.core.system import SystemConfig, V2FSSystem, ingest_block
 from repro.crypto.signature import KeyPair, sign
-from repro.errors import CertificateError, StorageError
+from repro.db import btree
+from repro.db.btree import KeptNodes
+from repro.dcert import certifier
+from repro.errors import CertificateError, ReproError, StorageError
 from repro.isp.server import IspServer
 from repro.kept import Kept
+from repro.vfs.maintenance import MaintenanceSession
 
 
 class TestCertificate:
@@ -163,6 +172,214 @@ class TestCi:
         batched = V2FSSystem(SystemConfig(txs_per_block=3))
         report = batched.advance_blocks("eth", 4)
         assert report.ocalls < sum(per_single)
+
+
+class _Recorded(MaintenanceSession):
+    """A maintenance session that files itself in ``made``."""
+
+    made = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _Recorded.made.append(self)
+
+
+class _NodesDroppedPerStatement(KeptNodes):
+    """What a CI kept before it held nodes: each statement's trees
+    start from an empty map, and nothing outlives the statement."""
+
+    def file(self, path):
+        return {}
+
+
+def _lying(ci, lie, files=".tbl"):
+    """Storage OCall handlers that tell ``lie`` (None: none) to
+    ``ci``'s enclave about every file whose path ends in ``files``:
+    ``meta`` claims it one page longer (refused by the proof checks
+    after the engine ran: ``ProofError``), ``flip`` serves each of its
+    tree pages with one bit flipped (an insert raises on the page's
+    checksum)."""
+    handlers = ci.enclave._handlers
+    real_open, real_get_page = handlers["open"], handlers["get_page"]
+
+    def open_(path):
+        exists, size, page_count = real_open(path)
+        if exists and path.endswith(files):
+            return exists, size + 4096, page_count + 1
+        return exists, size, page_count
+
+    def get_page(root, path, page_id):
+        page = real_get_page(root, path, page_id)
+        if path.endswith(files) and page_id:
+            return page[:100] + bytes([page[100] ^ 1]) + page[101:]
+        return page
+
+    return {"meta": {"open": open_}, "flip": {"get_page": get_page},
+            None: {}}[lie]
+
+
+def _advance(system, chain_id, lie):
+    """One block through the CI; with ``lie``, its first run is told
+    that lie, and the block is retried on honest storage if it failed.
+
+    Returns what each run made: the error, if any, P_r and P_w with
+    their bytes, OCalls, and the report's counts, batch and
+    certificate."""
+    ci, runs = system.ci, []
+
+    def run(attempt):
+        del _Recorded.made[:]
+        try:
+            report = attempt()
+        except ReproError as error:
+            report, outcome = None, (type(error), str(error))
+        else:
+            outcome = None
+        (session,) = _Recorded.made
+        runs.append((
+            outcome, sorted(session.pages_read.items()),
+            sorted(session.pages_written.items()), ci.enclave.stats.calls,
+            report and (report.ocalls, report.proof_bytes,
+                        report.pages_read, report.pages_written,
+                        report.batch, report.certificate),
+            ci.storage_root,
+        ))
+        return report
+
+    with mock.patch.object(ci_module, "MaintenanceSession", _Recorded):
+        real = dict(ci.enclave._handlers)
+        ci.enclave._handlers.update(_lying(ci, lie))
+        try:
+            report = run(lambda: system.advance_block(chain_id))
+        finally:
+            ci.enclave._handlers.update(real)
+        if report is None:
+            chain = system.chains[chain_id]
+            block = chain.block_at(chain.height)
+            cert = system._dcert_certs[chain_id][-1]
+            system._publish(run(lambda: ci.process_blocks(
+                [(block, cert)], ingest_block)))
+    return runs
+
+
+#: Blocks of one chain or the other, each told no lie or one.
+BLOCK_RUNS = st.lists(
+    st.tuples(st.sampled_from(["eth", "btc"]),
+              st.sampled_from([None, None, "meta", "flip"])),
+    min_size=1, max_size=8,
+)
+
+
+class TestCiHeldState:
+    """The CI proves nothing twice that its enclave already holds: its
+    own certificate, DCert's last certificate, the nodes its last run
+    decoded.  None of it may move a byte the paper counts."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(BLOCK_RUNS)
+    def test_held_nodes_change_no_byte_of_any_run(self, blocks):
+        """One CI holds its kept nodes across statements and runs, one
+        drops them at every statement end; over the same blocks, failed
+        runs included, both read and write the same pages, make the
+        same OCalls, fail alike, and sign the same certificates."""
+        held, dropped = (V2FSSystem(SystemConfig(txs_per_block=24))
+                         for _ in range(2))
+        dropped.ci._kept_nodes = _NodesDroppedPerStatement()
+        for chain_id, lie in blocks:
+            assert (_advance(held, chain_id, lie)
+                    == _advance(dropped, chain_id, lie))
+        assert held.ci.certificate == dropped.ci.certificate
+        assert len(held.ci._kept_nodes) > 0 == len(dropped.ci._kept_nodes)
+
+    def test_a_failed_insert_still_drops_its_files_nodes(self):
+        """A flipped tree page makes the table's insert raise: the file
+        loses every kept node, though the run read the page whose node
+        it held (so trimming alone would have kept that one); files
+        the run did not fail on keep theirs."""
+        system = V2FSSystem(SystemConfig(txs_per_block=24))
+        for _ in range(3):
+            system.advance_block("eth")
+        kept = system.ci._kept_nodes
+        table = "/db/tables/eth_transactions.tbl"
+        assert kept.file(table)
+        ci = system.ci
+        real = dict(ci.enclave._handlers)
+        ci.enclave._handlers.update(_lying(ci, "flip", table))
+        try:
+            with pytest.raises(StorageError, match="checksum"):
+                system.advance_block("eth")
+        finally:
+            ci.enclave._handlers.update(real)
+        assert kept.file(table) == {}
+        assert len(kept) > 0  # other files' nodes stay
+
+    def test_a_run_decodes_less_than_with_nodes_dropped(self):
+        decoded = {}
+        for name, store in [("held", KeptNodes()),
+                            ("dropped", _NodesDroppedPerStatement())]:
+            system = V2FSSystem(SystemConfig(txs_per_block=24))
+            system.ci._kept_nodes = store
+            for _ in range(4):
+                system.advance_block("eth")
+            real = btree._decode_node
+            with mock.patch.object(
+                    btree, "_decode_node",
+                    lambda raw: decoded.setdefault(name, []).append(raw)
+                    or real(raw)):
+                system.advance_block("eth")
+        assert len(decoded.get("held", ())) < len(decoded["dropped"])
+
+    def test_nodes_held_are_bounded_by_each_files_last_run(self):
+        system = V2FSSystem(SystemConfig(txs_per_block=24))
+        last_run = {}
+        for chain_id in ["eth", "btc", "eth", "eth", "btc"] * 3:
+            with mock.patch.object(ci_module, "MaintenanceSession",
+                                   _Recorded):
+                del _Recorded.made[:]
+                system.advance_block(chain_id)
+            (session,) = _Recorded.made
+            touched = {}
+            for path, pid in [*session.pages_read, *session.pages_written]:
+                touched.setdefault(path, set()).add(pid)
+            last_run.update(touched)
+        kept = system.ci._kept_nodes
+        assert len(kept) > 0
+        for path, pages in kept._files.items():
+            assert set(pages) <= last_run[path], path
+        assert len(kept) <= sum(map(len, last_run.values()))
+
+    def test_one_block_makes_one_verify_the_new_dcert_certificate(
+            self, monkeypatch):
+        """The one signature a block's update proves is the new DCert
+        certificate, in the CI: neither the CI's own certificate nor
+        the one DCert issued a call earlier is proven again."""
+        system = V2FSSystem(SystemConfig(txs_per_block=3))
+        system.advance_block("eth")
+        issuer = system.dcert_issuers["eth"]
+        where, calls = ["test"], []
+        for module in (certifier, certificate_module):
+            def counting(public, message, signature, real=module.verify):
+                calls.append((where[-1], message))
+                return real(public, message, signature)
+
+            monkeypatch.setattr(module, "verify", counting)
+
+        def tagged(name, method):
+            def run(*args):
+                where.append(name)
+                try:
+                    return method(*args)
+                finally:
+                    where.pop()
+            return run
+
+        monkeypatch.setattr(issuer, "certify",
+                            tagged("dcert", issuer.certify))
+        monkeypatch.setattr(system.ci, "process_blocks",
+                            tagged("ci", system.ci.process_blocks))
+        system.advance_block("eth")
+        new = system._dcert_certs["eth"][-1]
+        assert calls == [("ci", new.message())]
 
 
 class TestSystem:

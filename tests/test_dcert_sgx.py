@@ -1,8 +1,12 @@
 """Tests for the simulated SGX enclave, attestation, and DCert."""
 
+import dataclasses
+
 import pytest
 
 from repro.chain.chain import Blockchain
+from repro.crypto.signature import Signature
+from repro.dcert import certifier
 from repro.dcert.certifier import DCertIssuer, dcert_valid
 from repro.errors import CertificateError, ChainError, EnclaveError
 from repro.sgx.attestation import AttestationService
@@ -133,3 +137,66 @@ class TestDCert:
         cert = issuer.certify(None, None, chain.block_at(0))
         with pytest.raises(CertificateError):
             dcert_valid(cert, chain.header_at(1), issuer.public_key)
+
+
+class TestDCertIssuedMemo:
+    """An issuer skips the signature check of exactly the certificate it
+    issued last, and of nothing else."""
+
+    @pytest.fixture
+    def verified(self, monkeypatch):
+        """Messages the full ``verify`` was asked about, in order."""
+        calls = []
+        real = certifier.verify
+
+        def counting(public, message, signature):
+            calls.append(message)
+            return real(public, message, signature)
+
+        monkeypatch.setattr(certifier, "verify", counting)
+        return calls
+
+    @staticmethod
+    def issued(blocks=3):
+        chain = TestDCert().make_chain(blocks)
+        issuer = DCertIssuer("c1", pow_params=chain.pow_params)
+        return chain, issuer, issuer.certify(None, None, chain.block_at(0))
+
+    def test_the_certificate_issued_last_is_not_verified_again(
+            self, verified):
+        chain, issuer, cert = self.issued()
+        for height in (1, 2):
+            cert = issuer.certify(chain.block_at(height - 1), cert,
+                                  chain.block_at(height))
+        assert verified == []
+        dcert_valid(cert, chain.header_at(2), issuer.public_key)
+        assert verified == [cert.message()]
+
+    @pytest.mark.parametrize("forge", [
+        lambda s: Signature(s.s + 1, s.e),
+        lambda s: Signature(s.s, s.e ^ 1),
+    ], ids=["s_plus_1", "e_bit"])
+    def test_issued_message_under_a_forged_signature_is_refused(
+            self, verified, forge):
+        chain, issuer, cert = self.issued()
+        forged = dataclasses.replace(cert, signature=forge(cert.signature))
+        with pytest.raises(CertificateError, match="signature invalid"):
+            issuer.certify(chain.block_at(0), forged, chain.block_at(1))
+        assert verified == [cert.message()]
+
+    def test_one_bit_off_digest_under_the_issued_signature_is_refused(
+            self, verified):
+        chain, issuer, cert = self.issued()
+        digest = cert.header_digest
+        forged = dataclasses.replace(
+            cert, header_digest=bytes([digest[0] ^ 1]) + digest[1:])
+        with pytest.raises(CertificateError, match="digest mismatch"):
+            issuer.certify(chain.block_at(0), forged, chain.block_at(1))
+
+    def test_a_fresh_issuer_verifies_the_honest_certificate_in_full(
+            self, verified):
+        chain, _issuer, cert = self.issued()
+        fresh = DCertIssuer("c1", pow_params=chain.pow_params)
+        next_cert = fresh.certify(chain.block_at(0), cert, chain.block_at(1))
+        assert verified == [cert.message()]
+        dcert_valid(next_cert, chain.header_at(1), fresh.public_key)

@@ -9,6 +9,7 @@ hand-written below.
 
 import contextlib
 import dataclasses
+from unittest import mock
 
 import pytest
 from tests.adversary import (
@@ -235,8 +236,8 @@ class TestCertificateMemo:
     @pytest.fixture
     def verify_calls(self, monkeypatch):
         """Messages passed to the full Schnorr ``verify`` by
-        ``verify_signature`` (the client's, and the CI's self-check on
-        ``advance_block``), in order."""
+        ``verify_signature``, in order (the client's: the CI does not
+        verify the certificates it signs)."""
         calls = []
         real = certificate_module.verify
 
@@ -251,7 +252,7 @@ class TestCertificateMemo:
         self, path, verify_calls
     ):
         system = build_system(2)
-        del verify_calls[:]  # the CI self-checks every block it signs
+        del verify_calls[:]  # count from the first query on
         with client_of(system, path) as client:
             answers = {tuple(client.query(SQL).rows) for _ in range(5)}
         assert len(answers) == 1
@@ -272,7 +273,7 @@ class TestCertificateMemo:
             assert forged.version == honest.version and forged != honest
             cached = dict(client.state.pages._pages)
             assert cached
-            del verify_calls[:]  # drops the CI's own self-check
+            del verify_calls[:]  # count from here on
 
             system.isp.certificate = forged
             for _ in range(2):  # a failure never populates the memo
@@ -292,6 +293,26 @@ class TestCertificateMemo:
             assert len(verify_calls) == 3
             assert client.state.held == honest
 
+    def test_one_vbf_byte_off_is_another_message_and_refused(
+        self, path, verify_calls
+    ):
+        """A certificate builds its signed message once, VBF hash
+        included; one that differs in one VBF byte is another message,
+        however warm the honest one's is."""
+        system = build_system(2)
+        honest = system.isp.certificate
+        assert honest.message() is honest.message()
+        forged = ONE_BYTE_FORGERIES["vbf_byte"](honest)
+        assert forged.message() != honest.message()
+        del verify_calls[:]
+        system.isp.certificate = forged
+        with client_of(system, path) as client:
+            with pytest.raises(CertificateError):
+                client.query(SQL)
+            system.isp.certificate = honest
+            assert client.query(SQL).rows == oracle(system, SQL)
+        assert verify_calls == [forged.message(), honest.message()]
+
     def test_new_block_misses_then_hits_again(self, path, verify_calls):
         system = build_system(2)
         del verify_calls[:]
@@ -302,7 +323,7 @@ class TestCertificateMemo:
             first = verify_calls[0]
 
             system.advance_block("eth")
-            del verify_calls[:]  # drops the CI's own self-check
+            del verify_calls[:]  # count from here on
             client.query(SQL)
             client.query(SQL)
             client.query(SQL)
@@ -387,7 +408,7 @@ class TestCertificateMemo:
             resigned = dataclasses.replace(
                 real, signature=other_enclave.sign_inside(real.message())
             )
-            del verify_calls[:]  # drops the CI's own self-check
+            del verify_calls[:]  # count from here on
             system.isp.certificate = resigned
             other.query(SQL)  # `resigned` is proven — to `other` only
             with pytest.raises(CertificateError):
@@ -1167,6 +1188,40 @@ class TestMaliciousCiStorage:
         with pytest.raises(VerificationError):
             system.advance_block("eth")
         assert served
+
+    def test_stale_page_of_a_held_node_is_decoded_afresh(self):
+        """The CI holds the node it last wrote to a page; the storage
+        serves that page as it was a block earlier.  The held node is
+        keyed on other bytes, so the stale page is decoded as read, and
+        the read proof refuses it."""
+        from repro.db import btree
+
+        system = build_system(1)
+        ci = system.ci
+        system.advance_block("eth")
+        before = {
+            page_id: ci.storage.get_page(ci.storage_root, TABLE, page_id)
+            for page_id in ci._kept_nodes.file(TABLE)
+        }
+        system.advance_block("eth")
+        held = dict(ci._kept_nodes.file(TABLE))
+        stale = {page_id: page for page_id, page in before.items()
+                 if page_id in held and held[page_id][0] != page}
+        assert stale
+        original_handler = ci.enclave._handlers["get_page"]
+
+        def stale_get_page(root, path, page_id):
+            page = original_handler(root, path, page_id)
+            return stale.get(page_id, page) if path == TABLE else page
+
+        decoded = []
+        real = btree._decode_node
+        ci.enclave.register_ocall("get_page", stale_get_page)
+        with mock.patch.object(btree, "_decode_node",
+                               lambda raw: decoded.append(raw) or real(raw)):
+            with pytest.raises(VerificationError):
+                system.advance_block("eth")
+        assert set(stale.values()) <= set(decoded)
 
 
 class TestCertifiedBlocks:
