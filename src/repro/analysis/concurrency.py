@@ -28,14 +28,9 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.core import (
-    Finding,
-    ModuleContext,
-    ProgramRule,
-    dotted,
-    register,
-)
+from repro.analysis.core import Finding, ModuleContext, dotted
 
+RULE_GUARDED_BY = "guarded-by"
 _MODE_ALL, _MODE_WRITES = "all", "writes"
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: Method names whose call mutates the receiver collection in place.
@@ -172,7 +167,7 @@ class _Index:
                 if problem is not None:
                     self.findings.append(Finding(
                         path=ctx.path, line=directive.line,
-                        rule=GuardedByRule.name, message=problem,
+                        rule=RULE_GUARDED_BY, message=problem,
                     ))
 
     def _resolve(self, ctx: ModuleContext,
@@ -374,8 +369,7 @@ def _held_on_entry(index: _Index,
     return entry
 
 
-@register
-class GuardedByRule(ProgramRule):
+def check_guarded_by(contexts: Sequence[ModuleContext]) -> Iterator[Finding]:
     """Annotated shared fields are only touched with their lock held.
 
     The owning class's ``__init__`` is construction and exempt, and
@@ -384,70 +378,55 @@ class GuardedByRule(ProgramRule):
     metric instrument lookups).  Iterating the field is no read: a
     ``for`` or comprehension over it, ``.items()``/``.values()``/
     ``.keys()``, or ``list``/``sorted``/``dict``/``tuple``/``set`` of it
-    takes the lock in either mode.
+    takes the lock in either mode.  Unknown lock names are rejected with
+    a did-you-mean hint.
     """
+    index = _Index(contexts)
+    yield from index.findings
+    by_attr: Dict[str, List[Guard]] = {}
+    for info in index.classes.values():
+        for attr, guard in info.guards.items():
+            by_attr.setdefault(attr, []).append(guard)
+    bodies: Dict[str, _Body] = {}
+    for ctx in contexts if by_attr else ():
+        for node in ctx.tree.body:
+            if isinstance(node, _FUNCTIONS):
+                bodies[f"{ctx.module}.{node.name}"] = _Body(
+                    index, ctx, None, node, by_attr)
+            elif isinstance(node, ast.ClassDef):
+                info = index.classes[f"{ctx.module}.{node.name}"]
+                for name, method in info.methods.items():
+                    bodies[f"{info.class_id}.{name}"] = _Body(
+                        index, ctx, info, method, by_attr)
+    entry = _held_on_entry(index, bodies)
+    for func_id, body in sorted(bodies.items()):
+        for access in body.accesses:
+            message = _violation(index, func_id, body, access,
+                                 entry[func_id] | access.held)
+            if message is not None:
+                yield Finding(path=body.ctx.path, line=access.line,
+                              rule=RULE_GUARDED_BY, message=message)
 
-    name = "guarded-by"
-    description = (
-        "fields annotated '# repro: guarded-by(<lock>)' must only be "
-        "accessed by their own class with that lock held; unknown lock "
-        "names are rejected with a did-you-mean hint"
-    )
-    invariant = (
-        "serving-path memory safety: the session table, page map, and "
-        "instrument map cannot be torn by handler threads racing "
-        "sync_update"
-    )
 
-    def check_program(
-        self, contexts: Sequence[ModuleContext]
-    ) -> Iterator[Finding]:
-        index = _Index(contexts)
-        yield from index.findings
-        by_attr: Dict[str, List[Guard]] = {}
-        for info in index.classes.values():
-            for attr, guard in info.guards.items():
-                by_attr.setdefault(attr, []).append(guard)
-        bodies: Dict[str, _Body] = {}
-        for ctx in contexts if by_attr else ():
-            for node in ctx.tree.body:
-                if isinstance(node, _FUNCTIONS):
-                    bodies[f"{ctx.module}.{node.name}"] = _Body(
-                        index, ctx, None, node, by_attr)
-                elif isinstance(node, ast.ClassDef):
-                    info = index.classes[f"{ctx.module}.{node.name}"]
-                    for name, method in info.methods.items():
-                        bodies[f"{info.class_id}.{name}"] = _Body(
-                            index, ctx, info, method, by_attr)
-        entry = _held_on_entry(index, bodies)
-        for func_id, body in sorted(bodies.items()):
-            for access in body.accesses:
-                message = self._violation(index, func_id, body, access,
-                                          entry[func_id] | access.held)
-                if message is not None:
-                    yield Finding(path=body.ctx.path, line=access.line,
-                                  rule=self.name, message=message)
-
-    @staticmethod
-    def _violation(index: _Index, func_id: str, body: _Body,
-                   access: Access, held: Set[str]) -> Optional[str]:
-        """The finding text for one access, or ``None`` when it is fine."""
-        kind = access.kind
-        if not access.through_self:
-            guards = body.watched[access.attr]
-            if kind != _READ or any(g.mode != _MODE_WRITES for g in guards):
-                fields = " or ".join(sorted(short(g.field_id) for g in guards))
-                return (f"{kind} {fields} in {func_id} through a receiver "
-                        "other than self; go through a method of the "
-                        "owning class")
-            return None
-        guard = index.guard(body.owner.class_id, access.attr)
-        if guard is None or guard.lock_id in held or func_id.endswith(
-                ".__init__") or (guard.mode == _MODE_WRITES
-                                 and kind == _READ):
-            return None
-        held_note = (f"holding only {sorted(short(h) for h in held)}"
-                     if held else "holding no lock")
-        return (f"{kind} {short(guard.field_id)} in {func_id} without its "
-                f"guarded-by lock {short(guard.lock_id)} ({held_note} on "
-                "some call path)")
+def _violation(index: _Index, func_id: str, body: _Body,
+               access: Access, held: Set[str]) -> Optional[str]:
+    """The finding text for one access, or ``None`` when it is fine."""
+    kind = access.kind
+    if not access.through_self:
+        guards = body.watched[access.attr]
+        if kind != _READ or any(g.mode != _MODE_WRITES for g in guards):
+            fields = " or ".join(sorted(short(g.field_id) for g in guards))
+            return (f"{kind} {fields} in {func_id} through a receiver "
+                    "other than self; go through a method of the "
+                    "owning class")
+        return None
+    guard = index.guard(body.owner.class_id, access.attr)
+    if guard is None or guard.lock_id in held or func_id.endswith(
+            ".__init__") or (guard.mode == _MODE_WRITES
+                             and kind == _READ):
+        return None
+    held_note = (f"holding only {sorted(short(h) for h in held)}"
+                 if held else "holding no lock")
+    return (f"{kind} {short(guard.field_id)} in {func_id} without its "
+            f"guarded-by lock {short(guard.lock_id)} ({held_note} on "
+            "some call path)")

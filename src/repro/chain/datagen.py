@@ -14,6 +14,7 @@ page cache effective, and it is preserved deliberately.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
@@ -98,7 +99,11 @@ class _GeneratorBase:
         txs_per_block: int = 12,
     ) -> None:
         self.universe = universe
-        self.rng = random.Random((seed << 16) ^ hash(self.chain_id) & 0xFFFF)
+        # crc32, not hash(): str hashes are salted per process
+        # (PYTHONHASHSEED), and the generated history must not be.
+        self.rng = random.Random(
+            (seed << 16) ^ zlib.crc32(self.chain_id.encode()) & 0xFFFF
+        )
         self.clock = start_time
         self.txs_per_block = txs_per_block
         self.chain = Blockchain(self.chain_id)

@@ -21,8 +21,8 @@ Four commands cover the zero-to-aha path:
 * ``metrics`` — inspect the :mod:`repro.obs` layer: list the scope
   catalog, validate an exported document, or run a small instrumented
   workload and dump its counters;
-* ``lint`` — run the :mod:`repro.analysis` invariant checker over the
-  source tree (``--strict`` is the CI gate).
+* ``lint`` — run the :mod:`repro.analysis` ``guarded-by`` check over
+  the source tree (paths only; exit 1 on any finding).
 
 Crash recovery at every failpoint is not a CLI command: it is the fault
 machine in ``tests/test_stateful.py`` (system side) and
@@ -469,8 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically check the V2FS soundness invariants",
         description=(
-            "Run the repro.analysis rules over the source tree "
-            "(--list-rules names each one and the invariant it guards)."
+            "Run the repro.analysis guarded-by check over the source "
+            "tree; it takes only paths."
         ),
     )
     from repro.analysis.cli import configure_parser as _configure_lint

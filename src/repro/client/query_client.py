@@ -180,7 +180,7 @@ class QueryClient:
             # query read is proven: the one rollback drops what it may
             # have left in the carried state.  Deliberately broad and
             # strictly re-raising: the rollback is cleanup, never
-            # recovery (crash-hygiene verifies the re-raise statically).
+            # recovery.
             logger.debug(
                 "query failed before verification completed (%s); "
                 "rolling back the carried state",

@@ -40,12 +40,22 @@ class DCertCertificate:
     signature: Signature
 
     def message(self) -> bytes:
-        return (
-            b"dcert|"
-            + self.chain_id.encode("utf-8")
-            + self.height.to_bytes(8, "big")
-            + self.header_digest
-        )
+        return _signed_message(self.chain_id, self.height, self.header_digest)
+
+
+def _signed_message(
+    chain_id: str, height: int, header_digest: Digest,
+) -> bytes:
+    """The bytes a certificate's signature covers; spelled only here.
+
+    Injective: the chain id is the one variable-length field, and the
+    two after it have fixed widths (DESIGN §4c)."""
+    return (
+        b"dcert|"
+        + chain_id.encode("utf-8")
+        + height.to_bytes(8, "big")
+        + header_digest
+    )
 
 
 class DCertIssuer:
@@ -104,18 +114,14 @@ class DCertIssuer:
                 raise ChainError("block does not link to previous block")
             dcert_valid(prev_cert, prev_block.header, self.public_key,
                         issued=self._issued)
-        message = (
-            b"dcert|"
-            + self.chain_id.encode("utf-8")
-            + header.height.to_bytes(8, "big")
-            + header.digest()
-        )
+        digest = header.digest()
+        message = _signed_message(self.chain_id, header.height, digest)
         signature = self.enclave.sign_inside(message)
         self._issued.keep((message, signature), True)
         return DCertCertificate(
             chain_id=self.chain_id,
             height=header.height,
-            header_digest=header.digest(),
+            header_digest=digest,
             signature=signature,
         )
 

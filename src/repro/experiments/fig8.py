@@ -92,8 +92,9 @@ def render(results: Dict) -> str:
 
 
 def render_counts(results: Dict) -> str:
-    """The count columns alone, exact: under a fixed string-hash seed
-    they regenerate byte for byte, unlike the timings."""
+    """The count columns alone, exact: they regenerate byte for byte
+    (the generated history does not depend on the string-hash seed),
+    unlike the timings."""
     headers = ["blocks", "OCalls", "proof bytes", "CI pages read",
                "CI pages written"]
     rows = [

@@ -49,24 +49,9 @@ class VOBuilder:
         if obs.ACTIVE:
             obs.observe("isp.vo.pages", len(self.page_keys))
             obs.observe("isp.vo.nodes", len(self.node_keys))
-        proof = self._ads.gen_read_proof(
-            self._root, sorted(self.page_keys), sorted(self.node_keys)
-        )
         # Files touched only through metadata (or fully VBF-fresh caches)
         # still need their trie entry in the skeleton.
-        missing = self.touched_files - {p for p, _ in self.page_keys} - {
-            p for p, _, _ in self.node_keys
-        }
-        if missing:
-            from repro.merkle.proof import gen_trie_proof
-
-            all_files = sorted(
-                {p for p, _ in self.page_keys}
-                | {p for p, _, _ in self.node_keys}
-                | self.touched_files
-            )
-            proof = AdsProof(
-                trie=gen_trie_proof(self._ads.store, self._root, all_files),
-                files=proof.files,
-            )
-        return proof
+        return self._ads.gen_read_proof(
+            self._root, sorted(self.page_keys), sorted(self.node_keys),
+            files=self.touched_files,
+        )

@@ -194,8 +194,13 @@ class V2fsAds:
         root: Digest,
         page_keys: Iterable[PageKey],
         node_keys: Iterable[NodeKey] = (),
+        files: Iterable[str] = (),
     ) -> AdsProof:
-        """Build the consolidated proof for a set of page/node claims."""
+        """Build the consolidated proof for a set of page/node claims.
+
+        ``files`` are covered by the trie skeleton too, with no page or
+        node claim: their authenticated (size, page_count) ride along.
+        """
         if obs.ACTIVE:
             obs.inc("ads.proof.read")
         by_file: Dict[str, Set[page_tree.Position]] = {}
@@ -203,17 +208,16 @@ class V2fsAds:
             by_file.setdefault(path, set()).add((0, pid))
         for path, level, index in node_keys:
             by_file.setdefault(path, set()).add((level, index))
-        if not by_file:
-            return AdsProof(trie=gen_trie_proof(self.store, root, []))
-        trie = gen_trie_proof(self.store, root, sorted(by_file))
-        files: Dict[str, FileProof] = {}
+        trie = gen_trie_proof(
+            self.store, root, sorted(set(by_file).union(files))
+        )
+        file_proofs: Dict[str, FileProof] = {}
         for path, targets in by_file.items():
             node = self.file_node(root, path)
-            siblings = page_tree.gen_multiproof(
+            file_proofs[path] = FileProof(page_tree.gen_multiproof(
                 self.store, node.tree_root, node.page_count, targets
-            )
-            files[path] = FileProof(siblings)
-        return AdsProof(trie=trie, files=files)
+            ))
+        return AdsProof(trie=trie, files=file_proofs)
 
     def gen_write_proof(
         self, root: Digest, writes: Mapping[str, Iterable[int]]

@@ -527,9 +527,10 @@ class RpcIspServer:
                 "request 0x%02x failed: %s", unit[0].kind, error
             )
             failure: ReproError = error
-        # repro: allow(crash-hygiene) -- the error-frame contract: a handler
-        # failure must reach the remote client as RESP_ERROR, never kill the
-        # link; SimulatedCrash is a BaseException and still propagates.
+        # The error-frame contract: a handler failure must reach the
+        # remote client as RESP_ERROR, never kill the link.  SimulatedCrash
+        # is a BaseException, so it is not caught here and still severs
+        # the connection.
         except Exception as error:
             # A non-ReproError here is a server bug, not a client mistake:
             # keep the full traceback server-side, send a typed error.

@@ -11,6 +11,7 @@ real-world pattern that makes inter-query caching effective.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -72,8 +73,11 @@ class WorkloadGenerator:
         """Generate one workload of a single query type."""
         template = QUERY_TEMPLATES[query_type]
         count = count if count is not None else self.queries_per_workload
+        # crc32 of the label, not hash(): the rendered queries must not
+        # depend on the process's string-hash seed.
         rng = random.Random(
-            (self.seed << 8) ^ hash((query_type, window_hours)) & 0xFF
+            (self.seed << 8)
+            ^ zlib.crc32(f"{query_type}|{window_hours!r}".encode()) & 0xFF
         )
         window_s = int(window_hours * 3600)
         queries = []

@@ -1,25 +1,25 @@
-"""The defect each lint rule was pinned to, put back into today's source.
+"""The defect each retired lint rule was pinned to, put back into
+today's source.
 
 Every mutant here is built from the working tree (not with ``git show``,
 so it runs in a shallow checkout) by :func:`replace_once` or
 :func:`hoist_out_of_try`.
 
-``crash-hygiene`` is still a lint rule: no test outside the lint tests
-fails on its mutant, so :class:`TestCrashHygiene` checks that the rule
-fires on it and stays silent on the module as shipped.  ``guarded-by``'s
-fixtures are ``test_analysis_concurrency.py::TestFormerTrackerSites``.
-
-``must-release``, ``blocking-effect`` and ``verify-before-use`` are
-retired: a tier-1 check fails on every mutant of their defects.  Each
-row below plants one mutant — the historical defect, and one at every
-other site the rule's annotations protected — into the live classes
-(:func:`patch_mutant`), runs the named check against it, and asserts
-that the check fails (DESIGN §6 lists the rows).
+``crash-hygiene``, ``must-release``, ``blocking-effect`` and
+``verify-before-use`` are retired: a tier-1 check fails on every mutant
+of their defects.  Each row below plants one mutant — the historical
+defect, and one at every other site the rule guarded — into the live
+classes (:func:`patch_mutant`), runs the named check against it, and
+asserts that the check fails (DESIGN §6 lists the rows).  The one kept
+rule, ``guarded-by``, has its fixtures in
+``test_analysis_concurrency.py::TestFormerTrackerSites``.
 """
 
 import ast
+import contextlib
 import gc
 import importlib
+import io
 import sys
 import threading
 import types
@@ -29,6 +29,11 @@ from typing import Callable, NamedTuple, Sequence, Tuple
 
 import pytest
 from tests import (
+    test_cli,
+    test_core,
+    test_db_btree,
+    test_db_statement_scope,
+    test_merkle_ads,
     test_rpc,
     test_sanitize_concurrency,
     test_security,
@@ -36,8 +41,7 @@ from tests import (
     test_stateful,
 )
 
-from repro.analysis.core import parse_sources, run_rules
-from repro.analysis.rules import CrashHygieneRule
+from repro.errors import ProofError
 from repro.sanitize import runtime as san
 from repro.serve.server import AsyncIspServer
 
@@ -55,16 +59,6 @@ def shipped(module):
 def replace_once(source, old, new):
     assert source.count(old) == 1, old
     return source.replace(old, new)
-
-
-def lint(rule, sources):
-    """``rule``'s findings over ``{module: source}`` as one program."""
-    contexts, problems = parse_sources([
-        (module, module_path(module), source)
-        for module, source in sources.items()
-    ])
-    assert problems == []
-    return [f.render() for f in run_rules(contexts, [rule])]
 
 
 def hoist_out_of_try(source, class_name, func_name):
@@ -140,34 +134,6 @@ def patch_mutant(monkeypatch, module, mutant):
         monkeypatch.setattr(owner, name, func)
 
 
-class TestCrashHygiene:
-    """PR 3 (``e1346d4``): ``V2fsAds.apply_writes`` caught
-    ``Exception`` around the trie lookup, so a corrupt trie or an
-    unknown digest read as "no such file"."""
-
-    MODULE = "repro.merkle.ads"
-
-    def test_shipped_module_is_clean(self):
-        assert lint(
-            CrashHygieneRule(), {self.MODULE: shipped(self.MODULE)}
-        ) == []
-
-    def test_widened_handler_is_a_finding(self):
-        mutant = replace_once(
-            shipped(self.MODULE),
-            "            except FileNotFoundInStoreError:",
-            "            except Exception:",
-        )
-        findings = lint(CrashHygieneRule(), {self.MODULE: mutant})
-        assert len(findings) == 1
-        assert "except Exception on a verification path" in findings[0]
-
-
-# ----------------------------------------------------------------------
-# The retired rules: one row per planted mutant
-# ----------------------------------------------------------------------
-
-
 class Mutant(NamedTuple):
     """One planted defect and the tier-1 check that fails on it."""
 
@@ -176,6 +142,9 @@ class Mutant(NamedTuple):
     edits: Sequence[Tuple[str, Callable[[str], str]]]
     #: Runs the named check (given a temporary directory); it must fail.
     check: Callable[..., None]
+    #: How it fails: a failed assert, or a pytest.raises that saw
+    #: nothing raised, unless the row says otherwise.
+    fails_with: Tuple[type, ...] = (AssertionError, pytest.fail.Exception)
 
 
 def replacing(module, old, new):
@@ -185,8 +154,7 @@ def replacing(module, old, new):
 def run_rows(monkeypatch, tmp_path, row):
     for module, mutate in row.edits:
         patch_mutant(monkeypatch, module, mutate(shipped(module)))
-    # A failed assert, or a pytest.raises that saw nothing raised.
-    with pytest.raises((AssertionError, pytest.fail.Exception)):
+    with pytest.raises(row.fails_with):
         row.check(tmp_path)
 
 
@@ -475,6 +443,104 @@ class TestVerifyBeforeUse:
             "        self.inserted.append(key)\n",
             "        cache.update(key, page, self.certificate.version)\n",
         )], every_move),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+    def test_tier1_fails(self, monkeypatch, tmp_path, row):
+        run_rows(monkeypatch, tmp_path, row)
+
+
+def demo_command(tmp_path):
+    """``test_cli``'s demo check, its ``capsys`` read from a redirect."""
+    out = io.StringIO()
+    captured = types.SimpleNamespace(
+        readouterr=lambda: types.SimpleNamespace(out=out.getvalue())
+    )
+    with contextlib.redirect_stdout(out):
+        test_cli.TestCommands().test_demo_command(captured)
+
+
+def crash_severs_on(server_class):
+    def check(tmp_path):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            test_rpc.TestCrashInsideDispatch(
+            ).test_a_crash_in_an_isp_call_severs_the_connection(
+                monkeypatch, server_class
+            )
+    return check
+
+
+class TestCrashHygiene:
+    """PR 3 (``e1346d4``): ``V2fsAds.apply_writes`` caught
+    ``Exception`` around the trie lookup, so a corrupt trie or an
+    unknown digest read as "no such file".  The other rows drop the
+    re-raise of each ``except BaseException`` cleanup and of the
+    client's rollback, and widen the RPC error-frame handler to
+    ``BaseException`` (on both servers, which share it).
+
+    One mutant of the rule's sites is equivalent and has no row:
+    widening ``AsyncIspServer._worker_main``'s ``except Exception``
+    backstop changes nothing, because the clause above it already
+    catches ``SimulatedCrash``."""
+
+    ROWS = [
+        Mutant("unknown-digest-read-as-a-new-file", [replacing(
+            "repro.merkle.ads",
+            "            except FileNotFoundInStoreError:",
+            "            except Exception:",
+        )], lambda tmp_path: test_merkle_ads.TestWriteProofs(
+        ).test_a_missing_file_node_is_no_new_file()),
+        # The run goes on past the swallowed insert, and the enclave
+        # refuses the write proof of what it left.
+        Mutant("failed-insert-swallowed", [replacing(
+            "repro.db.btree",
+            "            self._insert(key, value, allow_duplicate)\n"
+            "        except BaseException:\n"
+            "            self._kept.clear()\n            raise\n",
+            "            self._insert(key, value, allow_duplicate)\n"
+            "        except BaseException:\n"
+            "            self._kept.clear()\n",
+        )], lambda tmp_path: test_core.TestCiHeldState(
+        ).test_a_failed_insert_still_drops_its_files_nodes(),
+            fails_with=(ProofError,)),
+        Mutant("failed-delete-swallowed", [replacing(
+            "repro.db.btree",
+            "            return self._delete(key)\n"
+            "        except BaseException:\n"
+            "            self._kept.clear()\n            raise\n",
+            "            return self._delete(key)\n"
+            "        except BaseException:\n"
+            "            self._kept.clear()\n",
+        )], lambda tmp_path: test_db_btree.TestKeptNode(
+        ).test_a_mangled_write_is_caught_on_the_next_load()),
+        Mutant("failed-pager-open-swallowed", [replacing(
+            "repro.db.pager",
+            "            self._file.close()\n            raise\n",
+            "            self._file.close()\n",
+        )], lambda tmp_path: test_db_statement_scope
+            .TestPagerConstructorClosesWhatItOpened()
+            .test_empty_without_create()),
+        # The query returns None, and its caller's unpacking raises.
+        Mutant("failed-query-rolled-back-and-swallowed", [replacing(
+            "repro.client.query_client",
+            "                except ReproError:\n                    pass\n"
+            "            raise\n",
+            "                except ReproError:\n                    pass\n",
+        )], demo_command, fails_with=(TypeError,)),
+        Mutant("crash-answered-as-an-error-frame-threaded", [replacing(
+            "repro.rpc.server",
+            "        except Exception as error:\n"
+            "            # A non-ReproError here",
+            "        except BaseException as error:\n"
+            "            # A non-ReproError here",
+        )], crash_severs_on("threaded")),
+        Mutant("crash-answered-as-an-error-frame-async", [replacing(
+            "repro.rpc.server",
+            "        except Exception as error:\n"
+            "            # A non-ReproError here",
+            "        except BaseException as error:\n"
+            "            # A non-ReproError here",
+        )], crash_severs_on("async")),
     ]
 
     @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)

@@ -5,7 +5,7 @@ private helpers inheriting their ``self.`` callers' locks), so
 alongside the usual one-offending/one-clean snippets these tests run
 multi-module programs via ``analyze_sources`` and drop every lock block
 of every module that declares a guarded field, one at a time (the
-shipped tree's strict self-check is
+shipped tree's self-check is
 ``test_analysis_rules.py::TestCliAndSelfCheck``).  Lock order is the
 runtime :class:`~repro.sanitize.runtime.SanLock` graph's job; its
 scenarios run here as armed code.
@@ -18,33 +18,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.concurrency import GuardedByRule
-from repro.analysis.core import (
-    analyze_source,
-    analyze_sources,
-    dotted,
-    parse_sources,
-    run_rules,
-    scan_directives,
-)
+from repro.analysis import analyze_contexts, analyze_source, analyze_sources
+from repro.analysis.core import dotted, parse_sources, scan_directives
 from repro.sanitize import runtime as san
 from repro.sanitize.runtime import SanLock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-RULES = (GuardedByRule(),)
 
 
 def lint(source, module="repro.fixture"):
-    return analyze_source(
-        textwrap.dedent(source), module=module, rules=RULES
-    )
+    return analyze_source(textwrap.dedent(source), module=module)
 
 
 def lint_many(*named):
     return analyze_sources(
         [(module, f"{module.replace('.', '/')}.py", textwrap.dedent(src))
-         for module, src in named],
-        rules=RULES,
+         for module, src in named]
     )
 
 
@@ -816,7 +805,7 @@ def guarded_by_findings(module, source):
     )
     assert not problems
     contexts += [shipped_context(m) for m in GUARDED_MODULES if m != module]
-    return run_rules(contexts, RULES)
+    return analyze_contexts(contexts)
 
 
 class TestFormerTrackerSites:

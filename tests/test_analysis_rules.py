@@ -1,20 +1,19 @@
 """Golden-fixture tests for the repro.analysis invariant checker.
 
-Offending and clean snippets for the per-module rule, the
-suppression machinery, reporter stability, and the CLI,
-including a self-check asserting the shipped tree lints clean under
-``--strict``.
+The ``# repro:`` directive grammar, the text report, and the CLI,
+including a self-check asserting the shipped tree lints clean.
+``guarded-by``'s own fixtures are ``test_analysis_concurrency.py``.
 """
 
-import json
 import re
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.core import analyze_source, module_name_for
-from repro.analysis.reporters import render_json, render_text
+from repro.analysis import analyze_source
+from repro.analysis.cli import render_text
+from repro.analysis.core import module_name_for
 from repro.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -25,152 +24,19 @@ def lint(source, module):
     return analyze_source(textwrap.dedent(source), module=module)
 
 
-def rules_fired(source, module):
-    return sorted({f.rule for f in lint(source, module)})
-
-
-# ----------------------------------------------------------------------
-# crash-hygiene
-# ----------------------------------------------------------------------
-
-
-class TestCrashHygiene:
-    def test_bare_except_fires_anywhere(self):
-        assert rules_fired(
-            """
-            def run(step):
-                try:
-                    step()
-                except:
-                    pass
-            """,
-            "repro.workloads.generator",
-        ) == ["crash-hygiene"]
-
-    def test_except_base_exception_fires(self):
-        assert rules_fired(
-            """
-            def run(step):
-                try:
-                    step()
-                except BaseException:
-                    return None
-            """,
-            "repro.workloads.generator",
-        ) == ["crash-hygiene"]
-
-    def test_bare_except_with_bare_reraise_is_clean(self):
-        assert rules_fired(
-            """
-            def run(step):
-                try:
-                    step()
-                except BaseException:
-                    cleanup()
-                    raise
-            """,
-            "repro.workloads.generator",
-        ) == []
-
-    def test_swallowed_exception_on_verification_path_fires(self):
-        assert rules_fired(
-            """
-            def verify(proof):
-                try:
-                    check(proof)
-                except Exception:
-                    return False
-            """,
-            "repro.merkle.ads",
-        ) == ["crash-hygiene"]
-
-    def test_reraising_exception_on_verification_path_is_clean(self):
-        assert rules_fired(
-            """
-            def verify(proof):
-                try:
-                    check(proof)
-                except Exception as error:
-                    raise ProofError(str(error))
-            """,
-            "repro.client.vfs",
-        ) == []
-
-    def test_swallowed_exception_off_verification_path_is_clean(self):
-        assert rules_fired(
-            """
-            def best_effort(step):
-                try:
-                    step()
-                except Exception:
-                    pass
-            """,
-            "repro.experiments.harness",
-        ) == []
-
-
-# ----------------------------------------------------------------------
-# suppressions
-# ----------------------------------------------------------------------
-
-#: A bare ``except:`` that swallows everything: one crash-hygiene error
-#: on its ``except`` line (line 5 of the dedented fixture).
+#: A guarded field written without its lock: one guarded-by error on
+#: the write (line 9 of the dedented fixture).
 OFFENDING = """
-def run(step):
-    try:
-        step()
-    except:{comment}
-        pass
+import threading
+
+class Table:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.rows = {}  # repro: guarded-by(_lock)
+
+    def put(self, key, row):
+        self.rows[key] = row
 """
-
-
-def offending(comment=""):
-    return OFFENDING.format(comment=comment)
-
-
-class TestSuppressions:
-    def test_suppression_with_rationale_silences_the_finding(self):
-        source = offending(
-            "  # repro: allow(crash-hygiene) -- fixture rationale"
-        )
-        assert lint(source, "repro.isp.server") == []
-
-    def test_suppression_without_rationale_is_itself_a_finding(self):
-        source = offending("  # repro: allow(crash-hygiene)")
-        assert rules_fired(source, "repro.isp.server") == [
-            "suppression-rationale"
-        ]
-
-    def test_standalone_suppression_covers_the_next_statement(self):
-        assert lint(
-            """
-            def run(step):
-                try:
-                    step()
-                # repro: allow(crash-hygiene) -- fixture rationale
-                # continuing the rationale on a second comment line.
-                except:
-                    pass
-            """,
-            "repro.isp.server",
-        ) == []
-
-    def test_unused_suppression_is_a_warning(self):
-        findings = lint(
-            "value = 1  # repro: allow(crash-hygiene) -- nothing here\n",
-            "repro.isp.server",
-        )
-        assert [(f.rule, f.severity) for f in findings] == [
-            ("unused-suppression", "warning")
-        ]
-
-    def test_syntax_in_a_string_literal_is_not_a_suppression(self):
-        findings = lint(
-            'DOC = "# repro: allow(crash-hygiene) -- quoted example"\n'
-            + offending(),
-            "repro.isp.server",
-        )
-        assert [f.rule for f in findings] == ["crash-hygiene"]
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +49,6 @@ class TestDirectiveGrammar:
         ("gaurded-by(_lock)", "guarded-by"),
         ("guarded_by(_lock)", "guarded-by"),
         ("gaurded(_lock)", "guarded-by"),
-        ("alow(typed-errors) -- why", "allow"),
     ])
     def test_misspelled_directive_is_an_error(self, typo, meant):
         # A typo must not silently switch the guard off.
@@ -195,8 +60,8 @@ class TestDirectiveGrammar:
             """,
             "repro.fixture",
         )
-        assert [(f.rule, f.severity, f.line) for f in findings] == [
-            ("unknown-directive", "error", 4)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("unknown-directive", 4)
         ]
         assert typo.split("(")[0].split()[0] in findings[0].message
         assert f"did you mean {meant!r}?" in findings[0].message
@@ -205,7 +70,7 @@ class TestDirectiveGrammar:
         "guarded-by(a,b,c)",
         "guarded-by(@)",
         "guarded-by",
-        "allow()",
+        "guarded-by()",
     ])
     def test_malformed_directive_is_an_error(self, directive):
         findings = lint(
@@ -215,14 +80,17 @@ class TestDirectiveGrammar:
         assert [f.rule for f in findings] == ["unknown-directive"]
         assert "malformed" in findings[0].message
 
-    def test_it_is_reported_whichever_rules_run(self):
-        from repro.analysis.rules import CrashHygieneRule
-
-        findings = analyze_source(
-            "value = 1  # repro: taint-sorce\n",
-            module="repro.fixture", rules=[CrashHygieneRule()],
+    def test_a_leftover_allow_is_an_error(self):
+        # Suppressions are gone: an allowance left in a comment must
+        # fail the lint, not read as if it still switched a rule off.
+        findings = lint(
+            "value = 1  # repro: allow(crash-hygiene) -- was a rationale\n",
+            "repro.fixture",
         )
-        assert [f.rule for f in findings] == ["unknown-directive"]
+        assert [(f.rule, f.line) for f in findings] == [
+            ("unknown-directive", 1)
+        ]
+        assert "'allow'" in findings[0].message
 
     def test_directive_quoted_in_a_string_is_not_checked(self):
         assert lint(
@@ -243,35 +111,19 @@ class TestDirectiveGrammar:
         directives, problems = scan_directives("<fixture>", source)
         assert problems == []
         assert [d.name for d in directives] == list(DIRECTIVES)
-        assert len(DIRECTIVES) == 2
+        assert list(DIRECTIVES) == ["guarded-by"]
 
 
 # ----------------------------------------------------------------------
-# reporters
+# the text report
 # ----------------------------------------------------------------------
 
 
 class TestReporters:
-    def findings(self):
-        return lint(offending(), "repro.isp.server")
-
-    def test_json_reporter_is_stable_and_sorted(self):
-        findings = self.findings()
-        first = render_json(list(reversed(findings)))
-        second = render_json(findings)
-        assert first == second
-        payload = json.loads(first)
-        rows = [
-            (f["path"], f["line"], f["rule"], f["message"])
-            for f in payload["findings"]
-        ]
-        assert rows == sorted(rows)
-        assert payload["errors"] == len(findings)
-
     def test_text_reporter_mentions_location_and_rule(self):
-        text = render_text(self.findings())
-        assert "<fixture>:5: [crash-hygiene]" in text
-        assert "1 error(s)" in text
+        text = render_text(lint(OFFENDING, "repro.fixture"))
+        assert "<fixture>:10: [guarded-by] write to Table.rows" in text
+        assert text.splitlines()[-1] == "1 finding(s)"
 
     def test_module_name_derivation(self):
         assert module_name_for(
@@ -287,74 +139,49 @@ class TestReporters:
 # ----------------------------------------------------------------------
 
 
-#: What ``--list-rules`` must name: the two rules whose defects no
-#: test catches at run time (DESIGN §6), and nothing else.
-RETAINED_RULES = {"crash-hygiene", "guarded-by"}
-
-
-def rogue_module(tmp_path, source=offending()):
+def rogue_module(tmp_path, source=OFFENDING):
     bad = tmp_path / "src" / "repro" / "db" / "rogue.py"
     bad.parent.mkdir(parents=True)
-    bad.write_text(source)
+    bad.write_text(textwrap.dedent(source))
     return bad
 
 
 class TestCliAndSelfCheck:
     def test_shipped_tree_is_strict_clean(self, capsys):
-        # The acceptance gate: zero non-suppressed findings on src/.
-        exit_code = main(["lint", "--strict", "--format=json", str(SRC)])
+        # The acceptance gate: no finding at all on src/.
+        exit_code = main(["lint", str(SRC)])
         output = capsys.readouterr().out
         assert exit_code == 0, output
-        assert json.loads(output) == {
-            "errors": 0, "findings": [], "warnings": 0,
-        }
+        assert output == "clean: no findings\n"
 
     def test_lint_finds_a_seeded_violation(self, tmp_path, capsys):
         bad = rogue_module(tmp_path)
         assert main(["lint", str(bad)]) == 1
-        assert "[crash-hygiene]" in capsys.readouterr().out
+        assert "[guarded-by]" in capsys.readouterr().out
 
-    def test_rule_filter_runs_only_the_named_rule(self, tmp_path, capsys):
-        bad = rogue_module(tmp_path)
-        assert main([
-            "lint", "--rule", "crash-hygiene", str(bad),
-        ]) == 1
-        capsys.readouterr()
-        # The violation belongs to crash-hygiene; a run filtered to a
-        # different rule must not see it.
-        assert main([
-            "lint", "--rule", "guarded-by", str(bad),
-        ]) == 0
+    def test_a_leftover_directive_fails_the_run(self, tmp_path, capsys):
+        bad = rogue_module(
+            tmp_path, "value = 1  # repro: allow(crash-hygiene) -- old\n"
+        )
+        assert main(["lint", str(bad)]) == 1
+        assert "[unknown-directive]" in capsys.readouterr().out
 
-    def test_rule_filter_skips_other_rules_suppressions(
-        self, tmp_path, capsys
-    ):
-        bad = rogue_module(tmp_path, offending(
-            "  # repro: allow(crash-hygiene) -- fixture swallows all"
-        ))
-        # The full run uses the suppression; a run filtered to another
-        # rule must neither apply it nor report it unused.
-        assert main(["lint", "--strict", str(bad)]) == 0
-        assert main([
-            "lint", "--strict", "--rule", "guarded-by", str(bad),
-        ]) == 0
+    def test_missing_path_is_a_usage_error(self, tmp_path, capsys):
+        assert main(["lint", str(tmp_path / "no-such-dir")]) == 2
+        assert "no such path" in capsys.readouterr().err
 
-    def test_unknown_rule_is_a_usage_error(self, capsys):
-        assert main(["lint", "--rule", "no-such-rule", str(SRC)]) == 2
-        assert "unknown rule" in capsys.readouterr().err
+    @pytest.mark.parametrize("option", [
+        "--strict", "--format=json", "--rule=guarded-by", "--list-rules",
+    ])
+    def test_lint_takes_no_option(self, option, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", option, str(SRC)])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_list_rules_names_exactly_the_retained_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
-        output = capsys.readouterr().out
-        listed = {
-            line.split()[0] for line in output.splitlines()
-            if line and not line.startswith(" ")
-        }
-        assert listed == RETAINED_RULES
-
-    def test_help_documents_the_suppression_syntax(self, capsys):
+    def test_help_documents_the_directive_grammar(self, capsys):
         with pytest.raises(SystemExit):
             main(["lint", "--help"])
         output = capsys.readouterr().out
-        assert "repro: allow(" in output
-        assert "rationale" in output
+        assert "# repro: guarded-by(<lock>" in output
+        assert "retired" in output

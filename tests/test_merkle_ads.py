@@ -171,6 +171,19 @@ class TestWriteProofs:
                 {"/db/main.tbl": (6 * 4096, 6)},
             )
 
+    def test_a_missing_file_node_is_no_new_file(self):
+        # PR 3's defect: a trie node missing from the store read as "no
+        # such file", so the write started the file from an empty page
+        # tree and certified a root without its other pages.
+        ads, root = build_ads()
+        db = ads.store.get_dir(ads.store.get_dir(root).child_digest("db"))
+        del ads.store._nodes[db.child_digest("main.tbl")]
+        with pytest.raises(StorageError, match="unknown node digest"):
+            ads.apply_writes(
+                root, {"/db/main.tbl": {0: b"x"}},
+                {"/db/main.tbl": 6 * 4096},
+            )
+
     def test_missing_metadata_rejected(self):
         ads, root = build_ads()
         proof = ads.gen_write_proof(root, {"/db/main.tbl": {0}})

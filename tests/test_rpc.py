@@ -557,6 +557,39 @@ class TestAdmissionLeakRegression:
             faults.reset()
 
 
+class TestCrashInsideDispatch:
+    """A ``SimulatedCrash`` raised by an ISP call is a modeled power
+    loss, not a handler failure: it severs the connection on both
+    servers.  The error-frame handler catches ``Exception`` only, so the
+    crash never reaches the client as a RESP_ERROR saying "internal
+    server error"."""
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    @pytest.mark.parametrize("server_class", ["threaded", "async"])
+    def test_a_crash_in_an_isp_call_severs_the_connection(
+        self, monkeypatch, server_class
+    ):
+        from repro.faults.registry import SimulatedCrash
+        from repro.rpc import codec
+        from repro.serve.server import AsyncIspServer
+
+        def crash(expected_version):
+            raise SimulatedCrash("power lost inside open_session")
+
+        system = build_system(hours=1, txs_per_block=2)
+        server = serve_system(system, server_class={
+            "threaded": RpcIspServer, "async": AsyncIspServer,
+        }[server_class])
+        monkeypatch.setattr(system.isp, "open_session", crash)
+        with server:
+            with socket.create_connection(server.address, timeout=5) as sock:
+                codec.send_frame(sock, codec.encode_open_session(None))
+                assert sock.recv(1 << 16) == b""  # severed, no error frame
+            assert server._pending == 0
+
+
 class TestServiceDelayOffDispatchLock:
     """PR 9 satellite: the modeled storage sleep serializes on its own
     spindle lock, not the dispatch lock — control-plane operations must

@@ -33,6 +33,7 @@ from repro.core import certificate as certificate_module
 from repro.core.certificate import V2fsCertificate
 from repro.core.system import SystemConfig, V2FSSystem
 from repro.crypto.signature import KeyPair, Signature, sign
+from repro.db import btree
 from repro.errors import (
     CertificateError,
     ChainError,
@@ -519,9 +520,23 @@ class TestEquivocation:
         self, six_hours, path, mode, options
     ):
         system, isp, sql = six_hours, six_hours.isp, self.SELF_JOIN
+        ads, root = isp.ads, isp.root
+        assert sorted(
+            ads.get_page(root, TABLE, pid)[0]
+            for pid in range(1, ads.file_node(root, TABLE).page_count)
+        ) == [btree._LEAF, btree._LEAF, btree._INTERNAL], (
+            "precondition not met: the table is not two leaves under a root"
+        )
         expected = oracle(system, sql)
         with client_of(system, path, mode, **options) as client:
+            asked = len(isp.asked)
             assert client.query(sql).rows == expected
+            requests = [args[:3] for answer, args in isp.asked[asked:]
+                        if answer == "get_page" and args[1] == TABLE]
+            assert len(set(requests)) < len(requests), (
+                "precondition not met: the honest query asks for no page "
+                "of the table twice in one session"
+            )
             second_responses = 0
             for move, seed in self.FORGERIES:
                 isp.arm(move, FIRST_PER_SESSION, seed)
@@ -1194,8 +1209,6 @@ class TestMaliciousCiStorage:
         serves that page as it was a block earlier.  The held node is
         keyed on other bytes, so the stale page is decoded as read, and
         the read proof refuses it."""
-        from repro.db import btree
-
         system = build_system(1)
         ci = system.ci
         system.advance_block("eth")

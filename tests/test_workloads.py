@@ -1,5 +1,11 @@
 """Tests for query templates and workload generation."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.chain.datagen import Universe
@@ -80,3 +86,39 @@ class TestGenerator:
     def test_workload_dataclass(self):
         workload = Workload(name="x", queries=["SELECT 1"])
         assert len(workload) == 1
+
+
+#: Builds a small system and renders every template once; prints the
+#: certified ADS root and the SQL text.
+SEEDED_RUN = """
+import json
+from repro.experiments.harness import build_env
+from repro.workloads.queries import QUERY_TEMPLATES
+
+env = build_env(hours=2, txs_per_block=3, queries_per_workload=2,
+                use_cache=False)
+print(json.dumps({
+    "ads_root": env.system.isp.get_certificate().ads_root.hex(),
+    "sql": [sql for name in sorted(QUERY_TEMPLATES)
+            for hours in (1, 1.5)
+            for sql in env.generator.workload(name, hours).queries],
+}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_data_and_queries_do_not_depend_on_the_hash_seed(self):
+        """Generated history and workloads are seeded by value: a
+        process's string-hash salt changes neither the certified root
+        nor a query's text."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        runs = []
+        for hash_seed in ("0", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", SEEDED_RUN], env=env,
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            runs.append(json.loads(done.stdout))
+        assert runs[0]["ads_root"] == runs[1]["ads_root"]
+        assert runs[0]["sql"] == runs[1]["sql"]
