@@ -17,6 +17,7 @@ from typing import (
     Sequence,
 )
 
+from repro.db.btree import key_tuple
 from repro.db.plan.expressions import Compiled, Schema
 from repro.db.plan.sorter import ReverseKey, external_sort
 from repro.db.types import SqlValue, sort_key
@@ -122,12 +123,12 @@ class MaterializedJoin(Operator):
         for outer_row in self._outer.rows():
             matched = False
             for inner_row in inner_rows:
-                combined = list(outer_row) + inner_row
+                combined = [*outer_row, *inner_row]
                 if keep(combined):
                     matched = True
                     yield combined
             if self._left_outer and not matched:
-                yield list(outer_row) + [None] * inner_width
+                yield [*outer_row, *[None] * inner_width]
 
 
 class IndexJoin(Operator):
@@ -163,12 +164,12 @@ class IndexJoin(Operator):
             matched = False
             if key is not None:
                 for inner_row in self._lookup(key):
-                    combined = list(outer_row) + list(inner_row)
+                    combined = [*outer_row, *inner_row]
                     if self._residual is None or self._residual(combined):
                         matched = True
                         yield combined
             if self._left_outer and not matched:
-                yield list(outer_row) + [None] * self._inner_width
+                yield [*outer_row, *[None] * self._inner_width]
 
 
 class AggSpec:
@@ -259,7 +260,7 @@ class Aggregate(Operator):
         order: List[tuple] = []
         for row in self._child.rows():
             key_values = [fn(row) for fn in self._group_fns]
-            key = tuple(sort_key(v) for v in key_values)
+            key = key_tuple(key_values)
             state = groups.get(key)
             if state is None:
                 state = (key_values,
@@ -321,16 +322,21 @@ class Limit(Operator):
         self._offset = offset
 
     def rows(self) -> Iterator[Row]:
+        """Stops as its last row is taken, not one child row later: a
+        row it would drop can cost page reads."""
+        limit = self._limit
+        if limit is not None and limit <= 0:
+            return
         produced = 0
         skipped = 0
         for row in self._child.rows():
             if skipped < self._offset:
                 skipped += 1
                 continue
-            if self._limit is not None and produced >= self._limit:
-                return
-            produced += 1
             yield row
+            produced += 1
+            if produced == limit:
+                return
 
 
 class Distinct(Operator):
@@ -341,7 +347,7 @@ class Distinct(Operator):
     def rows(self) -> Iterator[Row]:
         seen = set()
         for row in self._child.rows():
-            key = tuple(sort_key(v) for v in row)
+            key = key_tuple(row)
             if key in seen:
                 continue
             seen.add(key)
@@ -369,7 +375,7 @@ class Union(Operator):
         seen = set()
         for source in (self._left, self._right):
             for row in source.rows():
-                key = tuple(sort_key(v) for v in row)
+                key = key_tuple(row)
                 if key in seen:
                     continue
                 seen.add(key)

@@ -3,11 +3,14 @@ tree — opened on first use, closed on every way out, and never a leaf
 that a write in the same statement has made stale."""
 
 import sqlite3
+from itertools import islice
 
 import pytest
 
 from repro.db import Engine
 from repro.db.pager import PAGE_CONTENT_SIZE, Pager, seal_page
+from repro.db.plan.planner import plan_select
+from repro.db.sql.parser import parse_statement
 from repro.errors import ReproError, StorageError, TornPageError
 from repro.obs import REGISTRY
 from repro.vfs.local import LocalFilesystem
@@ -75,6 +78,35 @@ class TestEveryExitCloses:
         assert delta["pager.flush"] == delta["db.pager.opened"] == 2
         assert (delta["vfs.read_page"]
                 == delta["pager.read_page"] + delta["pager.flush"])
+
+    def test_limit_reads_nothing_past_its_last_row(self):
+        """``LIMIT k`` reads what taking ``k`` rows off the unlimited
+        plan reads: it does not pull a row it would drop, whose table
+        page may be one the answer never needed."""
+        engine = indexed_engine()
+        query = "SELECT b FROM t WHERE a = 4"
+
+        def reads(take):
+            before = REGISTRY.counters_snapshot()
+            rows = take()
+            delta = REGISTRY.counters_delta(before)
+            return rows, delta.get("pager.read_page", 0)
+
+        def taken(count):
+            with engine._statement():
+                plan, _ = plan_select(parse_statement(query), engine)
+                return [tuple(row) for row in islice(plan.rows(), count)]
+
+        assert reads(lambda: engine.execute(f"{query} LIMIT 0").rows) == (
+            [], 0)
+        moved = 0
+        for count in range(1, 40):
+            limited = reads(
+                lambda: engine.execute(f"{query} LIMIT {count}").rows)
+            assert limited == reads(lambda: taken(count))
+            moved += limited[1] != reads(lambda: taken(count + 1))[1]
+        # Some row past a limit sits on a table page not read before it.
+        assert moved > 0
 
     def test_second_file_failing_to_open_closes_the_first(self):
         """The index opens, the table it points into does not: the
