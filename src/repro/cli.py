@@ -16,13 +16,12 @@ Four commands cover the zero-to-aha path:
 * ``chaos`` — the concurrency stress run
   (:func:`repro.faults.chaos.run_concurrent_chaos`): it serves a
   live-ingesting ISP to concurrent RPC clients with the
-  :mod:`repro.sanitize` lock-order checker armed and fails on any
-  lock-order report or client error;
+  :mod:`repro.sanitize` checker armed and fails on any report (lock
+  order, blocking under a lock, unguarded field access) or client
+  error;
 * ``metrics`` — inspect the :mod:`repro.obs` layer: list the scope
   catalog, validate an exported document, or run a small instrumented
-  workload and dump its counters;
-* ``lint`` — run the :mod:`repro.analysis` ``guarded-by`` check over
-  the source tree (paths only; exit 1 on any finding).
+  workload and dump its counters.
 
 Crash recovery at every failpoint is not a CLI command: it is the fault
 machine in ``tests/test_stateful.py`` (system side) and
@@ -313,12 +312,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run
-
-    return run(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -464,19 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--trace-out", metavar="FILE", default=None,
                          help="write buffered trace events as JSON lines")
     metrics.set_defaults(handler=cmd_metrics)
-
-    lint = commands.add_parser(
-        "lint",
-        help="statically check the V2FS soundness invariants",
-        description=(
-            "Run the repro.analysis guarded-by check over the source "
-            "tree; it takes only paths."
-        ),
-    )
-    from repro.analysis.cli import configure_parser as _configure_lint
-
-    _configure_lint(lint)
-    lint.set_defaults(handler=cmd_lint)
 
     return parser
 

@@ -101,7 +101,6 @@ class V2fsCertificateIssuer:
         pow_params: Optional[Dict[str, SimulatedPoW]] = None,
         use_sgx: bool = True,
         vbf_slots: int = 100_000,
-        vbf_hashes: int = 5,
         platform_seed: bytes = b"platform-0",
     ) -> None:
         from repro.vbf.versioned_bloom import VersionedBloomFilter
@@ -120,7 +119,7 @@ class V2fsCertificateIssuer:
             self.enclave, self.storage, lambda: self.storage_root
         )
         # Enclave-resident state.
-        self._vbf = VersionedBloomFilter(vbf_slots, vbf_hashes)
+        self._vbf = VersionedBloomFilter(vbf_slots)
         self._certificate: Optional[V2fsCertificate] = None
         self._retain_roots: List = [self.storage_root]
         #: The write path's decoded nodes, keyed on their exact page

@@ -80,24 +80,26 @@ def ingest_block(engine: Engine, block: Block) -> None:
         engine.insert_rows(table, ordered)
 
 
+#: Simulated seconds between two blocks of one chain: one block per hour,
+#: so the paper's 3-48 h query windows span 3-48 blocks.
+BLOCK_INTERVAL_S = 3600
+
+
 @dataclass
 class SystemConfig:
     """Knobs for building a system instance.
 
     The defaults are the laptop-scale equivalent of the paper's setup:
-    one block per simulated hour per chain (so the paper's 3-48 h query
-    windows span 3-48 blocks), a dozen transactions per block, and a
-    VBF sized for the scaled page population (the paper's 100,000-slot
-    filter is configurable).
+    a dozen transactions per block (one block per simulated hour per
+    chain, :data:`BLOCK_INTERVAL_S`), and a VBF sized for the scaled
+    page population (the paper's 100,000-slot filter is configurable).
     """
 
     seed: int = 7
     txs_per_block: int = 12
-    block_interval_s: int = 3600
     start_time: int = DEFAULT_START_TIME
     use_sgx: bool = True
     vbf_slots: int = 8192
-    vbf_hashes: int = 5
     network: NetworkCostModel = field(default_factory=NetworkCostModel)
 
 
@@ -119,7 +121,7 @@ class V2FSSystem:
             ),
         }
         for generator in self.generators.values():
-            generator.block_interval_s = cfg.block_interval_s
+            generator.block_interval_s = BLOCK_INTERVAL_S
         self.chains = {
             chain_id: generator.chain
             for chain_id, generator in self.generators.items()
@@ -138,7 +140,6 @@ class V2FSSystem:
             },
             use_sgx=cfg.use_sgx,
             vbf_slots=cfg.vbf_slots,
-            vbf_hashes=cfg.vbf_hashes,
         )
         self.isp = IspServer()
         self.attestation = AttestationService()

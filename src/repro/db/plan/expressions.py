@@ -137,7 +137,31 @@ def _memoized_date(arg: Compiled) -> Compiled:
     return date
 
 
+#: Every scalar function and its ``(fewest, most)`` arguments (``None``:
+#: no upper bound), checked when a call is compiled, as ``sqlite3``
+#: refuses ``abs()`` or ``coalesce(1)`` before any row.  ``CAST(x AS T)``
+#: parses to ``CAST_T``, so a type not listed is refused here too.
+SCALAR_ARITY: Dict[str, Tuple[int, Optional[int]]] = {
+    "ABS": (1, 1), "LENGTH": (1, 1), "LOWER": (1, 1), "UPPER": (1, 1),
+    "DATE": (1, 1), "ROUND": (1, 2), "SUBSTR": (2, 3),
+    "COALESCE": (2, None), "CAST_INTEGER": (1, 1), "CAST_INT": (1, 1),
+    "CAST_REAL": (1, 1), "CAST_TEXT": (1, 1),
+}
+
+
+def _check_arity(name: str, count: int) -> None:
+    if name not in SCALAR_ARITY:
+        raise SQLExecutionError(f"unknown function {name}()")
+    fewest, most = SCALAR_ARITY[name]
+    if count < fewest or (most is not None and count > most):
+        wanted = ("exactly one argument" if fewest == most == 1
+                  else f"at least {fewest} arguments" if most is None
+                  else f"{fewest} to {most} arguments")
+        raise SQLExecutionError(f"{name}() takes {wanted}, not {count}")
+
+
 def _scalar_function(name: str, args: List[SqlValue]) -> SqlValue:
+    """One call of a function whose arity :func:`_check_arity` passed."""
     if name == "ABS":
         return None if args[0] is None else abs(args[0])
     if name == "LENGTH":
@@ -160,7 +184,7 @@ def _scalar_function(name: str, args: List[SqlValue]) -> SqlValue:
         if args[0] is None:
             return None
         text = str(args[0])
-        start = int(args[1]) - 1 if len(args) > 1 else 0
+        start = int(args[1]) - 1
         if len(args) > 2:
             return text[start:start + int(args[2])]
         return text[start:]
@@ -242,9 +266,8 @@ def compile_expr(
             )
         arg_fns = [compile_expr(a, schema, subqueries) for a in expr.args]
         name = expr.name
+        _check_arity(name, len(arg_fns))
         if name == "DATE":
-            if len(arg_fns) != 1:
-                raise SQLExecutionError("DATE() takes exactly one argument")
             return _memoized_date(arg_fns[0])
         return lambda row: _scalar_function(name, [f(row) for f in arg_fns])
     if isinstance(expr, ast.InList):

@@ -128,5 +128,6 @@ class EpochError(FleetError):
 
 
 class SanitizerError(ReproError):
-    """The runtime lock-order checker accumulated reports (lock-order
-    inversions) that the caller asserted could not occur."""
+    """The runtime concurrency checker accumulated reports that the
+    caller asserted could not occur, or a ``guarded_by`` declaration
+    names an attribute that is no ``SanLock``."""

@@ -5,8 +5,9 @@ threads over the real RPC loopback while an ingest thread publishes
 blocks through ``sync_update`` (the paper's Fig. 13b interference
 experiment as a correctness test, not a benchmark).  No failpoints are
 armed — the adversary here is the thread scheduler.  Run with the
-:mod:`repro.sanitize` lock-order checker armed it must produce **zero**
-lock-order reports, and the order edges it observes are returned for
+:mod:`repro.sanitize` checker armed it must produce **zero** reports
+(lock order, blocking under a lock, unguarded access to a declared
+field), and the order edges it observes are returned for
 comparison with DESIGN §8; run disarmed it must produce the **same
 final query results** (ingestion is a deterministic function of the
 seed, so the end state is interleaving-independent).
@@ -85,8 +86,9 @@ def run_concurrent_chaos(
 ) -> Dict[str, Any]:
     """N querying threads vs. a live-ingesting ISP over real sockets.
 
-    Arms the :mod:`repro.sanitize` lock-order checker when ``armed``:
-    every SanLock acquisition feeds the name-level order graph.
+    Arms the :mod:`repro.sanitize` checker when ``armed``: every
+    SanLock acquisition feeds the name-level order graph, and every
+    declared field access is checked against its lock.
     Returns a result dict; the harness itself asserts nothing, so
     callers can compare armed and disarmed runs::
 

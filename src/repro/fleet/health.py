@@ -34,7 +34,7 @@ from repro.errors import ReproError
 from repro.faults import registry as faults
 from repro.faults.registry import InjectedFault
 from repro.obs import metrics as obs
-from repro.sanitize.runtime import SanLock
+from repro.sanitize.runtime import SanLock, guarded_by
 
 logger = logging.getLogger("repro.fleet")
 
@@ -57,6 +57,7 @@ class EndpointHealth:
         self.probes = 0
 
 
+@guarded_by(_probes="_lock", _records="_lock")
 class HealthTracker:
     """Consecutive-miss health verdicts over registered probes."""
 
@@ -72,8 +73,8 @@ class HealthTracker:
         self.on_down = on_down
         self.on_up = on_up
         self._lock = SanLock("fleet.health")
-        self._probes: Dict[str, ProbeFn] = {}  # repro: guarded-by(_lock)
-        self._records: Dict[str, EndpointHealth] = {}  # repro: guarded-by(_lock)
+        self._probes: Dict[str, ProbeFn] = {}
+        self._records: Dict[str, EndpointHealth] = {}
         self._thread: Optional[threading.Thread] = None
         self._running = threading.Event()
         self._stop_gate = threading.Event()

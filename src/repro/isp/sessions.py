@@ -22,13 +22,14 @@ local root, simply never call it).
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.crypto.hashing import Digest
 from repro.obs import metrics as obs
-from repro.sanitize.runtime import SanLock
+from repro.sanitize.runtime import SanLock, guarded_by
 
 
+@guarded_by(_sessions=("_lock", "writes"))
 class SessionRegistry:
     """A lock-guarded session table with open/finalize accounting.
 
@@ -41,7 +42,7 @@ class SessionRegistry:
     def __init__(self, lock_name: str, scope: str) -> None:
         self._lock = SanLock(lock_name)
         self._scope = scope
-        self._sessions: Dict[int, object] = {}  # repro: guarded-by(_lock, writes)
+        self._sessions: Dict[int, object] = {}
         self._ids = itertools.count(1)
 
     @property

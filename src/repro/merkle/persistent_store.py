@@ -34,7 +34,7 @@ from repro.merkle.node_store import (
     PairNode,
 )
 from repro.obs import metrics as obs
-from repro.sanitize.runtime import SanLock
+from repro.sanitize.runtime import SanLock, guarded_by
 from repro.wire import Reader, Writer
 
 _KIND_PAIR = 1
@@ -117,6 +117,8 @@ def _decode_node(kind: int, payload: bytes) -> Node:
     return node
 
 
+@guarded_by(_offsets="_lock", _cache="_lock", _log="_lock",
+            _durable_size="_lock")
 class PersistentNodeStore(NodeStore):
     """A :class:`NodeStore` whose nodes live in an append-only log file.
 
@@ -156,8 +158,8 @@ class PersistentNodeStore(NodeStore):
         self._lock = SanLock(
             "store.pages", reentrant=True, may_block=("fsync",)
         )
-        self._offsets: Dict[Digest, int] = {}  # repro: guarded-by(_lock)
-        self._cache: Dict[Digest, Node] = {}  # repro: guarded-by(_lock)
+        self._offsets: Dict[Digest, int] = {}
+        self._cache: Dict[Digest, Node] = {}
         self._cache_limit = cache_nodes
         stale_temp = path + ".compact"
         if os.path.exists(stale_temp):
@@ -167,11 +169,12 @@ class PersistentNodeStore(NodeStore):
             )
             os.remove(stale_temp)
         mode = "r+b" if os.path.exists(path) else "w+b"
-        with self._lock:
-            self._log = open(path, mode)  # repro: guarded-by(_lock)
-            self._scan()
-            # Everything that survived the scan is on disk already.
-            self._durable_size = self._end_offset()  # repro: guarded-by(_lock)
+        # No lock: no other thread can see the store before __init__
+        # returns.
+        self._log = open(path, mode)
+        self._scan()
+        # Everything that survived the scan is on disk already.
+        self._durable_size = self._end_offset()
 
     # -- log management ---------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms, timers.
+"""Process-wide metrics registry: counters, gauges and histograms.
 
 Every count the paper's figures are built from — pages requested, VO
 bytes shipped, cache hits, OCalls charged — flows through one
@@ -15,8 +15,6 @@ Usage mirrors the failpoint registry::
     obs.add("client.vo.bytes", vo_bytes)    # counter += n
     obs.observe("isp.vo.bytes", vo_bytes)   # histogram sample
     obs.set_gauge("store.nodes", count)     # last-value gauge
-    with obs.timed("client.query.latency_s"):
-        ...                                 # monotonic timer -> histogram
     obs.event("isp.sync_update", version=3) # ring-buffer trace event
 
 Hot paths guard with ``if obs.ACTIVE:`` exactly like ``faults.ACTIVE``;
@@ -29,8 +27,8 @@ read-modify-write under the GIL can still lose increments between
 bytecodes.  The instrument *map* is guarded by the registry's
 :class:`~repro.sanitize.runtime.SanLock` for writes only — steady-state
 lookups are lock-free dict reads, which is safe because instruments are
-created once and never replaced (see the ``guarded-by`` annotation the
-static analyzer enforces).
+created once and never replaced (the ``guarded_by`` declaration, which
+the armed :mod:`repro.sanitize` checker enforces).
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import catalog
 from repro.obs.trace import TraceBuffer
-from repro.sanitize.runtime import SanLock
+from repro.sanitize.runtime import SanLock, guarded_by
 
 #: Fast module-level gate mirroring the process-wide registry's enabled
 #: flag (kept in sync by :func:`enable`/:func:`disable`).
@@ -165,38 +163,7 @@ class Histogram:
             }
 
 
-class _Timed:
-    """Context manager feeding a monotonic duration into a histogram."""
-
-    __slots__ = ("_histogram", "_started")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._started = 0.0
-
-    def __enter__(self) -> "_Timed":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._histogram.observe(time.perf_counter() - self._started)
-
-
-class _NoopTimed:
-    """Shared do-nothing timer handed out while disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopTimed":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        pass
-
-
-_NOOP_TIMED = _NoopTimed()
-
-
+@guarded_by(_instruments=("_lock", "writes"))
 class MetricsRegistry:
     """Named instruments plus a trace ring, instantiable per test."""
 
@@ -205,7 +172,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self.trace = TraceBuffer(trace_capacity)
         self._lock = SanLock("obs.registry")
-        self._instruments: Dict[str, Any] = {}  # repro: guarded-by(_lock, writes)
+        self._instruments: Dict[str, Any] = {}
 
     # -- instrument creation (locked; lookups are lock-free) -----------
 
@@ -266,11 +233,6 @@ class MetricsRegistry:
                 instrument.observe(value)
             else:
                 self.histogram(name).observe(value)
-
-    def timed(self, name: str) -> Any:
-        if not self.enabled:
-            return _NOOP_TIMED
-        return _Timed(self.histogram(name))
 
     def event(self, name: str, **fields: Any) -> None:
         if self.enabled:
@@ -438,7 +400,6 @@ add = inc
 
 set_gauge = REGISTRY.set_gauge
 observe = REGISTRY.observe
-timed = REGISTRY.timed
 event = REGISTRY.event
 
 

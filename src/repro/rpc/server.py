@@ -49,7 +49,7 @@ from repro.isp.server import IspServer
 from repro.obs import metrics as obs
 from repro.rpc import codec
 from repro.rpc.deadline import Deadline
-from repro.sanitize.runtime import SanLock
+from repro.sanitize.runtime import SanLock, guarded_by
 from repro.sgx.attestation import AttestationReport
 
 logger = logging.getLogger("repro.rpc")
@@ -97,6 +97,8 @@ class _Admitted(NamedTuple):
     deadline: Optional[Deadline]
 
 
+@guarded_by(_pending="_admission_lock", _connections="_conn_lock",
+            _threads="_conn_lock")
 class RpcIspServer:
     """Serve one ISP to many concurrent clients over TCP."""
 
@@ -142,15 +144,15 @@ class RpcIspServer:
         #: Backpressure hint attached to shed responses (seconds).
         self.shed_retry_after_s = 0.05
         self._admission_lock = SanLock("rpc.admission")
-        self._pending = 0  # repro: guarded-by(_admission_lock)
+        self._pending = 0
         self._host = host
         self._port = port
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._running = threading.Event()
         self._conn_lock = SanLock("rpc.conns")
-        self._connections: List[socket.socket] = []  # repro: guarded-by(_conn_lock)
-        self._threads: List[threading.Thread] = []  # repro: guarded-by(_conn_lock)
+        self._connections: List[socket.socket] = []
+        self._threads: List[threading.Thread] = []
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -1,26 +1,26 @@
-"""``repro.sanitize`` — the runtime lock checker.
+"""``repro.sanitize`` — the runtime concurrency checker.
 
 The ISP serves many clients concurrently while ``sync_update`` ingests
 new blocks (the paper's Fig. 13b measures exactly this interference),
 so concurrency correctness is a soundness property, not a performance
-nicety.  Each of its properties has one checker, the one that sees the
-serving path (DESIGN §8):
+nicety.  One checker, :mod:`repro.sanitize.runtime`, holds its three
+properties on the serving path (DESIGN §8).  Every serving lock is a
+:class:`SanLock`, and while armed (the concurrent stress run,
+``python -m repro chaos``, and the armed tests):
 
-* **lock order** and **blocking under a lock** —
-  :mod:`repro.sanitize.runtime`: every serving lock is a
-  :class:`SanLock`, and while armed (the concurrent stress run,
-  ``python -m repro chaos``) the name-level order graph is built from
-  the acquisitions that actually happen, and a ``time.sleep`` or
-  ``os.fsync`` made with a lock held is checked against what that lock
-  allows; a cycle or a blocked holder is reported with its stacks;
-* **annotated shared fields** — the static ``guarded-by`` rule in
-  :mod:`repro.analysis.concurrency` (``python -m repro lint``) checks,
-  one class at a time, that every access to a
-  ``# repro: guarded-by(<lock>)`` field is its own class's, made with
-  that lock held.
+* **lock order** — the name-level order graph is built from the
+  acquisitions that actually happen, and a cycle is reported with its
+  stacks;
+* **blocking under a lock** — a ``time.sleep`` or ``os.fsync`` made with
+  a lock held is checked against what that lock allows;
+* **guarded fields** — each field a class declares with
+  :func:`guarded_by` is touched only by the instance's own methods with
+  the declared lock held (or under its ``__init__``); ``writes`` mode
+  exempts reads.
 
 Disarmed — the shipped default — a :class:`SanLock` costs one
-module-attribute load and a branch over the stdlib lock it wraps.
+module-attribute load and a branch over the stdlib lock it wraps, and
+no guarded class carries a descriptor.
 """
 
 from repro.sanitize.runtime import (
@@ -30,6 +30,7 @@ from repro.sanitize.runtime import (
     arm,
     assert_clean,
     disarm,
+    guarded_by,
     order_edges,
     reports,
     reset,
@@ -42,6 +43,7 @@ __all__ = [
     "arm",
     "assert_clean",
     "disarm",
+    "guarded_by",
     "order_edges",
     "reports",
     "reset",

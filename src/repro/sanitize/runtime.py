@@ -1,31 +1,37 @@
-"""Runtime lock checker for the threaded serving path.
+"""Runtime concurrency checker for the threaded serving path.
 
-The static ``guarded-by`` rule (:mod:`repro.analysis.concurrency`)
-proves which lock protects each annotated shared field; this module
-watches what the static call graph cannot see: the order in which the
-serving path *actually* takes its locks, and whether a lock holder
-blocks.  The RPC server reaches the ISP through
-``getattr(self.isp, op)``, so no static edge leads from ``rpc.server``
-to the locks below it; at runtime every such nesting is observed
-directly.
+It checks three properties of the serving path's locks, each on the
+accesses and acquisitions that actually happen.  The RPC server reaches
+the ISP through ``getattr(self.isp, op)``, so no static edge leads from
+``rpc.server`` to the locks below it; at runtime every such nesting is
+observed directly.
 
-:class:`SanLock` is an instrumented mutex.  While the checker is armed
-it maintains a per-thread held-lock stack and a global lock-*order*
-graph over lock names (an edge ``A -> B`` whenever ``B`` is acquired
-with ``A`` held).  An acquisition that closes a cycle in the order
-graph is reported as a potential deadlock — with the stack of the
-current acquisition *and* the remembered stack of the reversed edge —
-without actually deadlocking the test.  :func:`order_edges` reads the
-observed graph so a stress run can be compared with the order DESIGN
-§8 declares.  While armed, ``time.sleep`` and ``os.fsync`` are wrapped
-too: one called with a :class:`SanLock` held is reported, unless that
-lock names the call in ``may_block`` (the spindle lock's modeled sleep,
-the node store's group-commit fsyncs) — a blocked holder stalls every
-handler thread queued on its lock.
+* **Lock order.**  :class:`SanLock` is an instrumented mutex.  While the
+  checker is armed it maintains a per-thread held-lock stack and a
+  global lock-*order* graph over lock names (an edge ``A -> B`` whenever
+  ``B`` is acquired with ``A`` held).  An acquisition that closes a
+  cycle in the order graph is reported as a potential deadlock — with
+  the stack of the current acquisition *and* the remembered stack of
+  the reversed edge — without actually deadlocking the test.
+  :func:`order_edges` reads the observed graph so a stress run can be
+  compared with the order DESIGN §8 declares.
+* **Blocking under a lock.**  While armed, ``time.sleep`` and
+  ``os.fsync`` are wrapped: one called with a :class:`SanLock` held is
+  reported, unless that lock names the call in ``may_block`` (the
+  spindle lock's modeled sleep, the node store's group-commit fsyncs) —
+  a blocked holder stalls every handler thread queued on its lock.
+* **Guarded fields.**  A class declares which :class:`SanLock` guards
+  each shared field with :func:`guarded_by`.  While armed, each declared
+  field is a data descriptor on its class, and an access is reported
+  (``unguarded-access``) when it comes from a frame whose ``self`` is
+  not the instance, or when the calling thread does not hold the
+  declared lock and the instance's own ``__init__`` is not on the
+  stack.  A ``writes``-mode field is handed out through a forwarding
+  view: reads pass, a mutation or an iteration is checked.
 
 Everything is **zero-cost when disarmed**: a disarmed :class:`SanLock`
 delegates straight to the underlying :class:`threading.Lock` after one
-:data:`ACTIVE` check.
+:data:`ACTIVE` check, and no guarded class carries a descriptor.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import os
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import SanitizerError
 
@@ -78,16 +84,18 @@ def _capture_stack() -> Tuple[str, ...]:
 
 
 class SanitizerReport:
-    """One lock-order or blocking finding, with every involved stack."""
+    """One lock-order, blocking or guarded-field finding, with every
+    involved stack."""
 
     KIND_LOCK_ORDER = "lock-order-inversion"
     KIND_BLOCKING = "blocking-under-lock"
+    KIND_UNGUARDED = "unguarded-access"
 
     def __init__(self, kind: str, subject: str, detail: str,
                  stacks: List[Tuple[str, Tuple[str, ...]]]) -> None:
         self.kind = kind
-        #: What the report is about: the ``A -> B -> A`` cycle, or the
-        #: ``sleep under A`` call.
+        #: What the report is about: the ``A -> B -> A`` cycle, the
+        #: ``sleep under A`` call, or the ``write to C.f in m`` access.
         self.subject = subject
         self.detail = detail
         #: ``(label, frames)`` pairs — every side of the conflict.
@@ -107,6 +115,15 @@ class SanitizerReport:
 _reports: List[SanitizerReport] = []
 #: Dedup keys so one hot site does not flood the report list.
 _reported_keys: Set[Tuple[str, str]] = set()
+
+
+def _file(report: SanitizerReport) -> None:
+    """Keep ``report`` unless one with its kind and subject is already
+    kept (callers hold :data:`_state_lock`)."""
+    key = (report.kind, report.subject)
+    if key not in _reported_keys:
+        _reported_keys.add(key)
+        _reports.append(report)
 
 
 def reports() -> List[SanitizerReport]:
@@ -250,10 +267,7 @@ class SanLock:
                      tuple(reverse_witness)),
                 ],
             )
-            key = (report.kind, report.subject)
-            if key not in _reported_keys:
-                _reported_keys.add(key)
-                _reports.append(report)
+            _file(report)
 
     def _note_released(self) -> None:
         with _state_lock:
@@ -311,10 +325,7 @@ def _note_blocking(kind: str) -> None:
         [(f"{kind} call", _capture_stack())],
     )
     with _state_lock:
-        key = (report.kind, report.subject)
-        if key not in _reported_keys:
-            _reported_keys.add(key)
-            _reports.append(report)
+        _file(report)
 
 
 def _watching(kind: str, call: Callable[..., Any]) -> Callable[..., Any]:
@@ -349,6 +360,191 @@ def order_edges() -> Set[Tuple[str, str]]:
 
 
 # ----------------------------------------------------------------------
+# Guarded fields
+# ----------------------------------------------------------------------
+
+#: Method names whose call mutates the receiver collection in place.
+_MUTATORS = frozenset({
+    "append", "add", "insert", "extend", "update", "remove", "discard",
+    "pop", "popitem", "clear", "setdefault", "sort", "reverse",
+})
+#: Method names whose call iterates the receiver collection.
+_ITERATORS = frozenset({"items", "values", "keys", "copy"})
+
+_READ, _WRITE, _ITERATE = "read of", "write to", "iteration over"
+
+
+def _holds(lock: "SanLock") -> bool:
+    """Whether the calling thread holds ``lock`` (armed only)."""
+    with _state_lock:
+        return any(held is lock
+                   for held, _ in _held.get(threading.get_ident(), ()))
+
+
+def _constructing(obj: object, frame: Any) -> bool:
+    """Whether ``obj``'s own ``__init__`` is on the stack from ``frame``
+    outwards: nothing else can see the instance yet."""
+    while frame is not None:
+        if (frame.f_code.co_name == "__init__"
+                and frame.f_locals.get("self") is obj):
+            return True
+        frame = frame.f_back
+    return False
+
+
+class _Guard:
+    """The data descriptor :func:`arm` puts on one declared field."""
+
+    __slots__ = ("owner", "name", "lock", "writes")
+
+    def __init__(self, owner: type, name: str, lock: str,
+                 writes: bool) -> None:
+        self.owner = owner
+        self.name = name
+        #: The attribute that holds the guarding :class:`SanLock`.
+        self.lock = lock
+        self.writes = writes
+
+    def check(self, obj: object, kind: str, frame: Any) -> None:
+        """Report ``kind`` of this field of ``obj``, made by ``frame``,
+        unless that frame is one of ``obj``'s methods and holds the lock
+        or runs under ``obj``'s ``__init__``."""
+        if not ACTIVE:
+            return
+        lock = getattr(obj, self.lock, None)
+        if not isinstance(lock, SanLock):
+            raise SanitizerError(
+                f"{self.owner.__name__}.{self.name} is declared guarded by "
+                f"{self.lock!r}, which is {type(lock).__name__}, not a "
+                "SanLock"
+            )
+        field = f"{self.owner.__name__}.{self.name}"
+        if frame.f_locals.get("self") is not obj:
+            problem = "from a frame whose self is another object"
+        elif _holds(lock) or _constructing(obj, frame):
+            return
+        else:
+            problem = f"without {lock.name!r} held"
+        report = SanitizerReport(
+            SanitizerReport.KIND_UNGUARDED,
+            f"{kind} {field} in {frame.f_code.co_name}",
+            f"{kind} {field} {problem}; it is guarded by {lock.name!r}",
+            [(f"{kind} {field}", _capture_stack())],
+        )
+        with _state_lock:
+            _file(report)
+
+    def __get__(self, obj: object, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        try:
+            value = obj.__dict__[self.name]
+        except KeyError:
+            raise AttributeError(self.name) from None
+        if self.writes:
+            return _WritesView(self, obj, value)
+        self.check(obj, _READ, sys._getframe(1))
+        return value
+
+    def __set__(self, obj: object, value: Any) -> None:
+        self.check(obj, _WRITE, sys._getframe(1))
+        obj.__dict__[self.name] = value
+
+    def __delete__(self, obj: object) -> None:
+        self.check(obj, _WRITE, sys._getframe(1))
+        del obj.__dict__[self.name]
+
+
+class _WritesView:
+    """A ``writes``-mode collection as the armed descriptor hands it out.
+
+    Reads are forwarded unchecked; a mutation or an iteration is checked
+    first (an iteration a writer interleaves with raises "changed size
+    during iteration").  The field still holds the one collection, so
+    an alias of it sees every change."""
+
+    __slots__ = ("_guard", "_obj", "_value")
+
+    def __init__(self, guard: _Guard, obj: object, value: Any) -> None:
+        self._guard = guard
+        self._obj = obj
+        self._value = value
+
+    def __getattr__(self, name: str) -> Any:
+        kind = (_WRITE if name in _MUTATORS
+                else _ITERATE if name in _ITERATORS else None)
+        if kind is not None:
+            self._guard.check(self._obj, kind, sys._getframe(1))
+        return getattr(self._value, name)
+
+    def __iter__(self) -> Any:
+        self._guard.check(self._obj, _ITERATE, sys._getframe(1))
+        return iter(self._value)
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        self._guard.check(self._obj, _WRITE, sys._getframe(1))
+        self._value[key] = value
+
+    def __delitem__(self, key: Any) -> None:
+        self._guard.check(self._obj, _WRITE, sys._getframe(1))
+        del self._value[key]
+
+    def __getitem__(self, key: Any) -> Any:
+        return self._value[key]
+
+    def __contains__(self, key: Any) -> bool:
+        return key in self._value
+
+    def __len__(self) -> int:
+        return len(self._value)
+
+
+#: Every class :func:`guarded_by` declared -> its fields' descriptors.
+GUARDED: Dict[type, Dict[str, _Guard]] = {}
+
+
+def guarded_by(**fields: Any) -> Callable[[type], type]:
+    """Declare the :class:`SanLock` that guards each shared field.
+
+    Each keyword names a field and the attribute holding its lock:
+    ``@guarded_by(_pending="_admission_lock")``.  ``("_lock", "writes")``
+    exempts reads, for deliberately lock-free lookups in a collection
+    that only mutation and iteration must lock.  The decorator only
+    records the declaration; :func:`arm` puts the checking descriptors
+    on the class and :func:`disarm` takes them off.
+    """
+    def declare(cls: type) -> type:
+        guards = {}
+        for name, spec in fields.items():
+            lock, mode = (spec, "all") if isinstance(spec, str) else spec
+            if mode not in ("all", "writes"):
+                raise ValueError(
+                    f"guarded_by mode {mode!r} for {name!r} is unknown; "
+                    "expected 'writes' or a lock name alone"
+                )
+            if name in vars(cls):
+                raise ValueError(
+                    f"{cls.__name__}.{name} is a class attribute; a "
+                    "guarded field lives on the instance"
+                )
+            guards[name] = _Guard(cls, name, lock, mode == "writes")
+        GUARDED[cls] = guards
+        if ACTIVE:  # declared by a module imported mid-run
+            _watch_fields(True)
+        return cls
+    return declare
+
+
+def _watch_fields(on: bool) -> None:
+    for guards in GUARDED.values():
+        for name, guard in guards.items():
+            if on:
+                setattr(guard.owner, name, guard)
+            elif vars(guard.owner).get(name) is guard:
+                delattr(guard.owner, name)
+
+
+# ----------------------------------------------------------------------
 # Arming
 # ----------------------------------------------------------------------
 
@@ -358,6 +554,7 @@ def arm() -> None:
     global ACTIVE
     reset()
     _watch_blocking(True)
+    _watch_fields(True)
     ACTIVE = True
 
 
@@ -366,6 +563,7 @@ def disarm() -> None:
     global ACTIVE
     ACTIVE = False
     _watch_blocking(False)
+    _watch_fields(False)
 
 
 def reset() -> None:

@@ -56,7 +56,7 @@ from repro.isp.server import IspServer
 from repro.obs import metrics as obs
 from repro.rpc import codec
 from repro.rpc.server import IspBootstrap, RpcIspServer
-from repro.sanitize.runtime import SanLock
+from repro.sanitize.runtime import SanLock, guarded_by
 
 logger = logging.getLogger("repro.serve")
 
@@ -93,6 +93,7 @@ class _Conn:
 _Request = Tuple["_Conn", codec.Frame]
 
 
+@guarded_by(_completions="_out_lock", _wake_pending="_out_lock")
 class AsyncIspServer(RpcIspServer):
     """Serve one ISP to thousands of clients from one event loop."""
 
@@ -121,8 +122,8 @@ class AsyncIspServer(RpcIspServer):
         self._tasks: "queue.Queue[Optional[List[_Request]]]" = queue.Queue()
         self._out_lock = SanLock("serve.outbox")
         #: Completion records posted by workers, drained by the loop.
-        self._completions: Deque[tuple] = collections.deque()  # repro: guarded-by(_out_lock)
-        self._wake_pending = False  # repro: guarded-by(_out_lock)
+        self._completions: Deque[tuple] = collections.deque()
+        self._wake_pending = False
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
         # Loop-thread-confined state --------------------------------

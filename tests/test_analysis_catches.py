@@ -2,17 +2,18 @@
 today's source.
 
 Every mutant here is built from the working tree (not with ``git show``,
-so it runs in a shallow checkout) by :func:`replace_once` or
-:func:`hoist_out_of_try`.
+so it runs in a shallow checkout) by :func:`replace_once`,
+:func:`hoist_out_of_try` or :func:`drop_lock_block`.
 
-``crash-hygiene``, ``must-release``, ``blocking-effect`` and
-``verify-before-use`` are retired: a tier-1 check fails on every mutant
-of their defects.  Each row below plants one mutant — the historical
-defect, and one at every other site the rule guarded — into the live
-classes (:func:`patch_mutant`), runs the named check against it, and
-asserts that the check fails (DESIGN §6 lists the rows).  The one kept
-rule, ``guarded-by``, has its fixtures in
-``test_analysis_concurrency.py::TestFormerTrackerSites``.
+``crash-hygiene``, ``must-release``, ``blocking-effect``,
+``verify-before-use`` and ``guarded-by`` are retired: a tier-1 check
+fails on every mutant of their defects.  Each row below plants one
+mutant — the historical defect, and one at every other site the rule
+guarded — into the live classes (:func:`patch_mutant`), runs the named
+check against it, and asserts that the check fails.  ``guarded-by``'s
+rows drop each ``with <lock>:`` block that guards a field declared with
+:func:`repro.sanitize.guarded_by`, and the armed check must fail on an
+``unguarded-access`` report.
 """
 
 import ast
@@ -124,14 +125,18 @@ def patch_mutant(monkeypatch, module, mutant):
         owner_name, _, name = qualname.rpartition(".")
         owner = getattr(live, owner_name) if owner_name else live
         current = vars(owner)[name]
+        shipped_func = getattr(current, "fget", current)
         code = codes[qualname]
         # Zero-argument super() reads the defining class from a cell.
         closure = tuple(types.CellType(owner) for _ in code.co_freevars)
         func = types.FunctionType(
-            code, vars(live), name, current.__defaults__, closure
+            code, vars(live), name, shipped_func.__defaults__, closure
         )
-        func.__kwdefaults__ = current.__kwdefaults__
-        monkeypatch.setattr(owner, name, func)
+        func.__kwdefaults__ = shipped_func.__kwdefaults__
+        monkeypatch.setattr(
+            owner, name,
+            property(func) if isinstance(current, property) else func,
+        )
 
 
 class Mutant(NamedTuple):
@@ -546,3 +551,160 @@ class TestCrashHygiene:
     @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
     def test_tier1_fails(self, monkeypatch, tmp_path, row):
         run_rows(monkeypatch, tmp_path, row)
+
+
+def lock_blocks(body):
+    """Every ``with <...lock>:`` in ``body``; nested defs and classes run
+    later, so their blocks are skipped."""
+    for stmt in body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(stmt, ast.With) and ast.unparse(
+            stmt.items[0].context_expr
+        ).endswith("lock"):
+            yield stmt
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from lock_blocks(getattr(stmt, field, ()))
+
+
+def blocks_of(source):
+    """``{Class.method: [with-block]}`` over the module's classes."""
+    found = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for func in node.body:
+                if isinstance(func, ast.FunctionDef):
+                    blocks = list(lock_blocks(func.body))
+                    if blocks:
+                        found[f"{node.name}.{func.name}"] = blocks
+    return found
+
+
+def drop_lock_block(source, qualname):
+    """``source`` with the one ``with <lock>:`` of ``qualname`` removed,
+    its body dedented into the enclosing suite, so the statements it
+    guarded run with no lock held."""
+    [block] = blocks_of(source)[qualname]
+    shift = block.body[0].col_offset - block.col_offset
+    lines = source.splitlines(keepends=True)
+    body = [
+        text[shift:] if not text[:shift].strip() else text
+        for text in lines[block.lineno:block.end_lineno]
+    ]
+    return "".join(
+        lines[:block.lineno - 1] + body + lines[block.end_lineno:]
+    )
+
+
+def dropping(module, qualname):
+    return (module, lambda source: drop_lock_block(source, qualname))
+
+
+def session_table(tmp_path):
+    test_sanitize_concurrency.TestGuardedFields(
+    ).test_session_registry_is_clean_armed()
+
+
+def node_store(tmp_path):
+    test_sanitize_concurrency.TestGuardedFields(
+    ).test_node_store_is_clean_armed(tmp_path)
+
+
+HEALTH, SESSIONS = "repro.fleet.health", "repro.isp.sessions"
+STORE, METRICS = "repro.merkle.persistent_store", "repro.obs.metrics"
+RPC, SERVE = "repro.rpc.server", "repro.serve.server"
+
+#: Lock blocks that guard no declared field, so dropping one is no
+#: ``unguarded-access``.
+EXPECTED_CLEAN = {
+    # Histogram's count/total/buckets: a per-instrument stdlib lock.
+    (METRICS, "Histogram.observe"),
+    (METRICS, "Histogram.snapshot"),
+    # self.lock serializes ISP dispatch; the ISP is another object.
+    (RPC, "RpcIspServer._serve"),
+    (RPC, "RpcIspServer._serve_together"),
+    # The spindle lock serializes a sleep; it guards no field.
+    (RPC, "RpcIspServer._charge_service_delay"),
+}
+
+
+class TestGuardedBy:
+    """PR 5 (``8c9c5d4``): the node store's compaction swapped its
+    offset map with no lock, and the ISP's prune sweep iterated the
+    session table lock-free.  The rows drop every lock block that
+    guards a declared field, one at a time."""
+
+    ROWS = [
+        Mutant(f"{module.rsplit('.', 1)[1]}.{qualname}",
+               [dropping(module, qualname)], check)
+        for module, qualname, check in [
+            (HEALTH, "HealthTracker.attach", off_path_locks),
+            (HEALTH, "HealthTracker.detach", off_path_locks),
+            (HEALTH, "HealthTracker.attached", off_path_locks),
+            (HEALTH, "HealthTracker.is_up", off_path_locks),
+            (HEALTH, "HealthTracker.down_keys", off_path_locks),
+            (HEALTH, "HealthTracker.probe_once", off_path_locks),
+            (HEALTH, "HealthTracker._record", off_path_locks),
+            (SESSIONS, "SessionRegistry.insert", threaded_stress),
+            (SESSIONS, "SessionRegistry.remove", threaded_stress),
+            (SESSIONS, "SessionRegistry.live_roots", threaded_stress),
+            (SESSIONS, "SessionRegistry.prune", session_table),
+            (STORE, "PersistentNodeStore.durable_size", node_store),
+            (STORE, "PersistentNodeStore.sync", threaded_stress),
+            (STORE, "PersistentNodeStore.close", threaded_stress),
+            (STORE, "PersistentNodeStore.simulate_crash", node_store),
+            (STORE, "PersistentNodeStore.__len__", node_store),
+            (STORE, "PersistentNodeStore.__contains__", node_store),
+            (STORE, "PersistentNodeStore.put", threaded_stress),
+            (STORE, "PersistentNodeStore.get", threaded_stress),
+            (STORE, "PersistentNodeStore.reachable", node_store),
+            # PR 5's defect.
+            (STORE, "PersistentNodeStore.prune", threaded_stress),
+            (METRICS, "MetricsRegistry._get", off_path_locks),
+            (METRICS, "MetricsRegistry._listed", off_path_locks),
+            (METRICS, "MetricsRegistry.reset", off_path_locks),
+            (RPC, "RpcIspServer.stop", threaded_stress),
+            (RPC, "RpcIspServer._accept_loop", threaded_stress),
+            (RPC, "RpcIspServer._client_loop", threaded_stress),
+            (RPC, "RpcIspServer._admit", threaded_stress),
+            (RPC, "RpcIspServer._release", threaded_stress),
+            (SERVE, "AsyncIspServer.stop", armed_stress_on(AsyncIspServer)),
+            (SERVE, "AsyncIspServer._post", armed_stress_on(AsyncIspServer)),
+            (SERVE, "AsyncIspServer._drain_completions",
+             armed_stress_on(AsyncIspServer)),
+        ]
+    ]
+
+    def test_every_lock_block_is_a_row_or_named_clean(self):
+        modules = {HEALTH, SESSIONS, STORE, METRICS, RPC, SERVE}
+        for module in modules:
+            importlib.import_module(module)
+        assert modules == {cls.__module__ for cls in san.GUARDED
+                           if cls.__module__.startswith("repro.")}
+        blocks = {(module, qualname) for module in modules
+                  for qualname in blocks_of(shipped(module))}
+        rows = {(module, row.name.split(".", 1)[1])
+                for row in self.ROWS for module, _ in row.edits}
+        assert not rows & EXPECTED_CLEAN
+        assert blocks == rows | EXPECTED_CLEAN
+
+    # A mutant may kill a server thread on its way to failing the check.
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+    def test_tier1_fails(self, monkeypatch, tmp_path, row):
+        filed = []
+        file_report = san._file
+
+        def spy(report):
+            filed.append(report.kind)
+            file_report(report)
+
+        monkeypatch.setattr(san, "_file", spy)
+        try:
+            run_rows(monkeypatch, tmp_path, row)
+        finally:
+            san.reset()
+        assert san.SanitizerReport.KIND_UNGUARDED in filed

@@ -31,6 +31,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_there_is_no_lint_command(self, capsys):
+        # The static checker is deleted: its one rule is the armed
+        # sanitizer's guarded-field check (DESIGN §8).
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "src"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
     def test_serve_args(self):
         args = build_parser().parse_args(
             ["serve", "--port", "9000", "--serve-for", "1.5"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import Engine
-from repro.errors import SQLCatalogError, SQLExecutionError
+from repro.errors import SQLCatalogError
 from repro.vfs.local import LocalFilesystem
 
 

@@ -1,6 +1,7 @@
 """Unit tests for expression compilation and three-valued logic."""
 
 import datetime
+import sqlite3
 
 import pytest
 
@@ -264,3 +265,40 @@ class TestDate:
     def test_any_other_arity_is_refused_when_compiled(self, call):
         with pytest.raises(SQLExecutionError, match="exactly one argument"):
             compile_expr(expr_of(call), SCHEMA)
+
+
+class TestScalarArity:
+    """Each scalar function's argument count is checked when it is
+    compiled, so a wrong one is refused before any row, as ``sqlite3``
+    refuses it."""
+
+    @pytest.mark.parametrize("call", [
+        "ABS()", "ABS(t.a, t.b)", "LENGTH()", "LOWER(t.a, t.b)", "UPPER()",
+        "ROUND()", "ROUND(t.a, 1, 2)", "SUBSTR(t.a)",
+        "SUBSTR(t.a, 1, 2, 3)", "COALESCE(t.a)",
+    ])
+    def test_a_wrong_count_is_refused_when_compiled(self, call):
+        with pytest.raises(SQLExecutionError, match="takes"):
+            compile_expr(expr_of(call), SCHEMA)
+        with pytest.raises(sqlite3.OperationalError,
+                           match="wrong number of arguments"):
+            sqlite3.connect(":memory:").execute(
+                "SELECT " + call.replace("t.", "") + " FROM "
+                "(SELECT 1 AS a, 2 AS b) AS t"
+            )
+
+    @pytest.mark.parametrize("call", [
+        "CAST(t.a AS BLOB)", "CAST(t.a AS NUMERIC)", "SQRT(t.a)",
+    ])
+    def test_an_unknown_function_is_refused_when_compiled(self, call):
+        with pytest.raises(SQLExecutionError, match="unknown function"):
+            compile_expr(expr_of(call), SCHEMA)
+
+    # The fewest arguments each ranged function takes (the engine tests
+    # call them with their most).
+    @pytest.mark.parametrize("call, expected", [
+        ("ROUND(2.4)", 2.0), ("SUBSTR('abc', 2)", "bc"),
+        ("COALESCE(NULL, 2)", 2),
+    ])
+    def test_the_fewest_arguments_answer(self, call, expected):
+        assert evaluate(call) == expected

@@ -76,27 +76,15 @@ class TestRegistry:
         registry.inc("cache.inter.hit")
         registry.observe("isp.vo.bytes", 100)
         registry.event("isp.sync_update", version=1)
-        with registry.timed("client.query.latency_s"):
-            pass
         payload = registry.payload()
         assert payload["counters"] == {}
         assert payload["histograms"] == {}
         assert len(registry.trace) == 0
 
-    def test_disabled_timed_is_shared_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        assert registry.timed("client.query.latency_s") is \
-            registry.timed("client.query.latency_s")
-
-    def test_timed_records_a_sample(self, registry):
-        with registry.timed("client.query.latency_s"):
-            pass
-        histogram = registry.histogram("client.query.latency_s")
-        assert histogram.count == 1
-        assert histogram.boundaries == TIME_BUCKETS
-
     def test_histogram_bucket_defaults_by_suffix(self, registry):
         assert registry.histogram("isp.vo.bytes").boundaries == SIZE_BUCKETS
+        assert registry.histogram(
+            "client.query.latency_s").boundaries == TIME_BUCKETS
 
     def test_reset_zeroes_everything(self, registry):
         registry.inc("cache.inter.hit")

@@ -1,14 +1,18 @@
-"""End-to-end concurrency stress under the armed lock-order checker.
+"""End-to-end concurrency stress under the armed concurrency checker.
 
 The serving path (RPC server + ISP + persistent store + metrics) is
 hammered by concurrent clients while blocks ingest; armed it must stay
-report-free and take its locks only in the order DESIGN §8 declares,
-disarmed it must compute the identical end state.  Also covers the
-shutdown contract: ``stop()`` joins handler threads instead of
-orphaning them, and a failed run still closes the store's log and
-removes its temporary directory.
+report-free (no lock-order cycle, no blocked holder, no unguarded
+access to a declared field) and take its locks only in the order
+DESIGN §8 declares, disarmed it must compute the identical end state.
+The guarded classes' methods that the stress run does not reach are
+driven armed on their own.  Also covers the shutdown contract:
+``stop()`` joins handler threads instead of orphaning them, and a
+failed run still closes the store's log and removes its temporary
+directory.
 """
 
+import os
 import re
 import tempfile
 import threading
@@ -153,21 +157,77 @@ class TestOrderGraph:
 
 class TestNoBlockingUnderLock:
     """The stress runs above also fail on a sleep or fsync under any
-    serving lock that does not allow it; these two locks are off the
-    stress path (an instrument is created once per process, the fleet
-    is not in the run), so they are driven here."""
+    serving lock that does not allow it, and on an unguarded touch of a
+    declared field; these two locks are off the stress path (an
+    instrument is created once per process, the fleet is not in the
+    run), so they and the fields they guard are driven here."""
 
     def test_registry_and_health_locks_do_not_block(self):
         from repro.fleet.health import HealthTracker
         from repro.obs.metrics import MetricsRegistry
 
         san.arm()
-        MetricsRegistry().counter("rpc.server.requests").inc()
+        registry = MetricsRegistry()
+        registry.counter("rpc.server.requests").inc()
+        assert registry.counters_snapshot() == {"rpc.server.requests": 1}
+        registry.reset()
+        assert registry.value("rpc.server.requests") == 0
         tracker = HealthTracker(miss_threshold=1)
         tracker.attach("a:1", lambda: None)
+        assert tracker.attached() == ["a:1"]
         tracker.probe_once()
         assert tracker.is_up("a:1") and tracker.down_keys() == []
         tracker.detach("a:1")
+        assert san.reports() == []
+
+
+class TestGuardedFields:
+    """Every method of the session table and of the node store, armed:
+    the stress run reaches only the serving ones (no prune sweep of
+    abandoned sessions, no crash, no membership or size query)."""
+
+    def test_session_registry_is_clean_armed(self):
+        from repro.isp.sessions import SessionRegistry
+
+        class Session:
+            def __init__(self, session_id, root):
+                self.session_id, self.root = session_id, root
+
+        san.arm()
+        registry = SessionRegistry("isp.sessions", "isp")
+        table = registry.table
+        for root in (b"old", b"new"):
+            registry.insert(Session(registry.next_id(), root))
+        assert len(registry) == 2 and registry.get(1).root == b"old"
+        assert sorted(registry.live_roots()) == [b"new", b"old"]
+        assert registry.prune(lambda session: session.root == b"old") == 1
+        assert registry.remove(2).root == b"new"
+        assert registry.remove(2) is None and len(table) == 0
+        assert san.reports() == []
+
+    def test_node_store_is_clean_armed(self, tmp_path):
+        from repro.merkle.node_store import PageData, PairNode
+        from repro.merkle.persistent_store import PersistentNodeStore
+
+        san.arm()
+        path = str(tmp_path / "nodes.log")
+        with PersistentNodeStore(path) as store:
+            left = store.put(PageData(b"left"))
+            right = store.put(PageData(b"right"))
+            root = store.put(PairNode(left, right))
+            dead = store.put(PageData(b"dead"))
+            assert len(store) == 4 and dead in store
+            assert store.reachable([root]) == {root, left, right}
+            store.sync()
+            assert store.durable_size > 0
+            assert store.prune([root]) == 1
+            assert store.get(left) == PageData(b"left")
+        store = PersistentNodeStore(path)
+        assert root in store and dead not in store
+        store.put(PageData(b"lost"))
+        assert store.simulate_crash() == os.path.getsize(path)
+        with PersistentNodeStore(path) as reopened:
+            assert len(reopened) == 3
         assert san.reports() == []
 
 
