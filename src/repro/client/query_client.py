@@ -168,7 +168,8 @@ class QueryClient:
             # directly.
             vfs = ClientVfs(session)
             engine = Engine(vfs, temp_vfs=vfs, node_memo=state.nodes,
-                            catalog_memo=state.catalog)
+                            catalog_memo=state.catalog,
+                            statements=state.statements)
             try:
                 result: ResultSet = engine.execute(sql)
                 return result, session.finalize()

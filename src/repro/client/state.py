@@ -3,9 +3,10 @@
 :class:`CarriedState` owns every entry that outlives a query.  An
 entry's kind fixes when it is filled and when it is dropped (DESIGN §4d):
 
-* *content* (node memo and row slots, catalog, decoded filter) — a pure
-  function of its key; what was derived from bytes no VO has proven is
-  dropped when the query that read them fails;
+* *content* (node memo and row slots, catalog, compiled statements,
+  decoded filter) — a pure function of its key; what was derived from
+  bytes no VO has proven is dropped when the query that read them
+  fails;
 * *root* (inter-query pages, learned digests and ``V_n``, proven
   metadata) — filled only by :meth:`CarriedState.learn`, after the VO
   verified, except the pages a query fetches (inserted at once: Fig.
@@ -27,6 +28,7 @@ from repro.client.caches import FileMeta, InterQueryCache, PageKey
 from repro.core.certificate import V2fsCertificate
 from repro.crypto.hashing import Digest
 from repro.db.btree import NodeMemo
+from repro.db.engine import StatementCache
 from repro.kept import Kept
 from repro.obs import metrics as obs
 from repro.vbf.versioned_bloom import VersionedBloomFilter
@@ -59,6 +61,9 @@ class CarriedState:
         #: Catalog bytes -> the parsed catalog, for this client's engines
         #: only (they never write it).
         self.catalog: Kept = Kept()
+        #: (SQL text, parsed catalog) -> the compiled SELECT, planned
+        #: once and bound to each query's engine (DESIGN §4k).
+        self.statements = StatementCache()
         #: Certificate -> its decoded filter (``INTER_VBF`` only).
         self.filter: Kept = Kept()
         # -- root -------------------------------------------------------
@@ -123,12 +128,14 @@ class CarriedState:
 
     def rollback(self, inserted: List[PageKey]) -> None:
         """A query failed, for whatever reason: drop the pages it
-        inserted, what was decoded from bytes no VO proved, the proven
-        metadata (what it was told may be why it failed) and the held
-        certificate (the next query fetches one)."""
+        inserted, what was decoded from bytes no VO proved (nodes,
+        catalog, and the statements planned under that catalog), the
+        proven metadata (what it was told may be why it failed) and the
+        held certificate (the next query fetches one)."""
         self.held = None
         self.nodes.clear()
         self.catalog.clear()
+        self.statements.clear()
         self.metas.clear()
         pages = self.pages
         if pages is None:

@@ -12,18 +12,28 @@ speaks SQL upward and the V2FS POSIX interface downward.  Swapping the
 Temporary spill files (external sort) go to a *separate* filesystem,
 ``temp_vfs``, mirroring the paper's Appendix A: temp data is engine-local
 and never verified.
+
+Every statement is compiled by one step, :meth:`Engine._compile`: the
+SQL parsed and, for a SELECT, planned.  An engine handed a
+:class:`StatementCache` keeps each compiled SELECT under its SQL text
+and catalog and binds it to itself for each execution, as SQLite's
+prepared statements are (DESIGN §4k).
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.db.btree import BTree, KeptNodes, NodeMemo
 from repro.db.catalog import Catalog, IndexInfo, TableInfo
 from repro.db.pager import Pager, PagerTally
-from repro.db.plan.expressions import Schema
+from repro.db.plan.expressions import Binding, Schema
+from repro.db.plan.operators import Operator
 from repro.db.plan.planner import AccessProvider, plan_select
 from repro.db.record import encode_record
 from repro.db.sql import ast
@@ -61,6 +71,64 @@ class ResultSet:
         return self.rows[0][0]
 
 
+#: Compiled SELECTs a :class:`StatementCache` keeps: SQLite's default
+#: prepared-statement cache size, above the few dozen distinct
+#: statements a client's workload cycles through.
+STATEMENT_CACHE_SIZE = 128
+
+
+@dataclass
+class CompiledStatement:
+    """One statement parsed and, for a SELECT, planned (``plan`` is None
+    otherwise).  It holds no engine: its plan reaches the executing one
+    through ``binding``.  ``keep`` is False when planning read data (a
+    subquery folded into an index bound, a FROM-subquery materialized):
+    such a plan is only good for the execution it was made for."""
+
+    statement: ast.Statement
+    plan: Optional[Operator] = None
+    names: List[str] = field(default_factory=list)
+    binding: Optional[Binding] = None
+    keep: bool = False
+
+
+class StatementCache:
+    """``(SQL text, catalog) -> compiled SELECT``, the least recently
+    used dropped first past :data:`STATEMENT_CACHE_SIZE` entries.  The
+    catalog is the object parsed from the catalog bytes a query read,
+    so a statement is only reused under the schema it was planned on.
+
+    A key is kept compiled from its second compile on; the first only
+    marks it seen.  A stream of texts that never repeat so keeps no
+    plan: holding plans that are never reused costs the garbage
+    collector more than it saves (DESIGN §4k)."""
+
+    def __init__(self) -> None:
+        #: key -> its compiled statement, or None once seen.
+        self._entries: "OrderedDict[tuple, Optional[CompiledStatement]]" = (
+            OrderedDict())
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> Optional[CompiledStatement]:
+        compiled = self._entries.get(key)
+        if compiled is not None:
+            self._entries.move_to_end(key)
+        return compiled
+
+    def keep(self, key: tuple, compiled: CompiledStatement) -> None:
+        """Keep ``compiled`` if ``key`` was seen before; else mark it."""
+        seen = key in self._entries
+        self._entries[key] = compiled if seen else None
+        self._entries.move_to_end(key)
+        if len(self._entries) > STATEMENT_CACHE_SIZE:
+            self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        self._entries.clear()
+
+
 class Engine(AccessProvider):
     """SQL engine over a virtual filesystem."""
 
@@ -73,6 +141,7 @@ class Engine(AccessProvider):
         node_memo: Optional[NodeMemo] = None,
         catalog_memo: Optional[Kept] = None,
         kept_nodes: Optional[KeptNodes] = None,
+        statements: Optional[StatementCache] = None,
     ) -> None:
         self.vfs = vfs
         self.base_path = base_path.rstrip("/")
@@ -90,6 +159,9 @@ class Engine(AccessProvider):
         #: Parsed catalog a verifying client keeps across its queries
         #: (read-only engines); None: parse what this engine loads.
         self._catalog_memo = catalog_memo
+        #: Compiled SELECTs a verifying client keeps across its queries
+        #: (read-only engines); None: compile every statement.
+        self._statements = statements
         #: Page-read and flush counts of every pager this engine opens,
         #: reported once per statement rather than once per pager.
         self._pager_tally = PagerTally()
@@ -100,6 +172,12 @@ class Engine(AccessProvider):
         #: answered from in the next.
         self._open: Dict[str, Tuple[Pager, BTree]] = {}
         self._statement_depth = 0
+        #: What the running statement's operators keep until it ends:
+        #: subquery rows, ``IN`` members, index probes (DESIGN §4g).
+        self.statement_memo: Dict[Any, Any] = {}
+        #: Files resolved for reading or writing, ever: planning that
+        #: moves it read data, and its plan is not kept.
+        self._file_uses = 0
 
     # ------------------------------------------------------------------
     # Catalog handling
@@ -125,6 +203,7 @@ class Engine(AccessProvider):
     def _pager(self, path: str, create: bool = False) -> Tuple[Pager, BTree]:
         """The statement's pager and tree for ``path``, opened on first
         use and closed by :meth:`_end_statement`."""
+        self._file_uses += 1
         opened = self._open.get(path)
         if opened is None:
             pager = Pager(self.vfs, path, create=create,
@@ -153,6 +232,7 @@ class Engine(AccessProvider):
         """Close every file the statement opened, then report its
         tallies, once."""
         opened, self._open = self._open, {}
+        self.statement_memo = {}
         try:
             # Callbacks run last-in first, so pushed in reverse the
             # files close in open order — each one, even if an earlier
@@ -184,13 +264,58 @@ class Engine(AccessProvider):
     # ------------------------------------------------------------------
 
     def execute(self, sql: str) -> ResultSet:
-        """Parse and run one SQL statement."""
+        """Run one SQL statement."""
         with self._statement():
-            return self._execute(parse_statement(sql))
+            compiled = self._prepared(sql)
+            if compiled.plan is None:
+                return self._execute(compiled.statement)
+            with compiled.binding.bound(self):
+                rows = [tuple(row) for row in compiled.plan.rows()]
+            return ResultSet(columns=compiled.names, rows=rows)
+
+    def _prepared(self, sql: str) -> CompiledStatement:
+        """``sql`` compiled: kept from an earlier execution under the
+        same catalog, which is read through the VFS first, or compiled
+        now and kept if it is a SELECT whose planning read no data."""
+        statements = self._statements
+        if statements is None:
+            return self._compile(sql)
+        key = (sql, self.catalog)
+        compiled = statements.get(key)
+        if compiled is not None:
+            if obs.ACTIVE:
+                obs.inc("db.statement.hit")
+            return compiled
+        compiled = self._compile(sql)
+        if compiled.plan is not None:
+            if compiled.keep:
+                statements.keep(key, compiled)
+            if obs.ACTIVE:
+                obs.inc("db.statement.miss")
+                if not compiled.keep:
+                    obs.inc("db.statement.unkept")
+        return compiled
+
+    def _compile(
+        self, source: Union[str, ast.Select],
+        binding: Optional[Binding] = None,
+    ) -> CompiledStatement:
+        """The one parse-and-plan step: ``source`` is SQL text, or a
+        subquery of a statement compiled before, planned under that
+        statement's ``binding``."""
+        statement = (parse_statement(source) if isinstance(source, str)
+                     else source)
+        if not isinstance(statement, ast.Select):
+            return CompiledStatement(statement)
+        if binding is None:
+            binding = Binding()
+        uses = self._file_uses
+        with binding.bound(self):
+            plan, names = plan_select(statement, self, binding)
+        return CompiledStatement(statement, plan, names, binding,
+                                 keep=self._file_uses == uses)
 
     def _execute(self, statement: ast.Statement) -> ResultSet:
-        if isinstance(statement, ast.Select):
-            return self._execute_select(statement)
         if isinstance(statement, ast.Insert):
             return self._execute_insert(statement)
         if isinstance(statement, ast.Update):
@@ -203,11 +328,6 @@ class Engine(AccessProvider):
             return self._execute_create_index(statement)
         raise SQLExecutionError(f"unsupported statement {statement!r}")
 
-    def _execute_select(self, select: ast.Select) -> ResultSet:
-        plan, names = plan_select(select, self)
-        rows = [tuple(row) for row in plan.rows()]
-        return ResultSet(columns=names, rows=rows)
-
     def explain(self, sql: str) -> str:
         """Render the operator tree the planner builds for a SELECT.
 
@@ -215,10 +335,10 @@ class Engine(AccessProvider):
         operator, indented by depth, with scans showing their access
         path (sequential vs index range).
         """
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.Select):
+        with self._statement():
+            plan = self._prepared(sql).plan
+        if plan is None:
             raise SQLExecutionError("explain supports SELECT statements")
-        plan, _ = plan_select(statement, self)
         lines: List[str] = []
 
         def walk(operator, depth: int) -> None:
@@ -284,18 +404,12 @@ class Engine(AccessProvider):
 
     def _matching_rows(self, table: TableInfo, where):
         """Materialize (rowid, values) pairs satisfying ``where``."""
-        from repro.db.plan.expressions import (
-            SubqueryRunner,
-            compile_expr,
-            predicate,
-        )
+        from repro.db.plan.expressions import compile_expr, predicate
 
         schema = [(table.name, column) for column, _ in table.columns]
         keep = None
         if where is not None:
-            keep = predicate(compile_expr(
-                where, schema, SubqueryRunner(self.run_subquery)
-            ))
+            keep = predicate(compile_expr(where, schema, Binding(self)))
         return [
             (key[0], values)
             for key, values in self._iter_table(table)
@@ -304,14 +418,14 @@ class Engine(AccessProvider):
 
     def _execute_update(self, stmt: ast.Update) -> ResultSet:
         """UPDATE: rewrite matching rows and maintain every index."""
-        from repro.db.plan.expressions import SubqueryRunner, compile_expr
+        from repro.db.plan.expressions import compile_expr
 
         table = self.catalog.table(stmt.table)
         schema = [(table.name, column) for column, _ in table.columns]
-        runner = SubqueryRunner(self.run_subquery)
+        binding = Binding(self)
         assignments = [
             (table.column_index(column),
-             compile_expr(expr, schema, runner))
+             compile_expr(expr, schema, binding))
             for column, expr in stmt.assignments
         ]
         matches = self._matching_rows(table, stmt.where)
@@ -399,13 +513,15 @@ class Engine(AccessProvider):
         table = self.catalog.table(table_name)
         return [(binding, column) for column, _ in table.columns]
 
-    def seq_scan(self, table_name: str) -> Callable[[], Iterator[List[SqlValue]]]:
+    def seq_scan(
+        self, table_name: str
+    ) -> Callable[["Engine"], Iterator[List[SqlValue]]]:
         table = self.catalog.table(table_name)
 
-        def factory() -> Iterator[List[SqlValue]]:
-            for _, values in self._iter_table(table):
+        def source(engine: "Engine") -> Iterator[List[SqlValue]]:
+            for _, values in engine._iter_table(table):
                 yield values
-        return factory
+        return source
 
     def index_range_scan(
         self,
@@ -415,12 +531,12 @@ class Engine(AccessProvider):
         high: SqlValue,
         low_inc: bool,
         high_inc: bool,
-    ) -> Callable[[], Iterator[List[SqlValue]]]:
+    ) -> Callable[["Engine"], Iterator[List[SqlValue]]]:
         table, index = self._indexed(table_name, column)
 
-        def factory() -> Iterator[List[SqlValue]]:
-            _, index_tree = self._pager(index.file_path)
-            _, table_tree = self._pager(table.file_path)
+        def source(engine: "Engine") -> Iterator[List[SqlValue]]:
+            _, index_tree = engine._pager(index.file_path)
+            _, table_tree = engine._pager(table.file_path)
             # Index keys are [value, rowid]; the bounds are prefixes,
             # so exclusive endpoints must be re-checked on the value
             # component (a [v, rowid] key always sorts after [v]).
@@ -438,7 +554,7 @@ class Engine(AccessProvider):
                 if values is None:
                     continue  # row deleted after index entry
                 yield values
-        return factory
+        return source
 
     def _indexed(
         self, table_name: str, column: str
@@ -459,34 +575,48 @@ class Engine(AccessProvider):
 
     def index_lookup(
         self, table_name: str, column: str
-    ) -> Callable[[SqlValue], Iterable[List[SqlValue]]]:
+    ) -> Callable[["Engine"], Callable[[SqlValue], Iterable[List[SqlValue]]]]:
         """An index join's probe: the rows whose ``column`` equals a
         value, in index order, walked once per distinct value per
-        statement.  The table, its index and their files are resolved
-        here, once, not per probe."""
+        statement (the walks are kept in its statement memo).  The
+        table, its index and their files are resolved here, once, not
+        per probe."""
         table, index = self._indexed(table_name, column)
         index_path, table_path = index.file_path, table.file_path
-        probed: Dict[Any, List[List[SqlValue]]] = {}
+        site = object()  # this probe's key in the statement memo
 
-        def lookup(value: SqlValue) -> Iterable[List[SqlValue]]:
-            rows = probed.get(value)
-            if rows is None:
-                # Index keys are [value, rowid]; [value] bounds both
-                # ends, so every key the scan yields matches.
-                _, index_tree = self._pager(index_path)
-                _, table_tree = self._pager(table_path)
-                rows = []
-                for key, _ in index_tree.scan([value], [value]):
-                    values = table_tree.get_row([key[-1]])
-                    if values is not None:  # row deleted after entry
-                        rows.append(values)
-                probed[value] = rows
-            return rows
-        return lookup
+        def probe(engine: "Engine") -> Callable[[SqlValue], Iterable[List[SqlValue]]]:
+            probed: Dict[Any, List[List[SqlValue]]] = (
+                engine.statement_memo.setdefault(site, {}))
 
-    def run_subquery(self, select: ast.Select) -> List[tuple]:
+            def lookup(value: SqlValue) -> Iterable[List[SqlValue]]:
+                rows = probed.get(value)
+                if rows is None:
+                    # Index keys are [value, rowid]; [value] bounds both
+                    # ends, so every key the scan yields matches.
+                    _, index_tree = engine._pager(index_path)
+                    _, table_tree = engine._pager(table_path)
+                    rows = []
+                    for key, _ in index_tree.scan([value], [value]):
+                        values = table_tree.get_row([key[-1]])
+                        if values is not None:  # row deleted after entry
+                            rows.append(values)
+                    probed[value] = rows
+                return rows
+            return lookup
+        return probe
+
+    def run_subquery(self, select: ast.Select,
+                     binding: Binding) -> List[tuple]:
+        """Run a subquery of the statement ``binding`` belongs to.  Its
+        plan is kept with that statement unless planning read data."""
         with self._statement():
-            return self._execute_select(select).rows
+            compiled = binding.plans.get(id(select))
+            if compiled is None:
+                compiled = self._compile(select, binding)
+                if compiled.keep:
+                    binding.plans[id(select)] = compiled
+            return [tuple(row) for row in compiled.plan.rows()]
 
     def temp_filesystem(self) -> VirtualFilesystem:
         return self.temp_vfs

@@ -14,8 +14,12 @@ derived columns).  Column resolution prefers an exact
 from __future__ import annotations
 
 import datetime
+import math
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from decimal import ROUND_DOWN, Context, Decimal
+from fractions import Fraction
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.db.sql import ast
 from repro.db.types import SqlValue, sort_key
@@ -160,6 +164,93 @@ def _check_arity(name: str, count: int) -> None:
         raise SQLExecutionError(f"{name}() takes {wanted}, not {count}")
 
 
+#: The numeric prefix ``sqlite3`` reads from text where it wants a
+#: number (``'12abc'`` is 12; no prefix is 0).
+_NUMERIC_PREFIX = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_INTEGER_PREFIX = re.compile(r"\s*[+-]?\d+")
+_INT64 = 1 << 63
+#: ``ROUND`` leaves a value this large alone: it has no fraction.
+_NO_FRACTION = 4503599627370496.0
+#: Exact enough for any double plus ``ROUND``'s half-unit bump.
+_EXACT = Context(prec=800)
+
+
+def _as_real(value: SqlValue) -> float:
+    """``value`` as ``sqlite3_value_double`` reads it."""
+    if isinstance(value, (bytes, bytearray)):
+        value = bytes(value).decode("utf-8", "replace")
+    if isinstance(value, str):
+        found = _NUMERIC_PREFIX.match(value)
+        return float(found.group(0)) if found else 0.0
+    return float(value)
+
+
+def _as_int(value: SqlValue) -> int:
+    """``value`` as ``sqlite3_value_int`` reads it: a 64-bit integer (a
+    real truncated toward zero, text its leading integer, either clamped
+    to the range; NaN the least), then its low 32 bits, signed."""
+    if isinstance(value, (bytes, bytearray)):
+        value = bytes(value).decode("utf-8", "replace")
+    if isinstance(value, str):
+        found = _INTEGER_PREFIX.match(value)
+        number = int(found.group(0)) if found else 0
+    elif isinstance(value, float) and not -_INT64 < value < _INT64:
+        number = _INT64 if value >= _INT64 else -_INT64
+    else:
+        number = math.trunc(value)
+    number = max(min(number, _INT64 - 1), -_INT64) & 0xFFFFFFFF
+    return number - (1 << 32) if number >= 1 << 31 else number
+
+
+def _extended(exact: Fraction) -> Fraction:
+    """``exact`` rounded to the x87 extended format SQLite computes in
+    (a 64-bit significand, ties to even)."""
+    if not exact:
+        return exact
+    exponent = exact.numerator.bit_length() - exact.denominator.bit_length()
+    if Fraction(2) ** exponent > exact:
+        exponent -= 1
+    unit = Fraction(2) ** (exponent - 63)
+    return round(exact / unit) * unit
+
+
+def _round(value: SqlValue, digits: SqlValue = 0) -> SqlValue:
+    """``ROUND`` as SQLite 3.40 computes it: halves away from zero,
+    digits clamped to 0-30, a NULL argument gives NULL, text read as
+    its numeric prefix.  With digits it is SQLite's ``printf("%.*f")``
+    read back: add half a unit in the last place, plus ``3e-16`` of the
+    value when the digits asked for are few enough, cut at that place
+    or at the 16th significant digit, whichever comes first, and read
+    the digits as ``sqlite3AtoF`` does, dividing in extended precision.
+    (SQLite also cuts the digits in extended precision; where that
+    errs in a 16th significant digit, this answer can differ there.)"""
+    if value is None or digits is None:
+        return None
+    places = min(max(_as_int(digits), 0), 30)
+    real = _as_real(value)
+    if not -_NO_FRACTION <= real <= _NO_FRACTION:
+        return real
+    if places == 0:
+        return float(math.trunc(real + (-0.5 if real < 0 else 0.5)))
+    magnitude = abs(real)
+    exact = Decimal(magnitude)
+    bump = _EXACT.multiply(Decimal(5), Decimal(10) ** -(places + 1))
+    exponent = math.frexp(magnitude)[1] - 1 if magnitude else -1023
+    if places + int(exponent / 3) < 15:  # C's division truncates
+        bump = _EXACT.add(bump, _EXACT.multiply(exact, Decimal(3e-16)))
+    bumped = _EXACT.add(exact, bump)
+    last = max(-places, bumped.adjusted() - 15)
+    _, cut, power = bumped.quantize(
+        Decimal(1).scaleb(last), rounding=ROUND_DOWN, context=_EXACT,
+    ).as_tuple()
+    significand = int("".join(map(str, cut)))
+    while power < 0 and significand and not significand % 10:
+        significand //= 10
+        power += 1
+    answer = float(_extended(significand * Fraction(10) ** power))
+    return -answer if real < 0 else answer
+
+
 def _scalar_function(name: str, args: List[SqlValue]) -> SqlValue:
     """One call of a function whose arity :func:`_check_arity` passed."""
     if name == "ABS":
@@ -171,10 +262,7 @@ def _scalar_function(name: str, args: List[SqlValue]) -> SqlValue:
     if name == "UPPER":
         return None if args[0] is None else str(args[0]).upper()
     if name == "ROUND":
-        if args[0] is None:
-            return None
-        digits = int(args[1]) if len(args) > 1 and args[1] is not None else 0
-        return round(float(args[0]), digits)
+        return _round(*args)
     if name == "COALESCE":
         for value in args:
             if value is not None:
@@ -209,29 +297,62 @@ def _scalar_function(name: str, args: List[SqlValue]) -> SqlValue:
     raise SQLExecutionError(f"unknown function {name}()")
 
 
-class SubqueryRunner:
-    """Callback bundle the compiler uses to evaluate subqueries.
+class Binding:
+    """What a compiled statement resolves when it runs (DESIGN §4k).
 
-    The engine supplies :meth:`run`, which executes an uncorrelated
-    subquery and returns its rows.  Results are cached so a subquery
-    inside a per-row predicate executes exactly once.
+    ``provider`` is the access provider executing the statement — set
+    for one execution (:meth:`bound`) and cleared after it, so a kept
+    statement holds no engine between executions.  ``plans`` holds the
+    compiled plans of the statement's subqueries, filled by the provider
+    on their first run.  A subquery's rows and an ``IN`` list's members
+    are kept in the running statement's scope (the provider's
+    ``statement_memo``, emptied when the statement ends), so every
+    execution starts empty and a subquery inside a per-row predicate
+    still runs once per execution.
     """
 
-    def __init__(self, run: Callable[[ast.Select], List[tuple]]) -> None:
-        self._run = run
-        self._cache: dict = {}
+    __slots__ = ("provider", "plans")
+
+    def __init__(self, provider=None) -> None:
+        self.provider = provider
+        self.plans: dict = {}
+
+    @contextmanager
+    def bound(self, provider) -> Iterator[None]:
+        """Run with ``provider`` executing; the one before it after."""
+        outer, self.provider = self.provider, provider
+        try:
+            yield
+        finally:
+            self.provider = outer
 
     def rows(self, select: ast.Select) -> List[tuple]:
-        key = id(select)
-        if key not in self._cache:
-            self._cache[key] = self._run(select)
-        return self._cache[key]
+        """The rows of an uncorrelated subquery, run once per statement."""
+        memo = self.provider.statement_memo
+        key = ("rows", id(select))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = self.provider.run_subquery(select, self)
+        return found
+
+    def members(self, select: ast.Select) -> set:
+        """The sort keys of an ``IN`` subquery's non-NULL first column,
+        built once per statement."""
+        memo = self.provider.statement_memo
+        key = ("members", id(select))
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = {
+                sort_key(r[0]) for r in self.rows(select)
+                if r and r[0] is not None
+            }
+        return found
 
 
 def compile_expr(
     expr: ast.Expr,
     schema: Schema,
-    subqueries: Optional[SubqueryRunner] = None,
+    subqueries: Optional[Binding] = None,
 ) -> Compiled:
     """Compile ``expr`` against ``schema`` into a per-row closure."""
     if isinstance(expr, ast.Literal):
@@ -292,30 +413,23 @@ def compile_expr(
         operand = compile_expr(expr.operand, schema, subqueries)
         select = expr.subquery
         negated = expr.negated
-        runner = subqueries
-        members = None  # built on first use, then kept with the closure
+        binding = subqueries
 
         def in_subquery(row):
-            nonlocal members
             value = operand(row)
             if value is None:
                 return None
-            if members is None:
-                members = {
-                    sort_key(r[0]) for r in runner.rows(select)
-                    if r and r[0] is not None
-                }
-            hit = sort_key(value) in members
+            hit = sort_key(value) in binding.members(select)
             return (0 if hit else 1) if negated else (1 if hit else 0)
         return in_subquery
     if isinstance(expr, ast.ScalarSubquery):
         if subqueries is None:
             raise SQLExecutionError("subqueries are not allowed here")
         select = expr.subquery
-        runner = subqueries
+        binding = subqueries
 
         def scalar(row):
-            rows = runner.rows(select)
+            rows = binding.rows(select)
             if not rows:
                 return None
             return rows[0][0]
@@ -377,7 +491,7 @@ def compile_expr(
 def _compile_binary(
     expr: ast.Binary,
     schema: Schema,
-    subqueries: Optional[SubqueryRunner],
+    subqueries: Optional[Binding],
 ) -> Compiled:
     left = compile_expr(expr.left, schema, subqueries)
     right = compile_expr(expr.right, schema, subqueries)

@@ -3,6 +3,9 @@
 Each operator exposes a ``schema`` (the row layout it produces) and a
 ``rows()`` iterator.  Scans are constructed by the planner around storage
 closures, which keeps this module free of engine/catalog dependencies.
+An operator that needs storage or a temp filesystem asks its plan's
+:class:`~repro.db.plan.expressions.Binding` for the provider executing
+it, each time it runs, and keeps nothing of one execution for the next.
 """
 
 from __future__ import annotations
@@ -18,11 +21,10 @@ from typing import (
 )
 
 from repro.db.btree import key_tuple
-from repro.db.plan.expressions import Compiled, Schema
+from repro.db.plan.expressions import Binding, Compiled, Schema
 from repro.db.plan.sorter import ReverseKey, external_sort
 from repro.db.types import SqlValue, sort_key
 from repro.errors import SQLExecutionError
-from repro.vfs.interface import VirtualFilesystem
 
 Row = List[SqlValue]
 
@@ -50,20 +52,23 @@ class Operator:
 
 
 class Scan(Operator):
-    """Wraps a storage closure producing rows (sequential or index scan)."""
+    """Wraps a storage closure producing rows (sequential or index scan),
+    called with the provider executing the plan."""
 
     def __init__(
         self,
         schema: Schema,
-        factory: Callable[[], Iterable[Row]],
+        source: Callable[[Any], Iterable[Row]],
+        binding: Binding,
         label: str = "",
     ) -> None:
         self.schema = schema
-        self._factory = factory
+        self._source = source
+        self._binding = binding
         self.label = label
 
     def rows(self) -> Iterator[Row]:
-        return iter(self._factory())
+        return iter(self._source(self._binding.provider))
 
 
 class Filter(Operator):
@@ -134,7 +139,8 @@ class MaterializedJoin(Operator):
 class IndexJoin(Operator):
     """Nested-loop join probing a secondary index on the inner side.
 
-    ``lookup`` maps a join-key value to the matching inner rows;
+    ``probe``, given the provider executing the plan, answers the
+    lookup that maps a join-key value to the matching inner rows;
     ``residual`` (optional) filters the combined row with any extra join
     conditions beyond the indexed equality.
     """
@@ -144,7 +150,8 @@ class IndexJoin(Operator):
         outer: Operator,
         inner_schema: Schema,
         outer_key: Compiled,
-        lookup: Callable[[SqlValue], Iterable[Row]],
+        probe: Callable[[Any], Callable[[SqlValue], Iterable[Row]]],
+        binding: Binding,
         residual: Optional[Callable[[Sequence[SqlValue]], bool]] = None,
         left_outer: bool = False,
         label: str = "",
@@ -152,18 +159,20 @@ class IndexJoin(Operator):
         self.schema = outer.schema + inner_schema
         self._outer = outer
         self._outer_key = outer_key
-        self._lookup = lookup
+        self._probe = probe
+        self._binding = binding
         self._residual = residual
         self._left_outer = left_outer
         self._inner_width = len(inner_schema)
         self.label = label
 
     def rows(self) -> Iterator[Row]:
+        lookup = self._probe(self._binding.provider)
         for outer_row in self._outer.rows():
             key = self._outer_key(outer_row)
             matched = False
             if key is not None:
-                for inner_row in self._lookup(key):
+                for inner_row in lookup(key):
                     combined = [*outer_row, *inner_row]
                     if self._residual is None or self._residual(combined):
                         matched = True
@@ -279,22 +288,21 @@ class Aggregate(Operator):
 
 
 class Sort(Operator):
-    """ORDER BY via :func:`~repro.db.plan.sorter.external_sort`."""
+    """ORDER BY via :func:`~repro.db.plan.sorter.external_sort`, spilling
+    to the executing provider's temp filesystem."""
 
     def __init__(
         self,
         child: Operator,
         key_exprs: List[Compiled],
         descending: List[bool],
-        temp_vfs: VirtualFilesystem,
-        memory_rows: int,
+        binding: Binding,
     ) -> None:
         self.schema = child.schema
         self._child = child
         self._key_exprs = key_exprs
         self._descending = descending
-        self._temp_vfs = temp_vfs
-        self._memory_rows = memory_rows
+        self._binding = binding
 
     def _key(self, row: Sequence[SqlValue]) -> tuple:
         parts = []
@@ -304,11 +312,12 @@ class Sort(Operator):
         return tuple(parts)
 
     def rows(self) -> Iterator[Row]:
+        provider = self._binding.provider
         return external_sort(
             self._child.rows(),
             self._key,
-            self._temp_vfs,
-            self._memory_rows,
+            provider.temp_filesystem(),
+            provider.sort_memory_rows,
         )
 
 

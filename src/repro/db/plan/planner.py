@@ -17,7 +17,11 @@ tree.  The rules mirror a classic single-pass planner:
 
 The planner is storage-agnostic: it receives an *access provider* (the
 engine) exposing table iteration, index ranges, index lookups, subquery
-execution, and the temp filesystem for spills.
+execution, and the temp filesystem for spills.  A plan holds no
+provider: its scans, probes, sorts and subqueries reach the one
+executing it through the plan's :class:`~repro.db.plan.expressions.
+Binding`, so a compiled statement can run again on another engine
+(DESIGN §4k).
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.db.plan import operators as ops
 from repro.db.plan.expressions import (
+    Binding,
     Compiled,
     Schema,
-    SubqueryRunner,
     compile_expr,
     find_aggregates,
     predicate,
@@ -42,30 +46,40 @@ class AccessProvider:
     """The storage interface the planner compiles against.
 
     Implemented by :class:`repro.db.engine.Engine`; defined here to keep
-    the dependency arrow pointing from the engine to the planner.
+    the dependency arrow pointing from the engine to the planner.  The
+    schema questions are answered while planning; what the scan methods
+    return is called with the provider *executing* the plan, which need
+    not be the one that planned it.
     """
 
     def table_schema(self, table_name: str, binding: str) -> Schema:
         raise NotImplementedError
 
     def seq_scan(self, table_name: str):
-        """Return a factory yielding all rows of the table."""
+        """Return ``source(provider)`` yielding all rows of the table."""
         raise NotImplementedError
 
     def index_range_scan(self, table_name: str, column: str, low, high,
                          low_inc: bool, high_inc: bool):
-        """Return a factory yielding rows with column within bounds."""
+        """Return ``source(provider)`` yielding rows with column within
+        bounds."""
         raise NotImplementedError
 
     def has_index(self, table_name: str, column: str) -> bool:
         raise NotImplementedError
 
     def index_lookup(self, table_name: str, column: str):
-        """Return ``fn(value) -> iterable of rows`` via the index."""
+        """Return ``probe(provider)``: ``fn(value) -> iterable of rows``
+        via the index, for one execution."""
         raise NotImplementedError
 
-    def run_subquery(self, select: ast.Select) -> List[tuple]:
+    def run_subquery(self, select: ast.Select,
+                     binding: Binding) -> List[tuple]:
+        """Run a subquery of the statement ``binding`` belongs to."""
         raise NotImplementedError
+
+    #: What the running statement keeps until it ends (DESIGN §4g).
+    statement_memo: dict
 
     def temp_filesystem(self):
         raise NotImplementedError
@@ -137,13 +151,14 @@ def referenced_columns(expr: ast.Expr) -> List[ast.Column]:
 
 
 def _try_constant(
-    expr: ast.Expr, subqueries: SubqueryRunner
+    expr: ast.Expr, binding: Binding
 ) -> Tuple[bool, object]:
-    """Evaluate a column-free expression to a constant, if possible."""
+    """Evaluate a column-free expression to a constant, if possible (a
+    subquery in it runs now, so the plan is not kept: DESIGN §4k)."""
     if referenced_columns(expr):
         return False, None
     try:
-        fn = compile_expr(expr, [], subqueries)
+        fn = compile_expr(expr, [], binding)
         return True, fn([])
     except SQLExecutionError:
         return False, None
@@ -185,9 +200,9 @@ _FLIP = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 # ---------------------------------------------------------------------------
 
 class _Planner:
-    def __init__(self, provider: AccessProvider) -> None:
+    def __init__(self, provider: AccessProvider, binding: Binding) -> None:
         self.provider = provider
-        self.subqueries = SubqueryRunner(provider.run_subquery)
+        self.binding = binding
 
     # -- entry points ----------------------------------------------------
 
@@ -214,18 +229,17 @@ class _Planner:
                 combined, part_plan, keep_all=op_name == "UNION ALL"
             )
         output_schema: Schema = [(None, name) for name in names]
+        relabeled = combined
         combined = ops.Scan(  # re-label the union output columns
-            output_schema, combined.rows
+            output_schema, lambda provider: relabeled.rows(),
+            self.binding,
         )
         if select.order_by:
             key_exprs, descending = self._order_keys_over_output(
                 select.order_by, names, output_schema
             )
-            combined = ops.Sort(
-                combined, key_exprs, descending,
-                self.provider.temp_filesystem(),
-                self.provider.sort_memory_rows,
-            )
+            combined = ops.Sort(combined, key_exprs, descending,
+                                self.binding)
         if select.limit is not None or select.offset:
             combined = ops.Limit(combined, select.limit,
                                  select.offset or 0)
@@ -249,7 +263,7 @@ class _Planner:
                     )
                 key_exprs.append(lambda row, i=index: row[i])
             else:
-                key_exprs.append(compile_expr(expr, schema, self.subqueries))
+                key_exprs.append(compile_expr(expr, schema, self.binding))
             descending.append(item.descending)
         return key_exprs, descending
 
@@ -263,7 +277,7 @@ class _Planner:
         if where_conjuncts:
             remaining = combine_conjuncts(where_conjuncts)
             keep = predicate(
-                compile_expr(remaining, source.schema, self.subqueries)
+                compile_expr(remaining, source.schema, self.binding)
             )
             source = ops.Filter(source, keep)
 
@@ -286,17 +300,16 @@ class _Planner:
             plan = source
             if resolved_order:
                 key_exprs = [
-                    compile_expr(item.expr, plan.schema, self.subqueries)
+                    compile_expr(item.expr, plan.schema, self.binding)
                     for item in resolved_order
                 ]
                 plan = ops.Sort(
                     plan, key_exprs,
                     [item.descending for item in resolved_order],
-                    self.provider.temp_filesystem(),
-                    self.provider.sort_memory_rows,
+                    self.binding,
                 )
             exprs = [
-                compile_expr(item.expr, plan.schema, self.subqueries)
+                compile_expr(item.expr, plan.schema, self.binding)
                 for item in items
             ]
             plan = ops.Project(
@@ -353,7 +366,7 @@ class _Planner:
                 best = (column, bounds)
         if best is None:
             return ops.Scan(
-                schema, self.provider.seq_scan(ref.name),
+                schema, self.provider.seq_scan(ref.name), self.binding,
                 label=f"seq {ref.name}",
             )
         column, bounds = best
@@ -371,7 +384,7 @@ class _Planner:
         low_mark = "(" if not bounds.low_inc else "["
         high_mark = ")" if not bounds.high_inc else "]"
         return ops.Scan(
-            schema, factory,
+            schema, factory, self.binding,
             label=(f"index {ref.name}.{column} "
                    f"{low_mark}{bounds.low!r}..{bounds.high!r}{high_mark}"),
         )
@@ -398,8 +411,8 @@ class _Planner:
             if column is None or not self.provider.has_index(table_name,
                                                              column):
                 return None
-            ok_low, low = _try_constant(conjunct.low, self.subqueries)
-            ok_high, high = _try_constant(conjunct.high, self.subqueries)
+            ok_low, low = _try_constant(conjunct.low, self.binding)
+            ok_high, high = _try_constant(conjunct.high, self.binding)
             if not (ok_low and ok_high):
                 return None
             return (column, "between", (low, high))
@@ -409,12 +422,12 @@ class _Planner:
             return None
         column = column_of(conjunct.left)
         if column is not None:
-            ok, value = _try_constant(conjunct.right, self.subqueries)
+            ok, value = _try_constant(conjunct.right, self.binding)
             if ok and self.provider.has_index(table_name, column):
                 return (column, conjunct.op, value)
         column = column_of(conjunct.right)
         if column is not None:
-            ok, value = _try_constant(conjunct.left, self.subqueries)
+            ok, value = _try_constant(conjunct.left, self.binding)
             if ok and self.provider.has_index(table_name, column):
                 return (column, _FLIP[conjunct.op], value)
         return None
@@ -451,15 +464,16 @@ class _Planner:
                     combined_schema = outer.schema + inner_schema
                     residual = predicate(compile_expr(
                         combine_conjuncts(on_conjuncts),
-                        combined_schema, self.subqueries,
+                        combined_schema, self.binding,
                     ))
                 outer_key = compile_expr(outer_expr, outer.schema,
-                                         self.subqueries)
+                                         self.binding)
                 lookup = self.provider.index_lookup(
                     inner_ref.name, inner_column
                 )
                 return ops.IndexJoin(
-                    outer, inner_schema, outer_key, lookup, residual,
+                    outer, inner_schema, outer_key, lookup, self.binding,
+                    residual,
                     left_outer=join.left_outer,
                     label=f"probe {inner_ref.name}.{inner_column}",
                 )
@@ -470,7 +484,7 @@ class _Planner:
             raise SQLExecutionError("unsupported right side of JOIN")
         combined_schema = outer.schema + inner.schema
         keep = predicate(compile_expr(
-            join.condition, combined_schema, self.subqueries
+            join.condition, combined_schema, self.binding
         ))
         return ops.MaterializedJoin(
             outer, inner, keep, left_outer=join.left_outer
@@ -611,7 +625,7 @@ class _Planner:
     ) -> ops.Operator:
         group_exprs = list(select.group_by)
         group_fns = [
-            compile_expr(g, source.schema, self.subqueries)
+            compile_expr(g, source.schema, self.binding)
             for g in group_exprs
         ]
         specs: List[ops.AggSpec] = []
@@ -625,7 +639,7 @@ class _Planner:
                 raise SQLExecutionError(
                     f"{call.name}() takes exactly one argument"
                 )
-            arg = compile_expr(call.args[0], source.schema, self.subqueries)
+            arg = compile_expr(call.args[0], source.schema, self.binding)
             specs.append(ops.AggSpec(call.name, arg, call.distinct))
         synthetic: Schema = [
             ("#group", f"g{i}") for i in range(len(group_exprs))
@@ -641,7 +655,7 @@ class _Planner:
             plan = ops.Filter(
                 plan,
                 predicate(compile_expr(rewritten, synthetic,
-                                       self.subqueries)),
+                                       self.binding)),
             )
         if order_items:
             key_exprs = []
@@ -651,26 +665,30 @@ class _Planner:
                     order.expr, group_exprs, agg_calls
                 )
                 key_exprs.append(
-                    compile_expr(rewritten, synthetic, self.subqueries)
+                    compile_expr(rewritten, synthetic, self.binding)
                 )
                 descending.append(order.descending)
-            plan = ops.Sort(
-                plan, key_exprs, descending,
-                self.provider.temp_filesystem(),
-                self.provider.sort_memory_rows,
-            )
+            plan = ops.Sort(plan, key_exprs, descending, self.binding)
         names = self._output_names(items)
         exprs = []
         for item in items:
             rewritten = rewrite_for_aggregation(
                 item.expr, group_exprs, agg_calls
             )
-            exprs.append(compile_expr(rewritten, synthetic, self.subqueries))
+            exprs.append(compile_expr(rewritten, synthetic, self.binding))
         return ops.Project(plan, exprs, [(None, name) for name in names])
 
 
 def plan_select(
-    select: ast.Select, provider: AccessProvider
+    select: ast.Select, provider: AccessProvider,
+    binding: Optional[Binding] = None,
 ) -> Tuple[ops.Operator, List[str]]:
-    """Plan ``select``; returns the root operator and output column names."""
-    return _Planner(provider).plan(select)
+    """Plan ``select``; returns the root operator and output column names.
+
+    The plan reaches its executing provider through ``binding``, which
+    must be bound while planning (a subquery may run to fold a
+    constant); without one, it is bound to ``provider`` for good.
+    """
+    if binding is None:
+        binding = Binding(provider)
+    return _Planner(provider, binding).plan(select)

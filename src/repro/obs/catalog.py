@@ -61,6 +61,17 @@ SCOPES: Dict[str, str] = {
         "B+Tree seeks that started from an internal node on the tree's "
         "held path, skipping the descent's reads down to and including "
         "it (tallied per tree, reported once per statement).",
+    # -- compiled statements (repro/db/engine.py) ----------------------
+    "db.statement.hit":
+        "SELECTs a verifying client's engine ran from a statement kept "
+        "under the same SQL text and catalog: no parse, no plan.",
+    "db.statement.miss":
+        "SELECTs a verifying client's engine parsed and planned (no "
+        "statement kept under that SQL text and catalog).",
+    "db.statement.unkept":
+        "Of the misses, statements not kept because planning read data "
+        "(a subquery folded into an index bound, a FROM-subquery "
+        "materialized): compiled again at every execution.",
     # -- client caches (repro/client/caches.py) ------------------------
     "cache.intra.hit":
         "Intra-query cache lookups served from the per-query page map.",

@@ -205,8 +205,9 @@ def assert_refused_cleanly(client, isp: LyingIsp, sql: str, expected,
                            error=None) -> ReproError:
     """Run ``sql`` with the lie armed: it is told, the query fails with
     the move's typed error (or ``error``), no ISP session is left open,
-    nothing read in the query is carried (decoded nodes, catalog and
-    metadata are gone; the page cache only shrank), and — the ISP
+    nothing read in the query is carried (decoded nodes, catalog,
+    compiled statements and metadata are gone; the page cache only
+    shrank), and — the ISP
     disarmed — the next query's rows are ``expected`` (skipped if None).
     """
     state = client.state
@@ -218,6 +219,7 @@ def assert_refused_cleanly(client, isp: LyingIsp, sql: str, expected,
     assert len(isp.told) > told, "the armed lie was never told"
     assert len(isp.sessions) == 0
     assert len(state.nodes) == len(state.catalog) == len(state.metas) == 0
+    assert len(state.statements) == 0
     if state.pages is not None:
         assert set(state.pages._pages) <= before
     if expected is not None:

@@ -35,6 +35,7 @@ from tests import (
     test_db_btree,
     test_db_statement_scope,
     test_merkle_ads,
+    test_prepared_statements,
     test_rpc,
     test_sanitize_concurrency,
     test_security,
@@ -42,6 +43,7 @@ from tests import (
     test_stateful,
 )
 
+from repro.client.vfs import QueryMode
 from repro.errors import ProofError
 from repro.sanitize import runtime as san
 from repro.serve.server import AsyncIspServer
@@ -546,6 +548,75 @@ class TestCrashHygiene:
             "        except BaseException as error:\n"
             "            # A non-ReproError here",
         )], crash_severs_on("async")),
+    ]
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+    def test_tier1_fails(self, monkeypatch, tmp_path, row):
+        run_rows(monkeypatch, tmp_path, row)
+
+
+def fresh_a_block_later(shape):
+    def check(tmp_path):
+        test_prepared_statements.test_a_block_later_the_answer_is_fresh(
+            shape)
+    return check
+
+
+def every_page_read_again(tmp_path):
+    test_prepared_statements.test_a_kept_statement_reads_every_page_again(
+        test_prepared_statements.build_system())
+
+
+def forged_catalog_planned_again(tmp_path):
+    system = test_security.lying_system(2)
+    system.advance_block("eth")
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        test_security.TestCatalogMemo(
+        ).test_forged_catalog_served_once_does_not_survive(
+            system, "inprocess", QueryMode.INTER_VBF, monkeypatch)
+
+
+class TestPreparedStatements:
+    """A compiled statement kept across queries (DESIGN §4k) may keep
+    nothing an execution read.  Each row keeps one such thing, or keeps
+    the statement past what its key says."""
+
+    ROWS = [
+        Mutant("subquery-results-kept-across-executions", [replacing(
+            "repro.db.plan.expressions",
+            "        memo = self.provider.statement_memo\n"
+            "        key = (\"rows\", id(select))\n",
+            "        memo = self.plans\n"
+            "        key = (\"rows\", id(select))\n",
+        )], fresh_a_block_later("scalar")),
+        Mutant("probes-kept-across-executions", [(
+            "repro.db.engine", lambda source: replace_once(replace_once(
+                source,
+                "        site = object()  # this probe's key in the "
+                "statement memo\n",
+                "        site = object()  # this probe's key in the "
+                "statement memo\n        kept: dict = {}\n",
+            ), "            probed: Dict[Any, List[List[SqlValue]]] = (\n"
+               "                engine.statement_memo.setdefault(site, {}))\n",
+               "            probed = kept\n"),
+        )], every_page_read_again),
+        Mutant("statement-kept-though-planning-read", [replacing(
+            "repro.db.engine",
+            "                                 keep=self._file_uses == uses)",
+            "                                 keep=True)",
+        )], fresh_a_block_later("materialized")),
+        Mutant("rollback-keeps-statements", [replacing(
+            "repro.client.state",
+            "        self.statements.clear()\n",
+            "",
+        )], lambda tmp_path: test_prepared_statements
+            .test_a_failed_query_drops_every_kept_statement()),
+        Mutant("statement-key-without-the-catalog", [replacing(
+            "repro.db.engine",
+            "        key = (sql, self.catalog)\n",
+            "        self.catalog  # still read through the VFS\n"
+            "        key = (sql, None)\n",
+        )], forged_catalog_planned_again),
     ]
 
     @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)

@@ -1,13 +1,14 @@
 """Unit tests for expression compilation and three-valued logic."""
 
 import datetime
+import random
 import sqlite3
 
 import pytest
 
 from repro.db.plan import expressions
 from repro.db.plan.expressions import (
-    SubqueryRunner,
+    Binding,
     compile_expr,
     find_aggregates,
     like_to_regex,
@@ -133,58 +134,72 @@ class TestAggregateAnalysis:
             rewrite_for_aggregation(expr_of("t.b"), [expr_of("t.a")], [])
 
 
+class Provider:
+    """Runs every subquery to ``answer``, counting runs; its statement
+    memo is what a statement keeps until it ends."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.runs = 0
+        self.statement_memo = {}
+
+    def run_subquery(self, select, binding):
+        self.runs += 1
+        return self.answer
+
+    def end_statement(self):
+        self.statement_memo = {}
+
+
 class TestSubqueries:
     def test_runner_caches(self):
-        calls = []
-
-        def run(select):
-            calls.append(select)
-            return [(1,), (2,)]
-
-        runner = SubqueryRunner(run)
+        """A subquery runs once per statement: its rows are kept in the
+        statement's memo, not with the compiled expression."""
+        provider = Provider([(1,), (2,)])
+        binding = Binding(provider)
         select = parse_statement("SELECT 1")
-        assert runner.rows(select) == [(1,), (2,)]
-        assert runner.rows(select) == [(1,), (2,)]
-        assert len(calls) == 1
+        assert binding.rows(select) == [(1,), (2,)]
+        assert binding.rows(select) == [(1,), (2,)]
+        assert provider.runs == 1
+        provider.end_statement()
+        assert binding.rows(select) == [(1,), (2,)]
+        assert provider.runs == 2
 
     def test_in_subquery_compiles(self):
         stmt = parse_statement(
             "SELECT t.a IN (SELECT 1) FROM t"
         )
-        runner = SubqueryRunner(lambda select: [(1,)])
-        fn = compile_expr(stmt.items[0].expr, SCHEMA, runner)
+        binding = Binding(Provider([(1,)]))
+        fn = compile_expr(stmt.items[0].expr, SCHEMA, binding)
         assert fn([1, None, None]) == 1
         assert fn([2, None, None]) == 0
         assert fn([None, None, None]) is None
 
     def test_in_subquery_members_are_built_once(self):
         """The member set is built on the first outer row that needs it,
-        then kept by the compiled predicate: one ``rows`` call for the
-        whole window, not one per row; none while every operand is
-        NULL."""
-
-        class CountingRunner(SubqueryRunner):
-            asked = 0
-
-            def rows(self, select):
-                self.asked += 1
-                return super().rows(select)
-
+        then kept for the statement: one run for the whole window, not
+        one per row; none while every operand is NULL; one again in the
+        next statement."""
         stmt = parse_statement(
             "SELECT t.a NOT IN (SELECT 1) FROM t"
         )
-        runner = CountingRunner(lambda select: [(1,), (None,), (2.0,)])
-        fn = compile_expr(stmt.items[0].expr, SCHEMA, runner)
+        provider = Provider([(1,), (None,), (2.0,)])
+        fn = compile_expr(stmt.items[0].expr, SCHEMA, Binding(provider))
         assert fn([None, None, None]) is None
-        assert runner.asked == 0
+        assert provider.runs == 0
         assert [fn([value, None, None]) for value in range(5)] == [
             1, 0, 0, 1, 1]
-        assert runner.asked == 1
+        assert provider.runs == 1
+        provider.end_statement()
+        provider.answer = [(3,)]
+        assert [fn([value, None, None]) for value in range(5)] == [
+            1, 1, 1, 0, 1]
+        assert provider.runs == 2
 
     def test_scalar_subquery_empty_is_null(self):
         stmt = parse_statement("SELECT (SELECT 1)")
-        runner = SubqueryRunner(lambda select: [])
-        fn = compile_expr(stmt.items[0].expr, [], runner)
+        binding = Binding(Provider([]))
+        fn = compile_expr(stmt.items[0].expr, [], binding)
         assert fn([]) is None
 
     def test_subquery_without_runner_rejected(self):
@@ -302,3 +317,40 @@ class TestScalarArity:
     ])
     def test_the_fewest_arguments_answer(self, call, expected):
         assert evaluate(call) == expected
+
+
+def sqlite_answer(sql):
+    return sqlite3.connect(":memory:").execute(f"SELECT {sql}").fetchone()[0]
+
+
+class TestRound:
+    """``ROUND`` answers what SQLite 3.40 (the stdlib ``sqlite3``)
+    answers: halves away from zero, negative digits as 0, a NULL
+    argument NULL, text read as its numeric prefix."""
+
+    @pytest.mark.parametrize("call", [
+        "ROUND(2.5)", "ROUND(-2.5)", "ROUND(1.25, 1)", "ROUND(2.675, 2)",
+        "ROUND(0.125, 2)", "ROUND(1234.5678, -2)", "ROUND(1.5, NULL)",
+        "ROUND('abc')", "ROUND('12.25abc', 1)", "ROUND(2.55, '1.9')",
+    ])
+    def test_answers_as_sqlite(self, call):
+        assert sqlite_answer(call) == evaluate(call)
+        assert type(evaluate(call)) is type(sqlite_answer(call))
+
+    def test_a_text_column_answers_on_every_row(self):
+        db = sqlite3.connect(":memory:")
+        fn = compile_expr(expr_of("ROUND(t.a, t.b)"), SCHEMA)
+        for a, b in [("abc", 1), ("7.5x", "x"), ("", b"1"), (b"2.5", 0)]:
+            expected = db.execute("SELECT ROUND(?, ?)", (a, b)).fetchone()[0]
+            assert fn([a, b, None]) == expected, (a, b)
+
+    def test_seeded_values_answer_as_sqlite(self):
+        rng = random.Random(7)
+        db = sqlite3.connect(":memory:")
+        fn = compile_expr(expr_of("ROUND(t.a, t.b)"), SCHEMA)
+        for _ in range(2000):
+            value = round(rng.uniform(-1e4, 1e4), rng.randint(0, 6))
+            digits = rng.randint(-1, 8)
+            expected = db.execute("SELECT ROUND(?, ?)",
+                                  (value, digits)).fetchone()[0]
+            assert fn([value, digits, None]) == expected, (value, digits)

@@ -377,6 +377,11 @@ class TestTalliedSites:
         # every later one compared to it.
         "served_pages": ("BASELINE", "client.page.repeated",
                          "client.page.hashed", "client.page.requests"),
+        # Carried: the compiled statements, once per SELECT a client's
+        # engine runs (each query here is one), kept from the second
+        # compile on.
+        "statements": ("INTER_VBF", "db.statement.hit",
+                       "db.statement.miss", "client.query.count"),
     }
 
     @pytest.mark.parametrize("entry", sorted(COUNTED_ENTRIES))
@@ -389,7 +394,7 @@ class TestTalliedSites:
         system.advance_all(3)
         client = system.make_client(QueryMode[mode])
         before = REGISTRY.counters_snapshot()
-        for _ in range(2):
+        for _ in range(3):
             client.query("SELECT COUNT(*) FROM eth_transactions")
             client.query("SELECT COUNT(*), SUM(fee) FROM btc_transactions")
         delta = REGISTRY.counters_delta(before)

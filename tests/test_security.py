@@ -1062,8 +1062,17 @@ class TestCatalogMemo:
     query plans with."""
 
     def test_forged_catalog_served_once_does_not_survive(
-        self, two_hours, path, mode
+        self, two_hours, path, mode, monkeypatch
     ):
+        """Nor is a statement planned under the true catalog what the
+        query under the forged one runs: it is planned again, under the
+        catalog it read."""
+        from repro.db import engine as engine_module
+
+        plans = []
+        real = engine_module.plan_select
+        monkeypatch.setattr(engine_module, "plan_select",
+                            lambda *args: plans.append(1) or real(*args))
         system, isp = two_hours, two_hours.isp
         expected = oracle(system, SQL)
         assert expected != oracle(system, "SELECT COUNT(*) FROM "
@@ -1072,7 +1081,10 @@ class TestCatalogMemo:
             for _ in range(2):  # on a cold client, then on a warm one
                 forget(client, CATALOG)
                 isp.arm(MOVES["swapped-catalog"], ALWAYS)
+                del plans[:]
                 assert_refused_cleanly(client, isp, SQL, expected)
+                assert plans == [1, 1]  # the refused query, the next one
+                assert client.query(SQL).rows == expected  # now kept
                 assert len(client.state.catalog) == 1
 
     def test_unchanged_bytes_are_parsed_once_and_still_read(

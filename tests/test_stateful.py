@@ -95,6 +95,20 @@ QUERIES = (
     "FROM eth_token_transfers x JOIN eth_transactions t "
     "ON x.tx_hash = t.hash",
 )
+#: Statements a client keeps compiled across queries (DESIGN §4k), and
+#: the two whose planning reads data, so that no client keeps them.
+PREPARED = (
+    "SELECT COUNT(*) FROM eth_token_transfers "
+    "WHERE tx_hash IN (SELECT hash FROM eth_transactions)",
+    "SELECT COUNT(*), (SELECT SUM(fee) FROM btc_transactions) "
+    "FROM eth_blocks",
+    # The scalar subquery is folded into the index bound on block_time.
+    "SELECT COUNT(*), SUM(gas_used) FROM eth_transactions "
+    "WHERE block_time >= (SELECT MAX(block_time) FROM eth_transactions)",
+    # The FROM-subquery is materialized while planning.
+    "SELECT COUNT(*), SUM(g) FROM "
+    "(SELECT gas_used AS g FROM eth_transactions) s",
+)
 #: Client name -> (mode, cache bytes, over RPC).  Hypothesis leans
 #: towards the first entry of each list here (and of QUERIES, and "eth"
 #: before "btc"), so the carrying clients and the lie only they can be
@@ -131,6 +145,7 @@ def carried(client):
         "filter": state.filter.key,
         "signature": state.signature.key,
         "held": state.held,
+        "statements": len(state.statements),
     }
 
 
@@ -316,6 +331,18 @@ class ClientStateMachine(RuleBasedStateMachine):
         for now in asked_for_vo:
             self.check_nothing_filled_yet(before, now, inserted)
 
+    @rule(name=st.sampled_from(list(CLIENTS)), sql=st.sampled_from(PREPARED),
+          lie=st.sampled_from((None,) + ADVERSARIES))
+    def reissue(self, name, sql, lie):
+        """A statement from a small pool, run twice (a client keeps it
+        compiled from its second compile on, unless planning it read
+        data), then again with ``lie``: kept statements meet blocks,
+        maintenance runs, lies and rollbacks as any query does, and
+        answer what the plain replica answers."""
+        for _ in range(2):
+            self.query(name, sql, None)
+        self.query(name, sql, lie)
+
     # -- the fill rule and the drop rule -------------------------------------
 
     def check_nothing_filled_yet(self, before, now, inserted):
@@ -345,6 +372,7 @@ class ClientStateMachine(RuleBasedStateMachine):
         assert after["signature"] in (
             before["signature"], *self.issued_triples())
         assert after["held"] is None
+        assert after["statements"] == 0
 
     def issued_triples(self):
         return [(self.pk_sgx, c.message(), c.signature) for c in self.issued]
